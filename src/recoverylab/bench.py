@@ -20,24 +20,29 @@ from pathlib import Path
 import numpy as np
 
 from .config import Config
-from .errors import PlanExhausted, PlanningError, UnrecoverableState, ValidationError
-from .faults import ErrorType, max_nominal_duration
-from .labeling import LabelConfig, label_episode
-from .planner import PlanExecutor, plan_nominal, plan_recovery
-from .policy import (
+from .errors import PlanningError, UnrecoverableState, ValidationError
+from .faults import (
     Actor,
+    ErrorType,
+    InjectionSchedule,
+    PlannerActor,
+    max_nominal_duration,
+    run_episode,
+)
+from .labeling import LabelConfig, label_episode
+from .planner import plan_recovery
+from .policy import (
     FrameDataset,
     LearnedActor,
     Policy,
     action_from_vector,
     init_policy,
-    rollout_actor,
     train_bc,
     train_value_conditioned,
 )
 from .store import Episode, HistoryMode, slice_recovery_suffix
 from .value import build_reference_cluster, init_progress_model, train_alignment
-from .world import ArmAction, BimanualAction, EnvMode, Observation, WorldState, success_check
+from .world import BimanualAction, EnvMode, Observation, WorldState, success_check
 from . import policy as policy_mod
 
 
@@ -137,40 +142,39 @@ class OracleActor(Actor):
 
     Executes the nominal plan and self-monitors: a stalled phase or an
     exhausted plan without success triggers replanning from the live state
-    via the recovery planner.  Bounds every learned policy from above.
+    via the recovery planner; with nothing left to do it holds pose.  Bounds
+    every learned policy from above.
     """
 
     def __init__(self, stall_budget: int = 60):
         self.stall_budget = stall_budget
         self._cfg: Config | None = None
         self._task: str = ""
-        self._executor: PlanExecutor | None = None
+        self._planner: PlannerActor | None = None
 
     def begin(self, cfg, task_id, state, obs):
         self._cfg = cfg
         self._task = task_id
-        self._executor = PlanExecutor(cfg, plan_nominal(cfg, task_id, state))
+        self._planner = PlannerActor()
+        self._planner.begin(cfg, task_id, state, obs)
 
-    def _replan(self, state: WorldState) -> bool:
+    def _replan(self, state: WorldState, obs: Observation) -> bool:
         try:
-            self._executor = PlanExecutor(self._cfg, plan_recovery(self._cfg, self._task, state))
-            return True
+            planner = PlannerActor(plan_recovery(self._cfg, self._task, state))
         except (UnrecoverableState, PlanningError):
             return False
+        planner.begin(self._cfg, self._task, state, obs)
+        self._planner = planner
+        return True
 
     def act(self, state: WorldState, obs: Observation) -> BimanualAction:
-        try:
-            if self._executor.steps_in_phase > self.stall_budget:
-                self._replan(state)
-            return self._executor.next_action(state)
-        except PlanExhausted:
-            if not success_check(self._cfg, self._task, state) and self._replan(state):
-                return self._executor.next_action(state)
-            # Hold in place: nothing left to do.
-            return BimanualAction(
-                left=ArmAction(target=state.arm_poses[0], grip=state.grips[0]),
-                right=ArmAction(target=state.arm_poses[1], grip=state.grips[1]),
-            )
+        if self._planner.executor.steps_in_phase > self.stall_budget:
+            self._replan(state, obs)
+        action = self._planner.act(state, obs)
+        if self._planner.exhausted and not success_check(self._cfg, self._task, state):
+            if self._replan(state, obs):
+                action = self._planner.act(state, obs)
+        return action
 
 
 def adversarial_horizon(cfg: Config, t_max: int, error: ErrorType) -> int:
@@ -204,10 +208,9 @@ def run_protocol(
     trials: list[TrialRecord] = []
     for seed in seeds:
         horizon = adversarial_horizon(cfg, t_max, error) if error is not None else t_max
-        episode = rollout_actor(
-            cfg, actor_factory(seed), task_id, env_mode, seed,
-            injection=error, t_max=horizon, episode_label="eval",
-        )
+        trigger = InjectionSchedule(error, None, seed) if error is not None else None
+        episode = run_episode(cfg, actor_factory(seed), task_id, env_mode, seed, "eval",
+                              {"generator": "rollout"}, t_max=horizon, trigger=trigger)
         trials.append(
             TrialRecord(
                 task_id=task_id,

@@ -6,20 +6,11 @@ from __future__ import annotations
 from pathlib import Path
 
 from .config import Config
-from .errors import PlanningError, PlanExhausted, UnrecoverableState
-from .faults import ErrorType, run_interception, run_nominal
-from .planner import CORRECTIVE_PHASES, PlanExecutor, plan_recovery
+from .errors import PlanningError
+from .faults import ErrorType, TimeoutTakeover, run_episode, run_interception, run_nominal
 from .policy import LearnedActor, Policy
-from .store import (
-    Episode,
-    EpisodeKind,
-    Frame,
-    Outcome,
-    PhaseTag,
-    validate_episode,
-    write_episode,
-)
-from .world import EnvMode, get_task, observe, reset, step, success_check
+from .store import EpisodeKind, Outcome, write_episode
+from .world import EnvMode
 
 
 def generate_nominal(
@@ -103,15 +94,15 @@ def collect_policy_induced(
     seed0: int,
     out_dir: str | Path,
     t_max: int,
-    v_fixed: float = 1.0,
 ) -> dict:
-    """Roll out a trained policy; when it fails, let the planner take over.
+    """Roll out a trained policy; when it times out, let the planner take over.
 
-    A takeover happens on a detected anomaly (object dropped while away from
-    its goal, or an empty close) or on timeout stagnation.  Frames before the
-    anomaly are Nominal, drift frames are Error, the planner's corrective
-    phases are Recovery; the takeover instant is the recovery onset.
-    Unrecoverable or still-failing runs are stored as pure failures.
+    The takeover instant is the recovery onset.  Frames before the Error
+    onset are Nominal: the onset is the first drop that leaves an object short
+    of its objectives, or else the step after the last change in grasp state.
+    The planner's corrective phases are Recovery.  Runs the planner cannot
+    recover, or does not finish, are stored as pure failures; policy
+    successes are counted but not stored.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -119,10 +110,10 @@ def collect_policy_induced(
     for i in range(n):
         seed = seed0 + i
         task_id = task_ids[i % len(task_ids)]
-        episode = _induced_episode(cfg, policy, task_id, seed, t_max, v_fixed)
-        if episode is None:
-            counts["skipped"] += 1
-            continue
+        episode = run_episode(
+            cfg, LearnedActor(policy), task_id, EnvMode.RANDOM, seed, "induced",
+            {"generator": "policy-induced"}, t_max=t_max, takeover=TimeoutTakeover(),
+        )
         if episode.kind is EpisodeKind.FAILURE_RECOVERY:
             counts["recovery"] += 1
         elif episode.kind is EpisodeKind.PURE_FAILURE:
@@ -133,106 +124,3 @@ def collect_policy_induced(
         write_episode(episode, out_dir)
     counts["out_dir"] = str(out_dir)
     return counts
-
-
-def _induced_episode(
-    cfg: Config, policy: Policy, task_id: str, seed: int, t_max: int, v_fixed: float
-) -> Episode | None:
-    state = reset(cfg, task_id, EnvMode.RANDOM, seed)
-    spec = get_task(cfg, task_id)
-    obs = observe(cfg, state)
-    actor = LearnedActor(policy, v_fixed=v_fixed)
-    actor.begin(cfg, task_id, state, obs)
-
-    frames: list[Frame] = []
-    anomaly_at: int | None = None
-    last_progress = 0
-    prev_held = [o.held_by for o in state.objects]
-    while True:
-        t = len(frames)
-        if t > t_max:
-            break
-        action = actor.act(state, obs)
-        frames.append(Frame(t=t, obs=obs, action=action, phase=PhaseTag.NOMINAL))
-        new_state = step(cfg, state, action)
-        held = [o.held_by for o in new_state.objects]
-        if held != prev_held:
-            last_progress = t
-            for j, (before, after) in enumerate(zip(prev_held, held)):
-                if before is not None and after is None and anomaly_at is None:
-                    obj = new_state.objects[j]
-                    near_goal = obj.pose.distance(spec.goal) <= cfg.goal_radius
-                    if not near_goal:
-                        anomaly_at = t  # dropped the object away from any goal
-        prev_held = held
-        state, obs = new_state, observe(cfg, new_state)
-        if success_check(cfg, task_id, state):
-            return Episode(
-                episode_id=f"{task_id}-random-induced-s{seed:06d}",
-                task_id=task_id, instruction_id=spec.instruction_id,
-                env_mode=EnvMode.RANDOM, seed=seed, error_type=None, t_rec=None,
-                outcome=Outcome.SUCCESS, kind=EpisodeKind.NOMINAL_SUCCESS,
-                frames=tuple(frames), provenance={"generator": "policy-induced"},
-            )
-
-    # Timeout: the policy failed.  Error onset is the detected anomaly, or the
-    # step after the last change in grasp state when the run merely stagnated.
-    onset = anomaly_at if anomaly_at is not None else min(last_progress + 1, len(frames) - 1)
-    for i in range(onset, len(frames)):
-        frames[i] = Frame(t=frames[i].t, obs=frames[i].obs, action=frames[i].action, phase=PhaseTag.ERROR)
-
-    try:
-        recovery = plan_recovery(cfg, task_id, state)
-    except (UnrecoverableState, PlanningError):
-        episode = Episode(
-            episode_id=f"{task_id}-random-induced-s{seed:06d}",
-            task_id=task_id, instruction_id=spec.instruction_id,
-            env_mode=EnvMode.RANDOM, seed=seed, error_type=None, t_rec=None,
-            outcome=Outcome.FAILURE, kind=EpisodeKind.PURE_FAILURE,
-            frames=tuple(frames), provenance={"generator": "policy-induced", "takeover": "unrecoverable"},
-        )
-        validate_episode(episode)
-        return episode
-
-    t_rec = len(frames)
-    executor = PlanExecutor(cfg, recovery)
-    # A takeover that starts mid-carry has no corrective phases; the whole
-    # planner intervention counts as recovery then, keeping the tag grammar.
-    carry_on = recovery.steps[0].phase not in CORRECTIVE_PHASES
-    succeeded = False
-    while len(frames) < int(cfg.episode_max_steps):
-        try:
-            action = executor.next_action(state)
-        except PlanExhausted:
-            break
-        phase = executor.plan.steps[executor.index].phase
-        tag = PhaseTag.RECOVERY if (carry_on or phase in CORRECTIVE_PHASES) else PhaseTag.NOMINAL
-        frames.append(Frame(t=len(frames), obs=observe(cfg, state), action=action, phase=tag))
-        state = step(cfg, state, action)
-        if success_check(cfg, task_id, state):
-            succeeded = True
-            break
-
-    if not succeeded:
-        for i in range(onset, len(frames)):
-            frames[i] = Frame(t=frames[i].t, obs=frames[i].obs, action=frames[i].action, phase=PhaseTag.ERROR)
-        episode = Episode(
-            episode_id=f"{task_id}-random-induced-s{seed:06d}",
-            task_id=task_id, instruction_id=spec.instruction_id,
-            env_mode=EnvMode.RANDOM, seed=seed, error_type=None, t_rec=None,
-            outcome=Outcome.FAILURE, kind=EpisodeKind.PURE_FAILURE,
-            frames=tuple(frames), provenance={"generator": "policy-induced", "takeover": "failed"},
-        )
-        validate_episode(episode)
-        return episode
-
-    episode = Episode(
-        episode_id=f"{task_id}-random-induced-s{seed:06d}",
-        task_id=task_id, instruction_id=spec.instruction_id,
-        env_mode=EnvMode.RANDOM, seed=seed, error_type=None, t_rec=t_rec,
-        outcome=Outcome.SUCCESS, kind=EpisodeKind.FAILURE_RECOVERY,
-        frames=tuple(frames),
-        provenance={"generator": "policy-induced", "takeover_at": t_rec, "anomaly_at": anomaly_at},
-    )
-    validate_episode(episode)
-    return episode

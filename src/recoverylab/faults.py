@@ -26,6 +26,7 @@ from .config import Config
 from .errors import InputError, InsufficientData, PlanningError, PlanExhausted, SequencingError, UnrecoverableState
 from .planner import (
     CORRECTIVE_PHASES,
+    Plan,
     PlanExecutor,
     PlanPhase,
     plan_nominal,
@@ -39,9 +40,13 @@ from .world import (
     EnvMode,
     GRIP_CLOSED,
     GRIP_OPEN,
+    LEFT,
+    Observation,
     Pose2D,
+    RIGHT,
     WorldState,
     get_task,
+    objective_satisfied,
     observe,
     reset,
     step,
@@ -99,16 +104,23 @@ def error_from_config(cfg: Config, kind: ErrorKind | str) -> ErrorType:
 
 @dataclass
 class InjectionSchedule:
-    """Trigger phase plus the window and draws resolved once per episode."""
+    """An injection's trigger, its window and draws resolved once per
+    episode, and the verdict on the adverse state it left.
+
+    The trigger is the plan phase ``trigger_phase`` of a planner actor or,
+    when that is None, scene geometry, for actors without plan phases (see
+    ``_geometric_trigger``).
+    """
 
     error: ErrorType
-    trigger_phase: PlanPhase
+    trigger_phase: PlanPhase | None
     rng_seed: int
     t_start: int | None = None
     t_end: int | None = None
     arm: int | None = None
     object_index: int | None = None
     draws: dict = field(default_factory=dict)
+    verified: bool | None = None
 
     @property
     def resolved(self) -> bool:
@@ -138,6 +150,72 @@ class InjectionSchedule:
 
     def in_window(self, t: int) -> bool:
         return self.resolved and self.t_start <= t < self.t_end
+
+    @property
+    def pending(self) -> bool:
+        """Resolved, with the adverse state not yet verified."""
+        return self.resolved and self.verified is None
+
+    def fire(self, cfg: Config, t: int, state: WorldState, actor: "Actor") -> bool:
+        """Resolve the schedule at ``t`` if the trigger condition holds."""
+        if self.trigger_phase is None:
+            hit = _geometric_trigger(cfg, state, self.error.kind)
+        else:
+            try:
+                current = actor.executor.current_step(state)
+            except PlanExhausted:
+                return False
+            hit = (current.arm, current.object_index) if current.phase is self.trigger_phase else None
+        if hit is not None:
+            self.resolve(t, *hit)
+        return hit is not None
+
+    @property
+    def open_window_tag(self) -> PhaseTag:
+        """Tag from the onset on of an episode that fails before verification:
+        a generated (phase-triggered) episode is a pure failure from the
+        onset, an evaluation (geometric) trial an unverified nominal run."""
+        return PhaseTag.NOMINAL if self.trigger_phase is None else PhaseTag.ERROR
+
+    def provenance(self, n_frames: int) -> dict:
+        if self.trigger_phase is None and not self.resolved:
+            return dict(UNTRIGGERED)
+        schedule = {
+            "window": [self.t_start, self.t_end] if self.resolved else None,
+            "designated_arm": ARM_NAMES[self.arm] if self.arm is not None else None,
+            "object_index": self.object_index,
+            "draws": self.draws,
+        }
+        entries = {"adverse_verified": bool(self.verified), "schedule": schedule}
+        if self.trigger_phase is None:
+            entries["window_closed"] = n_frames >= self.t_end
+        else:
+            schedule["trigger_phase"] = self.trigger_phase.value
+        return entries
+
+
+# Provenance entries of a rollout whose injection never fired, or that had none.
+UNTRIGGERED = {"adverse_verified": False, "triggered": False}
+
+
+def _geometric_trigger(cfg: Config, state: WorldState, kind: ErrorKind) -> tuple[int, int] | None:
+    """(arm, object index) once scene geometry calls for the injection.
+
+    E2 fires on the first frame an object is held (lift beginning); E3/E4 on
+    first entry within grasp_radius (grasp initiation); E1 on entry within the
+    approach standoff, early enough that the forced close precedes contact.
+    """
+    if kind is ErrorKind.E2_GRASP_SLIP:
+        for i, obj in enumerate(state.objects):
+            if obj.held_by is not None:
+                return obj.held_by, i
+        return None
+    radius = cfg.approach_standoff if kind is ErrorKind.E1_PREMATURE_CLOSE else cfg.grasp_radius
+    for arm in (LEFT, RIGHT):
+        for i, obj in enumerate(state.objects):
+            if obj.held_by is None and obj.pose.distance(state.arm_poses[arm]) <= radius:
+                return arm, i
+    return None
 
 
 def inject(action: BimanualAction, error: ErrorType, t: int, schedule: InjectionSchedule) -> BimanualAction:
@@ -206,51 +284,297 @@ def detect_failure(t: int, t_max: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# episode generation
+# episode engine
 
 
-def _hold_action(state: WorldState) -> BimanualAction:
-    return BimanualAction(
-        left=ArmAction(target=state.arm_poses[0], grip=state.grips[0]),
-        right=ArmAction(target=state.arm_poses[1], grip=state.grips[1]),
-    )
+class Actor:
+    """Closed-loop controller driven by ``run_episode``.
+
+    An actor that runs out of things to do sets ``exhausted`` and holds pose;
+    the episode ends once it has idled ``patience`` frames.  One that reports
+    ``stalled`` ends the episode at once.  Both endings are failures.
+    """
+
+    exhausted = False
+    stalled = False
+    patience = 0
+
+    def begin(self, cfg: Config, task_id: str, state: WorldState, obs: Observation) -> None:
+        raise NotImplementedError
+
+    def act(self, state: WorldState, obs: Observation) -> BimanualAction:
+        raise NotImplementedError
+
+    def applied(self, action: BimanualAction) -> BimanualAction:
+        """The action the arms execute; ``action`` itself is what is recorded."""
+        return action
+
+    def recovery_tag(self) -> PhaseTag:
+        """Tag of the frame just acted on, once recovery has begun."""
+        return PhaseTag.RECOVERY
 
 
-def _episode_id(task_id: str, env_mode: EnvMode, label: str, seed: int) -> str:
-    return f"{task_id}-{env_mode.value.lower()}-{label}-s{seed:06d}"
+class PlannerActor(Actor):
+    """Follows a plan closed-loop (the nominal plan when none is given) and
+    holds pose once the plan is exhausted.
 
+    ``action_noise`` perturbs the executed targets while the clean command is
+    recorded, so demonstrations cover a corrective tube around the nominal
+    path instead of a single trajectory.
+    """
 
-@dataclass
-class _Recorder:
-    frames: list[Frame] = field(default_factory=list)
+    def __init__(self, plan: Plan | None = None, action_noise: float = 0.0, patience: int = 0):
+        self.plan = plan
+        self.action_noise = action_noise
+        self.patience = patience
 
-    def add(self, cfg: Config, state: WorldState, action: BimanualAction, tag: PhaseTag) -> None:
-        self.frames.append(Frame(t=len(self.frames), obs=observe(cfg, state), action=action, phase=tag))
+    def begin(self, cfg, task_id, state, obs):
+        plan = self.plan if self.plan is not None else plan_nominal(cfg, task_id, state)
+        self.executor = PlanExecutor(cfg, plan)
+        self.exhausted = False
+        # A plan that starts mid-carry has no corrective phases; the whole
+        # intervention then counts as recovery, keeping the tag grammar.
+        self._carry_on = self.executor.plan.steps[0].phase not in CORRECTIVE_PHASES
+        if self.action_noise > 0:
+            self._rng = np.random.default_rng([state.rng_seed & 0xFFFFFFFFFFFFFFF, 0x401])
 
-    def retag(self, start: int, tag: PhaseTag) -> None:
-        for i in range(start, len(self.frames)):
-            self.frames[i] = Frame(
-                t=self.frames[i].t, obs=self.frames[i].obs, action=self.frames[i].action,
-                phase=tag, v=self.frames[i].v,
+    def act(self, state, obs):
+        try:
+            return self.executor.next_action(state)
+        except PlanExhausted:
+            self.exhausted = True
+            return BimanualAction(
+                left=ArmAction(target=state.arm_poses[0], grip=state.grips[0]),
+                right=ArmAction(target=state.arm_poses[1], grip=state.grips[1]),
             )
 
+    @property
+    def stalled(self) -> bool:
+        return self.executor.steps_in_phase > self.executor.cfg.phase_stall_limit
 
-def _out_of_time(cfg: Config, n_frames: int, t_max: int | None) -> bool:
-    if n_frames >= int(cfg.episode_max_steps):
-        return True
-    return t_max is not None and detect_failure(n_frames, t_max)
+    def applied(self, action):
+        if self.action_noise <= 0:
+            return action
+        arms = []
+        for a in (action.left, action.right):
+            dx, dy = self._rng.normal(0.0, self.action_noise, size=2)
+            dth = self._rng.normal(0.0, 2.0 * self.action_noise)
+            target = Pose2D(a.target.x + dx, a.target.y + dy, wrap_angle(a.target.theta + dth))
+            arms.append(ArmAction(target=target, grip=a.grip))
+        return BimanualAction(*arms)
+
+    def recovery_tag(self):
+        if self.exhausted:
+            return PhaseTag.NOMINAL
+        phase = self.executor.plan.steps[self.executor.index].phase
+        return PhaseTag.RECOVERY if self._carry_on or phase in CORRECTIVE_PHASES else PhaseTag.NOMINAL
 
 
-def _perturb_action(action: BimanualAction, rng: np.random.Generator, scale: float) -> BimanualAction:
-    def arm(a: ArmAction) -> ArmAction:
-        dx, dy = rng.normal(0.0, scale, size=2)
-        dth = rng.normal(0.0, 2.0 * scale)
-        return ArmAction(
-            target=Pose2D(a.target.x + dx, a.target.y + dy, wrap_angle(a.target.theta + dth)),
-            grip=a.grip,
-        )
+class Takeover:
+    """Hands control to the recovery planner at a verified adverse state.
 
-    return BimanualAction(left=arm(action.left), right=arm(action.right))
+    With ``recover=False`` the episode ends there instead, as a pure failure.
+    The planner idles as patiently as the actor it replaces.
+    """
+
+    def __init__(self, recover: bool = True):
+        self.recover = recover
+        self.handed_over = False
+        self.failure: str | None = None
+
+    def timeout_onset(self, n_frames: int) -> int | None:
+        """Error onset of a takeover at the timeout; None ends the episode."""
+        return None
+
+    def watch(self, cfg: Config, task_id: str, t: int, before: WorldState, after: WorldState) -> None:
+        """Observe one step of the actor before any takeover."""
+
+    def hand_over(self, cfg: Config, task_id: str, state: WorldState, actor: Actor) -> Actor | None:
+        if not self.recover:
+            return None
+        try:
+            plan = plan_recovery(cfg, task_id, state)
+        except (UnrecoverableState, PlanningError) as exc:
+            self.failure = str(exc)
+            return None
+        self.handed_over = True
+        return PlannerActor(plan, patience=actor.patience)
+
+    def provenance(self, t_rec: int | None) -> dict:
+        return {} if self.failure is None else {"recovery_failed": self.failure}
+
+
+class TimeoutTakeover(Takeover):
+    """Hands control to the recovery planner when the actor times out; the
+    planner then has until ``episode_max_steps``.
+
+    The Error onset is the first anomaly, a drop that leaves the object short
+    of every objective it serves, or else the step after the last change in
+    grasp state.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.anomaly_at: int | None = None
+        self.last_progress = 0
+
+    def timeout_onset(self, n_frames):
+        return self.anomaly_at if self.anomaly_at is not None else min(self.last_progress + 1, n_frames - 1)
+
+    def watch(self, cfg, task_id, t, before, after):
+        for j, (was, now) in enumerate(zip(before.objects, after.objects)):
+            if was.held_by == now.held_by:
+                continue
+            self.last_progress = t
+            if self.anomaly_at is None and was.held_by is not None and now.held_by is None:
+                objectives = [o for o in get_task(cfg, task_id).objectives if o.object_index == j]
+                if not any(objective_satisfied(cfg, now, o) for o in objectives):
+                    self.anomaly_at = t
+
+    def provenance(self, t_rec):
+        if self.failure is not None:
+            return {"takeover": "unrecoverable"}
+        if t_rec is not None:
+            return {"takeover_at": t_rec, "anomaly_at": self.anomaly_at}
+        return {"takeover": "failed"} if self.handed_over else {}
+
+
+class _Recorder:
+    """Observation, action and tag lists of one episode, plus its Error onset
+    and recovery start; owns the tag grammar."""
+
+    def __init__(self):
+        self.obs: list[Observation] = []
+        self.actions: list[BimanualAction] = []
+        self.tags: list[PhaseTag] = []
+        self.onset: int | None = None
+        self.t_rec: int | None = None
+
+    def add(self, obs: Observation, action: BimanualAction, tag: PhaseTag) -> None:
+        self.obs.append(obs)
+        self.actions.append(action)
+        self.tags.append(tag)
+
+    def retag(self, tag: PhaseTag) -> None:
+        """Tag every frame from the Error onset on."""
+        if self.onset is not None:
+            self.tags[self.onset:] = [tag] * (len(self.tags) - self.onset)
+
+    def verdict(self, succeeded: bool, failure_tag: PhaseTag) -> tuple[Outcome, EpisodeKind, int | None]:
+        """Success with recovery frames is a failure-recovery episode, any
+        other success a nominal one; a failure is a pure failure."""
+        if succeeded and self.t_rec is not None and len(self.tags) > self.t_rec:
+            return Outcome.SUCCESS, EpisodeKind.FAILURE_RECOVERY, self.t_rec
+        self.retag(PhaseTag.NOMINAL if succeeded else failure_tag)
+        if succeeded:
+            return Outcome.SUCCESS, EpisodeKind.NOMINAL_SUCCESS, None
+        return Outcome.FAILURE, EpisodeKind.PURE_FAILURE, None
+
+
+def run_episode(
+    cfg: Config,
+    actor: Actor,
+    task_id: str,
+    env_mode: EnvMode,
+    seed: int,
+    label: str,
+    provenance: dict,
+    t_max: int | None = None,
+    trigger: InjectionSchedule | None = None,
+    takeover: Takeover | None = None,
+) -> Episode:
+    """Run one episode: Nominal, then Error from an injected or drifting
+    adverse state, then Recovery by a corrective actor, then a verdict.
+
+    The actor acts until success, the timeout (``t > t_max``, and always at
+    ``episode_max_steps``), or it gives up.  A trigger injects its error and
+    verifies the adverse state when the window closes: an unverified
+    injection is retagged Nominal; a verified one starts recovery, by the
+    takeover when given and otherwise by the actor itself.  A takeover may
+    also take over at the timeout.  ``label`` names the episode id and
+    ``provenance`` holds the caller's entries; the trigger and takeover add
+    theirs.
+    """
+    if t_max is not None and t_max <= 0:
+        raise InputError(f"t_max must be positive, got {t_max}")
+    state = reset(cfg, task_id, env_mode, seed)
+    obs = observe(cfg, state)
+    actor.begin(cfg, task_id, state, obs)
+    rec = _Recorder()
+    cap = int(cfg.episode_max_steps)
+    idle = 0
+    succeeded = False
+    while True:
+        t = len(rec.tags)
+        if t >= cap or (t_max is not None and t > t_max):
+            onset = takeover.timeout_onset(t) if takeover is not None and rec.t_rec is None else None
+            if onset is None:
+                break
+            rec.onset = onset
+            rec.retag(PhaseTag.ERROR)
+            actor = takeover.hand_over(cfg, task_id, state, actor)
+            if actor is None:
+                break
+            actor.begin(cfg, task_id, state, obs)
+            rec.t_rec, t_max = t, None
+            continue
+        if trigger is not None and not trigger.resolved and trigger.fire(cfg, t, state, actor):
+            rec.onset = t
+        action = actor.act(state, obs)
+        if actor.exhausted and idle >= actor.patience:
+            break
+        tag = PhaseTag.NOMINAL if rec.t_rec is None else actor.recovery_tag()
+        if trigger is not None and trigger.resolved:
+            action = inject(action, trigger.error, t, trigger)
+            if trigger.in_window(t):
+                tag = PhaseTag.ERROR
+        rec.add(obs, action, tag)
+        before, state = state, step(cfg, state, actor.applied(action))
+        obs = observe(cfg, state)
+        if takeover is not None and rec.t_rec is None:
+            takeover.watch(cfg, task_id, t, before, state)
+        if actor.stalled:
+            break
+        if trigger is not None and len(rec.tags) == trigger.t_end:
+            trigger.verified = verify_adverse(cfg, state, trigger.error, trigger)
+            if trigger.verified:
+                rec.t_rec = len(rec.tags)
+                if takeover is not None:
+                    actor = takeover.hand_over(cfg, task_id, state, actor)
+                    if actor is None:
+                        break
+                    actor.begin(cfg, task_id, state, obs)
+            else:
+                rec.retag(PhaseTag.NOMINAL)
+                rec.onset = None
+        if success_check(cfg, task_id, state):
+            succeeded = True
+            break
+        # Holding while an injection window is open is no idling.
+        idle = idle + 1 if actor.exhausted and not (trigger is not None and trigger.pending) else 0
+
+    pending = trigger is not None and trigger.pending
+    outcome, kind, t_rec = rec.verdict(succeeded, trigger.open_window_tag if pending else PhaseTag.ERROR)
+    provenance = dict(provenance)
+    if trigger is not None:
+        provenance.update(trigger.provenance(len(rec.tags)))
+    if takeover is not None:
+        provenance.update(takeover.provenance(t_rec))
+    episode = Episode(
+        episode_id=f"{task_id}-{env_mode.value.lower()}-{label}-s{seed:06d}",
+        task_id=task_id,
+        instruction_id=get_task(cfg, task_id).instruction_id,
+        env_mode=env_mode,
+        seed=seed,
+        error_type=trigger.error.kind.value if trigger is not None else None,
+        t_rec=t_rec,
+        outcome=outcome,
+        kind=kind,
+        frames=tuple(Frame(t, *row) for t, row in enumerate(zip(rec.obs, rec.actions, rec.tags))),
+        provenance=provenance,
+    )
+    validate_episode(episode)
+    return episode
 
 
 def run_nominal(
@@ -263,45 +587,12 @@ def run_nominal(
 ) -> Episode:
     """Execute the expert plan with no injection; all frames tagged Nominal.
 
-    ``action_noise`` perturbs the executed targets while the clean command is
-    recorded as the label, so demonstrations cover a corrective tube around
-    the nominal path instead of a single trajectory.
+    ``action_noise`` perturbs the executed targets (see PlannerActor).
     """
-    state = reset(cfg, task_id, env_mode, seed)
-    spec = get_task(cfg, task_id)
-    executor = PlanExecutor(cfg, plan_nominal(cfg, task_id, state))
-    rng_noise = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFF, 0x401])
-    rec = _Recorder()
-    succeeded = False
-    while not _out_of_time(cfg, len(rec.frames), t_max):
-        try:
-            action = executor.next_action(state)
-        except PlanExhausted:
-            break
-        rec.add(cfg, state, action, PhaseTag.NOMINAL)
-        applied = _perturb_action(action, rng_noise, action_noise) if action_noise > 0 else action
-        state = step(cfg, state, applied)
-        if executor.steps_in_phase > cfg.phase_stall_limit:
-            break
-        if success_check(cfg, task_id, state):
-            succeeded = True
-            break
-    succeeded = succeeded or success_check(cfg, task_id, state)
-    episode = Episode(
-        episode_id=_episode_id(task_id, env_mode, "nom", seed),
-        task_id=task_id,
-        instruction_id=spec.instruction_id,
-        env_mode=env_mode,
-        seed=seed,
-        error_type=None,
-        t_rec=None,
-        outcome=Outcome.SUCCESS if succeeded else Outcome.FAILURE,
-        kind=EpisodeKind.NOMINAL_SUCCESS if succeeded else EpisodeKind.PURE_FAILURE,
-        frames=tuple(rec.frames),
-        provenance={"generator": "nominal", "action_noise": action_noise},
+    return run_episode(
+        cfg, PlannerActor(action_noise=action_noise), task_id, env_mode, seed, "nom",
+        {"generator": "nominal", "action_noise": action_noise}, t_max=t_max,
     )
-    validate_episode(episode)
-    return episode
 
 
 def run_interception(
@@ -324,139 +615,11 @@ def run_interception(
     ``recover=False``, or when recovery is impossible or the timeout fires,
     the episode is finalized as a pure failure with no Recovery tags.
     """
-    state = reset(cfg, task_id, env_mode, seed)
-    spec = get_task(cfg, task_id)
-    executor = PlanExecutor(cfg, plan_nominal(cfg, task_id, state))
-    schedule = InjectionSchedule(
-        error=error, trigger_phase=TRIGGER_PHASE[error.kind], rng_seed=seed
+    return run_episode(
+        # An exhausted plan holds 4 idle frames once no window is open.
+        cfg, PlannerActor(patience=4), task_id, env_mode, seed,
+        error.kind.value if recover else error.kind.value + "-pf",
+        {"generator": "interception", "e3_sampling": "per-axis-uniform"},
+        t_max=t_max, trigger=InjectionSchedule(error, TRIGGER_PHASE[error.kind], seed),
+        takeover=Takeover(recover),
     )
-    rec = _Recorder()
-    label = error.kind.value if recover else error.kind.value + "-pf"
-    provenance: dict = {
-        "generator": "interception",
-        "e3_sampling": "per-axis-uniform",
-        "adverse_verified": False,
-    }
-
-    t_rec: int | None = None
-    error_onset: int | None = None
-    in_recovery = False
-    idle_holds = 0
-    outcome = Outcome.FAILURE
-    kind = EpisodeKind.PURE_FAILURE
-
-    def finalize_pure_failure() -> None:
-        nonlocal t_rec, kind, outcome
-        if error_onset is not None:
-            rec.retag(error_onset, PhaseTag.ERROR)
-        t_rec = None
-        kind = EpisodeKind.PURE_FAILURE
-        outcome = Outcome.FAILURE
-
-    while True:
-        t = len(rec.frames)
-        if _out_of_time(cfg, t, t_max):
-            finalize_pure_failure()
-            break
-
-        # Resolve the schedule the first time the plan enters the trigger phase.
-        if not schedule.resolved and not in_recovery:
-            try:
-                current = executor.current_step(state)
-            except PlanExhausted:
-                current = None
-            if current is not None and current.phase is schedule.trigger_phase:
-                schedule.resolve(t, current.arm, current.object_index)
-                error_onset = t
-
-        try:
-            action = executor.next_action(state)
-            exhausted = False
-        except PlanExhausted:
-            action = _hold_action(state)
-            exhausted = True
-
-        if schedule.resolved:
-            action = inject(action, error, t, schedule)
-
-        if in_recovery and not exhausted:
-            phase = executor.plan.steps[executor.index].phase
-            tag = PhaseTag.RECOVERY if phase in CORRECTIVE_PHASES else PhaseTag.NOMINAL
-        elif schedule.in_window(t):
-            tag = PhaseTag.ERROR
-        else:
-            tag = PhaseTag.NOMINAL
-        rec.add(cfg, state, action, tag)
-        state = step(cfg, state, action)
-
-        if not exhausted and executor.steps_in_phase > cfg.phase_stall_limit:
-            finalize_pure_failure()
-            break
-
-        # Window closes: verify the adverse state and branch.
-        if schedule.resolved and len(rec.frames) == schedule.t_end and not in_recovery:
-            verified = verify_adverse(cfg, state, error, schedule)
-            provenance["adverse_verified"] = bool(verified)
-            if verified:
-                if not recover:
-                    finalize_pure_failure()
-                    break
-                try:
-                    recovery_plan = plan_recovery(cfg, task_id, state)
-                except (UnrecoverableState, PlanningError) as exc:
-                    provenance["recovery_failed"] = str(exc)
-                    finalize_pure_failure()
-                    break
-                executor = PlanExecutor(cfg, recovery_plan)
-                in_recovery = True
-                t_rec = len(rec.frames)
-            else:
-                # Perturbation left no signature: the run stays nominal.
-                rec.retag(error_onset, PhaseTag.NOMINAL)
-                error_onset = None
-
-        if success_check(cfg, task_id, state):
-            if not in_recovery and error_onset is not None and not provenance["adverse_verified"]:
-                # Succeeded with the window still open: no adverse state.
-                rec.retag(error_onset, PhaseTag.NOMINAL)
-                error_onset = None
-            outcome = Outcome.SUCCESS
-            kind = EpisodeKind.FAILURE_RECOVERY if in_recovery else EpisodeKind.NOMINAL_SUCCESS
-            break
-
-        # A finished plan that did not reach success has failed; keep holding
-        # only while an open injection window still needs to run out.
-        if exhausted:
-            waiting_for_window = (
-                schedule.resolved and not in_recovery and len(rec.frames) < schedule.t_end
-            )
-            if not waiting_for_window:
-                idle_holds += 1
-                if idle_holds > 3:
-                    finalize_pure_failure()
-                    break
-        else:
-            idle_holds = 0
-
-    provenance["schedule"] = {
-        "trigger_phase": schedule.trigger_phase.value,
-        "window": [schedule.t_start, schedule.t_end] if schedule.resolved else None,
-        "designated_arm": ARM_NAMES[schedule.arm] if schedule.arm is not None else None,
-        "object_index": schedule.object_index,
-        "draws": schedule.draws,
-    }
-    episode = Episode(
-        episode_id=_episode_id(task_id, env_mode, label, seed),
-        task_id=task_id,
-        instruction_id=spec.instruction_id,
-        env_mode=env_mode,
-        seed=seed,
-        error_type=error.kind.value,
-        t_rec=t_rec,
-        outcome=outcome,
-        kind=kind,
-        frames=tuple(rec.frames),
-        provenance=provenance,
-    )
-    validate_episode(episode)
-    return episode

@@ -266,8 +266,3 @@ class PlanExecutor:
                 # Idle arm holds pose and grip so no accidental crossing occurs.
                 actions.append(ArmAction(target=state.arm_poses[arm], grip=state.grips[arm]))
         return BimanualAction(left=actions[LEFT], right=actions[RIGHT])
-
-
-def next_action(executor: PlanExecutor, state: WorldState) -> BimanualAction:
-    """Module-level alias kept for symmetry with the other planner entry points."""
-    return executor.next_action(state)

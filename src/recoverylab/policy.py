@@ -27,34 +27,17 @@ import numpy as np
 
 from .config import Config
 from .errors import InputError, StorageError, TrainingError, ValidationError
-from .faults import ErrorKind, ErrorType, InjectionSchedule, inject, verify_adverse
+from .faults import UNTRIGGERED, Actor, ErrorType, InjectionSchedule, run_episode
 from .nets import Adam, Params, init_linear, init_mlp, mlp_backward, mlp_forward
-from .store import (
-    Episode,
-    EpisodeKind,
-    Frame,
-    HistoryMode,
-    Outcome,
-    PhaseTag,
-    build_history,
-)
+from .store import Episode, HistoryMode, build_history
 from .world import (
-    ARM_NAMES,
     ArmAction,
     BimanualAction,
     EnvMode,
-    LEFT,
     OBS_DIM,
     Observation,
     Pose2D,
-    RIGHT,
-    WorldState,
-    get_task,
     instruction_ids,
-    observe,
-    reset,
-    step,
-    success_check,
     wrap_angle,
 )
 
@@ -112,10 +95,6 @@ class Policy:
             self.obs_mean = np.zeros(self.obs_dim)
         if self.obs_std.size == 0:
             self.obs_std = np.ones(self.obs_dim)
-
-    @property
-    def trunk_in_dim(self) -> int:
-        return self.history_w * self.obs_dim + self.obs_dim + self.instr_embed_dim + self.value_token_dim
 
     def clone(self) -> "Policy":
         return Policy(
@@ -466,16 +445,6 @@ def train_value_conditioned(
 # rollouts
 
 
-class Actor:
-    """Protocol for closed-loop controllers driven by the rollout engine."""
-
-    def begin(self, cfg: Config, task_id: str, state: WorldState, obs: Observation) -> None:
-        raise NotImplementedError
-
-    def act(self, state: WorldState, obs: Observation) -> BimanualAction:
-        raise NotImplementedError
-
-
 class LearnedActor(Actor):
     """Wraps a Policy; sees observations only, with a raw rolling history."""
 
@@ -501,137 +470,6 @@ class LearnedActor(Actor):
         return action
 
 
-def _geometric_trigger(cfg: Config, state: WorldState, kind: ErrorKind) -> tuple[int, int] | None:
-    """Policy rollouts have no plan phases; trigger on scene geometry instead.
-
-    E2 fires on the first frame an object is held (lift beginning); E3/E4 on
-    first entry within grasp_radius (grasp initiation); E1 on entry within the
-    approach standoff, early enough that the forced close precedes contact.
-    """
-    if kind is ErrorKind.E2_GRASP_SLIP:
-        for i, obj in enumerate(state.objects):
-            if obj.held_by is not None:
-                return obj.held_by, i
-        return None
-    radius = cfg.approach_standoff if kind is ErrorKind.E1_PREMATURE_CLOSE else cfg.grasp_radius
-    for arm in (LEFT, RIGHT):
-        for i, obj in enumerate(state.objects):
-            if obj.held_by is None and obj.pose.distance(state.arm_poses[arm]) <= radius:
-                return arm, i
-    return None
-
-
-def rollout_actor(
-    cfg: Config,
-    actor: Actor,
-    task_id: str,
-    env_mode: EnvMode,
-    seed: int,
-    max_steps: int | None = None,
-    injection: ErrorType | None = None,
-    t_max: int | None = None,
-    episode_label: str = "roll",
-) -> Episode:
-    """Closed-loop episode under an actor, with optional mid-rollout injection.
-
-    With injection, frames inside the override window are tagged Error and
-    the post-window continuation is tagged Recovery (the protocol's recovery
-    phase).  The adverse state is verified when the window closes and the
-    result recorded in provenance; unverified injections are retagged Nominal.
-    Failed episodes are finalized as pure failures (Error from onset).
-    """
-    state = reset(cfg, task_id, env_mode, seed)
-    spec = get_task(cfg, task_id)
-    obs = observe(cfg, state)
-    actor.begin(cfg, task_id, state, obs)
-    hard_cap = int(max_steps) if max_steps is not None else int(cfg.episode_max_steps)
-    if hard_cap <= 0:
-        raise InputError("max_steps must be positive")
-
-    schedule: InjectionSchedule | None = None
-    if injection is not None:
-        schedule = InjectionSchedule(error=injection, trigger_phase=None, rng_seed=seed)
-    verified: bool | None = None
-    onset: int | None = None
-    frames: list[Frame] = []
-    outcome = Outcome.FAILURE
-
-    while True:
-        t = len(frames)
-        if t >= hard_cap or (t_max is not None and t > t_max):
-            break
-        if schedule is not None and not schedule.resolved:
-            hit = _geometric_trigger(cfg, state, injection.kind)
-            if hit is not None:
-                schedule.resolve(t, hit[0], hit[1])
-                onset = t
-        action = actor.act(state, obs)
-        if schedule is not None and schedule.resolved:
-            action = inject(action, injection, t, schedule)
-        if schedule is not None and schedule.in_window(t):
-            tag = PhaseTag.ERROR
-        elif verified:
-            tag = PhaseTag.RECOVERY
-        else:
-            tag = PhaseTag.NOMINAL
-        frames.append(Frame(t=t, obs=obs, action=action, phase=tag))
-        state = step(cfg, state, action)
-        obs = observe(cfg, state)
-        if schedule is not None and schedule.resolved and len(frames) == schedule.t_end:
-            verified = verify_adverse(cfg, state, injection, schedule)
-        if success_check(cfg, task_id, state):
-            outcome = Outcome.SUCCESS
-            break
-
-    def retag(start: int, tag: PhaseTag) -> None:
-        for i in range(start, len(frames)):
-            frames[i] = Frame(t=frames[i].t, obs=frames[i].obs, action=frames[i].action, phase=tag)
-
-    t_rec: int | None = None
-    if schedule is not None and schedule.resolved:
-        window_closed = len(frames) >= schedule.t_end
-        if verified and outcome is Outcome.SUCCESS and len(frames) > schedule.t_end:
-            kind = EpisodeKind.FAILURE_RECOVERY
-            t_rec = schedule.t_end
-        elif verified and outcome is Outcome.FAILURE:
-            retag(onset, PhaseTag.ERROR)
-            kind = EpisodeKind.PURE_FAILURE
-        else:
-            # Unverified (or resolved too late to matter): a nominal run.
-            retag(onset, PhaseTag.NOMINAL)
-            kind = EpisodeKind.NOMINAL_SUCCESS if outcome is Outcome.SUCCESS else EpisodeKind.PURE_FAILURE
-        provenance = {
-            "generator": "rollout",
-            "adverse_verified": bool(verified),
-            "window_closed": window_closed,
-            "schedule": {
-                "window": [schedule.t_start, schedule.t_end],
-                "designated_arm": ARM_NAMES[schedule.arm],
-                "object_index": schedule.object_index,
-                "draws": schedule.draws,
-            },
-        }
-    else:
-        kind = EpisodeKind.NOMINAL_SUCCESS if outcome is Outcome.SUCCESS else EpisodeKind.PURE_FAILURE
-        provenance = {"generator": "rollout", "adverse_verified": False,
-                      "triggered": schedule is not None and schedule.resolved}
-    error_name = injection.kind.value if injection is not None else None
-    episode = Episode(
-        episode_id=f"{task_id}-{env_mode.value.lower()}-{episode_label}-s{seed:06d}",
-        task_id=task_id,
-        instruction_id=spec.instruction_id,
-        env_mode=env_mode,
-        seed=seed,
-        error_type=error_name,
-        t_rec=t_rec,
-        outcome=outcome,
-        kind=kind,
-        frames=tuple(frames),
-        provenance=provenance,
-    )
-    return episode
-
-
 def rollout(
     policy: Policy,
     cfg: Config,
@@ -639,15 +477,22 @@ def rollout(
     env_mode: EnvMode,
     seed: int,
     v_fixed: float = 1.0,
-    max_steps: int | None = None,
     injection: ErrorType | None = None,
     t_max: int | None = None,
 ) -> Episode:
-    """Deploy the policy closed-loop: raw rolling history, fixed value input."""
-    label = f"pol-{injection.kind.value}" if injection is not None else "pol"
-    return rollout_actor(
-        cfg, LearnedActor(policy, v_fixed=v_fixed), task_id, env_mode, seed,
-        max_steps=max_steps, injection=injection, t_max=t_max, episode_label=label,
+    """Deploy the policy closed-loop: raw rolling history, fixed value input.
+
+    With ``injection``, frames inside the override window are tagged Error
+    and the post-window continuation Recovery, provided the adverse state
+    verifies when the window closes (see ``InjectionSchedule``).
+    """
+    actor = LearnedActor(policy, v_fixed=v_fixed)
+    if injection is None:
+        return run_episode(cfg, actor, task_id, env_mode, seed, "pol",
+                           {"generator": "rollout", **UNTRIGGERED}, t_max=t_max)
+    return run_episode(
+        cfg, actor, task_id, env_mode, seed, f"pol-{injection.kind.value}", {"generator": "rollout"},
+        t_max=t_max, trigger=InjectionSchedule(injection, None, seed),
     )
 
 

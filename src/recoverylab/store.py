@@ -82,10 +82,6 @@ class HistoryWindow:
     entries: np.ndarray  # (W, obs_dim)
     valid_count: int
 
-    @property
-    def capacity(self) -> int:
-        return self.entries.shape[0]
-
 
 def tag_pattern_valid(tags: list[PhaseTag], sliced: bool = False) -> bool:
     """Accepts Nominal*, Nominal* Error+, or Nominal* Error+ Recovery+ Nominal*.
@@ -305,10 +301,6 @@ def read_dataset(dataset_dir: str | Path) -> list[Episode]:
     dataset_dir = Path(dataset_dir)
     manifest = _load_manifest(dataset_dir)
     return [read_episode(dataset_dir / entry["file"]) for entry in manifest["episodes"]]
-
-
-def dataset_seeds(dataset_dir: str | Path) -> set[int]:
-    return {entry["seed"] for entry in _load_manifest(Path(dataset_dir))["episodes"]}
 
 
 # ---------------------------------------------------------------------------

@@ -126,8 +126,8 @@ class Observation:
 class Objective:
     """One manipulation goal inside a task: arm moves object to destination.
 
-    ``transfer`` objectives are satisfied as soon as the object becomes
-    reachable by the next arm (the hand-off case); ``place`` objectives need
+    ``transfer`` objectives are satisfied as soon as the next arm holds the
+    object or can take it over (the hand-off case); ``place`` objectives need
     the object resting within goal_radius of the destination.
     """
 
@@ -328,12 +328,14 @@ def observe(cfg: Config, state: WorldState) -> Observation:
 
 def objective_satisfied(cfg: Config, obj_state: ObjectState, objective: Objective) -> bool:
     if objective.kind == "transfer":
-        # Satisfied once the next arm can take over (object inside its reach,
-        # with margin for the grasp radius), resting free.
+        # Satisfied once the next arm holds the object, or the object rests
+        # free inside the next arm's x-reach with margin for the grasp radius.
+        # Height is left out: a resting object sits below the margin.
         next_arm = RIGHT if objective.arm == LEFT else LEFT
-        return obj_state.held_by is None and in_reach(
-            cfg, next_arm, obj_state.pose, slack=-cfg.grasp_radius
-        )
+        if obj_state.held_by is not None:
+            return obj_state.held_by == next_arm
+        x_min, x_max, _, _ = arm_reach(cfg, next_arm)
+        return x_min + cfg.grasp_radius <= obj_state.pose.x <= x_max - cfg.grasp_radius
     return (
         obj_state.held_by is None
         and obj_state.pose.distance(objective.destination) <= cfg.goal_radius

@@ -8,11 +8,14 @@ from recoverylab.faults import (
     ErrorKind,
     ErrorType,
     InjectionSchedule,
+    PlannerActor,
     TRIGGER_PHASE,
+    TimeoutTakeover,
     detect_failure,
     error_from_config,
     inject,
     max_nominal_duration,
+    run_episode,
     run_interception,
     run_nominal,
     success_durations,
@@ -276,3 +279,18 @@ def test_nominal_run_all_nominal(cfg):
     assert episode.kind is EpisodeKind.NOMINAL_SUCCESS
     assert all(t is PhaseTag.NOMINAL for t in tags_of(episode))
     assert episode.error_type is None
+
+
+@pytest.mark.parametrize("seed, onset", [(0, 58), (1, 67), (2, 65)])
+def test_timeout_takeover_after_handoff(cfg, seed, onset):
+    # The planner times out after the hand-off.  The left arm's release at the
+    # hand-off spot is no anomaly, so the Error onset is the step after the
+    # right arm's grasp, and the takeover carries the object on to the goal.
+    t_nominal = len(run_nominal(cfg, "bimanual-handover", EnvMode.RANDOM, seed).frames)
+    episode = run_episode(
+        cfg, PlannerActor(), "bimanual-handover", EnvMode.RANDOM, seed, "induced",
+        {"generator": "policy-induced"}, t_max=int(0.8 * t_nominal), takeover=TimeoutTakeover(),
+    )
+    assert episode.kind is EpisodeKind.FAILURE_RECOVERY
+    assert episode.provenance["anomaly_at"] is None
+    assert tags_of(episode).index(PhaseTag.ERROR) == onset

@@ -194,3 +194,16 @@ def test_recovery_conditions_only_on_state(cfg):
     a = plan_recovery(cfg, "pick-place", build_adverse_state(cfg, seed=3))
     b = plan_recovery(cfg, "pick-place", build_adverse_state(cfg, seed=3))
     assert a == b
+
+
+def test_recovery_after_completed_handoff_carries_on(cfg):
+    # Once the right arm holds the passed object, the transfer is done and
+    # recovery finishes the place objective with that arm.
+    state = reset(cfg, "bimanual-handover", EnvMode.RANDOM, 0)
+    executor = PlanExecutor(cfg, plan_nominal(cfg, "bimanual-handover", state))
+    while state.objects[0].held_by != RIGHT:
+        state = step(cfg, state, executor.next_action(state))
+    plan = plan_recovery(cfg, "bimanual-handover", state)
+    assert plan.steps[0].phase is PlanPhase.LIFT and plan.steps[0].arm == RIGHT
+    final, _ = execute(cfg, "bimanual-handover", state, plan)
+    assert success_check(cfg, "bimanual-handover", final)

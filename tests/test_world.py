@@ -16,6 +16,8 @@ from recoverylab.world import (
     Pose2D,
     RIGHT,
     WorldState,
+    get_task,
+    objective_satisfied,
     observe,
     reset,
     step,
@@ -227,3 +229,15 @@ def test_trajectory_determinism(cfg, rng):
             states.append(state)
         seqs.append(states)
     assert seqs[0] == seqs[1]
+
+
+def test_transfer_objective_after_handoff(cfg):
+    # The hand-off drop zone is resting height at x=0: inside the right arm's
+    # x-reach, below its y-reach margin.  The right arm holding the object
+    # satisfies the transfer too; the left arm holding it does not.
+    transfer = get_task(cfg, "bimanual-handover").objectives[0]
+    at_handoff = Pose2D(0.0, cfg.table_y, 0.0)
+    assert objective_satisfied(cfg, ObjectState("obj0", at_handoff, None), transfer)
+    assert objective_satisfied(cfg, ObjectState("obj0", Pose2D(0.2, cfg.lift_y), RIGHT), transfer)
+    assert not objective_satisfied(cfg, ObjectState("obj0", at_handoff, LEFT), transfer)
+    assert not objective_satisfied(cfg, ObjectState("obj0", Pose2D(-0.3, cfg.table_y), None), transfer)
