@@ -12,6 +12,10 @@ exactly 30 frames.  Random draws (offsets, rotation) happen exactly once per
 episode when the schedule resolves at its trigger phase, so every in-window
 action sees the same perturbation.  Recovery scoring elsewhere is gated on
 ``verify_adverse``: the error must have left its physical signature.
+
+``run_episode`` is the one episode loop.  Expert demonstrations,
+interception, policy rollouts and policy-induced collection differ only in
+the actor, the injection trigger and the takeover they hand it.
 """
 
 from __future__ import annotations
@@ -156,7 +160,7 @@ class InjectionSchedule:
         """Resolved, with the adverse state not yet verified."""
         return self.resolved and self.verified is None
 
-    def fire(self, cfg: Config, t: int, state: WorldState, actor: "Actor") -> bool:
+    def fire(self, cfg: Config, t: int, state: WorldState, actor: Actor) -> bool:
         """Resolve the schedule at ``t`` if the trigger condition holds."""
         if self.trigger_phase is None:
             hit = _geometric_trigger(cfg, state, self.error.kind)
