@@ -1,8 +1,9 @@
 """Golden determinism net: sha256 of the bytes that ``write_episode`` and
-``write_report`` produce for fixed configs and seeds.
+``write_report`` produce for fixed configs and seeds, and of the training
+arrays that ``build_frame_dataset`` derives from those episodes.
 
-The digests pin episode JSON and eval reports across refactors of the episode
-loops.  Each case names the finalisation branch its seed was chosen to reach.
+The digests pin episode JSON, eval reports and training inputs across
+refactors of the episode loops and the dataset builder.  Each case names the finalisation branch its seed was chosen to reach.
 Branches that default geometry never reaches in a given loop are forced with
 a config override (or, for a failing recovery planner, a patched planner)
 and say so.  The learned actor is an untrained ``init_policy(cfg, seed=9)``,
@@ -11,11 +12,14 @@ so no digest depends on training or BLAS summation order.
 
 import hashlib
 
+import numpy as np
+
 from recoverylab import bench, datagen, faults
 from recoverylab.errors import UnrecoverableState
 from recoverylab.faults import ErrorKind, error_from_config, run_interception, run_nominal
-from recoverylab.policy import init_policy
-from recoverylab.store import write_episode
+from recoverylab.labeling import LabelConfig, label_failure, label_recovery, label_success
+from recoverylab.policy import build_frame_dataset, init_policy
+from recoverylab.store import EpisodeKind, HistoryMode, Outcome, slice_recovery_suffix, write_episode
 from recoverylab.world import EnvMode
 
 TASKS = ("pick-place", "stack-two", "bimanual-handover")
@@ -354,3 +358,198 @@ def test_protocol_report_golden(cfg, tmp_path):
         got[f"{name}.json"] = _sha(paths["json"])
     _assert_golden(got, REPORT_GOLDEN)
 
+
+
+DATASET_ARRAYS = ("hist", "obs", "instr", "actions", "values", "sample_pool")
+
+
+def _array_digest(arr) -> str:
+    head = f"{arr.dtype.str}{arr.shape}".encode()
+    return hashlib.sha256(head + np.ascontiguousarray(arr).tobytes()).hexdigest()
+
+
+def _task_episodes(cfg, task):
+    """Noisy expert successes, verified recoveries and pure failures of one task."""
+    noise = float(cfg.expert_action_noise)
+    expert = [run_nominal(cfg, task, EnvMode.RANDOM, s, action_noise=noise) for s in range(3)]
+    kinds = (ErrorKind.E1_PREMATURE_CLOSE, ErrorKind.E2_GRASP_SLIP, ErrorKind.E4_ORIENTATION_MISMATCH)
+    intercepted = {
+        recover: [run_interception(cfg, task, EnvMode.RANDOM, error_from_config(cfg, k), s, recover=recover)
+                  for k in kinds for s in (0, 1)]
+        for recover in (True, False)
+    }
+    return (
+        [e for e in expert if e.outcome is Outcome.SUCCESS],
+        [e for e in intercepted[True] if e.kind is EpisodeKind.FAILURE_RECOVERY],
+        [e for e in intercepted[False] if e.kind is EpisodeKind.PURE_FAILURE],
+    )
+
+
+DATASET_GOLDEN = {
+    "bimanual-handover/expert/actions":
+        "caf1a521354efafcb167e6d4e649c8d614275142035cfc48dfd027a10140c9b3",
+    "bimanual-handover/expert/hist":
+        "909a795764b1476e2a7bc3335108e54f27c53fa451b66e2b846bab89c10bd43b",
+    "bimanual-handover/expert/instr":
+        "b6629a1849fa92bb14842c08b515c96b800c760b323b7f1ea425bf2e7d005779",
+    "bimanual-handover/expert/obs":
+        "fad03af8b1dedeaa9f8f7d124bc7f5acf1f3d71c8c0d37c0d16bd5a67a4f7f41",
+    "bimanual-handover/expert/sample_pool":
+        "4b7908a5803f3c5a804a99ec06c698ae30494a59255f733727074f3ec030a909",
+    "bimanual-handover/expert/values":
+        "ae1212c301d231a067c61ddf3b83f788a47d364bb96c3d3667a161e0117bad30",
+    "bimanual-handover/labeled/actions":
+        "cb81d72a03ae7230d32efe9cc12dbcdf6ea6cbaf2f49357c0ccd5027dcfafa26",
+    "bimanual-handover/labeled/hist":
+        "d9680056c5767af47d3b2ad3a9934641daebfb7fe87afd9075938284b512658d",
+    "bimanual-handover/labeled/instr":
+        "6701df022ba1cfeae691816a60b13f3387599f9228bdf38ee6778ae6866210fd",
+    "bimanual-handover/labeled/obs":
+        "0088e7ba8046bbbef4144c5b68ee416c3aba2d19c5367a75f53f9d300a1da430",
+    "bimanual-handover/labeled/sample_pool":
+        "048bd0b982abf6cdf0b40fd8491efef97b2842a6ec854610cc0b20934a5a4e2b",
+    "bimanual-handover/labeled/values":
+        "5a2343f4892181d4444c415976bc3758ab3f3bd3acb68f43288e4daa7cd0f4c1",
+    "bimanual-handover/raw-recovery/actions":
+        "6786c523946dfb9048a552b00ebebeedd0192ff4d09ccdfabb6d3390efefe18b",
+    "bimanual-handover/raw-recovery/hist":
+        "98bd85cb3827a42750139bd56cdeb4ee48b8813c15ded20848ddca8d2bcc2a41",
+    "bimanual-handover/raw-recovery/instr":
+        "9271364b73a57afbdb286596e40a31d8a8fc3e68a8787c05c7863f244d217652",
+    "bimanual-handover/raw-recovery/obs":
+        "2971f257d36fe13787974b9f64024cac4b0204f99c729f4116c1401fd025109e",
+    "bimanual-handover/raw-recovery/sample_pool":
+        "a68ea72397afc036a14368dc67945fd9cf46cf31890a4ebbe3164fb0a49824f7",
+    "bimanual-handover/raw-recovery/values":
+        "64045d280db53f0c7f10c68a36173644df10ea78714f398203cca2179d39633b",
+    "bimanual-handover/sliced/actions":
+        "0670b23855d7a88fb3e5fa29dc917722744fbdf6ecc97c284dfde2551380c185",
+    "bimanual-handover/sliced/hist":
+        "8ac4e9c797b993681a9f067c671f295f96b088331faaf6ea4f976f780cef79a0",
+    "bimanual-handover/sliced/instr":
+        "1c7dd7faded2a8784bdd8034bc0f69612efa6ef11062e569773a5bf48e28e7de",
+    "bimanual-handover/sliced/obs":
+        "339446220a925fec0873dd6c83d519fcab8d2ea2ac8b51be1697f2581ea92389",
+    "bimanual-handover/sliced/sample_pool":
+        "712a4a50e215210d1df2532fccaef4c8ad4286ea0b252dcf548f0e647c692ce0",
+    "bimanual-handover/sliced/values":
+        "331841f64f6b6d5a13b1dbde3c1ec5330446c7b7b2e2d6dedd4bd0ec0a6f3f5e",
+    "pick-place/expert/actions":
+        "2fe239ddcfbd9cdb5f3e9a1f115a0f907061c020ec4138fb40a77d67ffea23dd",
+    "pick-place/expert/hist":
+        "18990c38896ab639170e9f5b7807910e9fe5ce1a5e1dca0a9eee7be7683d376a",
+    "pick-place/expert/instr":
+        "6d087908ab49ff7e8097a9740c8dfdb8b9f0a51c4cbd3eac72f735289af2e2c2",
+    "pick-place/expert/obs":
+        "32b2775c7ada504d881c40dc53b6f9c5aac3172c5fceb6c2390d0d37f1583f5d",
+    "pick-place/expert/sample_pool":
+        "7eb35a4614f40bf35994009d8c379422f8568c17f8e117c93e4aa735abc4644c",
+    "pick-place/expert/values":
+        "e0ee8891747ff0aa7cea4fb074a50bf68ffddee26d8e20cd97d268a2174a802e",
+    "pick-place/labeled/actions":
+        "25539ae6a1ca2e5eed09b96fd23bbc70a43ce8e2f2c77cde3877368bd8dd787d",
+    "pick-place/labeled/hist":
+        "dfab7f9f7819cf50b0ea14e7d6d1f678d1669fe3cdc31fa52e180e14f28f43cc",
+    "pick-place/labeled/instr":
+        "43dd3a20080b2a8acc123f4b87981c5f2750ddcdcd22ece0a919583300d14792",
+    "pick-place/labeled/obs":
+        "90f3fec05e8826781306a3eb3766e0cb672fad0e587ee3da2d84a38dc7a3c10e",
+    "pick-place/labeled/sample_pool":
+        "dc927369ef3f30c98abd6628f4f919bfb4f231f256ca8af7b1adeb7a561bb477",
+    "pick-place/labeled/values":
+        "c0c434eff5387859fe172aa3420d65012fde6aad4c9e1eac912a7e89ddbccfb0",
+    "pick-place/raw-recovery/actions":
+        "9cd528978d2fefec46c142e96ac9d9fb6b658bbd01e2e4c7ca084e357b7691d6",
+    "pick-place/raw-recovery/hist":
+        "f1f105ab35e692d728ee91457056751782cb7d184430a8b595da3018510e2ee8",
+    "pick-place/raw-recovery/instr":
+        "b765f74a61b732c1db9927cb2fbce9cece0d7ce13239e8636649f6e5b412bf05",
+    "pick-place/raw-recovery/obs":
+        "5cd8ea524f773ec3a1c21cb958f51a969ab6545947fc9ab388882f58c8c54cc7",
+    "pick-place/raw-recovery/sample_pool":
+        "24c2bd3e8ba2322283205ab2523e34dab4ed3e50696c4d6e30baa85cab00aba1",
+    "pick-place/raw-recovery/values":
+        "eea7a2f4d7a3e425228f246ce86efaabc9487ada3f50e4cd9205cbd3c145e049",
+    "pick-place/sliced/actions":
+        "d91919aa67750d4677af9a32cd665ebdfefa44f61b7123cf34a3c2d0cbe3a890",
+    "pick-place/sliced/hist":
+        "3d0fa1d8593a10d3521772d03c791ce7c39d436047c28b5c8f34a9551fbd0960",
+    "pick-place/sliced/instr":
+        "e195aee6652b150f79029037694a6de363d998ade30da4d17da7e708a4309eec",
+    "pick-place/sliced/obs":
+        "545fa58a47dccfb4e0f0880deabeaee10e7398cf48f2651c009d75b8b32dd686",
+    "pick-place/sliced/sample_pool":
+        "5d8a3e565b155462aff114e7511faecf9646664a09bfd095be8e4febe14b4de5",
+    "pick-place/sliced/values":
+        "b9b30c6009b088c0cde0e75bd762755596a6753b31cf9c8bfa2653e6fec2ae3f",
+    "stack-two/expert/actions":
+        "baa9d13d1aa0057d5310fabd342036004da5bbd73c66e7385504cf894912c091",
+    "stack-two/expert/hist":
+        "ce974d540f3d576013b510d097e91c8d99663b1030ae24bdf055b090c61c562f",
+    "stack-two/expert/instr":
+        "a3f42bb0c36b9bb6c83169b433688147b166b5cf02176bc92e3a287f45d6dddc",
+    "stack-two/expert/obs":
+        "f17f38cef8499d9cf1dff020086366b7e50850e36ee2bf757482a1f7c7c990e6",
+    "stack-two/expert/sample_pool":
+        "064721f21973bd7185acabd83b11b99248dcf7b9eb9ecc4a5bb036a657752b44",
+    "stack-two/expert/values":
+        "7378653debfaa30979da51d216ae3fe84a34923b15d28a07cfd42f8a35f1a709",
+    "stack-two/labeled/actions":
+        "c60ad81d39fc66ec8e7905a8a3b8e938c92503be77de407a52db0b271460b32b",
+    "stack-two/labeled/hist":
+        "a540d145f5dfac02c63f35606831719be418eba909573f3583517d60c0a4619d",
+    "stack-two/labeled/instr":
+        "be4b786186220175b3bd18b891235472dd2d53e72edb1fc78245c48179937622",
+    "stack-two/labeled/obs":
+        "5e8c6575d4e2d4a22211e7fbb279264be3b6b1954feefe4b39b1879ca22628da",
+    "stack-two/labeled/sample_pool":
+        "82bc08e4a9e7a62dd340549c070d3302fe716ba69b4a01e34b2ecc2da60b2cc3",
+    "stack-two/labeled/values":
+        "68c489d72ad448d4e882f15d9d620cdffe27e3c21daf548945c3f9d8657aaed8",
+    "stack-two/raw-recovery/actions":
+        "52277c192b48c243af1cbcd29ad6b7d1547999411dc241faa3a9eb7be63c5b64",
+    "stack-two/raw-recovery/hist":
+        "3155802568ad7774abf1b8be0e32a1f2308710b793158f4d59ecd5b21e3e1ea0",
+    "stack-two/raw-recovery/instr":
+        "b52d16758199ab6caf87b8c5ae8981e486e84f6776afc34008d448ef0ca5b070",
+    "stack-two/raw-recovery/obs":
+        "797f811035878d5d4338dd74b6703ddc0dfa7986a450f15a4615f8da67c4fc9a",
+    "stack-two/raw-recovery/sample_pool":
+        "15b6724c7946165a0a6fa9ca0c5399abdadfab77bae2a29fa236f862ebb3616b",
+    "stack-two/raw-recovery/values":
+        "35b15c8f522b4f01ae2c777a2c054db3abce31aaddc538d550449e0340d032bb",
+    "stack-two/sliced/actions":
+        "600e6ac95dbd3abafbe221d34bb9d7facf69ce8312de58e445b713cd617e52dd",
+    "stack-two/sliced/hist":
+        "034c655ce4ed90601a5ec74256efe1951c18e15bc1b0ead6b778e10565ae2b14",
+    "stack-two/sliced/instr":
+        "59d346ace4c1849610a6251fae480d188685f04ce1c88abaecbd523ce8d5fb32",
+    "stack-two/sliced/obs":
+        "7617d99664bfd91caa0aeefd7636b65a9d394deb94770f1e64bb6aa9dd98d87c",
+    "stack-two/sliced/sample_pool":
+        "9796ed7f26b6802c86645a9e20c2a2af1c7da5c6d864eb5d75c0ba6a593665dd",
+    "stack-two/sliced/values":
+        "6ee1450de38f506dd548293c64b4cabb6f8355887cd91bdf48570aa871b6b687",
+}
+
+
+def test_frame_dataset_golden(cfg):
+    # Pure failures get a fixed progress value, so no digest depends on training.
+    w = int(cfg.history_window)
+    label_cfg = LabelConfig.from_config(cfg)
+    got = {}
+    for task in TASKS:
+        expert, recovery, failure = _task_episodes(cfg, task)
+        assert expert and recovery and failure, task
+        labeled = ([label_success(e) for e in expert] + [label_recovery(e) for e in recovery]
+                   + [label_failure(e, 0.6, label_cfg) for e in failure])
+        sets = {
+            "expert": build_frame_dataset(cfg, expert, w, HistoryMode.RAW),
+            "sliced": build_frame_dataset(cfg, [slice_recovery_suffix(e) for e in recovery], w,
+                                          HistoryMode.RESET),
+            "raw-recovery": build_frame_dataset(cfg, recovery, w, HistoryMode.RAW),
+            "labeled": build_frame_dataset(cfg, labeled, w, HistoryMode.RAW, require_labels=True),
+        }
+        for name, ds in sets.items():
+            got.update({f"{task}/{name}/{a}": _array_digest(getattr(ds, a)) for a in DATASET_ARRAYS})
+    _assert_golden(got, DATASET_GOLDEN)
