@@ -40,7 +40,7 @@ from .policy import (
     train_bc,
     train_value_conditioned,
 )
-from .store import Episode, HistoryMode, slice_recovery_suffix
+from .store import Episode, slice_recovery_suffix
 from .value import build_reference_cluster, init_progress_model, train_alignment
 from .world import BimanualAction, EnvMode, Observation, WorldState, success_check
 from . import policy as policy_mod
@@ -305,19 +305,18 @@ def train_variants(
     """Train the SFT baseline, the phase-one policy, and the refined policy.
 
     ``history_reset=False`` is the ablation: phase one trains on the raw
-    (unsliced) recovery episodes with raw histories instead of reset slices.
+    (unsliced) recovery episodes instead of reset slices.
     """
     out = TrainedVariants(t_max=max_nominal_duration(expert_episodes))
     w = int(cfg.history_window)
-    expert_ds = policy_mod.build_frame_dataset(cfg, expert_episodes, w, HistoryMode.RAW)
+    expert_ds = policy_mod.build_frame_dataset(cfg, expert_episodes, w)
 
     rec_ds: FrameDataset | None = None
     if recovery_episodes:
+        phase1_recovery = recovery_episodes
         if history_reset:
-            sliced = [slice_recovery_suffix(e) for e in recovery_episodes]
-            rec_ds = policy_mod.build_frame_dataset(cfg, sliced, w, HistoryMode.RESET)
-        else:
-            rec_ds = policy_mod.build_frame_dataset(cfg, recovery_episodes, w, HistoryMode.RAW)
+            phase1_recovery = [slice_recovery_suffix(e) for e in recovery_episodes]
+        rec_ds = policy_mod.build_frame_dataset(cfg, phase1_recovery, w)
 
     seeds = {e.seed for e in expert_episodes + recovery_episodes + failure_episodes}
     out.training_seeds = frozenset(seeds)
@@ -347,7 +346,7 @@ def train_variants(
             for e in expert_episodes + recovery_episodes + failure_episodes
         ]
         full = phase1.clone()
-        vcr_ds = policy_mod.build_frame_dataset(cfg, labeled, w, HistoryMode.RAW, require_labels=True)
+        vcr_ds = policy_mod.build_frame_dataset(cfg, labeled, w, require_labels=True)
         train_value_conditioned(full, vcr_ds, cfg, seed=seed)
         full.provenance["variant"] = "full" + ("" if history_reset else "-noreset")
         out.full = full

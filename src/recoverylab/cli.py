@@ -18,7 +18,7 @@ from . import bench, datagen, labeling, policy as policy_mod, store, value as va
 from .config import Config, load_config
 from .errors import RecoveryLabError
 from .faults import ErrorKind, error_from_config, max_nominal_duration
-from .store import EpisodeKind, HistoryMode, Outcome, read_dataset
+from .store import EpisodeKind, Outcome, read_dataset
 from .world import EnvMode
 
 
@@ -133,22 +133,18 @@ def cmd_train_rai(args) -> int:
     cfg = _policy_overrides(load_config(args.config), args)
     expert = _load_episodes(_dirs(args.expert))
     pol = policy_mod.init_policy(cfg, seed=args.seed)
-    expert_ds = policy_mod.build_frame_dataset(cfg, expert, pol.history_w, HistoryMode.RAW)
+    expert_ds = policy_mod.build_frame_dataset(cfg, expert, pol.history_w)
     rec_ds = None
-    rec_seeds: set[int] = set()
     if args.recovery:
         recovery = [
             e for e in _load_episodes(_dirs(args.recovery))
             if e.kind is EpisodeKind.FAILURE_RECOVERY
         ]
-        rec_seeds = {e.seed for e in recovery}
-        if args.no_history_reset:
-            rec_ds = policy_mod.build_frame_dataset(cfg, recovery, pol.history_w, HistoryMode.RAW)
-        else:
-            sliced = [store.slice_recovery_suffix(e) for e in recovery]
-            rec_ds = policy_mod.build_frame_dataset(cfg, sliced, pol.history_w, HistoryMode.RESET)
+        if not args.no_history_reset:
+            recovery = [store.slice_recovery_suffix(e) for e in recovery]
+        rec_ds = policy_mod.build_frame_dataset(cfg, recovery, pol.history_w)
     losses = policy_mod.train_bc(pol, expert_ds, rec_ds, cfg, seed=args.seed)
-    pol.provenance["training_seeds"] = sorted(set(expert_ds.seeds) | rec_seeds)
+    pol.provenance["training_seeds"] = sorted(expert_ds.seeds | (rec_ds.seeds if rec_ds else frozenset()))
     pol.provenance["phase"] = "imitation"
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -161,7 +157,7 @@ def cmd_train_vcr(args) -> int:
     cfg = _policy_overrides(load_config(args.config), args)
     labeled = _load_episodes(_dirs(args.data))
     pol = policy_mod.load_policy(args.init) if args.init else policy_mod.init_policy(cfg, seed=args.seed)
-    ds = policy_mod.build_frame_dataset(cfg, labeled, pol.history_w, HistoryMode.RAW, require_labels=True)
+    ds = policy_mod.build_frame_dataset(cfg, labeled, pol.history_w, require_labels=True)
     losses = policy_mod.train_value_conditioned(pol, ds, cfg, seed=args.seed)
     prior = set(pol.provenance.get("training_seeds", []))
     pol.provenance["training_seeds"] = sorted(prior | set(ds.seeds))

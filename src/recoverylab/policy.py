@@ -10,11 +10,11 @@ desired-progress levels.
 Training treats actions as a fixed-variance Gaussian around the network
 mean, so the negative log-likelihood is squared error over 2*sigma^2 plus a
 constant; both the NLL and plain-MSE paths are exposed and differ exactly by
-that factor.  Phase one imitates expert data (raw histories) mixed with
-reset-recovery data (sliced histories) at weight lambda, with v pinned to
-1.0.  The refinement phase trains on the labeled mixed dataset with raw
-histories and per-frame v driving the token.  Deployment pins v = 1.0 and
-uses the ordinary rolling history buffer.
+that factor.  Phase one imitates expert data mixed with sliced recovery
+suffixes (histories reset at the recovery) at weight lambda, with v pinned
+to 1.0.  The refinement phase trains on the labeled mixed dataset (histories
+reach back into the failure) with per-frame v driving the token.  Deployment
+pins v = 1.0 and reads the training-time windows from a rolling buffer.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .config import Config
 from .errors import InputError, StorageError, TrainingError, ValidationError
 from .faults import UNTRIGGERED, Actor, ErrorType, InjectionSchedule, run_episode
 from .nets import Adam, Params, init_linear, init_mlp, mlp_backward, mlp_forward
-from .store import Episode, HistoryMode, build_history
+from .store import Episode, history_rows, history_windows, obs_matrix
 from .world import (
     ArmAction,
     BimanualAction,
@@ -253,13 +253,8 @@ class FrameDataset:
     instr: np.ndarray     # (N,)
     actions: np.ndarray   # (N, ACTION_DIM)
     values: np.ndarray    # (N,)
-    history_mode: HistoryMode
     seeds: frozenset[int]
-    sample_pool: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-
-    def __post_init__(self):
-        if self.sample_pool.size == 0:
-            self.sample_pool = np.arange(self.obs.shape[0], dtype=np.int64)
+    sample_pool: np.ndarray
 
     def __len__(self) -> int:
         return self.obs.shape[0]
@@ -272,64 +267,52 @@ def local_waypoint(cfg: Config, obs_vec: np.ndarray, action_vec: np.ndarray) -> 
     so any target along the clamped direction produces identical motion; the
     nearest such target keeps regression labels within one step of the arm
     and makes the fit scale with the step size instead of the workspace.
+    Works on one (obs, action) pair or on matching rows of each.
     """
-    step_lin = cfg.v_max * cfg.dt
-    step_ang = cfg.omega_max * cfg.dt
+    dims = list(POSE_DIMS)
+    theta = [dims.index(d) for d in THETA_DIMS]
+    anchor = obs_vec[..., dims]
+    diff = action_vec[..., dims] - anchor
+    # wrap_angle per element: np.remainder is a floor-mod, not math.remainder.
+    diff[..., theta] = np.vectorize(wrap_angle, otypes=[float])(diff[..., theta])
+    step = np.where(np.isin(dims, THETA_DIMS), cfg.omega_max * cfg.dt, cfg.v_max * cfg.dt)
     wp = action_vec.copy()
-    for d in POSE_DIMS:
-        anchor = obs_vec[d]
-        if d in THETA_DIMS:
-            diff = wrap_angle(action_vec[d] - anchor)
-            wp[d] = anchor + np.clip(diff, -step_ang, step_ang)
-        else:
-            wp[d] = anchor + np.clip(action_vec[d] - anchor, -step_lin, step_lin)
+    wp[..., dims] = anchor + np.clip(diff, -step, step)
     return wp
 
 
 def build_frame_dataset(
-    cfg: Config,
-    episodes: list[Episode],
-    w: int,
-    mode: HistoryMode,
-    require_labels: bool = False,
-    pinned_value: float = 1.0,
+    cfg: Config, episodes: list[Episode], w: int, require_labels: bool = False
 ) -> FrameDataset:
+    """Training rows of every frame of every episode; unlabeled frames get v = 1.0."""
     if not episodes:
         raise TrainingError("cannot build a dataset from zero episodes")
-    hists, obs_rows, instr_rows, act_rows, val_rows = [], [], [], [], []
-    boundary: list[int] = []
+    hists, obs_rows, instr_rows, act_rows, val_rows, boundary = [], [], [], [], [], []
     row = 0
     for ep in episodes:
-        flips = [
-            f.t for prev, f in zip(ep.frames, ep.frames[1:])
-            if (action_to_vector(prev.action)[list(GRIP_DIMS)] >= 0.5).tolist()
-            != (action_to_vector(f.action)[list(GRIP_DIMS)] >= 0.5).tolist()
-        ]
-        for frame in ep.frames:
-            if require_labels and frame.v is None:
-                raise ValidationError(f"{ep.episode_id}: frame {frame.t} is unlabeled")
-            window = build_history(ep, frame.t, w, mode)
-            obs_vec = frame.obs.as_vector()
-            hists.append(window.entries.ravel())
-            obs_rows.append(obs_vec)
-            instr_rows.append(ep.instruction_id)
-            act_rows.append(local_waypoint(cfg, obs_vec, action_to_vector(frame.action)))
-            val_rows.append(pinned_value if frame.v is None else frame.v)
-            if any(abs(frame.t - ft) <= 2 for ft in flips):
-                boundary.append(row)
-            row += 1
-    n = row
-    pool = np.concatenate([np.arange(n, dtype=np.int64)] + [np.asarray(boundary, dtype=np.int64)] * 3) \
-        if boundary else np.arange(n, dtype=np.int64)
+        values = [f.v for f in ep.frames]
+        if require_labels and None in values:
+            raise ValidationError(f"{ep.episode_id}: frame {values.index(None)} is unlabeled")
+        obs = obs_matrix(ep.frames)
+        actions = np.stack([action_to_vector(f.action) for f in ep.frames])
+        closed = actions[:, GRIP_DIMS] >= 0.5
+        flips = 1 + np.flatnonzero(np.any(closed[1:] != closed[:-1], axis=1))
+        near = np.abs(np.arange(len(obs))[:, None] - flips) <= 2
+        hists.append(history_windows(obs, w))
+        obs_rows.append(obs)
+        instr_rows.append(np.full(len(obs), ep.instruction_id, dtype=np.int64))
+        act_rows.append(local_waypoint(cfg, obs, actions))
+        val_rows.append(np.array([1.0 if v is None else v for v in values]))
+        boundary.append(row + np.flatnonzero(np.any(near, axis=1)))
+        row += len(obs)
     return FrameDataset(
-        hist=np.stack(hists),
-        obs=np.stack(obs_rows),
-        instr=np.asarray(instr_rows, dtype=np.int64),
-        actions=np.stack(act_rows),
-        values=np.asarray(val_rows, dtype=np.float64),
-        history_mode=mode,
+        hist=np.concatenate(hists),
+        obs=np.concatenate(obs_rows),
+        instr=np.concatenate(instr_rows),
+        actions=np.concatenate(act_rows),
+        values=np.concatenate(val_rows),
         seeds=frozenset(ep.seed for ep in episodes),
-        sample_pool=pool,
+        sample_pool=np.concatenate([np.arange(row, dtype=np.int64)] + [np.concatenate(boundary)] * 3),
     )
 
 
@@ -378,9 +361,8 @@ def train_bc(
     """Phase-one imitation: expert plus lambda-weighted reset-recovery data.
 
     The value input is pinned to 1.0 for every sample so the later refinement
-    phase is a strict fine-tune of the same architecture.  Expert batches use
-    raw histories; recovery batches come from sliced episodes whose histories
-    pad at the reset marker.
+    phase is a strict fine-tune of the same architecture.  Recovery batches
+    normally come from sliced episodes, whose histories pad at the recovery.
     """
     lam = float(cfg.lambda_recovery) if lam is None else float(lam)
     n_steps = int(cfg.bc_steps) if steps is None else int(steps)
@@ -417,8 +399,8 @@ def train_value_conditioned(
 ) -> list[float]:
     """Refinement on the labeled mixed dataset with per-frame value tokens.
 
-    Histories must have been built in Raw mode: recovery frames keep their
-    failure prefix in view and the label disambiguates drift from correction.
+    Recovery episodes must be unsliced: recovery frames keep their failure
+    prefix in view and the label disambiguates drift from correction.
     """
     if np.any(np.isnan(labeled.values)):
         raise ValidationError("refinement dataset contains unlabeled frames")
@@ -446,27 +428,29 @@ def train_value_conditioned(
 
 
 class LearnedActor(Actor):
-    """Wraps a Policy; sees observations only, with a raw rolling history."""
+    """Wraps a Policy; sees observations only, through the training-time
+    history windows (``store.history_rows``)."""
 
     def __init__(self, policy: Policy, v_fixed: float = 1.0):
         self.policy = policy
         self.v_fixed = float(v_fixed)
-        self._history: list[np.ndarray] = []
         self._instruction = 0
         self._cfg: Config | None = None
 
     def begin(self, cfg, task_id, state, obs):
         self._cfg = cfg
         self._instruction = obs.instruction_id
-        self._history = []
+        # run_episode acts at most episode_max_steps times per begin.
+        n, w = int(cfg.episode_max_steps), self.policy.history_w
+        self._buffer = np.zeros((w + n, self.policy.obs_dim))
+        self._rows = history_rows(n, w)
+        self._t = 0
 
     def act(self, state, obs):
-        w, d = self.policy.history_w, self.policy.obs_dim
-        window = np.zeros((w, d))
-        for k in range(min(w, len(self._history))):
-            window[k] = self._history[-1 - k]
+        window = self._buffer.take(self._rows[self._t], axis=0)
         action = forward(self.policy, self._cfg, obs, window, self._instruction, self.v_fixed)
-        self._history.append(obs.as_vector())
+        self._buffer[self.policy.history_w + self._t] = obs.as_vector()
+        self._t += 1
         return action
 
 

@@ -1,4 +1,4 @@
-"""Episode data model, on-disk format, history windows, and suffix slicing.
+"""Episode data model, on-disk format, suffix slicing, and history windows.
 
 One JSON file per episode plus a manifest per dataset directory.  Floats are
 serialized at 9 significant digits, which round-trips 32-bit precision and
@@ -69,18 +69,6 @@ class Episode:
 
     def __len__(self) -> int:
         return len(self.frames)
-
-
-@dataclass(frozen=True)
-class HistoryWindow:
-    """Fixed-capacity observation history.
-
-    ``entries[k]`` is the observation k+1 steps before the query frame for
-    k < valid_count; the remaining rows are the all-zeros padding vector.
-    """
-
-    entries: np.ndarray  # (W, obs_dim)
-    valid_count: int
 
 
 def tag_pattern_valid(tags: list[PhaseTag], sliced: bool = False) -> bool:
@@ -304,16 +292,16 @@ def read_dataset(dataset_dir: str | Path) -> list[Episode]:
 
 
 # ---------------------------------------------------------------------------
-# slicing and history windows
+# suffix slicing and history windows
 
 
 def slice_recovery_suffix(episode: Episode) -> Episode:
     """Extract the corrective suffix of a recovery episode.
 
     Returns a new episode holding exactly frames[t_rec:] re-indexed from 0,
-    with a history-reset marker so history windows pad instead of reaching
-    back.  Frame content (obs, action) is preserved verbatim; the original
-    episode is untouched.
+    marked ``history_reset_at: 0``, so history windows pad instead of
+    reaching back into the failure.  Frame content (obs, action) is preserved
+    verbatim; the original episode is untouched.
     """
     if episode.kind is not EpisodeKind.FAILURE_RECOVERY or episode.t_rec is None:
         raise ValidationError(
@@ -341,31 +329,26 @@ def slice_recovery_suffix(episode: Episode) -> Episode:
     return sliced
 
 
-class HistoryMode(Enum):
-    RAW = "Raw"
-    RESET = "Reset"
+def obs_matrix(frames: tuple[Frame, ...] | list[Frame]) -> np.ndarray:
+    """(T, obs_dim) matrix of the frames' observation vectors."""
+    return np.stack([f.obs.as_vector() for f in frames])
 
 
-def build_history(episode: Episode, t: int, w: int, mode: HistoryMode) -> HistoryWindow:
-    """History window of the ``w`` observations preceding frame ``t``.
+def history_rows(n_frames: int, w: int) -> np.ndarray:
+    """(n_frames, w) rows of frame 0..n_frames-1's history windows in a buffer
+    of ``w`` zero rows, then frame 0, 1, ...: row k of frame t's window is
+    frame t-1-k, and rows before frame 0 read the zero padding."""
+    return np.arange(n_frames)[:, None] + np.arange(w - 1, -1, -1)
 
-    Raw mode pads only at the episode start.  Reset mode additionally pads at
-    any history_reset_at marker, so observations before the marker are never
-    included.
+
+def history_windows(obs: np.ndarray, w: int) -> np.ndarray:
+    """Flattened (T, w * obs_dim) history windows of every frame of an episode.
+
+    Windows never reach before frame 0, so a sliced recovery suffix (which
+    starts at frame 0) sees none of the failure that preceded it.
     """
-    if not (0 <= t < len(episode.frames)):
-        raise ValidationError(f"t={t} out of range for episode of length {len(episode.frames)}")
-    start_bound = 0
-    if mode is HistoryMode.RESET:
-        marker = episode.provenance.get("history_reset_at")
-        if marker is not None and t >= marker:
-            start_bound = int(marker)
-    obs_dim = len(episode.frames[0].obs.as_vector())
-    entries = np.zeros((w, obs_dim), dtype=np.float64)
-    valid = min(w, t - start_bound)
-    for k in range(valid):
-        entries[k] = episode.frames[t - 1 - k].obs.as_vector()
-    return HistoryWindow(entries=entries, valid_count=valid)
+    buffer = np.concatenate([np.zeros((w, obs.shape[1])), obs])
+    return buffer.take(history_rows(len(obs), w), axis=0).reshape(len(obs), w * obs.shape[1])
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import numpy as np
 from .config import Config
 from .errors import ConfigError, CoverageError, InputError, StorageError, TrainingError
 from .nets import Adam, Params, init_mlp, mlp_backward, mlp_forward, normalize_rows, normalize_rows_backward
-from .store import Episode, Frame
+from .store import Episode, Frame, obs_matrix
 from .world import OBS_DIM, instruction_ids
 
 POOLED_DIM = 3 * OBS_DIM
@@ -61,16 +61,12 @@ def make_featurizer(cfg: Config) -> FrozenFeaturizer:
     )
 
 
-def _pooled(obs_matrix: np.ndarray) -> np.ndarray:
-    return np.concatenate([obs_matrix.mean(axis=0), obs_matrix[-1], obs_matrix[0]])
-
-
 def trajectory_feature(featurizer: FrozenFeaturizer, frames: list[Frame] | tuple[Frame, ...]) -> np.ndarray:
     """Frozen feature of a non-empty frame prefix; pure function of the prefix."""
     if len(frames) == 0:
         raise InputError("cannot featurize an empty prefix")
-    obs_matrix = np.stack([f.obs.as_vector() for f in frames])
-    return _pooled(obs_matrix) @ featurizer.projection
+    obs = obs_matrix(frames)
+    return np.concatenate([obs.mean(axis=0), obs[-1], obs[0]]) @ featurizer.projection
 
 
 def instruction_feature(featurizer: FrozenFeaturizer, instruction_id: int) -> np.ndarray:
@@ -133,7 +129,7 @@ def embed_instruction(model: ProgressModel, instruction_id: int) -> np.ndarray:
 
 def _episode_prefix_features(featurizer: FrozenFeaturizer, episode: Episode) -> np.ndarray:
     """Frozen features of every prefix 0..t, t = 0..T, via cumulative sums."""
-    obs = np.stack([f.obs.as_vector() for f in episode.frames])
+    obs = obs_matrix(episode.frames)
     csum = np.cumsum(obs, axis=0)
     counts = np.arange(1, len(obs) + 1)[:, None]
     pooled = np.concatenate([csum / counts, obs, np.repeat(obs[:1], len(obs), axis=0)], axis=1)

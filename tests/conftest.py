@@ -8,7 +8,7 @@ import pytest
 from recoverylab.config import load_config
 from recoverylab.faults import ErrorKind, error_from_config, run_interception, run_nominal
 from recoverylab.labeling import LabelConfig, label_episode
-from recoverylab.store import EpisodeKind, HistoryMode, Outcome, slice_recovery_suffix
+from recoverylab.store import EpisodeKind, Outcome, slice_recovery_suffix
 from recoverylab.value import build_reference_cluster, init_progress_model, train_alignment
 from recoverylab.world import EnvMode
 from recoverylab import policy as policy_mod
@@ -68,13 +68,13 @@ def mini_policies(mini_cfg, expert_episodes, recovery_episodes, failure_episodes
                   progress_model, reference_cluster):
     """(sft, phase1, full) trained at reduced scale."""
     w = int(mini_cfg.history_window)
-    expert_ds = policy_mod.build_frame_dataset(mini_cfg, expert_episodes, w, HistoryMode.RAW)
+    expert_ds = policy_mod.build_frame_dataset(mini_cfg, expert_episodes, w)
 
     sft = policy_mod.init_policy(mini_cfg, seed=0)
     policy_mod.train_bc(sft, expert_ds, None, mini_cfg, seed=0)
 
     sliced = [slice_recovery_suffix(e) for e in recovery_episodes]
-    rec_ds = policy_mod.build_frame_dataset(mini_cfg, sliced, w, HistoryMode.RESET)
+    rec_ds = policy_mod.build_frame_dataset(mini_cfg, sliced, w)
     phase1 = policy_mod.init_policy(mini_cfg, seed=0)
     policy_mod.train_bc(phase1, expert_ds, rec_ds, mini_cfg, seed=0)
 
@@ -84,7 +84,7 @@ def mini_policies(mini_cfg, expert_episodes, recovery_episodes, failure_episodes
         for e in expert_episodes + recovery_episodes + failure_episodes
     ]
     full = phase1.clone()
-    vcr_ds = policy_mod.build_frame_dataset(mini_cfg, labeled, w, HistoryMode.RAW, require_labels=True)
+    vcr_ds = policy_mod.build_frame_dataset(mini_cfg, labeled, w, require_labels=True)
     policy_mod.train_value_conditioned(full, vcr_ds, mini_cfg, seed=0)
     return sft, phase1, full
 

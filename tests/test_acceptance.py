@@ -30,11 +30,11 @@ from recoverylab.nets import finite_difference, pack, relative_error
 from recoverylab.policy import build_frame_dataset, init_policy, loss_and_grads
 from recoverylab.store import (
     EpisodeKind,
-    HistoryMode,
     Outcome,
     PhaseTag,
-    build_history,
     dataset_stats,
+    history_windows,
+    obs_matrix,
     slice_recovery_suffix,
     write_episode,
 )
@@ -241,17 +241,18 @@ def test_a4_history_reset_contract(pp_bundle):
     for i, frame in enumerate(sliced.frames):
         original = episode.frames[episode.t_rec + i]
         assert frame.obs == original.obs and frame.action == original.action
+    sliced_windows = history_windows(obs_matrix(sliced.frames), w).reshape(len(sliced.frames), w, -1)
     for k in range(1, w):
-        window = build_history(sliced, k, w, HistoryMode.RESET)
-        assert window.valid_count == k
+        window = sliced_windows[k]
+        assert np.count_nonzero(np.any(window != 0.0, axis=1)) == k
         for j in range(k):
-            assert np.array_equal(window.entries[j], sliced.frames[k - 1 - j].obs.as_vector())
-        assert np.all(window.entries[k:] == 0.0)
+            assert np.array_equal(window[j], sliced.frames[k - 1 - j].obs.as_vector())
+        assert np.all(window[k:] == 0.0)
     t = episode.t_rec + 1
-    raw = build_history(episode, t, w, HistoryMode.RAW)
-    assert raw.valid_count == w
+    raw = history_windows(obs_matrix(episode.frames), w).reshape(len(episode.frames), w, -1)[t]
+    assert np.count_nonzero(np.any(raw != 0.0, axis=1)) == w
     for j in range(w):
-        assert np.array_equal(raw.entries[j], episode.frames[t - 1 - j].obs.as_vector())
+        assert np.array_equal(raw[j], episode.frames[t - 1 - j].obs.as_vector())
     assert t - w < episode.t_rec  # raw windows really span the failure prefix
     report("A4", "slices preserve content; reset windows pad at k<W; raw windows span the prefix")
 
@@ -274,7 +275,7 @@ def test_a5_gradient_checks(pp_bundle):
 
     small_cfg = CFG.with_overrides(policy_hidden=12, value_token_dim=4, instr_embed_dim=3, history_window=2)
     policy = init_policy(small_cfg, seed=1)
-    ds = build_frame_dataset(small_cfg, episodes[:2], policy.history_w, HistoryMode.RAW)
+    ds = build_frame_dataset(small_cfg, episodes[:2], policy.history_w)
     idx = np.array([0, 13, 37])
     batch = (ds.hist[idx], ds.obs[idx], ds.instr[idx], np.array([0.1, 0.6, 1.0]), ds.actions[idx])
     _, pgrads = loss_and_grads(policy, *batch)

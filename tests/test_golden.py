@@ -19,7 +19,7 @@ from recoverylab.errors import UnrecoverableState
 from recoverylab.faults import ErrorKind, error_from_config, run_interception, run_nominal
 from recoverylab.labeling import LabelConfig, label_failure, label_recovery, label_success
 from recoverylab.policy import build_frame_dataset, init_policy
-from recoverylab.store import EpisodeKind, HistoryMode, Outcome, slice_recovery_suffix, write_episode
+from recoverylab.store import EpisodeKind, Outcome, slice_recovery_suffix, write_episode
 from recoverylab.world import EnvMode
 
 TASKS = ("pick-place", "stack-two", "bimanual-handover")
@@ -544,11 +544,10 @@ def test_frame_dataset_golden(cfg):
         labeled = ([label_success(e) for e in expert] + [label_recovery(e) for e in recovery]
                    + [label_failure(e, 0.6, label_cfg) for e in failure])
         sets = {
-            "expert": build_frame_dataset(cfg, expert, w, HistoryMode.RAW),
-            "sliced": build_frame_dataset(cfg, [slice_recovery_suffix(e) for e in recovery], w,
-                                          HistoryMode.RESET),
-            "raw-recovery": build_frame_dataset(cfg, recovery, w, HistoryMode.RAW),
-            "labeled": build_frame_dataset(cfg, labeled, w, HistoryMode.RAW, require_labels=True),
+            "expert": build_frame_dataset(cfg, expert, w),
+            "sliced": build_frame_dataset(cfg, [slice_recovery_suffix(e) for e in recovery], w),
+            "raw-recovery": build_frame_dataset(cfg, recovery, w),
+            "labeled": build_frame_dataset(cfg, labeled, w, require_labels=True),
         }
         for name, ds in sets.items():
             got.update({f"{task}/{name}/{a}": _array_digest(getattr(ds, a)) for a in DATASET_ARRAYS})

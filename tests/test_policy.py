@@ -20,7 +20,7 @@ from recoverylab.policy import (
     train_bc,
     train_value_conditioned,
 )
-from recoverylab.store import HistoryMode, Outcome, slice_recovery_suffix
+from recoverylab.store import Outcome, slice_recovery_suffix
 from recoverylab.world import EnvMode, observe, reset
 
 
@@ -31,7 +31,7 @@ def tiny_policy(cfg):
 
 @pytest.fixture(scope="module")
 def micro_batch(cfg, expert_episodes, tiny_policy):
-    ds = build_frame_dataset(cfg, expert_episodes[:2], tiny_policy.history_w, HistoryMode.RAW)
+    ds = build_frame_dataset(cfg, expert_episodes[:2], tiny_policy.history_w)
     idx = np.array([0, 9, 31])
     return ds.hist[idx], ds.obs[idx], ds.instr[idx], np.array([0.2, 0.7, 1.0]), ds.actions[idx]
 
@@ -78,7 +78,7 @@ def test_forward_input_validation(cfg, tiny_policy):
 def test_gradient_matches_finite_differences(cfg, expert_episodes):
     small = cfg.with_overrides(policy_hidden=12, value_token_dim=4, instr_embed_dim=3, history_window=2)
     policy = init_policy(small, seed=1)
-    ds = build_frame_dataset(small, expert_episodes[:2], policy.history_w, HistoryMode.RAW)
+    ds = build_frame_dataset(small, expert_episodes[:2], policy.history_w)
     idx = np.array([0, 11, 40])
     batch = (ds.hist[idx], ds.obs[idx], ds.instr[idx], np.array([0.1, 0.5, 0.9]), ds.actions[idx])
     _, grads = loss_and_grads(policy, *batch)
@@ -104,10 +104,8 @@ def test_nll_mse_gradient_equivalence(cfg, tiny_policy, micro_batch):
 
 def test_lambda_zero_matches_expert_only(mini_cfg, tiny_policy, expert_episodes, recovery_episodes):
     w = tiny_policy.history_w
-    expert_ds = build_frame_dataset(mini_cfg, expert_episodes[:3], w, HistoryMode.RAW)
-    rec_ds = build_frame_dataset(
-        mini_cfg, [slice_recovery_suffix(e) for e in recovery_episodes[:2]], w, HistoryMode.RESET
-    )
+    expert_ds = build_frame_dataset(mini_cfg, expert_episodes[:3], w)
+    rec_ds = build_frame_dataset(mini_cfg, [slice_recovery_suffix(e) for e in recovery_episodes[:2]], w)
     a = init_policy(mini_cfg, seed=5)
     b = init_policy(mini_cfg, seed=5)
     train_bc(a, expert_ds, rec_ds, mini_cfg, seed=7, steps=40, lam=0.0)
@@ -119,10 +117,8 @@ def test_lambda_zero_matches_expert_only(mini_cfg, tiny_policy, expert_episodes,
 def test_dataset_swap_symmetry(cfg, tiny_policy, expert_episodes, recovery_episodes):
     # With lambda = 1 the two dataset terms are interchangeable in the loss.
     w = tiny_policy.history_w
-    ds_a = build_frame_dataset(cfg, expert_episodes[:2], w, HistoryMode.RAW)
-    ds_b = build_frame_dataset(
-        cfg, [slice_recovery_suffix(e) for e in recovery_episodes[:2]], w, HistoryMode.RESET
-    )
+    ds_a = build_frame_dataset(cfg, expert_episodes[:2], w)
+    ds_b = build_frame_dataset(cfg, [slice_recovery_suffix(e) for e in recovery_episodes[:2]], w)
     idx_a = np.arange(16)
     idx_b = np.arange(16)
 
@@ -141,7 +137,7 @@ def test_training_determinism(mini_cfg, expert_episodes):
     results = []
     for _ in range(2):
         policy = init_policy(mini_cfg, seed=2)
-        ds = build_frame_dataset(mini_cfg, expert_episodes[:4], policy.history_w, HistoryMode.RAW)
+        ds = build_frame_dataset(mini_cfg, expert_episodes[:4], policy.history_w)
         train_bc(policy, ds, None, mini_cfg, seed=11, steps=60)
         results.append(pack(policy.params))
     assert np.array_equal(results[0], results[1])
@@ -151,7 +147,7 @@ def test_vcr_rejects_unlabeled(mini_cfg, expert_episodes):
     policy = init_policy(mini_cfg, seed=0)
     with pytest.raises(ValidationError):
         build_frame_dataset(
-            mini_cfg, expert_episodes[:2], policy.history_w, HistoryMode.RAW, require_labels=True
+            mini_cfg, expert_episodes[:2], policy.history_w, require_labels=True
         )
 
 
@@ -161,8 +157,8 @@ def test_vcr_constant_value_matches_bc_loss(cfg, tiny_policy, expert_episodes):
     from recoverylab.labeling import label_success
 
     labeled = [label_success(e) for e in expert_episodes[:2]]
-    ds_labeled = build_frame_dataset(cfg, labeled, w, HistoryMode.RAW, require_labels=True)
-    ds_plain = build_frame_dataset(cfg, expert_episodes[:2], w, HistoryMode.RAW)
+    ds_labeled = build_frame_dataset(cfg, labeled, w, require_labels=True)
+    ds_plain = build_frame_dataset(cfg, expert_episodes[:2], w)
     idx = np.arange(24)
     loss_a, _ = loss_and_grads(
         tiny_policy, ds_labeled.hist[idx], ds_labeled.obs[idx], ds_labeled.instr[idx],
@@ -189,14 +185,14 @@ def test_local_waypoint_equivalence(cfg, expert_episodes):
     assert a.arm_poses == b.arm_poses
 
 
-def test_history_mode_contract(cfg, recovery_episodes):
+def test_history_window_contract(cfg, recovery_episodes):
     w = int(cfg.history_window)
     episode = recovery_episodes[0]
     sliced = slice_recovery_suffix(episode)
-    reset_ds = build_frame_dataset(cfg, [sliced], w, HistoryMode.RESET)
-    # Reset-mode windows are built purely from the sliced episode's own
-    # frames: row k of the window at index t is the sliced obs at t - 1 - k,
-    # padded with zeros before the reset marker.  No reach-back is possible.
+    reset_ds = build_frame_dataset(cfg, [sliced], w)
+    # Windows of a sliced episode are built purely from its own frames: row
+    # k of the window at index t is the sliced obs at t - 1 - k, padded with
+    # zeros before frame 0, the recovery onset.  No reach-back is possible.
     for t in range(len(sliced.frames)):
         window = reset_ds.hist[t].reshape(w, -1)
         valid = min(w, t)
@@ -204,9 +200,9 @@ def test_history_mode_contract(cfg, recovery_episodes):
             assert np.array_equal(window[k], sliced.frames[t - 1 - k].obs.as_vector())
         for k in range(valid, w):
             assert np.all(window[k] == 0.0)
-    # Raw windows at early recovery frames of the UNsliced episode reach into
+    # Windows at early recovery frames of the UNsliced episode reach into
     # the failure prefix: row positions beyond t - t_rec hold pre-onset obs.
-    raw_ds = build_frame_dataset(cfg, [episode], w, HistoryMode.RAW)
+    raw_ds = build_frame_dataset(cfg, [episode], w)
     t = episode.t_rec + 1
     window = raw_ds.hist[t].reshape(w, -1)
     for k in range(w):
@@ -247,7 +243,7 @@ def test_rollout_with_injection_records_schedule(cfg, mini_policies):
 def test_value_token_liveness(cfg, mini_policies, expert_episodes):
     # Zeroing the value-token perceptron changes actions on >= 90% of probes.
     _, _, full = mini_policies
-    probes = build_frame_dataset(cfg, expert_episodes[:6], full.history_w, HistoryMode.RAW)
+    probes = build_frame_dataset(cfg, expert_episodes[:6], full.history_w)
     zeroed = full.clone()
     zeroed.params["val_w"] = np.zeros_like(zeroed.params["val_w"])
     zeroed.params["val_b"] = np.zeros_like(zeroed.params["val_b"])
@@ -273,20 +269,25 @@ def test_checkpoint_round_trip(cfg, tmp_path, mini_policies):
     assert loaded.obs_std == pytest.approx(full.obs_std)
 
 
-def test_learned_actor_history_matches_dataset_convention(cfg, mini_policies, expert_episodes):
-    # The deploy-time rolling window must reproduce build_history's layout.
-    _, _, full = mini_policies
-    episode = expert_episodes[0]
-    actor = LearnedActor(full, v_fixed=1.0)
-    state = reset(cfg, episode.task_id, episode.env_mode, episode.seed)
-    actor.begin(cfg, episode.task_id, state, observe(cfg, state))
-    for t, frame in enumerate(episode.frames[:8]):
-        w, d = full.history_w, full.obs_dim
-        window = np.zeros((w, d))
-        for k in range(min(w, len(actor._history))):
-            window[k] = actor._history[-1 - k]
-        from recoverylab.store import build_history
+def test_learned_actor_history_matches_dataset_convention(cfg, mini_policies, expert_episodes, monkeypatch):
+    # The windows the deployed actor feeds forward() are the rows
+    # build_frame_dataset trains on, across the episodes of one actor.
+    import recoverylab.policy as policy_mod
 
-        expected = build_history(episode, t, w, HistoryMode.RAW)
-        assert np.allclose(window, expected.entries)
-        actor._history.append(frame.obs.as_vector())
+    _, _, full = mini_policies
+    seen = []
+    real_forward = policy_mod.forward
+
+    def spy(policy, cfg_, obs, history, instruction_id, v):
+        seen.append(history.ravel().copy())
+        return real_forward(policy, cfg_, obs, history, instruction_id, v)
+
+    monkeypatch.setattr(policy_mod, "forward", spy)
+    actor = LearnedActor(full, v_fixed=1.0)
+    episodes = expert_episodes[:2]
+    for episode in episodes:
+        state = reset(cfg, episode.task_id, episode.env_mode, episode.seed)
+        actor.begin(cfg, episode.task_id, state, episode.frames[0].obs)
+        for frame in episode.frames:
+            actor.act(state, frame.obs)
+    assert np.array_equal(np.stack(seen), build_frame_dataset(cfg, episodes, full.history_w).hist)

@@ -9,13 +9,13 @@ from recoverylab.store import (
     Episode,
     EpisodeKind,
     Frame,
-    HistoryMode,
     Outcome,
     PhaseTag,
-    build_history,
     dataset_stats,
     episode_to_dict,
     episode_from_dict,
+    history_windows,
+    obs_matrix,
     read_episode,
     slice_recovery_suffix,
     tag_pattern_valid,
@@ -217,47 +217,52 @@ def test_slice_rejects_pure_failure():
 # history windows
 
 
+def windows(episode, w):
+    """(T, w, obs_dim) history windows of every frame."""
+    return history_windows(obs_matrix(episode.frames), w).reshape(len(episode.frames), w, -1)
+
+
+def valid_rows(window) -> int:
+    return int(np.count_nonzero(np.any(window != 0.0, axis=1)))
+
+
 def test_history_start_all_padding():
     episode = make_episode(recovery_tags())
-    for mode in (HistoryMode.RAW, HistoryMode.RESET):
-        window = build_history(episode, 0, 5, mode)
-        assert window.valid_count == 0
-        assert np.all(window.entries == 0.0)
+    for ep in (episode, slice_recovery_suffix(episode)):
+        window = windows(ep, 5)[0]
+        assert valid_rows(window) == 0
+        assert np.all(window == 0.0)
 
 
 def test_history_window_arithmetic():
     episode = make_episode(recovery_tags(n_nom=10, n_err=3, n_rec=5, n_tail=2))
     w = 5
     t = w + 5
-    window = build_history(episode, t, w, HistoryMode.RAW)
-    assert window.valid_count == w
+    flat = history_windows(obs_matrix(episode.frames), w)
+    assert flat.shape == (len(episode.frames), w * len(episode.frames[0].obs.as_vector()))
+    window = windows(episode, w)[t]
+    assert valid_rows(window) == w
     for k in range(w):
-        assert np.allclose(window.entries[k], episode.frames[t - 1 - k].obs.as_vector())
+        assert np.allclose(window[k], episode.frames[t - 1 - k].obs.as_vector())
 
 
 def test_history_reset_marker_pads(cfg):
     episode = make_episode(recovery_tags(n_nom=6, n_err=4, n_rec=7, n_tail=3))
     sliced = slice_recovery_suffix(episode)
-    window = build_history(sliced, 2, 5, HistoryMode.RESET)
-    assert window.valid_count == 2
-    # nothing before the marker leaks in
+    window = windows(sliced, 5)[2]
+    assert valid_rows(window) == 2
+    # nothing before the slice leaks in
     pre_slice = {tuple(f.obs.as_vector()) for f in episode.frames[: episode.t_rec]}
-    for k in range(window.valid_count):
-        assert tuple(window.entries[k]) not in pre_slice
+    for k in range(2):
+        assert tuple(window[k]) not in pre_slice
 
 
 def test_history_raw_reaches_into_failure_prefix():
     episode = make_episode(recovery_tags(n_nom=6, n_err=4, n_rec=7, n_tail=3))
     t = episode.t_rec + 2  # within W of the error segment
-    window = build_history(episode, t, 5, HistoryMode.RAW)
+    window = windows(episode, 5)[t]
     error_obs = {tuple(f.obs.as_vector()) for f in episode.frames if f.phase is E}
-    assert any(tuple(row) in error_obs for row in window.entries[: window.valid_count])
-
-
-def test_history_out_of_range():
-    episode = make_episode(recovery_tags())
-    with pytest.raises(ValidationError):
-        build_history(episode, len(episode.frames), 5, HistoryMode.RAW)
+    assert any(tuple(row) in error_obs for row in window[: valid_rows(window)])
 
 
 def test_float_formatting_nine_significant_digits(tmp_path, expert_episodes):
