@@ -2,13 +2,16 @@
 
 All tunable constants live in one flat namespace so every experiment can be
 reproduced from a config snapshot.  Values can be overridden from a plain
-``key = value`` text file (``#`` starts a comment); unknown keys are rejected.
-The documented keys and their defaults are the DEFAULTS table below.
+``key = value`` text file (``#`` starts a comment); unknown keys are rejected,
+and so are values of the wrong type: integer keys take integers, float keys
+take any real number.  The documented keys and their defaults are the
+DEFAULTS table below.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -94,6 +97,10 @@ class Config:
         unknown = set(overrides) - set(DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in overrides.items():
+            integer = isinstance(DEFAULTS[key], int)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
+                raise ConfigError(f"{key} takes {'an integer' if integer else 'a number'}, got {value!r}")
         merged = dict(self.values)
         merged.update(overrides)
         return Config(values=merged)

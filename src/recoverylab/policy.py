@@ -505,7 +505,19 @@ def save_policy(policy: Policy, path: str | Path) -> Path:
     return path
 
 
+def _param_shapes(policy: Policy) -> dict[str, tuple[int, ...]]:
+    """Parameter shapes that ``init_policy`` gives a policy with this metadata."""
+    v, e, h = policy.value_token_dim, policy.instr_embed_dim, policy.hidden_dim
+    trunk_in = policy.history_w * policy.obs_dim + policy.obs_dim + e + v
+    return {
+        "val_w": (1, v), "val_b": (v,), "instr": (policy.n_instructions, e),
+        "trunk_w1": (trunk_in, h), "trunk_b1": (h,), "trunk_w2": (h, ACTION_DIM), "trunk_b2": (ACTION_DIM,),
+    }
+
+
 def load_policy(path: str | Path) -> Policy:
+    """Load a checkpoint whose parameter shapes and normalizer lengths match
+    its metadata; raises StorageError otherwise."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
@@ -513,7 +525,10 @@ def load_policy(path: str | Path) -> Policy:
         raise StorageError(f"cannot load policy from {path}: {exc}") from exc
     if payload.get("schema_version") != CHECKPOINT_SCHEMA or payload.get("kind") != "policy":
         raise StorageError(f"{path}: not a supported policy checkpoint")
-    return Policy(
+    for key in ("obs_mean", "obs_std"):
+        if len(payload[key]) != payload["obs_dim"]:
+            raise StorageError(f"{path}: {key} has {len(payload[key])} entries, obs_dim is {payload['obs_dim']}")
+    policy = Policy(
         params={k: np.asarray(v, dtype=np.float64) for k, v in payload["params"].items()},
         history_w=payload["history_w"],
         obs_dim=payload["obs_dim"],
@@ -526,3 +541,7 @@ def load_policy(path: str | Path) -> Policy:
         obs_std=np.asarray(payload["obs_std"], dtype=np.float64),
         provenance=payload.get("provenance", {}),
     )
+    shapes = {k: v.shape for k, v in policy.params.items()}
+    if shapes != _param_shapes(policy):
+        raise StorageError(f"{path}: parameter shapes {shapes} do not match the checkpoint metadata")
+    return policy

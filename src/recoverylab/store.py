@@ -271,12 +271,13 @@ def write_episode(episode: Episode, dataset_dir: str | Path) -> Path:
     return path
 
 
-def read_episode(path: str | Path) -> Episode:
-    path = Path(path)
+def _read_episode(path: Path, sha256: str | None) -> Episode:
     try:
-        raw = path.read_text()
+        raw = path.read_bytes()
     except OSError as exc:
         raise StorageError(f"cannot read {path}: {exc}") from exc
+    if sha256 is not None and hashlib.sha256(raw).hexdigest() != sha256:
+        raise StorageError(f"{path}: contents do not match the sha256 in the manifest")
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -284,11 +285,16 @@ def read_episode(path: str | Path) -> Episode:
     return episode_from_dict(data, source=str(path))
 
 
+def read_episode(path: str | Path) -> Episode:
+    return _read_episode(Path(path), None)
+
+
 def read_dataset(dataset_dir: str | Path) -> list[Episode]:
-    """All episodes listed in the manifest, in manifest order."""
+    """All episodes listed in the manifest, in manifest order, each checked
+    against the sha256 its manifest entry recorded."""
     dataset_dir = Path(dataset_dir)
     manifest = _load_manifest(dataset_dir)
-    return [read_episode(dataset_dir / entry["file"]) for entry in manifest["episodes"]]
+    return [_read_episode(dataset_dir / e["file"], e.get("sha256", "")) for e in manifest["episodes"]]
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +368,6 @@ class StatsReport:
     by_task: dict
     by_env_mode: dict
     by_error_type: dict
-    error_counts_exceed_recoveries: bool
 
     def table(self) -> str:
         lines = [
@@ -377,9 +382,6 @@ class StatsReport:
         ):
             for key in sorted(group):
                 lines.append(f"{label + ': ' + str(key):28s} {group[key]:>7d}")
-        if self.error_counts_exceed_recoveries:
-            lines.append("note: per-error counts exceed recovery episodes "
-                         "(episodes tested under multiple errors)")
         return "\n".join(lines)
 
 
@@ -407,13 +409,10 @@ def dataset_stats(dataset_dir: str | Path) -> StatsReport:
         by_mode[e["env_mode"]] = by_mode.get(e["env_mode"], 0) + 1
         if e["error_type"] is not None:
             by_error[e["error_type"]] = by_error.get(e["error_type"], 0) + 1
-    injected = sum(1 for e in manifest["episodes"] if e["error_type"] is not None)
     return StatsReport(
         total=len(manifest["episodes"]),
         by_kind=by_kind,
         by_task=by_task,
         by_env_mode=by_mode,
         by_error_type=by_error,
-        # Fires when episodes were counted under more than one error type.
-        error_counts_exceed_recoveries=sum(by_error.values()) > injected > 0,
     )

@@ -38,6 +38,20 @@ def test_unknown_key_rejected(tmp_path):
         load_config().with_overrides(warp_drive=9)
 
 
+def test_mistyped_value_rejected(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("dt = abc\n")
+    with pytest.raises(ConfigError, match="dt"):
+        load_config(path)
+    cfg = load_config()
+    for bad in ({"dt": "0.05"}, {"dt": True}, {"bc_steps": 1.5}, {"bc_steps": "10"}, {"bc_steps": False}):
+        with pytest.raises(ConfigError):
+            cfg.with_overrides(**bad)
+    # Valid values are stored unchanged, so snapshots keep their bytes.
+    over = cfg.with_overrides(dt=1, bc_steps=10)
+    assert type(over.dt) is int and over.snapshot()["bc_steps"] == 10
+
+
 def test_malformed_line(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("just some words\n")

@@ -1,7 +1,11 @@
+import copy
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from recoverylab.errors import InputError, ValidationError
+from recoverylab.errors import InputError, StorageError, ValidationError
 from recoverylab.faults import ErrorKind, error_from_config
 from recoverylab.nets import finite_difference, pack, relative_error
 from recoverylab.policy import (
@@ -183,6 +187,11 @@ def test_local_waypoint_equivalence(cfg, expert_episodes):
     a = world_step(cfg, state, frame.action)
     b = world_step(cfg, state, wp_action)
     assert a.arm_poses == b.arm_poses
+    # On rows it gives each pair's waypoint exactly.
+    obs = np.stack([f.obs.as_vector() for f in episode.frames])
+    actions = np.stack([action_to_vector(f.action) for f in episode.frames])
+    pairs = np.stack([local_waypoint(cfg, o, a) for o, a in zip(obs, actions)])
+    assert np.array_equal(local_waypoint(cfg, obs, actions), pairs)
 
 
 def test_history_window_contract(cfg, recovery_episodes):
@@ -267,6 +276,25 @@ def test_checkpoint_round_trip(cfg, tmp_path, mini_policies):
     hist = np.zeros((full.history_w, full.obs_dim))
     assert forward(loaded, cfg, obs, hist, 0, 1.0) == forward(full, cfg, obs, hist, 0, 1.0)
     assert loaded.obs_std == pytest.approx(full.obs_std)
+
+
+def test_load_policy_checks_shapes_against_metadata(tiny_policy, tmp_path):
+    committed = Path(__file__).parents[1] / "perfbench" / "checkpoint" / "pp_full.json"
+    assert load_policy(committed).history_w == 5
+    path = save_policy(tiny_policy, tmp_path / "policy.json")
+    good = json.loads(path.read_text())
+    tampers = {
+        "trunk_w1 row": lambda p: p["params"]["trunk_w1"].pop(),
+        "history_w": lambda p: p.update(history_w=p["history_w"] + 1),
+        "obs_mean": lambda p: p["obs_mean"].pop(),
+        "obs_std": lambda p: p["obs_std"].append(1.0),
+    }
+    for name, tamper in tampers.items():
+        payload = copy.deepcopy(good)
+        tamper(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(StorageError):
+            load_policy(path)
 
 
 def test_learned_actor_history_matches_dataset_convention(cfg, mini_policies, expert_episodes, monkeypatch):
