@@ -144,7 +144,8 @@ def cmd_train_rai(args) -> int:
             recovery = [store.slice_recovery_suffix(e) for e in recovery]
         rec_ds = policy_mod.build_frame_dataset(cfg, recovery, pol.history_w)
     losses = policy_mod.train_bc(pol, expert_ds, rec_ds, cfg, seed=args.seed)
-    pol.provenance["training_seeds"] = sorted(expert_ds.seeds | (rec_ds.seeds if rec_ds else frozenset()))
+    seeds = expert_ds.seeds if rec_ds is None else expert_ds.seeds | rec_ds.seeds
+    pol.provenance["training_seeds"] = sorted(seeds)
     pol.provenance["phase"] = "imitation"
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
