@@ -42,7 +42,7 @@ from .policy import (
 )
 from .store import Episode, slice_recovery_suffix
 from .value import build_reference_cluster, init_progress_model, train_alignment
-from .world import BimanualAction, EnvMode, Observation, WorldState, success_check
+from .world import BimanualAction, EnvMode, WorldState, success_check
 from . import policy as policy_mod
 
 
@@ -158,7 +158,7 @@ class OracleActor(Actor):
         self._planner = PlannerActor()
         self._planner.begin(cfg, task_id, state, obs)
 
-    def _replan(self, state: WorldState, obs: Observation) -> bool:
+    def _replan(self, state: WorldState, obs: np.ndarray) -> bool:
         try:
             planner = PlannerActor(plan_recovery(self._cfg, self._task, state))
         except (UnrecoverableState, PlanningError):
@@ -167,7 +167,7 @@ class OracleActor(Actor):
         self._planner = planner
         return True
 
-    def act(self, state: WorldState, obs: Observation) -> BimanualAction:
+    def act(self, state: WorldState, obs: np.ndarray) -> BimanualAction:
         if self._planner.executor.steps_in_phase > self.stall_budget:
             self._replan(state, obs)
         action = self._planner.act(state, obs)
@@ -218,7 +218,7 @@ def run_protocol(
                 seed=seed,
                 error_type=error.kind.value if error is not None else None,
                 adverse_verified=bool(episode.provenance.get("adverse_verified", False)),
-                phase_trace=[f.phase.value for f in episode.frames],
+                phase_trace=episode.frames.phase.tolist(),
                 outcome=episode.outcome.value,
                 steps_used=len(episode.frames),
             )

@@ -36,7 +36,7 @@ from .planner import (
     plan_nominal,
     plan_recovery,
 )
-from .store import Episode, EpisodeKind, Frame, Outcome, PhaseTag, validate_episode
+from .store import Episode, EpisodeKind, Frames, Outcome, PhaseTag, validate_episode
 from .world import (
     ARM_NAMES,
     ArmAction,
@@ -45,7 +45,6 @@ from .world import (
     GRIP_CLOSED,
     GRIP_OPEN,
     LEFT,
-    Observation,
     Pose2D,
     RIGHT,
     WorldState,
@@ -303,10 +302,10 @@ class Actor:
     stalled = False
     patience = 0
 
-    def begin(self, cfg: Config, task_id: str, state: WorldState, obs: Observation) -> None:
+    def begin(self, cfg: Config, task_id: str, state: WorldState, obs: np.ndarray) -> None:
         raise NotImplementedError
 
-    def act(self, state: WorldState, obs: Observation) -> BimanualAction:
+    def act(self, state: WorldState, obs: np.ndarray) -> BimanualAction:
         raise NotImplementedError
 
     def applied(self, action: BimanualAction) -> BimanualAction:
@@ -444,19 +443,19 @@ class TimeoutTakeover(Takeover):
 
 
 class _Recorder:
-    """Observation, action and tag lists of one episode, plus its Error onset
-    and recovery start; owns the tag grammar."""
+    """The observation vectors, action rows and tags of one episode, plus its
+    Error onset and recovery start; owns the tag grammar."""
 
     def __init__(self):
-        self.obs: list[Observation] = []
-        self.actions: list[BimanualAction] = []
+        self.obs: list[np.ndarray] = []
+        self.actions: list[tuple[float, ...]] = []
         self.tags: list[PhaseTag] = []
         self.onset: int | None = None
         self.t_rec: int | None = None
 
-    def add(self, obs: Observation, action: BimanualAction, tag: PhaseTag) -> None:
+    def add(self, obs: np.ndarray, action: BimanualAction, tag: PhaseTag) -> None:
         self.obs.append(obs)
-        self.actions.append(action)
+        self.actions.append(action.row())
         self.tags.append(tag)
 
     def retag(self, tag: PhaseTag) -> None:
@@ -502,7 +501,7 @@ def run_episode(
     if t_max is not None and t_max <= 0:
         raise InputError(f"t_max must be positive, got {t_max}")
     state = reset(cfg, task_id, env_mode, seed)
-    obs = observe(cfg, state)
+    obs = observe(state)
     actor.begin(cfg, task_id, state, obs)
     rec = _Recorder()
     cap = int(cfg.episode_max_steps)
@@ -534,7 +533,7 @@ def run_episode(
                 tag = PhaseTag.ERROR
         rec.add(obs, action, tag)
         before, state = state, step(cfg, state, actor.applied(action))
-        obs = observe(cfg, state)
+        obs = observe(state)
         if takeover is not None and rec.t_rec is None:
             takeover.watch(cfg, task_id, t, before, state)
         if actor.stalled:
@@ -574,7 +573,7 @@ def run_episode(
         t_rec=t_rec,
         outcome=outcome,
         kind=kind,
-        frames=tuple(Frame(t, *row) for t, row in enumerate(zip(rec.obs, rec.actions, rec.tags))),
+        frames=Frames(rec.obs, rec.actions, [tag.value for tag in rec.tags], np.full(len(rec.tags), np.nan)),
         provenance=provenance,
     )
     validate_episode(episode)

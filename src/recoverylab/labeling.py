@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from .config import Config
 from .errors import ValidationError
 from .store import (
@@ -50,16 +52,15 @@ class LabelConfig:
         return min(self.clamp_max, max(self.clamp_min, v))
 
 
-def _with_labels(episode: Episode, labels: list[float]) -> Episode:
-    frames = tuple(replace(f, v=v) for f, v in zip(episode.frames, labels))
-    return replace(episode, frames=frames)
+def _with_labels(episode: Episode, labels) -> Episode:
+    return replace(episode, frames=replace(episode.frames, v=labels))
 
 
 def label_success(episode: Episode) -> Episode:
     """Successful trajectories: every frame v = 1.0."""
     if episode.kind is not EpisodeKind.NOMINAL_SUCCESS:
         raise ValidationError(f"{episode.episode_id}: label_success needs a NominalSuccess episode")
-    return _with_labels(episode, [1.0] * len(episode.frames))
+    return _with_labels(episode, np.ones(len(episode.frames)))
 
 
 def label_recovery(episode: Episode) -> Episode:
@@ -71,11 +72,10 @@ def label_recovery(episode: Episode) -> Episode:
     if episode.kind is not EpisodeKind.FAILURE_RECOVERY or episode.t_rec is None:
         raise ValidationError(f"{episode.episode_id}: label_recovery needs FailureRecovery with t_rec")
     sliced = episode.provenance.get("history_reset_at") == 0
-    has_error = any(f.phase is PhaseTag.ERROR for f in episode.frames)
-    if not has_error and not sliced:
+    error = episode.frames.phase == PhaseTag.ERROR.value
+    if not error.any() and not sliced:
         raise ValidationError(f"{episode.episode_id}: recovery episode carries no Error frames")
-    labels = [0.0 if f.phase is PhaseTag.ERROR else 1.0 for f in episode.frames]
-    return _with_labels(episode, labels)
+    return _with_labels(episode, np.where(error, 0.0, 1.0))
 
 
 def label_failure(episode: Episode, progress: float, config: LabelConfig) -> Episode:
@@ -132,11 +132,7 @@ def label_dataset(
         labeled = replace(labeled, provenance=provenance)
         write_episode(labeled, out_dir)
         counts[labeled.kind.value] = counts.get(labeled.kind.value, 0) + 1
-        for f in labeled.frames:
-            if f.v == 0.0:
-                histogram["0.0"] += 1
-            elif f.v == 1.0:
-                histogram["1.0"] += 1
-            else:
-                histogram["(0,1)"] += 1
+        v = labeled.frames.v
+        for key, hits in (("0.0", v == 0.0), ("1.0", v == 1.0), ("(0,1)", (v != 0.0) & (v != 1.0))):
+            histogram[key] += int(np.sum(hits))
     return {"episodes": counts, "label_histogram": histogram, "out_dir": str(out_dir)}

@@ -29,14 +29,14 @@ from .config import Config
 from .errors import InputError, StorageError, TrainingError, ValidationError
 from .faults import UNTRIGGERED, Actor, ErrorType, InjectionSchedule, run_episode
 from .nets import Adam, Params, init_linear, init_mlp, mlp_backward, mlp_forward
-from .store import Episode, history_rows, history_windows, obs_matrix
+from .store import Episode, history_rows, history_windows
 from .world import (
     ArmAction,
     BimanualAction,
     EnvMode,
     OBS_DIM,
-    Observation,
     Pose2D,
+    get_task,
     instruction_ids,
     wrap_angle,
 )
@@ -47,14 +47,6 @@ GRIP_DIMS = (3, 7)
 POSE_DIMS = (0, 1, 2, 4, 5, 6)
 THETA_DIMS = (2, 6)
 CHECKPOINT_SCHEMA = 1
-
-
-def action_to_vector(action: BimanualAction) -> np.ndarray:
-    vals = []
-    for arm_action in (action.left, action.right):
-        t = arm_action.target
-        vals.extend((t.x, t.y, t.theta, arm_action.grip))
-    return np.asarray(vals, dtype=np.float64)
 
 
 def action_from_vector(cfg: Config, vec: np.ndarray) -> BimanualAction:
@@ -166,20 +158,19 @@ def _forward_batch(policy: Policy, hist: np.ndarray, obs: np.ndarray, instr: np.
     return mu, (x, trunk_cache, e_val, instr, v, mu)
 
 
-def forward(policy: Policy, cfg: Config, obs: Observation, history: np.ndarray, instruction_id: int, v: float) -> BimanualAction:
-    """Deterministic mean action for one observation; grips squashed to [0, 1]."""
+def forward(policy: Policy, cfg: Config, obs: np.ndarray, history: np.ndarray, instruction_id: int, v: float) -> BimanualAction:
+    """Deterministic mean action for one observation vector; grips squashed to [0, 1]."""
     if not (0.0 <= v <= 1.0):
         raise InputError(f"v must lie in [0, 1], got {v}")
-    obs_vec = obs.as_vector()
-    if history.shape != (policy.history_w, policy.obs_dim) or obs_vec.shape[0] != policy.obs_dim:
+    if history.shape != (policy.history_w, policy.obs_dim) or obs.shape != (policy.obs_dim,):
         raise InputError(
-            f"dimension mismatch: history {history.shape}, obs {obs_vec.shape}, "
+            f"dimension mismatch: history {history.shape}, obs {obs.shape}, "
             f"expected ({policy.history_w}, {policy.obs_dim})"
         )
     mu, _ = _forward_batch(
         policy,
         history.reshape(1, -1),
-        obs_vec[None, :],
+        obs[None, :],
         np.array([instruction_id]),
         np.array([float(v)]),
     )
@@ -290,11 +281,10 @@ def build_frame_dataset(
     hists, obs_rows, instr_rows, act_rows, val_rows, boundary = [], [], [], [], [], []
     row = 0
     for ep in episodes:
-        values = [f.v for f in ep.frames]
-        if require_labels and None in values:
-            raise ValidationError(f"{ep.episode_id}: frame {values.index(None)} is unlabeled")
-        obs = obs_matrix(ep.frames)
-        actions = np.stack([action_to_vector(f.action) for f in ep.frames])
+        obs, actions, values = ep.frames.obs, ep.frames.actions, ep.frames.v
+        unlabeled = np.isnan(values)
+        if require_labels and unlabeled.any():
+            raise ValidationError(f"{ep.episode_id}: frame {np.argmax(unlabeled)} is unlabeled")
         closed = actions[:, GRIP_DIMS] >= 0.5
         flips = 1 + np.flatnonzero(np.any(closed[1:] != closed[:-1], axis=1))
         near = np.abs(np.arange(len(obs))[:, None] - flips) <= 2
@@ -302,7 +292,7 @@ def build_frame_dataset(
         obs_rows.append(obs)
         instr_rows.append(np.full(len(obs), ep.instruction_id, dtype=np.int64))
         act_rows.append(local_waypoint(cfg, obs, actions))
-        val_rows.append(np.array([1.0 if v is None else v for v in values]))
+        val_rows.append(np.where(unlabeled, 1.0, values))
         boundary.append(row + np.flatnonzero(np.any(near, axis=1)))
         row += len(obs)
     return FrameDataset(
@@ -439,7 +429,7 @@ class LearnedActor(Actor):
 
     def begin(self, cfg, task_id, state, obs):
         self._cfg = cfg
-        self._instruction = obs.instruction_id
+        self._instruction = get_task(cfg, task_id).instruction_id
         # run_episode acts at most episode_max_steps times per begin.
         n, w = int(cfg.episode_max_steps), self.policy.history_w
         self._buffer = np.zeros((w + n, self.policy.obs_dim))
@@ -449,7 +439,7 @@ class LearnedActor(Actor):
     def act(self, state, obs):
         window = self._buffer.take(self._rows[self._t], axis=0)
         action = forward(self.policy, self._cfg, obs, window, self._instruction, self.v_fixed)
-        self._buffer[self.policy.history_w + self._t] = obs.as_vector()
+        self._buffer[self.policy.history_w + self._t] = obs
         self._t += 1
         return action
 

@@ -3,7 +3,9 @@
 One JSON file per episode plus a manifest per dataset directory.  Floats are
 serialized at 9 significant digits, which round-trips 32-bit precision and
 keeps re-serialization byte-stable.  The manifest is updated via atomic
-rename so concurrent readers never observe a torn write.
+rename so concurrent readers never observe a torn write.  In memory
+an episode's frames are one table of columns (``Frames``); only
+``episode_to_dict`` and ``episode_from_dict`` know the per-frame JSON layout.
 """
 
 from __future__ import annotations
@@ -20,11 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import StorageError, ValidationError
-from .world import ArmAction, BimanualAction, EnvMode, Observation, Pose2D
+from .world import ARM_NAMES, OBS_DIM, PROPRIO_DIM, EnvMode
 
 SCHEMA_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 FLOAT_SIGFIGS = 9
+# On-disk keys of each arm's half of an action row.
+ACTION_KEYS = ("x", "y", "theta", "grip")
 
 
 class PhaseTag(Enum):
@@ -45,12 +49,24 @@ class EpisodeKind(Enum):
 
 
 @dataclass(frozen=True)
-class Frame:
-    t: int
-    obs: Observation
-    action: BimanualAction
-    phase: PhaseTag
-    v: float | None = None
+class Frames:
+    """An episode's frames as read-only columns: ``obs`` (T, OBS_DIM), ``actions``
+    (T, 8) rows of ``BimanualAction.row``, ``phase`` (T,) ``PhaseTag`` values,
+    and ``v`` (T,) value labels, NaN where a frame is unlabeled."""
+
+    obs: np.ndarray
+    actions: np.ndarray
+    phase: np.ndarray
+    v: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("obs", float), ("actions", float), ("phase", str), ("v", float)):
+            column = np.array(getattr(self, name), dtype=dtype)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.obs)
 
 
 @dataclass(frozen=True)
@@ -64,19 +80,17 @@ class Episode:
     t_rec: int | None
     outcome: Outcome
     kind: EpisodeKind
-    frames: tuple[Frame, ...]
+    frames: Frames
     provenance: dict = field(default_factory=dict)
 
-    def __len__(self) -> int:
-        return len(self.frames)
 
-
-def tag_pattern_valid(tags: list[PhaseTag], sliced: bool = False) -> bool:
-    """Accepts Nominal*, Nominal* Error+, or Nominal* Error+ Recovery+ Nominal*.
+def tag_pattern_valid(phase, sliced: bool = False) -> bool:
+    """Accepts Nominal*, Nominal* Error+, or Nominal* Error+ Recovery+ Nominal*
+    over a sequence of ``PhaseTag`` values.
 
     Sliced recovery suffixes (history reset at index 0) are Recovery+ Nominal*.
     """
-    text = "".join({PhaseTag.NOMINAL: "N", PhaseTag.ERROR: "E", PhaseTag.RECOVERY: "R"}[t] for t in tags)
+    text = "".join(np.asarray(phase).astype("U1"))  # each tag's initial: N, E or R
     if sliced:
         return re.fullmatch(r"R+N*", text) is not None
     return re.fullmatch(r"N*|N*E+|N*E+R+N*", text) is not None
@@ -84,31 +98,30 @@ def tag_pattern_valid(tags: list[PhaseTag], sliced: bool = False) -> bool:
 
 def validate_episode(episode: Episode) -> None:
     """Raise ValidationError when a structural invariant is broken."""
-    if not episode.frames:
-        raise ValidationError(f"{episode.episode_id}: episode has no frames")
-    for i, frame in enumerate(episode.frames):
-        if frame.t != i:
-            raise ValidationError(f"{episode.episode_id}: frame {i} carries t={frame.t}")
-        if frame.v is not None and not (0.0 <= frame.v <= 1.0):
-            raise ValidationError(f"{episode.episode_id}: frame {i} label v={frame.v} outside [0, 1]")
+    frames, name = episode.frames, episode.episode_id
+    n = len(frames)
+    if n == 0:
+        raise ValidationError(f"{name}: episode has no frames")
+    shapes = {"obs": (n, OBS_DIM), "actions": (n, len(ARM_NAMES) * len(ACTION_KEYS)), "phase": (n,), "v": (n,)}
+    for column, shape in shapes.items():
+        if getattr(frames, column).shape != shape:
+            raise ValidationError(f"{name}: {column} has shape {getattr(frames, column).shape}, expected {shape}")
+    bad = np.flatnonzero((frames.v < 0.0) | (frames.v > 1.0))  # NaN, unlabeled, compares False
+    if bad.size:
+        raise ValidationError(f"{name}: frame {bad[0]} label v={frames.v[bad[0]]} outside [0, 1]")
     has_t_rec = episode.t_rec is not None
     if (episode.kind is EpisodeKind.FAILURE_RECOVERY) != has_t_rec:
-        raise ValidationError(
-            f"{episode.episode_id}: kind={episode.kind.value} inconsistent with t_rec={episode.t_rec}"
-        )
-    tags = [f.phase for f in episode.frames]
-    sliced = episode.provenance.get("history_reset_at") == 0
+        raise ValidationError(f"{name}: kind={episode.kind.value} inconsistent with t_rec={episode.t_rec}")
+    phase = frames.phase
     if episode.kind is EpisodeKind.NOMINAL_SUCCESS:
-        if episode.outcome is not Outcome.SUCCESS or any(t is not PhaseTag.NOMINAL for t in tags):
-            raise ValidationError(f"{episode.episode_id}: NominalSuccess must be all-Nominal and successful")
-    if not tag_pattern_valid(tags, sliced=sliced):
-        raise ValidationError(f"{episode.episode_id}: phase tags violate the episode grammar")
-    if has_t_rec:
-        first_rec = next((i for i, t in enumerate(tags) if t is PhaseTag.RECOVERY), None)
-        if first_rec != episode.t_rec:
-            raise ValidationError(
-                f"{episode.episode_id}: t_rec={episode.t_rec} but first Recovery frame is {first_rec}"
-            )
+        if episode.outcome is not Outcome.SUCCESS or np.any(phase != PhaseTag.NOMINAL.value):
+            raise ValidationError(f"{name}: NominalSuccess must be all-Nominal and successful")
+    if not tag_pattern_valid(phase, sliced=episode.provenance.get("history_reset_at") == 0):
+        raise ValidationError(f"{name}: phase tags violate the episode grammar")
+    recovery = np.flatnonzero(phase == PhaseTag.RECOVERY.value)
+    if has_t_rec and (recovery.size == 0 or recovery[0] != episode.t_rec):
+        first = recovery[0] if recovery.size else None
+        raise ValidationError(f"{name}: t_rec={episode.t_rec} but first Recovery frame is {first}")
 
 
 # ---------------------------------------------------------------------------
@@ -131,17 +144,8 @@ def _round_tree(node):
     return node
 
 
-def _pose_to_dict(p: Pose2D) -> dict:
-    return {"x": p.x, "y": p.y, "theta": p.theta}
-
-
-def _arm_to_dict(a: ArmAction) -> dict:
-    d = _pose_to_dict(a.target)
-    d["grip"] = a.grip
-    return d
-
-
 def episode_to_dict(episode: Episode) -> dict:
+    f = episode.frames
     return {
         "schema_version": SCHEMA_VERSION,
         "episode_id": episode.episode_id,
@@ -155,23 +159,38 @@ def episode_to_dict(episode: Episode) -> dict:
         "kind": episode.kind.value,
         "frames": [
             {
-                "t": f.t,
+                "t": t,
                 "obs": {
-                    "proprio": list(f.obs.proprio),
-                    "object_feats": list(f.obs.object_feats),
-                    "instruction_id": f.obs.instruction_id,
+                    "proprio": obs[:PROPRIO_DIM],
+                    "object_feats": obs[PROPRIO_DIM:],
+                    "instruction_id": episode.instruction_id,
                 },
-                "action": {
-                    "left": _arm_to_dict(f.action.left),
-                    "right": _arm_to_dict(f.action.right),
-                },
-                "phase": f.phase.value,
-                "v": f.v,
+                "action": {"left": dict(zip(ACTION_KEYS, action[:4])), "right": dict(zip(ACTION_KEYS, action[4:]))},
+                "phase": phase,
+                "v": None if math.isnan(v) else v,
             }
-            for f in episode.frames
+            for t, (obs, action, phase, v) in enumerate(
+                zip(f.obs.tolist(), f.actions.tolist(), f.phase.tolist(), f.v.tolist())
+            )
         ],
         "provenance": episode.provenance,
     }
+
+
+def _frames_from_dicts(rows: list) -> Frames:
+    """Columns of the on-disk frames; raises ValueError on a malformed frame."""
+    for t, fd in enumerate(rows):
+        if fd["t"] != t:
+            raise ValueError(f"frame {t} carries t={fd['t']}")
+        if fd["v"] is not None and math.isnan(fd["v"]):
+            raise ValueError(f"frame {t} has a NaN label")
+    frames = Frames(
+        obs=[fd["obs"]["proprio"] + fd["obs"]["object_feats"] for fd in rows],
+        actions=[[fd["action"][arm][key] for arm in ARM_NAMES for key in ACTION_KEYS] for fd in rows],
+        phase=[PhaseTag(fd["phase"]).value for fd in rows],
+        v=[math.nan if fd["v"] is None else fd["v"] for fd in rows],
+    )
+    return frames
 
 
 def episode_from_dict(data: dict, source: str = "<memory>") -> Episode:
@@ -179,25 +198,6 @@ def episode_from_dict(data: dict, source: str = "<memory>") -> Episode:
         version = data["schema_version"]
         if version != SCHEMA_VERSION:
             raise StorageError(f"{source}: unsupported schema_version {version!r}")
-        def arm(d):
-            return ArmAction(target=Pose2D(d["x"], d["y"], d["theta"]), grip=d["grip"])
-
-        frames = []
-        for fd in data["frames"]:
-            obs = Observation(
-                proprio=tuple(float(x) for x in fd["obs"]["proprio"]),
-                object_feats=tuple(float(x) for x in fd["obs"]["object_feats"]),
-                instruction_id=int(fd["obs"]["instruction_id"]),
-            )
-            frames.append(
-                Frame(
-                    t=int(fd["t"]),
-                    obs=obs,
-                    action=BimanualAction(left=arm(fd["action"]["left"]), right=arm(fd["action"]["right"])),
-                    phase=PhaseTag(fd["phase"]),
-                    v=None if fd["v"] is None else float(fd["v"]),
-                )
-            )
         episode = Episode(
             episode_id=data["episode_id"],
             task_id=data["task_id"],
@@ -208,7 +208,7 @@ def episode_from_dict(data: dict, source: str = "<memory>") -> Episode:
             t_rec=None if data["t_rec"] is None else int(data["t_rec"]),
             outcome=Outcome(data["outcome"]),
             kind=EpisodeKind(data["kind"]),
-            frames=tuple(frames),
+            frames=_frames_from_dicts(data["frames"]),
             provenance=dict(data.get("provenance", {})),
         )
     except (KeyError, ValueError, TypeError) as exc:
@@ -304,9 +304,9 @@ def read_dataset(dataset_dir: str | Path) -> list[Episode]:
 def slice_recovery_suffix(episode: Episode) -> Episode:
     """Extract the corrective suffix of a recovery episode.
 
-    Returns a new episode holding exactly frames[t_rec:] re-indexed from 0,
-    marked ``history_reset_at: 0``, so history windows pad instead of
-    reaching back into the failure.  Frame content (obs, action) is preserved
+    Returns a new episode holding exactly the rows t_rec: of every column,
+    re-indexed from 0 and marked ``history_reset_at: 0``, so history windows
+    pad instead of reaching back into the failure.  The rows are preserved
     verbatim; the original episode is untouched.
     """
     if episode.kind is not EpisodeKind.FAILURE_RECOVERY or episode.t_rec is None:
@@ -314,7 +314,8 @@ def slice_recovery_suffix(episode: Episode) -> Episode:
             f"{episode.episode_id}: can only slice FailureRecovery episodes with t_rec"
         )
     start = episode.t_rec
-    frames = tuple(replace(f, t=i) for i, f in enumerate(episode.frames[start:]))
+    f = episode.frames
+    frames = Frames(obs=f.obs[start:], actions=f.actions[start:], phase=f.phase[start:], v=f.v[start:])
     provenance = dict(episode.provenance)
     provenance.update(
         {
@@ -333,11 +334,6 @@ def slice_recovery_suffix(episode: Episode) -> Episode:
     )
     validate_episode(sliced)
     return sliced
-
-
-def obs_matrix(frames: tuple[Frame, ...] | list[Frame]) -> np.ndarray:
-    """(T, obs_dim) matrix of the frames' observation vectors."""
-    return np.stack([f.obs.as_vector() for f in frames])
 
 
 def history_rows(n_frames: int, w: int) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 from .config import Config
 from .errors import ConfigError, CoverageError, InputError, StorageError, TrainingError
 from .nets import Adam, Params, init_mlp, mlp_backward, mlp_forward, normalize_rows, normalize_rows_backward
-from .store import Episode, Frame, obs_matrix
+from .store import Episode
 from .world import OBS_DIM, instruction_ids
 
 POOLED_DIM = 3 * OBS_DIM
@@ -61,11 +61,11 @@ def make_featurizer(cfg: Config) -> FrozenFeaturizer:
     )
 
 
-def trajectory_feature(featurizer: FrozenFeaturizer, frames: list[Frame] | tuple[Frame, ...]) -> np.ndarray:
-    """Frozen feature of a non-empty frame prefix; pure function of the prefix."""
-    if len(frames) == 0:
+def trajectory_feature(featurizer: FrozenFeaturizer, obs: np.ndarray) -> np.ndarray:
+    """Frozen feature of a non-empty (t, OBS_DIM) observation prefix; pure
+    function of the prefix."""
+    if len(obs) == 0:
         raise InputError("cannot featurize an empty prefix")
-    obs = obs_matrix(frames)
     return np.concatenate([obs.mean(axis=0), obs[-1], obs[0]]) @ featurizer.projection
 
 
@@ -115,8 +115,8 @@ def embed(params: Params, raw: np.ndarray, which: str) -> np.ndarray:
     return z[0] if single else z
 
 
-def embed_trajectory(model: ProgressModel, frames) -> np.ndarray:
-    return embed(model.params, trajectory_feature(model.featurizer, frames), "visual")
+def embed_trajectory(model: ProgressModel, obs: np.ndarray) -> np.ndarray:
+    return embed(model.params, trajectory_feature(model.featurizer, obs), "visual")
 
 
 def embed_instruction(model: ProgressModel, instruction_id: int) -> np.ndarray:
@@ -129,7 +129,7 @@ def embed_instruction(model: ProgressModel, instruction_id: int) -> np.ndarray:
 
 def _episode_prefix_features(featurizer: FrozenFeaturizer, episode: Episode) -> np.ndarray:
     """Frozen features of every prefix 0..t, t = 0..T, via cumulative sums."""
-    obs = obs_matrix(episode.frames)
+    obs = episode.frames.obs
     csum = np.cumsum(obs, axis=0)
     counts = np.arange(1, len(obs) + 1)[:, None]
     pooled = np.concatenate([csum / counts, obs, np.repeat(obs[:1], len(obs), axis=0)], axis=1)
@@ -232,7 +232,7 @@ class ReferenceCluster:
 def build_reference_cluster(model: ProgressModel, success_episodes: list[Episode]) -> ReferenceCluster:
     groups: dict[int, list[np.ndarray]] = {}
     for ep in success_episodes:
-        groups.setdefault(ep.instruction_id, []).append(embed_trajectory(model, ep.frames))
+        groups.setdefault(ep.instruction_id, []).append(embed_trajectory(model, ep.frames.obs))
     cluster = ReferenceCluster()
     for instr, vecs in groups.items():
         cluster.members[instr] = np.stack(vecs)
@@ -247,7 +247,7 @@ def estimate_progress(model: ProgressModel, cluster: ReferenceCluster, episode: 
         raise CoverageError(
             f"no reference embeddings for instruction {episode.instruction_id}"
         )
-    z = embed_trajectory(model, episode.frames)
+    z = embed_trajectory(model, episode.frames.obs)
     return float(np.max(cluster.members[episode.instruction_id] @ z))
 
 

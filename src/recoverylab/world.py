@@ -28,7 +28,7 @@ GRIP_CLOSED = 1.0
 GRIP_OPEN = 0.0
 CLOSE_THRESHOLD = 0.5
 
-# Observation layout: 8 proprio dims + 2 object slots of 7 dims each.
+# Layout of the observation vector: 8 proprio dims + 2 object slots of 7 dims each.
 NUM_OBJECT_SLOTS = 2
 OBJECT_FEAT_DIM = 7  # present flag + (dx, dy, dtheta) relative to each gripper
 PROPRIO_DIM = 8
@@ -82,6 +82,12 @@ class BimanualAction:
     def arm(self, index: int) -> ArmAction:
         return self.left if index == LEFT else self.right
 
+    def row(self) -> tuple[float, ...]:
+        """The action as one row: x, y, theta and grip of each arm, left arm first."""
+        left, right = self.left, self.right
+        return (left.target.x, left.target.y, left.target.theta, left.grip,
+                right.target.x, right.target.y, right.target.theta, right.grip)
+
 
 @dataclass(frozen=True)
 class ObjectState:
@@ -103,23 +109,6 @@ class WorldState:
     t: int
     task_id: str
     rng_seed: int
-
-
-@dataclass(frozen=True)
-class Observation:
-    """Policy-visible view of a state.
-
-    ``proprio`` holds absolute arm poses and grips; ``object_feats`` holds
-    object poses relative to each gripper plus a presence flag per slot, so
-    object features are invariant to rigid translation of the whole scene.
-    """
-
-    proprio: tuple[float, ...]
-    object_feats: tuple[float, ...]
-    instruction_id: int
-
-    def as_vector(self) -> np.ndarray:
-        return np.asarray(self.proprio + self.object_feats, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -304,26 +293,24 @@ def step(cfg: Config, state: WorldState, action: BimanualAction) -> WorldState:
     )
 
 
-def observe(cfg: Config, state: WorldState) -> Observation:
-    """Pure projection of state onto the policy-visible observation."""
-    spec = get_task(cfg, state.task_id)
-    proprio: list[float] = []
+def observe(state: WorldState) -> np.ndarray:
+    """Pure projection of state onto the policy-visible (OBS_DIM,) vector:
+    absolute arm poses and grips, then per object slot a presence flag and the
+    object pose relative to each gripper (invariant to moving the whole scene)."""
+    vec: list[float] = []
     for arm in (LEFT, RIGHT):
         p = state.arm_poses[arm]
-        proprio.extend((p.x, p.y, p.theta, state.grips[arm]))
-    feats: list[float] = []
+        vec.extend((p.x, p.y, p.theta, state.grips[arm]))
     for slot in range(NUM_OBJECT_SLOTS):
         if slot < len(state.objects):
             o = state.objects[slot].pose
-            feats.append(1.0)
+            vec.append(1.0)
             for arm in (LEFT, RIGHT):
                 g = state.arm_poses[arm]
-                feats.extend((o.x - g.x, o.y - g.y, wrap_angle(o.theta - g.theta)))
+                vec.extend((o.x - g.x, o.y - g.y, wrap_angle(o.theta - g.theta)))
         else:
-            feats.extend([0.0] * OBJECT_FEAT_DIM)
-    return Observation(
-        proprio=tuple(proprio), object_feats=tuple(feats), instruction_id=spec.instruction_id
-    )
+            vec.extend([0.0] * OBJECT_FEAT_DIM)
+    return np.array(vec)
 
 
 def objective_satisfied(cfg: Config, obj_state: ObjectState, objective: Objective) -> bool:

@@ -34,7 +34,6 @@ from recoverylab.store import (
     PhaseTag,
     dataset_stats,
     history_windows,
-    obs_matrix,
     slice_recovery_suffix,
     write_episode,
 )
@@ -169,7 +168,7 @@ def test_a1_decay_exactness():
         kind=EpisodeKind.PURE_FAILURE, t_rec=None, outcome=Outcome.FAILURE,
     )
     labeled = label_failure(episode, 0.8, LabelConfig(alpha=3.0))
-    values = [f.v for f in labeled.frames]
+    values = labeled.frames.v.tolist()
     assert abs(values[5] - 0.1) < 1e-9
     assert abs(values[0] - 0.8) < 1e-9
     assert abs(values[horizon] - 0.0) < 1e-9
@@ -238,21 +237,20 @@ def test_a4_history_reset_contract(pp_bundle):
     w = int(CFG.history_window)
     episode = pp_bundle["rec_pool"][0]
     sliced = slice_recovery_suffix(episode)
-    for i, frame in enumerate(sliced.frames):
-        original = episode.frames[episode.t_rec + i]
-        assert frame.obs == original.obs and frame.action == original.action
-    sliced_windows = history_windows(obs_matrix(sliced.frames), w).reshape(len(sliced.frames), w, -1)
+    assert np.array_equal(sliced.frames.obs, episode.frames.obs[episode.t_rec:])
+    assert np.array_equal(sliced.frames.actions, episode.frames.actions[episode.t_rec:])
+    sliced_windows = history_windows(sliced.frames.obs, w).reshape(len(sliced.frames), w, -1)
     for k in range(1, w):
         window = sliced_windows[k]
         assert np.count_nonzero(np.any(window != 0.0, axis=1)) == k
         for j in range(k):
-            assert np.array_equal(window[j], sliced.frames[k - 1 - j].obs.as_vector())
+            assert np.array_equal(window[j], sliced.frames.obs[k - 1 - j])
         assert np.all(window[k:] == 0.0)
     t = episode.t_rec + 1
-    raw = history_windows(obs_matrix(episode.frames), w).reshape(len(episode.frames), w, -1)[t]
+    raw = history_windows(episode.frames.obs, w).reshape(len(episode.frames), w, -1)[t]
     assert np.count_nonzero(np.any(raw != 0.0, axis=1)) == w
     for j in range(w):
-        assert np.array_equal(raw[j], episode.frames[t - 1 - j].obs.as_vector())
+        assert np.array_equal(raw[j], episode.frames.obs[t - 1 - j])
     assert t - w < episode.t_rec  # raw windows really span the failure prefix
     report("A4", "slices preserve content; reset windows pad at k<W; raw windows span the prefix")
 
@@ -323,7 +321,7 @@ def test_a7_estimation_oracle(pp_bundle):
     worst = 0.0
     for episode in pp_bundle["fails"][:5]:
         v = estimate_progress(model, cluster, episode)
-        z = embed_trajectory(model, episode.frames)
+        z = embed_trajectory(model, episode.frames.obs)
         brute = max(float(z @ member) for member in cluster.members[episode.instruction_id])
         worst = max(worst, abs(v - brute))
     assert worst < 1e-6

@@ -197,7 +197,7 @@ def test_max_duration_matches_bruteforce(cfg):
 
 
 def tags_of(episode):
-    return [f.phase for f in episode.frames]
+    return [PhaseTag(tag) for tag in episode.frames.phase]
 
 
 @pytest.mark.parametrize("kind", list(ErrorKind))
@@ -206,11 +206,11 @@ def test_interception_grammar_and_recovery(cfg, kind):
     produced = 0
     for seed in range(8):
         episode = run_interception(cfg, "pick-place", EnvMode.RANDOM, error, seed)
-        assert tag_pattern_valid(tags_of(episode))
+        assert tag_pattern_valid(episode.frames.phase)
         if episode.provenance["adverse_verified"]:
             assert episode.kind is EpisodeKind.FAILURE_RECOVERY
             assert episode.outcome is Outcome.SUCCESS
-            assert episode.frames[episode.t_rec].phase is PhaseTag.RECOVERY
+            assert tags_of(episode)[episode.t_rec] is PhaseTag.RECOVERY
             produced += 1
         else:
             assert all(t is PhaseTag.NOMINAL for t in tags_of(episode))
@@ -222,11 +222,11 @@ def test_interception_error_frames_match_window(cfg):
     episode = run_interception(cfg, "pick-place", EnvMode.CLEAN, error, 3)
     t0, t1 = episode.provenance["schedule"]["window"]
     assert t1 - t0 == 30
-    for frame in episode.frames:
-        if t0 <= frame.t < t1:
-            assert frame.phase is PhaseTag.ERROR
+    for t, phase in enumerate(tags_of(episode)):
+        if t0 <= t < t1:
+            assert phase is PhaseTag.ERROR
         else:
-            assert frame.phase is not PhaseTag.ERROR
+            assert phase is not PhaseTag.ERROR
     assert episode.t_rec == t1
 
 

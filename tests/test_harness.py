@@ -102,7 +102,7 @@ def test_collect_policy_induced_from_weak_policy(cfg, mini_cfg, tmp_path, t_max)
     for ep in episodes:
         if ep.kind is EpisodeKind.FAILURE_RECOVERY:
             assert ep.t_rec == ep.provenance["takeover_at"]
-            assert ep.frames[ep.t_rec].phase.value == "Recovery"
+            assert ep.frames.phase[ep.t_rec] == "Recovery"
 
 
 def test_collect_policy_induced_oracle_rarely_fails(cfg, t_max):
@@ -129,7 +129,7 @@ def test_window_open_at_timeout(cfg):
     episode = run_interception(cfg, "pick-place", EnvMode.RANDOM, error, 0, t_max=30)
     assert not episode.provenance["adverse_verified"]
     assert episode.kind is EpisodeKind.PURE_FAILURE
-    assert episode.frames[-1].phase.value == "Error"
+    assert episode.frames.phase[-1] == "Error"
     report = bench.run_protocol(cfg, lambda s: bench.OracleActor(), "pick-place", error, [0], 5)
     assert not report.trials[0].adverse_verified
     assert set(report.trials[0].phase_trace) == {"Nominal"}

@@ -25,14 +25,14 @@ def decay_reference(progress, horizon, alpha, t):
 
 def test_label_success_all_ones(expert_episodes):
     labeled = label_success(expert_episodes[0])
-    assert all(f.v == 1.0 for f in labeled.frames)
+    assert all(labeled.frames.v == 1.0)
     # input untouched
-    assert all(f.v is None for f in expert_episodes[0].frames)
+    assert all(np.isnan(expert_episodes[0].frames.v))
 
 
 def test_label_success_single_frame():
     episode = make_episode([N], kind=EpisodeKind.NOMINAL_SUCCESS, t_rec=None)
-    assert [f.v for f in label_success(episode).frames] == [1.0]
+    assert label_success(episode).frames.v.tolist() == [1.0]
 
 
 def test_label_success_wrong_kind(failure_episodes):
@@ -43,14 +43,14 @@ def test_label_success_wrong_kind(failure_episodes):
 def test_label_recovery_segment_pattern():
     episode = make_episode([N] * 10 + [E] * 10 + [R] * 20)
     labeled = label_recovery(episode)
-    values = [f.v for f in labeled.frames]
+    values = labeled.frames.v.tolist()
     assert values == [1.0] * 10 + [0.0] * 10 + [1.0] * 20
 
 
 def test_label_recovery_t_rec_zero_all_ones():
     episode = make_episode([R, R, R, N], provenance={"history_reset_at": 0})
     labeled = label_recovery(episode)
-    assert all(f.v == 1.0 for f in labeled.frames)
+    assert all(labeled.frames.v == 1.0)
 
 
 def test_label_recovery_requires_error_frames():
@@ -64,7 +64,7 @@ def test_label_failure_hand_evaluated_point():
                            outcome=Outcome.FAILURE)
     assert len(episode.frames) == 11  # horizon T = 10
     labeled = label_failure(episode, 0.8, LabelConfig(alpha=3.0))
-    values = [f.v for f in labeled.frames]
+    values = labeled.frames.v.tolist()
     assert values[5] == pytest.approx(0.8 * 0.5 ** 3, abs=1e-12)  # = 0.1
     assert values[0] == pytest.approx(0.8)
     assert values[10] == 0.0
@@ -77,8 +77,8 @@ def test_label_failure_matches_independent_evaluation(progress, horizon, alpha):
     episode = make_episode([N] + [E] * horizon, kind=EpisodeKind.PURE_FAILURE,
                            t_rec=None, outcome=Outcome.FAILURE)
     labeled = label_failure(episode, progress, LabelConfig(alpha=alpha))
-    for t, frame in enumerate(labeled.frames):
-        assert frame.v == pytest.approx(decay_reference(progress, horizon, alpha, t), abs=1e-9)
+    for t, v in enumerate(labeled.frames.v):
+        assert v == pytest.approx(decay_reference(progress, horizon, alpha, t), abs=1e-9)
 
 
 def test_label_failure_monotone_decay(rng):
@@ -88,7 +88,7 @@ def test_label_failure_monotone_decay(rng):
         alpha = float(rng.uniform(0.2, 12))
         episode = make_episode([N] + [E] * horizon, kind=EpisodeKind.PURE_FAILURE,
                                t_rec=None, outcome=Outcome.FAILURE)
-        values = [f.v for f in label_failure(episode, progress, LabelConfig(alpha=alpha)).frames]
+        values = label_failure(episode, progress, LabelConfig(alpha=alpha)).frames.v.tolist()
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
         assert all(0.0 <= v <= 1.0 for v in values)
 
@@ -98,7 +98,7 @@ def test_alpha_ordering_pointwise():
     episode = make_episode([N] + [E] * horizon, kind=EpisodeKind.PURE_FAILURE,
                            t_rec=None, outcome=Outcome.FAILURE)
     by_alpha = {
-        alpha: [f.v for f in label_failure(episode, 0.9, LabelConfig(alpha=alpha)).frames]
+        alpha: label_failure(episode, 0.9, LabelConfig(alpha=alpha)).frames.v.tolist()
         for alpha in (1.0, 3.0, 10.0)
     }
     for t in range(1, horizon):  # interior points: larger alpha decays harder
@@ -140,8 +140,8 @@ def test_label_dataset_totality_and_idempotence(
     labeled = read_dataset(out_a)
     assert len(labeled) == 10
     for ep in labeled:
-        for f in ep.frames:
-            assert f.v is not None and 0.0 <= f.v <= 1.0
+        for v in ep.frames.v:
+            assert not np.isnan(v) and 0.0 <= v <= 1.0
 
     for pa in sorted(out_a.glob("*.json")):
         pb = out_b / pa.name
@@ -153,9 +153,9 @@ def test_label_episode_dispatch(
 ):
     lc = LabelConfig.from_config(cfg)
     success = label_episode(expert_episodes[0], progress_model, reference_cluster, lc)
-    assert all(f.v == 1.0 for f in success.frames)
+    assert all(success.frames.v == 1.0)
     rec = label_episode(recovery_episodes[0], progress_model, reference_cluster, lc)
-    assert {f.v for f in rec.frames} <= {0.0, 1.0}
+    assert set(rec.frames.v.tolist()) <= {0.0, 1.0}
     fail = label_episode(failure_episodes[0], progress_model, reference_cluster, lc)
-    assert fail.frames[-1].v == 0.0
-    assert fail.frames[0].v >= 0.0
+    assert fail.frames.v[-1] == 0.0
+    assert fail.frames.v[0] >= 0.0

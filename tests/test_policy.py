@@ -12,7 +12,6 @@ from recoverylab.policy import (
     GRIP_DIMS,
     LearnedActor,
     action_from_vector,
-    action_to_vector,
     build_frame_dataset,
     forward,
     init_policy,
@@ -42,7 +41,7 @@ def micro_batch(cfg, expert_episodes, tiny_policy):
 
 def test_forward_deterministic(cfg, tiny_policy):
     state = reset(cfg, "pick-place", EnvMode.RANDOM, 0)
-    obs = observe(cfg, state)
+    obs = observe(state)
     hist = np.zeros((tiny_policy.history_w, tiny_policy.obs_dim))
     a = forward(tiny_policy, cfg, obs, hist, 0, 1.0)
     b = forward(tiny_policy, cfg, obs, hist, 0, 1.0)
@@ -51,16 +50,16 @@ def test_forward_deterministic(cfg, tiny_policy):
 
 def test_forward_value_token_reaches_output(cfg, tiny_policy):
     state = reset(cfg, "pick-place", EnvMode.RANDOM, 0)
-    obs = observe(cfg, state)
+    obs = observe(state)
     hist = np.zeros((tiny_policy.history_w, tiny_policy.obs_dim))
-    a0 = action_to_vector(forward(tiny_policy, cfg, obs, hist, 0, 0.0))
-    a1 = action_to_vector(forward(tiny_policy, cfg, obs, hist, 0, 1.0))
+    a0 = np.array(forward(tiny_policy, cfg, obs, hist, 0, 0.0).row())
+    a1 = np.array(forward(tiny_policy, cfg, obs, hist, 0, 1.0).row())
     assert not np.allclose(a0, a1)
 
 
 def test_forward_grip_range_and_bounds(cfg, tiny_policy, rng):
     state = reset(cfg, "pick-place", EnvMode.RANDOM, 1)
-    obs = observe(cfg, state)
+    obs = observe(state)
     for _ in range(10):
         hist = rng.normal(0, 0.3, size=(tiny_policy.history_w, tiny_policy.obs_dim))
         action = forward(tiny_policy, cfg, obs, hist, 0, float(rng.uniform(0, 1)))
@@ -72,7 +71,7 @@ def test_forward_grip_range_and_bounds(cfg, tiny_policy, rng):
 
 def test_forward_input_validation(cfg, tiny_policy):
     state = reset(cfg, "pick-place", EnvMode.RANDOM, 0)
-    obs = observe(cfg, state)
+    obs = observe(state)
     with pytest.raises(InputError):
         forward(tiny_policy, cfg, obs, np.zeros((2, tiny_policy.obs_dim)), 0, 1.0)
     with pytest.raises(InputError):
@@ -181,15 +180,15 @@ def test_local_waypoint_equivalence(cfg, expert_episodes):
 
     episode = expert_episodes[0]
     state = reset(cfg, episode.task_id, episode.env_mode, episode.seed)
-    frame = episode.frames[0]
-    wp_vec = local_waypoint(cfg, frame.obs.as_vector(), action_to_vector(frame.action))
+    obs, actions = episode.frames.obs, episode.frames.actions
+    wp_vec = local_waypoint(cfg, obs[0], actions[0])
     wp_action = action_from_vector(cfg, wp_vec)
-    a = world_step(cfg, state, frame.action)
+    recorded = action_from_vector(cfg, actions[0])
+    assert recorded.row() == tuple(actions[0])  # the recorded action, unclamped
+    a = world_step(cfg, state, recorded)
     b = world_step(cfg, state, wp_action)
     assert a.arm_poses == b.arm_poses
     # On rows it gives each pair's waypoint exactly.
-    obs = np.stack([f.obs.as_vector() for f in episode.frames])
-    actions = np.stack([action_to_vector(f.action) for f in episode.frames])
     pairs = np.stack([local_waypoint(cfg, o, a) for o, a in zip(obs, actions)])
     assert np.array_equal(local_waypoint(cfg, obs, actions), pairs)
 
@@ -206,7 +205,7 @@ def test_history_window_contract(cfg, recovery_episodes):
         window = reset_ds.hist[t].reshape(w, -1)
         valid = min(w, t)
         for k in range(valid):
-            assert np.array_equal(window[k], sliced.frames[t - 1 - k].obs.as_vector())
+            assert np.array_equal(window[k], sliced.frames.obs[t - 1 - k])
         for k in range(valid, w):
             assert np.all(window[k] == 0.0)
     # Windows at early recovery frames of the UNsliced episode reach into
@@ -215,8 +214,8 @@ def test_history_window_contract(cfg, recovery_episodes):
     t = episode.t_rec + 1
     window = raw_ds.hist[t].reshape(w, -1)
     for k in range(w):
-        source = episode.frames[t - 1 - k]
-        assert np.array_equal(window[k], source.obs.as_vector())
+        source = episode.frames.obs[t - 1 - k]
+        assert np.array_equal(window[k], source)
     assert t - w < episode.t_rec  # the window really spans pre-onset frames
 
 
@@ -225,8 +224,8 @@ def test_rollout_deterministic(cfg, mini_policies):
     a = rollout(full, cfg, "pick-place", EnvMode.RANDOM, 300001, t_max=120)
     b = rollout(full, cfg, "pick-place", EnvMode.RANDOM, 300001, t_max=120)
     assert len(a.frames) == len(b.frames)
-    for fa, fb in zip(a.frames, b.frames):
-        assert fa.action == fb.action
+    for fa, fb in zip(a.frames.actions, b.frames.actions):
+        assert np.array_equal(fa, fb)
 
 
 def test_rollout_truncates_at_t_max_plus_one(cfg, tiny_policy):
@@ -272,7 +271,7 @@ def test_checkpoint_round_trip(cfg, tmp_path, mini_policies):
     save_policy(full, path)
     loaded = load_policy(path)
     state = reset(cfg, "pick-place", EnvMode.RANDOM, 123)
-    obs = observe(cfg, state)
+    obs = observe(state)
     hist = np.zeros((full.history_w, full.obs_dim))
     assert forward(loaded, cfg, obs, hist, 0, 1.0) == forward(full, cfg, obs, hist, 0, 1.0)
     assert loaded.obs_std == pytest.approx(full.obs_std)
@@ -315,7 +314,7 @@ def test_learned_actor_history_matches_dataset_convention(cfg, mini_policies, ex
     episodes = expert_episodes[:2]
     for episode in episodes:
         state = reset(cfg, episode.task_id, episode.env_mode, episode.seed)
-        actor.begin(cfg, episode.task_id, state, episode.frames[0].obs)
-        for frame in episode.frames:
-            actor.act(state, frame.obs)
+        actor.begin(cfg, episode.task_id, state, episode.frames.obs[0])
+        for obs in episode.frames.obs:
+            actor.act(state, obs)
     assert np.array_equal(np.stack(seen), build_frame_dataset(cfg, episodes, full.history_w).hist)

@@ -9,14 +9,13 @@ from recoverylab.errors import StorageError, ValidationError
 from recoverylab.store import (
     Episode,
     EpisodeKind,
-    Frame,
+    Frames,
     Outcome,
     PhaseTag,
     dataset_stats,
     episode_to_dict,
     episode_from_dict,
     history_windows,
-    obs_matrix,
     read_dataset,
     read_episode,
     slice_recovery_suffix,
@@ -24,17 +23,9 @@ from recoverylab.store import (
     validate_episode,
     write_episode,
 )
-from recoverylab.world import ArmAction, BimanualAction, EnvMode, Observation, Pose2D
+from recoverylab.world import ArmAction, BimanualAction, EnvMode, Pose2D
 
 N, E, R = PhaseTag.NOMINAL, PhaseTag.ERROR, PhaseTag.RECOVERY
-
-
-def make_obs(t: float) -> Observation:
-    return Observation(
-        proprio=tuple(float(t + i) * 0.01 for i in range(8)),
-        object_feats=tuple(float(t - i) * 0.01 for i in range(14)),
-        instruction_id=0,
-    )
 
 
 def make_action(t: float) -> BimanualAction:
@@ -44,9 +35,12 @@ def make_action(t: float) -> BimanualAction:
 
 def make_episode(tags, kind=EpisodeKind.FAILURE_RECOVERY, outcome=Outcome.SUCCESS,
                  t_rec="auto", provenance=None, v=None):
-    frames = tuple(
-        Frame(t=i, obs=make_obs(i), action=make_action(i), phase=tag, v=v)
-        for i, tag in enumerate(tags)
+    t = np.arange(len(tags), dtype=float)[:, None]
+    frames = Frames(
+        obs=np.hstack([(t + np.arange(8)) * 0.01, (t - np.arange(14)) * 0.01]),
+        actions=[make_action(i).row() for i in range(len(tags))],
+        phase=[tag.value for tag in tags],
+        v=np.full(len(tags), np.nan if v is None else v),
     )
     if t_rec == "auto":
         t_rec = next((i for i, tag in enumerate(tags) if tag is R), None)
@@ -81,9 +75,8 @@ def test_write_read_round_trip(cfg, tmp_path, recovery_episodes):
     assert loaded.kind == episode.kind
     assert loaded.t_rec == episode.t_rec
     assert len(loaded.frames) == len(episode.frames)
-    for a, b in zip(loaded.frames, episode.frames):
-        assert a.phase == b.phase
-        assert np.allclose(a.obs.as_vector(), b.obs.as_vector(), atol=1e-7)
+    assert np.array_equal(loaded.frames.phase, episode.frames.phase)
+    assert np.allclose(loaded.frames.obs, episode.frames.obs, atol=1e-7)
 
 
 def test_reserialization_byte_stable(tmp_path, recovery_episodes):
@@ -118,16 +111,19 @@ def test_invariant_label_range():
 
 
 def test_tag_grammar():
-    assert tag_pattern_valid([N, N, N])
-    assert tag_pattern_valid([N, E, E])
-    assert tag_pattern_valid([N, E, R, R, N])
-    assert tag_pattern_valid([E, R])
-    assert not tag_pattern_valid([N, E, N])        # error must be contiguous to recovery
-    assert not tag_pattern_valid([R, N])           # recovery needs an error prefix
-    assert not tag_pattern_valid([N, R])
-    assert not tag_pattern_valid([N, E, R, E])     # recovery is contiguous
-    assert tag_pattern_valid([R, R, N], sliced=True)
-    assert not tag_pattern_valid([N, R], sliced=True)
+    def valid(tags, sliced=False):
+        return tag_pattern_valid([tag.value for tag in tags], sliced=sliced)
+
+    assert valid([N, N, N])
+    assert valid([N, E, E])
+    assert valid([N, E, R, R, N])
+    assert valid([E, R])
+    assert not valid([N, E, N])        # error must be contiguous to recovery
+    assert not valid([R, N])           # recovery needs an error prefix
+    assert not valid([N, R])
+    assert not valid([N, E, R, E])     # recovery is contiguous
+    assert valid([R, R, N], sliced=True)
+    assert not valid([N, R], sliced=True)
 
 
 def test_truncated_file_reports_offset(tmp_path, recovery_episodes):
@@ -198,20 +194,19 @@ def test_manifest_tracks_many_writes(tmp_path, expert_episodes):
 
 
 def test_slice_preserves_content():
-    episode = make_episode(recovery_tags(n_nom=6, n_err=4, n_rec=7, n_tail=3))
+    tags = recovery_tags(n_nom=6, n_err=4, n_rec=7, n_tail=3)
+    episode = make_episode(tags)
     sliced = slice_recovery_suffix(episode)
     start = episode.t_rec
     assert len(sliced.frames) == len(episode.frames) - start
-    for i, frame in enumerate(sliced.frames):
-        original = episode.frames[start + i]
-        assert frame.t == i
-        assert frame.obs == original.obs
-        assert frame.action == original.action
+    for name in ("obs", "actions", "v"):
+        assert np.array_equal(getattr(sliced.frames, name), getattr(episode.frames, name)[start:], equal_nan=True)
+    assert np.array_equal(sliced.frames.phase, episode.frames.phase[start:])
     assert sliced.provenance["history_reset_at"] == 0
     assert sliced.provenance["kind_detail"] == "ResetRecovery"
     assert sliced.t_rec == 0
     # original untouched
-    assert episode.frames[0].t == 0 and episode.t_rec == start
+    assert len(episode.frames) == len(tags) and episode.t_rec == start
 
 
 def test_slice_t_rec_zero_boundary():
@@ -234,7 +229,7 @@ def test_slice_rejects_pure_failure():
 
 def windows(episode, w):
     """(T, w, obs_dim) history windows of every frame."""
-    return history_windows(obs_matrix(episode.frames), w).reshape(len(episode.frames), w, -1)
+    return history_windows(episode.frames.obs, w).reshape(len(episode.frames), w, -1)
 
 
 def valid_rows(window) -> int:
@@ -253,12 +248,12 @@ def test_history_window_arithmetic():
     episode = make_episode(recovery_tags(n_nom=10, n_err=3, n_rec=5, n_tail=2))
     w = 5
     t = w + 5
-    flat = history_windows(obs_matrix(episode.frames), w)
-    assert flat.shape == (len(episode.frames), w * len(episode.frames[0].obs.as_vector()))
+    flat = history_windows(episode.frames.obs, w)
+    assert flat.shape == (len(episode.frames), w * episode.frames.obs.shape[1])
     window = windows(episode, w)[t]
     assert valid_rows(window) == w
     for k in range(w):
-        assert np.allclose(window[k], episode.frames[t - 1 - k].obs.as_vector())
+        assert np.allclose(window[k], episode.frames.obs[t - 1 - k])
 
 
 def test_history_reset_marker_pads(cfg):
@@ -267,7 +262,7 @@ def test_history_reset_marker_pads(cfg):
     window = windows(sliced, 5)[2]
     assert valid_rows(window) == 2
     # nothing before the slice leaks in
-    pre_slice = {tuple(f.obs.as_vector()) for f in episode.frames[: episode.t_rec]}
+    pre_slice = {tuple(obs) for obs in episode.frames.obs[: episode.t_rec]}
     for k in range(2):
         assert tuple(window[k]) not in pre_slice
 
@@ -276,7 +271,7 @@ def test_history_raw_reaches_into_failure_prefix():
     episode = make_episode(recovery_tags(n_nom=6, n_err=4, n_rec=7, n_tail=3))
     t = episode.t_rec + 2  # within W of the error segment
     window = windows(episode, 5)[t]
-    error_obs = {tuple(f.obs.as_vector()) for f in episode.frames if f.phase is E}
+    error_obs = {tuple(obs) for obs in episode.frames.obs[episode.frames.phase == E.value]}
     assert any(tuple(row) in error_obs for row in window[: valid_rows(window)])
 
 
@@ -286,7 +281,7 @@ def test_float_formatting_nine_significant_digits(tmp_path, expert_episodes):
     x = payload["frames"][3]["obs"]["proprio"][0]
     assert float(f"{x:.9g}") == x
     # round trip through the 9-digit format is the identity on stored values
-    assert episode_from_dict(payload).frames[3].obs.proprio[0] == x
+    assert episode_from_dict(payload).frames.obs[3, 0] == x
 
 
 def test_episode_to_dict_schema_fields(expert_episodes):

@@ -21,6 +21,7 @@ from recoverylab.value import (
     train_alignment,
     trajectory_feature,
 )
+from recoverylab.world import OBS_DIM
 
 
 def spearman(a, b):
@@ -37,15 +38,14 @@ def spearman(a, b):
 
 def test_trajectory_feature_deterministic(cfg, expert_episodes):
     feat = make_featurizer(cfg)
-    prefix = list(expert_episodes[0].frames[:13])
+    prefix = expert_episodes[0].frames.obs[:13]
     assert np.array_equal(trajectory_feature(feat, prefix), trajectory_feature(feat, prefix))
 
 
 def test_trajectory_feature_degenerate_prefix(cfg, expert_episodes):
     feat = make_featurizer(cfg)
-    frame = expert_episodes[0].frames[0]
-    single = trajectory_feature(feat, [frame])
-    obs = frame.obs.as_vector()
+    obs = expert_episodes[0].frames.obs[0]
+    single = trajectory_feature(feat, obs[None, :])
     pooled = np.concatenate([obs, obs, obs])  # mean = last = first
     assert np.allclose(single, pooled @ feat.projection)
 
@@ -53,13 +53,13 @@ def test_trajectory_feature_degenerate_prefix(cfg, expert_episodes):
 def test_trajectory_feature_empty_prefix(cfg):
     feat = make_featurizer(cfg)
     with pytest.raises(InputError):
-        trajectory_feature(feat, [])
+        trajectory_feature(feat, np.zeros((0, OBS_DIM)))
 
 
 def test_featurizer_seed_sensitivity(cfg, expert_episodes):
     a = make_featurizer(cfg)
     b = make_featurizer(cfg.with_overrides(feature_seed=999))
-    prefix = list(expert_episodes[0].frames[:9])
+    prefix = expert_episodes[0].frames.obs[:9]
     assert not np.allclose(trajectory_feature(a, prefix), trajectory_feature(b, prefix))
 
 
@@ -79,7 +79,7 @@ def test_prefix_feature_fast_path_matches_public_op(cfg, expert_episodes):
     episode = expert_episodes[0]
     fast = _episode_prefix_features(feat, episode)
     for t in (0, 1, 7, len(episode.frames) - 1):
-        slow = trajectory_feature(feat, list(episode.frames[: t + 1]))
+        slow = trajectory_feature(feat, episode.frames.obs[: t + 1])
         assert np.allclose(fast[t], slow, atol=1e-10)
 
 
@@ -118,7 +118,7 @@ def test_embed_dim_mismatch(cfg, rng):
 
 def test_cosine_equals_dot_for_unit_vectors(cfg, expert_episodes):
     model = init_progress_model(cfg, seed=1)
-    z_v = embed_trajectory(model, expert_episodes[0].frames)
+    z_v = embed_trajectory(model, expert_episodes[0].frames.obs)
     z_l = embed_instruction(model, 0)
     dot = float(z_v @ z_l)
     cos = float(z_v @ z_l / (np.linalg.norm(z_v) * np.linalg.norm(z_l)))
@@ -196,7 +196,7 @@ def test_estimate_is_self_similar_for_members(progress_model, reference_cluster,
 def test_estimate_matches_bruteforce(progress_model, reference_cluster, failure_episodes):
     episode = failure_episodes[0]
     v = estimate_progress(progress_model, reference_cluster, episode)
-    z = embed_trajectory(progress_model, episode.frames)
+    z = embed_trajectory(progress_model, episode.frames.obs)
     brute = max(float(z @ member) for member in reference_cluster.members[episode.instruction_id])
     assert abs(v - brute) < 1e-6
     assert -1.0 <= v <= 1.0
@@ -216,7 +216,7 @@ def test_estimate_singleton_cluster(progress_model, reference_cluster, failure_e
     episode = failure_episodes[0]
     members = reference_cluster.members[episode.instruction_id]
     single = ReferenceCluster(members={episode.instruction_id: members[:1].copy()})
-    z = embed_trajectory(progress_model, episode.frames)
+    z = embed_trajectory(progress_model, episode.frames.obs)
     assert estimate_progress(progress_model, single, episode) == pytest.approx(float(members[0] @ z))
 
 

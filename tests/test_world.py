@@ -13,6 +13,7 @@ from recoverylab.world import (
     LEFT,
     OBS_DIM,
     ObjectState,
+    PROPRIO_DIM,
     Pose2D,
     RIGHT,
     WorldState,
@@ -168,11 +169,11 @@ def test_step_rejects_non_finite(cfg):
 
 def test_observe_pure_and_deterministic(cfg):
     state = reset(cfg, "pick-place", EnvMode.RANDOM, 9)
-    a = observe(cfg, state)
-    b = observe(cfg, state)
-    assert a == b
-    assert len(a.as_vector()) == OBS_DIM
-    assert np.all(np.isfinite(a.as_vector()))
+    a = observe(state)
+    b = observe(state)
+    assert np.array_equal(a, b)
+    assert len(a) == OBS_DIM
+    assert np.all(np.isfinite(a))
 
 
 def test_observe_translation_invariant_object_feats(cfg):
@@ -187,13 +188,13 @@ def test_observe_translation_invariant_object_feats(cfg):
         arm_poses=tuple(shift(p) for p in state.arm_poses),
         objects=tuple(replace(o, pose=shift(o.pose)) for o in state.objects),
     )
-    assert observe(cfg, shifted).object_feats == pytest.approx(observe(cfg, state).object_feats)
+    assert observe(shifted)[PROPRIO_DIM:] == pytest.approx(observe(state)[PROPRIO_DIM:])
 
 
 def test_observe_grip_projection(cfg):
     state = reset(cfg, "pick-place", EnvMode.CLEAN, 0)
     state = replace(state, grips=(0.25, 0.75))
-    proprio = observe(cfg, state).proprio
+    proprio = observe(state)[:PROPRIO_DIM]
     assert proprio[3] == 0.25 and proprio[7] == 0.75
 
 
@@ -213,7 +214,7 @@ def test_success_check_does_not_mutate(cfg):
     state = reset(cfg, "stack-two", EnvMode.RANDOM, 2)
     before = state
     success_check(cfg, "stack-two", state)
-    observe(cfg, state)
+    observe(state)
     assert state == before
 
 
