@@ -498,8 +498,6 @@ def run_episode(
     ``provenance`` holds the caller's entries; the trigger and takeover add
     theirs.
     """
-    if t_max is not None and t_max <= 0:
-        raise InputError(f"t_max must be positive, got {t_max}")
     state = reset(cfg, task_id, env_mode, seed)
     obs = observe(state)
     actor.begin(cfg, task_id, state, obs)
@@ -509,7 +507,7 @@ def run_episode(
     succeeded = False
     while True:
         t = len(rec.tags)
-        if t >= cap or (t_max is not None and t > t_max):
+        if (t_max is not None and detect_failure(t, t_max)) or t >= cap:
             onset = takeover.timeout_onset(t) if takeover is not None and rec.t_rec is None else None
             if onset is None:
                 break

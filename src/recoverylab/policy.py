@@ -9,8 +9,7 @@ desired-progress levels.
 
 Training treats actions as a fixed-variance Gaussian around the network
 mean, so the negative log-likelihood is squared error over 2*sigma^2 plus a
-constant; both the NLL and plain-MSE paths are exposed and differ exactly by
-that factor.  Phase one imitates expert data mixed with sliced recovery
+constant.  Phase one imitates expert data mixed with sliced recovery
 suffixes (histories reset at the recovery) at weight lambda, with v pinned
 to 1.0.  The refinement phase trains on the labeled mixed dataset (histories
 reach back into the failure) with per-frame v driving the token.  Deployment
@@ -29,7 +28,7 @@ from .config import Config
 from .errors import InputError, StorageError, TrainingError, ValidationError
 from .faults import UNTRIGGERED, Actor, ErrorType, InjectionSchedule, run_episode
 from .nets import Adam, Params, init_linear, init_mlp, mlp_backward, mlp_forward
-from .store import Episode, history_rows, history_windows
+from .store import Episode, history_rows, history_windows, write_atomic
 from .world import (
     ArmAction,
     BimanualAction,
@@ -184,25 +183,15 @@ def loss_and_grads(
     instr: np.ndarray,
     v: np.ndarray,
     targets: np.ndarray,
-    loss_kind: str = "nll",
 ) -> tuple[float, Params]:
-    """Batch-mean loss and analytic gradients.
-
-    ``nll`` is the Gaussian negative log-likelihood sum (a - mu)^2 / (2 sigma^2)
-    per frame; ``mse`` drops the 1/(2 sigma^2) factor.  Gradients of the two
-    differ by exactly that constant.
-    """
+    """Batch-mean Gaussian negative log-likelihood, the sum of
+    (a - mu)^2 / (2 sigma^2) per frame, and its analytic gradients."""
     p = policy.params
     mu, cache = _forward_batch(policy, hist, obs, instr, v)
     x, trunk_cache, e_val, instr_idx, v_in, _ = cache
     diff = mu - targets
     batch = mu.shape[0]
-    if loss_kind == "nll":
-        scale = 1.0 / (2.0 * policy.sigma ** 2)
-    elif loss_kind == "mse":
-        scale = 1.0
-    else:
-        raise InputError(f"unknown loss_kind {loss_kind!r}")
+    scale = 1.0 / (2.0 * policy.sigma ** 2)
     loss = float(scale * np.sum(diff * diff) / batch)
 
     dmu = (2.0 * scale / batch) * diff
@@ -491,7 +480,7 @@ def save_policy(policy: Policy, path: str | Path) -> Path:
         "params": {k: v.tolist() for k, v in sorted(policy.params.items())},
         "provenance": policy.provenance,
     }
-    path.write_text(json.dumps(payload, sort_keys=True))
+    write_atomic(path, json.dumps(payload, sort_keys=True))
     return path
 
 

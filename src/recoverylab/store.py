@@ -2,8 +2,8 @@
 
 One JSON file per episode plus a manifest per dataset directory.  Floats are
 serialized at 9 significant digits, which round-trips 32-bit precision and
-keeps re-serialization byte-stable.  The manifest is updated via atomic
-rename so concurrent readers never observe a torn write.  In memory
+keeps re-serialization byte-stable.  Episode files and the manifest are
+written via atomic rename so readers never observe a torn write.  In memory
 an episode's frames are one table of columns (``Frames``); only
 ``episode_to_dict`` and ``episode_from_dict`` know the per-frame JSON layout.
 """
@@ -15,6 +15,7 @@ import json
 import math
 import os
 import re
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -90,7 +91,7 @@ def tag_pattern_valid(phase, sliced: bool = False) -> bool:
 
     Sliced recovery suffixes (history reset at index 0) are Recovery+ Nominal*.
     """
-    text = "".join(np.asarray(phase).astype("U1"))  # each tag's initial: N, E or R
+    text = "".join(np.asarray(phase).astype("U1").tolist())  # each tag's initial: N, E or R
     if sliced:
         return re.fullmatch(r"R+N*", text) is not None
     return re.fullmatch(r"N*|N*E+|N*E+R+N*", text) is not None
@@ -177,11 +178,13 @@ def episode_to_dict(episode: Episode) -> dict:
     }
 
 
-def _frames_from_dicts(rows: list) -> Frames:
+def _frames_from_dicts(rows: list, instruction_id: int) -> Frames:
     """Columns of the on-disk frames; raises ValueError on a malformed frame."""
     for t, fd in enumerate(rows):
-        if fd["t"] != t:
-            raise ValueError(f"frame {t} carries t={fd['t']}")
+        obs = fd["obs"]
+        if fd["t"] != t or obs["instruction_id"] != instruction_id or len(obs["proprio"]) != PROPRIO_DIM:
+            raise ValueError(f"frame {t} has t={fd['t']}, instruction_id={obs['instruction_id']} "
+                             f"and {len(obs['proprio'])} proprio values")
         if fd["v"] is not None and math.isnan(fd["v"]):
             raise ValueError(f"frame {t} has a NaN label")
     frames = Frames(
@@ -190,6 +193,12 @@ def _frames_from_dicts(rows: list) -> Frames:
         phase=[PhaseTag(fd["phase"]).value for fd in rows],
         v=[math.nan if fd["v"] is None else fd["v"] for fd in rows],
     )
+    finite = np.isfinite(frames.obs).all() and np.isfinite(frames.actions).all()
+    if frames.obs.shape != (len(rows), OBS_DIM) or not finite:
+        raise ValueError(f"observations of shape {frames.obs.shape} or actions are not finite rows")
+    theta, grip = frames.actions[:, 2::4], frames.actions[:, 3::4]
+    if not np.all((-math.pi < theta) & (theta <= math.pi) & (0.0 <= grip) & (grip <= 1.0)):
+        raise ValueError("an action has theta outside (-pi, pi] or grip outside [0, 1]")
     return frames
 
 
@@ -208,7 +217,7 @@ def episode_from_dict(data: dict, source: str = "<memory>") -> Episode:
             t_rec=None if data["t_rec"] is None else int(data["t_rec"]),
             outcome=Outcome(data["outcome"]),
             kind=EpisodeKind(data["kind"]),
-            frames=_frames_from_dicts(data["frames"]),
+            frames=_frames_from_dicts(data["frames"], int(data["instruction_id"])),
             provenance=dict(data.get("provenance", {})),
         )
     except (KeyError, ValueError, TypeError) as exc:
@@ -234,11 +243,22 @@ def _load_manifest(dataset_dir: Path) -> dict:
     return manifest
 
 
+def write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path`` and rename it over
+    ``path``, so a reader sees the old bytes or the new, never a torn file."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with suppress(OSError):
+            tmp.unlink()
+        raise StorageError(f"failed to write {path}: {exc}") from exc
+
+
 def _write_manifest(dataset_dir: Path, manifest: dict) -> None:
     manifest["episodes"].sort(key=lambda e: e["file"])
-    tmp = dataset_dir / (MANIFEST_NAME + ".tmp")
-    tmp.write_text(_dumps(manifest))
-    os.replace(tmp, dataset_dir / MANIFEST_NAME)
+    write_atomic(dataset_dir / MANIFEST_NAME, _dumps(manifest))
 
 
 def write_episode(episode: Episode, dataset_dir: str | Path) -> Path:
@@ -249,10 +269,7 @@ def write_episode(episode: Episode, dataset_dir: str | Path) -> Path:
         raise StorageError(f"dataset directory does not exist: {dataset_dir}")
     text = _dumps(episode_to_dict(episode))
     path = dataset_dir / f"{episode.episode_id}.json"
-    try:
-        path.write_text(text)
-    except OSError as exc:
-        raise StorageError(f"failed to write {path}: {exc}") from exc
+    write_atomic(path, text)
     manifest = _load_manifest(dataset_dir)
     entry = {
         "file": path.name,

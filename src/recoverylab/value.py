@@ -25,7 +25,7 @@ import numpy as np
 from .config import Config
 from .errors import ConfigError, CoverageError, InputError, StorageError, TrainingError
 from .nets import Adam, Params, init_mlp, mlp_backward, mlp_forward, normalize_rows, normalize_rows_backward
-from .store import Episode
+from .store import Episode, write_atomic
 from .world import OBS_DIM, instruction_ids
 
 POOLED_DIM = 3 * OBS_DIM
@@ -274,7 +274,7 @@ def save_progress_model(
         "cluster": {str(k): v.tolist() for k, v in sorted(cluster.members.items())} if cluster else None,
         "provenance": provenance or {},
     }
-    path.write_text(json.dumps(payload, sort_keys=True))
+    write_atomic(path, json.dumps(payload, sort_keys=True))
     return path
 
 

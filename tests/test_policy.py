@@ -97,14 +97,6 @@ def test_gradient_matches_finite_differences(cfg, expert_episodes):
     assert relative_error(pack({k: np.asarray(v) for k, v in grads.items()}), fd) < 1e-4
 
 
-def test_nll_mse_gradient_equivalence(cfg, tiny_policy, micro_batch):
-    nll_loss, nll_grads = loss_and_grads(tiny_policy, *micro_batch, loss_kind="nll")
-    mse_loss, mse_grads = loss_and_grads(tiny_policy, *micro_batch, loss_kind="mse")
-    factor = 2.0 * tiny_policy.sigma ** 2
-    assert nll_loss * factor == pytest.approx(mse_loss, rel=1e-12)
-    assert relative_error(pack(nll_grads) * factor, pack(mse_grads)) < 1e-12
-
-
 def test_lambda_zero_matches_expert_only(mini_cfg, tiny_policy, expert_episodes, recovery_episodes):
     w = tiny_policy.history_w
     expert_ds = build_frame_dataset(mini_cfg, expert_episodes[:3], w)

@@ -1,4 +1,6 @@
 import json
+import math
+import os
 import re
 from dataclasses import replace
 
@@ -84,6 +86,17 @@ def test_reserialization_byte_stable(tmp_path, recovery_episodes):
     first = path.read_bytes()
     again = write_episode(read_episode(path), tmp_path)
     assert again.read_bytes() == first
+
+
+def test_frames_are_read_only_copies():
+    obs = np.zeros((2, 22))
+    frames = Frames(obs=obs, actions=np.zeros((2, 8)), phase=["Nominal", "Nominal"], v=[math.nan, 0.5])
+    obs[0, 0] = 1.0
+    assert frames.obs[0, 0] == 0.0
+    for name in ("obs", "actions", "phase", "v"):
+        column = getattr(frames, name)
+        with pytest.raises(ValueError):
+            column[0] = column[1]
 
 
 def test_invariant_t_rec_kind_mismatch():
@@ -172,6 +185,57 @@ def test_read_dataset_rejects_tampered_episode(tmp_path, expert_episodes):
     read_episode(path)  # still a valid episode on its own
     with pytest.raises(StorageError, match="sha256"):
         read_dataset(tmp_path)
+
+
+# Each edit leaves the JSON valid and the episode's tags, labels and kind intact.
+MALFORMED_FRAMES = {
+    "nan-observation": lambda f: f["obs"]["object_feats"].__setitem__(2, math.nan),
+    "seven-proprio-values": lambda f: f["obs"]["object_feats"].insert(0, f["obs"]["proprio"].pop()),
+    "other-instruction": lambda f: f["obs"].update(instruction_id=f["obs"]["instruction_id"] + 1),
+    "nan-action": lambda f: f["action"]["left"].update(x=math.nan),
+    "grip-above-one": lambda f: f["action"]["right"].update(grip=1.7),
+    "grip-below-zero": lambda f: f["action"]["left"].update(grip=-0.2),
+    "theta-above-pi": lambda f: f["action"]["left"].update(theta=7.0),
+    "theta-at-minus-pi": lambda f: f["action"]["right"].update(theta=-math.pi),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FRAMES))
+def test_read_episode_rejects_malformed_frame(tmp_path, expert_episodes, case):
+    path = write_episode(expert_episodes[0], tmp_path)
+    payload = json.loads(path.read_text())
+    MALFORMED_FRAMES[case](payload["frames"][3])
+    path.write_text(json.dumps(payload))
+    with pytest.raises(StorageError):
+        read_episode(path)
+
+
+def test_failed_write_keeps_previous_bytes(cfg, tmp_path, expert_episodes, monkeypatch):
+    # When the rename fails, the file written before keeps its bytes.
+    from recoverylab.policy import init_policy, save_policy
+    from recoverylab.value import init_progress_model, save_progress_model
+
+    episode, policy, model = expert_episodes[0], init_policy(cfg), init_progress_model(cfg)
+
+    def write(name, note):
+        if name == "episode":
+            return write_episode(replace(episode, provenance={"note": note}), tmp_path)
+        if name == "policy":
+            return save_policy(replace(policy, provenance={"note": note}), tmp_path / "policy.json")
+        return save_progress_model(model, tmp_path / "value.json", provenance={"note": note})
+
+    def refuse(src, dst):
+        raise OSError("no space left on device")
+
+    for name in ("episode", "policy", "progress-model"):
+        path = write(name, 1)
+        before = path.read_bytes()
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", refuse)
+            with pytest.raises(StorageError):
+                write(name, 2)
+        assert path.read_bytes() == before, name
+        assert not list(tmp_path.glob("*.tmp")), name
 
 
 def test_empty_dataset_stats(tmp_path):
