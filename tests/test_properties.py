@@ -1,11 +1,13 @@
-"""Property tests of the episode store and the pure-failure labeler."""
+"""Property tests of the world step, the episode store and the pure-failure labeler."""
 
 import math
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from recoverylab.config import Config
 from recoverylab.labeling import LabelConfig, label_failure
 from recoverylab.store import (
     Episode,
@@ -16,7 +18,19 @@ from recoverylab.store import (
     read_episode,
     write_episode,
 )
-from recoverylab.world import OBS_DIM, EnvMode
+from recoverylab.world import (
+    ArmAction,
+    BimanualAction,
+    LEFT,
+    OBS_DIM,
+    RIGHT,
+    EnvMode,
+    Pose2D,
+    arm_reach,
+    reset,
+    step,
+    task_registry,
+)
 from tests.test_store import make_episode
 
 # Bounded and derandomized, so every run of the suite checks the same examples.
@@ -91,3 +105,55 @@ def test_failure_labels_in_unit_interval_with_exact_endpoints(horizon, progress,
     v = label_failure(episode, progress, LabelConfig(alpha=alpha)).frames.v
     assert np.all((0.0 <= v) & (v <= 1.0))
     assert v[0] == progress and v[-1] == 0.0
+
+
+CFG = Config()
+# Grips that sit on, just below and either side of the 0.5 close threshold.
+grips = st.one_of(st.sampled_from((0.0, 0.4999, 0.5, 1.0)), st.floats(0.0, 1.0))
+def as_action(row):
+    return BimanualAction(
+        left=ArmAction(target=Pose2D(*row[0:3]), grip=row[3]),
+        right=ArmAction(target=Pose2D(*row[4:7]), grip=row[7]),
+    )
+
+
+@st.composite
+def world_runs(draw):
+    """A reset task whose arms start on an object or at home, kept inside
+    their reach, and action rows whose targets are objects' starting poses or
+    points up to half a workspace beyond its edges, many out of reach."""
+    task_id = draw(st.sampled_from(sorted(task_registry(CFG))))
+    state = reset(CFG, task_id, draw(st.sampled_from(list(EnvMode))), draw(st.integers(0, 999)))
+    spots = [o.pose for o in state.objects]
+    arms = []
+    for arm in (LEFT, RIGHT):
+        start = draw(st.sampled_from([state.arm_poses[arm]] + spots))
+        x_min, x_max, y_min, y_max = arm_reach(CFG, arm)
+        arms.append(Pose2D(min(x_max, max(x_min, start.x)), min(y_max, max(y_min, start.y)), start.theta))
+    far = st.tuples(st.floats(-1.0, 1.0), st.floats(-0.25, 0.75), st.floats(-math.pi, math.pi, exclude_min=True))
+    target = st.one_of(st.sampled_from([(p.x, p.y, p.theta) for p in spots]), far)
+    rows = draw(st.lists(st.tuples(target, grips, target, grips), min_size=1, max_size=40))
+    return replace(state, arm_poses=tuple(arms)), [(*lt, lg, *rt, rg) for lt, lg, rt, rg in rows]
+
+
+@PROPERTY
+@given(world_runs())
+def test_step_keeps_arms_inside_their_reach(run):
+    state, rows = run
+    for row in rows:
+        state = step(CFG, state, as_action(row))
+        for arm in (LEFT, RIGHT):
+            x_min, x_max, y_min, y_max = arm_reach(CFG, arm)
+            pose = state.arm_poses[arm]
+            assert x_min <= pose.x <= x_max and y_min <= pose.y <= y_max
+
+
+@PROPERTY
+@given(world_runs())
+def test_held_object_pose_equals_its_holders(run):
+    state, rows = run
+    for row in rows:
+        state = step(CFG, state, as_action(row))
+        for obj in state.objects:
+            if obj.held_by is not None:
+                assert obj.pose == state.arm_poses[obj.held_by]
