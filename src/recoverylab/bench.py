@@ -42,7 +42,7 @@ from .policy import (
 )
 from .store import Episode, slice_recovery_suffix
 from .value import build_reference_cluster, init_progress_model, train_alignment
-from .world import BimanualAction, EnvMode, WorldState, success_check
+from .world import EnvMode, WorldState, success_check
 from . import policy as policy_mod
 
 
@@ -119,7 +119,7 @@ class RandomActor(Actor):
         self._rng = np.random.default_rng([seed, 0x8A])
         self._cfg: Config | None = None
 
-    def begin(self, cfg, task_id, state, obs):
+    def begin(self, cfg, task_id, state):
         self._cfg = cfg
         self._rng = np.random.default_rng([self._seed, 0x8A])
 
@@ -152,27 +152,27 @@ class OracleActor(Actor):
         self._task: str = ""
         self._planner: PlannerActor | None = None
 
-    def begin(self, cfg, task_id, state, obs):
+    def begin(self, cfg, task_id, state):
         self._cfg = cfg
         self._task = task_id
         self._planner = PlannerActor()
-        self._planner.begin(cfg, task_id, state, obs)
+        self._planner.begin(cfg, task_id, state)
 
-    def _replan(self, state: WorldState, obs: np.ndarray) -> bool:
+    def _replan(self, state: WorldState) -> bool:
         try:
             planner = PlannerActor(plan_recovery(self._cfg, self._task, state))
         except (UnrecoverableState, PlanningError):
             return False
-        planner.begin(self._cfg, self._task, state, obs)
+        planner.begin(self._cfg, self._task, state)
         self._planner = planner
         return True
 
-    def act(self, state: WorldState, obs: np.ndarray) -> BimanualAction:
+    def act(self, state: WorldState, obs: np.ndarray) -> tuple[float, ...]:
         if self._planner.executor.steps_in_phase > self.stall_budget:
-            self._replan(state, obs)
+            self._replan(state)
         action = self._planner.act(state, obs)
         if self._planner.exhausted and not success_check(self._cfg, self._task, state):
-            if self._replan(state, obs):
+            if self._replan(state):
                 action = self._planner.act(state, obs)
         return action
 

@@ -39,13 +39,10 @@ from .planner import (
 from .store import Episode, EpisodeKind, Frames, Outcome, PhaseTag, validate_episode
 from .world import (
     ARM_NAMES,
-    ArmAction,
-    BimanualAction,
     EnvMode,
     GRIP_CLOSED,
     GRIP_OPEN,
     LEFT,
-    Pose2D,
     RIGHT,
     WorldState,
     get_task,
@@ -221,36 +218,33 @@ def _geometric_trigger(cfg: Config, state: WorldState, kind: ErrorKind) -> tuple
     return None
 
 
-def inject(action: BimanualAction, error: ErrorType, t: int, schedule: InjectionSchedule) -> BimanualAction:
-    """Apply the error override to the designated arm inside the active window.
+def inject(row: tuple[float, ...], error: ErrorType, t: int, schedule: InjectionSchedule) -> tuple[float, ...]:
+    """Apply the error override to the designated arm's half of an action
+    row inside the active window.
 
-    Outside the window the action is returned untouched (the same object).
+    Outside the window the row is returned untouched (the same object).
     """
     if not schedule.resolved:
         raise SequencingError("inject called before the schedule resolved")
     if not schedule.in_window(t):
-        return action
-    arm = schedule.arm
-    original = action.arm(arm)
+        return row
+    o = 4 * schedule.arm  # the arm's x, y, theta, grip
+    out = list(row)
     kind = error.kind
     if kind is ErrorKind.E1_PREMATURE_CLOSE:
-        overridden = ArmAction(target=original.target, grip=GRIP_CLOSED)
+        out[o + 3] = GRIP_CLOSED
     elif kind is ErrorKind.E2_GRASP_SLIP:
-        overridden = ArmAction(target=original.target, grip=GRIP_OPEN)
+        out[o + 3] = GRIP_OPEN
     elif kind is ErrorKind.E3_POSITION_OFFSET:
         dx, dy = schedule.draws["dp"]
-        tgt = original.target
-        overridden = ArmAction(target=Pose2D(tgt.x + dx, tgt.y + dy, tgt.theta), grip=original.grip)
+        out[o] += dx
+        out[o + 1] += dy
     else:
         lx, ly = schedule.draws["lat"]
-        dth = schedule.draws["dtheta"]
-        tgt = original.target
-        overridden = ArmAction(
-            target=Pose2D(tgt.x + lx, tgt.y + ly, wrap_angle(tgt.theta + dth)), grip=original.grip
-        )
-    arms = [action.left, action.right]
-    arms[arm] = overridden
-    return BimanualAction(left=arms[0], right=arms[1])
+        out[o] += lx
+        out[o + 1] += ly
+        out[o + 2] = wrap_angle(out[o + 2] + schedule.draws["dtheta"])
+    return tuple(out)
 
 
 def verify_adverse(cfg: Config, state: WorldState, error: ErrorType, schedule: InjectionSchedule) -> bool:
@@ -302,13 +296,14 @@ class Actor:
     stalled = False
     patience = 0
 
-    def begin(self, cfg: Config, task_id: str, state: WorldState, obs: np.ndarray) -> None:
+    def begin(self, cfg: Config, task_id: str, state: WorldState) -> None:
         raise NotImplementedError
 
-    def act(self, state: WorldState, obs: np.ndarray) -> BimanualAction:
+    def act(self, state: WorldState, obs: np.ndarray) -> tuple[float, ...]:
+        """The action row (see ``world.ACTION_DIM``) for the live state."""
         raise NotImplementedError
 
-    def applied(self, action: BimanualAction) -> BimanualAction:
+    def applied(self, action: tuple[float, ...]) -> tuple[float, ...]:
         """The action the arms execute; ``action`` itself is what is recorded."""
         return action
 
@@ -331,7 +326,7 @@ class PlannerActor(Actor):
         self.action_noise = action_noise
         self.patience = patience
 
-    def begin(self, cfg, task_id, state, obs):
+    def begin(self, cfg, task_id, state):
         plan = self.plan if self.plan is not None else plan_nominal(cfg, task_id, state)
         self.executor = PlanExecutor(cfg, plan)
         self.exhausted = False
@@ -346,10 +341,8 @@ class PlannerActor(Actor):
             return self.executor.next_action(state)
         except PlanExhausted:
             self.exhausted = True
-            return BimanualAction(
-                left=ArmAction(target=state.arm_poses[0], grip=state.grips[0]),
-                right=ArmAction(target=state.arm_poses[1], grip=state.grips[1]),
-            )
+            (left, right), (left_grip, right_grip) = state.arm_poses, state.grips
+            return (left.x, left.y, left.theta, left_grip, right.x, right.y, right.theta, right_grip)
 
     @property
     def stalled(self) -> bool:
@@ -358,13 +351,12 @@ class PlannerActor(Actor):
     def applied(self, action):
         if self.action_noise <= 0:
             return action
-        arms = []
-        for a in (action.left, action.right):
+        row = list(action)
+        for o in (0, 4):
             dx, dy = self._rng.normal(0.0, self.action_noise, size=2)
             dth = self._rng.normal(0.0, 2.0 * self.action_noise)
-            target = Pose2D(a.target.x + dx, a.target.y + dy, wrap_angle(a.target.theta + dth))
-            arms.append(ArmAction(target=target, grip=a.grip))
-        return BimanualAction(*arms)
+            row[o:o + 3] = float(row[o] + dx), float(row[o + 1] + dy), wrap_angle(row[o + 2] + dth)
+        return tuple(row)
 
     def recovery_tag(self):
         if self.exhausted:
@@ -453,9 +445,9 @@ class _Recorder:
         self.onset: int | None = None
         self.t_rec: int | None = None
 
-    def add(self, obs: np.ndarray, action: BimanualAction, tag: PhaseTag) -> None:
+    def add(self, obs: np.ndarray, action: tuple[float, ...], tag: PhaseTag) -> None:
         self.obs.append(obs)
-        self.actions.append(action.row())
+        self.actions.append(action)
         self.tags.append(tag)
 
     def retag(self, tag: PhaseTag) -> None:
@@ -500,7 +492,7 @@ def run_episode(
     """
     state = reset(cfg, task_id, env_mode, seed)
     obs = observe(state)
-    actor.begin(cfg, task_id, state, obs)
+    actor.begin(cfg, task_id, state)
     rec = _Recorder()
     cap = int(cfg.episode_max_steps)
     idle = 0
@@ -516,7 +508,7 @@ def run_episode(
             actor = takeover.hand_over(cfg, task_id, state, actor)
             if actor is None:
                 break
-            actor.begin(cfg, task_id, state, obs)
+            actor.begin(cfg, task_id, state)
             rec.t_rec, t_max = t, None
             continue
         if trigger is not None and not trigger.resolved and trigger.fire(cfg, t, state, actor):
@@ -544,7 +536,7 @@ def run_episode(
                     actor = takeover.hand_over(cfg, task_id, state, actor)
                     if actor is None:
                         break
-                    actor.begin(cfg, task_id, state, obs)
+                    actor.begin(cfg, task_id, state)
             else:
                 rec.retag(PhaseTag.NOMINAL)
                 rec.onset = None

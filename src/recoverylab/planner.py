@@ -19,8 +19,6 @@ from enum import Enum
 from .config import Config
 from .errors import PlanExhausted, PlanningError, UnrecoverableState
 from .world import (
-    ArmAction,
-    BimanualAction,
     LEFT,
     Objective,
     Pose2D,
@@ -250,7 +248,8 @@ class PlanExecutor:
             self.steps_in_phase = 0
         raise PlanExhausted("plan complete")
 
-    def next_action(self, state: WorldState) -> BimanualAction:
+    def next_action(self, state: WorldState) -> tuple[float, ...]:
+        """The action row of the active phase for the live state."""
         step = self.current_step(state)
         grip = step.grip
         if step.completion is Completion.HOLDING and self.steps_in_phase < self.cfg.grasp_settle_steps:
@@ -258,11 +257,12 @@ class PlanExecutor:
             # not wherever the approach happened to end.
             grip = GRIP_OPEN
         self.steps_in_phase += 1
-        actions: list[ArmAction] = []
+        row: list[float] = []
         for arm in (LEFT, RIGHT):
             if arm == step.arm:
-                actions.append(ArmAction(target=step.target, grip=grip))
+                row += (step.target.x, step.target.y, step.target.theta, grip)
             else:
                 # Idle arm holds pose and grip so no accidental crossing occurs.
-                actions.append(ArmAction(target=state.arm_poses[arm], grip=state.grips[arm]))
-        return BimanualAction(left=actions[LEFT], right=actions[RIGHT])
+                pose = state.arm_poses[arm]
+                row += (pose.x, pose.y, pose.theta, state.grips[arm])
+        return tuple(row)

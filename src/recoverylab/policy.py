@@ -30,34 +30,34 @@ from .faults import UNTRIGGERED, Actor, ErrorType, InjectionSchedule, run_episod
 from .nets import Adam, Params, init_linear, init_mlp, mlp_backward, mlp_forward
 from .store import Episode, history_rows, history_windows, write_atomic
 from .world import (
-    ArmAction,
-    BimanualAction,
-    EnvMode,
+    ACTION_DIM,
+    GRIP_DIMS,
     OBS_DIM,
-    Pose2D,
+    THETA_DIMS,
+    EnvMode,
     get_task,
     instruction_ids,
     wrap_angle,
 )
 
-ACTION_DIM = 8
-GRIP_DIMS = (3, 7)
 # Pose dims of the action vector and the proprio dims they anchor to.
 POSE_DIMS = (0, 1, 2, 4, 5, 6)
-THETA_DIMS = (2, 6)
 CHECKPOINT_SCHEMA = 1
 
 
-def action_from_vector(cfg: Config, vec: np.ndarray) -> BimanualAction:
-    """Clamp raw network output into a valid workspace action."""
-    def arm(offset: int) -> ArmAction:
-        x = float(np.clip(vec[offset + 0], cfg.workspace_x_min, cfg.workspace_x_max))
-        y = float(np.clip(vec[offset + 1], cfg.workspace_y_min, cfg.workspace_y_max))
-        theta = wrap_angle(float(vec[offset + 2]))
-        grip = float(np.clip(vec[offset + 3], 0.0, 1.0))
-        return ArmAction(target=Pose2D(x, y, theta), grip=grip)
-
-    return BimanualAction(left=arm(0), right=arm(4))
+def action_from_vector(cfg: Config, vec: np.ndarray) -> tuple[float, ...]:
+    """Clamp raw network output into a valid action row: x and y into the
+    workspace, grips into [0, 1], thetas wrapped into (-pi, pi]."""
+    vec = np.asarray(vec, dtype=float)
+    # Checked before the clip, which would turn an infinite x into a bound.
+    if vec.shape != (ACTION_DIM,) or not np.isfinite(vec).all():
+        raise InputError(f"an action vector holds {ACTION_DIM} finite values, got {vec!r}")
+    lower = np.array([cfg.workspace_x_min, cfg.workspace_y_min, -np.inf, 0.0] * 2)
+    upper = np.array([cfg.workspace_x_max, cfg.workspace_y_max, np.inf, 1.0] * 2)
+    row = np.clip(vec, lower, upper).tolist()
+    for d in THETA_DIMS:
+        row[d] = wrap_angle(row[d])
+    return tuple(row)
 
 
 @dataclass
@@ -157,8 +157,8 @@ def _forward_batch(policy: Policy, hist: np.ndarray, obs: np.ndarray, instr: np.
     return mu, (x, trunk_cache, e_val, instr, v, mu)
 
 
-def forward(policy: Policy, cfg: Config, obs: np.ndarray, history: np.ndarray, instruction_id: int, v: float) -> BimanualAction:
-    """Deterministic mean action for one observation vector; grips squashed to [0, 1]."""
+def forward(policy: Policy, cfg: Config, obs: np.ndarray, history: np.ndarray, instruction_id: int, v: float) -> tuple[float, ...]:
+    """Deterministic mean action row for one observation vector; grips squashed to [0, 1]."""
     if not (0.0 <= v <= 1.0):
         raise InputError(f"v must lie in [0, 1], got {v}")
     if history.shape != (policy.history_w, policy.obs_dim) or obs.shape != (policy.obs_dim,):
@@ -416,7 +416,7 @@ class LearnedActor(Actor):
         self._instruction = 0
         self._cfg: Config | None = None
 
-    def begin(self, cfg, task_id, state, obs):
+    def begin(self, cfg, task_id, state):
         self._cfg = cfg
         self._instruction = get_task(cfg, task_id).instruction_id
         # run_episode acts at most episode_max_steps times per begin.

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import StorageError, ValidationError
-from .world import ARM_NAMES, OBS_DIM, PROPRIO_DIM, EnvMode
+from .world import ACTION_DIM, ARM_NAMES, GRIP_DIMS, OBS_DIM, PROPRIO_DIM, THETA_DIMS, EnvMode
 
 SCHEMA_VERSION = 1
 MANIFEST_NAME = "manifest.json"
@@ -52,7 +52,8 @@ class EpisodeKind(Enum):
 @dataclass(frozen=True)
 class Frames:
     """An episode's frames as read-only columns: ``obs`` (T, OBS_DIM), ``actions``
-    (T, 8) rows of ``BimanualAction.row``, ``phase`` (T,) ``PhaseTag`` values,
+    (T, ACTION_DIM) action rows in the layout ``world`` defines (x, y, theta
+    and grip of each arm, left arm first), ``phase`` (T,) ``PhaseTag`` values,
     and ``v`` (T,) value labels, NaN where a frame is unlabeled."""
 
     obs: np.ndarray
@@ -97,16 +98,31 @@ def tag_pattern_valid(phase, sliced: bool = False) -> bool:
     return re.fullmatch(r"N*|N*E+|N*E+R+N*", text) is not None
 
 
+def _action_error(actions: np.ndarray) -> str | None:
+    """Why (T, ACTION_DIM) action rows are invalid, or None when every value
+    is finite, every theta lies in (-pi, pi] and every grip in [0, 1]."""
+    theta, grip = actions[:, THETA_DIMS], actions[:, GRIP_DIMS]
+    valid = ((-math.pi < theta) & (theta <= math.pi)).all(axis=1) & ((0.0 <= grip) & (grip <= 1.0)).all(axis=1)
+    bad = np.flatnonzero(~(valid & np.isfinite(actions).all(axis=1)))
+    if bad.size == 0:
+        return None
+    return (f"frame {bad[0]} action {actions[bad[0]].tolist()} is not finite "
+            "or has a theta outside (-pi, pi] or a grip outside [0, 1]")
+
+
 def validate_episode(episode: Episode) -> None:
     """Raise ValidationError when a structural invariant is broken."""
     frames, name = episode.frames, episode.episode_id
     n = len(frames)
     if n == 0:
         raise ValidationError(f"{name}: episode has no frames")
-    shapes = {"obs": (n, OBS_DIM), "actions": (n, len(ARM_NAMES) * len(ACTION_KEYS)), "phase": (n,), "v": (n,)}
+    shapes = {"obs": (n, OBS_DIM), "actions": (n, ACTION_DIM), "phase": (n,), "v": (n,)}
     for column, shape in shapes.items():
         if getattr(frames, column).shape != shape:
             raise ValidationError(f"{name}: {column} has shape {getattr(frames, column).shape}, expected {shape}")
+    action_error = _action_error(frames.actions)
+    if action_error is not None:
+        raise ValidationError(f"{name}: {action_error}")
     bad = np.flatnonzero((frames.v < 0.0) | (frames.v > 1.0))  # NaN, unlabeled, compares False
     if bad.size:
         raise ValidationError(f"{name}: frame {bad[0]} label v={frames.v[bad[0]]} outside [0, 1]")
@@ -193,12 +209,11 @@ def _frames_from_dicts(rows: list, instruction_id: int) -> Frames:
         phase=[PhaseTag(fd["phase"]).value for fd in rows],
         v=[math.nan if fd["v"] is None else fd["v"] for fd in rows],
     )
-    finite = np.isfinite(frames.obs).all() and np.isfinite(frames.actions).all()
-    if frames.obs.shape != (len(rows), OBS_DIM) or not finite:
-        raise ValueError(f"observations of shape {frames.obs.shape} or actions are not finite rows")
-    theta, grip = frames.actions[:, 2::4], frames.actions[:, 3::4]
-    if not np.all((-math.pi < theta) & (theta <= math.pi) & (0.0 <= grip) & (grip <= 1.0)):
-        raise ValueError("an action has theta outside (-pi, pi] or grip outside [0, 1]")
+    if frames.obs.shape != (len(rows), OBS_DIM) or not np.isfinite(frames.obs).all():
+        raise ValueError(f"observations of shape {frames.obs.shape} are not finite rows")
+    action_error = _action_error(frames.actions)
+    if action_error is not None:
+        raise ValueError(action_error)
     return frames
 
 

@@ -28,6 +28,12 @@ GRIP_CLOSED = 1.0
 GRIP_OPEN = 0.0
 CLOSE_THRESHOLD = 0.5
 
+# Layout of an action row: x, y, theta and grip of each arm's absolute
+# target, left arm first.
+ACTION_DIM = 8
+THETA_DIMS = (2, 6)
+GRIP_DIMS = (3, 7)
+
 # Layout of the observation vector: 8 proprio dims + 2 object slots of 7 dims each.
 NUM_OBJECT_SLOTS = 2
 OBJECT_FEAT_DIM = 7  # present flag + (dx, dy, dtheta) relative to each gripper
@@ -59,34 +65,6 @@ class Pose2D:
 
     def angle_to(self, other: "Pose2D") -> float:
         return abs(wrap_angle(self.theta - other.theta))
-
-
-@dataclass(frozen=True)
-class ArmAction:
-    """Absolute end-effector target plus a grip command in [0, 1]."""
-
-    target: Pose2D
-    grip: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.grip):
-            raise InputError("non-finite grip command")
-        object.__setattr__(self, "grip", min(1.0, max(0.0, float(self.grip))))
-
-
-@dataclass(frozen=True)
-class BimanualAction:
-    left: ArmAction
-    right: ArmAction
-
-    def arm(self, index: int) -> ArmAction:
-        return self.left if index == LEFT else self.right
-
-    def row(self) -> tuple[float, ...]:
-        """The action as one row: x, y, theta and grip of each arm, left arm first."""
-        left, right = self.left, self.right
-        return (left.target.x, left.target.y, left.target.theta, left.grip,
-                right.target.x, right.target.y, right.target.theta, right.grip)
 
 
 @dataclass(frozen=True)
@@ -238,29 +216,28 @@ def reset(cfg: Config, task_id: str, env_mode: EnvMode, seed: int) -> WorldState
     )
 
 
-def _move_toward(cfg: Config, arm: int, current: Pose2D, target: Pose2D) -> Pose2D:
+def _move_toward(cfg: Config, arm: int, current: Pose2D, target: tuple[float, ...]) -> Pose2D:
+    """One step of ``current`` toward the (x, y, theta) ``target``."""
+    tx, ty, tth = target
     step_lin = cfg.v_max * cfg.dt
     step_ang = cfg.omega_max * cfg.dt
-    nx = current.x + min(step_lin, max(-step_lin, target.x - current.x))
-    ny = current.y + min(step_lin, max(-step_lin, target.y - current.y))
-    dth = wrap_angle(target.theta - current.theta)
+    nx = current.x + min(step_lin, max(-step_lin, tx - current.x))
+    ny = current.y + min(step_lin, max(-step_lin, ty - current.y))
+    dth = wrap_angle(tth - current.theta)
     nth = current.theta + min(step_ang, max(-step_ang, dth))
     x_min, x_max, y_min, y_max = arm_reach(cfg, arm)
     return Pose2D(min(x_max, max(x_min, nx)), min(y_max, max(y_min, ny)), nth)
 
 
-def step(cfg: Config, state: WorldState, action: BimanualAction) -> WorldState:
-    """Advance one timestep. Motion first, then grip-crossing resolution."""
-    for arm in (LEFT, RIGHT):
-        a = action.arm(arm)
-        if not all(map(math.isfinite, (a.target.x, a.target.y, a.target.theta, a.grip))):
-            raise InputError("non-finite action")
+def step(cfg: Config, state: WorldState, row: tuple[float, ...]) -> WorldState:
+    """Advance one timestep under an action row (see ACTION_DIM). Motion
+    first, then grip-crossing resolution."""
+    if len(row) != ACTION_DIM or not all(map(math.isfinite, row)):
+        raise InputError(f"an action is a row of {ACTION_DIM} finite values, got {row!r}")
 
-    new_arms = tuple(
-        _move_toward(cfg, arm, state.arm_poses[arm], action.arm(arm).target)
-        for arm in (LEFT, RIGHT)
-    )
-    new_grips = (action.left.grip, action.right.grip)
+    new_arms = (_move_toward(cfg, LEFT, state.arm_poses[LEFT], row[0:3]),
+                _move_toward(cfg, RIGHT, state.arm_poses[RIGHT], row[4:7]))
+    new_grips = (row[3], row[7])
 
     objects = list(state.objects)
     # Open crossings release first: a dropped object keeps its pre-motion pose.

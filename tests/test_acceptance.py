@@ -48,7 +48,7 @@ from recoverylab.value import (
     similarity_curve,
     train_alignment,
 )
-from recoverylab.world import ArmAction, BimanualAction, EnvMode, Pose2D, RIGHT
+from recoverylab.world import EnvMode, RIGHT
 from tests.test_store import make_episode
 from tests.test_labeling import decay_reference
 from tests.test_value import spearman
@@ -194,10 +194,8 @@ def test_a2_detector_table():
 
 
 def test_a3_override_exactness():
-    action = BimanualAction(
-        left=ArmAction(target=Pose2D(-0.31, 0.22, 0.17), grip=0.4),
-        right=ArmAction(target=Pose2D(0.29, 0.11, -0.23), grip=0.6),
-    )
+    action = (-0.31, 0.22, 0.17, 0.4, 0.29, 0.11, -0.23, 0.6)
+    x, y, theta, grip = 4, 5, 6, 7  # the right arm's half of the row
     t0 = 50
     for kind in ErrorKind:
         error = error_from_config(CFG, kind)
@@ -205,24 +203,24 @@ def test_a3_override_exactness():
         schedule.resolve(t0, RIGHT, 0)
         inside = inject(action, error, t0 + 1, schedule)
         if kind is ErrorKind.E1_PREMATURE_CLOSE:
-            assert inside.right.grip == 1.0 and inside.right.target == action.right.target
+            assert inside[grip] == 1.0 and inside[x:grip] == action[x:grip]
         elif kind is ErrorKind.E2_GRASP_SLIP:
-            assert inside.right.grip == 0.0 and inside.right.target == action.right.target
+            assert inside[grip] == 0.0 and inside[x:grip] == action[x:grip]
             steps = [t for t in range(t0 - 5, t0 + 40) if schedule.in_window(t)]
             assert len(steps) == 30 and steps[0] == t0
         elif kind is ErrorKind.E3_POSITION_OFFSET:
             dx, dy = schedule.draws["dp"]
-            assert inside.right.target.x == action.right.target.x + dx
-            assert inside.right.target.y == action.right.target.y + dy
-            assert inside.right.target.theta == action.right.target.theta
-            assert inside.right.grip == action.right.grip
+            assert inside[x] == action[x] + dx
+            assert inside[y] == action[y] + dy
+            assert inside[theta] == action[theta]
+            assert inside[grip] == action[grip]
         else:
             lx, _ = schedule.draws["lat"]
             dth = schedule.draws["dtheta"]
-            assert inside.right.target.x == action.right.target.x + lx
-            assert abs(inside.right.target.theta - (action.right.target.theta + dth)) < 1e-15
-            assert inside.right.grip == action.right.grip
-        assert inside.left == action.left
+            assert inside[x] == action[x] + lx
+            assert abs(inside[theta] - (action[theta] + dth)) < 1e-15
+            assert inside[grip] == action[grip]
+        assert inside[:4] == action[:4]
         # bit-identical outside the window
         assert inject(action, error, t0 - 1, schedule) is action
         assert inject(action, error, t0 + error.window_length, schedule) is action

@@ -30,8 +30,6 @@ from recoverylab.store import (
     tag_pattern_valid,
 )
 from recoverylab.world import (
-    ArmAction,
-    BimanualAction,
     EnvMode,
     GRIP_CLOSED,
     GRIP_OPEN,
@@ -41,12 +39,12 @@ from recoverylab.world import (
     wrap_angle,
 )
 
+# Offsets of the right arm's x, y, theta and grip in an action row.
+RX, RY, RTH, RG = 4, 5, 6, 7
+
 
 def make_action(grip=0.3):
-    return BimanualAction(
-        left=ArmAction(target=Pose2D(-0.3, 0.2, 0.1), grip=0.0),
-        right=ArmAction(target=Pose2D(0.3, 0.1, -0.2), grip=grip),
-    )
+    return (-0.3, 0.2, 0.1, 0.0, 0.3, 0.1, -0.2, grip)
 
 
 def resolved_schedule(cfg, kind, t0=10, seed=9):
@@ -67,15 +65,15 @@ def test_e1_forces_close_exactly(cfg):
     error, schedule = resolved_schedule(cfg, ErrorKind.E1_PREMATURE_CLOSE)
     action = make_action(grip=0.0)
     out = inject(action, error, 12, schedule)
-    assert out.right.grip == GRIP_CLOSED
-    assert out.right.target == action.right.target  # untouched fields
-    assert out.left == action.left
+    assert out[RG] == GRIP_CLOSED
+    assert out[RX:RG] == action[RX:RG]  # untouched fields
+    assert out[:4] == action[:4]
 
 
 def test_e2_forces_open_exactly(cfg):
     error, schedule = resolved_schedule(cfg, ErrorKind.E2_GRASP_SLIP)
     out = inject(make_action(grip=1.0), error, 10 + 15, schedule)
-    assert out.right.grip == GRIP_OPEN
+    assert out[RG] == GRIP_OPEN
 
 
 def test_e2_window_exactly_30_steps(cfg):
@@ -91,16 +89,16 @@ def test_e3_offset_formula(cfg):
     assert abs(dx) <= error.offset_max and abs(dy) <= error.offset_max
     action = make_action()
     out = inject(action, error, 11, schedule)
-    assert out.right.target.x == pytest.approx(action.right.target.x + dx)
-    assert out.right.target.y == pytest.approx(action.right.target.y + dy)
-    assert out.right.target.theta == action.right.target.theta
-    assert out.right.grip == action.right.grip
+    assert out[RX] == pytest.approx(action[RX] + dx)
+    assert out[RY] == pytest.approx(action[RY] + dy)
+    assert out[RTH] == action[RTH]
+    assert out[RG] == action[RG]
 
 
 def test_e3_single_draw_per_episode(cfg):
     error, schedule = resolved_schedule(cfg, ErrorKind.E3_POSITION_OFFSET)
     outs = [inject(make_action(), error, t, schedule) for t in range(10, 10 + error.window_steps)]
-    deltas = {(round(o.right.target.x, 12), round(o.right.target.y, 12)) for o in outs}
+    deltas = {(round(o[RX], 12), round(o[RY], 12)) for o in outs}
     assert len(deltas) == 1  # constant offset across the window
 
 
@@ -112,9 +110,9 @@ def test_e4_rotation_and_lateral(cfg):
     assert error.lat_max / 2 <= abs(lx) <= error.lat_max and ly == 0.0
     action = make_action()
     out = inject(action, error, 11, schedule)
-    assert out.right.target.theta == pytest.approx(wrap_angle(action.right.target.theta + dth))
-    assert out.right.target.x == pytest.approx(action.right.target.x + lx)
-    assert out.right.grip == action.right.grip
+    assert out[RTH] == pytest.approx(wrap_angle(action[RTH] + dth))
+    assert out[RX] == pytest.approx(action[RX] + lx)
+    assert out[RG] == action[RG]
 
 
 @pytest.mark.parametrize("kind", list(ErrorKind))

@@ -89,11 +89,12 @@ def test_next_action_phase_semantics(cfg):
     first = executor.next_action(state)
     # Approach phase: right arm heads for the standoff above the object, open.
     obj = state.objects[0].pose
-    assert first.right.target.x == pytest.approx(obj.x)
-    assert first.right.target.y == pytest.approx(obj.y + cfg.approach_standoff)
-    assert first.right.grip == 0.0
-    # Idle arm holds its pose.
-    assert first.left.target == state.arm_poses[LEFT]
+    assert first[4] == pytest.approx(obj.x)
+    assert first[5] == pytest.approx(obj.y + cfg.approach_standoff)
+    assert first[7] == 0.0
+    # Idle arm holds its pose and grip.
+    left = state.arm_poses[LEFT]
+    assert first[:4] == (left.x, left.y, left.theta, state.grips[LEFT])
 
 
 def test_grasp_phase_commands_close_after_dwell(cfg):
@@ -106,7 +107,7 @@ def test_grasp_phase_commands_close_after_dwell(cfg):
         except PlanExhausted:
             break
         current = executor.plan.steps[executor.index]
-        if current.phase is PlanPhase.GRASP and action.right.grip == GRIP_CLOSED:
+        if current.phase is PlanPhase.GRASP and action[7] == GRIP_CLOSED:
             saw_closed_grasp = True
         state = step(cfg, state, action)
         if success_check(cfg, "pick-place", state):

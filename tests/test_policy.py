@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -52,8 +53,8 @@ def test_forward_value_token_reaches_output(cfg, tiny_policy):
     state = reset(cfg, "pick-place", EnvMode.RANDOM, 0)
     obs = observe(state)
     hist = np.zeros((tiny_policy.history_w, tiny_policy.obs_dim))
-    a0 = np.array(forward(tiny_policy, cfg, obs, hist, 0, 0.0).row())
-    a1 = np.array(forward(tiny_policy, cfg, obs, hist, 0, 1.0).row())
+    a0 = np.array(forward(tiny_policy, cfg, obs, hist, 0, 0.0))
+    a1 = np.array(forward(tiny_policy, cfg, obs, hist, 0, 1.0))
     assert not np.allclose(a0, a1)
 
 
@@ -63,10 +64,21 @@ def test_forward_grip_range_and_bounds(cfg, tiny_policy, rng):
     for _ in range(10):
         hist = rng.normal(0, 0.3, size=(tiny_policy.history_w, tiny_policy.obs_dim))
         action = forward(tiny_policy, cfg, obs, hist, 0, float(rng.uniform(0, 1)))
-        for arm_action in (action.left, action.right):
-            assert 0.0 <= arm_action.grip <= 1.0
-            assert cfg.workspace_x_min <= arm_action.target.x <= cfg.workspace_x_max
-            assert cfg.workspace_y_min <= arm_action.target.y <= cfg.workspace_y_max
+        for x, y, _, grip in (action[:4], action[4:]):
+            assert 0.0 <= grip <= 1.0
+            assert cfg.workspace_x_min <= x <= cfg.workspace_x_max
+            assert cfg.workspace_y_min <= y <= cfg.workspace_y_max
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_action_from_vector_rejects_non_finite(cfg, bad):
+    # Any slot: an infinite x or grip would otherwise clip to a bound, an
+    # infinite theta would reach wrap_angle.
+    for i in range(8):
+        vec = np.full(8, 0.25)
+        vec[i] = bad
+        with pytest.raises(InputError):
+            action_from_vector(cfg, vec)
 
 
 def test_forward_input_validation(cfg, tiny_policy):
@@ -176,7 +188,7 @@ def test_local_waypoint_equivalence(cfg, expert_episodes):
     wp_vec = local_waypoint(cfg, obs[0], actions[0])
     wp_action = action_from_vector(cfg, wp_vec)
     recorded = action_from_vector(cfg, actions[0])
-    assert recorded.row() == tuple(actions[0])  # the recorded action, unclamped
+    assert recorded == tuple(actions[0])  # the recorded action, unclamped
     a = world_step(cfg, state, recorded)
     b = world_step(cfg, state, wp_action)
     assert a.arm_poses == b.arm_poses
@@ -306,7 +318,7 @@ def test_learned_actor_history_matches_dataset_convention(cfg, mini_policies, ex
     episodes = expert_episodes[:2]
     for episode in episodes:
         state = reset(cfg, episode.task_id, episode.env_mode, episode.seed)
-        actor.begin(cfg, episode.task_id, state, episode.frames.obs[0])
+        actor.begin(cfg, episode.task_id, state)
         for obs in episode.frames.obs:
             actor.act(state, obs)
     assert np.array_equal(np.stack(seen), build_frame_dataset(cfg, episodes, full.history_w).hist)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from recoverylab.config import Config
 from recoverylab.labeling import LabelConfig, label_failure
+from recoverylab.policy import action_from_vector
 from recoverylab.store import (
     Episode,
     EpisodeKind,
@@ -19,8 +20,6 @@ from recoverylab.store import (
     write_episode,
 )
 from recoverylab.world import (
-    ArmAction,
-    BimanualAction,
     LEFT,
     OBS_DIM,
     RIGHT,
@@ -30,6 +29,7 @@ from recoverylab.world import (
     reset,
     step,
     task_registry,
+    wrap_angle,
 )
 from tests.test_store import make_episode
 
@@ -110,13 +110,6 @@ def test_failure_labels_in_unit_interval_with_exact_endpoints(horizon, progress,
 CFG = Config()
 # Grips that sit on, just below and either side of the 0.5 close threshold.
 grips = st.one_of(st.sampled_from((0.0, 0.4999, 0.5, 1.0)), st.floats(0.0, 1.0))
-def as_action(row):
-    return BimanualAction(
-        left=ArmAction(target=Pose2D(*row[0:3]), grip=row[3]),
-        right=ArmAction(target=Pose2D(*row[4:7]), grip=row[7]),
-    )
-
-
 @st.composite
 def world_runs(draw):
     """A reset task whose arms start on an object or at home, kept inside
@@ -141,7 +134,7 @@ def world_runs(draw):
 def test_step_keeps_arms_inside_their_reach(run):
     state, rows = run
     for row in rows:
-        state = step(CFG, state, as_action(row))
+        state = step(CFG, state, row)
         for arm in (LEFT, RIGHT):
             x_min, x_max, y_min, y_max = arm_reach(CFG, arm)
             pose = state.arm_poses[arm]
@@ -153,7 +146,27 @@ def test_step_keeps_arms_inside_their_reach(run):
 def test_held_object_pose_equals_its_holders(run):
     state, rows = run
     for row in rows:
-        state = step(CFG, state, as_action(row))
+        state = step(CFG, state, row)
         for obj in state.objects:
             if obj.held_by is not None:
                 assert obj.pose == state.arm_poses[obj.held_by]
+
+
+WORKSPACE = (CFG.workspace_x_min, CFG.workspace_x_max, CFG.workspace_y_min, CFG.workspace_y_max)
+# The wrap points and their multiples, the exact bounds, and magnitudes up to 1e3.
+vector_entries = st.one_of(
+    st.sampled_from((math.pi, -math.pi, 2 * math.pi, -2 * math.pi, 3 * math.pi, -3 * math.pi, *WORKSPACE, 1.0)),
+    st.floats(-1e3, 1e3),
+)
+
+
+@PROPERTY
+@given(st.lists(vector_entries, min_size=8, max_size=8))
+def test_action_from_vector_clips_and_wraps_each_element(vec):
+    x_min, x_max, y_min, y_max = WORKSPACE
+    expected = []
+    for x, y, theta, grip in (vec[:4], vec[4:]):
+        expected += (min(x_max, max(x_min, x)), min(y_max, max(y_min, y)), wrap_angle(theta), min(1.0, max(0.0, grip)))
+    row = action_from_vector(CFG, np.array(vec))
+    assert row == tuple(expected)
+    assert all(type(value) is float for value in row)

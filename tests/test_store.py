@@ -25,14 +25,14 @@ from recoverylab.store import (
     validate_episode,
     write_episode,
 )
-from recoverylab.world import ArmAction, BimanualAction, EnvMode, Pose2D
+from recoverylab.world import EnvMode
 
 N, E, R = PhaseTag.NOMINAL, PhaseTag.ERROR, PhaseTag.RECOVERY
 
 
-def make_action(t: float) -> BimanualAction:
-    arm = ArmAction(target=Pose2D(0.1 + 0.001 * t, 0.2, 0.05), grip=min(1.0, 0.01 * t))
-    return BimanualAction(left=arm, right=arm)
+def make_action(t: float) -> tuple[float, ...]:
+    arm = (0.1 + 0.001 * t, 0.2, 0.05, min(1.0, 0.01 * t))
+    return arm + arm
 
 
 def make_episode(tags, kind=EpisodeKind.FAILURE_RECOVERY, outcome=Outcome.SUCCESS,
@@ -40,7 +40,7 @@ def make_episode(tags, kind=EpisodeKind.FAILURE_RECOVERY, outcome=Outcome.SUCCES
     t = np.arange(len(tags), dtype=float)[:, None]
     frames = Frames(
         obs=np.hstack([(t + np.arange(8)) * 0.01, (t - np.arange(14)) * 0.01]),
-        actions=[make_action(i).row() for i in range(len(tags))],
+        actions=[make_action(i) for i in range(len(tags))],
         phase=[tag.value for tag in tags],
         v=np.full(len(tags), np.nan if v is None else v),
     )

@@ -5,8 +5,6 @@ import pytest
 
 from recoverylab.errors import ConfigError, InputError
 from recoverylab.world import (
-    ArmAction,
-    BimanualAction,
     EnvMode,
     GRIP_CLOSED,
     GRIP_OPEN,
@@ -28,22 +26,21 @@ from recoverylab.world import (
 from dataclasses import replace
 
 
+def arm_row(pose, grip):
+    return (pose.x, pose.y, pose.theta, grip)
+
+
 def hold(state):
-    return BimanualAction(
-        left=ArmAction(target=state.arm_poses[LEFT], grip=state.grips[LEFT]),
-        right=ArmAction(target=state.arm_poses[RIGHT], grip=state.grips[RIGHT]),
-    )
+    return arm_row(state.arm_poses[LEFT], state.grips[LEFT]) + arm_row(state.arm_poses[RIGHT], state.grips[RIGHT])
 
 
 def act(state, arm, target=None, grip=None):
-    arms = [
-        ArmAction(target=state.arm_poses[i], grip=state.grips[i]) for i in (LEFT, RIGHT)
-    ]
-    arms[arm] = ArmAction(
-        target=target if target is not None else state.arm_poses[arm],
-        grip=state.grips[arm] if grip is None else grip,
+    halves = [arm_row(state.arm_poses[i], state.grips[i]) for i in (LEFT, RIGHT)]
+    halves[arm] = arm_row(
+        target if target is not None else state.arm_poses[arm],
+        state.grips[arm] if grip is None else grip,
     )
-    return BimanualAction(left=arms[0], right=arms[1])
+    return halves[LEFT] + halves[RIGHT]
 
 
 def test_theta_always_wrapped():
@@ -152,11 +149,7 @@ def test_attachment_exclusivity(cfg):
     state = reset(cfg, "pick-place", EnvMode.CLEAN, 0)
     obj = state.objects[0].pose
     state = replace(state, arm_poses=(obj, obj))
-    action = BimanualAction(
-        left=ArmAction(target=obj, grip=GRIP_CLOSED),
-        right=ArmAction(target=obj, grip=GRIP_CLOSED),
-    )
-    nxt = step(cfg, state, action)
+    nxt = step(cfg, state, arm_row(obj, GRIP_CLOSED) + arm_row(obj, GRIP_CLOSED))
     holders = [o.held_by for o in nxt.objects]
     assert holders.count(None) == len(holders) - 1
 
@@ -165,6 +158,10 @@ def test_step_rejects_non_finite(cfg):
     state = reset(cfg, "pick-place", EnvMode.CLEAN, 0)
     with pytest.raises(InputError):
         step(cfg, state, act(state, RIGHT, target=Pose2D(0.1, 0.1), grip=float("nan")))
+    with pytest.raises(InputError):
+        step(cfg, state, (float("inf"),) + hold(state)[1:])
+    with pytest.raises(InputError):
+        step(cfg, state, hold(state)[:7])
 
 
 def test_observe_pure_and_deterministic(cfg):
