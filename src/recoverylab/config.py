@@ -4,8 +4,9 @@ All tunable constants live in one flat namespace so every experiment can be
 reproduced from a config snapshot.  Values can be overridden from a plain
 ``key = value`` text file (``#`` starts a comment); unknown keys are rejected,
 and so are values of the wrong type: integer keys take integers, float keys
-take any real number.  The documented keys and their defaults are the
-DEFAULTS table below.
+take any real number.  Physical scales, divisors and batch sizes (POSITIVE)
+must be greater than zero; step counts may be zero.  The documented keys and
+their defaults are the DEFAULTS table below.
 """
 
 from __future__ import annotations
@@ -81,6 +82,14 @@ DEFAULTS: dict[str, float | int | str] = {
 }
 
 
+# Keys whose value scales motion or tolerances, divides, or sizes a batch:
+# zero or less has no meaning for them.
+POSITIVE = frozenset({
+    "dt", "v_max", "omega_max", "grasp_radius", "goal_radius", "pos_tol", "ang_tol",
+    "sigma", "align_lr", "policy_lr", "align_batch", "policy_batch",
+})
+
+
 @dataclass(frozen=True)
 class Config:
     """Immutable snapshot of every tunable constant."""
@@ -101,6 +110,8 @@ class Config:
             integer = isinstance(DEFAULTS[key], int)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
                 raise ConfigError(f"{key} takes {'an integer' if integer else 'a number'}, got {value!r}")
+            if key in POSITIVE and not value > 0:
+                raise ConfigError(f"{key} must be positive, got {value!r}")
         merged = dict(self.values)
         merged.update(overrides)
         return Config(values=merged)

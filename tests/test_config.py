@@ -52,6 +52,30 @@ def test_mistyped_value_rejected(tmp_path):
     assert type(over.dt) is int and over.snapshot()["bc_steps"] == 10
 
 
+@pytest.mark.parametrize("key, value", [
+    ("dt", -0.1), ("dt", 0.0),                                   # time step
+    ("v_max", 0.0), ("omega_max", -2.0),                         # speed limits
+    ("grasp_radius", -1.0), ("goal_radius", 0.0),                # radii
+    ("pos_tol", 0.0), ("ang_tol", -0.05),                        # tolerances
+    ("sigma", 0.0),                                              # likelihood scale
+    ("policy_lr", 0.0), ("align_lr", -1e-3),                     # learning rates
+    ("policy_batch", -1), ("align_batch", 0),                    # batch sizes
+    ("dt", float("nan")),
+])
+def test_non_positive_scale_rejected(tmp_path, key, value):
+    with pytest.raises(ConfigError, match=key):
+        load_config().with_overrides(**{key: value})
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"{key} = {value}\n")
+    with pytest.raises(ConfigError, match=key):
+        load_config(path)
+
+
+def test_zero_step_counts_allowed():
+    cfg = load_config().with_overrides(bc_steps=0, refine_steps=0, align_steps=0, e2_window_steps=0)
+    assert (cfg.bc_steps, cfg.refine_steps, cfg.align_steps, cfg.e2_window_steps) == (0, 0, 0, 0)
+
+
 def test_malformed_line(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("just some words\n")
