@@ -102,8 +102,8 @@ def _action_error(actions: np.ndarray) -> str | None:
     """Why (T, ACTION_DIM) action rows are invalid, or None when every value
     is finite, every theta lies in (-pi, pi] and every grip in [0, 1]."""
     theta, grip = actions[:, THETA_DIMS], actions[:, GRIP_DIMS]
-    valid = ((-math.pi < theta) & (theta <= math.pi)).all(axis=1) & ((0.0 <= grip) & (grip <= 1.0)).all(axis=1)
-    bad = np.flatnonzero(~(valid & np.isfinite(actions).all(axis=1)))
+    in_range = (-math.pi < theta) & (theta <= math.pi) & (0.0 <= grip) & (grip <= 1.0)
+    bad = np.flatnonzero(~(in_range.all(axis=1) & np.isfinite(actions).all(axis=1)))
     if bad.size == 0:
         return None
     return (f"frame {bad[0]} action {actions[bad[0]].tolist()} is not finite "

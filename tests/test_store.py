@@ -210,6 +210,21 @@ def test_read_episode_rejects_malformed_frame(tmp_path, expert_episodes, case):
         read_episode(path)
 
 
+@pytest.mark.parametrize("slot, value", [
+    (0, math.inf), (5, math.nan),       # x, y not finite
+    (2, 4.0), (6, -math.pi),            # theta outside (-pi, pi]
+    (3, 1.5), (7, -0.1),                # grip outside [0, 1]
+])
+def test_validate_episode_rejects_invalid_action(slot, value):
+    # The guarantees the action classes gave at construction, on the column.
+    episode = make_episode(recovery_tags())
+    actions = episode.frames.actions.copy()
+    actions[2, slot] = value
+    bad = replace(episode, frames=replace(episode.frames, actions=actions))
+    with pytest.raises(ValidationError, match="frame 2 action"):
+        validate_episode(bad)
+
+
 def test_failed_write_keeps_previous_bytes(cfg, tmp_path, expert_episodes, monkeypatch):
     # When the rename fails, the file written before keeps its bytes.
     from recoverylab.policy import init_policy, save_policy
