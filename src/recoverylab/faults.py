@@ -170,13 +170,6 @@ class InjectionSchedule:
             self.resolve(t, *hit)
         return hit is not None
 
-    @property
-    def open_window_tag(self) -> PhaseTag:
-        """Tag from the onset on of an episode that fails before verification:
-        a generated (phase-triggered) episode is a pure failure from the
-        onset, an evaluation (geometric) trial an unverified nominal run."""
-        return PhaseTag.NOMINAL if self.trigger_phase is None else PhaseTag.ERROR
-
     def provenance(self, n_frames: int) -> dict:
         if self.trigger_phase is None and not self.resolved:
             return dict(UNTRIGGERED)
@@ -287,14 +280,14 @@ def detect_failure(t: int, t_max: int) -> bool:
 class Actor:
     """Closed-loop controller driven by ``run_episode``.
 
-    An actor that runs out of things to do sets ``exhausted`` and holds pose;
-    the episode ends once it has idled ``patience`` frames.  One that reports
-    ``stalled`` ends the episode at once.  Both endings are failures.
+    An actor that runs out of actions sets ``exhausted`` and holds pose, and
+    the episode ends at once, unless an injection window is still open: then
+    it holds until the window closes and the injection is verified.  One that
+    reports ``stalled`` ends the episode at once.  Both endings are failures.
     """
 
     exhausted = False
     stalled = False
-    patience = 0
 
     def begin(self, cfg: Config, task_id: str, state: WorldState) -> None:
         raise NotImplementedError
@@ -321,10 +314,9 @@ class PlannerActor(Actor):
     path instead of a single trajectory.
     """
 
-    def __init__(self, plan: Plan | None = None, action_noise: float = 0.0, patience: int = 0):
+    def __init__(self, plan: Plan | None = None, action_noise: float = 0.0):
         self.plan = plan
         self.action_noise = action_noise
-        self.patience = patience
 
     def begin(self, cfg, task_id, state):
         plan = self.plan if self.plan is not None else plan_nominal(cfg, task_id, state)
@@ -359,8 +351,6 @@ class PlannerActor(Actor):
         return tuple(row)
 
     def recovery_tag(self):
-        if self.exhausted:
-            return PhaseTag.NOMINAL
         phase = self.executor.plan.steps[self.executor.index].phase
         return PhaseTag.RECOVERY if self._carry_on or phase in CORRECTIVE_PHASES else PhaseTag.NOMINAL
 
@@ -368,8 +358,9 @@ class PlannerActor(Actor):
 class Takeover:
     """Hands control to the recovery planner at a verified adverse state.
 
-    With ``recover=False`` the episode ends there instead, as a pure failure.
-    The planner idles as patiently as the actor it replaces.
+    With ``recover=False``, or when no recovery plan exists, the episode ends
+    there instead, as a pure failure.  The recovery planner ends the episode
+    like any actor: at success, at the timeout, or once its plan runs out.
     """
 
     def __init__(self, recover: bool = True):
@@ -384,7 +375,7 @@ class Takeover:
     def watch(self, cfg: Config, task_id: str, t: int, before: WorldState, after: WorldState) -> None:
         """Observe one step of the actor before any takeover."""
 
-    def hand_over(self, cfg: Config, task_id: str, state: WorldState, actor: Actor) -> Actor | None:
+    def hand_over(self, cfg: Config, task_id: str, state: WorldState) -> Actor | None:
         if not self.recover:
             return None
         try:
@@ -393,7 +384,7 @@ class Takeover:
             self.failure = str(exc)
             return None
         self.handed_over = True
-        return PlannerActor(plan, patience=actor.patience)
+        return PlannerActor(plan)
 
     def provenance(self, t_rec: int | None) -> dict:
         return {} if self.failure is None else {"recovery_failed": self.failure}
@@ -455,12 +446,13 @@ class _Recorder:
         if self.onset is not None:
             self.tags[self.onset:] = [tag] * (len(self.tags) - self.onset)
 
-    def verdict(self, succeeded: bool, failure_tag: PhaseTag) -> tuple[Outcome, EpisodeKind, int | None]:
+    def verdict(self, succeeded: bool) -> tuple[Outcome, EpisodeKind, int | None]:
         """Success with recovery frames is a failure-recovery episode, any
-        other success a nominal one; a failure is a pure failure."""
+        other success a nominal one; a failure is a pure failure, tagged
+        Error from the onset on."""
         if succeeded and self.t_rec is not None and len(self.tags) > self.t_rec:
             return Outcome.SUCCESS, EpisodeKind.FAILURE_RECOVERY, self.t_rec
-        self.retag(PhaseTag.NOMINAL if succeeded else failure_tag)
+        self.retag(PhaseTag.NOMINAL if succeeded else PhaseTag.ERROR)
         if succeeded:
             return Outcome.SUCCESS, EpisodeKind.NOMINAL_SUCCESS, None
         return Outcome.FAILURE, EpisodeKind.PURE_FAILURE, None
@@ -481,12 +473,15 @@ def run_episode(
     """Run one episode: Nominal, then Error from an injected or drifting
     adverse state, then Recovery by a corrective actor, then a verdict.
 
-    The actor acts until success, the timeout (``t > t_max``, and always at
-    ``episode_max_steps``), or it gives up.  A trigger injects its error and
-    verifies the adverse state when the window closes: an unverified
-    injection is retagged Nominal; a verified one starts recovery, by the
-    takeover when given and otherwise by the actor itself.  A takeover may
-    also take over at the timeout.  ``label`` names the episode id and
+    The episode ends at success, at the timeout (``t > t_max``, and always
+    at ``episode_max_steps``), when the actor stalls, or at once when the
+    actor runs out of actions, unless an injection window is still open: the
+    actor then holds pose until the window closes.  A trigger injects its
+    error and verifies the adverse state when the window closes; a verified
+    one starts recovery, by the takeover when given and otherwise by the
+    actor itself.  An injection that never verified, at the close or because
+    the episode ended first, is retagged Nominal from its onset.  A takeover
+    may also take over at the timeout.  ``label`` names the episode id and
     ``provenance`` holds the caller's entries; the trigger and takeover add
     theirs.
     """
@@ -495,7 +490,6 @@ def run_episode(
     actor.begin(cfg, task_id, state)
     rec = _Recorder()
     cap = int(cfg.episode_max_steps)
-    idle = 0
     succeeded = False
     while True:
         t = len(rec.tags)
@@ -505,7 +499,7 @@ def run_episode(
                 break
             rec.onset = onset
             rec.retag(PhaseTag.ERROR)
-            actor = takeover.hand_over(cfg, task_id, state, actor)
+            actor = takeover.hand_over(cfg, task_id, state)
             if actor is None:
                 break
             actor.begin(cfg, task_id, state)
@@ -514,7 +508,7 @@ def run_episode(
         if trigger is not None and not trigger.resolved and trigger.fire(cfg, t, state, actor):
             rec.onset = t
         action = actor.act(state, obs)
-        if actor.exhausted and idle >= actor.patience:
+        if actor.exhausted and not (trigger is not None and trigger.pending):
             break
         tag = PhaseTag.NOMINAL if rec.t_rec is None else actor.recovery_tag()
         if trigger is not None and trigger.resolved:
@@ -533,21 +527,19 @@ def run_episode(
             if trigger.verified:
                 rec.t_rec = len(rec.tags)
                 if takeover is not None:
-                    actor = takeover.hand_over(cfg, task_id, state, actor)
+                    actor = takeover.hand_over(cfg, task_id, state)
                     if actor is None:
                         break
                     actor.begin(cfg, task_id, state)
-            else:
-                rec.retag(PhaseTag.NOMINAL)
-                rec.onset = None
         if success_check(cfg, task_id, state):
             succeeded = True
             break
-        # Holding while an injection window is open is no idling.
-        idle = idle + 1 if actor.exhausted and not (trigger is not None and trigger.pending) else 0
 
-    pending = trigger is not None and trigger.pending
-    outcome, kind, t_rec = rec.verdict(succeeded, trigger.open_window_tag if pending else PhaseTag.ERROR)
+    if trigger is not None and not trigger.verified:
+        # Nothing verified an adverse state, so there was no error to tag.
+        rec.retag(PhaseTag.NOMINAL)
+        rec.onset = None
+    outcome, kind, t_rec = rec.verdict(succeeded)
     provenance = dict(provenance)
     if trigger is not None:
         provenance.update(trigger.provenance(len(rec.tags)))
@@ -603,14 +595,16 @@ def run_interception(
     injection window; in-window actions pass through ``inject``.  When the
     window closes, ``verify_adverse`` decides the episode's fate: verified
     states hand control to the recovery planner (frames tagged Recovery until
-    the corrective phases finish, Nominal afterwards), unverified injections
-    leave the nominal run untouched and are flagged in provenance.  With
-    ``recover=False``, or when recovery is impossible or the timeout fires,
-    the episode is finalized as a pure failure with no Recovery tags.
+    the corrective phases finish, Nominal afterwards).  An injection that
+    never verifies, at the close or because a timeout or phase stall ended
+    the episode first, leaves an all-Nominal run flagged in provenance.  With
+    ``recover=False``, or when recovery is impossible or the timeout fires
+    after verification, the episode is finalized as a pure failure with no
+    Recovery tags.  The plan holds pose while the window is open and ends the
+    episode once it runs out.
     """
     return run_episode(
-        # An exhausted plan holds 4 idle frames once no window is open.
-        cfg, PlannerActor(patience=4), task_id, env_mode, seed,
+        cfg, PlannerActor(), task_id, env_mode, seed,
         error.kind.value if recover else error.kind.value + "-pf",
         {"generator": "interception", "e3_sampling": "per-axis-uniform"},
         t_max=t_max, trigger=InjectionSchedule(error, TRIGGER_PHASE[error.kind], seed),

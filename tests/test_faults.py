@@ -292,3 +292,45 @@ def test_timeout_takeover_after_handoff(cfg, seed, onset):
     assert episode.kind is EpisodeKind.FAILURE_RECOVERY
     assert episode.provenance["anomaly_at"] is None
     assert tags_of(episode).index(PhaseTag.ERROR) == onset
+
+
+def repeats_predecessor(episode, t):
+    f = episode.frames
+    return np.array_equal(f.obs[t], f.obs[t - 1]) and np.array_equal(f.actions[t], f.actions[t - 1])
+
+
+@pytest.mark.parametrize("task, kind", [
+    ("bimanual-handover", ErrorKind.E2_GRASP_SLIP),
+    ("pick-place", ErrorKind.E2_GRASP_SLIP),
+    ("stack-two", ErrorKind.E1_PREMATURE_CLOSE),
+])
+def test_exhausted_plan_ends_episode_at_once(cfg, task, kind):
+    # goal_radius below pos_tol: the recovery plan finishes without success,
+    # and the episode ends on its last planned frame, with no hold frames.
+    c = cfg.with_overrides(goal_radius=0.005)
+    episode = run_interception(c, task, EnvMode.RANDOM, error_from_config(c, kind), 0)
+    assert episode.provenance["adverse_verified"]
+    assert episode.kind is EpisodeKind.PURE_FAILURE
+    assert not repeats_predecessor(episode, len(episode.frames) - 1)
+
+
+def test_stall_inside_window_is_unverified_nominal(cfg):
+    c = cfg.with_overrides(phase_stall_limit=12)
+    episode = run_interception(c, "pick-place", EnvMode.RANDOM, error_from_config(c, ErrorKind.E2_GRASP_SLIP), 0)
+    t0, t1 = episode.provenance["schedule"]["window"]
+    assert t0 < len(episode.frames) < t1
+    assert not episode.provenance["adverse_verified"]
+    assert episode.kind is EpisodeKind.PURE_FAILURE
+    assert all(t is PhaseTag.NOMINAL for t in tags_of(episode))
+
+
+def test_exhausted_plan_holds_while_window_open(cfg):
+    # A 45-frame slip window outlasts the rest of the nominal plan: the actor
+    # holds pose until the window closes, and the slip then verifies.
+    c = cfg.with_overrides(e2_window_steps=45)
+    episode = run_interception(c, "pick-place", EnvMode.RANDOM, error_from_config(c, ErrorKind.E2_GRASP_SLIP), 0)
+    assert episode.provenance["schedule"]["window"] == [15, 60]
+    assert repeats_predecessor(episode, 59)
+    assert episode.provenance["adverse_verified"]
+    assert episode.kind is EpisodeKind.FAILURE_RECOVERY
+    assert episode.t_rec == 60

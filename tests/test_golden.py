@@ -94,12 +94,14 @@ def _interception_cases():
     cases.update({
         # Timeout inside the recovery phase.
         "pick-place-E1-rec-s40-timeout": ({}, "pick-place", ErrorKind.E1_PREMATURE_CLOSE, 40, 60, True),
-        # Phase stall after the window (a short stall limit).
+        # Phase stall (a short stall limit) at frame 35, inside the E2 window
+        # [15, 45): the injection never verifies and the run is all Nominal.
         "pick-place-E2-rec-s0-stall": ({"phase_stall_limit": 12}, "pick-place",
                                        ErrorKind.E2_GRASP_SLIP, 0, None, True),
         "stack-two-E3-rec-s0-stall": ({"phase_stall_limit": 12}, "stack-two",
                                       ErrorKind.E3_POSITION_OFFSET, 0, None, True),
-        # Idle-hold exhaustion: the recovery plan finishes without success.
+        # Plan exhaustion: the recovery plan finishes without success and
+        # the episode ends at once.
         "bimanual-handover-E2-rec-s0-idle": ({"goal_radius": 0.005}, "bimanual-handover",
                                              ErrorKind.E2_GRASP_SLIP, 0, None, True),
     })
@@ -122,7 +124,7 @@ INTERCEPTION_GOLDEN = {
     "bimanual-handover-E2-rec-s0":
         "c81713ba8eecd5b07a2b4af7c341d60faaa4c74a5ff1fe4839ee107d940b18d2",
     "bimanual-handover-E2-rec-s0-idle":
-        "37329c8a72e77de9e8a65415183af0652155d50b5fcd5a50fbbf41df5e07bef4",
+        "1cc8b7856963cd5d90bb1660ddbe7258201f4cdf61299a0509e542dc9e64a6db",
     "bimanual-handover-E2-rec-s1":
         "12df8012136e60ea0f0b0ec92077a3b7a60344c7c8136050a2967b1ad8156ee0",
     "bimanual-handover-E3-pf-s0":
@@ -158,7 +160,7 @@ INTERCEPTION_GOLDEN = {
     "pick-place-E2-rec-s0":
         "bf6bb96b8c273484feb26499c3e0dabda7c6d18bde4262f14519f71f90d49df6",
     "pick-place-E2-rec-s0-stall":
-        "9b74f34ed625312eb512e1d73da6dc1ddd92f9144e96799075550893749df1e6",
+        "fd1034a2bf61a71edc7660181b1c8d4d48fb7e16dfdc5c34993eea670d05be56",
     "pick-place-E2-rec-s1":
         "abe8fe61c5fbfdbb584ab098260b01b5b7d48faf096f2ffd13b5e714d7f88fe0",
     "pick-place-E3-pf-s0":

@@ -123,13 +123,14 @@ def test_collect_policy_induced_oracle_rarely_fails(cfg, t_max):
 
 
 def test_window_open_at_timeout(cfg):
-    # A timeout inside the injection window: an interception episode is a
-    # pure failure from the onset, an evaluation trial an unverified nominal run.
+    # A timeout inside the injection window leaves the injection unverified:
+    # an interception episode and an evaluation trial are both all-Nominal runs.
     error = error_from_config(cfg, ErrorKind.E2_GRASP_SLIP)
     episode = run_interception(cfg, "pick-place", EnvMode.RANDOM, error, 0, t_max=30)
     assert not episode.provenance["adverse_verified"]
     assert episode.kind is EpisodeKind.PURE_FAILURE
-    assert episode.frames.phase[-1] == "Error"
+    assert len(episode.frames) == 31
+    assert set(episode.frames.phase) == {"Nominal"}
     report = bench.run_protocol(cfg, lambda s: bench.OracleActor(), "pick-place", error, [0], 5)
     assert not report.trials[0].adverse_verified
     assert set(report.trials[0].phase_trace) == {"Nominal"}
