@@ -92,15 +92,13 @@ POSITIVE = frozenset({
 
 @dataclass(frozen=True)
 class Config:
-    """Immutable snapshot of every tunable constant."""
+    """Immutable snapshot of every tunable constant; each key also reads as
+    a plain attribute (``cfg.dt``)."""
 
     values: dict[str, float | int | str] = field(default_factory=lambda: dict(DEFAULTS))
 
-    def __getattr__(self, key: str):
-        try:
-            return self.values[key]
-        except KeyError:
-            raise AttributeError(key) from None
+    def __post_init__(self):
+        self.__dict__.update(self.values)
 
     def with_overrides(self, **overrides) -> "Config":
         unknown = set(overrides) - set(DEFAULTS)

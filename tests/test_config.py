@@ -92,3 +92,13 @@ def test_snapshot_is_stable_and_complete():
     snap = load_config().snapshot()
     assert set(snap) == set(DEFAULTS)
     assert list(snap) == sorted(snap)
+
+
+def test_keys_read_as_plain_attributes():
+    cfg = load_config().with_overrides(dt=0.1, e2_window_steps=12)
+    for key in DEFAULTS:
+        assert getattr(cfg, key) == cfg.values[key]
+        assert vars(cfg)[key] == cfg.values[key]  # an instance attribute, no lookup hook
+    assert cfg.dt == 0.1 and cfg.e2_window_steps == 12
+    with pytest.raises(AttributeError):
+        cfg.no_such_key
