@@ -54,7 +54,11 @@ class Frames:
     """An episode's frames as read-only columns: ``obs`` (T, OBS_DIM), ``actions``
     (T, ACTION_DIM) action rows in the layout ``world`` defines (x, y, theta
     and grip of each arm, left arm first), ``phase`` (T,) ``PhaseTag`` values,
-    and ``v`` (T,) value labels, NaN where a frame is unlabeled."""
+    and ``v`` (T,) value labels, NaN where a frame is unlabeled.
+
+    A column given as a read-only array of its dtype is kept as it is, so
+    ``replace`` and row slices share the columns they do not change; any
+    other column is copied and frozen."""
 
     obs: np.ndarray
     actions: np.ndarray
@@ -63,7 +67,11 @@ class Frames:
 
     def __post_init__(self):
         for name, dtype in (("obs", float), ("actions", float), ("phase", str), ("v", float)):
-            column = np.array(getattr(self, name), dtype=dtype)
+            column = getattr(self, name)
+            if (isinstance(column, np.ndarray) and not column.flags.writeable
+                    and np.asarray(column, dtype=dtype) is column):
+                continue
+            column = np.array(column, dtype=dtype)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
 

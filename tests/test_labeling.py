@@ -30,6 +30,15 @@ def test_label_success_all_ones(expert_episodes):
     assert all(np.isnan(expert_episodes[0].frames.v))
 
 
+def test_labeling_shares_the_unchanged_columns(expert_episodes):
+    episode = expert_episodes[0]
+    labeled = label_success(episode)
+    for name in ("obs", "actions", "phase"):
+        assert np.shares_memory(getattr(labeled.frames, name), getattr(episode.frames, name))
+    assert not np.shares_memory(labeled.frames.v, episode.frames.v)
+    assert not labeled.frames.v.flags.writeable
+
+
 def test_label_success_single_frame():
     episode = make_episode([N], kind=EpisodeKind.NOMINAL_SUCCESS, t_rec=None)
     assert label_success(episode).frames.v.tolist() == [1.0]
