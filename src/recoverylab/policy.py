@@ -150,10 +150,8 @@ def _forward_batch(policy: Policy, hist: np.ndarray, obs: np.ndarray, instr: np.
     x = np.concatenate([hist_n, obs_n, instr_e, e_val], axis=1)
     out, trunk_cache = mlp_forward(p, "trunk", x)
     mu = out.copy()
-    for g in GRIP_DIMS:
-        mu[:, g] = _sigmoid(out[:, g])
-    for d in POSE_DIMS:
-        mu[:, d] = out[:, d] + obs[:, d]  # anchored: head predicts pose displacement
+    mu[:, GRIP_DIMS] = _sigmoid(out[:, GRIP_DIMS])
+    mu[:, POSE_DIMS] = out[:, POSE_DIMS] + obs[:, POSE_DIMS]  # anchored: head predicts pose displacement
     return mu, (x, trunk_cache, e_val, instr, v, mu)
 
 
@@ -196,8 +194,7 @@ def loss_and_grads(
 
     dmu = (2.0 * scale / batch) * diff
     dout = dmu.copy()
-    for g in GRIP_DIMS:
-        dout[:, g] = dmu[:, g] * mu[:, g] * (1.0 - mu[:, g])
+    dout[:, GRIP_DIMS] = dmu[:, GRIP_DIMS] * mu[:, GRIP_DIMS] * (1.0 - mu[:, GRIP_DIMS])
     grads: Params = {}
     dx = mlp_backward(p, "trunk", trunk_cache, dout, grads)
 
