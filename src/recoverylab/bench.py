@@ -137,6 +137,10 @@ class RandomActor(Actor):
         return action_from_vector(cfg, vec)
 
 
+# Steps in one plan phase after which the oracle replans.
+ORACLE_STALL_BUDGET = 60
+
+
 class OracleActor(Actor):
     """The scripted expert run closed-loop as a policy.
 
@@ -146,8 +150,7 @@ class OracleActor(Actor):
     every learned policy from above.
     """
 
-    def __init__(self, stall_budget: int = 60):
-        self.stall_budget = stall_budget
+    def __init__(self):
         self._cfg: Config | None = None
         self._task: str = ""
         self._planner: PlannerActor | None = None
@@ -168,7 +171,7 @@ class OracleActor(Actor):
         return True
 
     def act(self, state: WorldState, obs: np.ndarray) -> tuple[float, ...]:
-        if self._planner.executor.steps_in_phase > self.stall_budget:
+        if self._planner.executor.steps_in_phase > ORACLE_STALL_BUDGET:
             self._replan(state)
         action = self._planner.act(state, obs)
         if self._planner.exhausted and not success_check(self._cfg, self._task, state):
@@ -192,7 +195,6 @@ def run_protocol(
     t_max: int,
     training_seeds: set[int] | None = None,
     env_mode: EnvMode = EnvMode.RANDOM,
-    config_snapshot: dict | None = None,
     dataset_provenance: dict | None = None,
 ) -> EvalReport:
     """Evaluate an actor over seeds under the Standard or Adversarial condition.
@@ -228,7 +230,7 @@ def run_protocol(
         task_id=task_id,
         error_type=error.kind.value if error is not None else None,
         trials=trials,
-        config_snapshot=config_snapshot or cfg.snapshot(),
+        config_snapshot=cfg.snapshot(),
         dataset_provenance=dataset_provenance or {},
     )
 
