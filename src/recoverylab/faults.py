@@ -359,8 +359,7 @@ class Takeover:
     """Hands control to the recovery planner at a verified adverse state.
 
     With ``recover=False``, or when no recovery plan exists, the episode ends
-    there instead, as a pure failure.  The recovery planner ends the episode
-    like any actor: at success, at the timeout, or once its plan runs out.
+    there instead, as a pure failure.
     """
 
     def __init__(self, recover: bool = True):
@@ -448,8 +447,7 @@ class _Recorder:
 
     def verdict(self, succeeded: bool) -> tuple[Outcome, EpisodeKind, int | None]:
         """Success with recovery frames is a failure-recovery episode, any
-        other success a nominal one; a failure is a pure failure, tagged
-        Error from the onset on."""
+        other success a nominal one; a failure is a pure failure."""
         if succeeded and self.t_rec is not None and len(self.tags) > self.t_rec:
             return Outcome.SUCCESS, EpisodeKind.FAILURE_RECOVERY, self.t_rec
         self.retag(PhaseTag.NOMINAL if succeeded else PhaseTag.ERROR)
@@ -473,15 +471,14 @@ def run_episode(
     """Run one episode: Nominal, then Error from an injected or drifting
     adverse state, then Recovery by a corrective actor, then a verdict.
 
-    The episode ends at success, at the timeout (``t > t_max``, and always
-    at ``episode_max_steps``), when the actor stalls, or at once when the
-    actor runs out of actions, unless an injection window is still open: the
-    actor then holds pose until the window closes.  A trigger injects its
-    error and verifies the adverse state when the window closes; a verified
-    one starts recovery, by the takeover when given and otherwise by the
-    actor itself.  An injection that never verified, at the close or because
-    the episode ended first, is retagged Nominal from its onset.  A takeover
-    may also take over at the timeout.  ``label`` names the episode id and
+    The episode ends at success, the timeout (``t > t_max``, and always at
+    ``episode_max_steps``), a stall, or once the actor runs out of actions
+    with no injection window open.  A trigger injects its error and verifies
+    the adverse state when the window closes; a verified one starts recovery,
+    by the takeover when given and otherwise by the actor itself.  An
+    injection that never verified, at the close or because the episode ended
+    first, is retagged Nominal.  A takeover may also take over at the
+    timeout.  ``label`` names the episode id and
     ``provenance`` holds the caller's entries; the trigger and takeover add
     theirs.
     """
@@ -536,7 +533,6 @@ def run_episode(
             break
 
     if trigger is not None and not trigger.verified:
-        # Nothing verified an adverse state, so there was no error to tag.
         rec.retag(PhaseTag.NOMINAL)
         rec.onset = None
     outcome, kind, t_rec = rec.verdict(succeeded)
@@ -596,12 +592,10 @@ def run_interception(
     window closes, ``verify_adverse`` decides the episode's fate: verified
     states hand control to the recovery planner (frames tagged Recovery until
     the corrective phases finish, Nominal afterwards).  An injection that
-    never verifies, at the close or because a timeout or phase stall ended
-    the episode first, leaves an all-Nominal run flagged in provenance.  With
-    ``recover=False``, or when recovery is impossible or the timeout fires
-    after verification, the episode is finalized as a pure failure with no
-    Recovery tags.  The plan holds pose while the window is open and ends the
-    episode once it runs out.
+    never verifies, at the close or because a timeout or stall came first,
+    leaves an all-Nominal run flagged in provenance.  With ``recover=False``,
+    or when recovery is impossible or times out, the episode is finalized as
+    a pure failure with no Recovery tags.
     """
     return run_episode(
         cfg, PlannerActor(), task_id, env_mode, seed,

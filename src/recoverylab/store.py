@@ -54,11 +54,8 @@ class Frames:
     """An episode's frames as read-only columns: ``obs`` (T, OBS_DIM), ``actions``
     (T, ACTION_DIM) action rows in the layout ``world`` defines (x, y, theta
     and grip of each arm, left arm first), ``phase`` (T,) ``PhaseTag`` values,
-    and ``v`` (T,) value labels, NaN where a frame is unlabeled.
-
-    A column given as a read-only array of its dtype is kept as it is, so
-    ``replace`` and row slices share the columns they do not change; any
-    other column is copied and frozen."""
+    and ``v`` (T,) value labels, NaN where a frame is unlabeled.  Columns given
+    as read-only arrays of their dtype are shared, others copied and frozen."""
 
     obs: np.ndarray
     actions: np.ndarray
@@ -68,12 +65,11 @@ class Frames:
     def __post_init__(self):
         for name, dtype in (("obs", float), ("actions", float), ("phase", str), ("v", float)):
             column = getattr(self, name)
-            if (isinstance(column, np.ndarray) and not column.flags.writeable
+            if not (isinstance(column, np.ndarray) and not column.flags.writeable
                     and np.asarray(column, dtype=dtype) is column):
-                continue
-            column = np.array(column, dtype=dtype)
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+                column = np.array(column, dtype=dtype)
+                column.flags.writeable = False
+                object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
         return len(self.obs)
