@@ -183,7 +183,7 @@ class OracleActor(Actor):
 def adversarial_horizon(cfg: Config, t_max: int, error: ErrorType) -> int:
     """Time budget for recovery trials: room for the nominal run, the injected
     window, and a recovery attempt."""
-    return int(cfg.adversarial_budget_mult * t_max) + error.window_length
+    return int(cfg.adversarial_budget_mult * t_max) + error.window_steps
 
 
 def run_protocol(

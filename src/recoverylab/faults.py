@@ -67,15 +67,10 @@ class ErrorType:
     """An error kind plus its numeric parameters."""
 
     kind: ErrorKind
-    hold_steps: int = 0        # E1: forced-close window length
-    window_steps: int = 0      # E2/E3/E4: override window length
+    window_steps: int = 0      # override window length (E1: the forced-close hold)
     offset_max: float = 0.0    # E3: per-axis bound d of U(-d, d)
     dtheta_max: float = 0.0    # E4: rotation bound (draw magnitude in [max/2, max])
     lat_max: float = 0.0       # E4: lateral offset bound (same half-to-full rule)
-
-    @property
-    def window_length(self) -> int:
-        return self.hold_steps if self.kind is ErrorKind.E1_PREMATURE_CLOSE else self.window_steps
 
 
 TRIGGER_PHASE = {
@@ -89,7 +84,7 @@ TRIGGER_PHASE = {
 def error_from_config(cfg: Config, kind: ErrorKind | str) -> ErrorType:
     kind = ErrorKind(kind) if isinstance(kind, str) else kind
     if kind is ErrorKind.E1_PREMATURE_CLOSE:
-        return ErrorType(kind, hold_steps=int(cfg.e1_hold_steps))
+        return ErrorType(kind, window_steps=int(cfg.e1_hold_steps))
     if kind is ErrorKind.E2_GRASP_SLIP:
         return ErrorType(kind, window_steps=int(cfg.e2_window_steps))
     if kind is ErrorKind.E3_POSITION_OFFSET:
@@ -130,7 +125,7 @@ class InjectionSchedule:
         if self.resolved:
             raise SequencingError("injection schedule already resolved")
         self.t_start = t
-        self.t_end = t + self.error.window_length
+        self.t_end = t + self.error.window_steps
         self.arm = arm
         self.object_index = object_index
         rng = np.random.default_rng([self.rng_seed & 0xFFFFFFFFFFFFFFF, 0xE44])

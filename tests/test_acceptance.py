@@ -223,7 +223,7 @@ def test_a3_override_exactness():
         assert inside[:4] == action[:4]
         # bit-identical outside the window
         assert inject(action, error, t0 - 1, schedule) is action
-        assert inject(action, error, t0 + error.window_length, schedule) is action
+        assert inject(action, error, t0 + error.window_steps, schedule) is action
     report("A3", "all four overrides exact field-by-field; slip window exactly 30 steps")
 
 

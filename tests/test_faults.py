@@ -120,7 +120,7 @@ def test_identity_outside_window(cfg, kind):
     error, schedule = resolved_schedule(cfg, kind)
     action = make_action()
     assert inject(action, error, 9, schedule) is action
-    assert inject(action, error, 10 + error.window_length, schedule) is action
+    assert inject(action, error, 10 + error.window_steps, schedule) is action
 
 
 def test_inject_requires_resolved_schedule(cfg):
