@@ -501,22 +501,25 @@ def load_policy(path: str | Path) -> Policy:
         raise StorageError(f"cannot load policy from {path}: {exc}") from exc
     if payload.get("schema_version") != CHECKPOINT_SCHEMA or payload.get("kind") != "policy":
         raise StorageError(f"{path}: not a supported policy checkpoint")
-    for key in ("obs_mean", "obs_std"):
-        if len(payload[key]) != payload["obs_dim"]:
-            raise StorageError(f"{path}: {key} has {len(payload[key])} entries, obs_dim is {payload['obs_dim']}")
-    policy = Policy(
-        params={k: np.asarray(v, dtype=np.float64) for k, v in payload["params"].items()},
-        history_w=payload["history_w"],
-        obs_dim=payload["obs_dim"],
-        n_instructions=payload["n_instructions"],
-        value_token_dim=payload["value_token_dim"],
-        instr_embed_dim=payload["instr_embed_dim"],
-        hidden_dim=payload["hidden_dim"],
-        sigma=payload["sigma"],
-        obs_mean=np.asarray(payload["obs_mean"], dtype=np.float64),
-        obs_std=np.asarray(payload["obs_std"], dtype=np.float64),
-        provenance=payload.get("provenance", {}),
-    )
+    try:
+        for key in ("obs_mean", "obs_std"):
+            if len(payload[key]) != payload["obs_dim"]:
+                raise StorageError(f"{path}: {key} has {len(payload[key])} entries, obs_dim is {payload['obs_dim']}")
+        policy = Policy(
+            params={k: np.asarray(v, dtype=np.float64) for k, v in payload["params"].items()},
+            history_w=payload["history_w"],
+            obs_dim=payload["obs_dim"],
+            n_instructions=payload["n_instructions"],
+            value_token_dim=payload["value_token_dim"],
+            instr_embed_dim=payload["instr_embed_dim"],
+            hidden_dim=payload["hidden_dim"],
+            sigma=payload["sigma"],
+            obs_mean=np.asarray(payload["obs_mean"], dtype=np.float64),
+            obs_std=np.asarray(payload["obs_std"], dtype=np.float64),
+            provenance=payload.get("provenance", {}),
+        )
+    except KeyError as exc:
+        raise StorageError(f"{path}: missing key {exc}") from exc
     shapes = {k: v.shape for k, v in policy.params.items()}
     if shapes != _param_shapes(policy):
         raise StorageError(f"{path}: parameter shapes {shapes} do not match the checkpoint metadata")

@@ -279,6 +279,8 @@ def save_progress_model(
 
 
 def load_progress_model(cfg: Config, path: str | Path) -> tuple[ProgressModel, ReferenceCluster | None]:
+    """Load a checkpoint whose adapter and cluster shapes match its metadata;
+    raises StorageError otherwise."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
@@ -286,18 +288,24 @@ def load_progress_model(cfg: Config, path: str | Path) -> tuple[ProgressModel, R
         raise StorageError(f"cannot load progress model from {path}: {exc}") from exc
     if payload.get("schema_version") != CHECKPOINT_SCHEMA or payload.get("kind") != "progress-model":
         raise StorageError(f"{path}: not a supported progress-model checkpoint")
-    over = cfg.with_overrides(
-        feature_seed=payload["feature_seed"],
-        instruction_seed=payload["instruction_seed"],
-        feature_dim=payload["feature_dim"],
-        embed_dim=payload["embed_dim"],
-        value_hidden=payload["hidden_dim"],
-    )
-    model = init_progress_model(over)
-    model.params = {k: np.asarray(v, dtype=np.float64) for k, v in payload["params"].items()}
-    cluster = None
-    if payload.get("cluster"):
-        cluster = ReferenceCluster(
-            members={int(k): np.asarray(v, dtype=np.float64) for k, v in payload["cluster"].items()}
+    try:
+        over = cfg.with_overrides(
+            feature_seed=payload["feature_seed"],
+            instruction_seed=payload["instruction_seed"],
+            feature_dim=payload["feature_dim"],
+            embed_dim=payload["embed_dim"],
+            value_hidden=payload["hidden_dim"],
         )
-    return model, cluster
+        params = {k: np.asarray(v, dtype=np.float64) for k, v in payload["params"].items()}
+        members = {int(k): np.asarray(v, dtype=np.float64) for k, v in (payload.get("cluster") or {}).items()}
+    except KeyError as exc:
+        raise StorageError(f"{path}: missing key {exc}") from exc
+    model = init_progress_model(over)
+    shapes = {k: v.shape for k, v in params.items()}
+    if shapes != {k: v.shape for k, v in model.params.items()}:
+        raise StorageError(f"{path}: adapter shapes {shapes} do not match the checkpoint metadata")
+    for instr, vecs in members.items():
+        if vecs.ndim != 2 or vecs.shape[1] != model.embed_dim:
+            raise StorageError(f"{path}: cluster {instr} has shape {vecs.shape}, embed_dim is {model.embed_dim}")
+    model.params = params
+    return model, ReferenceCluster(members=members) if members else None

@@ -291,6 +291,8 @@ def test_load_policy_checks_shapes_against_metadata(tiny_policy, tmp_path):
         "history_w": lambda p: p.update(history_w=p["history_w"] + 1),
         "obs_mean": lambda p: p["obs_mean"].pop(),
         "obs_std": lambda p: p["obs_std"].append(1.0),
+        "no obs_std": lambda p: p.pop("obs_std"),
+        "no hidden_dim": lambda p: p.pop("hidden_dim"),
     }
     for name, tamper in tampers.items():
         payload = copy.deepcopy(good)

@@ -1,7 +1,10 @@
+import copy
+import json
+
 import numpy as np
 import pytest
 
-from recoverylab.errors import ConfigError, CoverageError, InputError, TrainingError
+from recoverylab.errors import ConfigError, CoverageError, InputError, StorageError, TrainingError
 from recoverylab.nets import finite_difference, pack, relative_error
 from recoverylab.value import (
     ReferenceCluster,
@@ -234,3 +237,22 @@ def test_checkpoint_round_trip(cfg, tmp_path, progress_model, reference_cluster,
     assert estimate_progress(loaded, cluster, episode) == pytest.approx(
         estimate_progress(progress_model, reference_cluster, episode), abs=1e-12
     )
+
+
+def test_load_progress_model_checks_shapes_against_metadata(cfg, tmp_path, progress_model, reference_cluster):
+    path = save_progress_model(progress_model, tmp_path / "value.json", cluster=reference_cluster)
+    good = json.loads(path.read_text())
+    instr = next(iter(good["cluster"]))
+    tampers = {
+        "f_w1 row": lambda p: p["params"]["f_w1"].pop(),
+        "embed_dim": lambda p: p.update(embed_dim=p["embed_dim"] + 1),
+        "cluster width": lambda p: [row.pop() for row in p["cluster"][instr]],
+        "no embed_dim": lambda p: p.pop("embed_dim"),
+        "no params": lambda p: p.pop("params"),
+    }
+    for name, tamper in tampers.items():
+        payload = copy.deepcopy(good)
+        tamper(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(StorageError):
+            load_progress_model(cfg, path)
