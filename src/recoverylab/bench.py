@@ -29,7 +29,7 @@ from .faults import (
     max_nominal_duration,
     run_episode,
 )
-from .labeling import LabelConfig, label_episode
+from .labeling import label_episode
 from .planner import plan_recovery
 from .policy import (
     FrameDataset,
@@ -302,7 +302,6 @@ def train_variants(
     seed: int = 0,
     which: tuple[str, ...] = ("sft", "phase1", "full"),
     history_reset: bool = True,
-    alpha: float | None = None,
 ) -> TrainedVariants:
     """Train the SFT baseline, the phase-one policy, and the refined policy.
 
@@ -342,9 +341,8 @@ def train_variants(
         model = init_progress_model(cfg, seed=seed)
         train_alignment(model, expert_episodes, cfg, seed=seed + 1)
         cluster = build_reference_cluster(model, expert_episodes)
-        label_cfg = LabelConfig.from_config(cfg, alpha=alpha)
         labeled = [
-            label_episode(e, model, cluster, label_cfg)
+            label_episode(e, model, cluster, cfg)
             for e in expert_episodes + recovery_episodes + failure_episodes
         ]
         full = phase1.clone()
@@ -452,8 +450,8 @@ def run_ablations(
     elif which == "alpha":
         for alpha in (1.0, 3.0, 10.0):
             var = train_variants(
-                cfg, expert_episodes, recovery_episodes, failure_episodes,
-                seed=train_seed, which=("full",), alpha=alpha,
+                cfg.with_overrides(alpha=alpha), expert_episodes, recovery_episodes, failure_episodes,
+                seed=train_seed, which=("full",),
             )
             adv = _eval_cell(cfg, var.full, task_id, error, eval_seeds, var.t_max, set(var.training_seeds))
             rows.append({

@@ -4,7 +4,9 @@ Subcommands cover the whole workflow: generate expert and recovery datasets,
 train the progress value model, label a mixed dataset, run the two policy
 training phases, evaluate under the phase protocol, and run the scaling and
 ablation suites.  Every subcommand accepts --config / --seed / --out; errors
-exit nonzero with a machine-readable JSON line on stderr.
+exit nonzero with a machine-readable JSON line on stderr.  A flag whose
+destination is a Config key (``--steps``, ``--alpha``, ``--sigma``, ...)
+overrides that key on top of the --config file.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import bench, datagen, labeling, policy as policy_mod, store, value as value_mod
-from .config import Config, load_config
+from .config import DEFAULTS, Config, load_config
 from .errors import RecoveryLabError
 from .faults import ErrorKind, error_from_config, max_nominal_duration
 from .store import EpisodeKind, Outcome, read_dataset
@@ -43,20 +45,10 @@ def _load_episodes(dirs: list[Path]) -> list:
     return episodes
 
 
-def _policy_overrides(cfg: Config, args) -> Config:
-    over = {}
-    if getattr(args, "lam", None) is not None:
-        over["lambda_recovery"] = args.lam
-    if getattr(args, "sigma", None) is not None:
-        over["sigma"] = args.sigma
-    if getattr(args, "steps", None) is not None:
-        over["bc_steps"] = args.steps
-        over["refine_steps"] = args.steps
-    if getattr(args, "lr", None) is not None:
-        over["policy_lr"] = args.lr
-    if getattr(args, "history_w", None) is not None:
-        over["history_window"] = args.history_w
-    return cfg.with_overrides(**over) if over else cfg
+def _config(args) -> Config:
+    """The --config file plus every flag that names a Config key and was given."""
+    overrides = {k: v for k, v in vars(args).items() if k in DEFAULTS and v is not None}
+    return load_config(args.config, **overrides)
 
 
 def _resolve_t_max(cfg: Config, args) -> int:
@@ -68,17 +60,16 @@ def _resolve_t_max(cfg: Config, args) -> int:
 
 
 def cmd_gen_nominal(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _config(args)
     stats = datagen.generate_nominal(
-        cfg, args.task, _env_mode(args.mode), args.n, args.seed, args.out,
-        action_noise=args.noise, keep_failures=args.keep_failures,
+        cfg, args.task, _env_mode(args.mode), args.n, args.seed, args.out, keep_failures=args.keep_failures,
     )
     print(json.dumps(stats))
     return 0
 
 
 def cmd_gen_recovery(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _config(args)
     error = error_from_config(cfg, ErrorKind(args.error))
     stats = datagen.generate_recovery(
         cfg, args.task, _env_mode(args.mode), error, args.n, args.seed, args.out,
@@ -89,7 +80,7 @@ def cmd_gen_recovery(args) -> int:
 
 
 def cmd_collect_induced(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _config(args)
     pol = policy_mod.load_policy(args.policy)
     t_max = _resolve_t_max(cfg, args)
     stats = datagen.collect_policy_induced(
@@ -100,12 +91,12 @@ def cmd_collect_induced(args) -> int:
 
 
 def cmd_train_value(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _config(args)
     episodes = [
         e for e in _load_episodes(_dirs(args.data)) if e.kind is EpisodeKind.NOMINAL_SUCCESS
     ]
     model = value_mod.init_progress_model(cfg, seed=args.seed)
-    losses = value_mod.train_alignment(model, episodes, cfg, seed=args.seed, steps=args.steps)
+    losses = value_mod.train_alignment(model, episodes, cfg, seed=args.seed)
     cluster = value_mod.build_reference_cluster(model, episodes)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -119,18 +110,17 @@ def cmd_train_value(args) -> int:
 
 
 def cmd_label(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _config(args)
     model, cluster = value_mod.load_progress_model(cfg, args.value)
     if cluster is None:
         raise RecoveryLabError("value checkpoint has no reference cluster; re-run train-value")
-    label_cfg = labeling.LabelConfig.from_config(cfg, alpha=args.alpha)
-    summary = labeling.label_dataset(args.data, args.out, model, cluster, label_cfg)
+    summary = labeling.label_dataset(args.data, args.out, model, cluster, cfg)
     print(json.dumps(summary))
     return 0
 
 
 def cmd_train_rai(args) -> int:
-    cfg = _policy_overrides(load_config(args.config), args)
+    cfg = _config(args)
     expert = _load_episodes(_dirs(args.expert))
     pol = policy_mod.init_policy(cfg, seed=args.seed)
     expert_ds = policy_mod.build_frame_dataset(cfg, expert, pol.history_w)
@@ -155,7 +145,7 @@ def cmd_train_rai(args) -> int:
 
 
 def cmd_train_vcr(args) -> int:
-    cfg = _policy_overrides(load_config(args.config), args)
+    cfg = _config(args)
     labeled = _load_episodes(_dirs(args.data))
     pol = policy_mod.load_policy(args.init) if args.init else policy_mod.init_policy(cfg, seed=args.seed)
     ds = policy_mod.build_frame_dataset(cfg, labeled, pol.history_w, require_labels=True)
@@ -171,7 +161,7 @@ def cmd_train_vcr(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _config(args)
     pol = policy_mod.load_policy(args.policy)
     error = error_from_config(cfg, ErrorKind(args.error)) if args.error else None
     t_max = _resolve_t_max(cfg, args)
@@ -220,7 +210,7 @@ def _build_suite_data(cfg: Config, args, rec_counts: dict[str, int]):
 
 
 def cmd_scaling(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _config(args)
     error, expert, tiers, fails = _build_suite_data(
         cfg, args, {"1x": args.rec_base, "2x": 2 * args.rec_base, "4x": 4 * args.rec_base}
     )
@@ -232,7 +222,7 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _config(args)
     error, expert, tiers, fails = _build_suite_data(cfg, args, {"1x": args.rec_base})
     eval_seeds = [args.seed + 100_000 + i for i in range(args.trials)]
     result = bench.run_ablations(
@@ -269,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", default="pick-place")
     p.add_argument("--mode", choices=["clean", "random"], default="random")
     p.add_argument("--n", type=int, default=50)
-    p.add_argument("--noise", type=float, default=None, help="collection action noise")
+    p.add_argument("--noise", dest="expert_action_noise", type=float, default=None, help="collection action noise")
     p.add_argument("--keep-failures", action="store_true")
     p.set_defaults(fn=cmd_gen_nominal)
 
@@ -294,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-value", help="train the progress value model")
     _add_common(p)
     p.add_argument("--data", required=True, help="comma-separated dataset dirs of successes")
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--steps", dest="align_steps", type=int, default=None)
     p.set_defaults(fn=cmd_train_value)
 
     p = sub.add_parser("label", help="write hindsight value labels over a dataset")
@@ -308,11 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--expert", required=True)
     p.add_argument("--recovery", default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    p.add_argument("--lambda", dest="lambda_recovery", type=float, default=None)
     p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--history-w", type=int, default=None)
+    p.add_argument("--steps", dest="bc_steps", type=int, default=None)
+    p.add_argument("--lr", dest="policy_lr", type=float, default=None)
+    p.add_argument("--history-w", dest="history_window", type=int, default=None)
     p.add_argument("--no-history-reset", action="store_true",
                    help="ablation: train on unsliced recovery episodes with raw histories")
     p.set_defaults(fn=cmd_train_rai)
@@ -322,9 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--init", default=None, help="phase-one checkpoint to fine-tune")
     p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--history-w", type=int, default=None)
+    p.add_argument("--steps", dest="refine_steps", type=int, default=None)
+    p.add_argument("--lr", dest="policy_lr", type=float, default=None)
+    p.add_argument("--history-w", dest="history_window", type=int, default=None)
     p.set_defaults(fn=cmd_train_vcr)
 
     p = sub.add_parser("eval", help="phase-protocol evaluation of a policy checkpoint")
@@ -378,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "trials", None) is None and args.command == "eval":
-        cfg = load_config(args.config)
+        cfg = _config(args)
         args.trials = int(cfg.eval_trials)
     try:
         return args.fn(args)

@@ -1,10 +1,12 @@
 """Runtime configuration.
 
 All tunable constants live in one flat namespace so every experiment can be
-reproduced from a config snapshot.  Values can be overridden from a plain
+reproduced from a config snapshot; training and labeling functions read their
+settings from the Config they are given and take no copies of them.  Values can be overridden from a plain
 ``key = value`` text file (``#`` starts a comment); unknown keys are rejected,
 and so are values of the wrong type: integer keys take integers, float keys
-take any real number.  Physical scales, divisors and batch sizes (POSITIVE)
+take any real number.  Physical scales, divisors, the decay exponent and
+batch sizes (POSITIVE)
 must be greater than zero; step counts may be zero.  The documented keys and
 their defaults are the DEFAULTS table below.
 """
@@ -82,11 +84,11 @@ DEFAULTS: dict[str, float | int | str] = {
 }
 
 
-# Keys whose value scales motion or tolerances, divides, or sizes a batch:
-# zero or less has no meaning for them.
+# Keys whose value scales motion or tolerances, divides, is an exponent of
+# decay, or sizes a batch: zero or less has no meaning for them.
 POSITIVE = frozenset({
     "dt", "v_max", "omega_max", "grasp_radius", "goal_radius", "pos_tol", "ang_tol",
-    "sigma", "align_lr", "policy_lr", "align_batch", "policy_batch",
+    "sigma", "alpha", "align_lr", "policy_lr", "align_batch", "policy_batch",
 })
 
 

@@ -20,13 +20,13 @@ def generate_nominal(
     n: int,
     seed0: int,
     out_dir: str | Path,
-    action_noise: float | None = None,
     keep_failures: bool = False,
 ) -> dict:
-    """Write ``n`` expert episodes starting at seed0; returns generation stats."""
+    """Write ``n`` expert episodes starting at seed0, executed with
+    ``cfg.expert_action_noise``; returns generation stats."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    noise = float(cfg.expert_action_noise) if action_noise is None else float(action_noise)
+    noise = float(cfg.expert_action_noise)
     written = skipped = failures = 0
     for i in range(n):
         seed = seed0 + i
@@ -53,7 +53,6 @@ def generate_recovery(
     seed0: int,
     out_dir: str | Path,
     pure_failure: bool = False,
-    t_max: int | None = None,
 ) -> dict:
     """Write paired failure-recovery episodes (or pure failures) via interception.
 
@@ -66,9 +65,7 @@ def generate_recovery(
     for i in range(n):
         seed = seed0 + i
         try:
-            episode = run_interception(
-                cfg, task_id, env_mode, error, seed, t_max=t_max, recover=not pure_failure
-            )
+            episode = run_interception(cfg, task_id, env_mode, error, seed, recover=not pure_failure)
         except PlanningError:
             skipped += 1
             continue

@@ -8,12 +8,13 @@ progress score V down to zero,
     v_t = V * (1 - t/T) ** alpha,
 
 so early useful motion is kept while frames near the irreversible breakdown
-are driven to zero.  T is the last frame index, making v_T exactly 0.
+are driven to zero.  T is the last frame index, making v_T exactly 0.  The
+exponent alpha and the label range [clamp_min, clamp_max] are Config keys.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,28 +29,6 @@ from .store import (
     write_episode,
 )
 from .value import ProgressModel, ReferenceCluster, estimate_progress
-
-
-@dataclass(frozen=True)
-class LabelConfig:
-    alpha: float = 3.0
-    clamp_min: float = 0.0
-    clamp_max: float = 1.0
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValidationError(f"alpha must be positive, got {self.alpha}")
-
-    @staticmethod
-    def from_config(cfg: Config, alpha: float | None = None) -> "LabelConfig":
-        return LabelConfig(
-            alpha=float(cfg.alpha if alpha is None else alpha),
-            clamp_min=float(cfg.clamp_min),
-            clamp_max=float(cfg.clamp_max),
-        )
-
-    def clamp(self, v: float) -> float:
-        return min(self.clamp_max, max(self.clamp_min, v))
 
 
 def _with_labels(episode: Episode, labels) -> Episode:
@@ -78,7 +57,7 @@ def label_recovery(episode: Episode) -> Episode:
     return _with_labels(episode, np.where(error, 0.0, 1.0))
 
 
-def label_failure(episode: Episode, progress: float, config: LabelConfig) -> Episode:
+def label_failure(episode: Episode, progress: float, cfg: Config) -> Episode:
     """Pure failures: reliability decay v_t = V * (1 - t/T)^alpha.
 
     Endpoints are exact: v_0 = V and v_T = 0.
@@ -90,23 +69,19 @@ def label_failure(episode: Episode, progress: float, config: LabelConfig) -> Epi
     horizon = len(episode.frames) - 1
     if horizon < 1:
         raise ValidationError(f"{episode.episode_id}: degenerate single-frame failure episode")
-    labels = [
-        config.clamp(progress * (1.0 - t / horizon) ** config.alpha)
-        for t in range(len(episode.frames))
-    ]
+    alpha, lo, hi = float(cfg.alpha), float(cfg.clamp_min), float(cfg.clamp_max)
+    labels = [min(hi, max(lo, progress * (1.0 - t / horizon) ** alpha)) for t in range(len(episode.frames))]
     return _with_labels(episode, labels)
 
 
-def label_episode(
-    episode: Episode, model: ProgressModel, cluster: ReferenceCluster, config: LabelConfig
-) -> Episode:
+def label_episode(episode: Episode, model: ProgressModel, cluster: ReferenceCluster, cfg: Config) -> Episode:
     """Dispatch on episode kind; pure failures consult the progress model."""
     if episode.kind is EpisodeKind.NOMINAL_SUCCESS:
         return label_success(episode)
     if episode.kind is EpisodeKind.FAILURE_RECOVERY:
         return label_recovery(episode)
     raw = estimate_progress(model, cluster, episode)
-    return label_failure(episode, config.clamp(raw), config)
+    return label_failure(episode, min(float(cfg.clamp_max), max(float(cfg.clamp_min), raw)), cfg)
 
 
 def label_dataset(
@@ -114,7 +89,7 @@ def label_dataset(
     out_dir: str | Path,
     model: ProgressModel,
     cluster: ReferenceCluster,
-    config: LabelConfig,
+    cfg: Config,
 ) -> dict:
     """Label every episode of a dataset into ``out_dir``; returns a summary.
 
@@ -126,9 +101,9 @@ def label_dataset(
     histogram = {"0.0": 0, "(0,1)": 0, "1.0": 0}
     counts: dict[str, int] = {}
     for episode in episodes:
-        labeled = label_episode(episode, model, cluster, config)
+        labeled = label_episode(episode, model, cluster, cfg)
         provenance = dict(labeled.provenance)
-        provenance["labeler"] = {"alpha": config.alpha, "rule": labeled.kind.value}
+        provenance["labeler"] = {"alpha": float(cfg.alpha), "rule": labeled.kind.value}
         labeled = replace(labeled, provenance=provenance)
         write_episode(labeled, out_dir)
         counts[labeled.kind.value] = counts.get(labeled.kind.value, 0) + 1

@@ -53,6 +53,10 @@ def normalize_rows_backward(z: np.ndarray, r: np.ndarray, dz: np.ndarray) -> np.
     return (dz - inner * z) / r
 
 
+# Adam's moment decay rates and denominator floor.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Standard Adam over a named parameter dict; updates in place.
 
@@ -60,12 +64,8 @@ class Adam:
     measurably sharpens the small regression fits used here.
     """
 
-    def __init__(self, params: Params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, total_steps: int | None = None):
+    def __init__(self, params: Params, lr: float, total_steps: int | None = None):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.total_steps = total_steps
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
@@ -81,13 +81,13 @@ class Adam:
     def step(self, params: Params, grads: Params) -> None:
         self.t += 1
         lr = self._lr_now()
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - BETA1 ** self.t
+        b2c = 1.0 - BETA2 ** self.t
         for k in params:
             g = grads[k]
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * (g * g)
-            params[k] = params[k] - lr * (self.m[k] / b1c) / (np.sqrt(self.v[k] / b2c) + self.eps)
+            self.m[k] = BETA1 * self.m[k] + (1.0 - BETA1) * g
+            self.v[k] = BETA2 * self.v[k] + (1.0 - BETA2) * (g * g)
+            params[k] = params[k] - lr * (self.m[k] / b1c) / (np.sqrt(self.v[k] / b2c) + EPS)
 
 
 def pack(params: Params) -> np.ndarray:

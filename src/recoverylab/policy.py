@@ -7,13 +7,14 @@ value token is a tiny perceptron of the scalar v, so the same trunk can
 express different action modes for the same observation at different
 desired-progress levels.
 
-Training treats actions as a fixed-variance Gaussian around the network
-mean, so the negative log-likelihood is squared error over 2*sigma^2 plus a
-constant.  Phase one imitates expert data mixed with sliced recovery
-suffixes (histories reset at the recovery) at weight lambda, with v pinned
-to 1.0.  The refinement phase trains on the labeled mixed dataset (histories
-reach back into the failure) with per-frame v driving the token.  Deployment
-pins v = 1.0 and reads the training-time windows from a rolling buffer.
+Training treats actions as a Gaussian of fixed scale ``cfg.sigma`` around
+the network mean, so the negative log-likelihood is squared error over
+2*sigma^2 plus a constant.  Both phases run one training loop over weighted
+parts.  Phase one imitates expert data mixed with sliced recovery suffixes
+(histories reset at the recovery) at weight lambda, with v pinned to 1.0.
+The refinement phase trains on the labeled mixed dataset (histories reach
+back into the failure) with per-frame v driving the token.  Deployment pins
+v = 1.0 and reads the training-time windows from a rolling buffer.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ class Policy:
     value_token_dim: int
     instr_embed_dim: int
     hidden_dim: int
-    sigma: float
     obs_mean: np.ndarray = field(default_factory=lambda: np.zeros(0))
     obs_std: np.ndarray = field(default_factory=lambda: np.ones(0))
     provenance: dict = field(default_factory=dict)
@@ -93,7 +93,7 @@ class Policy:
             history_w=self.history_w, obs_dim=self.obs_dim,
             n_instructions=self.n_instructions, value_token_dim=self.value_token_dim,
             instr_embed_dim=self.instr_embed_dim, hidden_dim=self.hidden_dim,
-            sigma=self.sigma, obs_mean=self.obs_mean.copy(), obs_std=self.obs_std.copy(),
+            obs_mean=self.obs_mean.copy(), obs_std=self.obs_std.copy(),
             provenance=dict(self.provenance),
         )
 
@@ -126,7 +126,6 @@ def init_policy(cfg: Config, seed: int = 0) -> Policy:
     return Policy(
         params=params, history_w=w, obs_dim=OBS_DIM, n_instructions=n_instr,
         value_token_dim=vdim, instr_embed_dim=edim, hidden_dim=hidden,
-        sigma=float(cfg.sigma),
     )
 
 
@@ -176,6 +175,7 @@ def forward(policy: Policy, cfg: Config, obs: np.ndarray, history: np.ndarray, i
 
 def loss_and_grads(
     policy: Policy,
+    cfg: Config,
     hist: np.ndarray,
     obs: np.ndarray,
     instr: np.ndarray,
@@ -189,7 +189,7 @@ def loss_and_grads(
     x, trunk_cache, e_val, instr_idx, v_in, _ = cache
     diff = mu - targets
     batch = mu.shape[0]
-    scale = 1.0 / (2.0 * policy.sigma ** 2)
+    scale = 1.0 / (2.0 * float(cfg.sigma) ** 2)
     loss = float(scale * np.sum(diff * diff) / batch)
 
     dmu = (2.0 * scale / batch) * diff
@@ -303,11 +303,10 @@ def _jitter_mask() -> np.ndarray:
 _JITTER_MASK = _jitter_mask()
 
 
-def _batch(ds: FrameDataset, idx: np.ndarray, pin_value: float | None,
-           rng: np.random.Generator | None = None, jitter: float = 0.0):
+def _batch(ds: FrameDataset, idx: np.ndarray, pin_value: float | None, rng: np.random.Generator, jitter: float):
     v = np.full(len(idx), pin_value) if pin_value is not None else ds.values[idx]
     hist, obs = ds.hist[idx], ds.obs[idx]
-    if rng is not None and jitter > 0.0:
+    if jitter > 0.0:
         # Jitter pose inputs (not labels): smooths the learned function
         # against the small state deviations closed-loop execution produces.
         # Grip states, presence flags, and padding rows stay exact.
@@ -318,11 +317,38 @@ def _batch(ds: FrameDataset, idx: np.ndarray, pin_value: float | None,
     return hist, obs, ds.instr[idx], v, ds.actions[idx]
 
 
-def _merge_grads(base: Params, extra: Params, weight: float) -> Params:
-    out = dict(base)
-    for k, g in extra.items():
-        out[k] = out.get(k, 0.0) + weight * g
-    return out
+# One weighted term of the training loss: its dataset, the RNG that draws its
+# batch indices, its weight, and the value input pinned for it (None reads
+# the dataset's per-frame labels).
+_Part = tuple[FrameDataset, np.random.Generator, float, float | None]
+
+
+def _train(policy: Policy, cfg: Config, parts: list[_Part], n_steps: int,
+           aug_seed: list[int], name: str) -> list[float]:
+    """Adam over the weighted sum of the parts' batch losses; returns the
+    loss curve.  Each step draws every part's indices and input jitter in
+    turn, so each part keeps its own index stream."""
+    batch = int(cfg.policy_batch)
+    if not policy.provenance.get("normalizer_fitted"):
+        fit_normalizer(policy, parts[0][0])
+    jitter = float(cfg.input_noise)
+    rng_aug = np.random.default_rng(aug_seed)
+    optimizer = Adam(policy.params, lr=float(cfg.policy_lr), total_steps=n_steps)
+    losses: list[float] = []
+    for _ in range(n_steps):
+        loss, grads = 0.0, {}
+        for ds, rng, weight, pin_value in parts:
+            idx = ds.sample_pool[rng.integers(0, len(ds.sample_pool), size=batch)]
+            part_loss, part_grads = loss_and_grads(policy, cfg, *_batch(ds, idx, pin_value, rng_aug, jitter))
+            loss += weight * part_loss
+            for k, g in part_grads.items():
+                g = g if weight == 1.0 else weight * g
+                grads[k] = grads[k] + g if k in grads else g
+        if not np.isfinite(loss):
+            raise TrainingError(f"{name} loss diverged at step {len(losses)}")
+        optimizer.step(policy.params, grads)
+        losses.append(loss)
+    return losses
 
 
 def train_bc(
@@ -331,39 +357,19 @@ def train_bc(
     reset_recovery: FrameDataset | None,
     cfg: Config,
     seed: int = 0,
-    steps: int | None = None,
-    lam: float | None = None,
 ) -> list[float]:
-    """Phase-one imitation: expert plus lambda-weighted reset-recovery data.
+    """Phase-one imitation for ``cfg.bc_steps`` steps: expert data plus
+    reset-recovery data at weight ``cfg.lambda_recovery``.
 
     The value input is pinned to 1.0 for every sample so the later refinement
     phase is a strict fine-tune of the same architecture.  Recovery batches
     normally come from sliced episodes, whose histories pad at the recovery.
     """
-    lam = float(cfg.lambda_recovery) if lam is None else float(lam)
-    n_steps = int(cfg.bc_steps) if steps is None else int(steps)
-    batch = int(cfg.policy_batch)
-    if not policy.provenance.get("normalizer_fitted"):
-        fit_normalizer(policy, expert)
-    jitter = float(cfg.input_noise)
-    rng_e = np.random.default_rng([int(seed), 0xE])
-    rng_r = np.random.default_rng([int(seed), 0xF])
-    rng_aug = np.random.default_rng([int(seed), 0xA6])
-    optimizer = Adam(policy.params, lr=float(cfg.policy_lr), total_steps=n_steps)
-    losses: list[float] = []
-    for _ in range(n_steps):
-        idx = expert.sample_pool[rng_e.integers(0, len(expert.sample_pool), size=batch)]
-        loss, grads = loss_and_grads(policy, *_batch(expert, idx, 1.0, rng_aug, jitter))
-        if reset_recovery is not None and lam > 0.0:
-            ridx = reset_recovery.sample_pool[rng_r.integers(0, len(reset_recovery.sample_pool), size=batch)]
-            r_loss, r_grads = loss_and_grads(policy, *_batch(reset_recovery, ridx, 1.0, rng_aug, jitter))
-            loss += lam * r_loss
-            grads = _merge_grads(grads, r_grads, lam)
-        if not np.isfinite(loss):
-            raise TrainingError(f"imitation loss diverged at step {len(losses)}")
-        optimizer.step(policy.params, grads)
-        losses.append(loss)
-    return losses
+    lam = float(cfg.lambda_recovery)
+    parts: list[_Part] = [(expert, np.random.default_rng([int(seed), 0xE]), 1.0, 1.0)]
+    if reset_recovery is not None and lam > 0.0:
+        parts.append((reset_recovery, np.random.default_rng([int(seed), 0xF]), lam, 1.0))
+    return _train(policy, cfg, parts, int(cfg.bc_steps), [int(seed), 0xA6], "imitation")
 
 
 def train_value_conditioned(
@@ -371,32 +377,17 @@ def train_value_conditioned(
     labeled: FrameDataset,
     cfg: Config,
     seed: int = 0,
-    steps: int | None = None,
 ) -> list[float]:
-    """Refinement on the labeled mixed dataset with per-frame value tokens.
+    """Refinement for ``cfg.refine_steps`` steps on the labeled mixed dataset
+    with per-frame value tokens.
 
     Recovery episodes must be unsliced: recovery frames keep their failure
     prefix in view and the label disambiguates drift from correction.
     """
     if np.any(np.isnan(labeled.values)):
         raise ValidationError("refinement dataset contains unlabeled frames")
-    n_steps = int(cfg.refine_steps) if steps is None else int(steps)
-    batch = int(cfg.policy_batch)
-    if not policy.provenance.get("normalizer_fitted"):
-        fit_normalizer(policy, labeled)
-    jitter = float(cfg.input_noise)
-    rng = np.random.default_rng([int(seed), 0xC])
-    rng_aug = np.random.default_rng([int(seed), 0xA7])
-    optimizer = Adam(policy.params, lr=float(cfg.policy_lr), total_steps=n_steps)
-    losses: list[float] = []
-    for _ in range(n_steps):
-        idx = labeled.sample_pool[rng.integers(0, len(labeled.sample_pool), size=batch)]
-        loss, grads = loss_and_grads(policy, *_batch(labeled, idx, None, rng_aug, jitter))
-        if not np.isfinite(loss):
-            raise TrainingError(f"refinement loss diverged at step {len(losses)}")
-        optimizer.step(policy.params, grads)
-        losses.append(loss)
-    return losses
+    parts: list[_Part] = [(labeled, np.random.default_rng([int(seed), 0xC]), 1.0, None)]
+    return _train(policy, cfg, parts, int(cfg.refine_steps), [int(seed), 0xA7], "refinement")
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +462,6 @@ def save_policy(policy: Policy, path: str | Path) -> Path:
         "value_token_dim": policy.value_token_dim,
         "instr_embed_dim": policy.instr_embed_dim,
         "hidden_dim": policy.hidden_dim,
-        "sigma": policy.sigma,
         "obs_mean": policy.obs_mean.tolist(),
         "obs_std": policy.obs_std.tolist(),
         "params": {k: v.tolist() for k, v in sorted(policy.params.items())},
@@ -493,7 +483,8 @@ def _param_shapes(policy: Policy) -> dict[str, tuple[int, ...]]:
 
 def load_policy(path: str | Path) -> Policy:
     """Load a checkpoint whose parameter shapes and normalizer lengths match
-    its metadata; raises StorageError otherwise."""
+    its metadata; raises StorageError otherwise.  Keys the policy no longer
+    has, such as the ``sigma`` of older files, are ignored."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
@@ -513,7 +504,6 @@ def load_policy(path: str | Path) -> Policy:
             value_token_dim=payload["value_token_dim"],
             instr_embed_dim=payload["instr_embed_dim"],
             hidden_dim=payload["hidden_dim"],
-            sigma=payload["sigma"],
             obs_mean=np.asarray(payload["obs_mean"], dtype=np.float64),
             obs_std=np.asarray(payload["obs_std"], dtype=np.float64),
             provenance=payload.get("provenance", {}),

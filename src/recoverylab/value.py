@@ -168,16 +168,16 @@ def train_alignment(
     success_episodes: list[Episode],
     cfg: Config,
     seed: int = 0,
-    steps: int | None = None,
 ) -> list[float]:
-    """Fit the adapters by sampled-prefix gradient descent; returns the loss curve.
+    """Fit the adapters for ``cfg.align_steps`` steps of sampled-prefix
+    gradient descent; returns the loss curve.
 
     Each batch element picks an episode uniformly and a prefix end t uniformly
     in {1..T}, an unbiased subsample of the per-episode mean over prefixes.
     """
     if not success_episodes:
         raise TrainingError("no successful episodes to align on")
-    n_steps = int(cfg.align_steps) if steps is None else int(steps)
+    n_steps = int(cfg.align_steps)
     batch = int(cfg.align_batch)
     feats = [_episode_prefix_features(model.featurizer, ep) for ep in success_episodes]
     instr_feats = np.stack(
@@ -223,7 +223,6 @@ class ReferenceCluster:
     """Per-instruction unit-norm embeddings of completed successful episodes."""
 
     members: dict[int, np.ndarray] = field(default_factory=dict)  # id -> (n, D)
-    omitted: list[int] = field(default_factory=list)
 
     def covered(self, instruction_id: int) -> bool:
         return instruction_id in self.members

@@ -7,7 +7,7 @@ import pytest
 
 from recoverylab.config import load_config
 from recoverylab.faults import ErrorKind, error_from_config, run_interception, run_nominal
-from recoverylab.labeling import LabelConfig, label_episode
+from recoverylab.labeling import label_episode
 from recoverylab.store import EpisodeKind, Outcome, slice_recovery_suffix
 from recoverylab.value import build_reference_cluster, init_progress_model, train_alignment
 from recoverylab.world import EnvMode
@@ -78,9 +78,8 @@ def mini_policies(mini_cfg, expert_episodes, recovery_episodes, failure_episodes
     phase1 = policy_mod.init_policy(mini_cfg, seed=0)
     policy_mod.train_bc(phase1, expert_ds, rec_ds, mini_cfg, seed=0)
 
-    label_cfg = LabelConfig.from_config(mini_cfg)
     labeled = [
-        label_episode(e, progress_model, reference_cluster, label_cfg)
+        label_episode(e, progress_model, reference_cluster, mini_cfg)
         for e in expert_episodes + recovery_episodes + failure_episodes
     ]
     full = phase1.clone()

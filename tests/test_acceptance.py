@@ -25,7 +25,7 @@ from recoverylab.faults import (
     run_interception,
     run_nominal,
 )
-from recoverylab.labeling import LabelConfig, label_failure
+from recoverylab.labeling import label_failure
 from recoverylab.nets import finite_difference, pack, relative_error
 from recoverylab.policy import build_frame_dataset, init_policy, loss_and_grads
 from recoverylab.store import (
@@ -167,7 +167,7 @@ def test_a1_decay_exactness():
         [PhaseTag.NOMINAL] + [PhaseTag.ERROR] * horizon,
         kind=EpisodeKind.PURE_FAILURE, t_rec=None, outcome=Outcome.FAILURE,
     )
-    labeled = label_failure(episode, 0.8, LabelConfig(alpha=3.0))
+    labeled = label_failure(episode, 0.8, CFG.with_overrides(alpha=3.0))
     values = labeled.frames.v.tolist()
     assert abs(values[5] - 0.1) < 1e-9
     assert abs(values[0] - 0.8) < 1e-9
@@ -274,12 +274,12 @@ def test_a5_gradient_checks(pp_bundle):
     ds = build_frame_dataset(small_cfg, episodes[:2], policy.history_w)
     idx = np.array([0, 13, 37])
     batch = (ds.hist[idx], ds.obs[idx], ds.instr[idx], np.array([0.1, 0.6, 1.0]), ds.actions[idx])
-    _, pgrads = loss_and_grads(policy, *batch)
+    _, pgrads = loss_and_grads(policy, small_cfg, *batch)
 
     def policy_loss(params):
         saved = policy.params
         policy.params = params
-        out = loss_and_grads(policy, *batch)[0]
+        out = loss_and_grads(policy, small_cfg, *batch)[0]
         policy.params = saved
         return out
 
@@ -314,7 +314,7 @@ def test_a6_alignment_monotonicity(pp_bundle):
 
 def test_a7_estimation_oracle(pp_bundle):
     model = init_progress_model(CFG, seed=0)
-    train_alignment(model, pp_bundle["expert"][:20], CFG, seed=1, steps=400)
+    train_alignment(model, pp_bundle["expert"][:20], CFG.with_overrides(align_steps=400), seed=1)
     cluster = build_reference_cluster(model, pp_bundle["expert"][:20])
     worst = 0.0
     for episode in pp_bundle["fails"][:5]:

@@ -58,6 +58,7 @@ def test_mistyped_value_rejected(tmp_path):
     ("grasp_radius", -1.0), ("goal_radius", 0.0),                # radii
     ("pos_tol", 0.0), ("ang_tol", -0.05),                        # tolerances
     ("sigma", 0.0),                                              # likelihood scale
+    ("alpha", 0.0),                                              # decay exponent
     ("policy_lr", 0.0), ("align_lr", -1e-3),                     # learning rates
     ("policy_batch", -1), ("align_batch", 0),                    # batch sizes
     ("dt", float("nan")),

@@ -17,7 +17,7 @@ import numpy as np
 from recoverylab import bench, datagen, faults
 from recoverylab.errors import UnrecoverableState
 from recoverylab.faults import ErrorKind, error_from_config, run_interception, run_nominal
-from recoverylab.labeling import LabelConfig, label_failure, label_recovery, label_success
+from recoverylab.labeling import label_failure, label_recovery, label_success
 from recoverylab.policy import build_frame_dataset, init_policy
 from recoverylab.store import EpisodeKind, Outcome, slice_recovery_suffix, write_episode
 from recoverylab.world import EnvMode
@@ -538,13 +538,12 @@ DATASET_GOLDEN = {
 def test_frame_dataset_golden(cfg):
     # Pure failures get a fixed progress value, so no digest depends on training.
     w = int(cfg.history_window)
-    label_cfg = LabelConfig.from_config(cfg)
     got = {}
     for task in TASKS:
         expert, recovery, failure = _task_episodes(cfg, task)
         assert expert and recovery and failure, task
         labeled = ([label_success(e) for e in expert] + [label_recovery(e) for e in recovery]
-                   + [label_failure(e, 0.6, label_cfg) for e in failure])
+                   + [label_failure(e, 0.6, cfg) for e in failure])
         sets = {
             "expert": build_frame_dataset(cfg, expert, w),
             "sliced": build_frame_dataset(cfg, [slice_recovery_suffix(e) for e in recovery], w),

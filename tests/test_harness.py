@@ -13,7 +13,9 @@ from recoverylab.faults import (
     run_episode,
     run_interception,
 )
-from recoverylab.store import EpisodeKind, dataset_stats, read_dataset
+from recoverylab.labeling import label_success
+from recoverylab.policy import init_policy, save_policy
+from recoverylab.store import EpisodeKind, dataset_stats, read_dataset, write_episode
 from recoverylab.world import EnvMode
 
 
@@ -283,3 +285,24 @@ def test_run_ablations_history_reset_and_alpha_rows(nano_cfg, expert_episodes, r
         eval_seeds=seeds_from(730000, 4), train_seed=0,
     )["rows"]
     assert [row["variant"] for row in alpha_rows] == ["alpha=1", "alpha=3", "alpha=10"]
+
+
+@pytest.fixture()
+def vcr_inputs(cfg, tmp_path, expert_episodes):
+    """A labeled dataset and a window-5 checkpoint for ``train-vcr --init``."""
+    data = tmp_path / "labeled"
+    data.mkdir()
+    for episode in expert_episodes[:2]:
+        write_episode(label_success(episode), data)
+    init = save_policy(init_policy(cfg, seed=0), tmp_path / "p1.json")
+    return ["train-vcr", "--data", str(data), "--init", str(init), "--steps", "1", "--out", str(tmp_path / "out.json")]
+
+
+def test_train_vcr_init_takes_sigma(vcr_inputs, capsys):
+    losses = []
+    for flags in ([], ["--sigma", "0.2"]):
+        assert cli_main(vcr_inputs + flags) == 0
+        losses.append(json.loads(capsys.readouterr().out.strip().splitlines()[-1])["initial_loss"])
+    # The likelihood scales as 1 / sigma^2: doubling sigma quarters the loss.
+    assert losses[1] == pytest.approx(0.25 * losses[0], rel=1e-9)
+

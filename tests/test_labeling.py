@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from recoverylab.errors import ValidationError
+from recoverylab.config import Config
 from recoverylab.labeling import (
-    LabelConfig,
     label_dataset,
     label_episode,
     label_failure,
@@ -14,6 +14,7 @@ from recoverylab.store import EpisodeKind, Outcome, PhaseTag, read_dataset, writ
 from tests.test_store import make_episode
 
 N, E, R = PhaseTag.NOMINAL, PhaseTag.ERROR, PhaseTag.RECOVERY
+CFG = Config()
 
 
 def decay_reference(progress, horizon, alpha, t):
@@ -72,7 +73,7 @@ def test_label_failure_hand_evaluated_point():
     episode = make_episode([N] + [E] * 10, kind=EpisodeKind.PURE_FAILURE, t_rec=None,
                            outcome=Outcome.FAILURE)
     assert len(episode.frames) == 11  # horizon T = 10
-    labeled = label_failure(episode, 0.8, LabelConfig(alpha=3.0))
+    labeled = label_failure(episode, 0.8, CFG.with_overrides(alpha=3.0))
     values = labeled.frames.v.tolist()
     assert values[5] == pytest.approx(0.8 * 0.5 ** 3, abs=1e-12)  # = 0.1
     assert values[0] == pytest.approx(0.8)
@@ -85,7 +86,7 @@ def test_label_failure_hand_evaluated_point():
 def test_label_failure_matches_independent_evaluation(progress, horizon, alpha):
     episode = make_episode([N] + [E] * horizon, kind=EpisodeKind.PURE_FAILURE,
                            t_rec=None, outcome=Outcome.FAILURE)
-    labeled = label_failure(episode, progress, LabelConfig(alpha=alpha))
+    labeled = label_failure(episode, progress, CFG.with_overrides(alpha=alpha))
     for t, v in enumerate(labeled.frames.v):
         assert v == pytest.approx(decay_reference(progress, horizon, alpha, t), abs=1e-9)
 
@@ -97,7 +98,7 @@ def test_label_failure_monotone_decay(rng):
         alpha = float(rng.uniform(0.2, 12))
         episode = make_episode([N] + [E] * horizon, kind=EpisodeKind.PURE_FAILURE,
                                t_rec=None, outcome=Outcome.FAILURE)
-        values = label_failure(episode, progress, LabelConfig(alpha=alpha)).frames.v.tolist()
+        values = label_failure(episode, progress, CFG.with_overrides(alpha=alpha)).frames.v.tolist()
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
         assert all(0.0 <= v <= 1.0 for v in values)
 
@@ -107,7 +108,7 @@ def test_alpha_ordering_pointwise():
     episode = make_episode([N] + [E] * horizon, kind=EpisodeKind.PURE_FAILURE,
                            t_rec=None, outcome=Outcome.FAILURE)
     by_alpha = {
-        alpha: label_failure(episode, 0.9, LabelConfig(alpha=alpha)).frames.v.tolist()
+        alpha: label_failure(episode, 0.9, CFG.with_overrides(alpha=alpha)).frames.v.tolist()
         for alpha in (1.0, 3.0, 10.0)
     }
     for t in range(1, horizon):  # interior points: larger alpha decays harder
@@ -118,16 +119,17 @@ def test_label_failure_validation():
     episode = make_episode([E], kind=EpisodeKind.PURE_FAILURE, t_rec=None,
                            outcome=Outcome.FAILURE)
     with pytest.raises(ValidationError):
-        label_failure(episode, 0.5, LabelConfig())  # degenerate single frame
+        label_failure(episode, 0.5, CFG)  # degenerate single frame
     two = make_episode([N, E], kind=EpisodeKind.PURE_FAILURE, t_rec=None, outcome=Outcome.FAILURE)
     with pytest.raises(ValidationError):
-        label_failure(two, 1.5, LabelConfig())  # progress must arrive clamped
-    with pytest.raises(ValidationError):
-        LabelConfig(alpha=0.0)
+        label_failure(two, 1.5, CFG)  # progress must arrive clamped
 
 
 def test_alpha_default_is_three(cfg):
-    assert LabelConfig.from_config(cfg).alpha == 3.0
+    assert cfg.alpha == 3.0
+    episode = make_episode([N] + [E] * 10, kind=EpisodeKind.PURE_FAILURE, t_rec=None,
+                           outcome=Outcome.FAILURE)
+    assert label_failure(episode, 0.8, cfg).frames.v[5] == pytest.approx(0.8 * 0.5 ** 3, abs=1e-12)
 
 
 def test_label_dataset_totality_and_idempotence(
@@ -141,9 +143,8 @@ def test_label_dataset_totality_and_idempotence(
         write_episode(ep, src)
     out_a = tmp_path / "labeled-a"
     out_b = tmp_path / "labeled-b"
-    cfg_label = LabelConfig.from_config(cfg)
-    summary = label_dataset(src, out_a, progress_model, reference_cluster, cfg_label)
-    label_dataset(src, out_b, progress_model, reference_cluster, cfg_label)
+    summary = label_dataset(src, out_a, progress_model, reference_cluster, cfg)
+    label_dataset(src, out_b, progress_model, reference_cluster, cfg)
 
     assert sum(summary["episodes"].values()) == 10
     labeled = read_dataset(out_a)
@@ -160,11 +161,10 @@ def test_label_dataset_totality_and_idempotence(
 def test_label_episode_dispatch(
     expert_episodes, recovery_episodes, failure_episodes, progress_model, reference_cluster, cfg
 ):
-    lc = LabelConfig.from_config(cfg)
-    success = label_episode(expert_episodes[0], progress_model, reference_cluster, lc)
+    success = label_episode(expert_episodes[0], progress_model, reference_cluster, cfg)
     assert all(success.frames.v == 1.0)
-    rec = label_episode(recovery_episodes[0], progress_model, reference_cluster, lc)
+    rec = label_episode(recovery_episodes[0], progress_model, reference_cluster, cfg)
     assert set(rec.frames.v.tolist()) <= {0.0, 1.0}
-    fail = label_episode(failure_episodes[0], progress_model, reference_cluster, lc)
+    fail = label_episode(failure_episodes[0], progress_model, reference_cluster, cfg)
     assert fail.frames.v[-1] == 0.0
     assert fail.frames.v[0] >= 0.0

@@ -96,12 +96,12 @@ def test_gradient_matches_finite_differences(cfg, expert_episodes):
     ds = build_frame_dataset(small, expert_episodes[:2], policy.history_w)
     idx = np.array([0, 11, 40])
     batch = (ds.hist[idx], ds.obs[idx], ds.instr[idx], np.array([0.1, 0.5, 0.9]), ds.actions[idx])
-    _, grads = loss_and_grads(policy, *batch)
+    _, grads = loss_and_grads(policy, small, *batch)
 
     def loss_fn(params):
         saved = policy.params
         policy.params = params
-        value = loss_and_grads(policy, *batch)[0]
+        value = loss_and_grads(policy, small, *batch)[0]
         policy.params = saved
         return value
 
@@ -115,8 +115,8 @@ def test_lambda_zero_matches_expert_only(mini_cfg, tiny_policy, expert_episodes,
     rec_ds = build_frame_dataset(mini_cfg, [slice_recovery_suffix(e) for e in recovery_episodes[:2]], w)
     a = init_policy(mini_cfg, seed=5)
     b = init_policy(mini_cfg, seed=5)
-    train_bc(a, expert_ds, rec_ds, mini_cfg, seed=7, steps=40, lam=0.0)
-    train_bc(b, expert_ds, None, mini_cfg, seed=7, steps=40)
+    train_bc(a, expert_ds, rec_ds, mini_cfg.with_overrides(bc_steps=40, lambda_recovery=0.0), seed=7)
+    train_bc(b, expert_ds, None, mini_cfg.with_overrides(bc_steps=40), seed=7)
     for k in a.params:
         assert np.array_equal(a.params[k], b.params[k])
 
@@ -131,7 +131,7 @@ def test_dataset_swap_symmetry(cfg, tiny_policy, expert_episodes, recovery_episo
 
     def term(ds, idx):
         loss, _ = loss_and_grads(
-            tiny_policy, ds.hist[idx], ds.obs[idx], ds.instr[idx], np.ones(len(idx)), ds.actions[idx]
+            tiny_policy, cfg, ds.hist[idx], ds.obs[idx], ds.instr[idx], np.ones(len(idx)), ds.actions[idx]
         )
         return loss
 
@@ -145,7 +145,7 @@ def test_training_determinism(mini_cfg, expert_episodes):
     for _ in range(2):
         policy = init_policy(mini_cfg, seed=2)
         ds = build_frame_dataset(mini_cfg, expert_episodes[:4], policy.history_w)
-        train_bc(policy, ds, None, mini_cfg, seed=11, steps=60)
+        train_bc(policy, ds, None, mini_cfg.with_overrides(bc_steps=60), seed=11)
         results.append(pack(policy.params))
     assert np.array_equal(results[0], results[1])
 
@@ -168,11 +168,11 @@ def test_vcr_constant_value_matches_bc_loss(cfg, tiny_policy, expert_episodes):
     ds_plain = build_frame_dataset(cfg, expert_episodes[:2], w)
     idx = np.arange(24)
     loss_a, _ = loss_and_grads(
-        tiny_policy, ds_labeled.hist[idx], ds_labeled.obs[idx], ds_labeled.instr[idx],
+        tiny_policy, cfg, ds_labeled.hist[idx], ds_labeled.obs[idx], ds_labeled.instr[idx],
         ds_labeled.values[idx], ds_labeled.actions[idx],
     )
     loss_b, _ = loss_and_grads(
-        tiny_policy, ds_plain.hist[idx], ds_plain.obs[idx], ds_plain.instr[idx],
+        tiny_policy, cfg, ds_plain.hist[idx], ds_plain.obs[idx], ds_plain.instr[idx],
         np.ones(len(idx)), ds_plain.actions[idx],
     )
     assert loss_a == pytest.approx(loss_b, rel=1e-12)

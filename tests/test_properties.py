@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from recoverylab.config import Config
-from recoverylab.labeling import LabelConfig, label_failure
+from recoverylab.labeling import label_failure
 from recoverylab.policy import action_from_vector
 from recoverylab.store import (
     Episode,
@@ -102,7 +102,7 @@ def test_store_round_trip_is_identity_at_nine_figures(episode):
 def test_failure_labels_in_unit_interval_with_exact_endpoints(horizon, progress, alpha):
     episode = make_episode([N] + [E] * horizon, kind=EpisodeKind.PURE_FAILURE, t_rec=None,
                            outcome=Outcome.FAILURE)
-    v = label_failure(episode, progress, LabelConfig(alpha=alpha)).frames.v
+    v = label_failure(episode, progress, CFG.with_overrides(alpha=alpha)).frames.v
     assert np.all((0.0 <= v) & (v <= 1.0))
     assert v[0] == progress and v[-1] == 0.0
 

@@ -144,7 +144,7 @@ def test_alignment_gradient_matches_finite_differences(cfg, expert_episodes, rng
 def test_train_zero_steps_is_identity(cfg, expert_episodes):
     model = init_progress_model(cfg, seed=0)
     before = model.snapshot()
-    losses = train_alignment(model, expert_episodes[:5], cfg, seed=0, steps=0)
+    losses = train_alignment(model, expert_episodes[:5], cfg.with_overrides(align_steps=0), seed=0)
     assert losses == []
     for k in before:
         assert np.array_equal(before[k], model.params[k])
@@ -152,7 +152,7 @@ def test_train_zero_steps_is_identity(cfg, expert_episodes):
 
 def test_train_reduces_loss(mini_cfg, expert_episodes):
     model = init_progress_model(mini_cfg, seed=0)
-    losses = train_alignment(model, expert_episodes[:10], mini_cfg, seed=2, steps=400)
+    losses = train_alignment(model, expert_episodes[:10], mini_cfg.with_overrides(align_steps=400), seed=2)
     assert np.mean(losses[-20:]) < losses[0]
 
 
