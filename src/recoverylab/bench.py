@@ -36,14 +36,14 @@ from .policy import (
     LearnedActor,
     Policy,
     action_from_vector,
+    build_frame_dataset,
     init_policy,
     train_bc,
     train_value_conditioned,
 )
 from .store import Episode, slice_recovery_suffix
-from .value import build_reference_cluster, init_progress_model, train_alignment
+from .value import ProgressModel, ReferenceCluster, build_reference_cluster, init_progress_model, train_alignment
 from .world import EnvMode, WorldState, success_check
-from . import policy as policy_mod
 
 
 @dataclass(frozen=True)
@@ -294,6 +294,39 @@ class TrainedVariants:
     training_seeds: frozenset[int] = frozenset()
 
 
+def _imitation(cfg: Config, expert_ds: FrameDataset, rec_ds: FrameDataset | None, seed: int) -> Policy:
+    policy = init_policy(cfg, seed=seed)
+    train_bc(policy, expert_ds, rec_ds, cfg, seed=seed)
+    return policy
+
+
+def _recovery_dataset(cfg: Config, recovery_episodes: list[Episode], history_reset: bool) -> FrameDataset | None:
+    """Phase one's recovery rows: reset slices, or the raw episodes for the
+    ablation; None without recovery episodes."""
+    if not recovery_episodes:
+        return None
+    if history_reset:
+        recovery_episodes = [slice_recovery_suffix(e) for e in recovery_episodes]
+    return build_frame_dataset(cfg, recovery_episodes, int(cfg.history_window))
+
+
+def _progress(cfg: Config, expert_episodes: list[Episode], seed: int) -> tuple[ProgressModel, ReferenceCluster]:
+    model = init_progress_model(cfg, seed=seed)
+    train_alignment(model, expert_episodes, cfg, seed=seed + 1)
+    return model, build_reference_cluster(model, expert_episodes)
+
+
+def _refine(cfg: Config, phase1: Policy, progress: tuple[ProgressModel, ReferenceCluster],
+            episodes: list[Episode], seed: int) -> Policy:
+    """A refined copy of ``phase1``, trained on ``episodes`` labeled with
+    ``progress`` and ``cfg.alpha``."""
+    labeled = [label_episode(e, *progress, cfg) for e in episodes]
+    full = phase1.clone()
+    ds = build_frame_dataset(cfg, labeled, int(cfg.history_window), require_labels=True)
+    train_value_conditioned(full, ds, cfg, seed=seed)
+    return full
+
+
 def train_variants(
     cfg: Config,
     expert_episodes: list[Episode],
@@ -308,48 +341,23 @@ def train_variants(
     ``history_reset=False`` is the ablation: phase one trains on the raw
     (unsliced) recovery episodes instead of reset slices.
     """
-    out = TrainedVariants(t_max=max_nominal_duration(expert_episodes))
-    w = int(cfg.history_window)
-    expert_ds = policy_mod.build_frame_dataset(cfg, expert_episodes, w)
-
-    rec_ds: FrameDataset | None = None
-    if recovery_episodes:
-        phase1_recovery = recovery_episodes
-        if history_reset:
-            phase1_recovery = [slice_recovery_suffix(e) for e in recovery_episodes]
-        rec_ds = policy_mod.build_frame_dataset(cfg, phase1_recovery, w)
-
-    seeds = {e.seed for e in expert_episodes + recovery_episodes + failure_episodes}
-    out.training_seeds = frozenset(seeds)
+    episodes = expert_episodes + recovery_episodes + failure_episodes
+    seeds = sorted({e.seed for e in episodes})
+    out = TrainedVariants(t_max=max_nominal_duration(expert_episodes), training_seeds=frozenset(seeds))
+    suffix = "" if history_reset else "-noreset"
+    expert_ds = build_frame_dataset(cfg, expert_episodes, int(cfg.history_window))
 
     if "sft" in which:
-        out.sft = init_policy(cfg, seed=seed)
-        train_bc(out.sft, expert_ds, None, cfg, seed=seed)
-        out.sft.provenance["training_seeds"] = sorted(seeds)
-        out.sft.provenance["variant"] = "sft"
-
-    phase1 = None
+        out.sft = _imitation(cfg, expert_ds, None, seed)
+        out.sft.provenance.update(training_seeds=seeds, variant="sft")
     if "phase1" in which or "full" in which:
-        phase1 = init_policy(cfg, seed=seed)
-        train_bc(phase1, expert_ds, rec_ds, cfg, seed=seed)
-        phase1.provenance["training_seeds"] = sorted(seeds)
-        phase1.provenance["variant"] = "phase1" + ("" if history_reset else "-noreset")
-    if "phase1" in which:
-        out.phase1 = phase1
-
-    if "full" in which:
-        model = init_progress_model(cfg, seed=seed)
-        train_alignment(model, expert_episodes, cfg, seed=seed + 1)
-        cluster = build_reference_cluster(model, expert_episodes)
-        labeled = [
-            label_episode(e, model, cluster, cfg)
-            for e in expert_episodes + recovery_episodes + failure_episodes
-        ]
-        full = phase1.clone()
-        vcr_ds = policy_mod.build_frame_dataset(cfg, labeled, w, require_labels=True)
-        train_value_conditioned(full, vcr_ds, cfg, seed=seed)
-        full.provenance["variant"] = "full" + ("" if history_reset else "-noreset")
-        out.full = full
+        phase1 = _imitation(cfg, expert_ds, _recovery_dataset(cfg, recovery_episodes, history_reset), seed)
+        phase1.provenance.update(training_seeds=seeds, variant="phase1" + suffix)
+        if "phase1" in which:
+            out.phase1 = phase1
+        if "full" in which:
+            out.full = _refine(cfg, phase1, _progress(cfg, expert_episodes, seed), episodes, seed)
+            out.full.provenance["variant"] = "full" + suffix
     return out
 
 
@@ -375,25 +383,28 @@ def run_scaling(
     train_seed: int = 0,
 ) -> dict:
     """Recovery-data scaling: train the refined policy per tier, evaluate both
-    conditions, and emit rows for {SFT baseline, Phase I, tier variants}."""
+    conditions, and emit rows for {SFT baseline, Phase I, tier variants}.
+
+    Each distinct model trains once: the progress model is shared by every
+    tier, and the Phase I row is the smallest tier's phase-one policy."""
     rows: list[dict] = []
     tiers = sorted(recovery_tiers.items(), key=lambda kv: len(kv[1]))
-    base = train_variants(
-        cfg, expert_episodes, tiers[0][1], failure_episodes,
-        seed=train_seed, which=("sft", "phase1"),
-    )
-    cells: dict[str, Policy] = {"baseline-sft": base.sft, "phase-1": base.phase1}
+    t_max = max_nominal_duration(expert_episodes)
+    expert_ds = build_frame_dataset(cfg, expert_episodes, int(cfg.history_window))
+    progress = _progress(cfg, expert_episodes, train_seed)
+    cells: dict[str, Policy] = {"baseline-sft": _imitation(cfg, expert_ds, None, train_seed)}
     for tier_name, tier_eps in tiers:
-        variant = train_variants(
-            cfg, expert_episodes, tier_eps, failure_episodes, seed=train_seed, which=("full",),
+        phase1 = _imitation(cfg, expert_ds, _recovery_dataset(cfg, tier_eps, True), train_seed)
+        cells.setdefault("phase-1", phase1)
+        cells[f"full-{tier_name}"] = _refine(
+            cfg, phase1, progress, expert_episodes + tier_eps + failure_episodes, train_seed,
         )
-        cells[f"full-{tier_name}"] = variant.full
-    training_seeds = set(base.training_seeds) | {
+    training_seeds = {e.seed for e in expert_episodes + failure_episodes} | {
         e.seed for eps in recovery_tiers.values() for e in eps
     }
     for name, pol in cells.items():
-        std = _eval_cell(cfg, pol, task_id, None, eval_seeds, base.t_max, training_seeds)
-        adv = _eval_cell(cfg, pol, task_id, error, eval_seeds, base.t_max, training_seeds)
+        std = _eval_cell(cfg, pol, task_id, None, eval_seeds, t_max, training_seeds)
+        adv = _eval_cell(cfg, pol, task_id, error, eval_seeds, t_max, training_seeds)
         rows.append({
             "variant": name,
             "standard_success": f"{std.success_rate:.6f}",
@@ -402,7 +413,7 @@ def run_scaling(
             "verified": adv.n_verified,
             "trials": adv.n_trials,
         })
-    return {"rows": rows, "t_max": base.t_max}
+    return {"rows": rows, "t_max": t_max}
 
 
 def run_ablations(
@@ -448,12 +459,15 @@ def run_ablations(
                 "verified": adv.n_verified,
             })
     elif which == "alpha":
+        # Only the labels depend on alpha: phase one and the progress model train once.
+        episodes = expert_episodes + recovery_episodes + failure_episodes
+        t_max = max_nominal_duration(expert_episodes)
+        expert_ds = build_frame_dataset(cfg, expert_episodes, int(cfg.history_window))
+        phase1 = _imitation(cfg, expert_ds, _recovery_dataset(cfg, recovery_episodes, True), train_seed)
+        progress = _progress(cfg, expert_episodes, train_seed)
         for alpha in (1.0, 3.0, 10.0):
-            var = train_variants(
-                cfg.with_overrides(alpha=alpha), expert_episodes, recovery_episodes, failure_episodes,
-                seed=train_seed, which=("full",),
-            )
-            adv = _eval_cell(cfg, var.full, task_id, error, eval_seeds, var.t_max, set(var.training_seeds))
+            full = _refine(cfg.with_overrides(alpha=alpha), phase1, progress, episodes, train_seed)
+            adv = _eval_cell(cfg, full, task_id, error, eval_seeds, t_max, {e.seed for e in episodes})
             rows.append({
                 "variant": f"alpha={alpha:g}",
                 "adversarial_success": f"{adv.success_rate:.6f}",

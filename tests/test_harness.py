@@ -287,6 +287,32 @@ def test_run_ablations_history_reset_and_alpha_rows(nano_cfg, expert_episodes, r
     assert [row["variant"] for row in alpha_rows] == ["alpha=1", "alpha=3", "alpha=10"]
 
 
+def test_suites_train_each_distinct_model_once(nano_cfg, expert_episodes, recovery_episodes, failure_episodes,
+                                              monkeypatch):
+    cfg = nano_cfg.with_overrides(bc_steps=2, refine_steps=2, align_steps=2)
+    calls = {}
+
+    def counted(name):
+        real = getattr(bench, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(bench, name, wrapper)
+
+    names = ("train_bc", "train_alignment", "train_value_conditioned")
+    for name in names:
+        counted(name)
+    error = error_from_config(cfg, ErrorKind.E2_GRASP_SLIP)
+    tiers = {"1x": recovery_episodes[:1], "2x": recovery_episodes[:2], "4x": recovery_episodes[:4]}
+    bench.run_scaling(cfg, "pick-place", error, expert_episodes[:4], tiers, failure_episodes[:2],
+                      eval_seeds=[740000])
+    assert [calls.pop(name) for name in names] == [4, 1, 3]
+    bench.run_ablations(cfg, "alpha", "pick-place", error, expert_episodes[:4], recovery_episodes[:2],
+                        failure_episodes[:2], eval_seeds=[750000])
+    assert [calls.pop(name) for name in names] == [1, 1, 3]
+
+
 @pytest.fixture()
 def vcr_inputs(cfg, tmp_path, expert_episodes):
     """A labeled dataset and a window-5 checkpoint for ``train-vcr --init``."""
