@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import bench, datagen, labeling, policy as policy_mod, store, value as value_mod
 from .config import DEFAULTS, Config, load_config
-from .errors import RecoveryLabError
+from .errors import ConfigError, RecoveryLabError
 from .faults import ErrorKind, error_from_config, max_nominal_duration
 from .store import EpisodeKind, Outcome, read_dataset
 from .world import EnvMode
@@ -148,6 +148,8 @@ def cmd_train_vcr(args) -> int:
     cfg = _config(args)
     labeled = _load_episodes(_dirs(args.data))
     pol = policy_mod.load_policy(args.init) if args.init else policy_mod.init_policy(cfg, seed=args.seed)
+    if pol.history_w != int(cfg.history_window):
+        raise ConfigError(f"history_window is {cfg.history_window}, the --init checkpoint's is {pol.history_w}")
     ds = policy_mod.build_frame_dataset(cfg, labeled, pol.history_w, require_labels=True)
     losses = policy_mod.train_value_conditioned(pol, ds, cfg, seed=args.seed)
     prior = set(pol.provenance.get("training_seeds", []))
@@ -310,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-vcr", help="value-conditioned refinement on a labeled dataset")
     _add_common(p)
     p.add_argument("--data", required=True)
-    p.add_argument("--init", default=None, help="phase-one checkpoint to fine-tune")
+    p.add_argument("--init", default=None, help="phase-one checkpoint to fine-tune; its window must be history_window")
     p.add_argument("--sigma", type=float, default=None)
     p.add_argument("--steps", dest="refine_steps", type=int, default=None)
     p.add_argument("--lr", dest="policy_lr", type=float, default=None)

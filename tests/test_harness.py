@@ -332,3 +332,8 @@ def test_train_vcr_init_takes_sigma(vcr_inputs, capsys):
     # The likelihood scales as 1 / sigma^2: doubling sigma quarters the loss.
     assert losses[1] == pytest.approx(0.25 * losses[0], rel=1e-9)
 
+
+def test_train_vcr_init_rejects_another_window(vcr_inputs, capsys):
+    assert cli_main(vcr_inputs + ["--history-w", "3"]) == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "ConfigError"
