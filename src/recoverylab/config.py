@@ -2,13 +2,13 @@
 
 All tunable constants live in one flat namespace so every experiment can be
 reproduced from a config snapshot; training and labeling functions read their
-settings from the Config they are given and take no copies of them.  Values can be overridden from a plain
-``key = value`` text file (``#`` starts a comment); unknown keys are rejected,
-and so are values of the wrong type: integer keys take integers, float keys
-take any real number.  Physical scales, divisors, the decay exponent and
-batch sizes (POSITIVE)
-must be greater than zero; step counts may be zero.  The documented keys and
-their defaults are the DEFAULTS table below.
+settings from the Config they are given and take no copies of them.  Values
+can be overridden from a plain ``key = value`` text file (``#`` starts a
+comment); unknown keys are rejected, and so are values of the wrong type:
+integer keys take integers, float keys take any real number.  Physical
+scales, divisors, the decay exponent and batch sizes (POSITIVE) must be
+greater than zero; step counts may be zero.  The documented keys and their
+defaults are the DEFAULTS table below.
 """
 
 from __future__ import annotations
