@@ -7,10 +7,12 @@ refactors of the episode loops and the dataset builder.  Each case names the fin
 Branches that default geometry never reaches in a given loop are forced with
 a config override (or, for a failing recovery planner, a patched planner)
 and say so.  The learned actor is an untrained ``init_policy(cfg, seed=9)``,
-so no digest depends on training or BLAS summation order.
+so no digest depends on training or BLAS summation order.  The checkpoint
+digests pin the bytes ``save_policy`` and ``save_progress_model`` write.
 """
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 
@@ -18,8 +20,9 @@ from recoverylab import bench, datagen, faults
 from recoverylab.errors import UnrecoverableState
 from recoverylab.faults import ErrorKind, error_from_config, run_interception, run_nominal
 from recoverylab.labeling import label_failure, label_recovery, label_success
-from recoverylab.policy import build_frame_dataset, init_policy
+from recoverylab.policy import build_frame_dataset, fit_normalizer, init_policy, load_policy, save_policy
 from recoverylab.store import EpisodeKind, Outcome, slice_recovery_suffix, write_episode
+from recoverylab.value import ReferenceCluster, init_progress_model, save_progress_model
 from recoverylab.world import EnvMode
 
 TASKS = ("pick-place", "stack-two", "bimanual-handover")
@@ -553,3 +556,32 @@ def test_frame_dataset_golden(cfg):
         for name, ds in sets.items():
             got.update({f"{task}/{name}/{a}": _array_digest(getattr(ds, a)) for a in DATASET_ARRAYS})
     _assert_golden(got, DATASET_GOLDEN)
+
+
+# Checkpoint files: untrained models with hand-set normalizer, cluster and
+# provenance, so no digest depends on training or matrix products.
+CHECKPOINT_GOLDEN = {
+    "policy.json":
+        "625c451e11f57be8505353474bf551192f799c2e453374b81c4486f43d2c430c",
+    "pp_full.json":
+        "843f0022e57e46d45077ae6ffa8068247e33e64fae27ac58f4edec5766f45886",
+    "value.json":
+        "b2dc324539c2759fd4b58233afeedb259b24dbd67e9c4985a9bfafd51f8d7151",
+}
+
+
+def test_checkpoint_golden(cfg, tmp_path):
+    noise = float(cfg.expert_action_noise)
+    expert = [run_nominal(cfg, "pick-place", EnvMode.RANDOM, s, action_noise=noise) for s in range(3)]
+    policy = init_policy(cfg, seed=9)
+    fit_normalizer(policy, build_frame_dataset(cfg, expert, int(cfg.history_window)))
+    policy.provenance.update(phase="imitation", training_seeds=[0, 1, 2])
+    committed = Path(__file__).parents[1] / "perfbench" / "checkpoint" / "pp_full.json"
+    cluster = ReferenceCluster(members={0: np.arange(64.0).reshape(2, 32) / 64.0, 2: np.full((1, 32), 0.125)})
+    got = {
+        "policy.json": _sha(save_policy(policy, tmp_path / "policy.json")),
+        "pp_full.json": _sha(save_policy(load_policy(committed), tmp_path / "pp_full.json")),
+        "value.json": _sha(save_progress_model(init_progress_model(cfg, seed=0), tmp_path / "value.json",
+                                               cluster=cluster, provenance={"episodes": 2, "seed": 0})),
+    }
+    _assert_golden(got, CHECKPOINT_GOLDEN)
