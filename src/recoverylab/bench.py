@@ -307,7 +307,7 @@ def _recovery_dataset(cfg: Config, recovery_episodes: list[Episode], history_res
         return None
     if history_reset:
         recovery_episodes = [slice_recovery_suffix(e) for e in recovery_episodes]
-    return build_frame_dataset(cfg, recovery_episodes, int(cfg.history_window))
+    return build_frame_dataset(cfg, recovery_episodes)
 
 
 def _progress(cfg: Config, expert_episodes: list[Episode], seed: int) -> tuple[ProgressModel, ReferenceCluster]:
@@ -322,7 +322,7 @@ def _refine(cfg: Config, phase1: Policy, progress: tuple[ProgressModel, Referenc
     ``progress`` and ``cfg.alpha``."""
     labeled = [label_episode(e, *progress, cfg) for e in episodes]
     full = phase1.clone()
-    ds = build_frame_dataset(cfg, labeled, int(cfg.history_window), require_labels=True)
+    ds = build_frame_dataset(cfg, labeled, require_labels=True)
     train_value_conditioned(full, ds, cfg, seed=seed)
     return full
 
@@ -345,7 +345,7 @@ def train_variants(
     seeds = sorted({e.seed for e in episodes})
     out = TrainedVariants(t_max=max_nominal_duration(expert_episodes), training_seeds=frozenset(seeds))
     suffix = "" if history_reset else "-noreset"
-    expert_ds = build_frame_dataset(cfg, expert_episodes, int(cfg.history_window))
+    expert_ds = build_frame_dataset(cfg, expert_episodes)
 
     if "sft" in which:
         out.sft = _imitation(cfg, expert_ds, None, seed)
@@ -390,7 +390,7 @@ def run_scaling(
     rows: list[dict] = []
     tiers = sorted(recovery_tiers.items(), key=lambda kv: len(kv[1]))
     t_max = max_nominal_duration(expert_episodes)
-    expert_ds = build_frame_dataset(cfg, expert_episodes, int(cfg.history_window))
+    expert_ds = build_frame_dataset(cfg, expert_episodes)
     progress = _progress(cfg, expert_episodes, train_seed)
     cells: dict[str, Policy] = {"baseline-sft": _imitation(cfg, expert_ds, None, train_seed)}
     for tier_name, tier_eps in tiers:
@@ -462,7 +462,7 @@ def run_ablations(
         # Only the labels depend on alpha: phase one and the progress model train once.
         episodes = expert_episodes + recovery_episodes + failure_episodes
         t_max = max_nominal_duration(expert_episodes)
-        expert_ds = build_frame_dataset(cfg, expert_episodes, int(cfg.history_window))
+        expert_ds = build_frame_dataset(cfg, expert_episodes)
         phase1 = _imitation(cfg, expert_ds, _recovery_dataset(cfg, recovery_episodes, True), train_seed)
         progress = _progress(cfg, expert_episodes, train_seed)
         for alpha in (1.0, 3.0, 10.0):

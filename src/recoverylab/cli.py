@@ -123,7 +123,7 @@ def cmd_train_rai(args) -> int:
     cfg = _config(args)
     expert = _load_episodes(_dirs(args.expert))
     pol = policy_mod.init_policy(cfg, seed=args.seed)
-    expert_ds = policy_mod.build_frame_dataset(cfg, expert, pol.history_w)
+    expert_ds = policy_mod.build_frame_dataset(cfg, expert)
     rec_ds = None
     if args.recovery:
         recovery = [
@@ -132,7 +132,7 @@ def cmd_train_rai(args) -> int:
         ]
         if not args.no_history_reset:
             recovery = [store.slice_recovery_suffix(e) for e in recovery]
-        rec_ds = policy_mod.build_frame_dataset(cfg, recovery, pol.history_w)
+        rec_ds = policy_mod.build_frame_dataset(cfg, recovery)
     losses = policy_mod.train_bc(pol, expert_ds, rec_ds, cfg, seed=args.seed)
     seeds = expert_ds.seeds if rec_ds is None else expert_ds.seeds | rec_ds.seeds
     pol.provenance["training_seeds"] = sorted(seeds)
@@ -150,7 +150,7 @@ def cmd_train_vcr(args) -> int:
     pol = policy_mod.load_policy(args.init) if args.init else policy_mod.init_policy(cfg, seed=args.seed)
     if pol.history_w != int(cfg.history_window):
         raise ConfigError(f"history_window is {cfg.history_window}, the --init checkpoint's is {pol.history_w}")
-    ds = policy_mod.build_frame_dataset(cfg, labeled, pol.history_w, require_labels=True)
+    ds = policy_mod.build_frame_dataset(cfg, labeled, require_labels=True)
     losses = policy_mod.train_value_conditioned(pol, ds, cfg, seed=args.seed)
     prior = set(pol.provenance.get("training_seeds", []))
     pol.provenance["training_seeds"] = sorted(prior | set(ds.seeds))

@@ -19,17 +19,16 @@ v = 1.0 and reads the training-time windows from a rolling buffer.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .config import Config
-from .errors import InputError, StorageError, TrainingError, ValidationError
+from .errors import InputError, TrainingError, ValidationError
 from .faults import UNTRIGGERED, Actor, ErrorType, InjectionSchedule, run_episode
 from .nets import Adam, Params, init_linear, init_mlp, mlp_backward, mlp_forward
-from .store import Episode, history_rows, history_windows, write_atomic
+from .store import Episode, checkpoint_array, history_rows, history_windows, load_checkpoint, save_checkpoint
 from .world import (
     ACTION_DIM,
     GRIP_DIMS,
@@ -43,7 +42,6 @@ from .world import (
 
 # Pose dims of the action vector and the proprio dims they anchor to.
 POSE_DIMS = (0, 1, 2, 4, 5, 6)
-CHECKPOINT_SCHEMA = 1
 
 
 def action_from_vector(cfg: Config, vec: np.ndarray) -> tuple[float, ...]:
@@ -63,38 +61,24 @@ def action_from_vector(cfg: Config, vec: np.ndarray) -> tuple[float, ...]:
 
 @dataclass
 class Policy:
-    """Network parameters plus the shape/config metadata they assume.
+    """Network parameters plus the history window they read.
 
-    Observations are standardized with per-dim stats fitted on the first
-    training set the policy sees; the stats ride along in the checkpoint so
-    deployment uses the exact training-time scaling.
+    Every other dimension is a weight shape.  Observations are standardized
+    with per-dim stats fitted on the first training set the policy sees; the
+    stats ride along in the checkpoint so deployment uses the exact
+    training-time scaling.
     """
 
     params: Params
     history_w: int
-    obs_dim: int
-    n_instructions: int
-    value_token_dim: int
-    instr_embed_dim: int
-    hidden_dim: int
-    obs_mean: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    obs_std: np.ndarray = field(default_factory=lambda: np.ones(0))
+    obs_mean: np.ndarray
+    obs_std: np.ndarray
     provenance: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.obs_mean.size == 0:
-            self.obs_mean = np.zeros(self.obs_dim)
-        if self.obs_std.size == 0:
-            self.obs_std = np.ones(self.obs_dim)
 
     def clone(self) -> "Policy":
         return Policy(
-            params={k: v.copy() for k, v in self.params.items()},
-            history_w=self.history_w, obs_dim=self.obs_dim,
-            n_instructions=self.n_instructions, value_token_dim=self.value_token_dim,
-            instr_embed_dim=self.instr_embed_dim, hidden_dim=self.hidden_dim,
-            obs_mean=self.obs_mean.copy(), obs_std=self.obs_std.copy(),
-            provenance=dict(self.provenance),
+            params={k: v.copy() for k, v in self.params.items()}, history_w=self.history_w,
+            obs_mean=self.obs_mean.copy(), obs_std=self.obs_std.copy(), provenance=dict(self.provenance),
         )
 
 
@@ -123,10 +107,7 @@ def init_policy(cfg: Config, seed: int = 0) -> Policy:
     params["instr"] = rng.normal(0.0, 0.5, size=(n_instr, edim))
     trunk_in = w * OBS_DIM + OBS_DIM + edim + vdim
     params.update(init_mlp(rng, "trunk", trunk_in, hidden, ACTION_DIM))
-    return Policy(
-        params=params, history_w=w, obs_dim=OBS_DIM, n_instructions=n_instr,
-        value_token_dim=vdim, instr_embed_dim=edim, hidden_dim=hidden,
-    )
+    return Policy(params=params, history_w=w, obs_mean=np.zeros(OBS_DIM), obs_std=np.ones(OBS_DIM))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -139,7 +120,7 @@ def _forward_batch(policy: Policy, hist: np.ndarray, obs: np.ndarray, instr: np.
     batch = obs.shape[0]
     mean, std = policy.obs_mean, policy.obs_std
     obs_n = (obs - mean) / std
-    hist_rows = hist.reshape(batch, policy.history_w, policy.obs_dim)
+    hist_rows = hist.reshape(batch, policy.history_w, OBS_DIM)
     # Padding rows are all-zero by construction; keep them zero after
     # normalization so padding stays a neutral input, not a -mean/std outlier.
     pad = np.all(hist_rows == 0.0, axis=2, keepdims=True)
@@ -158,10 +139,10 @@ def forward(policy: Policy, cfg: Config, obs: np.ndarray, history: np.ndarray, i
     """Deterministic mean action row for one observation vector; grips squashed to [0, 1]."""
     if not (0.0 <= v <= 1.0):
         raise InputError(f"v must lie in [0, 1], got {v}")
-    if history.shape != (policy.history_w, policy.obs_dim) or obs.shape != (policy.obs_dim,):
+    if history.shape != (policy.history_w, OBS_DIM) or obs.shape != (OBS_DIM,):
         raise InputError(
             f"dimension mismatch: history {history.shape}, obs {obs.shape}, "
-            f"expected ({policy.history_w}, {policy.obs_dim})"
+            f"expected ({policy.history_w}, {OBS_DIM})"
         )
     mu, _ = _forward_batch(
         policy,
@@ -198,9 +179,9 @@ def loss_and_grads(
     grads: Params = {}
     dx = mlp_backward(p, "trunk", trunk_cache, dout, grads)
 
-    w = policy.history_w * policy.obs_dim
-    o = policy.obs_dim
-    e = policy.instr_embed_dim
+    w = policy.history_w * OBS_DIM
+    o = OBS_DIM
+    e = p["instr"].shape[1]
     d_instr = dx[:, w + o: w + o + e]
     d_eval = dx[:, w + o + e:]
 
@@ -258,12 +239,12 @@ def local_waypoint(cfg: Config, obs_vec: np.ndarray, action_vec: np.ndarray) -> 
     return wp
 
 
-def build_frame_dataset(
-    cfg: Config, episodes: list[Episode], w: int, require_labels: bool = False
-) -> FrameDataset:
-    """Training rows of every frame of every episode; unlabeled frames get v = 1.0."""
+def build_frame_dataset(cfg: Config, episodes: list[Episode], require_labels: bool = False) -> FrameDataset:
+    """Training rows of every frame of every episode, with ``cfg.history_window``
+    rows of history; unlabeled frames get v = 1.0."""
     if not episodes:
         raise TrainingError("cannot build a dataset from zero episodes")
+    w = int(cfg.history_window)
     hists, obs_rows, instr_rows, act_rows, val_rows, boundary = [], [], [], [], [], []
     row = 0
     for ep in episodes:
@@ -409,7 +390,7 @@ class LearnedActor(Actor):
         self._instruction = get_task(cfg, task_id).instruction_id
         # run_episode acts at most episode_max_steps times per begin.
         n, w = int(cfg.episode_max_steps), self.policy.history_w
-        self._buffer = np.zeros((w + n, self.policy.obs_dim))
+        self._buffer = np.zeros((w + n, OBS_DIM))
         self._rows = history_rows(n, w)
         self._t = 0
 
@@ -451,66 +432,30 @@ def rollout(
 # checkpointing
 
 
+# Checkpoint metadata that names a Config key, by the Config key it names.
+_CONFIG_KEYS = {"history_w": "history_window", "value_token_dim": "value_token_dim",
+                "instr_embed_dim": "instr_embed_dim", "hidden_dim": "policy_hidden"}
+
+
+def _dims(policy: Policy) -> dict[str, int]:
+    """The history window and the dimensions the weight shapes fix."""
+    p = policy.params
+    return {"history_w": policy.history_w, "obs_dim": OBS_DIM, "n_instructions": p["instr"].shape[0],
+            "instr_embed_dim": p["instr"].shape[1], "value_token_dim": p["val_w"].shape[1],
+            "hidden_dim": p["trunk_w1"].shape[1]}
+
+
 def save_policy(policy: Policy, path: str | Path) -> Path:
-    path = Path(path)
-    payload = {
-        "schema_version": CHECKPOINT_SCHEMA,
-        "kind": "policy",
-        "history_w": policy.history_w,
-        "obs_dim": policy.obs_dim,
-        "n_instructions": policy.n_instructions,
-        "value_token_dim": policy.value_token_dim,
-        "instr_embed_dim": policy.instr_embed_dim,
-        "hidden_dim": policy.hidden_dim,
-        "obs_mean": policy.obs_mean.tolist(),
-        "obs_std": policy.obs_std.tolist(),
-        "params": {k: v.tolist() for k, v in sorted(policy.params.items())},
-        "provenance": policy.provenance,
-    }
-    write_atomic(path, json.dumps(payload, sort_keys=True))
-    return path
-
-
-def _param_shapes(policy: Policy) -> dict[str, tuple[int, ...]]:
-    """Parameter shapes that ``init_policy`` gives a policy with this metadata."""
-    v, e, h = policy.value_token_dim, policy.instr_embed_dim, policy.hidden_dim
-    trunk_in = policy.history_w * policy.obs_dim + policy.obs_dim + e + v
-    return {
-        "val_w": (1, v), "val_b": (v,), "instr": (policy.n_instructions, e),
-        "trunk_w1": (trunk_in, h), "trunk_b1": (h,), "trunk_w2": (h, ACTION_DIM), "trunk_b2": (ACTION_DIM,),
-    }
+    return save_checkpoint(path, "policy", policy.params, **_dims(policy), obs_mean=policy.obs_mean.tolist(),
+                           obs_std=policy.obs_std.tolist(), provenance=policy.provenance)
 
 
 def load_policy(path: str | Path) -> Policy:
-    """Load a checkpoint whose parameter shapes and normalizer lengths match
-    its metadata; raises StorageError otherwise.  Keys the policy no longer
+    """Load a ``save_policy`` checkpoint (see ``store.load_checkpoint``) whose
+    normalizer has one entry per observation dim.  Keys the policy no longer
     has, such as the ``sigma`` of older files, are ignored."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise StorageError(f"cannot load policy from {path}: {exc}") from exc
-    if payload.get("schema_version") != CHECKPOINT_SCHEMA or payload.get("kind") != "policy":
-        raise StorageError(f"{path}: not a supported policy checkpoint")
-    try:
-        for key in ("obs_mean", "obs_std"):
-            if len(payload[key]) != payload["obs_dim"]:
-                raise StorageError(f"{path}: {key} has {len(payload[key])} entries, obs_dim is {payload['obs_dim']}")
-        policy = Policy(
-            params={k: np.asarray(v, dtype=np.float64) for k, v in payload["params"].items()},
-            history_w=payload["history_w"],
-            obs_dim=payload["obs_dim"],
-            n_instructions=payload["n_instructions"],
-            value_token_dim=payload["value_token_dim"],
-            instr_embed_dim=payload["instr_embed_dim"],
-            hidden_dim=payload["hidden_dim"],
-            obs_mean=np.asarray(payload["obs_mean"], dtype=np.float64),
-            obs_std=np.asarray(payload["obs_std"], dtype=np.float64),
-            provenance=payload.get("provenance", {}),
-        )
-    except KeyError as exc:
-        raise StorageError(f"{path}: missing key {exc}") from exc
-    shapes = {k: v.shape for k, v in policy.params.items()}
-    if shapes != _param_shapes(policy):
-        raise StorageError(f"{path}: parameter shapes {shapes} do not match the checkpoint metadata")
+    policy, payload = load_checkpoint(path, "policy", Config(), _CONFIG_KEYS, init_policy, _dims)
+    policy.obs_mean = checkpoint_array(path, "obs_mean", payload.get("obs_mean"), (OBS_DIM,))
+    policy.obs_std = checkpoint_array(path, "obs_std", payload.get("obs_std"), (OBS_DIM,))
+    policy.provenance = payload.get("provenance", {})
     return policy

@@ -1,4 +1,5 @@
-"""Episode data model, on-disk format, suffix slicing, and history windows.
+"""Episode data model, on-disk format, suffix slicing, history windows, and
+the one checkpoint envelope both models are saved in.
 
 One JSON file per episode plus a manifest per dataset directory.  Floats are
 serialized at 9 significant digits, which round-trips 32-bit precision and
@@ -19,13 +20,16 @@ from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .errors import StorageError, ValidationError
+from .config import Config
+from .errors import ConfigError, StorageError, ValidationError
 from .world import ACTION_DIM, ARM_NAMES, GRIP_DIMS, OBS_DIM, PROPRIO_DIM, THETA_DIMS, EnvMode
 
 SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA = 1
 MANIFEST_NAME = "manifest.json"
 FLOAT_SIGFIGS = 9
 # On-disk keys of each arm's half of an action row.
@@ -273,6 +277,68 @@ def write_atomic(path: Path, text: str) -> None:
         with suppress(OSError):
             tmp.unlink()
         raise StorageError(f"failed to write {path}: {exc}") from exc
+
+
+def save_checkpoint(path: str | Path, kind: str, params: dict[str, np.ndarray], **fields) -> Path:
+    """Write a model checkpoint: schema version, ``kind`` and the parameters
+    by sorted name, plus the model's metadata ``fields``, as sorted-key JSON."""
+    path = Path(path)
+    payload = {"schema_version": CHECKPOINT_SCHEMA, "kind": kind,
+               "params": {k: v.tolist() for k, v in sorted(params.items())}, **fields}
+    write_atomic(path, json.dumps(payload, sort_keys=True))
+    return path
+
+
+def checkpoint_array(path: Path, name: str, value, shape: tuple[int | None, ...]) -> np.ndarray:
+    """``value`` as a float64 array of ``shape``, where None matches any
+    length; raises StorageError otherwise."""
+    if value is None:
+        raise StorageError(f"{path}: missing key {name!r}")
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:
+        raise StorageError(f"{path}: {name} is not an array: {exc}") from exc
+    if arr.dtype.kind not in "iuf":
+        raise StorageError(f"{path}: {name} holds {arr.dtype} values, not numbers")
+    if arr.ndim != len(shape) or any(n is not None and n != m for n, m in zip(shape, arr.shape)):
+        raise StorageError(f"{path}: {name} has shape {arr.shape}, expected {shape}")
+    return arr.astype(np.float64, copy=False)
+
+
+def load_checkpoint(path: str | Path, kind: str, cfg: Config, config_keys: dict[str, str],
+                    init: Callable[[Config], object], fields: Callable[[object], dict]) -> tuple[object, dict]:
+    """Read a ``save_checkpoint`` file of ``kind`` into a model.
+
+    ``init`` builds the model under ``cfg`` overridden by the metadata that
+    ``config_keys`` maps to Config keys; the file's parameters replace the
+    built ones only if every name and shape matches, and every entry of
+    ``fields(model)`` must equal the file's.  Returns the model and the parsed
+    payload, for the entries only the caller knows.  Raises StorageError for
+    any entry that is unreadable, missing, mistyped or the wrong shape.
+    """
+    path = Path(path)
+    try:
+        payload = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise StorageError(f"cannot load {kind} from {path}: {exc}") from exc
+    if not isinstance(payload, dict) or payload.get("schema_version") != CHECKPOINT_SCHEMA \
+            or payload.get("kind") != kind:
+        raise StorageError(f"{path}: not a supported {kind} checkpoint")
+    try:
+        model = init(cfg.with_overrides(**{key: payload[name] for name, key in config_keys.items()}))
+    except (KeyError, ConfigError) as exc:
+        raise StorageError(f"{path}: missing or mistyped metadata: {exc}") from exc
+    params = payload.get("params")
+    if not isinstance(params, dict) or set(params) != set(model.params):
+        raise StorageError(f"{path}: parameters are not the {kind}'s {sorted(model.params)}")
+    model.params = {k: checkpoint_array(path, k, params[k], v.shape) for k, v in model.params.items()}
+    for name, want in fields(model).items():
+        got = payload.get(name)
+        if type(got) is not type(want) or got != want:
+            raise StorageError(f"{path}: {name} is {got!r}, the parameters give {want!r}")
+    if not isinstance(payload.get("provenance", {}), dict):
+        raise StorageError(f"{path}: provenance is not an object")
+    return model, payload
 
 
 def _write_manifest(dataset_dir: Path, manifest: dict) -> None:

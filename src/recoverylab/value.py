@@ -16,7 +16,6 @@ pretrained encoders and stay fixed while only the adapters train.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,11 +24,10 @@ import numpy as np
 from .config import Config
 from .errors import ConfigError, CoverageError, InputError, StorageError, TrainingError
 from .nets import Adam, Params, init_mlp, mlp_backward, mlp_forward, normalize_rows, normalize_rows_backward
-from .store import Episode, write_atomic
+from .store import Episode, checkpoint_array, load_checkpoint, save_checkpoint
 from .world import OBS_DIM, instruction_ids
 
 POOLED_DIM = 3 * OBS_DIM
-CHECKPOINT_SCHEMA = 1
 
 
 @dataclass(frozen=True)
@@ -81,8 +79,6 @@ class ProgressModel:
 
     featurizer: FrozenFeaturizer
     params: Params
-    embed_dim: int
-    hidden_dim: int
 
     def snapshot(self) -> Params:
         return {k: v.copy() for k, v in self.params.items()}
@@ -95,10 +91,7 @@ def init_progress_model(cfg: Config, seed: int = 0) -> ProgressModel:
     params: Params = {}
     params.update(init_mlp(rng, "f", f_dim, int(cfg.value_hidden), int(cfg.embed_dim)))
     params.update(init_mlp(rng, "g", f_dim, int(cfg.value_hidden), int(cfg.embed_dim)))
-    return ProgressModel(
-        featurizer=featurizer, params=params,
-        embed_dim=int(cfg.embed_dim), hidden_dim=int(cfg.value_hidden),
-    )
+    return ProgressModel(featurizer=featurizer, params=params)
 
 
 def embed(params: Params, raw: np.ndarray, which: str) -> np.ndarray:
@@ -254,57 +247,36 @@ def estimate_progress(model: ProgressModel, cluster: ReferenceCluster, episode: 
 # checkpointing
 
 
+# Checkpoint metadata by the Config key it names.
+_CONFIG_KEYS = {"feature_seed": "feature_seed", "instruction_seed": "instruction_seed",
+                "feature_dim": "feature_dim", "embed_dim": "embed_dim", "hidden_dim": "value_hidden"}
+
+
+def _dims(model: ProgressModel) -> dict[str, int]:
+    """The featurizer's seeds and the dimensions the weight shapes fix."""
+    f = model.featurizer
+    return {"feature_seed": f.feature_seed, "instruction_seed": f.instruction_seed, "feature_dim": f.feature_dim,
+            "embed_dim": model.params["f_w2"].shape[1], "hidden_dim": model.params["f_w1"].shape[1]}
+
+
 def save_progress_model(
     model: ProgressModel,
     path: str | Path,
     cluster: ReferenceCluster | None = None,
     provenance: dict | None = None,
 ) -> Path:
-    path = Path(path)
-    payload = {
-        "schema_version": CHECKPOINT_SCHEMA,
-        "kind": "progress-model",
-        "embed_dim": model.embed_dim,
-        "hidden_dim": model.hidden_dim,
-        "feature_seed": model.featurizer.feature_seed,
-        "instruction_seed": model.featurizer.instruction_seed,
-        "feature_dim": model.featurizer.feature_dim,
-        "params": {k: v.tolist() for k, v in sorted(model.params.items())},
-        "cluster": {str(k): v.tolist() for k, v in sorted(cluster.members.items())} if cluster else None,
-        "provenance": provenance or {},
-    }
-    write_atomic(path, json.dumps(payload, sort_keys=True))
-    return path
+    members = {str(k): v.tolist() for k, v in sorted(cluster.members.items())} if cluster else None
+    return save_checkpoint(path, "progress-model", model.params, **_dims(model), cluster=members,
+                           provenance=provenance or {})
 
 
 def load_progress_model(cfg: Config, path: str | Path) -> tuple[ProgressModel, ReferenceCluster | None]:
-    """Load a checkpoint whose adapter and cluster shapes match its metadata;
-    raises StorageError otherwise."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise StorageError(f"cannot load progress model from {path}: {exc}") from exc
-    if payload.get("schema_version") != CHECKPOINT_SCHEMA or payload.get("kind") != "progress-model":
-        raise StorageError(f"{path}: not a supported progress-model checkpoint")
-    try:
-        over = cfg.with_overrides(
-            feature_seed=payload["feature_seed"],
-            instruction_seed=payload["instruction_seed"],
-            feature_dim=payload["feature_dim"],
-            embed_dim=payload["embed_dim"],
-            value_hidden=payload["hidden_dim"],
-        )
-        params = {k: np.asarray(v, dtype=np.float64) for k, v in payload["params"].items()}
-        members = {int(k): np.asarray(v, dtype=np.float64) for k, v in (payload.get("cluster") or {}).items()}
-    except KeyError as exc:
-        raise StorageError(f"{path}: missing key {exc}") from exc
-    model = init_progress_model(over)
-    shapes = {k: v.shape for k, v in params.items()}
-    if shapes != {k: v.shape for k, v in model.params.items()}:
-        raise StorageError(f"{path}: adapter shapes {shapes} do not match the checkpoint metadata")
-    for instr, vecs in members.items():
-        if vecs.ndim != 2 or vecs.shape[1] != model.embed_dim:
-            raise StorageError(f"{path}: cluster {instr} has shape {vecs.shape}, embed_dim is {model.embed_dim}")
-    model.params = params
+    """Load a ``save_progress_model`` checkpoint (see ``store.load_checkpoint``)
+    whose cluster rows are embed_dim wide."""
+    model, payload = load_checkpoint(path, "progress-model", cfg, _CONFIG_KEYS, init_progress_model, _dims)
+    cluster = payload.get("cluster") or {}
+    if not isinstance(cluster, dict) or not all(k.isdigit() for k in cluster):
+        raise StorageError(f"{path}: cluster is not an object keyed by instruction id")
+    width = model.params["f_w2"].shape[1]
+    members = {int(k): checkpoint_array(path, f"cluster {k}", v, (None, width)) for k, v in cluster.items()}
     return model, ReferenceCluster(members=members) if members else None

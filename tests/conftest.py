@@ -67,14 +67,13 @@ def reference_cluster(progress_model, expert_episodes):
 def mini_policies(mini_cfg, expert_episodes, recovery_episodes, failure_episodes,
                   progress_model, reference_cluster):
     """(sft, phase1, full) trained at reduced scale."""
-    w = int(mini_cfg.history_window)
-    expert_ds = policy_mod.build_frame_dataset(mini_cfg, expert_episodes, w)
+    expert_ds = policy_mod.build_frame_dataset(mini_cfg, expert_episodes)
 
     sft = policy_mod.init_policy(mini_cfg, seed=0)
     policy_mod.train_bc(sft, expert_ds, None, mini_cfg, seed=0)
 
     sliced = [slice_recovery_suffix(e) for e in recovery_episodes]
-    rec_ds = policy_mod.build_frame_dataset(mini_cfg, sliced, w)
+    rec_ds = policy_mod.build_frame_dataset(mini_cfg, sliced)
     phase1 = policy_mod.init_policy(mini_cfg, seed=0)
     policy_mod.train_bc(phase1, expert_ds, rec_ds, mini_cfg, seed=0)
 
@@ -83,7 +82,7 @@ def mini_policies(mini_cfg, expert_episodes, recovery_episodes, failure_episodes
         for e in expert_episodes + recovery_episodes + failure_episodes
     ]
     full = phase1.clone()
-    vcr_ds = policy_mod.build_frame_dataset(mini_cfg, labeled, w, require_labels=True)
+    vcr_ds = policy_mod.build_frame_dataset(mini_cfg, labeled, require_labels=True)
     policy_mod.train_value_conditioned(full, vcr_ds, mini_cfg, seed=0)
     return sft, phase1, full
 

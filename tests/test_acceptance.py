@@ -271,7 +271,7 @@ def test_a5_gradient_checks(pp_bundle):
 
     small_cfg = CFG.with_overrides(policy_hidden=12, value_token_dim=4, instr_embed_dim=3, history_window=2)
     policy = init_policy(small_cfg, seed=1)
-    ds = build_frame_dataset(small_cfg, episodes[:2], policy.history_w)
+    ds = build_frame_dataset(small_cfg, episodes[:2])
     idx = np.array([0, 13, 37])
     batch = (ds.hist[idx], ds.obs[idx], ds.instr[idx], np.array([0.1, 0.6, 1.0]), ds.actions[idx])
     _, pgrads = loss_and_grads(policy, small_cfg, *batch)

@@ -540,7 +540,6 @@ DATASET_GOLDEN = {
 
 def test_frame_dataset_golden(cfg):
     # Pure failures get a fixed progress value, so no digest depends on training.
-    w = int(cfg.history_window)
     got = {}
     for task in TASKS:
         expert, recovery, failure = _task_episodes(cfg, task)
@@ -548,10 +547,10 @@ def test_frame_dataset_golden(cfg):
         labeled = ([label_success(e) for e in expert] + [label_recovery(e) for e in recovery]
                    + [label_failure(e, 0.6, cfg) for e in failure])
         sets = {
-            "expert": build_frame_dataset(cfg, expert, w),
-            "sliced": build_frame_dataset(cfg, [slice_recovery_suffix(e) for e in recovery], w),
-            "raw-recovery": build_frame_dataset(cfg, recovery, w),
-            "labeled": build_frame_dataset(cfg, labeled, w, require_labels=True),
+            "expert": build_frame_dataset(cfg, expert),
+            "sliced": build_frame_dataset(cfg, [slice_recovery_suffix(e) for e in recovery]),
+            "raw-recovery": build_frame_dataset(cfg, recovery),
+            "labeled": build_frame_dataset(cfg, labeled, require_labels=True),
         }
         for name, ds in sets.items():
             got.update({f"{task}/{name}/{a}": _array_digest(getattr(ds, a)) for a in DATASET_ARRAYS})
@@ -574,7 +573,7 @@ def test_checkpoint_golden(cfg, tmp_path):
     noise = float(cfg.expert_action_noise)
     expert = [run_nominal(cfg, "pick-place", EnvMode.RANDOM, s, action_noise=noise) for s in range(3)]
     policy = init_policy(cfg, seed=9)
-    fit_normalizer(policy, build_frame_dataset(cfg, expert, int(cfg.history_window)))
+    fit_normalizer(policy, build_frame_dataset(cfg, expert))
     policy.provenance.update(phase="imitation", training_seeds=[0, 1, 2])
     committed = Path(__file__).parents[1] / "perfbench" / "checkpoint" / "pp_full.json"
     cluster = ReferenceCluster(members={0: np.arange(64.0).reshape(2, 32) / 64.0, 2: np.full((1, 32), 0.125)})

@@ -188,6 +188,20 @@ def test_cli_error_is_machine_readable(tmp_path, capsys):
     assert "error" in payload and "message" in payload
 
 
+def _cli_error(argv, capsys) -> str:
+    assert cli_main(argv) == 1
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+
+
+def test_eval_rejects_tampered_policy(cfg, tmp_path, capsys):
+    path = save_policy(init_policy(cfg, seed=0), tmp_path / "policy.json")
+    payload = json.loads(path.read_text())
+    payload["history_w"] = "5"
+    path.write_text(json.dumps(payload))
+    argv = ["eval", "--policy", str(path), "--trials", "1", "--out", str(tmp_path / "eval")]
+    assert _cli_error(argv, capsys) == "StorageError"
+
+
 def test_cli_full_pipeline_small(tmp_path, capsys):
     """gen-nominal -> gen-recovery -> train-value -> label -> train-rai ->
     train-vcr -> eval, at miniature scale, through the real CLI."""

@@ -25,7 +25,7 @@ from recoverylab.policy import (
     train_value_conditioned,
 )
 from recoverylab.store import Outcome, slice_recovery_suffix
-from recoverylab.world import EnvMode, observe, reset
+from recoverylab.world import OBS_DIM, EnvMode, observe, reset
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +35,7 @@ def tiny_policy(cfg):
 
 @pytest.fixture(scope="module")
 def micro_batch(cfg, expert_episodes, tiny_policy):
-    ds = build_frame_dataset(cfg, expert_episodes[:2], tiny_policy.history_w)
+    ds = build_frame_dataset(cfg, expert_episodes[:2])
     idx = np.array([0, 9, 31])
     return ds.hist[idx], ds.obs[idx], ds.instr[idx], np.array([0.2, 0.7, 1.0]), ds.actions[idx]
 
@@ -43,7 +43,7 @@ def micro_batch(cfg, expert_episodes, tiny_policy):
 def test_forward_deterministic(cfg, tiny_policy):
     state = reset(cfg, "pick-place", EnvMode.RANDOM, 0)
     obs = observe(state)
-    hist = np.zeros((tiny_policy.history_w, tiny_policy.obs_dim))
+    hist = np.zeros((tiny_policy.history_w, OBS_DIM))
     a = forward(tiny_policy, cfg, obs, hist, 0, 1.0)
     b = forward(tiny_policy, cfg, obs, hist, 0, 1.0)
     assert a == b
@@ -52,7 +52,7 @@ def test_forward_deterministic(cfg, tiny_policy):
 def test_forward_value_token_reaches_output(cfg, tiny_policy):
     state = reset(cfg, "pick-place", EnvMode.RANDOM, 0)
     obs = observe(state)
-    hist = np.zeros((tiny_policy.history_w, tiny_policy.obs_dim))
+    hist = np.zeros((tiny_policy.history_w, OBS_DIM))
     a0 = np.array(forward(tiny_policy, cfg, obs, hist, 0, 0.0))
     a1 = np.array(forward(tiny_policy, cfg, obs, hist, 0, 1.0))
     assert not np.allclose(a0, a1)
@@ -62,7 +62,7 @@ def test_forward_grip_range_and_bounds(cfg, tiny_policy, rng):
     state = reset(cfg, "pick-place", EnvMode.RANDOM, 1)
     obs = observe(state)
     for _ in range(10):
-        hist = rng.normal(0, 0.3, size=(tiny_policy.history_w, tiny_policy.obs_dim))
+        hist = rng.normal(0, 0.3, size=(tiny_policy.history_w, OBS_DIM))
         action = forward(tiny_policy, cfg, obs, hist, 0, float(rng.uniform(0, 1)))
         for x, y, _, grip in (action[:4], action[4:]):
             assert 0.0 <= grip <= 1.0
@@ -85,15 +85,15 @@ def test_forward_input_validation(cfg, tiny_policy):
     state = reset(cfg, "pick-place", EnvMode.RANDOM, 0)
     obs = observe(state)
     with pytest.raises(InputError):
-        forward(tiny_policy, cfg, obs, np.zeros((2, tiny_policy.obs_dim)), 0, 1.0)
+        forward(tiny_policy, cfg, obs, np.zeros((2, OBS_DIM)), 0, 1.0)
     with pytest.raises(InputError):
-        forward(tiny_policy, cfg, obs, np.zeros((tiny_policy.history_w, tiny_policy.obs_dim)), 0, 1.7)
+        forward(tiny_policy, cfg, obs, np.zeros((tiny_policy.history_w, OBS_DIM)), 0, 1.7)
 
 
 def test_gradient_matches_finite_differences(cfg, expert_episodes):
     small = cfg.with_overrides(policy_hidden=12, value_token_dim=4, instr_embed_dim=3, history_window=2)
     policy = init_policy(small, seed=1)
-    ds = build_frame_dataset(small, expert_episodes[:2], policy.history_w)
+    ds = build_frame_dataset(small, expert_episodes[:2])
     idx = np.array([0, 11, 40])
     batch = (ds.hist[idx], ds.obs[idx], ds.instr[idx], np.array([0.1, 0.5, 0.9]), ds.actions[idx])
     _, grads = loss_and_grads(policy, small, *batch)
@@ -110,9 +110,8 @@ def test_gradient_matches_finite_differences(cfg, expert_episodes):
 
 
 def test_lambda_zero_matches_expert_only(mini_cfg, tiny_policy, expert_episodes, recovery_episodes):
-    w = tiny_policy.history_w
-    expert_ds = build_frame_dataset(mini_cfg, expert_episodes[:3], w)
-    rec_ds = build_frame_dataset(mini_cfg, [slice_recovery_suffix(e) for e in recovery_episodes[:2]], w)
+    expert_ds = build_frame_dataset(mini_cfg, expert_episodes[:3])
+    rec_ds = build_frame_dataset(mini_cfg, [slice_recovery_suffix(e) for e in recovery_episodes[:2]])
     a = init_policy(mini_cfg, seed=5)
     b = init_policy(mini_cfg, seed=5)
     train_bc(a, expert_ds, rec_ds, mini_cfg.with_overrides(bc_steps=40, lambda_recovery=0.0), seed=7)
@@ -123,9 +122,8 @@ def test_lambda_zero_matches_expert_only(mini_cfg, tiny_policy, expert_episodes,
 
 def test_dataset_swap_symmetry(cfg, tiny_policy, expert_episodes, recovery_episodes):
     # With lambda = 1 the two dataset terms are interchangeable in the loss.
-    w = tiny_policy.history_w
-    ds_a = build_frame_dataset(cfg, expert_episodes[:2], w)
-    ds_b = build_frame_dataset(cfg, [slice_recovery_suffix(e) for e in recovery_episodes[:2]], w)
+    ds_a = build_frame_dataset(cfg, expert_episodes[:2])
+    ds_b = build_frame_dataset(cfg, [slice_recovery_suffix(e) for e in recovery_episodes[:2]])
     idx_a = np.arange(16)
     idx_b = np.arange(16)
 
@@ -144,28 +142,24 @@ def test_training_determinism(mini_cfg, expert_episodes):
     results = []
     for _ in range(2):
         policy = init_policy(mini_cfg, seed=2)
-        ds = build_frame_dataset(mini_cfg, expert_episodes[:4], policy.history_w)
+        ds = build_frame_dataset(mini_cfg, expert_episodes[:4])
         train_bc(policy, ds, None, mini_cfg.with_overrides(bc_steps=60), seed=11)
         results.append(pack(policy.params))
     assert np.array_equal(results[0], results[1])
 
 
 def test_vcr_rejects_unlabeled(mini_cfg, expert_episodes):
-    policy = init_policy(mini_cfg, seed=0)
     with pytest.raises(ValidationError):
-        build_frame_dataset(
-            mini_cfg, expert_episodes[:2], policy.history_w, require_labels=True
-        )
+        build_frame_dataset(mini_cfg, expert_episodes[:2], require_labels=True)
 
 
 def test_vcr_constant_value_matches_bc_loss(cfg, tiny_policy, expert_episodes):
     # All-ones labels make the refinement objective the plain imitation loss.
-    w = tiny_policy.history_w
     from recoverylab.labeling import label_success
 
     labeled = [label_success(e) for e in expert_episodes[:2]]
-    ds_labeled = build_frame_dataset(cfg, labeled, w, require_labels=True)
-    ds_plain = build_frame_dataset(cfg, expert_episodes[:2], w)
+    ds_labeled = build_frame_dataset(cfg, labeled, require_labels=True)
+    ds_plain = build_frame_dataset(cfg, expert_episodes[:2])
     idx = np.arange(24)
     loss_a, _ = loss_and_grads(
         tiny_policy, cfg, ds_labeled.hist[idx], ds_labeled.obs[idx], ds_labeled.instr[idx],
@@ -201,7 +195,7 @@ def test_history_window_contract(cfg, recovery_episodes):
     w = int(cfg.history_window)
     episode = recovery_episodes[0]
     sliced = slice_recovery_suffix(episode)
-    reset_ds = build_frame_dataset(cfg, [sliced], w)
+    reset_ds = build_frame_dataset(cfg, [sliced])
     # Windows of a sliced episode are built purely from its own frames: row
     # k of the window at index t is the sliced obs at t - 1 - k, padded with
     # zeros before frame 0, the recovery onset.  No reach-back is possible.
@@ -214,7 +208,7 @@ def test_history_window_contract(cfg, recovery_episodes):
             assert np.all(window[k] == 0.0)
     # Windows at early recovery frames of the UNsliced episode reach into
     # the failure prefix: row positions beyond t - t_rec hold pre-onset obs.
-    raw_ds = build_frame_dataset(cfg, [episode], w)
+    raw_ds = build_frame_dataset(cfg, [episode])
     t = episode.t_rec + 1
     window = raw_ds.hist[t].reshape(w, -1)
     for k in range(w):
@@ -255,7 +249,7 @@ def test_rollout_with_injection_records_schedule(cfg, mini_policies):
 def test_value_token_liveness(cfg, mini_policies, expert_episodes):
     # Zeroing the value-token perceptron changes actions on >= 90% of probes.
     _, _, full = mini_policies
-    probes = build_frame_dataset(cfg, expert_episodes[:6], full.history_w)
+    probes = build_frame_dataset(cfg, expert_episodes[:6])
     zeroed = full.clone()
     zeroed.params["val_w"] = np.zeros_like(zeroed.params["val_w"])
     zeroed.params["val_b"] = np.zeros_like(zeroed.params["val_b"])
@@ -276,7 +270,7 @@ def test_checkpoint_round_trip(cfg, tmp_path, mini_policies):
     loaded = load_policy(path)
     state = reset(cfg, "pick-place", EnvMode.RANDOM, 123)
     obs = observe(state)
-    hist = np.zeros((full.history_w, full.obs_dim))
+    hist = np.zeros((full.history_w, OBS_DIM))
     assert forward(loaded, cfg, obs, hist, 0, 1.0) == forward(full, cfg, obs, hist, 0, 1.0)
     assert loaded.obs_std == pytest.approx(full.obs_std)
 
@@ -293,6 +287,11 @@ def test_load_policy_checks_shapes_against_metadata(tiny_policy, tmp_path):
         "obs_std": lambda p: p["obs_std"].append(1.0),
         "no obs_std": lambda p: p.pop("obs_std"),
         "no hidden_dim": lambda p: p.pop("hidden_dim"),
+        "history_w string": lambda p: p.update(history_w="5"),
+        "value_token_dim string": lambda p: p.update(value_token_dim="16"),
+        "hidden_dim float": lambda p: p.update(hidden_dim=1.5),
+        "obs_dim": lambda p: p.update(obs_dim=10),
+        "n_instructions": lambda p: p.update(n_instructions=4),
     }
     for name, tamper in tampers.items():
         payload = copy.deepcopy(good)
@@ -323,4 +322,4 @@ def test_learned_actor_history_matches_dataset_convention(cfg, mini_policies, ex
         actor.begin(cfg, episode.task_id, state)
         for obs in episode.frames.obs:
             actor.act(state, obs)
-    assert np.array_equal(np.stack(seen), build_frame_dataset(cfg, episodes, full.history_w).hist)
+    assert np.array_equal(np.stack(seen), build_frame_dataset(cfg, episodes).hist)
