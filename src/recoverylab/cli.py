@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import bench, datagen, labeling, policy as policy_mod, store, value as value_mod
 from .config import DEFAULTS, Config, load_config
-from .errors import ConfigError, RecoveryLabError
+from .errors import ConfigError, RecoveryLabError, StorageError
 from .faults import ErrorKind, error_from_config, max_nominal_duration
 from .store import EpisodeKind, Outcome, read_dataset
 from .world import EnvMode
@@ -167,7 +167,8 @@ def cmd_eval(args) -> int:
     pol = policy_mod.load_policy(args.policy)
     error = error_from_config(cfg, ErrorKind(args.error)) if args.error else None
     t_max = _resolve_t_max(cfg, args)
-    seeds = [args.seed + i for i in range(args.trials)]
+    trials = int(cfg.eval_trials) if args.trials is None else args.trials
+    seeds = [args.seed + i for i in range(trials)]
     training_seeds = set(pol.provenance.get("training_seeds", []))
     report = bench.run_protocol(
         cfg, bench.policy_actor_factory(pol, v_fixed=args.v), args.task, error, seeds, t_max,
@@ -242,8 +243,11 @@ def cmd_stats(args) -> int:
 
 
 def cmd_report(args) -> int:
-    payload = json.loads(Path(args.input).read_text())
-    rows = payload["trials"]
+    try:
+        payload = json.loads(Path(args.input).read_text())
+        rows = payload["trials"]
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise StorageError(f"{args.input}: not an evaluation report: {exc!r}") from exc
     out = bench.write_table(rows, Path(args.out) / "report.csv")
     print(json.dumps({"summary": payload.get("summary", {}), "csv": str(out)}))
     return 0
@@ -369,9 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "trials", None) is None and args.command == "eval":
-        cfg = _config(args)
-        args.trials = int(cfg.eval_trials)
     try:
         return args.fn(args)
     except RecoveryLabError as exc:

@@ -202,6 +202,18 @@ def test_eval_rejects_tampered_policy(cfg, tmp_path, capsys):
     assert _cli_error(argv, capsys) == "StorageError"
 
 
+def test_eval_missing_config_is_machine_readable(cfg, tmp_path, capsys):
+    path = save_policy(init_policy(cfg, seed=0), tmp_path / "policy.json")
+    argv = ["eval", "--policy", str(path), "--config", str(tmp_path / "missing.cfg"), "--out", str(tmp_path)]
+    assert _cli_error(argv, capsys) == "ConfigError"
+
+
+def test_report_rejects_malformed_input(tmp_path, capsys):
+    for name, text in (("torn.json", '{"trials": ['), ("no-trials.json", '{"summary": {}}')):
+        (tmp_path / name).write_text(text)
+        assert _cli_error(["report", "--in", str(tmp_path / name), "--out", str(tmp_path)], capsys) == "StorageError"
+
+
 def test_cli_full_pipeline_small(tmp_path, capsys):
     """gen-nominal -> gen-recovery -> train-value -> label -> train-rai ->
     train-vcr -> eval, at miniature scale, through the real CLI."""
