@@ -325,9 +325,10 @@ def load_checkpoint(path: str | Path, kind: str, cfg: Config, config_keys: dict[
             or payload.get("kind") != kind:
         raise StorageError(f"{path}: not a supported {kind} checkpoint")
     try:
-        model = init(cfg.with_overrides(**{key: payload[name] for name, key in config_keys.items()}))
+        model_cfg = cfg.with_overrides(**{key: payload[name] for name, key in config_keys.items()})
     except (KeyError, ConfigError) as exc:
         raise StorageError(f"{path}: missing or mistyped metadata: {exc}") from exc
+    model = init(model_cfg)
     params = payload.get("params")
     if not isinstance(params, dict) or set(params) != set(model.params):
         raise StorageError(f"{path}: parameters are not the {kind}'s {sorted(model.params)}")
