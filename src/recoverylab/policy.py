@@ -432,7 +432,7 @@ def rollout(
 # checkpointing
 
 
-# Checkpoint metadata that names a Config key, by the Config key it names.
+# The Config key each checkpoint metadata entry that sets one sets.
 _CONFIG_KEYS = {"history_w": "history_window", "value_token_dim": "value_token_dim",
                 "instr_embed_dim": "instr_embed_dim", "hidden_dim": "policy_hidden"}
 

@@ -247,7 +247,7 @@ def estimate_progress(model: ProgressModel, cluster: ReferenceCluster, episode: 
 # checkpointing
 
 
-# Checkpoint metadata by the Config key it names.
+# The Config key each checkpoint metadata entry that sets one sets.
 _CONFIG_KEYS = {"feature_seed": "feature_seed", "instruction_seed": "instruction_seed",
                 "feature_dim": "feature_dim", "embed_dim": "embed_dim", "hidden_dim": "value_hidden"}
 

@@ -292,6 +292,9 @@ def test_load_policy_checks_shapes_against_metadata(tiny_policy, tmp_path):
         "hidden_dim float": lambda p: p.update(hidden_dim=1.5),
         "obs_dim": lambda p: p.update(obs_dim=10),
         "n_instructions": lambda p: p.update(n_instructions=4),
+        "params list": lambda p: p.update(params=[]),
+        "string weight": lambda p: p["params"]["val_b"].__setitem__(0, "1"),
+        "provenance list": lambda p: p.update(provenance=[]),
     }
     for name, tamper in tampers.items():
         payload = copy.deepcopy(good)

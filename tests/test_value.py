@@ -249,6 +249,7 @@ def test_load_progress_model_checks_shapes_against_metadata(cfg, tmp_path, progr
         "cluster width": lambda p: [row.pop() for row in p["cluster"][instr]],
         "no embed_dim": lambda p: p.pop("embed_dim"),
         "embed_dim string": lambda p: p.update(embed_dim="32"),
+        "cluster key": lambda p: p["cluster"].update(x=p["cluster"][instr]),
         "no params": lambda p: p.pop("params"),
     }
     for name, tamper in tampers.items():
