@@ -6,12 +6,15 @@ The digests pin episode JSON, eval reports and training inputs across
 refactors of the episode loops and the dataset builder.  Each case names the finalisation branch its seed was chosen to reach.
 Branches that default geometry never reaches in a given loop are forced with
 a config override (or, for a failing recovery planner, a patched planner)
-and say so.  The learned actor is an untrained ``init_policy(cfg, seed=9)``,
-so no digest depends on training or BLAS summation order.  The checkpoint
-digests pin the bytes ``save_policy`` and ``save_progress_model`` write.
+and say so.  The learned actor is mostly an untrained
+``init_policy(cfg, seed=9)``, so those digests depend on neither training nor
+BLAS summation order; the reports of the committed trained policy exercise
+its grasps and recoveries.  The checkpoint digests pin the bytes
+``save_policy`` and ``save_progress_model`` write.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -363,6 +366,50 @@ def test_protocol_report_golden(cfg, tmp_path):
         got[f"{name}.json"] = _sha(paths["json"])
     _assert_golden(got, REPORT_GOLDEN)
 
+
+CHECKPOINT_DIR = Path(__file__).parents[1] / "perfbench" / "checkpoint"
+
+# Reports of the committed trained pick-place policy, which grasps, slips and
+# recovers, over 12 seeds clear of its training seeds.  Trial lengths differ,
+# so a run of all 12 seeds loses trials one by one.
+TRAINED_REPORT_GOLDEN = {
+    "trained-E1.csv":
+        "d9da637a870b47d97b883817c848616f240c21289af9f1741135940906a613e4",
+    "trained-E1.json":
+        "2d0654d8cf144439e5066609102d5c3023a54bb389ebd9bdfc01907dc959c9c6",
+    "trained-E2.csv":
+        "afac97054b24cf4ca5cfc3da84a916092e38b31071282995ae5e94580a9de490",
+    "trained-E2.json":
+        "8e96a0080d884eaebe2757558faa4b1641ac665a550c8798330c2205a6ce657c",
+    "trained-E3.csv":
+        "8b2f5d19d0329fbeb5a5d4984e1bbfb76f413e28c79327748682bb55866f5290",
+    "trained-E3.json":
+        "dc1cecfd77ff8f97eb57ba0ed9026527be28a7b844b3f6d3276e41604a27dd89",
+    "trained-E4.csv":
+        "6bc8d2e141e1331537554b0a4c15497c6c497cfa869f6476b84636ddd653dd08",
+    "trained-E4.json":
+        "c71ecace1a9c071184fff45347f20303d73c2cfe23b0bc06dbaccb0db82a73fb",
+    "trained-standard.csv":
+        "5f38f90c5d5fd21f2d709f3151261c679435dc84d9b3d1a8ee5778fe42193ca0",
+    "trained-standard.json":
+        "9cf2128858d33753b7b13b80c72605ec511e6b06f2c2e1a2c9e06f4242ffecb3",
+}
+
+
+def test_trained_policy_report_golden(cfg, tmp_path):
+    policy = load_policy(CHECKPOINT_DIR / "pp_full.json")
+    meta = json.loads((CHECKPOINT_DIR / "pp_full.meta.json").read_text())
+    seeds = list(range(1_000_000, 1_000_012))
+    got = {}
+    for cond in (None,) + tuple(ErrorKind):
+        name = f"trained-{cond.value if cond else 'standard'}"
+        err = error_from_config(cfg, cond) if cond else None
+        report = bench.run_protocol(cfg, bench.policy_actor_factory(policy), "pick-place", err, seeds,
+                                    int(meta["t_max"]), training_seeds=set(meta["training_seeds"]))
+        paths = bench.write_report(report, tmp_path, name)
+        got[f"{name}.csv"] = _sha(paths["csv"])
+        got[f"{name}.json"] = _sha(paths["json"])
+    _assert_golden(got, TRAINED_REPORT_GOLDEN)
 
 
 DATASET_ARRAYS = ("hist", "obs", "instr", "actions", "values", "sample_pool")
