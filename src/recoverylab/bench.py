@@ -26,8 +26,9 @@ from .faults import (
     ErrorType,
     InjectionSchedule,
     PlannerActor,
+    Trial,
     max_nominal_duration,
-    run_episode,
+    run_episodes,
 )
 from .labeling import label_episode
 from .planner import plan_recovery
@@ -116,7 +117,6 @@ class RandomActor(Actor):
 
     def __init__(self, seed: int):
         self._seed = seed
-        self._rng = np.random.default_rng([seed, 0x8A])
         self._cfg: Config | None = None
 
     def begin(self, cfg, task_id, state):
@@ -199,31 +199,34 @@ def run_protocol(
 ) -> EvalReport:
     """Evaluate an actor over seeds under the Standard or Adversarial condition.
 
-    ``actor_factory(seed)`` builds a fresh actor per trial.  Evaluation seeds
-    must be disjoint from the training seeds recorded in the policy/datasets;
-    the overlap assertion runs here, at report time.
+    ``actor_factory(seed)`` builds a fresh actor per trial.  The trials run in
+    lockstep (see ``faults.run_episodes``), so learned actors of one policy
+    make one batched forward per tick; each trial keeps its own RNGs and
+    verdict, and the report lists the trials in seed-list order.  Evaluation
+    seeds must be disjoint from the training seeds recorded in the
+    policy/datasets; the overlap assertion runs here, at report time.
     """
     if training_seeds:
         overlap = set(seeds) & set(training_seeds)
         if overlap:
             raise ValidationError(f"evaluation seeds overlap training seeds: {sorted(overlap)[:5]}")
-    trials: list[TrialRecord] = []
-    for seed in seeds:
-        horizon = adversarial_horizon(cfg, t_max, error) if error is not None else t_max
-        trigger = InjectionSchedule(error, None, seed) if error is not None else None
-        episode = run_episode(cfg, actor_factory(seed), task_id, env_mode, seed, "eval",
-                              {"generator": "rollout"}, t_max=horizon, trigger=trigger)
-        trials.append(
-            TrialRecord(
-                task_id=task_id,
-                env_mode=env_mode.value,
-                seed=seed,
-                error_type=error.kind.value if error is not None else None,
-                adverse_verified=bool(episode.provenance.get("adverse_verified", False)),
-                phase_trace=episode.frames.phase.tolist(),
-                outcome=episode.outcome.value,
-                steps_used=len(episode.frames),
-            )
+    horizon = adversarial_horizon(cfg, t_max, error) if error is not None else t_max
+    batch = [
+        Trial(actor_factory(seed), task_id, env_mode, seed, "eval", {"generator": "rollout"}, t_max=horizon,
+              trigger=InjectionSchedule(error, None, seed) if error is not None else None)
+        for seed in seeds
+    ]
+    trials: list[TrialRecord | None] = [None] * len(batch)
+    for i, episode in run_episodes(cfg, batch):
+        trials[i] = TrialRecord(
+            task_id=task_id,
+            env_mode=env_mode.value,
+            seed=episode.seed,
+            error_type=error.kind.value if error is not None else None,
+            adverse_verified=bool(episode.provenance.get("adverse_verified", False)),
+            phase_trace=episode.frames.phase.tolist(),
+            outcome=episode.outcome.value,
+            steps_used=len(episode.frames),
         )
     return EvalReport(
         condition="Adversarial" if error is not None else "Standard",

@@ -7,8 +7,10 @@ can be overridden from a plain ``key = value`` text file (``#`` starts a
 comment); unknown keys are rejected, and so are values of the wrong type:
 integer keys take integers, float keys take any real number.  Physical
 scales, divisors, the decay exponent and batch sizes (POSITIVE) must be
-greater than zero; step counts may be zero.  The documented keys and their
-defaults are the DEFAULTS table below.
+greater than zero.  No integer key (step counts, windows, dimensions, seeds)
+means anything below zero, so none takes a negative value; step counts may
+be zero.  The documented keys and their defaults are the DEFAULTS table
+below.
 """
 
 from __future__ import annotations
@@ -112,6 +114,8 @@ class Config:
                 raise ConfigError(f"{key} takes {'an integer' if integer else 'a number'}, got {value!r}")
             if key in POSITIVE and not value > 0:
                 raise ConfigError(f"{key} must be positive, got {value!r}")
+            if integer and value < 0:
+                raise ConfigError(f"{key} must not be negative, got {value!r}")
         merged = dict(self.values)
         merged.update(overrides)
         return Config(values=merged)

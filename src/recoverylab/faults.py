@@ -13,16 +13,19 @@ episode when the schedule resolves at its trigger phase, so every in-window
 action sees the same perturbation.  Recovery scoring elsewhere is gated on
 ``verify_adverse``: the error must have left its physical signature.
 
-``run_episode`` is the one episode loop.  Expert demonstrations,
+``run_episodes`` is the one episode loop: it steps a list of trials in
+lockstep, and ``run_episode`` is its one-trial call.  Expert demonstrations,
 interception, policy rollouts and policy-induced collection differ only in
 the actor, the injection trigger and the takeover they hand it.
 """
 
 from __future__ import annotations
 
+import struct
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -38,11 +41,13 @@ from .planner import (
 )
 from .store import Episode, EpisodeKind, Frames, Outcome, PhaseTag, validate_episode
 from .world import (
+    ACTION_DIM,
     ARM_NAMES,
     EnvMode,
     GRIP_CLOSED,
     GRIP_OPEN,
     LEFT,
+    OBS_DIM,
     RIGHT,
     WorldState,
     get_task,
@@ -273,7 +278,7 @@ def detect_failure(t: int, t_max: int) -> bool:
 
 
 class Actor:
-    """Closed-loop controller driven by ``run_episode``.
+    """Closed-loop controller driven by ``run_episodes``.
 
     An actor that runs out of actions sets ``exhausted`` and holds pose, and
     the episode ends at once, unless an injection window is still open: then
@@ -291,6 +296,13 @@ class Actor:
         """The action row (see ``world.ACTION_DIM``) for the live state."""
         raise NotImplementedError
 
+    @classmethod
+    def act_all(cls, actors: list[Actor], states: list[WorldState],
+                obs: list[np.ndarray]) -> list[tuple[float, ...]]:
+        """The action rows of actors of this class, one per trial of a tick.
+        Subclasses that can act together override it; this one acts one by one."""
+        return [actor.act(s, o) for actor, s, o in zip(actors, states, obs)]
+
     def applied(self, action: tuple[float, ...]) -> tuple[float, ...]:
         """The action the arms execute; ``action`` itself is what is recorded."""
         return action
@@ -298,6 +310,10 @@ class Actor:
     def recovery_tag(self) -> PhaseTag:
         """Tag of the frame just acted on, once recovery has begun."""
         return PhaseTag.RECOVERY
+
+
+# Expert action noise per arm: x and y at the noise scale, theta at twice it.
+_NOISE_SCALES = np.array([1.0, 1.0, 2.0, 1.0, 1.0, 2.0])
 
 
 class PlannerActor(Actor):
@@ -339,10 +355,11 @@ class PlannerActor(Actor):
         if self.action_noise <= 0:
             return action
         row = list(action)
-        for o in (0, 4):
-            dx, dy = self._rng.normal(0.0, self.action_noise, size=2)
-            dth = self._rng.normal(0.0, 2.0 * self.action_noise)
-            row[o:o + 3] = float(row[o] + dx), float(row[o + 1] + dy), wrap_angle(row[o + 2] + dth)
+        # x, y, theta per arm in that order; a product by 2 is exact, so theta's
+        # value equals a draw at twice the noise.
+        noise = (self._rng.normal(0.0, self.action_noise, size=6) * _NOISE_SCALES).tolist()
+        for o, (dx, dy, dth) in ((0, noise[:3]), (4, noise[3:])):
+            row[o:o + 3] = row[o] + dx, row[o + 1] + dy, wrap_angle(row[o + 2] + dth)
         return tuple(row)
 
     def recovery_tag(self):
@@ -419,21 +436,34 @@ class TimeoutTakeover(Takeover):
         return {"takeover": "failed"} if self.handed_over else {}
 
 
+_ACTION_BYTES = struct.Struct(f"{ACTION_DIM}d")
+
+
 class _Recorder:
     """The observation vectors, action rows and tags of one episode, plus its
-    Error onset and recovery start; owns the tag grammar."""
+    Error onset and recovery start; owns the tag grammar.
+
+    Each frame's observation vector and action row are packed into one flat
+    float64 array, about half the memory of keeping the observation array
+    and the action tuple, since every live trial of a lockstep run holds a
+    recorder.
+    """
 
     def __init__(self):
-        self.obs: list[np.ndarray] = []
-        self.actions: list[tuple[float, ...]] = []
+        self.values = array("d")
         self.tags: list[PhaseTag] = []
         self.onset: int | None = None
         self.t_rec: int | None = None
 
     def add(self, obs: np.ndarray, action: tuple[float, ...], tag: PhaseTag) -> None:
-        self.obs.append(obs)
-        self.actions.append(action)
+        self.values.frombytes(obs.tobytes())
+        self.values.frombytes(_ACTION_BYTES.pack(*action))
         self.tags.append(tag)
+
+    def frames(self) -> Frames:
+        table = np.frombuffer(self.values).reshape(len(self.tags), OBS_DIM + ACTION_DIM)
+        return Frames(table[:, :OBS_DIM], table[:, OBS_DIM:], [tag.value for tag in self.tags],
+                      np.full(len(self.tags), np.nan))
 
     def retag(self, tag: PhaseTag) -> None:
         """Tag every frame from the Error onset on."""
@@ -449,6 +479,165 @@ class _Recorder:
         if succeeded:
             return Outcome.SUCCESS, EpisodeKind.NOMINAL_SUCCESS, None
         return Outcome.FAILURE, EpisodeKind.PURE_FAILURE, None
+
+
+@dataclass
+class Trial:
+    """One episode for ``run_episodes``; the fields are ``run_episode``'s
+    parameters after the config."""
+
+    actor: Actor
+    task_id: str
+    env_mode: EnvMode
+    seed: int
+    label: str
+    provenance: dict
+    t_max: int | None = None
+    trigger: InjectionSchedule | None = None
+    takeover: Takeover | None = None
+
+
+class _Run:
+    """The live state of one trial: its world, its current actor and its
+    recorder, stepped a tick at a time."""
+
+    def __init__(self, cfg: Config, index: int, trial: Trial):
+        self.index, self.trial = index, trial
+        self.state = reset(cfg, trial.task_id, trial.env_mode, trial.seed)
+        self.obs = observe(self.state)
+        self.actor = trial.actor
+        self.actor.begin(cfg, trial.task_id, self.state)
+        self.t_max = trial.t_max
+        self.rec = _Recorder()
+        self.done = self.succeeded = False
+
+    def ready(self, cfg: Config) -> bool:
+        """The bookkeeping before the actor acts: the timeout, with a
+        takeover there, and the trigger.  False once the episode has ended."""
+        trial, rec = self.trial, self.rec
+        t = len(rec.tags)
+        while (self.t_max is not None and detect_failure(t, self.t_max)) or t >= cfg.episode_max_steps:
+            takeover = trial.takeover
+            onset = takeover.timeout_onset(t) if takeover is not None and rec.t_rec is None else None
+            if onset is None or not self._hand_over(cfg, onset):
+                self.done = True
+                return False
+            rec.t_rec, self.t_max = t, None
+        trigger = trial.trigger
+        if trigger is not None and not trigger.resolved and trigger.fire(cfg, t, self.state, self.actor):
+            rec.onset = t
+        return True
+
+    def _hand_over(self, cfg: Config, onset: int | None) -> bool:
+        """Give control to the takeover's actor, retagging from a timeout's
+        ``onset``; False when the takeover has none."""
+        if onset is not None:
+            self.rec.onset = onset
+            self.rec.retag(PhaseTag.ERROR)
+        actor = self.trial.takeover.hand_over(cfg, self.trial.task_id, self.state)
+        if actor is None:
+            return False
+        actor.begin(cfg, self.trial.task_id, self.state)
+        self.actor = actor
+        return True
+
+    def advance(self, cfg: Config, action: tuple[float, ...]) -> None:
+        """Record ``action``, step the world, and check the window, the
+        verdict on the injection and success."""
+        trial, rec, actor = self.trial, self.rec, self.actor
+        trigger, takeover = trial.trigger, trial.takeover
+        if actor.exhausted and not (trigger is not None and trigger.pending):
+            self.done = True
+            return
+        t = len(rec.tags)
+        tag = PhaseTag.NOMINAL if rec.t_rec is None else actor.recovery_tag()
+        if trigger is not None and trigger.resolved:
+            action = inject(action, trigger.error, t, trigger)
+            if trigger.in_window(t):
+                tag = PhaseTag.ERROR
+        rec.add(self.obs, action, tag)
+        before, self.state = self.state, step(cfg, self.state, actor.applied(action))
+        self.obs = observe(self.state)
+        if takeover is not None and rec.t_rec is None:
+            takeover.watch(cfg, trial.task_id, t, before, self.state)
+        if actor.stalled:
+            self.done = True
+            return
+        if trigger is not None and len(rec.tags) == trigger.t_end:
+            trigger.verified = verify_adverse(cfg, self.state, trigger.error, trigger)
+            if trigger.verified:
+                rec.t_rec = len(rec.tags)
+                if takeover is not None and not self._hand_over(cfg, None):
+                    self.done = True
+                    return
+        if success_check(cfg, trial.task_id, self.state):
+            self.succeeded = self.done = True
+
+    def episode(self, cfg: Config) -> Episode:
+        """The validated episode of the ended trial, with its verdict."""
+        trial, rec, trigger = self.trial, self.rec, self.trial.trigger
+        if trigger is not None and not trigger.verified:
+            rec.retag(PhaseTag.NOMINAL)
+            rec.onset = None
+        outcome, kind, t_rec = rec.verdict(self.succeeded)
+        provenance = dict(trial.provenance)
+        if trigger is not None:
+            provenance.update(trigger.provenance(len(rec.tags)))
+        if trial.takeover is not None:
+            provenance.update(trial.takeover.provenance(t_rec))
+        episode = Episode(
+            episode_id=f"{trial.task_id}-{trial.env_mode.value.lower()}-{trial.label}-s{trial.seed:06d}",
+            task_id=trial.task_id,
+            instruction_id=get_task(cfg, trial.task_id).instruction_id,
+            env_mode=trial.env_mode,
+            seed=trial.seed,
+            error_type=trigger.error.kind.value if trigger is not None else None,
+            t_rec=t_rec,
+            outcome=outcome,
+            kind=kind,
+            frames=rec.frames(),
+            provenance=provenance,
+        )
+        validate_episode(episode)
+        return episode
+
+
+def _act(runs: list[_Run]) -> list[tuple[float, ...]]:
+    """The action rows of ``runs``, with one ``act_all`` call per actor class."""
+    if len(runs) == 1:  # nothing to group: spare the one-trial call the bookkeeping
+        return [runs[0].actor.act(runs[0].state, runs[0].obs)]
+    groups: dict[type, list[int]] = {}
+    for i, run in enumerate(runs):
+        groups.setdefault(type(run.actor), []).append(i)
+    actions: list = [None] * len(runs)
+    for cls, members in groups.items():
+        rows = cls.act_all([runs[i].actor for i in members], [runs[i].state for i in members],
+                           [runs[i].obs for i in members])
+        for i, row in zip(members, rows):
+            actions[i] = row
+    return actions
+
+
+def run_episodes(cfg: Config, trials: list[Trial]) -> Iterator[tuple[int, Episode]]:
+    """Run ``trials`` in lockstep and yield ``(index in trials, episode)`` as
+    each ends.
+
+    Each tick does every live trial's bookkeeping (see ``run_episode``), then
+    the actions of all acting trials, one ``Actor.act_all`` call per actor
+    class, then each trial's step, window and verdict checks.  Trials share
+    no state: each keeps its own world, actor and RNGs, so its episode is
+    the one it would give alone.  An ended trial leaves the batch at once,
+    as a validated episode.
+    """
+    live = [_Run(cfg, i, trial) for i, trial in enumerate(trials)]
+    while live:
+        acting = [run for run in live if run.ready(cfg)]
+        for run, action in zip(acting, _act(acting)):
+            run.advance(cfg, action)
+        for run in live:
+            if run.done:
+                yield run.index, run.episode(cfg)
+        live = [run for run in live if not run.done]
 
 
 def run_episode(
@@ -475,81 +664,10 @@ def run_episode(
     first, is retagged Nominal.  A takeover may also take over at the
     timeout.  ``label`` names the episode id and
     ``provenance`` holds the caller's entries; the trigger and takeover add
-    theirs.
+    theirs.  This is the one-trial call of ``run_episodes``.
     """
-    state = reset(cfg, task_id, env_mode, seed)
-    obs = observe(state)
-    actor.begin(cfg, task_id, state)
-    rec = _Recorder()
-    cap = int(cfg.episode_max_steps)
-    succeeded = False
-    while True:
-        t = len(rec.tags)
-        if (t_max is not None and detect_failure(t, t_max)) or t >= cap:
-            onset = takeover.timeout_onset(t) if takeover is not None and rec.t_rec is None else None
-            if onset is None:
-                break
-            rec.onset = onset
-            rec.retag(PhaseTag.ERROR)
-            actor = takeover.hand_over(cfg, task_id, state)
-            if actor is None:
-                break
-            actor.begin(cfg, task_id, state)
-            rec.t_rec, t_max = t, None
-            continue
-        if trigger is not None and not trigger.resolved and trigger.fire(cfg, t, state, actor):
-            rec.onset = t
-        action = actor.act(state, obs)
-        if actor.exhausted and not (trigger is not None and trigger.pending):
-            break
-        tag = PhaseTag.NOMINAL if rec.t_rec is None else actor.recovery_tag()
-        if trigger is not None and trigger.resolved:
-            action = inject(action, trigger.error, t, trigger)
-            if trigger.in_window(t):
-                tag = PhaseTag.ERROR
-        rec.add(obs, action, tag)
-        before, state = state, step(cfg, state, actor.applied(action))
-        obs = observe(state)
-        if takeover is not None and rec.t_rec is None:
-            takeover.watch(cfg, task_id, t, before, state)
-        if actor.stalled:
-            break
-        if trigger is not None and len(rec.tags) == trigger.t_end:
-            trigger.verified = verify_adverse(cfg, state, trigger.error, trigger)
-            if trigger.verified:
-                rec.t_rec = len(rec.tags)
-                if takeover is not None:
-                    actor = takeover.hand_over(cfg, task_id, state)
-                    if actor is None:
-                        break
-                    actor.begin(cfg, task_id, state)
-        if success_check(cfg, task_id, state):
-            succeeded = True
-            break
-
-    if trigger is not None and not trigger.verified:
-        rec.retag(PhaseTag.NOMINAL)
-        rec.onset = None
-    outcome, kind, t_rec = rec.verdict(succeeded)
-    provenance = dict(provenance)
-    if trigger is not None:
-        provenance.update(trigger.provenance(len(rec.tags)))
-    if takeover is not None:
-        provenance.update(takeover.provenance(t_rec))
-    episode = Episode(
-        episode_id=f"{task_id}-{env_mode.value.lower()}-{label}-s{seed:06d}",
-        task_id=task_id,
-        instruction_id=get_task(cfg, task_id).instruction_id,
-        env_mode=env_mode,
-        seed=seed,
-        error_type=trigger.error.kind.value if trigger is not None else None,
-        t_rec=t_rec,
-        outcome=outcome,
-        kind=kind,
-        frames=Frames(rec.obs, rec.actions, [tag.value for tag in rec.tags], np.full(len(rec.tags), np.nan)),
-        provenance=provenance,
-    )
-    validate_episode(episode)
+    trial = Trial(actor, task_id, env_mode, seed, label, provenance, t_max, trigger, takeover)
+    (_, episode), = run_episodes(cfg, [trial])
     return episode
 
 

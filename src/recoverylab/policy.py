@@ -14,7 +14,7 @@ parts.  Phase one imitates expert data mixed with sliced recovery suffixes
 (histories reset at the recovery) at weight lambda, with v pinned to 1.0.
 The refinement phase trains on the labeled mixed dataset (histories reach
 back into the failure) with per-frame v driving the token.  Deployment pins
-v = 1.0 and reads the training-time windows from a rolling buffer.
+v = 1.0 and keeps the training-time window of its last w observations.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .config import Config
 from .errors import InputError, TrainingError, ValidationError
 from .faults import UNTRIGGERED, Actor, ErrorType, InjectionSchedule, run_episode
 from .nets import Adam, Params, init_linear, init_mlp, mlp_backward, mlp_forward
-from .store import Episode, checkpoint_array, history_rows, history_windows, load_checkpoint, save_checkpoint
+from .store import Episode, checkpoint_array, history_windows, load_checkpoint, save_checkpoint
 from .world import (
     ACTION_DIM,
     GRIP_DIMS,
@@ -44,19 +44,22 @@ from .world import (
 POSE_DIMS = (0, 1, 2, 4, 5, 6)
 
 
-def action_from_vector(cfg: Config, vec: np.ndarray) -> tuple[float, ...]:
+def action_from_vector(cfg: Config, vec: np.ndarray) -> tuple[float, ...] | list[tuple[float, ...]]:
     """Clamp raw network output into a valid action row: x and y into the
-    workspace, grips into [0, 1], thetas wrapped into (-pi, pi]."""
+    workspace, grips into [0, 1], thetas wrapped into (-pi, pi].  An (M, 8)
+    stack gives the list of its M rows."""
     vec = np.asarray(vec, dtype=float)
     # Checked before the clip, which would turn an infinite x into a bound.
-    if vec.shape != (ACTION_DIM,) or not np.isfinite(vec).all():
+    if vec.shape[-1:] != (ACTION_DIM,) or vec.ndim > 2 or not np.isfinite(vec).all():
         raise InputError(f"an action vector holds {ACTION_DIM} finite values, got {vec!r}")
     lower = np.array([cfg.workspace_x_min, cfg.workspace_y_min, -np.inf, 0.0] * 2)
     upper = np.array([cfg.workspace_x_max, cfg.workspace_y_max, np.inf, 1.0] * 2)
-    row = np.clip(vec, lower, upper).tolist()
-    for d in THETA_DIMS:
-        row[d] = wrap_angle(row[d])
-    return tuple(row)
+    rows = np.clip(vec, lower, upper).reshape(-1, ACTION_DIM).tolist()
+    for row in rows:
+        for d in THETA_DIMS:
+            row[d] = wrap_angle(row[d])
+    rows = [tuple(row) for row in rows]
+    return rows if vec.ndim == 2 else rows[0]
 
 
 @dataclass
@@ -135,23 +138,29 @@ def _forward_batch(policy: Policy, hist: np.ndarray, obs: np.ndarray, instr: np.
     return mu, (x, trunk_cache, e_val, instr, v, mu)
 
 
-def forward(policy: Policy, cfg: Config, obs: np.ndarray, history: np.ndarray, instruction_id: int, v: float) -> tuple[float, ...]:
-    """Deterministic mean action row for one observation vector; grips squashed to [0, 1]."""
+def forward(policy: Policy, cfg: Config, obs: np.ndarray, history: np.ndarray, instruction_id: int | np.ndarray,
+            v: float) -> tuple[float, ...] | list[tuple[float, ...]]:
+    """Deterministic mean action row for one observation vector; grips
+    squashed to [0, 1].  A stack of M observations, (M, w, obs_dim) history
+    windows and M instruction ids gives the list of their M rows."""
     if not (0.0 <= v <= 1.0):
         raise InputError(f"v must lie in [0, 1], got {v}")
-    if history.shape != (policy.history_w, OBS_DIM) or obs.shape != (OBS_DIM,):
+    lead = obs.shape[:-1]
+    if (len(lead) > 1 or history.shape != lead + (policy.history_w, OBS_DIM) or obs.shape[-1:] != (OBS_DIM,)
+            or np.shape(instruction_id) != lead):
         raise InputError(
-            f"dimension mismatch: history {history.shape}, obs {obs.shape}, "
-            f"expected ({policy.history_w}, {OBS_DIM})"
+            f"dimension mismatch: history {history.shape}, obs {obs.shape}, instruction ids "
+            f"{np.shape(instruction_id)}, expected ({policy.history_w}, {OBS_DIM}) per observation"
         )
+    batch = lead[0] if lead else 1
     mu, _ = _forward_batch(
         policy,
-        history.reshape(1, -1),
-        obs[None, :],
-        np.array([instruction_id]),
-        np.array([float(v)]),
+        history.reshape(batch, -1),
+        obs.reshape(batch, OBS_DIM),
+        np.reshape(instruction_id, batch),
+        np.full(batch, float(v)),
     )
-    return action_from_vector(cfg, mu[0])
+    return action_from_vector(cfg, mu if lead else mu[0])
 
 
 def loss_and_grads(
@@ -377,7 +386,8 @@ def train_value_conditioned(
 
 class LearnedActor(Actor):
     """Wraps a Policy; sees observations only, through the training-time
-    history windows (``store.history_rows``)."""
+    history windows (``store.history_windows``).  Actors that share a policy
+    and a ``v_fixed`` act together in one forward."""
 
     def __init__(self, policy: Policy, v_fixed: float = 1.0):
         self.policy = policy
@@ -388,18 +398,29 @@ class LearnedActor(Actor):
     def begin(self, cfg, task_id, state):
         self._cfg = cfg
         self._instruction = get_task(cfg, task_id).instruction_id
-        # run_episode acts at most episode_max_steps times per begin.
-        n, w = int(cfg.episode_max_steps), self.policy.history_w
-        self._buffer = np.zeros((w + n, OBS_DIM))
-        self._rows = history_rows(n, w)
-        self._t = 0
+        # Row k is frame t-1-k; rows before frame 0 stay zero.
+        self._window = np.zeros((self.policy.history_w, OBS_DIM))
 
     def act(self, state, obs):
-        window = self._buffer.take(self._rows[self._t], axis=0)
-        action = forward(self.policy, self._cfg, obs, window, self._instruction, self.v_fixed)
-        self._buffer[self.policy.history_w + self._t] = obs
-        self._t += 1
-        return action
+        return self.act_all([self], [state], [obs])[0]
+
+    @classmethod
+    def act_all(cls, actors, states, obs):
+        groups: dict[tuple[int, float, int], list[int]] = {}
+        for i, actor in enumerate(actors):
+            groups.setdefault((id(actor.policy), actor.v_fixed, id(actor._cfg)), []).append(i)
+        actions: list = [None] * len(actors)
+        for members in groups.values():
+            first = actors[members[0]]
+            rows = forward(first.policy, first._cfg, np.stack([obs[i] for i in members]),
+                           np.stack([actors[i]._window for i in members]),
+                           np.array([actors[i]._instruction for i in members]), first.v_fixed)
+            for i, row in zip(members, rows):
+                actions[i] = row
+                window = actors[i]._window
+                window[1:] = window[:-1]
+                window[:1] = obs[i]  # a slice: a w = 0 window has no row 0
+        return actions
 
 
 def rollout(

@@ -439,21 +439,17 @@ def slice_recovery_suffix(episode: Episode) -> Episode:
     return sliced
 
 
-def history_rows(n_frames: int, w: int) -> np.ndarray:
-    """(n_frames, w) rows of frame 0..n_frames-1's history windows in a buffer
-    of ``w`` zero rows, then frame 0, 1, ...: row k of frame t's window is
-    frame t-1-k, and rows before frame 0 read the zero padding."""
-    return np.arange(n_frames)[:, None] + np.arange(w - 1, -1, -1)
-
-
 def history_windows(obs: np.ndarray, w: int) -> np.ndarray:
-    """Flattened (T, w * obs_dim) history windows of every frame of an episode.
+    """Flattened (T, w * obs_dim) history windows of every frame of an episode:
+    row k of frame t's window is frame t-1-k, and rows before frame 0 are
+    zero.
 
     Windows never reach before frame 0, so a sliced recovery suffix (which
     starts at frame 0) sees none of the failure that preceded it.
     """
     buffer = np.concatenate([np.zeros((w, obs.shape[1])), obs])
-    return buffer.take(history_rows(len(obs), w), axis=0).reshape(len(obs), w * obs.shape[1])
+    rows = np.arange(len(obs))[:, None] + np.arange(w - 1, -1, -1)
+    return buffer.take(rows, axis=0).reshape(len(obs), w * obs.shape[1])
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,30 @@ def test_non_positive_scale_rejected(tmp_path, key, value):
         load_config(path)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("history_window", -2),                                      # window
+    ("bc_steps", -1), ("episode_max_steps", -400),               # step counts
+    ("policy_hidden", -3), ("feature_dim", -64),                 # dimensions
+    ("feature_seed", -7),                                        # seed
+    ("eval_trials", -1),                                         # trial count
+])
+def test_negative_integer_rejected(tmp_path, key, value):
+    with pytest.raises(ConfigError, match=key):
+        load_config().with_overrides(**{key: value})
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"{key} = {value}\n")
+    with pytest.raises(ConfigError, match=key):
+        load_config(path)
+
+
+def test_every_integer_key_rejects_negative():
+    cfg = load_config()
+    for key, default in DEFAULTS.items():
+        if isinstance(default, int):
+            with pytest.raises(ConfigError, match=key):
+                cfg.with_overrides(**{key: -1})
+
+
 def test_zero_step_counts_allowed():
     cfg = load_config().with_overrides(bc_steps=0, refine_steps=0, align_steps=0, e2_window_steps=0)
     assert (cfg.bc_steps, cfg.refine_steps, cfg.align_steps, cfg.e2_window_steps) == (0, 0, 0, 0)

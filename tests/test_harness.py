@@ -92,6 +92,36 @@ def test_report_csv_byte_identical(cfg, mini_policies, t_max, tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("actor", ["oracle", "random"])
+def test_lockstep_call_equals_one_seed_calls(cfg, t_max, actor):
+    # These actors make no matrix products, so one call over six seeds must
+    # give exactly the trials of six one-seed calls, under every condition.
+    factory = {"oracle": lambda s: bench.OracleActor(), "random": lambda s: bench.RandomActor(s)}[actor]
+    seeds = seeds_from(700000, 6)
+    for kind in (None,) + tuple(ErrorKind):
+        error = error_from_config(cfg, kind) if kind else None
+        together = bench.run_protocol(cfg, factory, "pick-place", error, seeds, t_max)
+        alone = [bench.run_protocol(cfg, factory, "pick-place", error, [s], t_max) for s in seeds]
+        assert together.trials == [report.trials[0] for report in alone]
+        # Reversing the seeds reverses the trials and changes nothing else.
+        backwards = bench.run_protocol(cfg, factory, "pick-place", error, seeds[::-1], t_max)
+        assert backwards.trials == together.trials[::-1]
+        assert backwards.summary_row() == together.summary_row()
+        assert backwards.config_snapshot == together.config_snapshot
+
+
+def test_lockstep_learned_call_equals_one_seed_calls(cfg, mini_policies, t_max):
+    # The batched forward of one call gives the trials of batch-1 calls.
+    _, _, full = mini_policies
+    error = error_from_config(cfg, ErrorKind.E2_GRASP_SLIP)
+    factory = bench.policy_actor_factory(full)
+    seeds = seeds_from(530000, 10)
+    together = bench.run_protocol(cfg, factory, "pick-place", error, seeds, t_max)
+    alone = [bench.run_protocol(cfg, factory, "pick-place", error, [s], t_max).trials[0] for s in seeds]
+    assert together.trials == alone
+    assert len({t.steps_used for t in alone}) > 1  # the batch shrinks as trials end
+
+
 def test_collect_policy_induced_from_weak_policy(cfg, mini_cfg, tmp_path, t_max):
     from recoverylab.policy import init_policy
 

@@ -81,6 +81,16 @@ def test_action_from_vector_rejects_non_finite(cfg, bad):
             action_from_vector(cfg, vec)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_action_from_vector_rejects_non_finite_in_any_row(cfg, bad):
+    for row in range(3):
+        for i in range(8):
+            batch = np.full((3, 8), 0.25)
+            batch[row, i] = bad
+            with pytest.raises(InputError):
+                action_from_vector(cfg, batch)
+
+
 def test_forward_input_validation(cfg, tiny_policy):
     state = reset(cfg, "pick-place", EnvMode.RANDOM, 0)
     obs = observe(state)
@@ -88,6 +98,24 @@ def test_forward_input_validation(cfg, tiny_policy):
         forward(tiny_policy, cfg, obs, np.zeros((2, OBS_DIM)), 0, 1.0)
     with pytest.raises(InputError):
         forward(tiny_policy, cfg, obs, np.zeros((tiny_policy.history_w, OBS_DIM)), 0, 1.7)
+    # A stack is checked the same way: one window per observation, v in [0, 1].
+    stack = np.stack([obs, obs])
+    with pytest.raises(InputError):
+        forward(tiny_policy, cfg, stack, np.zeros((3, tiny_policy.history_w, OBS_DIM)), np.zeros(2, int), 1.0)
+    with pytest.raises(InputError):
+        forward(tiny_policy, cfg, stack, np.zeros((2, tiny_policy.history_w, OBS_DIM)), np.zeros(2, int), -0.1)
+    with pytest.raises(InputError):
+        forward(tiny_policy, cfg, stack, np.zeros((2, tiny_policy.history_w, OBS_DIM)), 0, 1.0)
+
+
+def test_forward_stack_matches_single_rows(cfg, tiny_policy, rng):
+    # A batched product may differ from the one-row one in its last bits only.
+    obs = np.stack([observe(reset(cfg, "pick-place", EnvMode.RANDOM, s)) for s in range(4)])
+    hist = rng.normal(0, 0.3, size=(4, tiny_policy.history_w, OBS_DIM))
+    rows = forward(tiny_policy, cfg, obs, hist, np.zeros(4, int), 1.0)
+    assert len(rows) == 4
+    for i, row in enumerate(rows):
+        assert row == pytest.approx(forward(tiny_policy, cfg, obs[i], hist[i], 0, 1.0), rel=1e-9, abs=1e-12)
 
 
 def test_gradient_matches_finite_differences(cfg, expert_episodes):
@@ -302,6 +330,18 @@ def test_load_policy_checks_shapes_against_metadata(tiny_policy, tmp_path):
         path.write_text(json.dumps(payload))
         with pytest.raises(StorageError):
             load_policy(path)
+
+
+def test_load_policy_rejects_negative_history_window(tiny_policy, tmp_path):
+    # Self-consistent: trunk_w1 has the rows a window of -2 would give.
+    path = save_policy(tiny_policy, tmp_path / "policy.json")
+    payload = json.loads(path.read_text())
+    w = payload["history_w"]
+    payload["history_w"] = -2
+    payload["params"]["trunk_w1"] = payload["params"]["trunk_w1"][(w + 2) * OBS_DIM:]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(StorageError, match="history_window"):
+        load_policy(path)
 
 
 def test_learned_actor_history_matches_dataset_convention(cfg, mini_policies, expert_episodes, monkeypatch):

@@ -160,13 +160,22 @@ vector_entries = st.one_of(
 )
 
 
-@PROPERTY
-@given(st.lists(vector_entries, min_size=8, max_size=8))
-def test_action_from_vector_clips_and_wraps_each_element(vec):
+def _clamped_row(vec) -> tuple[float, ...]:
+    """The per-element rule: x, y and grip clipped to their bounds, theta wrapped."""
     x_min, x_max, y_min, y_max = WORKSPACE
     expected = []
     for x, y, theta, grip in (vec[:4], vec[4:]):
         expected += (min(x_max, max(x_min, x)), min(y_max, max(y_min, y)), wrap_angle(theta), min(1.0, max(0.0, grip)))
-    row = action_from_vector(CFG, np.array(vec))
-    assert row == tuple(expected)
-    assert all(type(value) is float for value in row)
+    return tuple(expected)
+
+
+@PROPERTY
+@given(st.lists(st.lists(vector_entries, min_size=8, max_size=8), min_size=1, max_size=6))
+def test_action_from_vector_clips_and_wraps_each_element(vecs):
+    # One (8,) vector gives its row; an (M, 8) stack gives the list of its rows.
+    rows = action_from_vector(CFG, np.array(vecs))
+    assert rows == [_clamped_row(vec) for vec in vecs]
+    for vec, row in zip(vecs, rows):
+        assert action_from_vector(CFG, np.array(vec)) == row
+        assert all(type(value) is float for value in row)
+
