@@ -46,9 +46,30 @@ def _dataset_digests(out_dir) -> dict[str, str]:
     return {p.name: _sha(p) for p in sorted(out_dir.glob("*.json")) if p.name != "manifest.json"}
 
 
+def _manifests_digest(root, names) -> str:
+    """One digest of the manifests under ``root/<name>``, in name order."""
+    h = hashlib.sha256()
+    for name in sorted(names):
+        h.update(name.encode())
+        h.update((root / name / "manifest.json").read_bytes())
+    return h.hexdigest()
+
+
 def _assert_golden(got: dict, want: dict) -> None:
     wrong = {k: got.get(k) for k in set(got) | set(want) if got.get(k) != want.get(k)}
     assert not wrong, f"digests changed: {sorted(wrong)}"
+
+
+# The manifests the nominal, interception and induced cases write, one
+# digest per test over every case's manifest.
+MANIFEST_GOLDEN = {
+    "nominal":
+        "bb4672a10f66fac35bee5917d940ed3da9d8947c08a36eeaeab592c4b54798a1",
+    "interception":
+        "254d02f2468f3fd9b14e86b2f55439c3428b1cbb96fc43391b4c2db4abc036fb",
+    "induced":
+        "0e93ede4dd40d0608394e263df49c17f2eab0ec1e1be91d903dfebda8dbb3709",
+}
 
 
 NOMINAL_CASES = {
@@ -88,6 +109,7 @@ def test_nominal_golden(cfg, tmp_path):
         episode = run_nominal(c, task, mode, seed, t_max=t_max, action_noise=noise)
         got[name] = _episode_digest(episode, tmp_path / name)
     _assert_golden(got, NOMINAL_GOLDEN)
+    assert _manifests_digest(tmp_path, NOMINAL_CASES) == MANIFEST_GOLDEN["nominal"]
 
 
 def _interception_cases():
@@ -224,12 +246,14 @@ INTERCEPTION_GOLDEN = {
 
 def test_interception_golden(cfg, tmp_path):
     got = {}
-    for name, (overrides, task, kind, seed, t_max, recover) in _interception_cases().items():
+    cases = _interception_cases()
+    for name, (overrides, task, kind, seed, t_max, recover) in cases.items():
         c = cfg.with_overrides(**overrides) if overrides else cfg
         episode = run_interception(c, task, EnvMode.RANDOM, error_from_config(c, kind), seed,
                                    t_max=t_max, recover=recover)
         got[name] = _episode_digest(episode, tmp_path / name)
     _assert_golden(got, INTERCEPTION_GOLDEN)
+    assert _manifests_digest(tmp_path, cases) == MANIFEST_GOLDEN["interception"]
 
 
 RECOVERY_FAILED_GOLDEN = {
@@ -295,6 +319,7 @@ def test_policy_induced_golden(cfg, tmp_path):
         datagen.collect_policy_induced(c, weak, tasks, n, seed0, out, t_max=t_max)
         got.update({f"{name}/{k}": v for k, v in _dataset_digests(out).items()})
     _assert_golden(got, INDUCED_GOLDEN)
+    assert _manifests_digest(tmp_path, runs) == MANIFEST_GOLDEN["induced"]
 
 
 REPORT_GOLDEN = {
