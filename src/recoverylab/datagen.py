@@ -9,7 +9,7 @@ from .config import Config
 from .errors import PlanningError
 from .faults import ErrorType, TimeoutTakeover, run_episode, run_interception, run_nominal
 from .policy import LearnedActor, Policy
-from .store import EpisodeKind, Outcome, write_episode
+from .store import EpisodeKind, Outcome, write_episodes
 from .world import EnvMode
 
 
@@ -27,21 +27,23 @@ def generate_nominal(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     noise = float(cfg.expert_action_noise)
-    written = skipped = failures = 0
-    for i in range(n):
-        seed = seed0 + i
-        try:
-            episode = run_nominal(cfg, task_id, env_mode, seed, action_noise=noise)
-        except PlanningError:
-            skipped += 1
-            continue
-        if episode.outcome is Outcome.FAILURE:
-            failures += 1
-            if not keep_failures:
+    counts = {"skipped": 0, "failures": 0}
+
+    def kept():
+        for i in range(n):
+            try:
+                episode = run_nominal(cfg, task_id, env_mode, seed0 + i, action_noise=noise)
+            except PlanningError:
+                counts["skipped"] += 1
                 continue
-        write_episode(episode, out_dir)
-        written += 1
-    return {"written": written, "skipped": skipped, "failures": failures, "out_dir": str(out_dir)}
+            if episode.outcome is Outcome.FAILURE:
+                counts["failures"] += 1
+                if not keep_failures:
+                    continue
+            yield episode
+
+    written = len(write_episodes(kept(), out_dir))
+    return {"written": written, **counts, "out_dir": str(out_dir)}
 
 
 def generate_recovery(
@@ -61,26 +63,25 @@ def generate_recovery(
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = skipped = unverified = 0
-    for i in range(n):
-        seed = seed0 + i
-        try:
-            episode = run_interception(cfg, task_id, env_mode, error, seed, recover=not pure_failure)
-        except PlanningError:
-            skipped += 1
-            continue
-        if not episode.provenance.get("adverse_verified", False):
-            unverified += 1
-            continue
-        wanted = EpisodeKind.PURE_FAILURE if pure_failure else EpisodeKind.FAILURE_RECOVERY
-        if episode.kind is not wanted:
-            skipped += 1
-            continue
-        write_episode(episode, out_dir)
-        written += 1
-    return {
-        "written": written, "skipped": skipped, "unverified": unverified, "out_dir": str(out_dir),
-    }
+    wanted = EpisodeKind.PURE_FAILURE if pure_failure else EpisodeKind.FAILURE_RECOVERY
+    counts = {"skipped": 0, "unverified": 0}
+
+    def kept():
+        for i in range(n):
+            try:
+                episode = run_interception(cfg, task_id, env_mode, error, seed0 + i, recover=not pure_failure)
+            except PlanningError:
+                counts["skipped"] += 1
+                continue
+            if not episode.provenance.get("adverse_verified", False):
+                counts["unverified"] += 1
+            elif episode.kind is not wanted:
+                counts["skipped"] += 1
+            else:
+                yield episode
+
+    written = len(write_episodes(kept(), out_dir))
+    return {"written": written, **counts, "out_dir": str(out_dir)}
 
 
 def collect_policy_induced(
@@ -104,20 +105,22 @@ def collect_policy_induced(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     counts = {"recovery": 0, "pure_failure": 0, "policy_success": 0, "skipped": 0}
-    for i in range(n):
-        seed = seed0 + i
-        task_id = task_ids[i % len(task_ids)]
-        episode = run_episode(
-            cfg, LearnedActor(policy), task_id, EnvMode.RANDOM, seed, "induced",
-            {"generator": "policy-induced"}, t_max=t_max, takeover=TimeoutTakeover(),
-        )
-        if episode.kind is EpisodeKind.FAILURE_RECOVERY:
-            counts["recovery"] += 1
-        elif episode.kind is EpisodeKind.PURE_FAILURE:
-            counts["pure_failure"] += 1
-        else:
-            counts["policy_success"] += 1
-            continue  # successes are not recovery data
-        write_episode(episode, out_dir)
+
+    def kept():
+        for i in range(n):
+            episode = run_episode(
+                cfg, LearnedActor(policy), task_ids[i % len(task_ids)], EnvMode.RANDOM, seed0 + i, "induced",
+                {"generator": "policy-induced"}, t_max=t_max, takeover=TimeoutTakeover(),
+            )
+            if episode.kind is EpisodeKind.FAILURE_RECOVERY:
+                counts["recovery"] += 1
+            elif episode.kind is EpisodeKind.PURE_FAILURE:
+                counts["pure_failure"] += 1
+            else:
+                counts["policy_success"] += 1
+                continue  # successes are not recovery data
+            yield episode
+
+    write_episodes(kept(), out_dir)
     counts["out_dir"] = str(out_dir)
     return counts

@@ -26,7 +26,7 @@ from .store import (
     EpisodeKind,
     PhaseTag,
     read_dataset,
-    write_episode,
+    write_episodes,
 )
 from .value import ProgressModel, ReferenceCluster, estimate_progress
 
@@ -100,14 +100,18 @@ def label_dataset(
     episodes = read_dataset(dataset_dir)
     histogram = {"0.0": 0, "(0,1)": 0, "1.0": 0}
     counts: dict[str, int] = {}
-    for episode in episodes:
-        labeled = label_episode(episode, model, cluster, cfg)
-        provenance = dict(labeled.provenance)
-        provenance["labeler"] = {"alpha": float(cfg.alpha), "rule": labeled.kind.value}
-        labeled = replace(labeled, provenance=provenance)
-        write_episode(labeled, out_dir)
-        counts[labeled.kind.value] = counts.get(labeled.kind.value, 0) + 1
-        v = labeled.frames.v
-        for key, hits in (("0.0", v == 0.0), ("1.0", v == 1.0), ("(0,1)", (v != 0.0) & (v != 1.0))):
-            histogram[key] += int(np.sum(hits))
+
+    def labeled_episodes():
+        for episode in episodes:
+            labeled = label_episode(episode, model, cluster, cfg)
+            provenance = dict(labeled.provenance)
+            provenance["labeler"] = {"alpha": float(cfg.alpha), "rule": labeled.kind.value}
+            labeled = replace(labeled, provenance=provenance)
+            yield labeled
+            counts[labeled.kind.value] = counts.get(labeled.kind.value, 0) + 1
+            v = labeled.frames.v
+            for key, hits in (("0.0", v == 0.0), ("1.0", v == 1.0), ("(0,1)", (v != 0.0) & (v != 1.0))):
+                histogram[key] += int(np.sum(hits))
+
+    write_episodes(labeled_episodes(), out_dir)
     return {"episodes": counts, "label_histogram": histogram, "out_dir": str(out_dir)}

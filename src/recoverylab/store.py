@@ -4,9 +4,11 @@ the one checkpoint envelope both models are saved in.
 One JSON file per episode plus a manifest per dataset directory.  Floats are
 serialized at 9 significant digits, which round-trips 32-bit precision and
 keeps re-serialization byte-stable.  Episode files and the manifest are
-written via atomic rename so readers never observe a torn write.  In memory
-an episode's frames are one table of columns (``Frames``); only
-``episode_to_dict`` and ``episode_from_dict`` know the per-frame JSON layout.
+written via atomic rename so readers never observe a torn write, and a batch
+of episodes updates the manifest once, under a lock file.  In memory an
+episode's frames are one table of columns (``Frames``); ``_frame_dict`` and
+``episode_from_dict`` know the per-frame JSON layout, and the writer fills a
+text template derived from ``_frame_dict``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -31,6 +33,8 @@ from .world import ACTION_DIM, ARM_NAMES, GRIP_DIMS, OBS_DIM, PROPRIO_DIM, THETA
 SCHEMA_VERSION = 1
 CHECKPOINT_SCHEMA = 1
 MANIFEST_NAME = "manifest.json"
+# Beside the manifest while a writer holds the directory; not a *.json file.
+LOCK_NAME = "manifest.lock"
 FLOAT_SIGFIGS = 9
 # On-disk keys of each arm's half of an action row.
 ACTION_KEYS = ("x", "y", "theta", "grip")
@@ -169,8 +173,18 @@ def _round_tree(node):
     return node
 
 
-def episode_to_dict(episode: Episode) -> dict:
-    f = episode.frames
+def _frame_dict(t, obs, action, phase, v, instruction_id) -> dict:
+    """One frame in its on-disk layout; ``v`` is None when unlabeled."""
+    return {
+        "t": t,
+        "obs": {"proprio": obs[:PROPRIO_DIM], "object_feats": obs[PROPRIO_DIM:], "instruction_id": instruction_id},
+        "action": {"left": dict(zip(ACTION_KEYS, action[:4])), "right": dict(zip(ACTION_KEYS, action[4:]))},
+        "phase": phase,
+        "v": v,
+    }
+
+
+def _payload(episode: Episode, frames: list) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "episode_id": episode.episode_id,
@@ -182,24 +196,19 @@ def episode_to_dict(episode: Episode) -> dict:
         "t_rec": episode.t_rec,
         "outcome": episode.outcome.value,
         "kind": episode.kind.value,
-        "frames": [
-            {
-                "t": t,
-                "obs": {
-                    "proprio": obs[:PROPRIO_DIM],
-                    "object_feats": obs[PROPRIO_DIM:],
-                    "instruction_id": episode.instruction_id,
-                },
-                "action": {"left": dict(zip(ACTION_KEYS, action[:4])), "right": dict(zip(ACTION_KEYS, action[4:]))},
-                "phase": phase,
-                "v": None if math.isnan(v) else v,
-            }
-            for t, (obs, action, phase, v) in enumerate(
-                zip(f.obs.tolist(), f.actions.tolist(), f.phase.tolist(), f.v.tolist())
-            )
-        ],
+        "frames": frames,
         "provenance": episode.provenance,
     }
+
+
+def episode_to_dict(episode: Episode) -> dict:
+    f = episode.frames
+    return _payload(episode, [
+        _frame_dict(t, obs, action, phase, None if math.isnan(v) else v, episode.instruction_id)
+        for t, (obs, action, phase, v) in enumerate(
+            zip(f.obs.tolist(), f.actions.tolist(), f.phase.tolist(), f.v.tolist())
+        )
+    ])
 
 
 def _frames_from_dicts(rows: list, instruction_id: int) -> Frames:
@@ -251,6 +260,56 @@ def episode_from_dict(data: dict, source: str = "<memory>") -> Episode:
 
 def _dumps(payload: dict) -> str:
     return json.dumps(_round_tree(payload), indent=1, sort_keys=True) + "\n"
+
+
+def _frame_template() -> tuple[str, list[int]]:
+    """One frame's text as ``_dumps`` indents it inside an episode, with a
+    ``%s`` slot per value, and the column of ``_frames_text``'s table that
+    fills each slot: the OBS_DIM observation values, the ACTION_DIM action
+    values, then v, t, phase and instruction id."""
+    n = OBS_DIM + ACTION_DIM
+    marks = [f"@{k}" for k in range(n + 4)]
+    v, t, phase, instruction_id = marks[n:]
+    frame = _frame_dict(t, marks[:OBS_DIM], marks[OBS_DIM:n], phase, v, instruction_id)
+    text = json.dumps({"frames": [frame]}, indent=1, sort_keys=True)
+    text = text[text.index("[\n") + 2:text.rindex("\n ]")].replace("%", "%%")
+    return re.sub(r'"@\d+"', "%s", text), [int(k) for k in re.findall(r'"@(\d+)"', text)]
+
+
+_FRAME_TEMPLATE, _FRAME_SLOTS = _frame_template()
+_FLOAT_FORMAT = f"%.{FLOAT_SIGFIGS}g "
+
+
+def _frames_text(frames: Frames, instruction_id) -> str:
+    """The frames of an episode exactly as ``_dumps`` writes them inside it,
+    filled into one template per frame.  Each distinct float is formatted
+    once, as the ``repr`` of its FLOAT_SIGFIGS-digit rounding, which is what
+    ``json`` writes for the rounded value."""
+    unlabeled = np.isnan(frames.v)
+    table = np.column_stack([frames.obs, frames.actions, np.where(unlabeled, 0.0, frames.v)])
+    finite = np.isfinite(table)
+    if not finite.all():
+        raise ValidationError(f"non-finite value {table[~finite][0]!r} in episode payload")
+    bits, where = np.unique(table.view(np.int64).ravel(), return_inverse=True)
+    values = bits.view(np.float64).tolist()
+    rounded = map(float, (_FLOAT_FORMAT * len(values) % tuple(values)).split())
+    texts = np.array(list(map(repr, rounded)), dtype=object)[where].reshape(table.shape)
+    texts[unlabeled, -1] = "null"
+    phases = frames.phase.tolist()
+    phase_text = {p: json.dumps(p) for p in set(phases)}
+    extra = np.array([list(map(str, range(len(phases)))), [phase_text[p] for p in phases],
+                      [json.dumps(_round_tree(instruction_id))] * len(phases)], dtype=object).T
+    cells = np.concatenate([texts, extra], axis=1)[:, _FRAME_SLOTS]
+    return ",\n".join([_FRAME_TEMPLATE] * len(phases)) % tuple(cells.ravel().tolist())
+
+
+def _episode_text(episode: Episode) -> str:
+    """What ``_dumps(episode_to_dict(episode))`` returns: the header and
+    provenance through ``_dumps``, with the frames text spliced in."""
+    head = _dumps(_payload(episode, []))
+    frames = _frames_text(episode.frames, episode.instruction_id)
+    # Only the top-level key sits at indent 1; json escapes newlines in strings.
+    return head.replace('\n "frames": [],', '\n "frames": [\n' + frames + '\n ],', 1)
 
 
 def _load_manifest(dataset_dir: Path) -> dict:
@@ -342,22 +401,8 @@ def load_checkpoint(path: str | Path, kind: str, cfg: Config, config_keys: dict[
     return model, payload
 
 
-def _write_manifest(dataset_dir: Path, manifest: dict) -> None:
-    manifest["episodes"].sort(key=lambda e: e["file"])
-    write_atomic(dataset_dir / MANIFEST_NAME, _dumps(manifest))
-
-
-def write_episode(episode: Episode, dataset_dir: str | Path) -> Path:
-    """Serialize one episode and record it in the dataset manifest."""
-    validate_episode(episode)
-    dataset_dir = Path(dataset_dir)
-    if not dataset_dir.is_dir():
-        raise StorageError(f"dataset directory does not exist: {dataset_dir}")
-    text = _dumps(episode_to_dict(episode))
-    path = dataset_dir / f"{episode.episode_id}.json"
-    write_atomic(path, text)
-    manifest = _load_manifest(dataset_dir)
-    entry = {
+def _manifest_entry(episode: Episode, path: Path, text: str) -> dict:
+    return {
         "file": path.name,
         "episode_id": episode.episode_id,
         "kind": episode.kind.value,
@@ -369,9 +414,54 @@ def write_episode(episode: Episode, dataset_dir: str | Path) -> Path:
         "outcome": episode.outcome.value,
         "sha256": hashlib.sha256(text.encode()).hexdigest(),
     }
-    manifest["episodes"] = [e for e in manifest["episodes"] if e["file"] != path.name] + [entry]
-    _write_manifest(dataset_dir, manifest)
-    return path
+
+
+def write_episodes(episodes: Iterable[Episode], dataset_dir: str | Path) -> list[Path]:
+    """Serialize each episode to its own file as the iterable yields it, then
+    record them all in the dataset manifest with one write.
+
+    An entry replaces any entry of the same file.  The manifest is written in
+    a ``finally``, so when the iterable or an episode raises, the files already
+    written stay listed.  A lock file beside the manifest, created with
+    ``O_EXCL`` and removed at the end, keeps a second writer out of the
+    directory: it raises StorageError naming the lock.
+    """
+    dataset_dir = Path(dataset_dir)
+    if not dataset_dir.is_dir():
+        raise StorageError(f"dataset directory does not exist: {dataset_dir}")
+    lock = dataset_dir / LOCK_NAME
+    try:
+        os.close(os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    except FileExistsError as exc:
+        raise StorageError(f"{lock}: another writer holds this dataset; remove the lock "
+                           "if no writer is running") from exc
+    except OSError as exc:
+        raise StorageError(f"cannot create {lock}: {exc}") from exc
+    try:
+        manifest = _load_manifest(dataset_dir)
+        written: dict[str, dict] = {}
+        paths: list[Path] = []
+        try:
+            for episode in episodes:
+                validate_episode(episode)
+                text = _episode_text(episode)
+                path = dataset_dir / f"{episode.episode_id}.json"
+                write_atomic(path, text)
+                written[path.name] = _manifest_entry(episode, path, text)
+                paths.append(path)
+        finally:
+            if written:
+                kept = [e for e in manifest["episodes"] if e["file"] not in written]
+                manifest["episodes"] = sorted(kept + list(written.values()), key=lambda e: e["file"])
+                write_atomic(dataset_dir / MANIFEST_NAME, _dumps(manifest))
+    finally:
+        lock.unlink(missing_ok=True)
+    return paths
+
+
+def write_episode(episode: Episode, dataset_dir: str | Path) -> Path:
+    """Serialize one episode and record it in the dataset manifest."""
+    return write_episodes([episode], dataset_dir)[0]
 
 
 def _read_episode(path: Path, sha256: str | None) -> Episode:

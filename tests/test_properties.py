@@ -1,5 +1,6 @@
 """Property tests of the world step, the episode store and the pure-failure labeler."""
 
+import json
 import math
 import tempfile
 from dataclasses import replace
@@ -16,6 +17,8 @@ from recoverylab.store import (
     Frames,
     Outcome,
     PhaseTag,
+    _round_tree,
+    episode_to_dict,
     read_episode,
     write_episode,
 )
@@ -95,6 +98,51 @@ def test_store_round_trip_is_identity_at_nine_figures(episode):
         assert np.array_equal(loaded.frames.phase, episode.frames.phase)
         assert (loaded.kind, loaded.outcome, loaded.t_rec) == (episode.kind, episode.outcome, episode.t_rec)
         assert write_episode(loaded, tmp).read_bytes() == first
+
+
+# Where the 9-figure rounding or float repr changes form: signed zero,
+# integral values, the switches to exponent form below 1e-4 and at 1e16 and
+# above, and digits halfway at the ninth figure that carry into a new one.
+edge_values = st.one_of(
+    st.sampled_from((-0.0, 0.0, 1.0, -1.0, 1e-05, 0.0001, 9.9999999e-05, 9.9999999949e-05, 9.999999995e-05,
+                     0.1234567885, 1.0000000005, 9.999999995, 999999999.5, 123456789012.0, 9999999995000000.0,
+                     1e16, -1e16, 1.5e17, 1e300, 5e-324, 2.2250738585072014e-308)),
+    st.floats(allow_nan=False, allow_infinity=False),
+    reals,
+)
+thetas = st.one_of(st.sampled_from((-0.0, 1e-05, math.pi)), st.floats(-math.pi, math.pi, exclude_min=True))
+unit = st.one_of(st.sampled_from((-0.0, 0.0, 1e-05, 1.0)), st.floats(0.0, 1.0))
+provenance_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-10**6, 10**6), edge_values,
+              st.sampled_from(("frames", "Nominal", 'a "quoted"\nline'))),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.sampled_from(("frames", "t", "v")), inner, max_size=3)),
+    max_leaves=8,
+)
+
+
+@st.composite
+def edge_episodes(draw):
+    """A valid episode whose columns and provenance hold edge values, NaN
+    (unlabeled) labels and provenance keys and values named ``frames``."""
+    episode = draw(episodes())
+    n = len(episode.frames)
+    obs = draw(st.lists(st.lists(edge_values, min_size=OBS_DIM, max_size=OBS_DIM), min_size=n, max_size=n))
+    arm = st.tuples(edge_values, edge_values, thetas, unit)
+    actions = [left + right for left, right in draw(st.lists(st.tuples(arm, arm), min_size=n, max_size=n))]
+    v = [math.nan if x is None else x for x in draw(st.lists(st.one_of(st.none(), unit), min_size=n, max_size=n))]
+    provenance = draw(st.dictionaries(st.sampled_from(("frames", "note", "schedule")), provenance_values, max_size=3))
+    return replace(episode, frames=Frames(obs=obs, actions=actions, phase=episode.frames.phase, v=v),
+                   provenance=provenance)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(edge_episodes())
+def test_episode_text_equals_the_json_dumps_path(episode):
+    # The reference: json's pure-Python indenting encoder over the rounded tree.
+    expected = json.dumps(_round_tree(episode_to_dict(episode)), indent=1, sort_keys=True) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        assert write_episode(episode, tmp).read_text() == expected
 
 
 @PROPERTY

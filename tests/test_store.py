@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from recoverylab import store
 from recoverylab.errors import StorageError, ValidationError
 from recoverylab.store import (
     Episode,
@@ -24,6 +25,7 @@ from recoverylab.store import (
     tag_pattern_valid,
     validate_episode,
     write_episode,
+    write_episodes,
 )
 from recoverylab.world import EnvMode
 
@@ -266,6 +268,95 @@ def test_manifest_tracks_many_writes(tmp_path, expert_episodes):
     stats = dataset_stats(tmp_path)
     assert stats.total == 100
     assert len(list(tmp_path.glob("copy-*.json"))) == 100
+
+
+def _copies(episode, n, start=0):
+    for i in range(start, start + n):
+        yield replace(episode, episode_id=f"copy-{i:03d}", seed=10_000 + i)
+
+
+def _manifest_files(dataset_dir) -> list[str]:
+    return [e["file"] for e in json.loads((dataset_dir / store.MANIFEST_NAME).read_text())["episodes"]]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("batch", [False, True])
+def test_non_finite_observation_is_not_written(tmp_path, expert_episodes, value, batch):
+    good, episode = expert_episodes[0], expert_episodes[1]
+    obs = episode.frames.obs.copy()
+    obs[3, 9] = value
+    bad = replace(episode, frames=replace(episode.frames, obs=obs))
+    write_episode(good, tmp_path)
+    with pytest.raises(ValidationError, match="non-finite"):
+        if batch:
+            write_episodes([bad], tmp_path)
+        else:
+            write_episode(bad, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([f"{good.episode_id}.json", store.MANIFEST_NAME])
+    assert _manifest_files(tmp_path) == [f"{good.episode_id}.json"]
+
+
+def test_write_episodes_writes_the_manifest_once(tmp_path, expert_episodes, monkeypatch):
+    writes = []
+    write_atomic = store.write_atomic
+
+    def counting(path, text):
+        writes.append(path.name)
+        write_atomic(path, text)
+
+    monkeypatch.setattr(store, "write_atomic", counting)
+    paths = write_episodes(_copies(expert_episodes[0], 5), tmp_path)
+    assert writes.count(store.MANIFEST_NAME) == 1 and len(writes) == 6
+    assert [p.name for p in paths] == _manifest_files(tmp_path)
+
+
+def test_write_episodes_merges_into_the_manifest_like_single_writes(tmp_path, expert_episodes):
+    # Entries of the same file are replaced, the rest kept, all sorted by file.
+    single, batch = tmp_path / "single", tmp_path / "batch"
+    single.mkdir()
+    batch.mkdir()
+    for d in (single, batch):
+        write_episodes(_copies(expert_episodes[0], 3, start=2), d)
+    for episode in _copies(expert_episodes[1], 4):
+        write_episode(episode, single)
+    write_episodes(_copies(expert_episodes[1], 4), batch)
+    assert (single / store.MANIFEST_NAME).read_bytes() == (batch / store.MANIFEST_NAME).read_bytes()
+    assert len(_manifest_files(batch)) == 5
+
+
+def test_held_lock_refuses_a_second_writer(tmp_path, expert_episodes):
+    write_episode(expert_episodes[0], tmp_path)
+    before = (tmp_path / store.MANIFEST_NAME).read_bytes()
+    lock = tmp_path / store.LOCK_NAME
+    lock.touch()
+    with pytest.raises(StorageError, match=re.escape(str(lock))):
+        write_episodes([expert_episodes[1]], tmp_path)
+    assert (tmp_path / store.MANIFEST_NAME).read_bytes() == before
+    assert not (tmp_path / f"{expert_episodes[1].episode_id}.json").exists()
+    assert lock.exists()  # the lock belongs to the other writer
+
+
+def test_lock_is_removed_after_a_batch_and_after_a_raise(tmp_path, expert_episodes):
+    lock = tmp_path / store.LOCK_NAME
+    assert not lock.name.endswith(".json")
+    write_episodes(_copies(expert_episodes[0], 2), tmp_path)
+    assert not lock.exists()
+    with pytest.raises(ValidationError):
+        write_episodes([make_episode(recovery_tags(), t_rec=2)], tmp_path)
+    assert not lock.exists()
+
+
+def test_batch_that_raises_lists_the_files_already_written(tmp_path, expert_episodes):
+    def three_then_fail():
+        yield from _copies(expert_episodes[0], 3)
+        raise RuntimeError("generator failed")
+
+    with pytest.raises(RuntimeError, match="generator failed"):
+        write_episodes(three_then_fail(), tmp_path)
+    assert _manifest_files(tmp_path) == ["copy-000.json", "copy-001.json", "copy-002.json"]
+    assert dataset_stats(tmp_path).total == 3
+    assert [e.episode_id for e in read_dataset(tmp_path)] == ["copy-000", "copy-001", "copy-002"]
+    assert not (tmp_path / store.LOCK_NAME).exists()
 
 
 # ---------------------------------------------------------------------------
