@@ -432,11 +432,9 @@ def write_episodes(episodes: Iterable[Episode], dataset_dir: str | Path) -> list
     lock = dataset_dir / LOCK_NAME
     try:
         os.close(os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-    except FileExistsError as exc:
-        raise StorageError(f"{lock}: another writer holds this dataset; remove the lock "
-                           "if no writer is running") from exc
     except OSError as exc:
-        raise StorageError(f"cannot create {lock}: {exc}") from exc
+        # FileExistsError: another writer holds the directory, or a killed one left the lock.
+        raise StorageError(f"cannot lock the dataset with {lock}: {exc}") from exc
     try:
         manifest = _load_manifest(dataset_dir)
         written: dict[str, dict] = {}
