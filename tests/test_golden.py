@@ -10,11 +10,15 @@ and say so.  The learned actor is mostly an untrained
 ``init_policy(cfg, seed=9)``, so those digests depend on neither training nor
 BLAS summation order; the reports of the committed trained policy exercise
 its grasps and recoveries.  The checkpoint digests pin the bytes
-``save_policy`` and ``save_progress_model`` write.
+``save_policy`` and ``save_progress_model`` write, and the training digests
+the weights each training loop leaves.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -656,3 +660,67 @@ def test_checkpoint_golden(cfg, tmp_path):
                                                cluster=cluster, provenance={"episodes": 2, "seed": 0})),
     }
     _assert_golden(got, CHECKPOINT_GOLDEN)
+
+
+def _params_digest(params) -> str:
+    h = hashlib.sha256()
+    for k in sorted(params):
+        h.update(k.encode())
+        h.update(np.ascontiguousarray(params[k]).tobytes())
+    return h.hexdigest()
+
+
+def training_digests() -> dict[str, str]:
+    """Parameter digests after 40 steps of each training loop on the
+    conftest-sized pick-place data: imitation with the recovery term at
+    lambda = 0.5, refinement of a clone of that policy on labeled data, and
+    alignment of the progress model's adapters."""
+    from recoverylab.config import load_config
+    from recoverylab.policy import train_bc, train_value_conditioned
+    from recoverylab.value import train_alignment
+
+    cfg = load_config().with_overrides(bc_steps=40, refine_steps=40, align_steps=40, lambda_recovery=0.5)
+    noise = float(cfg.expert_action_noise)
+    expert = [e for e in (run_nominal(cfg, "pick-place", EnvMode.RANDOM, s, action_noise=noise) for s in range(24))
+              if e.outcome is Outcome.SUCCESS]
+    e2 = error_from_config(cfg, ErrorKind.E2_GRASP_SLIP)
+    recovery = [e for e in (run_interception(cfg, "pick-place", EnvMode.RANDOM, e2, 1000 + s) for s in range(12))
+                if e.kind is EpisodeKind.FAILURE_RECOVERY]
+    failure = [e for e in (run_interception(cfg, "pick-place", EnvMode.RANDOM, e2, 2000 + s, recover=False)
+                           for s in range(6)) if e.kind is EpisodeKind.PURE_FAILURE]
+    phase1 = init_policy(cfg, seed=3)
+    train_bc(phase1, build_frame_dataset(cfg, expert),
+             build_frame_dataset(cfg, [slice_recovery_suffix(e) for e in recovery]), cfg, seed=4)
+    refined = phase1.clone()
+    labeled = ([label_success(e) for e in expert] + [label_recovery(e) for e in recovery]
+               + [label_failure(e, 0.4, cfg) for e in failure])
+    train_value_conditioned(refined, build_frame_dataset(cfg, labeled, require_labels=True), cfg, seed=5)
+    model = init_progress_model(cfg, seed=6)
+    train_alignment(model, expert, cfg, seed=7)
+    return {"bc": _params_digest(phase1.params), "vcr": _params_digest(refined.params),
+            "align": _params_digest(model.params)}
+
+
+# Trained weights, bit for bit.  Several threads may split a BLAS product
+# differently, so the runs go in a child process with one BLAS thread.
+TRAINING_GOLDEN = {
+    "align":
+        "53a8fcffd059878732dd34a502a17eded97ca38e681f2b452c80b36cf9744205",
+    "bc":
+        "5da9e5d9621d1d726022bf2bd3ed7e2942e9ed84966b5bbcecea9c71c76e55ae",
+    "vcr":
+        "e37deeb8824776aaf82745c47c41b3578941df5ac2ce72f122bd8bf7c5afa6a0",
+}
+
+
+def test_training_golden():
+    import recoverylab
+
+    root = Path(__file__).parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(recoverylab.__file__).parents[1]), env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
+    code = "import json; from tests.test_golden import training_digests; print(json.dumps(training_digests()))"
+    out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    _assert_golden(json.loads(out.stdout), TRAINING_GOLDEN)
