@@ -98,13 +98,17 @@ class Episode:
     provenance: dict = field(default_factory=dict)
 
 
+# Each PhaseTag value's initial; any other tag reads "?", which no pattern matches.
+_TAG_INITIALS = {tag.value: tag.value[0] for tag in PhaseTag}
+
+
 def tag_pattern_valid(phase, sliced: bool = False) -> bool:
     """Accepts Nominal*, Nominal* Error+, or Nominal* Error+ Recovery+ Nominal*
-    over a sequence of ``PhaseTag`` values.
+    over a sequence of ``PhaseTag`` values; any other tag is invalid.
 
     Sliced recovery suffixes (history reset at index 0) are Recovery+ Nominal*.
     """
-    text = "".join(np.asarray(phase).astype("U1").tolist())  # each tag's initial: N, E or R
+    text = "".join([_TAG_INITIALS.get(tag, "?") for tag in np.asarray(phase).tolist()])
     if sliced:
         return re.fullmatch(r"R+N*", text) is not None
     return re.fullmatch(r"N*|N*E+|N*E+R+N*", text) is not None

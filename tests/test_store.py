@@ -139,6 +139,22 @@ def test_tag_grammar():
     assert not valid([N, E, R, E])     # recovery is contiguous
     assert valid([R, R, N], sliced=True)
     assert not valid([N, R], sliced=True)
+    # Every tag must be a PhaseTag value, not just share its initial.
+    assert not tag_pattern_valid(["Nominal", "Nonsense"])
+    assert not tag_pattern_valid(["Ready", "Nominal"], sliced=True)
+
+
+def test_unknown_phase_tag_is_not_written(tmp_path, expert_episodes, recovery_episodes):
+    good, episode = expert_episodes[0], recovery_episodes[0]
+    phase = episode.frames.phase.tolist()
+    assert phase[2] == "Nominal"
+    phase[2] = "Nonsense"
+    bad = replace(episode, frames=replace(episode.frames, phase=phase))
+    write_episode(good, tmp_path)
+    with pytest.raises(ValidationError, match="grammar"):
+        write_episode(bad, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([f"{good.episode_id}.json", store.MANIFEST_NAME])
+    assert _manifest_files(tmp_path) == [f"{good.episode_id}.json"]
 
 
 def test_truncated_file_reports_offset(tmp_path, recovery_episodes):
