@@ -1,12 +1,36 @@
 """Tiny numpy neural-net toolkit: 2-layer tanh perceptrons with hand-written
-backprop, an Adam optimizer over named parameter dicts, and flat pack/unpack
-helpers so analytic gradients can be checked against finite differences."""
+backprop and an Adam optimizer.  A model's parameters are named views into
+one flat float64 buffer and its gradients views into another laid out alike,
+so one in-place Adam step updates the whole model."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import TrainingError
+
 Params = dict[str, np.ndarray]
+
+
+def flat_params(arrays: dict[str, np.ndarray]) -> Params:
+    """Copies of ``arrays`` as views into one new flat float64 buffer, in dict order."""
+    buffer = np.concatenate([np.ravel(a) for a in arrays.values()], dtype=np.float64)
+    views = np.split(buffer, np.cumsum([np.size(a) for a in arrays.values()])[:-1])
+    return {name: view.reshape(np.shape(a)) for (name, a), view in zip(arrays.items(), views)}
+
+
+def zeros_like_params(params: Params) -> Params:
+    """Zeroed views into a new flat buffer laid out like ``params``."""
+    return flat_params({k: np.zeros(v.shape) for k, v in params.items()})
+
+
+def flat_buffer(params: Params) -> np.ndarray:
+    """The flat buffer every entry of ``params`` views; raises TrainingError if
+    an entry was replaced by an array of its own (write into it instead)."""
+    buffer = next(iter(params.values())).base
+    if buffer is None or any(v.base is not buffer for v in params.values()):
+        raise TrainingError(f"parameters {sorted(params)} are not views of one flat buffer")
+    return buffer
 
 
 def init_linear(rng: np.random.Generator, d_in: int, d_out: int) -> tuple[np.ndarray, np.ndarray]:
@@ -30,15 +54,15 @@ def mlp_forward(params: Params, prefix: str, x: np.ndarray):
 
 
 def mlp_backward(params: Params, prefix: str, cache, dy: np.ndarray, grads: Params) -> np.ndarray:
-    """Accumulates parameter gradients into ``grads`` and returns dL/dx."""
+    """Writes the parameter gradients into ``grads`` and returns the hidden
+    pre-activation's gradient; dL/dx is that times the ``w1`` rows of x, transposed."""
     x, h = cache
-    grads[f"{prefix}_w2"] = grads.get(f"{prefix}_w2", 0.0) + h.T @ dy
-    grads[f"{prefix}_b2"] = grads.get(f"{prefix}_b2", 0.0) + dy.sum(axis=0)
-    dh = dy @ params[f"{prefix}_w2"].T
-    dpre = dh * (1.0 - h * h)
-    grads[f"{prefix}_w1"] = grads.get(f"{prefix}_w1", 0.0) + x.T @ dpre
-    grads[f"{prefix}_b1"] = grads.get(f"{prefix}_b1", 0.0) + dpre.sum(axis=0)
-    return dpre @ params[f"{prefix}_w1"].T
+    np.matmul(h.T, dy, out=grads[f"{prefix}_w2"])
+    dy.sum(axis=0, out=grads[f"{prefix}_b2"])
+    dpre = (dy @ params[f"{prefix}_w2"].T) * (1.0 - h * h)
+    np.matmul(x.T, dpre, out=grads[f"{prefix}_w1"])
+    dpre.sum(axis=0, out=grads[f"{prefix}_b1"])
+    return dpre
 
 
 def normalize_rows(y: np.ndarray, eps: float = 1e-12):
@@ -58,7 +82,7 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Standard Adam over a named parameter dict; updates in place.
+    """Standard Adam over the flat buffer of a ``flat_params`` dict, in place.
 
     ``total_steps`` enables cosine decay of the learning rate to lr/20, which
     measurably sharpens the small regression fits used here.
@@ -68,8 +92,8 @@ class Adam:
         self.lr = lr
         self.t = 0
         self.total_steps = total_steps
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.theta = flat_buffer(params)
+        self._state = np.zeros((4, self.theta.size))  # m, v and two scratch rows
 
     def _lr_now(self) -> float:
         if not self.total_steps:
@@ -79,44 +103,18 @@ class Adam:
         return floor + 0.5 * (self.lr - floor) * (1.0 + np.cos(np.pi * frac))
 
     def step(self, params: Params, grads: Params) -> None:
+        """Update ``params`` from ``grads``, views of a buffer laid out alike."""
+        if flat_buffer(params) is not self.theta:
+            raise TrainingError("these parameters are not the buffer this optimizer updates")
+        g, (m, v, a, b) = flat_buffer(grads), self._state
         self.t += 1
         lr = self._lr_now()
-        b1c = 1.0 - BETA1 ** self.t
-        b2c = 1.0 - BETA2 ** self.t
-        for k in params:
-            g = grads[k]
-            self.m[k] = BETA1 * self.m[k] + (1.0 - BETA1) * g
-            self.v[k] = BETA2 * self.v[k] + (1.0 - BETA2) * (g * g)
-            params[k] = params[k] - lr * (self.m[k] / b1c) / (np.sqrt(self.v[k] / b2c) + EPS)
-
-
-def pack(params: Params) -> np.ndarray:
-    """Flatten parameters into one vector (keys in sorted order)."""
-    return np.concatenate([params[k].ravel() for k in sorted(params)])
-
-
-def unpack(vector: np.ndarray, template: Params) -> Params:
-    out: Params = {}
-    i = 0
-    for k in sorted(template):
-        n = template[k].size
-        out[k] = vector[i:i + n].reshape(template[k].shape).copy()
-        i += n
-    return out
-
-
-def finite_difference(loss_fn, params: Params, h: float = 1e-4) -> np.ndarray:
-    """Central-difference gradient of a scalar loss over packed parameters."""
-    theta = pack(params)
-    grad = np.zeros_like(theta)
-    for i in range(theta.size):
-        plus, minus = theta.copy(), theta.copy()
-        plus[i] += h
-        minus[i] -= h
-        grad[i] = (loss_fn(unpack(plus, params)) - loss_fn(unpack(minus, params))) / (2.0 * h)
-    return grad
-
-
-def relative_error(a: np.ndarray, b: np.ndarray) -> float:
-    denom = max(np.linalg.norm(a), np.linalg.norm(b), 1e-12)
-    return float(np.linalg.norm(a - b) / denom)
+        # m = B1 m + (1 - B1) g;  v = B2 v + (1 - B2) g^2;
+        # theta -= lr (m / (1 - B1^t)) / (sqrt(v / (1 - B2^t)) + EPS): op for op, in place.
+        m *= BETA1
+        m += np.multiply(g, 1.0 - BETA1, out=a)
+        v *= BETA2
+        v += np.multiply(np.multiply(g, g, out=a), 1.0 - BETA2, out=a)
+        np.multiply(np.divide(m, 1.0 - BETA1 ** self.t, out=a), lr, out=a)
+        np.add(np.sqrt(np.divide(v, 1.0 - BETA2 ** self.t, out=b), out=b), EPS, out=b)
+        self.theta -= np.divide(a, b, out=a)

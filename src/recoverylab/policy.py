@@ -19,7 +19,7 @@ v = 1.0 and keeps the training-time window of its last w observations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,8 @@ import numpy as np
 from .config import Config
 from .errors import InputError, TrainingError, ValidationError
 from .faults import UNTRIGGERED, Actor, ErrorType, InjectionSchedule, run_episode
-from .nets import Adam, Params, init_linear, init_mlp, mlp_backward, mlp_forward
+from .nets import (Adam, Params, flat_buffer, flat_params, init_linear, init_mlp, mlp_backward, mlp_forward,
+                   zeros_like_params)
 from .store import Episode, checkpoint_array, history_windows, load_checkpoint, save_checkpoint
 from .world import (
     ACTION_DIM,
@@ -66,10 +67,10 @@ def action_from_vector(cfg: Config, vec: np.ndarray) -> tuple[float, ...] | list
 class Policy:
     """Network parameters plus the history window they read.
 
-    Every other dimension is a weight shape.  Observations are standardized
-    with per-dim stats fitted on the first training set the policy sees; the
-    stats ride along in the checkpoint so deployment uses the exact
-    training-time scaling.
+    ``params`` are views into one flat buffer (``nets.flat_params``), and
+    every other dimension is a weight shape.  Observations are standardized
+    with per-dim stats fitted on the first training set; the stats ride along
+    in the checkpoint so deployment uses the exact training-time scaling.
     """
 
     params: Params
@@ -79,10 +80,8 @@ class Policy:
     provenance: dict = field(default_factory=dict)
 
     def clone(self) -> "Policy":
-        return Policy(
-            params={k: v.copy() for k, v in self.params.items()}, history_w=self.history_w,
-            obs_mean=self.obs_mean.copy(), obs_std=self.obs_std.copy(), provenance=dict(self.provenance),
-        )
+        return replace(self, params=flat_params(self.params), obs_mean=self.obs_mean.copy(),
+                       obs_std=self.obs_std.copy(), provenance=dict(self.provenance))
 
 
 def fit_normalizer(policy: Policy, dataset: "FrameDataset") -> None:
@@ -99,26 +98,21 @@ def fit_normalizer(policy: Policy, dataset: "FrameDataset") -> None:
 
 def init_policy(cfg: Config, seed: int = 0) -> Policy:
     rng = np.random.default_rng([int(seed), 0xB0])
-    n_instr = len(instruction_ids(cfg))
-    w = int(cfg.history_window)
-    vdim = int(cfg.value_token_dim)
-    edim = int(cfg.instr_embed_dim)
-    hidden = int(cfg.policy_hidden)
-    params: Params = {}
+    w, vdim, edim = int(cfg.history_window), int(cfg.value_token_dim), int(cfg.instr_embed_dim)
     val_w, val_b = init_linear(rng, 1, vdim)
-    params["val_w"], params["val_b"] = val_w, val_b
-    params["instr"] = rng.normal(0.0, 0.5, size=(n_instr, edim))
-    trunk_in = w * OBS_DIM + OBS_DIM + edim + vdim
-    params.update(init_mlp(rng, "trunk", trunk_in, hidden, ACTION_DIM))
-    return Policy(params=params, history_w=w, obs_mean=np.zeros(OBS_DIM), obs_std=np.ones(OBS_DIM))
+    params = {"val_w": val_w, "val_b": val_b, "instr": rng.normal(0.0, 0.5, size=(len(instruction_ids(cfg)), edim))}
+    params.update(init_mlp(rng, "trunk", (w + 1) * OBS_DIM + edim + vdim, int(cfg.policy_hidden), ACTION_DIM))
+    return Policy(params=flat_params(params), history_w=w, obs_mean=np.zeros(OBS_DIM), obs_std=np.ones(OBS_DIM))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _forward_batch(policy: Policy, hist: np.ndarray, obs: np.ndarray, instr: np.ndarray, v: np.ndarray):
-    """Mean actions for a batch; returns (mu, cache) for backprop."""
+def _forward_batch(policy: Policy, hist: np.ndarray, obs: np.ndarray, instr: np.ndarray, v: np.ndarray,
+                   pad: np.ndarray | None = None):
+    """Mean actions for a batch; returns (mu, cache) for backprop.  ``pad``
+    marks the (B, w) history rows that are padding, or None to find them."""
     p = policy.params
     batch = obs.shape[0]
     mean, std = policy.obs_mean, policy.obs_std
@@ -126,8 +120,9 @@ def _forward_batch(policy: Policy, hist: np.ndarray, obs: np.ndarray, instr: np.
     hist_rows = hist.reshape(batch, policy.history_w, OBS_DIM)
     # Padding rows are all-zero by construction; keep them zero after
     # normalization so padding stays a neutral input, not a -mean/std outlier.
-    pad = np.all(hist_rows == 0.0, axis=2, keepdims=True)
-    hist_n = np.where(pad, 0.0, (hist_rows - mean) / std).reshape(batch, -1)
+    if pad is None:
+        pad = np.all(hist_rows == 0.0, axis=2)
+    hist_n = np.where(pad[:, :, None], 0.0, (hist_rows - mean) / std).reshape(batch, -1)
     e_val = np.tanh(v[:, None] @ p["val_w"] + p["val_b"])
     instr_e = p["instr"][instr]
     x = np.concatenate([hist_n, obs_n, instr_e, e_val], axis=1)
@@ -163,19 +158,14 @@ def forward(policy: Policy, cfg: Config, obs: np.ndarray, history: np.ndarray, i
     return action_from_vector(cfg, mu if lead else mu[0])
 
 
-def loss_and_grads(
-    policy: Policy,
-    cfg: Config,
-    hist: np.ndarray,
-    obs: np.ndarray,
-    instr: np.ndarray,
-    v: np.ndarray,
-    targets: np.ndarray,
-) -> tuple[float, Params]:
+def loss_and_grads(policy: Policy, cfg: Config, hist: np.ndarray, obs: np.ndarray, instr: np.ndarray, v: np.ndarray,
+                   targets: np.ndarray, pad: np.ndarray | None = None,
+                   grads: Params | None = None) -> tuple[float, Params]:
     """Batch-mean Gaussian negative log-likelihood, the sum of
-    (a - mu)^2 / (2 sigma^2) per frame, and its analytic gradients."""
+    (a - mu)^2 / (2 sigma^2) per frame, and its analytic gradients, which
+    overwrite ``grads`` (laid out like the parameters) if given."""
     p = policy.params
-    mu, cache = _forward_batch(policy, hist, obs, instr, v)
+    mu, cache = _forward_batch(policy, hist, obs, instr, v, pad)
     x, trunk_cache, e_val, instr_idx, v_in, _ = cache
     diff = mu - targets
     batch = mu.shape[0]
@@ -185,21 +175,23 @@ def loss_and_grads(
     dmu = (2.0 * scale / batch) * diff
     dout = dmu.copy()
     dout[:, GRIP_DIMS] = dmu[:, GRIP_DIMS] * mu[:, GRIP_DIMS] * (1.0 - mu[:, GRIP_DIMS])
-    grads: Params = {}
-    dx = mlp_backward(p, "trunk", trunk_cache, dout, grads)
+    if grads is None:
+        grads = zeros_like_params(p)
+    dpre = mlp_backward(p, "trunk", trunk_cache, dout, grads)
 
-    w = policy.history_w * OBS_DIM
-    o = OBS_DIM
+    # Of x's inputs only the last ones, the instruction embedding and value
+    # token, come from parameters: backprop through just their rows of w1.
+    first = (policy.history_w + 1) * OBS_DIM
     e = p["instr"].shape[1]
-    d_instr = dx[:, w + o: w + o + e]
-    d_eval = dx[:, w + o + e:]
+    dx = dpre @ p["trunk_w1"][first:].T
+    d_instr, d_eval = dx[:, :e], dx[:, e:]
 
-    grads["instr"] = np.zeros_like(p["instr"])
+    grads["instr"].fill(0.0)
     np.add.at(grads["instr"], instr_idx, d_instr)
 
     dpre_val = d_eval * (1.0 - e_val * e_val)
-    grads["val_w"] = v_in[None, :] @ dpre_val
-    grads["val_b"] = dpre_val.sum(axis=0)
+    np.matmul(v_in[None, :], dpre_val, out=grads["val_w"])
+    dpre_val.sum(axis=0, out=grads["val_b"])
     return loss, grads
 
 
@@ -222,6 +214,7 @@ class FrameDataset:
     values: np.ndarray    # (N,)
     seeds: frozenset[int]
     sample_pool: np.ndarray
+    pad: np.ndarray       # (N, W) history rows before frame 0, exactly the all-zero rows
 
     def __len__(self) -> int:
         return self.obs.shape[0]
@@ -254,7 +247,7 @@ def build_frame_dataset(cfg: Config, episodes: list[Episode], require_labels: bo
     if not episodes:
         raise TrainingError("cannot build a dataset from zero episodes")
     w = int(cfg.history_window)
-    hists, obs_rows, instr_rows, act_rows, val_rows, boundary = [], [], [], [], [], []
+    hists, pads, obs_rows, instr_rows, act_rows, val_rows, boundary = [], [], [], [], [], [], []
     row = 0
     for ep in episodes:
         obs, actions, values = ep.frames.obs, ep.frames.actions, ep.frames.v
@@ -265,6 +258,7 @@ def build_frame_dataset(cfg: Config, episodes: list[Episode], require_labels: bo
         flips = 1 + np.flatnonzero(np.any(closed[1:] != closed[:-1], axis=1))
         near = np.abs(np.arange(len(obs))[:, None] - flips) <= 2
         hists.append(history_windows(obs, w))
+        pads.append(np.arange(w) >= np.arange(len(obs))[:, None])  # row k of frame t is frame t-1-k
         obs_rows.append(obs)
         instr_rows.append(np.full(len(obs), ep.instruction_id, dtype=np.int64))
         act_rows.append(local_waypoint(cfg, obs, actions))
@@ -273,6 +267,7 @@ def build_frame_dataset(cfg: Config, episodes: list[Episode], require_labels: bo
         row += len(obs)
     return FrameDataset(
         hist=np.concatenate(hists),
+        pad=np.concatenate(pads),
         obs=np.concatenate(obs_rows),
         instr=np.concatenate(instr_rows),
         actions=np.concatenate(act_rows),
@@ -282,29 +277,25 @@ def build_frame_dataset(cfg: Config, episodes: list[Episode], require_labels: bo
     )
 
 
-def _jitter_mask() -> np.ndarray:
-    """Pose-like observation dims; grip states and presence flags stay exact."""
-    mask = np.ones(OBS_DIM)
-    mask[3] = mask[7] = 0.0  # proprio grips
-    mask[8] = mask[15] = 0.0  # object-slot presence flags
-    return mask
-
-
-_JITTER_MASK = _jitter_mask()
+# Pose-like observation dims: the proprio grips (3, 7) and the object-slot
+# presence flags (8, 15) stay exact under input jitter.
+_JITTER_MASK = np.ones(OBS_DIM)
+_JITTER_MASK[[3, 7, 8, 15]] = 0.0
 
 
 def _batch(ds: FrameDataset, idx: np.ndarray, pin_value: float | None, rng: np.random.Generator, jitter: float):
+    """``loss_and_grads``' batch arguments for the rows ``idx``."""
     v = np.full(len(idx), pin_value) if pin_value is not None else ds.values[idx]
-    hist, obs = ds.hist[idx], ds.obs[idx]
+    hist, obs, pad = ds.hist[idx], ds.obs[idx], ds.pad[idx]
     if jitter > 0.0:
         # Jitter pose inputs (not labels): smooths the learned function
         # against the small state deviations closed-loop execution produces.
         # Grip states, presence flags, and padding rows stay exact.
-        pad = np.all(hist.reshape(len(idx), -1, obs.shape[1]) == 0.0, axis=2)
-        hist = hist + rng.normal(0.0, jitter, size=hist.shape) * np.tile(_JITTER_MASK, hist.shape[1] // OBS_DIM)
-        hist.reshape(len(idx), -1, obs.shape[1])[pad] = 0.0
-        obs = obs + rng.normal(0.0, jitter, size=obs.shape) * _JITTER_MASK
-    return hist, obs, ds.instr[idx], v, ds.actions[idx]
+        rows = hist.reshape(len(idx), -1, OBS_DIM)
+        rows += rng.normal(0.0, jitter, size=rows.shape) * _JITTER_MASK
+        rows[pad] = 0.0
+        obs += rng.normal(0.0, jitter, size=obs.shape) * _JITTER_MASK
+    return hist, obs, ds.instr[idx], v, ds.actions[idx], pad
 
 
 # One weighted term of the training loss: its dataset, the RNG that draws its
@@ -317,26 +308,30 @@ def _train(policy: Policy, cfg: Config, parts: list[_Part], n_steps: int,
            aug_seed: list[int], name: str) -> list[float]:
     """Adam over the weighted sum of the parts' batch losses; returns the
     loss curve.  Each step draws every part's indices and input jitter in
-    turn, so each part keeps its own index stream."""
+    turn, so each part keeps its own index stream.  The parts' weighted
+    gradients add up in part order, in the first part's buffer."""
     batch = int(cfg.policy_batch)
     if not policy.provenance.get("normalizer_fitted"):
         fit_normalizer(policy, parts[0][0])
     jitter = float(cfg.input_noise)
     rng_aug = np.random.default_rng(aug_seed)
     optimizer = Adam(policy.params, lr=float(cfg.policy_lr), total_steps=n_steps)
+    grads = [zeros_like_params(policy.params) for _ in parts]
+    flats = [flat_buffer(g) for g in grads]
     losses: list[float] = []
     for _ in range(n_steps):
-        loss, grads = 0.0, {}
-        for ds, rng, weight, pin_value in parts:
+        loss = 0.0
+        for (ds, rng, weight, pin_value), part_grads, flat in zip(parts, grads, flats):
             idx = ds.sample_pool[rng.integers(0, len(ds.sample_pool), size=batch)]
-            part_loss, part_grads = loss_and_grads(policy, cfg, *_batch(ds, idx, pin_value, rng_aug, jitter))
+            part_loss, _ = loss_and_grads(policy, cfg, *_batch(ds, idx, pin_value, rng_aug, jitter), grads=part_grads)
             loss += weight * part_loss
-            for k, g in part_grads.items():
-                g = g if weight == 1.0 else weight * g
-                grads[k] = grads[k] + g if k in grads else g
+            if weight != 1.0:
+                flat *= weight
+        for flat in flats[1:]:
+            flats[0] += flat
         if not np.isfinite(loss):
             raise TrainingError(f"{name} loss diverged at step {len(losses)}")
-        optimizer.step(policy.params, grads)
+        optimizer.step(policy.params, grads[0])
         losses.append(loss)
     return losses
 

@@ -373,8 +373,8 @@ def load_checkpoint(path: str | Path, kind: str, cfg: Config, config_keys: dict[
     """Read a ``save_checkpoint`` file of ``kind`` into a model.
 
     ``init`` builds the model under ``cfg`` overridden by the metadata that
-    ``config_keys`` maps to Config keys; the file's parameters replace the
-    built ones only if every name and shape matches, and every entry of
+    ``config_keys`` maps to Config keys; the file's parameters must have the
+    built ones' names and shapes and are written into them, and every entry of
     ``fields(model)`` must equal the file's.  Returns the model and the parsed
     payload, for the entries only the caller knows.  Raises StorageError for
     any entry that is unreadable, missing, mistyped or the wrong shape.
@@ -395,7 +395,8 @@ def load_checkpoint(path: str | Path, kind: str, cfg: Config, config_keys: dict[
     params = payload.get("params")
     if not isinstance(params, dict) or set(params) != set(model.params):
         raise StorageError(f"{path}: parameters are not the {kind}'s {sorted(model.params)}")
-    model.params = {k: checkpoint_array(path, k, params[k], v.shape) for k, v in model.params.items()}
+    for k, v in model.params.items():
+        v[...] = checkpoint_array(path, k, params[k], v.shape)
     for name, want in fields(model).items():
         got = payload.get(name)
         if type(got) is not type(want) or got != want:

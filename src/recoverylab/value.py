@@ -23,7 +23,8 @@ import numpy as np
 
 from .config import Config
 from .errors import ConfigError, CoverageError, InputError, StorageError, TrainingError
-from .nets import Adam, Params, init_mlp, mlp_backward, mlp_forward, normalize_rows, normalize_rows_backward
+from .nets import (Adam, Params, flat_params, init_mlp, mlp_backward, mlp_forward, normalize_rows,
+                   normalize_rows_backward, zeros_like_params)
 from .store import Episode, checkpoint_array, load_checkpoint, save_checkpoint
 from .world import OBS_DIM, instruction_ids
 
@@ -75,22 +76,18 @@ def instruction_feature(featurizer: FrozenFeaturizer, instruction_id: int) -> np
 
 @dataclass
 class ProgressModel:
-    """Frozen featurizer plus the two trainable adapters into the manifold."""
+    """Frozen featurizer plus the two trainable adapters into the manifold,
+    views into one flat buffer (``nets.flat_params``)."""
 
     featurizer: FrozenFeaturizer
     params: Params
-
-    def snapshot(self) -> Params:
-        return {k: v.copy() for k, v in self.params.items()}
 
 
 def init_progress_model(cfg: Config, seed: int = 0) -> ProgressModel:
     featurizer = make_featurizer(cfg)
     rng = np.random.default_rng([int(seed), 0xADA])
-    f_dim = featurizer.feature_dim
-    params: Params = {}
-    params.update(init_mlp(rng, "f", f_dim, int(cfg.value_hidden), int(cfg.embed_dim)))
-    params.update(init_mlp(rng, "g", f_dim, int(cfg.value_hidden), int(cfg.embed_dim)))
+    dims = featurizer.feature_dim, int(cfg.value_hidden), int(cfg.embed_dim)
+    params = flat_params({**init_mlp(rng, "f", *dims), **init_mlp(rng, "g", *dims)})
     return ProgressModel(featurizer=featurizer, params=params)
 
 
@@ -130,12 +127,13 @@ def _episode_prefix_features(featurizer: FrozenFeaturizer, episode: Episode) -> 
 
 
 def alignment_loss_and_grads(
-    params: Params, x_traj: np.ndarray, x_instr: np.ndarray, targets: np.ndarray
+    params: Params, x_traj: np.ndarray, x_instr: np.ndarray, targets: np.ndarray, grads: Params | None = None
 ) -> tuple[float, Params]:
     """Mean squared gap between CosSim(z_traj, z_instr) and the progress target.
 
     Gradients flow through both adapters and the row normalizations; cosine
-    similarity of unit vectors is computed as a plain dot product.
+    similarity of unit vectors is computed as a plain dot product.  The
+    gradients overwrite ``grads`` (laid out like ``params``) if given.
     """
     y_v, cache_v = mlp_forward(params, "f", x_traj)
     y_l, cache_l = mlp_forward(params, "g", x_instr)
@@ -150,7 +148,8 @@ def alignment_loss_and_grads(
     dz_l = dsim[:, None] * z_v
     dy_v = normalize_rows_backward(z_v, r_v, dz_v)
     dy_l = normalize_rows_backward(z_l, r_l, dz_l)
-    grads: Params = {}
+    if grads is None:
+        grads = zeros_like_params(params)
     mlp_backward(params, "f", cache_v, dy_v, grads)
     mlp_backward(params, "g", cache_l, dy_l, grads)
     return loss, grads
@@ -172,24 +171,26 @@ def train_alignment(
         raise TrainingError("no successful episodes to align on")
     n_steps = int(cfg.align_steps)
     batch = int(cfg.align_batch)
+    # Every episode's prefix features, one block per episode, row t at starts + t.
     feats = [_episode_prefix_features(model.featurizer, ep) for ep in success_episodes]
-    instr_feats = np.stack(
-        [instruction_feature(model.featurizer, ep.instruction_id) for ep in success_episodes]
-    )
+    starts = np.cumsum([0] + [len(f) for f in feats[:-1]])
+    feats = np.concatenate(feats)
+    instr_feats = np.stack([instruction_feature(model.featurizer, ep.instruction_id) for ep in success_episodes])
     horizons = np.array([len(ep.frames) - 1 for ep in success_episodes])
     if np.any(horizons < 1):
         raise TrainingError("alignment needs episodes with at least two frames")
 
     rng = np.random.default_rng([int(seed), 0xA11])
     optimizer = Adam(model.params, lr=float(cfg.align_lr))
+    grads = zeros_like_params(model.params)
     losses: list[float] = []
     for _ in range(n_steps):
         ep_idx = rng.integers(0, len(success_episodes), size=batch)
         t = (rng.random(size=batch) * horizons[ep_idx]).astype(int) + 1  # uniform on {1..T}
-        x_traj = np.stack([feats[e][ti] for e, ti in zip(ep_idx, t)])
+        x_traj = feats[starts[ep_idx] + t]
         x_instr = instr_feats[ep_idx]
         targets = t / horizons[ep_idx]
-        loss, grads = alignment_loss_and_grads(model.params, x_traj, x_instr, targets)
+        loss, _ = alignment_loss_and_grads(model.params, x_traj, x_instr, targets, grads)
         if not np.isfinite(loss):
             raise TrainingError(f"alignment loss diverged at step {len(losses)}: {loss}")
         optimizer.step(model.params, grads)

@@ -26,7 +26,7 @@ from recoverylab.faults import (
     run_nominal,
 )
 from recoverylab.labeling import label_failure
-from recoverylab.nets import finite_difference, pack, relative_error
+from recoverylab.nets import flat_buffer
 from recoverylab.policy import build_frame_dataset, init_policy, loss_and_grads
 from recoverylab.store import (
     EpisodeKind,
@@ -49,6 +49,7 @@ from recoverylab.value import (
     train_alignment,
 )
 from recoverylab.world import EnvMode, RIGHT
+from tests.gradcheck import finite_difference, relative_error
 from tests.test_store import make_episode
 from tests.test_labeling import decay_reference
 from tests.test_value import spearman
@@ -266,7 +267,7 @@ def test_a5_gradient_checks(pp_bundle):
     targets = np.array([0.2, 0.55, 0.9])
     _, grads = alignment_loss_and_grads(model.params, x_traj, x_instr, targets)
     fd = finite_difference(lambda p: alignment_loss_and_grads(p, x_traj, x_instr, targets)[0], model.params)
-    err_align = relative_error(pack({k: np.asarray(v) for k, v in grads.items()}), fd)
+    err_align = relative_error(flat_buffer(grads), fd)
     assert err_align < 1e-4
 
     small_cfg = CFG.with_overrides(policy_hidden=12, value_token_dim=4, instr_embed_dim=3, history_window=2)
@@ -277,14 +278,12 @@ def test_a5_gradient_checks(pp_bundle):
     _, pgrads = loss_and_grads(policy, small_cfg, *batch)
 
     def policy_loss(params):
-        saved = policy.params
-        policy.params = params
-        out = loss_and_grads(policy, small_cfg, *batch)[0]
-        policy.params = saved
-        return out
+        # finite_difference perturbs the policy's own parameter views.
+        assert params is policy.params
+        return loss_and_grads(policy, small_cfg, *batch)[0]
 
     fd = finite_difference(policy_loss, policy.params)
-    err_policy = relative_error(pack({k: np.asarray(v) for k, v in pgrads.items()}), fd)
+    err_policy = relative_error(flat_buffer(pgrads), fd)
     assert err_policy < 1e-4
     report("A5", f"alignment grad rel err {err_align:.2e}, policy NLL grad rel err {err_policy:.2e} (< 1e-4)")
 

@@ -8,7 +8,7 @@ import pytest
 
 from recoverylab.errors import InputError, StorageError, ValidationError
 from recoverylab.faults import ErrorKind, error_from_config
-from recoverylab.nets import finite_difference, pack, relative_error
+from recoverylab.nets import flat_buffer
 from recoverylab.policy import (
     GRIP_DIMS,
     LearnedActor,
@@ -26,6 +26,7 @@ from recoverylab.policy import (
 )
 from recoverylab.store import Outcome, slice_recovery_suffix
 from recoverylab.world import OBS_DIM, EnvMode, observe, reset
+from tests.gradcheck import finite_difference, relative_error
 
 
 @pytest.fixture(scope="module")
@@ -127,14 +128,12 @@ def test_gradient_matches_finite_differences(cfg, expert_episodes):
     _, grads = loss_and_grads(policy, small, *batch)
 
     def loss_fn(params):
-        saved = policy.params
-        policy.params = params
-        value = loss_and_grads(policy, small, *batch)[0]
-        policy.params = saved
-        return value
+        # finite_difference perturbs the policy's own parameter views.
+        assert params is policy.params
+        return loss_and_grads(policy, small, *batch)[0]
 
     fd = finite_difference(loss_fn, policy.params)
-    assert relative_error(pack({k: np.asarray(v) for k, v in grads.items()}), fd) < 1e-4
+    assert relative_error(flat_buffer(grads), fd) < 1e-4
 
 
 def test_lambda_zero_matches_expert_only(mini_cfg, tiny_policy, expert_episodes, recovery_episodes):
@@ -172,7 +171,7 @@ def test_training_determinism(mini_cfg, expert_episodes):
         policy = init_policy(mini_cfg, seed=2)
         ds = build_frame_dataset(mini_cfg, expert_episodes[:4])
         train_bc(policy, ds, None, mini_cfg.with_overrides(bc_steps=60), seed=11)
-        results.append(pack(policy.params))
+        results.append(flat_buffer(policy.params).copy())
     assert np.array_equal(results[0], results[1])
 
 
@@ -279,8 +278,8 @@ def test_value_token_liveness(cfg, mini_policies, expert_episodes):
     _, _, full = mini_policies
     probes = build_frame_dataset(cfg, expert_episodes[:6])
     zeroed = full.clone()
-    zeroed.params["val_w"] = np.zeros_like(zeroed.params["val_w"])
-    zeroed.params["val_b"] = np.zeros_like(zeroed.params["val_b"])
+    zeroed.params["val_w"][...] = 0.0
+    zeroed.params["val_b"][...] = 0.0
     from recoverylab.policy import _forward_batch
 
     idx = np.arange(0, len(probes), max(1, len(probes) // 80))
@@ -289,6 +288,36 @@ def test_value_token_liveness(cfg, mini_policies, expert_episodes):
     mu_b, _ = _forward_batch(zeroed, probes.hist[idx], probes.obs[idx], probes.instr[idx], v)
     changed = np.any(np.abs(mu_a - mu_b) > 1e-9, axis=1)
     assert changed.mean() >= 0.9
+
+
+def test_loaded_and_cloned_policies_train_in_their_own_buffer(mini_cfg, tmp_path, expert_episodes,
+                                                              recovery_episodes):
+    from recoverylab.labeling import label_recovery, label_success
+
+    cfg = mini_cfg.with_overrides(refine_steps=30)
+    labeled = [label_success(e) for e in expert_episodes[:3]] + [label_recovery(e) for e in recovery_episodes[:2]]
+    ds = build_frame_dataset(cfg, labeled, require_labels=True)
+    policy = init_policy(cfg, seed=4)
+    loaded = load_policy(save_policy(policy, tmp_path / "policy.json"))
+    cloned = policy.clone()
+    before = flat_buffer(policy.params).copy()
+    train_value_conditioned(loaded, ds, cfg, seed=2)
+    train_value_conditioned(cloned, ds, cfg, seed=2)
+    assert np.array_equal(flat_buffer(policy.params), before)
+    train_value_conditioned(policy, ds, cfg, seed=2)
+    assert not np.array_equal(flat_buffer(policy.params), before)
+    for other in (loaded, cloned):
+        assert np.array_equal(flat_buffer(other.params), flat_buffer(policy.params))
+
+
+def test_dataset_padding_is_the_rows_before_frame_zero(cfg, expert_episodes, recovery_episodes):
+    episodes = expert_episodes[:2] + [slice_recovery_suffix(e) for e in recovery_episodes[:2]]
+    ds = build_frame_dataset(cfg, episodes)
+    w = int(cfg.history_window)
+    # Row k of frame t's window is frame t-1-k.
+    want = np.concatenate([np.arange(w)[None, :] >= np.arange(len(e.frames))[:, None] for e in episodes])
+    assert np.array_equal(ds.pad, want)
+    assert np.array_equal(ds.pad, np.all(ds.hist.reshape(len(ds), w, OBS_DIM) == 0.0, axis=2))
 
 
 def test_checkpoint_round_trip(cfg, tmp_path, mini_policies):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from recoverylab.errors import ConfigError, CoverageError, InputError, StorageError, TrainingError
-from recoverylab.nets import finite_difference, pack, relative_error
+from recoverylab.nets import flat_buffer
 from recoverylab.value import (
     ReferenceCluster,
     _episode_prefix_features,
@@ -25,6 +25,7 @@ from recoverylab.value import (
     trajectory_feature,
 )
 from recoverylab.world import OBS_DIM
+from tests.gradcheck import finite_difference, relative_error
 
 
 def spearman(a, b):
@@ -101,10 +102,10 @@ def test_embed_zero_weights_constant_map(cfg, rng):
     model = init_progress_model(cfg, seed=0)
     params = model.params
     for key in ("f_w1", "f_w2"):
-        params[key] = np.zeros_like(params[key])
-    params["f_b1"] = np.zeros_like(params["f_b1"])
+        params[key][...] = 0.0
+    params["f_b1"][...] = 0.0
     b = rng.normal(size=params["f_b2"].shape)
-    params["f_b2"] = b.copy()
+    params["f_b2"][...] = b
     raws = rng.normal(size=(5, model.featurizer.feature_dim))
     z = embed(params, raws, "visual")
     expected = b / np.linalg.norm(b)
@@ -138,12 +139,12 @@ def test_alignment_gradient_matches_finite_differences(cfg, expert_episodes, rng
     fd = finite_difference(
         lambda p: alignment_loss_and_grads(p, x_traj, x_instr, targets)[0], model.params
     )
-    assert relative_error(pack({k: np.asarray(v) for k, v in grads.items()}), fd) < 1e-4
+    assert relative_error(flat_buffer(grads), fd) < 1e-4
 
 
 def test_train_zero_steps_is_identity(cfg, expert_episodes):
     model = init_progress_model(cfg, seed=0)
-    before = model.snapshot()
+    before = {k: v.copy() for k, v in model.params.items()}
     losses = train_alignment(model, expert_episodes[:5], cfg.with_overrides(align_steps=0), seed=0)
     assert losses == []
     for k in before:
