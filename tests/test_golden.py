@@ -11,7 +11,9 @@ and say so.  The learned actor is mostly an untrained
 BLAS summation order; the reports of the committed trained policy exercise
 its grasps and recoveries.  The checkpoint digests pin the bytes
 ``save_policy`` and ``save_progress_model`` write, and the training digests
-the weights each training loop leaves.
+the weights each training loop leaves.  The suite digests pin the tables,
+checkpoints and evaluated weights of the CLI's scaling, ablation and
+train-rai runs at nano scale.
 """
 
 import hashlib
@@ -724,3 +726,110 @@ def test_training_golden():
     out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     _assert_golden(json.loads(out.stdout), TRAINING_GOLDEN)
+
+
+def suite_digests(tmp_path, monkeypatch, capsys) -> dict[str, str]:
+    """Run ``scaling``, each ``ablate`` and ``train-rai`` through ``cli.main``
+    at 20 steps per training stage.  Digests each table and checkpoint,
+    train-rai's printed losses, and the weights and ``v_fixed`` of every
+    policy the suites hand to ``run_protocol``, in call order."""
+    from recoverylab.cli import main
+
+    config = tmp_path / "nano.cfg"
+    config.write_text("bc_steps = 20\nrefine_steps = 20\nalign_steps = 20\n")
+    evaluated: list[str] = []
+    run_protocol = bench.run_protocol
+
+    def spy(cfg, actor_factory, *args, **kwargs):
+        actor = actor_factory(0)
+        pol = actor.policy
+        digest = _params_digest({**pol.params, "obs_mean": pol.obs_mean, "obs_std": pol.obs_std})
+        evaluated.append(f"{digest} v={actor.v_fixed!r}")
+        return run_protocol(cfg, actor_factory, *args, **kwargs)
+
+    monkeypatch.setattr(bench, "run_protocol", spy)
+    common = ["--config", str(config), "--expert-n", "6", "--failures-n", "2", "--trials", "4"]
+    suites = {"scaling": ["scaling", *common, "--rec-base", "1"]}
+    suites.update({f"ablate-{which}": ["ablate", "--which", which, *common, "--rec-base", "2"]
+                   for which in ("history-reset", "value-guidance", "alpha")})
+    got = {}
+    for name, argv in suites.items():
+        evaluated.clear()
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out)]) == 0
+        (table,) = out.glob("*.csv")
+        got[f"{name}.csv"] = _sha(table)
+        got.update({f"{name}/eval{i}": d for i, d in enumerate(evaluated)})
+
+    expert, recovery = tmp_path / "expert", tmp_path / "recovery"
+    assert main(["gen-nominal", "--config", str(config), "--n", "6", "--out", str(expert)]) == 0
+    assert main(["gen-recovery", "--config", str(config), "--error", "E2", "--n", "4", "--seed", "1000",
+                 "--out", str(recovery)]) == 0
+    for name, extra in (("rai", []), ("rai-noreset", ["--no-history-reset"])):
+        checkpoint = tmp_path / f"{name}.json"
+        capsys.readouterr()
+        assert main(["train-rai", "--config", str(config), "--expert", str(expert), "--recovery", str(recovery),
+                     "--out", str(checkpoint), *extra]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        got[f"{name}.json"] = _sha(checkpoint)
+        got[f"{name}.losses"] = f"{printed['initial_loss']!r} {printed['final_loss']!r}"
+    return got
+
+
+# Nano-scale suite tables are mostly zeros, so the weights are the real check.
+SUITE_GOLDEN = {
+    "ablate-alpha.csv":
+        "9f19b30c69f249f6671032d443172115b00b84a7bdc3e6154ecf24cc9f3d7108",
+    "ablate-alpha/eval0":
+        "15ff5a534e3a2ff0f669ccc92ac87148b0c2a5d6220c5ea8521ebcb8a0613045 v=1.0",
+    "ablate-alpha/eval1":
+        "45d60c705103e2c8588329c0517fa51ffe903cb485989ce7b4ef88dc1d69256d v=1.0",
+    "ablate-alpha/eval2":
+        "598ad9c9a3e5b9c191f3840bd0378be8ddcbbaa3f526da265f8ef81d78e2ae32 v=1.0",
+    "ablate-history-reset.csv":
+        "9a13fba3e29593e90e348c441565e2fd13e8b96f2f7a521e9845274534d1a570",
+    "ablate-history-reset/eval0":
+        "c4d2960a60afd59346603261dc9da8e369a92a7a5b9e26acc62de4f566ff9ce9 v=1.0",
+    "ablate-history-reset/eval1":
+        "7e37a7cc3943bc392bed4eb8d971b4693f9c2bf7b4cff8d4d995e420a43b783f v=1.0",
+    "ablate-value-guidance.csv":
+        "e8c70c5a64dab6ac588c60a433eacd1418ee60fe6587fe758947413f006ecbad",
+    "ablate-value-guidance/eval0":
+        "45d60c705103e2c8588329c0517fa51ffe903cb485989ce7b4ef88dc1d69256d v=1.0",
+    "ablate-value-guidance/eval1":
+        "45d60c705103e2c8588329c0517fa51ffe903cb485989ce7b4ef88dc1d69256d v=0.0",
+    "rai-noreset.json":
+        "8a8dabbb178ef3e064d4dbb64a3235cd40f9d2c336aa5f52fb2be1ba4f201aa2",
+    "rai-noreset.losses":
+        "263.72263909711404 60.67119610313755",
+    "rai.json":
+        "1d89a665d2fccfb5a8d97474e3dee534b10779d680de6cd19608fdc0a4bea0d1",
+    "rai.losses":
+        "266.5648946227659 63.51262643395114",
+    "scaling.csv":
+        "3d2e6dab9bc68c353840b3bb3f84b60d83f010e00d6147df2d05db0b17603ee8",
+    "scaling/eval0":
+        "e0589526fd2f79a8049d57f0303e3503b7ff24a6016ef8f1b923b65b26772ee2 v=1.0",
+    "scaling/eval1":
+        "e0589526fd2f79a8049d57f0303e3503b7ff24a6016ef8f1b923b65b26772ee2 v=1.0",
+    "scaling/eval2":
+        "e1f64852f83e12fd2fcaa54672868690da0e3fabfc07b7ed20339a39a6b1cb38 v=1.0",
+    "scaling/eval3":
+        "e1f64852f83e12fd2fcaa54672868690da0e3fabfc07b7ed20339a39a6b1cb38 v=1.0",
+    "scaling/eval4":
+        "42156e52758ff84cc3ac46fd187fe38fcbc5b4324e366a2945e2507cc9fe194c v=1.0",
+    "scaling/eval5":
+        "42156e52758ff84cc3ac46fd187fe38fcbc5b4324e366a2945e2507cc9fe194c v=1.0",
+    "scaling/eval6":
+        "cb92196f4678085859c6f689c4c6d00fa0424703c732379e24087bd05537bbc4 v=1.0",
+    "scaling/eval7":
+        "cb92196f4678085859c6f689c4c6d00fa0424703c732379e24087bd05537bbc4 v=1.0",
+    "scaling/eval8":
+        "4b51224ae5a35c275e234aa54a3754204331ca75699599f33a23aa75e045dd5f v=1.0",
+    "scaling/eval9":
+        "4b51224ae5a35c275e234aa54a3754204331ca75699599f33a23aa75e045dd5f v=1.0",
+}
+
+
+def test_suite_golden(tmp_path, monkeypatch, capsys):
+    _assert_golden(suite_digests(tmp_path, monkeypatch, capsys), SUITE_GOLDEN)
