@@ -17,26 +17,14 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .config import Config
-from .errors import PlanningError, UnrecoverableState, ValidationError
-from .faults import (
-    Actor,
-    ErrorType,
-    InjectionSchedule,
-    PlannerActor,
-    Trial,
-    max_nominal_duration,
-    run_episodes,
-)
+from .errors import ValidationError
+from .faults import ErrorType, InjectionSchedule, Trial, max_nominal_duration, run_episodes
 from .labeling import label_episode
-from .planner import plan_recovery
 from .policy import (
     FrameDataset,
     LearnedActor,
     Policy,
-    action_from_vector,
     build_frame_dataset,
     init_policy,
     train_bc,
@@ -44,7 +32,7 @@ from .policy import (
 )
 from .store import Episode, slice_recovery_suffix
 from .value import ProgressModel, ReferenceCluster, build_reference_cluster, init_progress_model, train_alignment
-from .world import EnvMode, WorldState, success_check
+from .world import EnvMode
 
 
 @dataclass(frozen=True)
@@ -110,74 +98,6 @@ class EvalReport:
             "recovery_rate": f"{self.recovery_rate:.6f}",
             "insufficient_verification": str(self.insufficient_verification),
         }
-
-
-class RandomActor(Actor):
-    """Uniform random workspace targets; the evaluation floor."""
-
-    def __init__(self, seed: int):
-        self._seed = seed
-        self._cfg: Config | None = None
-
-    def begin(self, cfg, task_id, state):
-        self._cfg = cfg
-        self._rng = np.random.default_rng([self._seed, 0x8A])
-
-    def act(self, state, obs):
-        cfg = self._cfg
-        vec = np.concatenate([
-            [
-                self._rng.uniform(cfg.workspace_x_min, cfg.workspace_x_max),
-                self._rng.uniform(cfg.workspace_y_min, cfg.workspace_y_max),
-                self._rng.uniform(-0.5, 0.5),
-                self._rng.uniform(0.0, 1.0),
-            ]
-            for _ in range(2)
-        ])
-        return action_from_vector(cfg, vec)
-
-
-# Steps in one plan phase after which the oracle replans.
-ORACLE_STALL_BUDGET = 60
-
-
-class OracleActor(Actor):
-    """The scripted expert run closed-loop as a policy.
-
-    Executes the nominal plan and self-monitors: a stalled phase or an
-    exhausted plan without success triggers replanning from the live state
-    via the recovery planner; with nothing left to do it holds pose.  Bounds
-    every learned policy from above.
-    """
-
-    def __init__(self):
-        self._cfg: Config | None = None
-        self._task: str = ""
-        self._planner: PlannerActor | None = None
-
-    def begin(self, cfg, task_id, state):
-        self._cfg = cfg
-        self._task = task_id
-        self._planner = PlannerActor()
-        self._planner.begin(cfg, task_id, state)
-
-    def _replan(self, state: WorldState) -> bool:
-        try:
-            planner = PlannerActor(plan_recovery(self._cfg, self._task, state))
-        except (UnrecoverableState, PlanningError):
-            return False
-        planner.begin(self._cfg, self._task, state)
-        self._planner = planner
-        return True
-
-    def act(self, state: WorldState, obs: np.ndarray) -> tuple[float, ...]:
-        if self._planner.executor.steps_in_phase > ORACLE_STALL_BUDGET:
-            self._replan(state)
-        action = self._planner.act(state, obs)
-        if self._planner.exhausted and not success_check(self._cfg, self._task, state):
-            if self._replan(state):
-                action = self._planner.act(state, obs)
-        return action
 
 
 def adversarial_horizon(cfg: Config, t_max: int, error: ErrorType) -> int:

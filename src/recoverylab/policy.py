@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import Config
 from .errors import InputError, TrainingError, ValidationError
-from .faults import UNTRIGGERED, Actor, ErrorType, InjectionSchedule, run_episode
+from .faults import Actor
 from .nets import (Adam, Params, flat_buffer, flat_params, init_linear, init_mlp, mlp_backward, mlp_forward,
                    zeros_like_params)
 from .store import Episode, checkpoint_array, history_windows, load_checkpoint, save_checkpoint
@@ -35,7 +35,6 @@ from .world import (
     GRIP_DIMS,
     OBS_DIM,
     THETA_DIMS,
-    EnvMode,
     get_task,
     instruction_ids,
     wrap_angle,
@@ -416,32 +415,6 @@ class LearnedActor(Actor):
                 window[1:] = window[:-1]
                 window[:1] = obs[i]  # a slice: a w = 0 window has no row 0
         return actions
-
-
-def rollout(
-    policy: Policy,
-    cfg: Config,
-    task_id: str,
-    env_mode: EnvMode,
-    seed: int,
-    v_fixed: float = 1.0,
-    injection: ErrorType | None = None,
-    t_max: int | None = None,
-) -> Episode:
-    """Deploy the policy closed-loop: raw rolling history, fixed value input.
-
-    With ``injection``, frames inside the override window are tagged Error
-    and the post-window continuation Recovery, provided the adverse state
-    verifies when the window closes (see ``InjectionSchedule``).
-    """
-    actor = LearnedActor(policy, v_fixed=v_fixed)
-    if injection is None:
-        return run_episode(cfg, actor, task_id, env_mode, seed, "pol",
-                           {"generator": "rollout", **UNTRIGGERED}, t_max=t_max)
-    return run_episode(
-        cfg, actor, task_id, env_mode, seed, f"pol-{injection.kind.value}", {"generator": "rollout"},
-        t_max=t_max, trigger=InjectionSchedule(injection, None, seed),
-    )
 
 
 # ---------------------------------------------------------------------------

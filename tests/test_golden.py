@@ -33,6 +33,7 @@ from recoverylab.policy import build_frame_dataset, fit_normalizer, init_policy,
 from recoverylab.store import EpisodeKind, Outcome, slice_recovery_suffix, write_episode
 from recoverylab.value import ReferenceCluster, init_progress_model, save_progress_model
 from recoverylab.world import EnvMode
+from tests.actors import OracleActor, RandomActor
 
 TASKS = ("pick-place", "stack-two", "bimanual-handover")
 # max_nominal_duration of the 24 pick-place expert episodes the suite trains on.
@@ -372,8 +373,8 @@ def test_protocol_report_golden(cfg, tmp_path):
     e2 = error_from_config(cfg, ErrorKind.E2_GRASP_SLIP)
     e3 = error_from_config(cfg, ErrorKind.E3_POSITION_OFFSET)
     actors = {
-        "random": lambda s: bench.RandomActor(s),
-        "oracle": lambda s: bench.OracleActor(),
+        "random": lambda s: RandomActor(s),
+        "oracle": lambda s: OracleActor(),
         "learned": bench.policy_actor_factory(init_policy(cfg, seed=9)),
     }
     cells = {

@@ -17,6 +17,7 @@ from recoverylab.labeling import label_success
 from recoverylab.policy import init_policy, save_policy
 from recoverylab.store import EpisodeKind, dataset_stats, read_dataset, write_episode
 from recoverylab.world import EnvMode
+from tests.actors import OracleActor, RandomActor
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +31,7 @@ def seeds_from(start, n):
 
 def test_oracle_standard_ceiling(cfg, t_max):
     report = bench.run_protocol(
-        cfg, lambda s: bench.OracleActor(), "pick-place", None, seeds_from(500000, 20), t_max
+        cfg, lambda s: OracleActor(), "pick-place", None, seeds_from(500000, 20), t_max
     )
     assert report.condition == "Standard"
     assert report.n_success == report.n_trials == 20
@@ -39,7 +40,7 @@ def test_oracle_standard_ceiling(cfg, t_max):
 def test_oracle_adversarial_ceiling(cfg, t_max):
     error = error_from_config(cfg, ErrorKind.E2_GRASP_SLIP)
     report = bench.run_protocol(
-        cfg, lambda s: bench.OracleActor(), "pick-place", error, seeds_from(500000, 20), t_max
+        cfg, lambda s: OracleActor(), "pick-place", error, seeds_from(500000, 20), t_max
     )
     assert report.n_verified >= 18
     assert report.recovery_rate >= 0.9
@@ -48,7 +49,7 @@ def test_oracle_adversarial_ceiling(cfg, t_max):
 def test_random_policy_floor(cfg, t_max):
     error = error_from_config(cfg, ErrorKind.E2_GRASP_SLIP)
     report = bench.run_protocol(
-        cfg, lambda s: bench.RandomActor(s), "pick-place", error, seeds_from(500000, 15), t_max
+        cfg, lambda s: RandomActor(s), "pick-place", error, seeds_from(500000, 15), t_max
     )
     assert report.recovery_rate == 0.0
     assert report.n_success == 0
@@ -96,7 +97,7 @@ def test_report_csv_byte_identical(cfg, mini_policies, t_max, tmp_path):
 def test_lockstep_call_equals_one_seed_calls(cfg, t_max, actor):
     # These actors make no matrix products, so one call over six seeds must
     # give exactly the trials of six one-seed calls, under every condition.
-    factory = {"oracle": lambda s: bench.OracleActor(), "random": lambda s: bench.RandomActor(s)}[actor]
+    factory = {"oracle": lambda s: OracleActor(), "random": lambda s: RandomActor(s)}[actor]
     seeds = seeds_from(700000, 6)
     for kind in (None,) + tuple(ErrorKind):
         error = error_from_config(cfg, kind) if kind else None
@@ -143,13 +144,13 @@ def test_collect_policy_induced_oracle_rarely_fails(cfg, t_max):
     for seed in seeds_from(610000, 10):
         takeover = TimeoutTakeover()
         episode = run_episode(
-            cfg, bench.OracleActor(), "pick-place", EnvMode.RANDOM, seed, "induced",
+            cfg, OracleActor(), "pick-place", EnvMode.RANDOM, seed, "induced",
             {"generator": "policy-induced"}, t_max=t_max, takeover=takeover,
         )
         assert episode.kind is EpisodeKind.NOMINAL_SUCCESS
         assert not takeover.handed_over
     report = bench.run_protocol(
-        cfg, lambda s: bench.OracleActor(), "pick-place", None, seeds_from(610000, 10), t_max
+        cfg, lambda s: OracleActor(), "pick-place", None, seeds_from(610000, 10), t_max
     )
     assert report.n_success == 10
 
@@ -163,7 +164,7 @@ def test_window_open_at_timeout(cfg):
     assert episode.kind is EpisodeKind.PURE_FAILURE
     assert len(episode.frames) == 31
     assert set(episode.frames.phase) == {"Nominal"}
-    report = bench.run_protocol(cfg, lambda s: bench.OracleActor(), "pick-place", error, [0], 5)
+    report = bench.run_protocol(cfg, lambda s: OracleActor(), "pick-place", error, [0], 5)
     assert not report.trials[0].adverse_verified
     assert set(report.trials[0].phase_trace) == {"Nominal"}
 

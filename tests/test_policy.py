@@ -19,13 +19,13 @@ from recoverylab.policy import (
     load_policy,
     local_waypoint,
     loss_and_grads,
-    rollout,
     save_policy,
     train_bc,
     train_value_conditioned,
 )
 from recoverylab.store import Outcome, slice_recovery_suffix
 from recoverylab.world import OBS_DIM, EnvMode, observe, reset
+from tests.actors import rollout
 from tests.gradcheck import finite_difference, relative_error
 
 
