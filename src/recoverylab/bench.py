@@ -217,32 +217,35 @@ class TrainedVariants:
     training_seeds: frozenset[int] = frozenset()
 
 
-def _imitation(cfg: Config, expert_ds: FrameDataset, rec_ds: FrameDataset | None, seed: int) -> Policy:
+def phase_one(cfg: Config, expert_ds: FrameDataset, recovery_episodes: list[Episode], seed: int,
+              history_reset: bool = True) -> tuple[Policy, list[float]]:
+    """Recovery-Aware Initialization: a policy imitating ``expert_ds`` plus,
+    at weight ``cfg.lambda_recovery``, the reset slices of
+    ``recovery_episodes``.  ``history_reset=False`` is the ablation that
+    trains on the raw (unsliced) episodes instead.  Without recovery episodes
+    this is the SFT baseline.  Returns the policy and its loss per step."""
+    rec_ds = None
+    if recovery_episodes:
+        if history_reset:
+            recovery_episodes = [slice_recovery_suffix(e) for e in recovery_episodes]
+        rec_ds = build_frame_dataset(cfg, recovery_episodes)
     policy = init_policy(cfg, seed=seed)
-    train_bc(policy, expert_ds, rec_ds, cfg, seed=seed)
-    return policy
+    losses = train_bc(policy, expert_ds, rec_ds, cfg, seed=seed)
+    return policy, losses
 
 
-def _recovery_dataset(cfg: Config, recovery_episodes: list[Episode], history_reset: bool) -> FrameDataset | None:
-    """Phase one's recovery rows: reset slices, or the raw episodes for the
-    ablation; None without recovery episodes."""
-    if not recovery_episodes:
-        return None
-    if history_reset:
-        recovery_episodes = [slice_recovery_suffix(e) for e in recovery_episodes]
-    return build_frame_dataset(cfg, recovery_episodes)
-
-
-def _progress(cfg: Config, expert_episodes: list[Episode], seed: int) -> tuple[ProgressModel, ReferenceCluster]:
+def fit_progress(cfg: Config, expert_episodes: list[Episode], seed: int) -> tuple[ProgressModel, ReferenceCluster]:
+    """The PAS-VF progress model aligned on ``expert_episodes``, and its
+    reference cluster of those episodes."""
     model = init_progress_model(cfg, seed=seed)
     train_alignment(model, expert_episodes, cfg, seed=seed + 1)
     return model, build_reference_cluster(model, expert_episodes)
 
 
-def _refine(cfg: Config, phase1: Policy, progress: tuple[ProgressModel, ReferenceCluster],
-            episodes: list[Episode], seed: int) -> Policy:
-    """A refined copy of ``phase1``, trained on ``episodes`` labeled with
-    ``progress`` and ``cfg.alpha``."""
+def refine(cfg: Config, phase1: Policy, progress: tuple[ProgressModel, ReferenceCluster],
+           episodes: list[Episode], seed: int) -> Policy:
+    """Value-Conditioned Refinement: a copy of ``phase1`` trained on
+    ``episodes`` labeled with ``progress`` and ``cfg.alpha``."""
     labeled = [label_episode(e, *progress, cfg) for e in episodes]
     full = phase1.clone()
     ds = build_frame_dataset(cfg, labeled, require_labels=True)
@@ -257,30 +260,24 @@ def train_variants(
     failure_episodes: list[Episode],
     seed: int = 0,
     which: tuple[str, ...] = ("sft", "phase1", "full"),
-    history_reset: bool = True,
 ) -> TrainedVariants:
-    """Train the SFT baseline, the phase-one policy, and the refined policy.
-
-    ``history_reset=False`` is the ablation: phase one trains on the raw
-    (unsliced) recovery episodes instead of reset slices.
-    """
+    """Train the SFT baseline, the phase-one policy, and the refined policy."""
     episodes = expert_episodes + recovery_episodes + failure_episodes
     seeds = sorted({e.seed for e in episodes})
     out = TrainedVariants(t_max=max_nominal_duration(expert_episodes), training_seeds=frozenset(seeds))
-    suffix = "" if history_reset else "-noreset"
     expert_ds = build_frame_dataset(cfg, expert_episodes)
 
     if "sft" in which:
-        out.sft = _imitation(cfg, expert_ds, None, seed)
+        out.sft, _ = phase_one(cfg, expert_ds, [], seed)
         out.sft.provenance.update(training_seeds=seeds, variant="sft")
     if "phase1" in which or "full" in which:
-        phase1 = _imitation(cfg, expert_ds, _recovery_dataset(cfg, recovery_episodes, history_reset), seed)
-        phase1.provenance.update(training_seeds=seeds, variant="phase1" + suffix)
+        phase1, _ = phase_one(cfg, expert_ds, recovery_episodes, seed)
+        phase1.provenance.update(training_seeds=seeds, variant="phase1")
         if "phase1" in which:
             out.phase1 = phase1
         if "full" in which:
-            out.full = _refine(cfg, phase1, _progress(cfg, expert_episodes, seed), episodes, seed)
-            out.full.provenance["variant"] = "full" + suffix
+            out.full = refine(cfg, phase1, fit_progress(cfg, expert_episodes, seed), episodes, seed)
+            out.full.provenance["variant"] = "full"
     return out
 
 
@@ -288,11 +285,9 @@ def train_variants(
 # experiment suites
 
 
-def _eval_cell(cfg, policy, task_id, error, seeds, t_max, training_seeds, v_fixed=1.0) -> EvalReport:
-    return run_protocol(
-        cfg, policy_actor_factory(policy, v_fixed=v_fixed), task_id, error, seeds, t_max,
-        training_seeds=training_seeds,
-    )
+def _adversarial_columns(report: EvalReport) -> dict:
+    return {"adversarial_success": f"{report.success_rate:.6f}", "recovery_rate": f"{report.recovery_rate:.6f}",
+            "verified": report.n_verified}
 
 
 def run_scaling(
@@ -310,32 +305,29 @@ def run_scaling(
 
     Each distinct model trains once: the progress model is shared by every
     tier, and the Phase I row is the smallest tier's phase-one policy."""
-    rows: list[dict] = []
     tiers = sorted(recovery_tiers.items(), key=lambda kv: len(kv[1]))
     t_max = max_nominal_duration(expert_episodes)
     expert_ds = build_frame_dataset(cfg, expert_episodes)
-    progress = _progress(cfg, expert_episodes, train_seed)
-    cells: dict[str, Policy] = {"baseline-sft": _imitation(cfg, expert_ds, None, train_seed)}
+    progress = fit_progress(cfg, expert_episodes, train_seed)
+    cells: dict[str, Policy] = {"baseline-sft": phase_one(cfg, expert_ds, [], train_seed)[0]}
     for tier_name, tier_eps in tiers:
-        phase1 = _imitation(cfg, expert_ds, _recovery_dataset(cfg, tier_eps, True), train_seed)
+        phase1, _ = phase_one(cfg, expert_ds, tier_eps, train_seed)
         cells.setdefault("phase-1", phase1)
-        cells[f"full-{tier_name}"] = _refine(
+        cells[f"full-{tier_name}"] = refine(
             cfg, phase1, progress, expert_episodes + tier_eps + failure_episodes, train_seed,
         )
     training_seeds = {e.seed for e in expert_episodes + failure_episodes} | {
         e.seed for eps in recovery_tiers.values() for e in eps
     }
+    rows: list[dict] = []
     for name, pol in cells.items():
-        std = _eval_cell(cfg, pol, task_id, None, eval_seeds, t_max, training_seeds)
-        adv = _eval_cell(cfg, pol, task_id, error, eval_seeds, t_max, training_seeds)
-        rows.append({
-            "variant": name,
-            "standard_success": f"{std.success_rate:.6f}",
-            "adversarial_success": f"{adv.success_rate:.6f}",
-            "recovery_rate": f"{adv.recovery_rate:.6f}",
-            "verified": adv.n_verified,
-            "trials": adv.n_trials,
-        })
+        std, adv = (
+            run_protocol(cfg, policy_actor_factory(pol), task_id, cond, eval_seeds, t_max,
+                         training_seeds=training_seeds)
+            for cond in (None, error)
+        )
+        rows.append({"variant": name, "standard_success": f"{std.success_rate:.6f}",
+                     **_adversarial_columns(adv), "trials": adv.n_trials})
     return {"rows": rows, "t_max": t_max}
 
 
@@ -352,53 +344,35 @@ def run_ablations(
 ) -> dict:
     """Component ablations: history-reset on/off, value guidance v in {0, 1},
     and the reliability-decay exponent sweep."""
-    rows: list[dict] = []
-    if which == "history-reset":
-        for reset_on in (True, False):
-            var = train_variants(
-                cfg, expert_episodes, recovery_episodes, failure_episodes,
-                seed=train_seed, which=("phase1",), history_reset=reset_on,
-            )
-            adv = _eval_cell(cfg, var.phase1, task_id, error, eval_seeds, var.t_max, set(var.training_seeds))
-            rows.append({
-                "variant": "with-reset" if reset_on else "no-reset",
-                "adversarial_success": f"{adv.success_rate:.6f}",
-                "recovery_rate": f"{adv.recovery_rate:.6f}",
-                "verified": adv.n_verified,
-            })
-    elif which == "value-guidance":
-        var = train_variants(
-            cfg, expert_episodes, recovery_episodes, failure_episodes,
-            seed=train_seed, which=("full",),
-        )
-        for v in (1.0, 0.0):
-            adv = _eval_cell(
-                cfg, var.full, task_id, error, eval_seeds, var.t_max, set(var.training_seeds), v_fixed=v,
-            )
-            rows.append({
-                "variant": f"v={v:.1f}",
-                "adversarial_success": f"{adv.success_rate:.6f}",
-                "recovery_rate": f"{adv.recovery_rate:.6f}",
-                "verified": adv.n_verified,
-            })
-    elif which == "alpha":
-        # Only the labels depend on alpha: phase one and the progress model train once.
-        episodes = expert_episodes + recovery_episodes + failure_episodes
-        t_max = max_nominal_duration(expert_episodes)
-        expert_ds = build_frame_dataset(cfg, expert_episodes)
-        phase1 = _imitation(cfg, expert_ds, _recovery_dataset(cfg, recovery_episodes, True), train_seed)
-        progress = _progress(cfg, expert_episodes, train_seed)
-        for alpha in (1.0, 3.0, 10.0):
-            full = _refine(cfg.with_overrides(alpha=alpha), phase1, progress, episodes, train_seed)
-            adv = _eval_cell(cfg, full, task_id, error, eval_seeds, t_max, {e.seed for e in episodes})
-            rows.append({
-                "variant": f"alpha={alpha:g}",
-                "adversarial_success": f"{adv.success_rate:.6f}",
-                "recovery_rate": f"{adv.recovery_rate:.6f}",
-                "verified": adv.n_verified,
-            })
-    else:
+    if which not in ("history-reset", "value-guidance", "alpha"):
         raise ValidationError(f"unknown ablation {which!r}")
+    episodes = expert_episodes + recovery_episodes + failure_episodes
+    expert_ds = build_frame_dataset(cfg, expert_episodes)
+    # Cells map a row name to the policy and the fixed value input it is evaluated with.
+    if which == "history-reset":
+        cells = {
+            name: (phase_one(cfg, expert_ds, recovery_episodes, train_seed, history_reset=reset)[0], 1.0)
+            for name, reset in (("with-reset", True), ("no-reset", False))
+        }
+    else:
+        # Only the labels depend on alpha: phase one and the progress model train once.
+        phase1, _ = phase_one(cfg, expert_ds, recovery_episodes, train_seed)
+        progress = fit_progress(cfg, expert_episodes, train_seed)
+        if which == "value-guidance":
+            full = refine(cfg, phase1, progress, episodes, train_seed)
+            cells = {f"v={v:.1f}": (full, v) for v in (1.0, 0.0)}
+        else:
+            cells = {
+                f"alpha={a:g}": (refine(cfg.with_overrides(alpha=a), phase1, progress, episodes, train_seed), 1.0)
+                for a in (1.0, 3.0, 10.0)
+            }
+    t_max = max_nominal_duration(expert_episodes)
+    training_seeds = {e.seed for e in episodes}
+    rows = []
+    for name, (pol, v) in cells.items():
+        adv = run_protocol(cfg, policy_actor_factory(pol, v_fixed=v), task_id, error, eval_seeds, t_max,
+                           training_seeds=training_seeds)
+        rows.append({"variant": name, **_adversarial_columns(adv)})
     return {"ablation": which, "rows": rows}
 
 

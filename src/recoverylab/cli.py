@@ -14,13 +14,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
+from itertools import islice
 from pathlib import Path
 
 from . import bench, datagen, labeling, policy as policy_mod, store, value as value_mod
 from .config import DEFAULTS, Config, load_config
-from .errors import ConfigError, RecoveryLabError, StorageError
+from .errors import ConfigError, InsufficientData, RecoveryLabError, StorageError
 from .faults import ErrorKind, error_from_config, max_nominal_duration
-from .store import EpisodeKind, Outcome, read_dataset
+from .store import EpisodeKind, read_dataset
 from .world import EnvMode
 
 
@@ -122,20 +124,16 @@ def cmd_label(args) -> int:
 def cmd_train_rai(args) -> int:
     cfg = _config(args)
     expert = _load_episodes(_dirs(args.expert))
-    pol = policy_mod.init_policy(cfg, seed=args.seed)
-    expert_ds = policy_mod.build_frame_dataset(cfg, expert)
-    rec_ds = None
+    recovery = []
     if args.recovery:
-        recovery = [
-            e for e in _load_episodes(_dirs(args.recovery))
-            if e.kind is EpisodeKind.FAILURE_RECOVERY
-        ]
-        if not args.no_history_reset:
-            recovery = [store.slice_recovery_suffix(e) for e in recovery]
-        rec_ds = policy_mod.build_frame_dataset(cfg, recovery)
-    losses = policy_mod.train_bc(pol, expert_ds, rec_ds, cfg, seed=args.seed)
-    seeds = expert_ds.seeds if rec_ds is None else expert_ds.seeds | rec_ds.seeds
-    pol.provenance["training_seeds"] = sorted(seeds)
+        recovery = [e for e in _load_episodes(_dirs(args.recovery)) if e.kind is EpisodeKind.FAILURE_RECOVERY]
+        if not recovery:
+            raise InsufficientData(f"{args.recovery}: no FailureRecovery episodes")
+    pol, losses = bench.phase_one(
+        cfg, policy_mod.build_frame_dataset(cfg, expert), recovery, args.seed,
+        history_reset=not args.no_history_reset,
+    )
+    pol.provenance["training_seeds"] = sorted({e.seed for e in expert + recovery})
     pol.provenance["phase"] = "imitation"
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -180,35 +178,31 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _build_suite_data(cfg: Config, args, rec_counts: dict[str, int]):
-    """Generate the expert pool, recovery tiers, and pure failures in memory."""
-    from .faults import run_interception, run_nominal
+def _first(episodes, n: int, name: str, seeds: range) -> list:
+    """The first ``n`` of ``episodes``, drawn from ``seeds``; InsufficientData
+    naming the set if the seeds run out first."""
+    kept = list(islice(episodes, n))
+    if len(kept) < n:
+        raise InsufficientData(f"{name}: {len(kept)} of {n} episodes from seeds {seeds.start}..{seeds.stop - 1}")
+    return kept
 
+
+def _build_suite_data(cfg: Config, args, rec_counts: dict[str, int]):
+    """Generate the expert pool, recovery tiers, and pure failures in memory.
+    The tiers take turns drawing from one run over the recovery seeds."""
     error = error_from_config(cfg, ErrorKind(args.error))
-    expert = []
-    seed = args.seed
-    while len(expert) < args.expert_n and seed < args.seed + 4 * args.expert_n:
-        ep = run_nominal(cfg, args.task, EnvMode.RANDOM, seed, action_noise=float(cfg.expert_action_noise))
-        if ep.outcome is Outcome.SUCCESS:
-            expert.append(ep)
-        seed += 1
-    tiers: dict[str, list] = {}
-    next_seed = args.seed + 10_000
-    for name, count in rec_counts.items():
-        eps = []
-        while len(eps) < count and next_seed < args.seed + 60_000:
-            ep = run_interception(cfg, args.task, EnvMode.RANDOM, error, next_seed)
-            next_seed += 1
-            if ep.kind is EpisodeKind.FAILURE_RECOVERY:
-                eps.append(ep)
-        tiers[name] = eps
-    fails = []
-    fseed = args.seed + 70_000
-    while len(fails) < args.failures_n and fseed < args.seed + 80_000:
-        ep = run_interception(cfg, args.task, EnvMode.RANDOM, error, fseed, recover=False)
-        fseed += 1
-        if ep.kind is EpisodeKind.PURE_FAILURE and ep.provenance.get("adverse_verified"):
-            fails.append(ep)
+    expert_seeds = range(args.seed, args.seed + 4 * args.expert_n)
+    rec_seeds = range(args.seed + 10_000, args.seed + 60_000)
+    fail_seeds = range(args.seed + 70_000, args.seed + 80_000)
+    expert = _first(datagen.expert_episodes(cfg, args.task, EnvMode.RANDOM, expert_seeds, Counter()),
+                    args.expert_n, "expert pool", expert_seeds)
+    recoveries = datagen.verified_interceptions(cfg, args.task, EnvMode.RANDOM, error, rec_seeds, Counter())
+    tiers = {name: _first(recoveries, count, f"recovery tier {name}", rec_seeds)
+             for name, count in rec_counts.items()}
+    fails = _first(
+        datagen.verified_interceptions(cfg, args.task, EnvMode.RANDOM, error, fail_seeds, Counter(), recover=False),
+        args.failures_n, "pure failures", fail_seeds,
+    )
     return error, expert, tiers, fails
 
 

@@ -1,16 +1,60 @@
 """Dataset generation: nominal demonstrations, paired failure-recovery
-episodes, deliberate pure failures, and policy-induced recovery collection."""
+episodes, deliberate pure failures, and policy-induced recovery collection.
+``expert_episodes`` and ``verified_interceptions`` decide which generated
+episodes a dataset keeps, for the writers here and the in-memory suites."""
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from .config import Config
 from .errors import PlanningError
 from .faults import ErrorType, TimeoutTakeover, run_episode, run_interception, run_nominal
 from .policy import LearnedActor, Policy
-from .store import EpisodeKind, Outcome, write_episodes
+from .store import Episode, EpisodeKind, Outcome, write_episodes
 from .world import EnvMode
+
+
+def expert_episodes(cfg: Config, task_id: str, env_mode: EnvMode, seeds: Iterable[int], counts: Counter,
+                    keep_failures: bool = False) -> Iterator[Episode]:
+    """Expert episodes over ``seeds``, executed with ``cfg.expert_action_noise``:
+    the successes, and the failures too with ``keep_failures``.  Counts seeds
+    the planner cannot plan as ``skipped`` and failed runs as ``failures``."""
+    noise = float(cfg.expert_action_noise)
+    for seed in seeds:
+        try:
+            episode = run_nominal(cfg, task_id, env_mode, seed, action_noise=noise)
+        except PlanningError:
+            counts["skipped"] += 1
+            continue
+        if episode.outcome is Outcome.FAILURE:
+            counts["failures"] += 1
+            if not keep_failures:
+                continue
+        yield episode
+
+
+def verified_interceptions(cfg: Config, task_id: str, env_mode: EnvMode, error: ErrorType, seeds: Iterable[int],
+                           counts: Counter, recover: bool = True) -> Iterator[Episode]:
+    """Interception episodes over ``seeds`` whose adverse state verified:
+    paired failure-recovery episodes, or pure failures with ``recover=False``.
+    Counts injections that did not verify as ``unverified``, and seeds the
+    planner cannot plan or that end as the other kind as ``skipped``."""
+    wanted = EpisodeKind.FAILURE_RECOVERY if recover else EpisodeKind.PURE_FAILURE
+    for seed in seeds:
+        try:
+            episode = run_interception(cfg, task_id, env_mode, error, seed, recover=recover)
+        except PlanningError:
+            counts["skipped"] += 1
+            continue
+        if not episode.provenance.get("adverse_verified", False):
+            counts["unverified"] += 1
+        elif episode.kind is not wanted:
+            counts["skipped"] += 1
+        else:
+            yield episode
 
 
 def generate_nominal(
@@ -22,27 +66,13 @@ def generate_nominal(
     out_dir: str | Path,
     keep_failures: bool = False,
 ) -> dict:
-    """Write ``n`` expert episodes starting at seed0, executed with
-    ``cfg.expert_action_noise``; returns generation stats."""
+    """Write the expert episodes of seeds seed0 .. seed0 + n - 1; returns
+    generation stats."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    noise = float(cfg.expert_action_noise)
-    counts = {"skipped": 0, "failures": 0}
-
-    def kept():
-        for i in range(n):
-            try:
-                episode = run_nominal(cfg, task_id, env_mode, seed0 + i, action_noise=noise)
-            except PlanningError:
-                counts["skipped"] += 1
-                continue
-            if episode.outcome is Outcome.FAILURE:
-                counts["failures"] += 1
-                if not keep_failures:
-                    continue
-            yield episode
-
-    written = len(write_episodes(kept(), out_dir))
+    counts = Counter(skipped=0, failures=0)
+    episodes = expert_episodes(cfg, task_id, env_mode, range(seed0, seed0 + n), counts, keep_failures)
+    written = len(write_episodes(episodes, out_dir))
     return {"written": written, **counts, "out_dir": str(out_dir)}
 
 
@@ -56,31 +86,18 @@ def generate_recovery(
     out_dir: str | Path,
     pure_failure: bool = False,
 ) -> dict:
-    """Write paired failure-recovery episodes (or pure failures) via interception.
+    """Write the verified paired failure-recovery episodes (or pure failures)
+    of seeds seed0 .. seed0 + n - 1.
 
     Episodes whose adverse state fails verification are not stored; they are
     counted and reported so recovery datasets contain verified samples only.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    wanted = EpisodeKind.PURE_FAILURE if pure_failure else EpisodeKind.FAILURE_RECOVERY
-    counts = {"skipped": 0, "unverified": 0}
-
-    def kept():
-        for i in range(n):
-            try:
-                episode = run_interception(cfg, task_id, env_mode, error, seed0 + i, recover=not pure_failure)
-            except PlanningError:
-                counts["skipped"] += 1
-                continue
-            if not episode.provenance.get("adverse_verified", False):
-                counts["unverified"] += 1
-            elif episode.kind is not wanted:
-                counts["skipped"] += 1
-            else:
-                yield episode
-
-    written = len(write_episodes(kept(), out_dir))
+    counts = Counter(skipped=0, unverified=0)
+    episodes = verified_interceptions(cfg, task_id, env_mode, error, range(seed0, seed0 + n), counts,
+                                      recover=not pure_failure)
+    written = len(write_episodes(episodes, out_dir))
     return {"written": written, **counts, "out_dir": str(out_dir)}
 
 

@@ -2,16 +2,16 @@
 trained pipeline reused by the policy and harness tests to keep the suite
 fast.  The acceptance tests build their own full-scale bundles."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from recoverylab import bench, datagen
 from recoverylab.config import load_config
-from recoverylab.faults import ErrorKind, error_from_config, run_interception, run_nominal
-from recoverylab.labeling import label_episode
-from recoverylab.store import EpisodeKind, Outcome, slice_recovery_suffix
-from recoverylab.value import build_reference_cluster, init_progress_model, train_alignment
+from recoverylab.faults import ErrorKind, error_from_config
+from recoverylab.policy import build_frame_dataset
 from recoverylab.world import EnvMode
-from recoverylab import policy as policy_mod
 
 
 @pytest.fixture(scope="session")
@@ -27,63 +27,45 @@ def mini_cfg(cfg):
 
 @pytest.fixture(scope="session")
 def expert_episodes(cfg):
-    eps = [
-        run_nominal(cfg, "pick-place", EnvMode.RANDOM, seed, action_noise=float(cfg.expert_action_noise))
-        for seed in range(24)
-    ]
-    return [e for e in eps if e.outcome is Outcome.SUCCESS]
+    return list(datagen.expert_episodes(cfg, "pick-place", EnvMode.RANDOM, range(24), Counter()))
 
 
 @pytest.fixture(scope="session")
 def recovery_episodes(cfg):
     error = error_from_config(cfg, ErrorKind.E2_GRASP_SLIP)
-    eps = [run_interception(cfg, "pick-place", EnvMode.RANDOM, error, 1000 + s) for s in range(12)]
-    return [e for e in eps if e.kind is EpisodeKind.FAILURE_RECOVERY]
+    return list(datagen.verified_interceptions(cfg, "pick-place", EnvMode.RANDOM, error, range(1000, 1012), Counter()))
 
 
 @pytest.fixture(scope="session")
 def failure_episodes(cfg):
     error = error_from_config(cfg, ErrorKind.E2_GRASP_SLIP)
-    eps = [
-        run_interception(cfg, "pick-place", EnvMode.RANDOM, error, 2000 + s, recover=False)
-        for s in range(6)
-    ]
-    return [e for e in eps if e.kind is EpisodeKind.PURE_FAILURE]
+    return list(datagen.verified_interceptions(cfg, "pick-place", EnvMode.RANDOM, error, range(2000, 2006), Counter(),
+                                               recover=False))
 
 
 @pytest.fixture(scope="session")
-def progress_model(mini_cfg, expert_episodes):
-    model = init_progress_model(mini_cfg, seed=0)
-    train_alignment(model, expert_episodes[:16], mini_cfg, seed=1)
-    return model
+def progress(mini_cfg, expert_episodes):
+    """The progress model and reference cluster of the first 16 expert episodes."""
+    return bench.fit_progress(mini_cfg, expert_episodes[:16], seed=0)
 
 
 @pytest.fixture(scope="session")
-def reference_cluster(progress_model, expert_episodes):
-    return build_reference_cluster(progress_model, expert_episodes[:16])
+def progress_model(progress):
+    return progress[0]
 
 
 @pytest.fixture(scope="session")
-def mini_policies(mini_cfg, expert_episodes, recovery_episodes, failure_episodes,
-                  progress_model, reference_cluster):
+def reference_cluster(progress):
+    return progress[1]
+
+
+@pytest.fixture(scope="session")
+def mini_policies(mini_cfg, expert_episodes, recovery_episodes, failure_episodes, progress):
     """(sft, phase1, full) trained at reduced scale."""
-    expert_ds = policy_mod.build_frame_dataset(mini_cfg, expert_episodes)
-
-    sft = policy_mod.init_policy(mini_cfg, seed=0)
-    policy_mod.train_bc(sft, expert_ds, None, mini_cfg, seed=0)
-
-    sliced = [slice_recovery_suffix(e) for e in recovery_episodes]
-    rec_ds = policy_mod.build_frame_dataset(mini_cfg, sliced)
-    phase1 = policy_mod.init_policy(mini_cfg, seed=0)
-    policy_mod.train_bc(phase1, expert_ds, rec_ds, mini_cfg, seed=0)
-
-    labeled = [
-        label_episode(e, progress_model, reference_cluster, mini_cfg)
-        for e in expert_episodes + recovery_episodes + failure_episodes
-    ]
-    full = phase1.clone()
-    vcr_ds = policy_mod.build_frame_dataset(mini_cfg, labeled, require_labels=True)
-    policy_mod.train_value_conditioned(full, vcr_ds, mini_cfg, seed=0)
+    expert_ds = build_frame_dataset(mini_cfg, expert_episodes)
+    sft, _ = bench.phase_one(mini_cfg, expert_ds, [], seed=0)
+    phase1, _ = bench.phase_one(mini_cfg, expert_ds, recovery_episodes, seed=0)
+    full = bench.refine(mini_cfg, phase1, progress, expert_episodes + recovery_episodes + failure_episodes, seed=0)
     return sft, phase1, full
 
 

@@ -9,11 +9,13 @@ Run with: pytest tests/test_acceptance.py -v -s
 """
 
 import math
+from collections import Counter
+from itertools import islice
 
 import numpy as np
 import pytest
 
-from recoverylab import bench
+from recoverylab import bench, datagen
 from recoverylab.config import load_config
 from recoverylab.faults import (
     ErrorKind,
@@ -22,7 +24,7 @@ from recoverylab.faults import (
     detect_failure,
     error_from_config,
     inject,
-    run_interception,
+    max_nominal_duration,
     run_nominal,
 )
 from recoverylab.labeling import label_failure
@@ -76,24 +78,14 @@ def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, flo
 
 
 def gen_recoveries(task: str, n: int, seed0: int, recover: bool = True):
-    out = []
-    seed = seed0
-    wanted = EpisodeKind.FAILURE_RECOVERY if recover else EpisodeKind.PURE_FAILURE
-    while len(out) < n and seed < seed0 + 40 * n:
-        ep = run_interception(CFG, task, EnvMode.RANDOM, E2, seed, recover=recover)
-        seed += 1
-        if ep.kind is wanted and ep.provenance.get("adverse_verified"):
-            out.append(ep)
+    seeds = range(seed0, seed0 + 40 * n)
+    out = list(islice(datagen.verified_interceptions(CFG, task, EnvMode.RANDOM, E2, seeds, Counter(), recover), n))
     assert len(out) == n, f"could not generate {n} episodes for {task}"
     return out
 
 
 def gen_experts(task: str, n_attempts: int, seed0: int = 0):
-    eps = [
-        run_nominal(CFG, task, EnvMode.RANDOM, seed0 + s, action_noise=float(CFG.expert_action_noise))
-        for s in range(n_attempts)
-    ]
-    return [e for e in eps if e.outcome is Outcome.SUCCESS]
+    return list(datagen.expert_episodes(CFG, task, EnvMode.RANDOM, range(seed0, seed0 + n_attempts), Counter()))
 
 
 @pytest.fixture(scope="session")
@@ -102,36 +94,31 @@ def pp_bundle():
     the history-reset ablation pair.  Tier recovery sets are nested prefixes
     of one pool so 2x and 4x genuinely double the 1x data; the ablation pair
     trains on the full pool, where the unsliced error segments carry enough
-    weight for the causal-confusion effect to show."""
+    weight for the causal-confusion effect to show.  The tiers share one
+    progress model, as ``bench.run_scaling``'s do."""
     expert = gen_experts("pick-place", 60)
     rec_pool = gen_recoveries("pick-place", 32, 10_000)
     fails = gen_recoveries("pick-place", 10, 70_000, recover=False)
 
-    sft_only = bench.train_variants(CFG, expert, [], fails, seed=0, which=("sft",))
-    tiers = {"1x": rec_pool[:4], "2x": rec_pool[:8], "4x": rec_pool[:16]}
+    expert_ds = build_frame_dataset(CFG, expert)
+    progress = bench.fit_progress(CFG, expert, seed=0)
     fulls = {
-        name: bench.train_variants(CFG, expert, eps, fails, seed=0, which=("full",)).full
-        for name, eps in tiers.items()
+        name: bench.refine(CFG, bench.phase_one(CFG, expert_ds, eps, seed=0)[0], progress, expert + eps + fails, seed=0)
+        for name, eps in (("1x", rec_pool[:4]), ("2x", rec_pool[:8]), ("4x", rec_pool[:16]))
     }
     reset_pair = {
-        flag: bench.train_variants(
-            CFG, expert, rec_pool, fails, seed=0, which=("phase1",), history_reset=flag
-        ).phase1
-        for flag in (True, False)
+        flag: bench.phase_one(CFG, expert_ds, rec_pool, seed=0, history_reset=flag)[0] for flag in (True, False)
     }
     return {
         "expert": expert,
         "rec_pool": rec_pool,
         "fails": fails,
-        "tiers": tiers,
-        "t_max": sft_only.t_max,
-        "sft": sft_only.sft,
+        "t_max": max_nominal_duration(expert),
+        "sft": bench.phase_one(CFG, expert_ds, [], seed=0)[0],
         "fulls": fulls,
         "phase1": reset_pair[True],
         "phase1_noreset": reset_pair[False],
-        "training_seeds": set(sft_only.training_seeds)
-        | {e.seed for e in rec_pool}
-        | {e.seed for e in fails},
+        "training_seeds": {e.seed for e in expert + rec_pool + fails},
     }
 
 

@@ -245,6 +245,27 @@ def test_report_rejects_malformed_input(tmp_path, capsys):
         assert _cli_error(["report", "--in", str(tmp_path / name), "--out", str(tmp_path)], capsys) == "StorageError"
 
 
+def test_train_rai_rejects_recovery_dir_without_recoveries(tmp_path, capsys):
+    expert = tmp_path / "expert"
+    assert cli_main(["gen-nominal", "--n", "2", "--out", str(expert)]) == 0
+    argv = ["train-rai", "--expert", str(expert), "--recovery", str(expert), "--steps", "1",
+            "--out", str(tmp_path / "phase1.json")]
+    assert _cli_error(argv, capsys) == "InsufficientData"
+
+
+def test_suites_fail_early_on_short_data(tmp_path, capsys, monkeypatch, expert_episodes):
+    # An interception that never verifies: every recovery seed is dropped.
+    monkeypatch.setattr(datagen, "run_interception", lambda *args, **kwargs: expert_episodes[0])
+    config = tmp_path / "nano.cfg"
+    config.write_text("bc_steps = 1\nrefine_steps = 1\nalign_steps = 1\n")
+    argv = ["scaling", "--config", str(config), "--expert-n", "2", "--rec-base", "1", "--failures-n", "1",
+            "--trials", "1", "--out", str(tmp_path / "out")]
+    assert cli_main(argv) == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "InsufficientData"
+    assert payload["message"] == "recovery tier 1x: 0 of 1 episodes from seeds 10000..59999"
+
+
 def test_cli_full_pipeline_small(tmp_path, capsys):
     """gen-nominal -> gen-recovery -> train-value -> label -> train-rai ->
     train-vcr -> eval, at miniature scale, through the real CLI."""
