@@ -242,6 +242,9 @@ def cmd_report(args) -> int:
         rows = payload["trials"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise StorageError(f"{args.input}: not an evaluation report: {exc!r}") from exc
+    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows) \
+            or len({frozenset(row) for row in rows}) > 1:
+        raise StorageError(f"{args.input}: not an evaluation report: trials must be objects with one key set")
     out = bench.write_table(rows, Path(args.out) / "report.csv")
     print(json.dumps({"summary": payload.get("summary", {}), "csv": str(out)}))
     return 0

@@ -240,7 +240,10 @@ def test_eval_missing_config_is_machine_readable(cfg, tmp_path, capsys):
 
 
 def test_report_rejects_malformed_input(tmp_path, capsys):
-    for name, text in (("torn.json", '{"trials": ['), ("no-trials.json", '{"summary": {}}')):
+    cases = (("torn.json", '{"trials": ['), ("no-trials.json", '{"summary": {}}'),
+             ("scalar-trials.json", '{"trials": ["x"]}'),
+             ("mixed-keys.json", '{"trials": [{"seed": 1}, {"seed": 2, "outcome": "Success"}]}'))
+    for name, text in cases:
         (tmp_path / name).write_text(text)
         assert _cli_error(["report", "--in", str(tmp_path / name), "--out", str(tmp_path)], capsys) == "StorageError"
 
