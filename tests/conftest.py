@@ -2,16 +2,23 @@
 trained pipeline reused by the policy and harness tests to keep the suite
 fast.  The acceptance tests build their own full-scale bundles."""
 
+import os
 from collections import Counter
 
-import numpy as np
-import pytest
+# One BLAS thread, set before numpy loads: several threads may split a
+# product differently, and the suite's trained weights should not depend on
+# how many cores the machine has.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from recoverylab import bench, datagen
-from recoverylab.config import load_config
-from recoverylab.faults import ErrorKind, error_from_config
-from recoverylab.policy import build_frame_dataset
-from recoverylab.world import EnvMode
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from recoverylab import bench, datagen  # noqa: E402
+from recoverylab.config import load_config  # noqa: E402
+from recoverylab.faults import ErrorKind, error_from_config  # noqa: E402
+from recoverylab.policy import build_frame_dataset  # noqa: E402
+from recoverylab.world import EnvMode  # noqa: E402
 
 
 @pytest.fixture(scope="session")
