@@ -7,6 +7,8 @@ logic.  Recovery scoring is conditional on the adverse state actually
 verifying; unverified trials are excluded from recovery denominators and
 reported separately.  Reports serialize to CSV and JSON with stable
 formatting so identical configs and seeds reproduce byte-identical files.
+The training stages (``phase_one``, ``fit_progress``, ``refine``) are
+composed into policies here and nowhere else in the package.
 """
 
 from __future__ import annotations
