@@ -33,9 +33,9 @@ from .config import Config
 from .errors import InputError, InsufficientData, PlanningError, PlanExhausted, SequencingError, UnrecoverableState
 from .planner import (
     CORRECTIVE_PHASES,
-    Plan,
     PlanExecutor,
     PlanPhase,
+    PlanStep,
     plan_nominal,
     plan_recovery,
 )
@@ -199,14 +199,14 @@ def _geometric_trigger(cfg: Config, state: WorldState, kind: ErrorKind) -> tuple
     approach standoff, early enough that the forced close precedes contact.
     """
     if kind is ErrorKind.E2_GRASP_SLIP:
-        for i, obj in enumerate(state.objects):
-            if obj.held_by is not None:
-                return obj.held_by, i
+        for i, holder in enumerate(state.holders):
+            if holder is not None:
+                return holder, i
         return None
     radius = cfg.approach_standoff if kind is ErrorKind.E1_PREMATURE_CLOSE else cfg.grasp_radius
     for arm in (LEFT, RIGHT):
-        for i, obj in enumerate(state.objects):
-            if obj.held_by is None and obj.pose.distance(state.arm_poses[arm]) <= radius:
+        for i, (pose, holder) in enumerate(zip(state.object_poses, state.holders)):
+            if holder is None and pose.distance(state.arm_poses[arm]) <= radius:
                 return arm, i
     return None
 
@@ -248,10 +248,10 @@ def verify_adverse(cfg: Config, state: WorldState, error: ErrorType, schedule: I
     """
     if not schedule.resolved:
         return False
-    obj = state.objects[schedule.object_index or 0]
+    i = schedule.object_index or 0
     if error.kind is ErrorKind.E2_GRASP_SLIP:
-        return obj.held_by is None and obj.pose.y < cfg.lift_y - cfg.pos_tol
-    return obj.held_by != schedule.arm
+        return state.holders[i] is None and state.object_poses[i].y < cfg.lift_y - cfg.pos_tol
+    return state.holders[i] != schedule.arm
 
 
 def success_durations(episodes: Iterable[Episode]) -> list[int]:
@@ -289,7 +289,7 @@ class Actor:
     exhausted = False
     stalled = False
 
-    def begin(self, cfg: Config, task_id: str, state: WorldState) -> None:
+    def begin(self, cfg: Config, state: WorldState) -> None:
         raise NotImplementedError
 
     def act(self, state: WorldState, obs: np.ndarray) -> tuple[float, ...]:
@@ -325,17 +325,17 @@ class PlannerActor(Actor):
     path instead of a single trajectory.
     """
 
-    def __init__(self, plan: Plan | None = None, action_noise: float = 0.0):
+    def __init__(self, plan: tuple[PlanStep, ...] | None = None, action_noise: float = 0.0):
         self.plan = plan
         self.action_noise = action_noise
 
-    def begin(self, cfg, task_id, state):
-        plan = self.plan if self.plan is not None else plan_nominal(cfg, task_id, state)
+    def begin(self, cfg, state):
+        plan = self.plan if self.plan is not None else plan_nominal(cfg, state)
         self.executor = PlanExecutor(cfg, plan)
         self.exhausted = False
         # A plan that starts mid-carry has no corrective phases; the whole
         # intervention then counts as recovery, keeping the tag grammar.
-        self._carry_on = self.executor.plan.steps[0].phase not in CORRECTIVE_PHASES
+        self._carry_on = plan[0].phase not in CORRECTIVE_PHASES
         if self.action_noise > 0:
             self._rng = np.random.default_rng([state.rng_seed & 0xFFFFFFFFFFFFFFF, 0x401])
 
@@ -363,7 +363,7 @@ class PlannerActor(Actor):
         return tuple(row)
 
     def recovery_tag(self):
-        phase = self.executor.plan.steps[self.executor.index].phase
+        phase = self.executor.plan[self.executor.index].phase
         return PhaseTag.RECOVERY if self._carry_on or phase in CORRECTIVE_PHASES else PhaseTag.NOMINAL
 
 
@@ -383,14 +383,14 @@ class Takeover:
         """Error onset of a takeover at the timeout; None ends the episode."""
         return None
 
-    def watch(self, cfg: Config, task_id: str, t: int, before: WorldState, after: WorldState) -> None:
+    def watch(self, cfg: Config, t: int, before: WorldState, after: WorldState) -> None:
         """Observe one step of the actor before any takeover."""
 
-    def hand_over(self, cfg: Config, task_id: str, state: WorldState) -> Actor | None:
+    def hand_over(self, cfg: Config, state: WorldState) -> Actor | None:
         if not self.recover:
             return None
         try:
-            plan = plan_recovery(cfg, task_id, state)
+            plan = plan_recovery(cfg, state)
         except (UnrecoverableState, PlanningError) as exc:
             self.failure = str(exc)
             return None
@@ -418,14 +418,14 @@ class TimeoutTakeover(Takeover):
     def timeout_onset(self, n_frames):
         return self.anomaly_at if self.anomaly_at is not None else min(self.last_progress + 1, n_frames - 1)
 
-    def watch(self, cfg, task_id, t, before, after):
-        for j, (was, now) in enumerate(zip(before.objects, after.objects)):
-            if was.held_by == now.held_by:
+    def watch(self, cfg, t, before, after):
+        for j, (was, now) in enumerate(zip(before.holders, after.holders)):
+            if was == now:
                 continue
             self.last_progress = t
-            if self.anomaly_at is None and was.held_by is not None and now.held_by is None:
-                objectives = [o for o in get_task(cfg, task_id).objectives if o.object_index == j]
-                if not any(objective_satisfied(cfg, now, o) for o in objectives):
+            if self.anomaly_at is None and was is not None and now is None:
+                objectives = [o for o in get_task(cfg, after.task_id).objectives if o.object_index == j]
+                if not any(objective_satisfied(cfg, after, o) for o in objectives):
                     self.anomaly_at = t
 
     def provenance(self, t_rec):
@@ -506,7 +506,7 @@ class _Run:
         self.state = reset(cfg, trial.task_id, trial.env_mode, trial.seed)
         self.obs = observe(self.state)
         self.actor = trial.actor
-        self.actor.begin(cfg, trial.task_id, self.state)
+        self.actor.begin(cfg, self.state)
         self.t_max = trial.t_max
         self.rec = _Recorder()
         self.done = self.succeeded = False
@@ -534,10 +534,10 @@ class _Run:
         if onset is not None:
             self.rec.onset = onset
             self.rec.retag(PhaseTag.ERROR)
-        actor = self.trial.takeover.hand_over(cfg, self.trial.task_id, self.state)
+        actor = self.trial.takeover.hand_over(cfg, self.state)
         if actor is None:
             return False
-        actor.begin(cfg, self.trial.task_id, self.state)
+        actor.begin(cfg, self.state)
         self.actor = actor
         return True
 
@@ -559,7 +559,7 @@ class _Run:
         before, self.state = self.state, step(cfg, self.state, actor.applied(action))
         self.obs = observe(self.state)
         if takeover is not None and rec.t_rec is None:
-            takeover.watch(cfg, trial.task_id, t, before, self.state)
+            takeover.watch(cfg, t, before, self.state)
         if actor.stalled:
             self.done = True
             return
@@ -570,7 +570,7 @@ class _Run:
                 if takeover is not None and not self._hand_over(cfg, None):
                     self.done = True
                     return
-        if success_check(cfg, trial.task_id, self.state):
+        if success_check(cfg, self.state):
             self.succeeded = self.done = True
 
     def episode(self, cfg: Config) -> Episode:

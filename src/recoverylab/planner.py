@@ -1,8 +1,8 @@
 """Scripted expert planner.
 
 Produces nominal reference plans for each task and corrective plans from
-adverse mid-task states.  Plans are immutable sequences of single-arm phase
-steps; a PlanExecutor walks them closed-loop, advancing a phase once its
+adverse mid-task states.  A plan is a tuple of single-arm phase steps; a
+PlanExecutor walks them closed-loop, advancing a phase once its
 completion predicate holds against the live state.
 
 Recovery plans are built from the adverse state alone (never from how the
@@ -47,10 +47,6 @@ class PlanPhase(Enum):
     REGRASP = "ReGrasp"
 
 
-NOMINAL_PHASES = frozenset(
-    {PlanPhase.APPROACH, PlanPhase.GRASP, PlanPhase.LIFT,
-     PlanPhase.TRANSPORT, PlanPhase.PLACE, PlanPhase.RELEASE}
-)
 CORRECTIVE_PHASES = frozenset(
     {PlanPhase.REOPEN, PlanPhase.REPERCEIVE, PlanPhase.REAPPROACH, PlanPhase.REGRASP}
 )
@@ -72,15 +68,6 @@ class PlanStep:
     grip: float
     completion: Completion
     object_index: int | None = None
-
-
-@dataclass(frozen=True)
-class Plan:
-    task_id: str
-    steps: tuple[PlanStep, ...]
-
-    def __len__(self) -> int:
-        return len(self.steps)
 
 
 def _pick_and_place_steps(
@@ -132,11 +119,10 @@ def _carry_on_steps(cfg: Config, arm: int, object_index: int, here: Pose2D, dest
     ]
 
 
-def remaining_objectives(cfg: Config, task_id: str, state: WorldState) -> list[Objective]:
-    spec = get_task(cfg, task_id)
+def remaining_objectives(cfg: Config, state: WorldState) -> list[Objective]:
     return [
-        objective for objective in spec.objectives
-        if not objective_satisfied(cfg, state.objects[objective.object_index], objective)
+        objective for objective in get_task(cfg, state.task_id).objectives
+        if not objective_satisfied(cfg, state, objective)
     ]
 
 
@@ -154,26 +140,26 @@ def _check_objective_feasible(cfg: Config, objective: Objective, object_pose: Po
         raise PlanningError("objective destination out of reach")
 
 
-def plan_task_from_state(cfg: Config, task_id: str, state: WorldState, corrective_first: bool = False) -> Plan:
+def plan_task_from_state(cfg: Config, state: WorldState, corrective_first: bool = False) -> tuple[PlanStep, ...]:
     """Plan the remaining objectives of a task from an arbitrary valid state.
 
     With ``corrective_first`` the first unmet objective starts with the
     recovery phases (ReOpen if needed, RePerceive, ReApproach, ReGrasp)
     re-targeted to the object's current pose.
     """
-    todo = remaining_objectives(cfg, task_id, state)
+    todo = remaining_objectives(cfg, state)
     if not todo:
         raise PlanningError("task already satisfied; nothing to plan")
     steps: list[PlanStep] = []
     # Later objectives see the pose each object will have after earlier
     # objectives have moved it.
-    virtual_pose = {i: o.pose for i, o in enumerate(state.objects)}
+    virtual_pose = list(state.object_poses)
     for k, objective in enumerate(todo):
-        obj = state.objects[objective.object_index]
+        holder = state.holders[objective.object_index]
         pose = virtual_pose[objective.object_index]
         _check_objective_feasible(cfg, objective, pose)
-        if k == 0 and obj.held_by is not None:
-            if obj.held_by != objective.arm:
+        if k == 0 and holder is not None:
+            if holder != objective.arm:
                 raise PlanningError("object held by the wrong arm")
             steps += _carry_on_steps(cfg, objective.arm, objective.object_index, pose, objective.destination)
         else:
@@ -185,15 +171,15 @@ def plan_task_from_state(cfg: Config, task_id: str, state: WorldState, correctiv
         virtual_pose[objective.object_index] = Pose2D(
             objective.destination.x, objective.destination.y, pose.theta
         )
-    return Plan(task_id=task_id, steps=tuple(steps))
+    return tuple(steps)
 
 
-def plan_nominal(cfg: Config, task_id: str, state: WorldState) -> Plan:
-    """Reference plan from a reset state; deterministic in (task, state)."""
-    return plan_task_from_state(cfg, task_id, state, corrective_first=False)
+def plan_nominal(cfg: Config, state: WorldState) -> tuple[PlanStep, ...]:
+    """Reference plan from a reset state; deterministic in the state."""
+    return plan_task_from_state(cfg, state, corrective_first=False)
 
 
-def plan_recovery(cfg: Config, task_id: str, adverse_state: WorldState) -> Plan:
+def plan_recovery(cfg: Config, adverse_state: WorldState) -> tuple[PlanStep, ...]:
     """Corrective plan from a verified adverse state.
 
     Conditions only on the state itself: re-opens an erroneously closed
@@ -201,23 +187,23 @@ def plan_recovery(cfg: Config, task_id: str, adverse_state: WorldState) -> Plan:
     resumes the ordinary task phases.  Raises UnrecoverableState when the
     object ended up where the designated arm cannot retrieve it.
     """
-    todo = remaining_objectives(cfg, task_id, adverse_state)
+    todo = remaining_objectives(cfg, adverse_state)
     if not todo:
         raise PlanningError("state is not adverse; task already satisfied")
     first = todo[0]
-    obj = adverse_state.objects[first.object_index]
-    if not in_workspace(cfg, obj.pose) or not in_reach(cfg, first.arm, obj.pose, slack=cfg.grasp_radius):
+    pose = adverse_state.object_poses[first.object_index]
+    if not in_workspace(cfg, pose) or not in_reach(cfg, first.arm, pose, slack=cfg.grasp_radius):
         raise UnrecoverableState(
-            f"object at ({obj.pose.x:.3f}, {obj.pose.y:.3f}) cannot be retrieved by the "
+            f"object at ({pose.x:.3f}, {pose.y:.3f}) cannot be retrieved by the "
             f"{('left', 'right')[first.arm]} arm"
         )
-    return plan_task_from_state(cfg, task_id, adverse_state, corrective_first=True)
+    return plan_task_from_state(cfg, adverse_state, corrective_first=True)
 
 
 class PlanExecutor:
     """Closed-loop executor: advances phases as completion predicates fire."""
 
-    def __init__(self, cfg: Config, plan: Plan):
+    def __init__(self, cfg: Config, plan: tuple[PlanStep, ...]):
         self.cfg = cfg
         self.plan = plan
         self.index = 0
@@ -229,9 +215,9 @@ class PlanExecutor:
             return (arm_pose.distance(step.target) <= self.cfg.pos_tol
                     and arm_pose.angle_to(step.target) <= self.cfg.ang_tol)
         if step.completion is Completion.HOLDING:
-            return state.objects[step.object_index].held_by == step.arm
+            return state.holders[step.object_index] == step.arm
         if step.completion is Completion.RELEASED:
-            return all(o.held_by != step.arm for o in state.objects)
+            return step.arm not in state.holders
         if step.completion is Completion.GRIP_OPEN:
             return state.grips[step.arm] < CLOSE_THRESHOLD
         if step.completion is Completion.ONE_STEP:
@@ -240,8 +226,8 @@ class PlanExecutor:
 
     def current_step(self, state: WorldState) -> PlanStep:
         """Skip completed phases and return the active one."""
-        while self.index < len(self.plan.steps):
-            step = self.plan.steps[self.index]
+        while self.index < len(self.plan):
+            step = self.plan[self.index]
             if not self._complete(step, state):
                 return step
             self.index += 1

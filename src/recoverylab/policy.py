@@ -389,9 +389,9 @@ class LearnedActor(Actor):
         self._instruction = 0
         self._cfg: Config | None = None
 
-    def begin(self, cfg, task_id, state):
+    def begin(self, cfg, state):
         self._cfg = cfg
-        self._instruction = get_task(cfg, task_id).instruction_id
+        self._instruction = get_task(cfg, state.task_id).instruction_id
         # Row k is frame t-1-k; rows before frame 0 stay zero.
         self._window = np.zeros((self.policy.history_w, OBS_DIM))
 

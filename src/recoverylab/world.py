@@ -13,7 +13,7 @@ value and ``step``/``observe`` are pure functions of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -67,13 +67,6 @@ class Pose2D:
         return abs(wrap_angle(self.theta - other.theta))
 
 
-@dataclass(frozen=True)
-class ObjectState:
-    object_id: str
-    pose: Pose2D
-    held_by: int | None = None  # LEFT, RIGHT or None
-
-
 class EnvMode(Enum):
     CLEAN = "Clean"
     RANDOM = "Random"
@@ -81,10 +74,13 @@ class EnvMode(Enum):
 
 @dataclass(frozen=True)
 class WorldState:
+    """One trial's world; ``object_poses`` and ``holders`` are parallel, one
+    entry per object, and a held object's pose is its holder's pose."""
+
     arm_poses: tuple[Pose2D, Pose2D]
     grips: tuple[float, float]
-    objects: tuple[ObjectState, ...]
-    t: int
+    object_poses: tuple[Pose2D, ...]
+    holders: tuple[int | None, ...]  # LEFT, RIGHT or None
     task_id: str
     rng_seed: int
 
@@ -112,7 +108,6 @@ class TaskSpec:
     canonical_objects: tuple[Pose2D, ...]
     random_x_ranges: tuple[tuple[float, float], ...]
     random_theta_range: tuple[float, float]
-    goal: Pose2D
     objectives: tuple[Objective, ...]
 
 
@@ -126,7 +121,6 @@ def _build_task_registry(ty: float) -> dict[str, TaskSpec]:
             canonical_objects=(Pose2D(0.34, ty, 0.0),),
             random_x_ranges=((0.18, 0.46),),
             random_theta_range=(-0.3, 0.3),
-            goal=Pose2D(-0.06, ty, 0.0),
             objectives=(Objective(RIGHT, 0, Pose2D(-0.06, ty, 0.0)),),
         ),
         "stack-two": TaskSpec(
@@ -136,7 +130,6 @@ def _build_task_registry(ty: float) -> dict[str, TaskSpec]:
             canonical_objects=(Pose2D(-0.3, ty, 0.0), Pose2D(0.3, ty, 0.0)),
             random_x_ranges=((-0.44, -0.16), (0.16, 0.44)),
             random_theta_range=(-0.3, 0.3),
-            goal=Pose2D(0.0, ty, 0.0),
             objectives=(
                 Objective(LEFT, 0, Pose2D(0.0, ty, 0.0)),
                 Objective(RIGHT, 1, Pose2D(0.0, ty, 0.0)),
@@ -149,7 +142,6 @@ def _build_task_registry(ty: float) -> dict[str, TaskSpec]:
             canonical_objects=(Pose2D(-0.34, ty, 0.0),),
             random_x_ranges=((-0.44, -0.2),),
             random_theta_range=(-0.3, 0.3),
-            goal=Pose2D(0.34, ty, 0.0),
             objectives=(
                 Objective(LEFT, 0, Pose2D(0.0, ty, 0.0), kind="transfer"),
                 Objective(RIGHT, 0, Pose2D(0.34, ty, 0.0)),
@@ -206,13 +198,10 @@ def reset(cfg: Config, task_id: str, env_mode: EnvMode, seed: int) -> WorldState
             Pose2D(float(rng.uniform(*spec.random_x_ranges[i])), p.y, float(rng.uniform(lo, hi)))
             for i, p in enumerate(poses)
         ]
-    objects = tuple(
-        ObjectState(object_id=f"obj{i}", pose=p, held_by=None) for i, p in enumerate(poses)
-    )
     arms = tuple(Pose2D(x, y, 0.0) for x, y in (_HOME[LEFT], _HOME[RIGHT]))
     return WorldState(
-        arm_poses=arms, grips=(GRIP_OPEN, GRIP_OPEN), objects=objects,
-        t=0, task_id=task_id, rng_seed=int(seed),
+        arm_poses=arms, grips=(GRIP_OPEN, GRIP_OPEN), object_poses=tuple(poses),
+        holders=(None,) * len(poses), task_id=task_id, rng_seed=int(seed),
     )
 
 
@@ -237,37 +226,30 @@ def step(cfg: Config, state: WorldState, row: tuple[float, ...]) -> WorldState:
 
     new_arms = (_move_toward(cfg, LEFT, state.arm_poses[LEFT], row[0:3]),
                 _move_toward(cfg, RIGHT, state.arm_poses[RIGHT], row[4:7]))
-    new_grips = (row[3], row[7])
+    old_grips, new_grips = state.grips, (row[3], row[7])
 
-    objects = list(state.objects)
     # Open crossings release first: a dropped object keeps its pre-motion pose.
-    for arm in (LEFT, RIGHT):
-        if state.grips[arm] >= CLOSE_THRESHOLD and new_grips[arm] < CLOSE_THRESHOLD:
-            for i, obj in enumerate(objects):
-                if obj.held_by == arm:
-                    objects[i] = replace(obj, held_by=None)
-
+    holders = [
+        None if arm is not None and old_grips[arm] >= CLOSE_THRESHOLD > new_grips[arm] else arm
+        for arm in state.holders
+    ]
     # Objects still held track their holder exactly.
-    for i, obj in enumerate(objects):
-        if obj.held_by is not None:
-            objects[i] = replace(obj, pose=new_arms[obj.held_by])
+    poses = [pose if arm is None else new_arms[arm] for pose, arm in zip(state.object_poses, holders)]
 
-    # Close crossings attach the nearest unheld object inside grasp_radius.
+    # Close crossings attach the nearest unheld object inside grasp_radius,
+    # ties to the later one.
     for arm in (LEFT, RIGHT):
-        if state.grips[arm] < CLOSE_THRESHOLD and new_grips[arm] >= CLOSE_THRESHOLD:
+        if old_grips[arm] < CLOSE_THRESHOLD <= new_grips[arm]:
             best, best_dist = None, cfg.grasp_radius
-            for i, obj in enumerate(objects):
-                if obj.held_by is not None:
-                    continue
-                d = obj.pose.distance(new_arms[arm])
-                if d <= best_dist:
-                    best, best_dist = i, d
+            for i, pose in enumerate(poses):
+                if holders[i] is None:
+                    d = pose.distance(new_arms[arm])
+                    if d <= best_dist:
+                        best, best_dist = i, d
             if best is not None:
-                objects[best] = replace(objects[best], pose=new_arms[arm], held_by=arm)
+                poses[best], holders[best] = new_arms[arm], arm
 
-    return replace(
-        state, arm_poses=new_arms, grips=new_grips, objects=tuple(objects), t=state.t + 1
-    )
+    return WorldState(new_arms, new_grips, tuple(poses), tuple(holders), state.task_id, state.rng_seed)
 
 
 def observe(state: WorldState) -> np.ndarray:
@@ -279,8 +261,8 @@ def observe(state: WorldState) -> np.ndarray:
         p = state.arm_poses[arm]
         vec.extend((p.x, p.y, p.theta, state.grips[arm]))
     for slot in range(NUM_OBJECT_SLOTS):
-        if slot < len(state.objects):
-            o = state.objects[slot].pose
+        if slot < len(state.object_poses):
+            o = state.object_poses[slot]
             vec.append(1.0)
             for arm in (LEFT, RIGHT):
                 g = state.arm_poses[arm]
@@ -290,28 +272,24 @@ def observe(state: WorldState) -> np.ndarray:
     return np.array(vec)
 
 
-def objective_satisfied(cfg: Config, obj_state: ObjectState, objective: Objective) -> bool:
+def objective_satisfied(cfg: Config, state: WorldState, objective: Objective) -> bool:
+    pose, holder = state.object_poses[objective.object_index], state.holders[objective.object_index]
     if objective.kind == "transfer":
         # Satisfied once the next arm holds the object, or the object rests
         # free inside the next arm's x-reach with margin for the grasp radius.
         # Height is left out: a resting object sits below the margin.
         next_arm = RIGHT if objective.arm == LEFT else LEFT
-        if obj_state.held_by is not None:
-            return obj_state.held_by == next_arm
+        if holder is not None:
+            return holder == next_arm
         x_min, x_max, _, _ = arm_reach(cfg, next_arm)
-        return x_min + cfg.grasp_radius <= obj_state.pose.x <= x_max - cfg.grasp_radius
-    return (
-        obj_state.held_by is None
-        and obj_state.pose.distance(objective.destination) <= cfg.goal_radius
-    )
+        return x_min + cfg.grasp_radius <= pose.x <= x_max - cfg.grasp_radius
+    return holder is None and pose.distance(objective.destination) <= cfg.goal_radius
 
 
-def success_check(cfg: Config, task_id: str, state: WorldState) -> bool:
-    """True iff every place objective holds (objects resting at their goals)."""
-    spec = get_task(cfg, task_id)
-    for objective in spec.objectives:
-        if objective.kind != "place":
-            continue
-        if not objective_satisfied(cfg, state.objects[objective.object_index], objective):
+def success_check(cfg: Config, state: WorldState) -> bool:
+    """True iff every place objective of the state's task holds (objects
+    resting at their goals)."""
+    for objective in get_task(cfg, state.task_id).objectives:
+        if objective.kind == "place" and not objective_satisfied(cfg, state, objective):
             return False
     return True

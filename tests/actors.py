@@ -20,7 +20,7 @@ class RandomActor(Actor):
         self._seed = seed
         self._cfg: Config | None = None
 
-    def begin(self, cfg, task_id, state):
+    def begin(self, cfg, state):
         self._cfg = cfg
         self._rng = np.random.default_rng([self._seed, 0x8A])
 
@@ -53,21 +53,19 @@ class OracleActor(Actor):
 
     def __init__(self):
         self._cfg: Config | None = None
-        self._task: str = ""
         self._planner: PlannerActor | None = None
 
-    def begin(self, cfg, task_id, state):
+    def begin(self, cfg, state):
         self._cfg = cfg
-        self._task = task_id
         self._planner = PlannerActor()
-        self._planner.begin(cfg, task_id, state)
+        self._planner.begin(cfg, state)
 
     def _replan(self, state: WorldState) -> bool:
         try:
-            planner = PlannerActor(plan_recovery(self._cfg, self._task, state))
+            planner = PlannerActor(plan_recovery(self._cfg, state))
         except (UnrecoverableState, PlanningError):
             return False
-        planner.begin(self._cfg, self._task, state)
+        planner.begin(self._cfg, state)
         self._planner = planner
         return True
 
@@ -75,7 +73,7 @@ class OracleActor(Actor):
         if self._planner.executor.steps_in_phase > ORACLE_STALL_BUDGET:
             self._replan(state)
         action = self._planner.act(state, obs)
-        if self._planner.exhausted and not success_check(self._cfg, self._task, state):
+        if self._planner.exhausted and not success_check(self._cfg, state):
             if self._replan(state):
                 action = self._planner.act(state, obs)
         return action

@@ -150,13 +150,9 @@ def test_verify_adverse_e2(cfg):
     state = reset(cfg, "pick-place", EnvMode.CLEAN, 0)
     # object resting below carry height, unheld: the slip signature
     assert verify_adverse(cfg, state, error, schedule)
-    held = replace(
-        state, objects=(replace(state.objects[0], held_by=RIGHT),)
-    )
+    held = replace(state, holders=(RIGHT,))
     assert not verify_adverse(cfg, held, error, schedule)
-    lifted = replace(
-        state, objects=(replace(state.objects[0], pose=Pose2D(0.3, cfg.lift_y, 0.0)),)
-    )
+    lifted = replace(state, object_poses=(Pose2D(0.3, cfg.lift_y, 0.0),))
     assert not verify_adverse(cfg, lifted, error, schedule)
 
 
@@ -164,7 +160,7 @@ def test_verify_adverse_e1_signature(cfg):
     error, schedule = resolved_schedule(cfg, ErrorKind.E1_PREMATURE_CLOSE)
     state = reset(cfg, "pick-place", EnvMode.CLEAN, 0)
     assert verify_adverse(cfg, state, error, schedule)  # not held by designated arm
-    grasped = replace(state, objects=(replace(state.objects[0], held_by=RIGHT),))
+    grasped = replace(state, holders=(RIGHT,))
     assert not verify_adverse(cfg, grasped, error, schedule)
 
 

@@ -274,7 +274,7 @@ RECOVERY_FAILED_GOLDEN = {
 def test_interception_recovery_failed_golden(cfg, tmp_path, monkeypatch):
     # Objects only move while carried, so no default adverse state defeats the
     # recovery planner; a refusing planner reaches the recovery_failed branch.
-    def refuse(cfg_, task_id, state):
+    def refuse(cfg_, state):
         raise UnrecoverableState("object cannot be retrieved")
 
     monkeypatch.setattr(faults, "plan_recovery", refuse)

@@ -13,7 +13,6 @@ from recoverylab.world import (
     EnvMode,
     GRIP_CLOSED,
     LEFT,
-    ObjectState,
     Pose2D,
     RIGHT,
     reset,
@@ -24,7 +23,7 @@ from recoverylab.world import (
 TASKS = ("pick-place", "stack-two", "bimanual-handover")
 
 
-def execute(cfg, task_id, state, plan, max_steps=None):
+def execute(cfg, state, plan, max_steps=None):
     executor = PlanExecutor(cfg, plan)
     steps = 0
     budget = max_steps or cfg.plan_max_steps
@@ -35,7 +34,7 @@ def execute(cfg, task_id, state, plan, max_steps=None):
             break
         state = step(cfg, state, action)
         steps += 1
-        if success_check(cfg, task_id, state):
+        if success_check(cfg, state):
             break
     return state, steps
 
@@ -43,17 +42,17 @@ def execute(cfg, task_id, state, plan, max_steps=None):
 @pytest.mark.parametrize("task_id", TASKS)
 def test_nominal_plan_succeeds_clean(cfg, task_id):
     state = reset(cfg, task_id, EnvMode.CLEAN, 0)
-    plan = plan_nominal(cfg, task_id, state)
-    final, duration = execute(cfg, task_id, state, plan)
-    assert success_check(cfg, task_id, final)
+    plan = plan_nominal(cfg, state)
+    final, duration = execute(cfg, state, plan)
+    assert success_check(cfg, final)
     assert 0 < duration <= cfg.plan_max_steps
 
 
 def test_nominal_clean_100_percent_over_50_seeds(cfg):
     for seed in range(50):
         state = reset(cfg, "pick-place", EnvMode.CLEAN, seed)
-        final, _ = execute(cfg, "pick-place", state, plan_nominal(cfg, "pick-place", state))
-        assert success_check(cfg, "pick-place", final)
+        final, _ = execute(cfg, state, plan_nominal(cfg, state))
+        assert success_check(cfg, final)
 
 
 @pytest.mark.parametrize("task_id", TASKS)
@@ -61,34 +60,34 @@ def test_nominal_random_seeds(cfg, task_id):
     wins = 0
     for seed in range(20):
         state = reset(cfg, task_id, EnvMode.RANDOM, seed)
-        final, _ = execute(cfg, task_id, state, plan_nominal(cfg, task_id, state))
-        wins += success_check(cfg, task_id, final)
+        final, _ = execute(cfg, state, plan_nominal(cfg, state))
+        wins += success_check(cfg, final)
     assert wins >= 19  # >= 95 percent
 
 
 def test_plan_deterministic(cfg):
     state = reset(cfg, "pick-place", EnvMode.RANDOM, 5)
-    assert plan_nominal(cfg, "pick-place", state) == plan_nominal(cfg, "pick-place", state)
+    assert plan_nominal(cfg, state) == plan_nominal(cfg, state)
 
 
 def test_plan_rejects_out_of_workspace_object(cfg):
     state = reset(cfg, "pick-place", EnvMode.CLEAN, 0)
-    bad = replace(state, objects=(ObjectState("obj0", Pose2D(0.49, 0.49), None),))
-    outside = replace(state, objects=(replace(state.objects[0], pose=Pose2D(0.3, 0.02)),))
+    bad = replace(state, object_poses=(Pose2D(0.49, 0.49),))
+    outside = replace(state, object_poses=(Pose2D(0.3, 0.02),))
     # object parked where the assigned right arm cannot reach
-    unreachable = replace(state, objects=(replace(state.objects[0], pose=Pose2D(-0.4, 0.02)),))
+    unreachable = replace(state, object_poses=(Pose2D(-0.4, 0.02),))
     with pytest.raises(PlanningError):
-        plan_nominal(cfg, "pick-place", unreachable)
+        plan_nominal(cfg, unreachable)
     del bad, outside
 
 
 def test_next_action_phase_semantics(cfg):
     state = reset(cfg, "pick-place", EnvMode.CLEAN, 0)
-    plan = plan_nominal(cfg, "pick-place", state)
+    plan = plan_nominal(cfg, state)
     executor = PlanExecutor(cfg, plan)
     first = executor.next_action(state)
     # Approach phase: right arm heads for the standoff above the object, open.
-    obj = state.objects[0].pose
+    obj = state.object_poses[0]
     assert first[4] == pytest.approx(obj.x)
     assert first[5] == pytest.approx(obj.y + cfg.approach_standoff)
     assert first[7] == 0.0
@@ -99,35 +98,35 @@ def test_next_action_phase_semantics(cfg):
 
 def test_grasp_phase_commands_close_after_dwell(cfg):
     state = reset(cfg, "pick-place", EnvMode.CLEAN, 0)
-    executor = PlanExecutor(cfg, plan_nominal(cfg, "pick-place", state))
+    executor = PlanExecutor(cfg, plan_nominal(cfg, state))
     saw_closed_grasp = False
     for _ in range(cfg.plan_max_steps):
         try:
             action = executor.next_action(state)
         except PlanExhausted:
             break
-        current = executor.plan.steps[executor.index]
+        current = executor.plan[executor.index]
         if current.phase is PlanPhase.GRASP and action[7] == GRIP_CLOSED:
             saw_closed_grasp = True
         state = step(cfg, state, action)
-        if success_check(cfg, "pick-place", state):
+        if success_check(cfg, state):
             break
     assert saw_closed_grasp
 
 
 def test_phase_advances_at_target(cfg):
     state = reset(cfg, "pick-place", EnvMode.CLEAN, 0)
-    executor = PlanExecutor(cfg, plan_nominal(cfg, "pick-place", state))
+    executor = PlanExecutor(cfg, plan_nominal(cfg, state))
     executor.next_action(state)
     # Teleport the arm onto the first phase target: the executor must advance.
-    target = executor.plan.steps[0].target
+    target = executor.plan[0].target
     at_target = replace(state, arm_poses=(state.arm_poses[LEFT], target))
-    assert executor.current_step(at_target) is not executor.plan.steps[0]
+    assert executor.current_step(at_target) is not executor.plan[0]
 
 
 def test_exhausted_plan_signals(cfg):
     state = reset(cfg, "pick-place", EnvMode.CLEAN, 0)
-    executor = PlanExecutor(cfg, plan_nominal(cfg, "pick-place", state))
+    executor = PlanExecutor(cfg, plan_nominal(cfg, state))
     with pytest.raises(PlanExhausted):
         for _ in range(cfg.plan_max_steps + 50):
             state = step(cfg, state, executor.next_action(state))
@@ -136,54 +135,52 @@ def test_exhausted_plan_signals(cfg):
 def build_adverse_state(cfg, seed=0, closed=False):
     """Mid-lift drop: object resting off-path, arm raised, grip as given."""
     state = reset(cfg, "pick-place", EnvMode.RANDOM, seed)
-    obj = state.objects[0].pose
+    obj = state.object_poses[0]
     dropped = Pose2D(obj.x - 0.02, cfg.table_y + 0.05, obj.theta)
     raised = Pose2D(obj.x, cfg.lift_y, obj.theta)
     return replace(
         state,
         arm_poses=(state.arm_poses[LEFT], raised),
         grips=(0.0, GRIP_CLOSED if closed else 0.0),
-        objects=(ObjectState("obj0", dropped, None),),
+        object_poses=(dropped,),
     )
 
 
 def test_recovery_starts_with_reperceive_when_open(cfg):
     adverse = build_adverse_state(cfg, closed=False)
-    plan = plan_recovery(cfg, "pick-place", adverse)
-    assert plan.steps[0].phase is PlanPhase.REPERCEIVE
+    plan = plan_recovery(cfg, adverse)
+    assert plan[0].phase is PlanPhase.REPERCEIVE
     # Re-approach targets the object's CURRENT pose, not the nominal one.
-    reapproach = [s for s in plan.steps if s.phase is PlanPhase.REAPPROACH]
-    assert reapproach and reapproach[-1].target.x == pytest.approx(adverse.objects[0].pose.x)
-    assert reapproach[-1].target.y == pytest.approx(adverse.objects[0].pose.y)
+    reapproach = [s for s in plan if s.phase is PlanPhase.REAPPROACH]
+    assert reapproach and reapproach[-1].target.x == pytest.approx(adverse.object_poses[0].x)
+    assert reapproach[-1].target.y == pytest.approx(adverse.object_poses[0].y)
 
 
 def test_recovery_starts_with_reopen_when_closed(cfg):
     adverse = build_adverse_state(cfg, closed=True)
-    plan = plan_recovery(cfg, "pick-place", adverse)
-    assert plan.steps[0].phase is PlanPhase.REOPEN
+    plan = plan_recovery(cfg, adverse)
+    assert plan[0].phase is PlanPhase.REOPEN
 
 
 def test_recovery_unrecoverable_out_of_reach(cfg):
     adverse = build_adverse_state(cfg)
-    gone = replace(
-        adverse, objects=(ObjectState("obj0", Pose2D(-0.45, cfg.table_y), None),)
-    )
+    gone = replace(adverse, object_poses=(Pose2D(-0.45, cfg.table_y),))
     with pytest.raises(UnrecoverableState):
-        plan_recovery(cfg, "pick-place", gone)
+        plan_recovery(cfg, gone)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_recovery_executes_to_success(cfg, seed):
     adverse = build_adverse_state(cfg, seed=seed, closed=(seed % 2 == 0))
-    plan = plan_recovery(cfg, "pick-place", adverse)
-    final, _ = execute(cfg, "pick-place", adverse, plan)
-    assert success_check(cfg, "pick-place", final)
+    plan = plan_recovery(cfg, adverse)
+    final, _ = execute(cfg, adverse, plan)
+    assert success_check(cfg, final)
 
 
 def test_recovery_resumes_nominal_phases(cfg):
     adverse = build_adverse_state(cfg)
-    plan = plan_recovery(cfg, "pick-place", adverse)
-    phases = [s.phase for s in plan.steps]
+    plan = plan_recovery(cfg, adverse)
+    phases = [s.phase for s in plan]
     first_nominal = next(i for i, p in enumerate(phases) if p not in CORRECTIVE_PHASES)
     assert all(p not in CORRECTIVE_PHASES for p in phases[first_nominal:])
     assert PlanPhase.RELEASE in phases
@@ -192,8 +189,8 @@ def test_recovery_resumes_nominal_phases(cfg):
 def test_recovery_conditions_only_on_state(cfg):
     # Identical adverse states produce identical plans regardless of how the
     # failure happened (no history input exists to condition on).
-    a = plan_recovery(cfg, "pick-place", build_adverse_state(cfg, seed=3))
-    b = plan_recovery(cfg, "pick-place", build_adverse_state(cfg, seed=3))
+    a = plan_recovery(cfg, build_adverse_state(cfg, seed=3))
+    b = plan_recovery(cfg, build_adverse_state(cfg, seed=3))
     assert a == b
 
 
@@ -201,10 +198,10 @@ def test_recovery_after_completed_handoff_carries_on(cfg):
     # Once the right arm holds the passed object, the transfer is done and
     # recovery finishes the place objective with that arm.
     state = reset(cfg, "bimanual-handover", EnvMode.RANDOM, 0)
-    executor = PlanExecutor(cfg, plan_nominal(cfg, "bimanual-handover", state))
-    while state.objects[0].held_by != RIGHT:
+    executor = PlanExecutor(cfg, plan_nominal(cfg, state))
+    while state.holders[0] != RIGHT:
         state = step(cfg, state, executor.next_action(state))
-    plan = plan_recovery(cfg, "bimanual-handover", state)
-    assert plan.steps[0].phase is PlanPhase.LIFT and plan.steps[0].arm == RIGHT
-    final, _ = execute(cfg, "bimanual-handover", state, plan)
-    assert success_check(cfg, "bimanual-handover", final)
+    plan = plan_recovery(cfg, state)
+    assert plan[0].phase is PlanPhase.LIFT and plan[0].arm == RIGHT
+    final, _ = execute(cfg, state, plan)
+    assert success_check(cfg, final)

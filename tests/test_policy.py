@@ -391,7 +391,7 @@ def test_learned_actor_history_matches_dataset_convention(cfg, mini_policies, ex
     episodes = expert_episodes[:2]
     for episode in episodes:
         state = reset(cfg, episode.task_id, episode.env_mode, episode.seed)
-        actor.begin(cfg, episode.task_id, state)
+        actor.begin(cfg, state)
         for obs in episode.frames.obs:
             actor.act(state, obs)
     assert np.array_equal(np.stack(seen), build_frame_dataset(cfg, episodes).hist)

@@ -165,7 +165,7 @@ def world_runs(draw):
     points up to half a workspace beyond its edges, many out of reach."""
     task_id = draw(st.sampled_from(sorted(task_registry(CFG))))
     state = reset(CFG, task_id, draw(st.sampled_from(list(EnvMode))), draw(st.integers(0, 999)))
-    spots = [o.pose for o in state.objects]
+    spots = list(state.object_poses)
     arms = []
     for arm in (LEFT, RIGHT):
         start = draw(st.sampled_from([state.arm_poses[arm]] + spots))
@@ -195,9 +195,9 @@ def test_held_object_pose_equals_its_holders(run):
     state, rows = run
     for row in rows:
         state = step(CFG, state, row)
-        for obj in state.objects:
-            if obj.held_by is not None:
-                assert obj.pose == state.arm_poses[obj.held_by]
+        for pose, holder in zip(state.object_poses, state.holders):
+            if holder is not None:
+                assert pose == state.arm_poses[holder]
 
 
 WORKSPACE = (CFG.workspace_x_min, CFG.workspace_x_max, CFG.workspace_y_min, CFG.workspace_y_max)

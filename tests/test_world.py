@@ -10,7 +10,6 @@ from recoverylab.world import (
     GRIP_OPEN,
     LEFT,
     OBS_DIM,
-    ObjectState,
     PROPRIO_DIM,
     Pose2D,
     RIGHT,
@@ -58,16 +57,15 @@ def test_reset_clean_deterministic(cfg):
 def test_reset_random_seed_sensitivity(cfg):
     a = reset(cfg, "pick-place", EnvMode.RANDOM, 1)
     b = reset(cfg, "pick-place", EnvMode.RANDOM, 2)
-    assert a.objects[0].pose != b.objects[0].pose
+    assert a.object_poses[0] != b.object_poses[0]
     # and fully determined by the seed
     assert a == reset(cfg, "pick-place", EnvMode.RANDOM, 1)
 
 
 def test_reset_stack_two_canonical(cfg):
     state = reset(cfg, "stack-two", EnvMode.CLEAN, 0)
-    assert len(state.objects) == 2
-    assert all(o.held_by is None for o in state.objects)
-    assert state.t == 0
+    assert len(state.object_poses) == 2
+    assert state.holders == (None, None)
 
 
 def test_reset_unknown_task(cfg):
@@ -80,7 +78,6 @@ def test_step_fixed_point(cfg):
     nxt = step(cfg, state, hold(state))
     assert nxt.arm_poses == state.arm_poses
     assert nxt.grips == state.grips
-    assert nxt.t == state.t + 1
 
 
 def test_step_bounded_motion(cfg, rng):
@@ -100,58 +97,57 @@ def test_step_bounded_motion(cfg, rng):
 
 def test_grasp_within_radius(cfg):
     state = reset(cfg, "pick-place", EnvMode.CLEAN, 0)
-    obj = state.objects[0].pose
+    obj = state.object_poses[0]
     near = Pose2D(obj.x + cfg.grasp_radius * 0.6, obj.y, obj.theta)
     state = replace(state, arm_poses=(state.arm_poses[LEFT], near))
     nxt = step(cfg, state, act(state, RIGHT, grip=GRIP_CLOSED))
-    assert nxt.objects[0].held_by == RIGHT
+    assert nxt.holders[0] == RIGHT
     # held object tracks the holder exactly
-    assert nxt.objects[0].pose == nxt.arm_poses[RIGHT]
+    assert nxt.object_poses[0] == nxt.arm_poses[RIGHT]
 
 
 def test_grasp_outside_radius_misses(cfg):
     state = reset(cfg, "pick-place", EnvMode.CLEAN, 0)
-    obj = state.objects[0].pose
+    obj = state.object_poses[0]
     far = Pose2D(obj.x + cfg.grasp_radius * 3.0, obj.y, obj.theta)
     state = replace(state, arm_poses=(state.arm_poses[LEFT], far))
     nxt = step(cfg, state, act(state, RIGHT, grip=GRIP_CLOSED))
-    assert nxt.objects[0].held_by is None
+    assert nxt.holders[0] is None
 
 
 def test_release_freezes_object(cfg):
     state = reset(cfg, "pick-place", EnvMode.CLEAN, 0)
-    obj = state.objects[0].pose
+    obj = state.object_poses[0]
     state = replace(state, arm_poses=(state.arm_poses[LEFT], obj))
     held = step(cfg, state, act(state, RIGHT, grip=GRIP_CLOSED))
-    assert held.objects[0].held_by == RIGHT
+    assert held.holders[0] == RIGHT
     lifted = step(cfg, held, act(held, RIGHT, target=Pose2D(obj.x, obj.y + 0.2, obj.theta)))
-    drop_pose = lifted.objects[0].pose
+    drop_pose = lifted.object_poses[0]
     released = step(cfg, lifted, act(lifted, RIGHT, grip=GRIP_OPEN))
-    assert released.objects[0].held_by is None
-    assert released.objects[0].pose == drop_pose  # frozen at the release point
+    assert released.holders[0] is None
+    assert released.object_poses[0] == drop_pose  # frozen at the release point
 
 
 def test_no_crossing_no_attach(cfg):
     # Grip already closed: moving within range must not attach.
     state = reset(cfg, "pick-place", EnvMode.CLEAN, 0)
-    obj = state.objects[0].pose
+    obj = state.object_poses[0]
     state = replace(
         state,
         arm_poses=(state.arm_poses[LEFT], Pose2D(obj.x, obj.y, obj.theta)),
         grips=(GRIP_OPEN, GRIP_CLOSED),
     )
     nxt = step(cfg, state, act(state, RIGHT, grip=GRIP_CLOSED))
-    assert nxt.objects[0].held_by is None
+    assert nxt.holders[0] is None
 
 
 def test_attachment_exclusivity(cfg):
     # Both arms close on the same object in one step: exactly one holder.
     state = reset(cfg, "pick-place", EnvMode.CLEAN, 0)
-    obj = state.objects[0].pose
+    obj = state.object_poses[0]
     state = replace(state, arm_poses=(obj, obj))
     nxt = step(cfg, state, arm_row(obj, GRIP_CLOSED) + arm_row(obj, GRIP_CLOSED))
-    holders = [o.held_by for o in nxt.objects]
-    assert holders.count(None) == len(holders) - 1
+    assert nxt.holders.count(None) == len(nxt.holders) - 1
 
 
 def test_step_rejects_non_finite(cfg):
@@ -183,7 +179,7 @@ def test_observe_translation_invariant_object_feats(cfg):
     shifted = replace(
         state,
         arm_poses=tuple(shift(p) for p in state.arm_poses),
-        objects=tuple(replace(o, pose=shift(o.pose)) for o in state.objects),
+        object_poses=tuple(shift(p) for p in state.object_poses),
     )
     assert observe(shifted)[PROPRIO_DIM:] == pytest.approx(observe(state)[PROPRIO_DIM:])
 
@@ -197,20 +193,20 @@ def test_observe_grip_projection(cfg):
 
 def test_success_check_cases(cfg):
     state = reset(cfg, "pick-place", EnvMode.CLEAN, 0)
-    assert not success_check(cfg, "pick-place", state)
+    assert not success_check(cfg, state)
     goal = Pose2D(-0.06, cfg.table_y, 0.0)
-    at_goal = replace(state, objects=(ObjectState("obj0", goal, None),))
-    assert success_check(cfg, "pick-place", at_goal)
-    held_at_goal = replace(state, objects=(ObjectState("obj0", goal, RIGHT),))
-    assert not success_check(cfg, "pick-place", held_at_goal)  # must be released
+    at_goal = replace(state, object_poses=(goal,))
+    assert success_check(cfg, at_goal)
+    held_at_goal = replace(at_goal, holders=(RIGHT,))
+    assert not success_check(cfg, held_at_goal)  # must be released
     with pytest.raises(ConfigError):
-        success_check(cfg, "juggle-five", state)
+        success_check(cfg, replace(state, task_id="juggle-five"))
 
 
 def test_success_check_does_not_mutate(cfg):
     state = reset(cfg, "stack-two", EnvMode.RANDOM, 2)
     before = state
-    success_check(cfg, "stack-two", state)
+    success_check(cfg, state)
     observe(state)
     assert state == before
 
@@ -233,9 +229,14 @@ def test_transfer_objective_after_handoff(cfg):
     # The hand-off drop zone is resting height at x=0: inside the right arm's
     # x-reach, below its y-reach margin.  The right arm holding the object
     # satisfies the transfer too; the left arm holding it does not.
+    state = reset(cfg, "bimanual-handover", EnvMode.CLEAN, 0)
     transfer = get_task(cfg, "bimanual-handover").objectives[0]
     at_handoff = Pose2D(0.0, cfg.table_y, 0.0)
-    assert objective_satisfied(cfg, ObjectState("obj0", at_handoff, None), transfer)
-    assert objective_satisfied(cfg, ObjectState("obj0", Pose2D(0.2, cfg.lift_y), RIGHT), transfer)
-    assert not objective_satisfied(cfg, ObjectState("obj0", at_handoff, LEFT), transfer)
-    assert not objective_satisfied(cfg, ObjectState("obj0", Pose2D(-0.3, cfg.table_y), None), transfer)
+
+    def with_object(pose, holder):
+        return replace(state, object_poses=(pose,), holders=(holder,))
+
+    assert objective_satisfied(cfg, with_object(at_handoff, None), transfer)
+    assert objective_satisfied(cfg, with_object(Pose2D(0.2, cfg.lift_y), RIGHT), transfer)
+    assert not objective_satisfied(cfg, with_object(at_handoff, LEFT), transfer)
+    assert not objective_satisfied(cfg, with_object(Pose2D(-0.3, cfg.table_y), None), transfer)
