@@ -211,8 +211,8 @@ def _geometric_trigger(cfg: Config, state: WorldState, kind: ErrorKind) -> tuple
     return None
 
 
-def inject(row: tuple[float, ...], error: ErrorType, t: int, schedule: InjectionSchedule) -> tuple[float, ...]:
-    """Apply the error override to the designated arm's half of an action
+def inject(row: tuple[float, ...], t: int, schedule: InjectionSchedule) -> tuple[float, ...]:
+    """Apply the schedule's error override to the designated arm's half of an action
     row inside the active window.
 
     Outside the window the row is returned untouched (the same object).
@@ -223,7 +223,7 @@ def inject(row: tuple[float, ...], error: ErrorType, t: int, schedule: Injection
         return row
     o = 4 * schedule.arm  # the arm's x, y, theta, grip
     out = list(row)
-    kind = error.kind
+    kind = schedule.error.kind
     if kind is ErrorKind.E1_PREMATURE_CLOSE:
         out[o + 3] = GRIP_CLOSED
     elif kind is ErrorKind.E2_GRASP_SLIP:
@@ -240,8 +240,8 @@ def inject(row: tuple[float, ...], error: ErrorType, t: int, schedule: Injection
     return tuple(out)
 
 
-def verify_adverse(cfg: Config, state: WorldState, error: ErrorType, schedule: InjectionSchedule) -> bool:
-    """True iff the error left its physical signature on the state.
+def verify_adverse(cfg: Config, state: WorldState, schedule: InjectionSchedule) -> bool:
+    """True iff the schedule's error left its physical signature on the state.
 
     E1/E3/E4: the designated object is not held by the designated arm after
     the grasp attempt.  E2: the object is detached and below carry height.
@@ -249,7 +249,7 @@ def verify_adverse(cfg: Config, state: WorldState, error: ErrorType, schedule: I
     if not schedule.resolved:
         return False
     i = schedule.object_index or 0
-    if error.kind is ErrorKind.E2_GRASP_SLIP:
+    if schedule.error.kind is ErrorKind.E2_GRASP_SLIP:
         return state.holders[i] is None and state.object_poses[i].y < cfg.lift_y - cfg.pos_tol
     return state.holders[i] != schedule.arm
 
@@ -552,7 +552,7 @@ class _Run:
         t = len(rec.tags)
         tag = PhaseTag.NOMINAL if rec.t_rec is None else actor.recovery_tag()
         if trigger is not None and trigger.resolved:
-            action = inject(action, trigger.error, t, trigger)
+            action = inject(action, t, trigger)
             if trigger.in_window(t):
                 tag = PhaseTag.ERROR
         rec.add(self.obs, action, tag)
@@ -564,7 +564,7 @@ class _Run:
             self.done = True
             return
         if trigger is not None and len(rec.tags) == trigger.t_end:
-            trigger.verified = verify_adverse(cfg, self.state, trigger.error, trigger)
+            trigger.verified = verify_adverse(cfg, self.state, trigger)
             if trigger.verified:
                 rec.t_rec = len(rec.tags)
                 if takeover is not None and not self._hand_over(cfg, None):

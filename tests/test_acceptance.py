@@ -189,7 +189,7 @@ def test_a3_override_exactness():
         error = error_from_config(CFG, kind)
         schedule = InjectionSchedule(error=error, trigger_phase=TRIGGER_PHASE[kind], rng_seed=7)
         schedule.resolve(t0, RIGHT, 0)
-        inside = inject(action, error, t0 + 1, schedule)
+        inside = inject(action, t0 + 1, schedule)
         if kind is ErrorKind.E1_PREMATURE_CLOSE:
             assert inside[grip] == 1.0 and inside[x:grip] == action[x:grip]
         elif kind is ErrorKind.E2_GRASP_SLIP:
@@ -210,8 +210,8 @@ def test_a3_override_exactness():
             assert inside[grip] == action[grip]
         assert inside[:4] == action[:4]
         # bit-identical outside the window
-        assert inject(action, error, t0 - 1, schedule) is action
-        assert inject(action, error, t0 + error.window_steps, schedule) is action
+        assert inject(action, t0 - 1, schedule) is action
+        assert inject(action, t0 + error.window_steps, schedule) is action
     report("A3", "all four overrides exact field-by-field; slip window exactly 30 steps")
 
 

@@ -64,7 +64,7 @@ def test_trigger_phases(cfg):
 def test_e1_forces_close_exactly(cfg):
     error, schedule = resolved_schedule(cfg, ErrorKind.E1_PREMATURE_CLOSE)
     action = make_action(grip=0.0)
-    out = inject(action, error, 12, schedule)
+    out = inject(action, 12, schedule)
     assert out[RG] == GRIP_CLOSED
     assert out[RX:RG] == action[RX:RG]  # untouched fields
     assert out[:4] == action[:4]
@@ -72,7 +72,7 @@ def test_e1_forces_close_exactly(cfg):
 
 def test_e2_forces_open_exactly(cfg):
     error, schedule = resolved_schedule(cfg, ErrorKind.E2_GRASP_SLIP)
-    out = inject(make_action(grip=1.0), error, 10 + 15, schedule)
+    out = inject(make_action(grip=1.0), 10 + 15, schedule)
     assert out[RG] == GRIP_OPEN
 
 
@@ -88,7 +88,7 @@ def test_e3_offset_formula(cfg):
     dx, dy = schedule.draws["dp"]
     assert abs(dx) <= error.offset_max and abs(dy) <= error.offset_max
     action = make_action()
-    out = inject(action, error, 11, schedule)
+    out = inject(action, 11, schedule)
     assert out[RX] == pytest.approx(action[RX] + dx)
     assert out[RY] == pytest.approx(action[RY] + dy)
     assert out[RTH] == action[RTH]
@@ -97,7 +97,7 @@ def test_e3_offset_formula(cfg):
 
 def test_e3_single_draw_per_episode(cfg):
     error, schedule = resolved_schedule(cfg, ErrorKind.E3_POSITION_OFFSET)
-    outs = [inject(make_action(), error, t, schedule) for t in range(10, 10 + error.window_steps)]
+    outs = [inject(make_action(), t, schedule) for t in range(10, 10 + error.window_steps)]
     deltas = {(round(o[RX], 12), round(o[RY], 12)) for o in outs}
     assert len(deltas) == 1  # constant offset across the window
 
@@ -109,7 +109,7 @@ def test_e4_rotation_and_lateral(cfg):
     assert error.dtheta_max / 2 <= abs(dth) <= error.dtheta_max
     assert error.lat_max / 2 <= abs(lx) <= error.lat_max and ly == 0.0
     action = make_action()
-    out = inject(action, error, 11, schedule)
+    out = inject(action, 11, schedule)
     assert out[RTH] == pytest.approx(wrap_angle(action[RTH] + dth))
     assert out[RX] == pytest.approx(action[RX] + lx)
     assert out[RG] == action[RG]
@@ -119,15 +119,15 @@ def test_e4_rotation_and_lateral(cfg):
 def test_identity_outside_window(cfg, kind):
     error, schedule = resolved_schedule(cfg, kind)
     action = make_action()
-    assert inject(action, error, 9, schedule) is action
-    assert inject(action, error, 10 + error.window_steps, schedule) is action
+    assert inject(action, 9, schedule) is action
+    assert inject(action, 10 + error.window_steps, schedule) is action
 
 
 def test_inject_requires_resolved_schedule(cfg):
     error = error_from_config(cfg, ErrorKind.E2_GRASP_SLIP)
     schedule = InjectionSchedule(error=error, trigger_phase=PlanPhase.LIFT, rng_seed=0)
     with pytest.raises(SequencingError):
-        inject(make_action(), error, 5, schedule)
+        inject(make_action(), 5, schedule)
     schedule.resolve(5, RIGHT, 0)
     with pytest.raises(SequencingError):
         schedule.resolve(6, RIGHT, 0)  # resolved exactly once
@@ -149,19 +149,19 @@ def test_verify_adverse_e2(cfg):
     error, schedule = resolved_schedule(cfg, ErrorKind.E2_GRASP_SLIP)
     state = reset(cfg, "pick-place", EnvMode.CLEAN, 0)
     # object resting below carry height, unheld: the slip signature
-    assert verify_adverse(cfg, state, error, schedule)
+    assert verify_adverse(cfg, state, schedule)
     held = replace(state, holders=(RIGHT,))
-    assert not verify_adverse(cfg, held, error, schedule)
+    assert not verify_adverse(cfg, held, schedule)
     lifted = replace(state, object_poses=(Pose2D(0.3, cfg.lift_y, 0.0),))
-    assert not verify_adverse(cfg, lifted, error, schedule)
+    assert not verify_adverse(cfg, lifted, schedule)
 
 
 def test_verify_adverse_e1_signature(cfg):
     error, schedule = resolved_schedule(cfg, ErrorKind.E1_PREMATURE_CLOSE)
     state = reset(cfg, "pick-place", EnvMode.CLEAN, 0)
-    assert verify_adverse(cfg, state, error, schedule)  # not held by designated arm
+    assert verify_adverse(cfg, state, schedule)  # not held by designated arm
     grasped = replace(state, holders=(RIGHT,))
-    assert not verify_adverse(cfg, grasped, error, schedule)
+    assert not verify_adverse(cfg, grasped, schedule)
 
 
 def test_max_nominal_duration(cfg, expert_episodes):
