@@ -85,7 +85,6 @@ def _pick_and_place_steps(
     and the grasp step dwells briefly open before closing (see PlanExecutor),
     so that closing happens where the commanded grasp target actually is.
     """
-    lift_y = cfg.lift_y
     th = object_pose.theta
     standoff_y = min(object_pose.y + cfg.approach_standoff, cfg.workspace_y_max)
     steps: list[PlanStep] = []
@@ -100,12 +99,8 @@ def _pick_and_place_steps(
         PlanStep(approach, arm, Pose2D(object_pose.x, standoff_y, th), GRIP_OPEN, Completion.REACH, object_index),
         PlanStep(approach, arm, object_pose, GRIP_OPEN, Completion.REACH, object_index),
         PlanStep(grasp, arm, object_pose, GRIP_CLOSED, Completion.HOLDING, object_index),
-        PlanStep(PlanPhase.LIFT, arm, Pose2D(object_pose.x, lift_y, th), GRIP_CLOSED, Completion.REACH, object_index),
-        PlanStep(PlanPhase.TRANSPORT, arm, Pose2D(destination.x, lift_y, th), GRIP_CLOSED, Completion.REACH, object_index),
-        PlanStep(PlanPhase.PLACE, arm, Pose2D(destination.x, destination.y, th), GRIP_CLOSED, Completion.REACH, object_index),
-        PlanStep(PlanPhase.RELEASE, arm, Pose2D(destination.x, destination.y, th), GRIP_OPEN, Completion.RELEASED, object_index),
     ]
-    return steps
+    return steps + _carry_on_steps(cfg, arm, object_index, object_pose, destination)
 
 
 def _carry_on_steps(cfg: Config, arm: int, object_index: int, here: Pose2D, destination: Pose2D) -> list[PlanStep]:
