@@ -6,7 +6,7 @@ import tempfile
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from recoverylab.config import Config
 from recoverylab.labeling import label_failure
@@ -23,6 +23,7 @@ from recoverylab.store import (
     write_episode,
 )
 from recoverylab.world import (
+    CLOSE_THRESHOLD,
     LEFT,
     OBS_DIM,
     RIGHT,
@@ -198,6 +199,51 @@ def test_held_object_pose_equals_its_holders(run):
         for pose, holder in zip(state.object_poses, state.holders):
             if holder is not None:
                 assert pose == state.arm_poses[holder]
+
+
+def _tied_grasp():
+    """Both stack-two objects on one spot under the right arm, which closes
+    and then opens: a tie for the attach, then a release."""
+    state = reset(CFG, "stack-two", EnvMode.CLEAN, 0)
+    spot = state.object_poses[1]
+    state = replace(state, arm_poses=(state.arm_poses[LEFT], spot), object_poses=(spot, spot))
+    left = state.arm_poses[LEFT]
+    hold = (left.x, left.y, left.theta, 0.0, spot.x, spot.y + 0.1, spot.theta)
+    return state, [hold + (1.0,), hold + (0.0,)]
+
+
+@PROPERTY
+@given(world_runs())
+@example(_tied_grasp())
+def test_attach_and_release_rules(run):
+    """Holders change only at grip crossings, a released object stays where
+    it was, an attach takes the nearest unheld object within grasp_radius
+    (ties to the later one, left arm first), and no arm holds two objects."""
+    state, rows = run
+    for row in rows:
+        before, state = state, step(CFG, state, row)
+        opened = [before.grips[a] >= CLOSE_THRESHOLD > state.grips[a] for a in (LEFT, RIGHT)]
+        closed = [before.grips[a] < CLOSE_THRESHOLD <= state.grips[a] for a in (LEFT, RIGHT)]
+        for i, (was, now) in enumerate(zip(before.holders, state.holders)):
+            if was != now:
+                assert was is None or opened[was]
+                assert now is None or closed[now]
+            if was is not None and now is None:
+                assert state.object_poses[i] == before.object_poses[i]
+        free = [h is None or opened[h] for h in before.holders]
+        for arm in (LEFT, RIGHT):
+            assert state.holders.count(arm) <= 1
+            if not closed[arm]:
+                continue
+            grip = state.arm_poses[arm]
+            dist = {j: before.object_poses[j].distance(grip) for j, ok in enumerate(free) if ok}
+            near = [j for j, d in dist.items() if d <= CFG.grasp_radius]
+            if not near:
+                assert arm not in state.holders
+                continue
+            taken = state.holders.index(arm)
+            assert max(near, key=lambda j: (-dist[j], j)) == taken
+            free[taken] = False
 
 
 WORKSPACE = (CFG.workspace_x_min, CFG.workspace_x_max, CFG.workspace_y_min, CFG.workspace_y_max)
