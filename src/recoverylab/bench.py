@@ -236,12 +236,13 @@ def phase_one(cfg: Config, expert_ds: FrameDataset, recovery_episodes: list[Epis
     return policy, losses
 
 
-def fit_progress(cfg: Config, expert_episodes: list[Episode], seed: int) -> tuple[ProgressModel, ReferenceCluster]:
-    """The PAS-VF progress model aligned on ``expert_episodes``, and its
-    reference cluster of those episodes."""
+def fit_progress(cfg: Config, expert_episodes: list[Episode],
+                 seed: int) -> tuple[tuple[ProgressModel, ReferenceCluster], list[float]]:
+    """The PAS-VF progress model aligned on ``expert_episodes`` with its
+    reference cluster of those episodes, and its loss per step."""
     model = init_progress_model(cfg, seed=seed)
-    train_alignment(model, expert_episodes, cfg, seed=seed + 1)
-    return model, build_reference_cluster(model, expert_episodes)
+    losses = train_alignment(model, expert_episodes, cfg, seed=seed + 1)
+    return (model, build_reference_cluster(model, expert_episodes)), losses
 
 
 def refine(cfg: Config, phase1: Policy, progress: tuple[ProgressModel, ReferenceCluster],
@@ -278,7 +279,7 @@ def train_variants(
         if "phase1" in which:
             out.phase1 = phase1
         if "full" in which:
-            out.full = refine(cfg, phase1, fit_progress(cfg, expert_episodes, seed), episodes, seed)
+            out.full = refine(cfg, phase1, fit_progress(cfg, expert_episodes, seed)[0], episodes, seed)
             out.full.provenance["variant"] = "full"
     return out
 
@@ -310,7 +311,7 @@ def run_scaling(
     tiers = sorted(recovery_tiers.items(), key=lambda kv: len(kv[1]))
     t_max = max_nominal_duration(expert_episodes)
     expert_ds = build_frame_dataset(cfg, expert_episodes)
-    progress = fit_progress(cfg, expert_episodes, train_seed)
+    progress, _ = fit_progress(cfg, expert_episodes, train_seed)
     cells: dict[str, Policy] = {"baseline-sft": phase_one(cfg, expert_ds, [], train_seed)[0]}
     for tier_name, tier_eps in tiers:
         phase1, _ = phase_one(cfg, expert_ds, tier_eps, train_seed)
@@ -359,7 +360,7 @@ def run_ablations(
     else:
         # Only the labels depend on alpha: phase one and the progress model train once.
         phase1, _ = phase_one(cfg, expert_ds, recovery_episodes, train_seed)
-        progress = fit_progress(cfg, expert_episodes, train_seed)
+        progress, _ = fit_progress(cfg, expert_episodes, train_seed)
         if which == "value-guidance":
             full = refine(cfg, phase1, progress, episodes, train_seed)
             cells = {f"v={v:.1f}": (full, v) for v in (1.0, 0.0)}

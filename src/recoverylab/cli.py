@@ -97,9 +97,7 @@ def cmd_train_value(args) -> int:
     episodes = [
         e for e in _load_episodes(_dirs(args.data)) if e.kind is EpisodeKind.NOMINAL_SUCCESS
     ]
-    model = value_mod.init_progress_model(cfg, seed=args.seed)
-    losses = value_mod.train_alignment(model, episodes, cfg, seed=args.seed)
-    cluster = value_mod.build_reference_cluster(model, episodes)
+    (model, cluster), losses = bench.fit_progress(cfg, episodes, args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     value_mod.save_progress_model(

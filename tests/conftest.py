@@ -53,7 +53,7 @@ def failure_episodes(cfg):
 @pytest.fixture(scope="session")
 def progress(mini_cfg, expert_episodes):
     """The progress model and reference cluster of the first 16 expert episodes."""
-    return bench.fit_progress(mini_cfg, expert_episodes[:16], seed=0)
+    return bench.fit_progress(mini_cfg, expert_episodes[:16], seed=0)[0]
 
 
 @pytest.fixture(scope="session")

@@ -101,7 +101,7 @@ def pp_bundle():
     fails = gen_recoveries("pick-place", 10, 70_000, recover=False)
 
     expert_ds = build_frame_dataset(CFG, expert)
-    progress = bench.fit_progress(CFG, expert, seed=0)
+    progress, _ = bench.fit_progress(CFG, expert, seed=0)
     fulls = {
         name: bench.refine(CFG, bench.phase_one(CFG, expert_ds, eps, seed=0)[0], progress, expert + eps + fails, seed=0)
         for name, eps in (("1x", rec_pool[:4]), ("2x", rec_pool[:8]), ("4x", rec_pool[:16]))

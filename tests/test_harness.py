@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from recoverylab import bench, datagen
@@ -16,6 +17,7 @@ from recoverylab.faults import (
 from recoverylab.labeling import label_success
 from recoverylab.policy import init_policy, save_policy
 from recoverylab.store import EpisodeKind, dataset_stats, read_dataset, write_episode
+from recoverylab.value import load_progress_model
 from recoverylab.world import EnvMode
 from tests.actors import OracleActor, RandomActor
 
@@ -267,6 +269,24 @@ def test_suites_fail_early_on_short_data(tmp_path, capsys, monkeypatch, expert_e
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["error"] == "InsufficientData"
     assert payload["message"] == "recovery tier 1x: 0 of 1 episodes from seeds 10000..59999"
+
+
+def test_train_value_writes_the_fit_progress_model(cfg, tmp_path, capsys):
+    # The CLI and the in-memory suites fit the same progress model for a seed.
+    expert = tmp_path / "expert"
+    ckpt = tmp_path / "value.json"
+    assert cli_main(["gen-nominal", "--n", "3", "--seed", "0", "--out", str(expert)]) == 0
+    assert cli_main(["train-value", "--data", str(expert), "--steps", "20", "--seed", "3", "--out", str(ckpt)]) == 0
+    printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    episodes = [e for e in read_dataset(expert) if e.kind is EpisodeKind.NOMINAL_SUCCESS]
+    (want, want_cluster), losses = bench.fit_progress(cfg.with_overrides(align_steps=20), episodes, 3)
+    model, cluster = load_progress_model(cfg, ckpt)
+    assert model.params.keys() == want.params.keys()
+    assert all(np.array_equal(model.params[k], want.params[k]) for k in want.params)
+    assert cluster.members.keys() == want_cluster.members.keys()
+    assert all(np.array_equal(cluster.members[k], want_cluster.members[k]) for k in want_cluster.members)
+    assert printed == {"checkpoint": str(ckpt), "episodes": len(episodes),
+                       "initial_loss": losses[0], "final_loss": losses[-1]}
 
 
 def test_cli_full_pipeline_small(tmp_path, capsys):
