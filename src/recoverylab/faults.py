@@ -212,8 +212,8 @@ def _geometric_trigger(cfg: Config, state: WorldState, kind: ErrorKind) -> tuple
 
 
 def inject(row: tuple[float, ...], t: int, schedule: InjectionSchedule) -> tuple[float, ...]:
-    """Apply the schedule's error override to the designated arm's half of an action
-    row inside the active window.
+    """Apply the schedule's error override to the designated arm's half of
+    an action row inside the active window.
 
     Outside the window the row is returned untouched (the same object).
     """
