@@ -1,4 +1,5 @@
-from dataclasses import replace
+import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -6,22 +7,25 @@ import pytest
 from recoverylab.errors import InputError, InsufficientData, SequencingError
 from recoverylab.faults import (
     ErrorKind,
-    ErrorType,
     InjectionSchedule,
     PlannerActor,
     TRIGGER_PHASE,
+    Takeover,
     TimeoutTakeover,
+    Trial,
     detect_failure,
     error_from_config,
     inject,
     max_nominal_duration,
     run_episode,
+    run_episodes,
     run_interception,
     run_nominal,
     success_durations,
     verify_adverse,
 )
 from recoverylab.planner import PlanPhase
+from recoverylab.policy import LearnedActor, init_policy
 from recoverylab.store import (
     EpisodeKind,
     Outcome,
@@ -38,6 +42,7 @@ from recoverylab.world import (
     reset,
     wrap_angle,
 )
+from tests.actors import OracleActor, RandomActor
 
 # Offsets of the right arm's x, y, theta and grip in an action row.
 RX, RY, RTH, RG = 4, 5, 6, 7
@@ -330,3 +335,40 @@ def test_exhausted_plan_holds_while_window_open(cfg):
     assert episode.provenance["adverse_verified"]
     assert episode.kind is EpisodeKind.FAILURE_RECOVERY
     assert episode.t_rec == 60
+
+
+def _mixed_trials(cfg) -> list[Trial]:
+    """Trials of every task and actor kind, with plan-phase and geometric
+    triggers, takeovers at a verified state and at the timeout, and lengths
+    that end them at different ticks.  The learned actors hold different
+    policies: actors of one policy share a batched forward, whose products
+    can differ from a one-row forward in the last bit."""
+    e1, e2, e3, e4 = (error_from_config(cfg, kind) for kind in ErrorKind)
+    rollout = {"generator": "rollout"}
+    return [
+        Trial(PlannerActor(), "stack-two", EnvMode.RANDOM, 3, "E2", {}, None,
+              InjectionSchedule(e2, TRIGGER_PHASE[e2.kind], 3), Takeover()),
+        Trial(PlannerActor(action_noise=0.02), "bimanual-handover", EnvMode.RANDOM, 4, "nom", {}),
+        Trial(PlannerActor(), "bimanual-handover", EnvMode.RANDOM, 1, "induced", {}, 70, None, TimeoutTakeover()),
+        Trial(OracleActor(), "stack-two", EnvMode.RANDOM, 2, "eval", rollout, 140, InjectionSchedule(e1, None, 2)),
+        Trial(OracleActor(), "bimanual-handover", EnvMode.CLEAN, 6, "eval", rollout, 150,
+              InjectionSchedule(e4, None, 6)),
+        Trial(OracleActor(), "pick-place", EnvMode.RANDOM, 7, "eval", rollout, 120, InjectionSchedule(e2, None, 7)),
+        Trial(RandomActor(5), "stack-two", EnvMode.RANDOM, 5, "eval", rollout, 60, InjectionSchedule(e1, None, 5)),
+        Trial(RandomActor(8), "pick-place", EnvMode.CLEAN, 8, "eval", rollout, 50, InjectionSchedule(e3, None, 8)),
+        Trial(OracleActor(), "pick-place", EnvMode.RANDOM, 0, "eval", rollout, 90, InjectionSchedule(e3, None, 0)),
+        Trial(LearnedActor(init_policy(cfg, seed=9)), "pick-place", EnvMode.RANDOM, 9, "eval", rollout, 45),
+        Trial(LearnedActor(init_policy(cfg, seed=10)), "stack-two", EnvMode.RANDOM, 10, "eval", rollout, 80,
+              InjectionSchedule(e3, None, 10)),
+    ]
+
+
+def test_lockstep_trials_equal_one_trial_runs(cfg):
+    # Lockstep trials share no state: each gives the episode it gives alone.
+    def text(episode):
+        return json.dumps(episode_to_dict(episode), sort_keys=True)
+
+    together = {i: text(episode) for i, episode in run_episodes(cfg, _mixed_trials(cfg))}
+    alone = [text(run_episode(cfg, *(getattr(trial, f.name) for f in fields(trial))))
+             for trial in _mixed_trials(cfg)]
+    assert [together[i] for i in range(len(alone))] == alone

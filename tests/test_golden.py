@@ -399,6 +399,131 @@ def test_protocol_report_golden(cfg, tmp_path):
     _assert_golden(got, REPORT_GOLDEN)
 
 
+# max_nominal_duration of the first 8 expert episodes of each two-object task.
+MULTI_T_MAX = {"stack-two": 90, "bimanual-handover": 96}
+
+# Reports of the two-object tasks under every condition: the oracle grasps,
+# hands over and recovers, and its trials end at different ticks; the random
+# actor wanders past both objects.  The short cells cut the oracle's trials
+# at the timeout, and mid-window under E2.
+MULTI_REPORT_GOLDEN = {
+    "bimanual-handover-oracle-E1.csv":
+        "a05ace494db0247964d044c55247dcb124535734344fc68f58864ec0235336e2",
+    "bimanual-handover-oracle-E1.json":
+        "7cc87181fa86250a7308bb487e4cae9cb6eda97d93db23f9e560a86cc782568c",
+    "bimanual-handover-oracle-E2-short.csv":
+        "474bf9ef304f1e3d7272fb277ffe268428a7b0383d1b0b91eb2860625681f3de",
+    "bimanual-handover-oracle-E2-short.json":
+        "6a8ceb331316c63a2f6f599f1d92fd3ec32b59540d5f31d4eeba22eadc238744",
+    "bimanual-handover-oracle-E2.csv":
+        "c64463225819138465d129971f1a0153d486c0863fe9718b973d028ed79324a3",
+    "bimanual-handover-oracle-E2.json":
+        "f0ab72167bafcdd9184d230b174791613a061cc3de748113b90bd5385caaa3b6",
+    "bimanual-handover-oracle-E3.csv":
+        "5dc1b45f117e1e0e966e8c428f344879c374b516711c1634b4142c417a7f3321",
+    "bimanual-handover-oracle-E3.json":
+        "6252a51aee314d64f154cd87aa5f0b3f71cb80cc247cf488bd98a35d430d4ffb",
+    "bimanual-handover-oracle-E4.csv":
+        "12d8e133531d2ac128b404c69146757ece63a854ed791caa11f0f606120116a0",
+    "bimanual-handover-oracle-E4.json":
+        "a80a41aac846185bec02404be7c04d73961dace126fdd3573b5d3cb19b851e13",
+    "bimanual-handover-oracle-standard-short.csv":
+        "021bb13353a108e553d08ec6888c3cf58eee310f789e648a95f6d5cd37e63e0c",
+    "bimanual-handover-oracle-standard-short.json":
+        "51fbe71539242d198e10dd3444940ca00430c0942c1978ec10c18aac7b8ba08c",
+    "bimanual-handover-oracle-standard.csv":
+        "c7cf33e601a873325fc904625cd5bf21e2984f2ef4a3f7c1c577dd61aa1c0fa6",
+    "bimanual-handover-oracle-standard.json":
+        "e4d2b0cde6dba9b7da9895bbdac52d7014d23e37e3e6f03c0fcd308b991f551b",
+    "bimanual-handover-random-E1.csv":
+        "88a462560e7360276127d6fbf64a4e5636ad078f0fd8d43cbcdec029daaf74ea",
+    "bimanual-handover-random-E1.json":
+        "d006504a48384621a369076f5dc63ba66bf2062fbf16dc58171b24cf06b400c3",
+    "bimanual-handover-random-E2.csv":
+        "c339a5e250aee372cb484e70249c2cde819e848d61ae8bf05e25a15e849463b5",
+    "bimanual-handover-random-E2.json":
+        "b506f62826255309da431680e6ee889dc1825a51cd1dc4c186ce670b426f1e85",
+    "bimanual-handover-random-E3.csv":
+        "b914358d5a1b10b2a21985a80d1a53df85e75e5abfcdf65e6f559431baf8f4f2",
+    "bimanual-handover-random-E3.json":
+        "877b2a492086602953326078e4d2e4d42adcd135753a0fcc8f8a1043e845673a",
+    "bimanual-handover-random-E4.csv":
+        "6a8e50accb75c6523f13847c2d2245e440e26b59ecdabda4fe736c0cd7f945aa",
+    "bimanual-handover-random-E4.json":
+        "6b38ce57a2660ebfce533e9fe0af2c7902a7ffa0f58722940829bcfabf03c023",
+    "bimanual-handover-random-standard.csv":
+        "65cb27b62b63e5324a675e0cf3a529ad4cc5d6fed97d6e042fbaa78dc962aefd",
+    "bimanual-handover-random-standard.json":
+        "cf6d806e99945809e8092126b24a913c00007604c8a3389541fce25a2fea2791",
+    "stack-two-oracle-E1.csv":
+        "a0b3592995be5abf3401cf8dd54fe67bf49efe660d9bae45078269835866ee9d",
+    "stack-two-oracle-E1.json":
+        "80a46243664c33be69a48a6997d1f7afadaa658596c85c36481b842bd00bc698",
+    "stack-two-oracle-E2-short.csv":
+        "78e988cbd2b0b4980c6fdd3d639f6e9c018c6ceee90ae2a673f877603d9c5d03",
+    "stack-two-oracle-E2-short.json":
+        "14c399d8ec5dfd99eb03a1365b22a3a22807a425f7c8d09bcd6505de7497d40a",
+    "stack-two-oracle-E2.csv":
+        "a7828093f481fa74e350ba861da9b9ce666173fae91d55c35242c7be8ea96c14",
+    "stack-two-oracle-E2.json":
+        "df16b1ddc2d16f2c8612c3e41f9667ea717c5bd2dd35b16603f368207802ef71",
+    "stack-two-oracle-E3.csv":
+        "f0db16c985676c7411b3fbcc8286765d9d4c06e931db8e93605dc1521d297cd0",
+    "stack-two-oracle-E3.json":
+        "7d7e8c63c23956ab21b8157489ffbdd1e103e1b1c97e9ef8128daa19be4e412a",
+    "stack-two-oracle-E4.csv":
+        "66be41b101cb509990fc8cc26a4e4d62c31e9bf15b2d85bf0b1b8ed3a3e4a403",
+    "stack-two-oracle-E4.json":
+        "7efd696bd1bb63ab54587af3fe458ebafe871462b046eedaae774901cd24ba29",
+    "stack-two-oracle-standard-short.csv":
+        "8e997a981daab49feb9a87f081f6fd0178d637a338341a8a7964f9bd65f57084",
+    "stack-two-oracle-standard-short.json":
+        "7a1643642e98b85f9d2acb23136edd0e9d78120a52f9add36e689de766787a43",
+    "stack-two-oracle-standard.csv":
+        "5ccd0d9b091f3e842eac56aa4cd458fcedc4295755adb3f62191f5ffa0dbd63c",
+    "stack-two-oracle-standard.json":
+        "e625377e28ea1c4e63cce8b5fc053eb4adcb92f57123486198d3571d424bf535",
+    "stack-two-random-E1.csv":
+        "d7ce9e902b8cf3e9db2ab8c30c75047ee3d064abc9f59b7196bde28b89e80af4",
+    "stack-two-random-E1.json":
+        "52c39d7c33f56bd39ef1c532ee9de038046588a6fbcdf6cb91359e002254441a",
+    "stack-two-random-E2.csv":
+        "dc2d33b1bdd75542b36361371f921c960da311152535a1d5ce99ed448a20f3f4",
+    "stack-two-random-E2.json":
+        "f2df4e08fde312c8307c0b6f19dfb7bdf7bc6a2807f50a3369ca94726b626995",
+    "stack-two-random-E3.csv":
+        "e4ee422826408c68364249bfa9ddd7641ebf1a69ebe7191ea30eac99a3bc8c77",
+    "stack-two-random-E3.json":
+        "341b3e18c961fa54d49645451cc718ea7fa68d1605733e71543dbb12502420d1",
+    "stack-two-random-E4.csv":
+        "8b7cd848f7cce8c3b69452dde966ff75f63328a2e5b35ed9e93970d013a83295",
+    "stack-two-random-E4.json":
+        "ae31ee76efa822325e5b96232453b55e5be37d3bfa05caf828facd17113513c0",
+    "stack-two-random-standard.csv":
+        "c9ddc494f5269504cf57a0083f52511063d5231627d6c9682efb60e1ab5d9ee0",
+    "stack-two-random-standard.json":
+        "3560a510fa3eb018b374f258664b5063e360e4028d5ac9f1a00ba31db6ebdab0",
+}
+
+
+def test_multi_object_report_golden(cfg, tmp_path):
+    actors = {"oracle": lambda s: OracleActor(), "random": lambda s: RandomActor(s)}
+    conditions = (None,) + tuple(ErrorKind)
+    got = {}
+    for task, t_max in MULTI_T_MAX.items():
+        cells = {f"{task}-{actor}-{cond.value if cond else 'standard'}": (actor, cond, t_max)
+                 for actor in actors for cond in conditions}
+        cells[f"{task}-oracle-standard-short"] = ("oracle", None, 40)
+        cells[f"{task}-oracle-E2-short"] = ("oracle", ErrorKind.E2_GRASP_SLIP, 30)
+        for name, (actor, cond, budget) in cells.items():
+            err = error_from_config(cfg, cond) if cond else None
+            report = bench.run_protocol(cfg, actors[actor], task, err, [0, 1, 2, 3], budget)
+            paths = bench.write_report(report, tmp_path, name)
+            got[f"{name}.csv"] = _sha(paths["csv"])
+            got[f"{name}.json"] = _sha(paths["json"])
+    _assert_golden(got, MULTI_REPORT_GOLDEN)
+
+
 CHECKPOINT_DIR = Path(__file__).parents[1] / "perfbench" / "checkpoint"
 
 # Reports of the committed trained pick-place policy, which grasps, slips and
