@@ -16,7 +16,8 @@ action sees the same perturbation.  Recovery scoring elsewhere is gated on
 ``run_episodes`` is the one episode loop: it steps a list of trials in
 lockstep, and ``run_episode`` is its one-trial call.  Expert demonstrations,
 interception, policy rollouts and policy-induced collection differ only in
-the actor, the injection trigger and the takeover they hand it.
+the actor, the injection trigger and the takeover they hand it.  Many trials
+step as one ``world.WorldBatch``; a single trial steps its ``WorldState``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import struct
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,14 +49,20 @@ from .world import (
     GRIP_CLOSED,
     GRIP_OPEN,
     LEFT,
+    NUM_OBJECT_SLOTS,
     OBS_DIM,
     RIGHT,
+    WorldBatch,
     WorldState,
+    free_objects_within,
     get_task,
     objective_satisfied,
     observe,
+    observe_batch,
     reset,
     step,
+    step_batch,
+    success_batch,
     success_check,
     wrap_angle,
 )
@@ -156,19 +164,15 @@ class InjectionSchedule:
         """Resolved, with the adverse state not yet verified."""
         return self.resolved and self.verified is None
 
-    def fire(self, cfg: Config, t: int, state: WorldState, actor: Actor) -> bool:
-        """Resolve the schedule at ``t`` if the trigger condition holds."""
+    def hit(self, cfg: Config, state: WorldState, actor: Actor) -> tuple[int, int | None] | None:
+        """(arm, object index) to resolve at once the trigger condition holds."""
         if self.trigger_phase is None:
-            hit = _geometric_trigger(cfg, state, self.error.kind)
-        else:
-            try:
-                current = actor.executor.current_step(state)
-            except PlanExhausted:
-                return False
-            hit = (current.arm, current.object_index) if current.phase is self.trigger_phase else None
-        if hit is not None:
-            self.resolve(t, *hit)
-        return hit is not None
+            return _geometric_trigger(cfg, state, self.error.kind)
+        try:
+            current = actor.executor.current_step(state)
+        except PlanExhausted:
+            return None
+        return (current.arm, current.object_index) if current.phase is self.trigger_phase else None
 
     def provenance(self, n_frames: int) -> dict:
         if self.trigger_phase is None and not self.resolved:
@@ -209,6 +213,32 @@ def _geometric_trigger(cfg: Config, state: WorldState, kind: ErrorKind) -> tuple
             if holder is None and pose.distance(state.arm_poses[arm]) <= radius:
                 return arm, i
     return None
+
+
+def _geometric_hits(cfg: Config, batch: WorldBatch, runs: list[_Run]) -> dict[int, tuple[int, int] | None]:
+    """``_geometric_trigger`` by batch row of every run whose geometric
+    schedule is unresolved, from one array expression over the batch."""
+    kinds = {}
+    for run in runs:
+        trigger = run.trial.trigger
+        if trigger is not None and trigger.trigger_phase is None and not trigger.resolved:
+            kinds[run.row] = trigger.error.kind
+    if not kinds:
+        return {}
+    radius = np.full(len(batch), cfg.grasp_radius)
+    radius[[row for row, kind in kinds.items() if kind is ErrorKind.E1_PREMATURE_CLOSE]] = cfg.approach_standoff
+    near = free_objects_within(batch, radius).reshape(len(batch), -1)  # arm-major: the (arm, object) order
+    first_near, any_near = near.argmax(axis=1).tolist(), near.any(axis=1).tolist()
+    held = batch.holders >= 0
+    first_held, any_held = held.argmax(axis=1).tolist(), held.any(axis=1).tolist()
+    hits = {}
+    for row, kind in kinds.items():
+        if kind is ErrorKind.E2_GRASP_SLIP:
+            i = first_held[row]
+            hits[row] = (int(batch.holders[row, i]), i) if any_held[row] else None
+        else:
+            hits[row] = divmod(first_near[row], NUM_OBJECT_SLOTS) if any_near[row] else None
+    return hits
 
 
 def inject(row: tuple[float, ...], t: int, schedule: InjectionSchedule) -> tuple[float, ...]:
@@ -297,10 +327,11 @@ class Actor:
         raise NotImplementedError
 
     @classmethod
-    def act_all(cls, actors: list[Actor], states: list[WorldState],
-                obs: list[np.ndarray]) -> list[tuple[float, ...]]:
+    def act_all(cls, actors: list[Actor], states: Sequence[WorldState],
+                obs: Sequence[np.ndarray]) -> list[tuple[float, ...]]:
         """The action rows of actors of this class, one per trial of a tick.
-        Subclasses that can act together override it; this one acts one by one."""
+        Subclasses that can act together override it; this one acts one by one.
+        A lockstep run builds each state only when it is read."""
         return [actor.act(s, o) for actor, s, o in zip(actors, states, obs)]
 
     def applied(self, action: tuple[float, ...]) -> tuple[float, ...]:
@@ -499,7 +530,8 @@ class Trial:
 
 class _Run:
     """The live state of one trial: its world, its current actor and its
-    recorder, stepped a tick at a time."""
+    recorder, stepped a tick at a time.  In a lockstep batch its world is
+    row ``row`` of ``world``."""
 
     def __init__(self, cfg: Config, index: int, trial: Trial):
         self.index, self.trial = index, trial
@@ -511,9 +543,17 @@ class _Run:
         self.rec = _Recorder()
         self.done = self.succeeded = False
 
-    def ready(self, cfg: Config) -> bool:
+    @cached_property
+    def state(self) -> WorldState:
+        """The trial's world: set by a one-trial run, and in a batch built
+        from the trial's row on the first read after a step."""
+        return self.world[self.row]
+
+    def ready(self, cfg: Config, hits: dict[int, tuple[int, int] | None]) -> bool:
         """The bookkeeping before the actor acts: the timeout, with a
-        takeover there, and the trigger.  False once the episode has ended."""
+        takeover there, and the trigger, whose hit is read from ``hits`` by
+        row when the batch has evaluated it.  False once the episode has
+        ended."""
         trial, rec = self.trial, self.rec
         t = len(rec.tags)
         while (self.t_max is not None and detect_failure(t, self.t_max)) or t >= cfg.episode_max_steps:
@@ -524,8 +564,11 @@ class _Run:
                 return False
             rec.t_rec, self.t_max = t, None
         trigger = trial.trigger
-        if trigger is not None and not trigger.resolved and trigger.fire(cfg, t, self.state, self.actor):
-            rec.onset = t
+        if trigger is not None and not trigger.resolved:
+            hit = hits[self.row] if self.row in hits else trigger.hit(cfg, self.state, self.actor)
+            if hit is not None:
+                trigger.resolve(t, *hit)
+                rec.onset = t
         return True
 
     def _hand_over(self, cfg: Config, onset: int | None) -> bool:
@@ -541,25 +584,37 @@ class _Run:
         self.actor = actor
         return True
 
-    def advance(self, cfg: Config, action: tuple[float, ...]) -> None:
-        """Record ``action``, step the world, and check the window, the
-        verdict on the injection and success."""
+    def record(self, action: tuple[float, ...]) -> bool:
+        """Record ``action``, injected and tagged, and keep the row the arms
+        execute as ``applied`` (and the state before it for a watching
+        takeover).  False once the episode has ended."""
         trial, rec, actor = self.trial, self.rec, self.actor
         trigger, takeover = trial.trigger, trial.takeover
         if actor.exhausted and not (trigger is not None and trigger.pending):
             self.done = True
-            return
+            return False
         t = len(rec.tags)
         tag = PhaseTag.NOMINAL if rec.t_rec is None else actor.recovery_tag()
-        if trigger is not None and trigger.resolved:
-            action = inject(action, t, trigger)
-            if trigger.in_window(t):
-                tag = PhaseTag.ERROR
+        if trigger is not None and trigger.in_window(t):
+            action, tag = inject(action, t, trigger), PhaseTag.ERROR
         rec.add(self.obs, action, tag)
-        before, self.state = self.state, step(cfg, self.state, actor.applied(action))
-        self.obs = observe(self.state)
-        if takeover is not None and rec.t_rec is None:
-            takeover.watch(cfg, t, before, self.state)
+        self.before = self.state if takeover is not None and rec.t_rec is None else None
+        self.applied = actor.applied(action)
+        return True
+
+    def settle(self, cfg: Config, state: WorldState | None, obs: np.ndarray, succeeded: bool) -> None:
+        """Take the stepped world, with its observation and success: ``state``,
+        or None when the trial's batch row holds it.  Then check the window,
+        the verdict on the injection and success."""
+        if state is None:
+            vars(self).pop("state", None)
+        else:
+            self.state = state
+        self.obs = obs
+        trial, rec, actor = self.trial, self.rec, self.actor
+        trigger, takeover = trial.trigger, trial.takeover
+        if self.before is not None:
+            takeover.watch(cfg, len(rec.tags) - 1, self.before, self.state)
         if actor.stalled:
             self.done = True
             return
@@ -570,7 +625,7 @@ class _Run:
                 if takeover is not None and not self._hand_over(cfg, None):
                     self.done = True
                     return
-        if success_check(cfg, self.state):
+        if succeeded:
             self.succeeded = self.done = True
 
     def episode(self, cfg: Config) -> Episode:
@@ -602,20 +657,37 @@ class _Run:
         return episode
 
 
-def _act(runs: list[_Run]) -> list[tuple[float, ...]]:
+class _States:
+    """The states of runs, a sequence whose items are built when read (see
+    ``_Run.state``)."""
+
+    def __init__(self, runs: list[_Run]):
+        self.runs = runs
+
+    def __len__(self) -> int:
+        return len(self.runs)
+
+    def __getitem__(self, i: int) -> WorldState:
+        return self.runs[i].state
+
+    def __iter__(self) -> Iterator[WorldState]:
+        return (run.state for run in self.runs)
+
+
+def _act(runs: list[_Run], batched: bool) -> list[tuple[float, ...]]:
     """The action rows of ``runs``, with one ``act_all`` call per actor class."""
-    if len(runs) == 1:  # nothing to group: spare the one-trial call the bookkeeping
-        return [runs[0].actor.act(runs[0].state, runs[0].obs)]
-    groups: dict[type, list[int]] = {}
-    for i, run in enumerate(runs):
-        groups.setdefault(type(run.actor), []).append(i)
-    actions: list = [None] * len(runs)
+    if not batched:  # one trial: nothing to group, and its state is at hand
+        return [run.actor.act(run.state, run.obs) for run in runs]
+    groups: dict[type, list[_Run]] = {}
+    for run in runs:
+        groups.setdefault(type(run.actor), []).append(run)
+    rows = {}
     for cls, members in groups.items():
-        rows = cls.act_all([runs[i].actor for i in members], [runs[i].state for i in members],
-                           [runs[i].obs for i in members])
-        for i, row in zip(members, rows):
-            actions[i] = row
-    return actions
+        acted = cls.act_all([run.actor for run in members], _States(members), [run.obs for run in members])
+        if len(members) == len(runs):  # one class: the rows are in order
+            return acted
+        rows.update(zip(map(id, members), acted))
+    return [rows[id(run)] for run in runs]
 
 
 def run_episodes(cfg: Config, trials: list[Trial]) -> Iterator[tuple[int, Episode]]:
@@ -624,16 +696,35 @@ def run_episodes(cfg: Config, trials: list[Trial]) -> Iterator[tuple[int, Episod
 
     Each tick does every live trial's bookkeeping (see ``run_episode``), then
     the actions of all acting trials, one ``Actor.act_all`` call per actor
-    class, then each trial's step, window and verdict checks.  Trials share
-    no state: each keeps its own world, actor and RNGs, so its episode is
-    the one it would give alone.  An ended trial leaves the batch at once,
-    as a validated episode.
+    class, then records them, steps the world once, and does each trial's
+    window and verdict checks.  Two or more trials step as one
+    ``WorldBatch``, which also evaluates their geometric triggers at once,
+    and a trial's ``WorldState`` is built from its row only where code reads
+    one (planner actors, plan-phase triggers, takeovers, the verdict).  A
+    single trial steps its ``WorldState``, which costs less than a batch of
+    one; both worlds give the same values bit for bit.  Trials share no
+    state: each keeps its own world, actor and RNGs.  An ended trial leaves
+    the batch at once, as a validated episode.
     """
     live = [_Run(cfg, i, trial) for i, trial in enumerate(trials)]
+    batched = len(live) > 1
+    world = WorldBatch.of(cfg, [run.state for run in live]) if batched else None
+    for row, run in enumerate(live):
+        run.world, run.row = world, row
     while live:
-        acting = [run for run in live if run.ready(cfg)]
-        for run, action in zip(acting, _act(acting)):
-            run.advance(cfg, action)
+        hits = _geometric_hits(cfg, world, live) if batched else {}
+        acting = [run for run in live if run.ready(cfg, hits)]
+        moving = [run for run, action in zip(acting, _act(acting, batched)) if run.record(action)]
+        if batched:
+            world = step_batch(cfg, world.take([run.row for run in moving]), [run.applied for run in moving])
+            obs, succeeded = observe_batch(world), success_batch(cfg, world).tolist()
+            for row, run in enumerate(moving):
+                run.world, run.row = world, row
+                run.settle(cfg, None, obs[row], succeeded[row])
+        else:
+            for run in moving:
+                state = step(cfg, run.state, run.applied)
+                run.settle(cfg, state, observe(state), success_check(cfg, state))
         for run in live:
             if run.done:
                 yield run.index, run.episode(cfg)

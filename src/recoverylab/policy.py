@@ -37,7 +37,7 @@ from .world import (
     THETA_DIMS,
     get_task,
     instruction_ids,
-    wrap_angle,
+    wrap_angles,
 )
 
 # Pose dims of the action vector and the proprio dims they anchor to.
@@ -54,11 +54,9 @@ def action_from_vector(cfg: Config, vec: np.ndarray) -> tuple[float, ...] | list
         raise InputError(f"an action vector holds {ACTION_DIM} finite values, got {vec!r}")
     lower = np.array([cfg.workspace_x_min, cfg.workspace_y_min, -np.inf, 0.0] * 2)
     upper = np.array([cfg.workspace_x_max, cfg.workspace_y_max, np.inf, 1.0] * 2)
-    rows = np.clip(vec, lower, upper).reshape(-1, ACTION_DIM).tolist()
-    for row in rows:
-        for d in THETA_DIMS:
-            row[d] = wrap_angle(row[d])
-    rows = [tuple(row) for row in rows]
+    clipped = np.clip(vec, lower, upper).reshape(-1, ACTION_DIM)
+    clipped[:, THETA_DIMS] = wrap_angles(clipped[:, THETA_DIMS])
+    rows = list(map(tuple, clipped.tolist()))
     return rows if vec.ndim == 2 else rows[0]
 
 
@@ -232,8 +230,7 @@ def local_waypoint(cfg: Config, obs_vec: np.ndarray, action_vec: np.ndarray) -> 
     theta = [dims.index(d) for d in THETA_DIMS]
     anchor = obs_vec[..., dims]
     diff = action_vec[..., dims] - anchor
-    # wrap_angle per element: np.remainder is a floor-mod, not math.remainder.
-    diff[..., theta] = np.vectorize(wrap_angle, otypes=[float])(diff[..., theta])
+    diff[..., theta] = wrap_angles(diff[..., theta])
     step = np.where(np.isin(dims, THETA_DIMS), cfg.omega_max * cfg.dt, cfg.v_max * cfg.dt)
     wp = action_vec.copy()
     wp[..., dims] = anchor + np.clip(diff, -step, step)
@@ -406,14 +403,15 @@ class LearnedActor(Actor):
         actions: list = [None] * len(actors)
         for members in groups.values():
             first = actors[members[0]]
-            rows = forward(first.policy, first._cfg, np.stack([obs[i] for i in members]),
-                           np.stack([actors[i]._window for i in members]),
+            seen, windows = np.stack([obs[i] for i in members]), np.stack([actors[i]._window for i in members])
+            rows = forward(first.policy, first._cfg, seen, windows,
                            np.array([actors[i]._instruction for i in members]), first.v_fixed)
-            for i, row in zip(members, rows):
+            # The next windows: this observation, then all but the oldest row
+            # (cut to w rows, so a w = 0 window stays empty).
+            shifted = np.concatenate([seen[:, None], windows[:, :-1]], axis=1)[:, :first.policy.history_w]
+            for i, row, window in zip(members, rows, shifted):
                 actions[i] = row
-                window = actors[i]._window
-                window[1:] = window[:-1]
-                window[:1] = obs[i]  # a slice: a w = 0 window has no row 0
+                actors[i]._window = window
         return actions
 
 

@@ -8,6 +8,10 @@ grip command crosses closed (>= 0.5) while the object lies within
 grasp_radius, and detaches (staying frozen at its current pose) when the
 grip crosses open.  There is no gravity and no contact force; state is a
 value and ``step``/``observe`` are pure functions of it.
+
+``WorldBatch`` holds many trials' worlds as arrays, and ``step_batch``,
+``observe_batch`` and ``success_batch`` reproduce ``step``, ``observe`` and
+``success_check`` on every row bit for bit, for lockstep evaluation.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -41,11 +46,36 @@ PROPRIO_DIM = 8
 OBS_DIM = PROPRIO_DIM + NUM_OBJECT_SLOTS * OBJECT_FEAT_DIM
 
 
+TAU = 2.0 * math.pi
+
+
 def wrap_angle(theta: float) -> float:
     """Wrap into (-pi, pi]."""
-    wrapped = math.remainder(theta, 2.0 * math.pi)
+    wrapped = math.remainder(theta, TAU)
     if wrapped <= -math.pi:
-        wrapped += 2.0 * math.pi
+        wrapped += TAU
+    return wrapped
+
+
+def wrap_angles(theta: np.ndarray) -> np.ndarray:
+    """``wrap_angle`` of every element, bit for bit.
+
+    Within 3 pi, ``theta - TAU * rint(theta / TAU)`` is exact, and where the
+    quotient rounds to the other side of a half the ``<= -pi`` fix-up mends
+    it; a zero takes the sign of ``theta``, as the remainder's does.  Past
+    3 pi the elements go through ``math.remainder``.  (``np.remainder`` is a
+    floor-mod.)
+    """
+    theta = np.asarray(theta, dtype=float)
+    wrapped = theta - TAU * np.rint(theta / TAU)
+    if np.count_nonzero(wrapped) < wrapped.size:
+        wrapped = np.where(wrapped == 0.0, np.copysign(0.0, theta), wrapped)
+    far = np.abs(theta) > 3.0 * math.pi
+    if np.count_nonzero(far):
+        wrapped[far] = [math.remainder(x, TAU) for x in theta[far].tolist()]
+    low = wrapped <= -math.pi
+    if np.count_nonzero(low):
+        wrapped[low] += TAU
     return wrapped
 
 
@@ -293,3 +323,185 @@ def success_check(cfg: Config, state: WorldState) -> bool:
         if objective.kind == "place" and not objective_satisfied(cfg, state, objective):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# many trials' worlds as arrays
+
+
+@dataclass(frozen=True, eq=False)
+class WorldBatch:
+    """The worlds of N trials, one row each: arm poses (N, 2, 3) and grips
+    (N, 2); object poses (N, NUM_OBJECT_SLOTS, 3), with ``present`` marking
+    the slots a row's task fills and ``holders`` the holding arm, or -1; and
+    the goals of each row's place objectives (see ``success_batch``).
+    ``batch[k]`` is row k's ``WorldState``."""
+
+    arms: np.ndarray
+    grips: np.ndarray
+    objects: np.ndarray
+    present: np.ndarray
+    holders: np.ndarray
+    goal_objects: np.ndarray  # (N, G) object index of each place objective
+    goals: np.ndarray         # (N, G, 2) its destination's x and y
+    goal_on: np.ndarray       # (N, G) false for padding
+    task_ids: tuple[str, ...]
+    rng_seeds: tuple[int, ...]
+
+    @classmethod
+    def of(cls, cfg: Config, states: Sequence[WorldState]) -> "WorldBatch":
+        n = len(states)
+        objects, present = np.zeros((n, NUM_OBJECT_SLOTS, 3)), np.zeros((n, NUM_OBJECT_SLOTS), dtype=bool)
+        holders = np.full((n, NUM_OBJECT_SLOTS), -1)
+        places = [[o for o in get_task(cfg, s.task_id).objectives if o.kind == "place"] for s in states]
+        width = max([len(p) for p in places] + [1])
+        goal_objects, goals = np.zeros((n, width), dtype=int), np.zeros((n, width, 2))
+        goal_on = np.zeros((n, width), dtype=bool)
+        for k, state in enumerate(states):
+            m = len(state.object_poses)
+            if m > NUM_OBJECT_SLOTS:
+                raise InputError(f"a batch row holds at most {NUM_OBJECT_SLOTS} objects, got {m}")
+            objects[k, :m] = [(p.x, p.y, p.theta) for p in state.object_poses]
+            present[k, :m] = True
+            holders[k, :m] = [-1 if h is None else h for h in state.holders]
+            for j, objective in enumerate(places[k]):
+                goal_objects[k, j] = objective.object_index
+                goals[k, j] = objective.destination.x, objective.destination.y
+                goal_on[k, j] = True
+        return cls(
+            arms=np.array([[(p.x, p.y, p.theta) for p in s.arm_poses] for s in states], dtype=float).reshape(n, 2, 3),
+            grips=np.array([s.grips for s in states], dtype=float).reshape(n, 2),
+            objects=objects, present=present, holders=holders, goal_objects=goal_objects, goals=goals,
+            goal_on=goal_on, task_ids=tuple(s.task_id for s in states), rng_seeds=tuple(s.rng_seed for s in states),
+        )
+
+    def __len__(self) -> int:
+        return len(self.task_ids)
+
+    def __getitem__(self, k: int) -> WorldState:
+        m = int(self.present[k].sum())
+        return WorldState(
+            arm_poses=tuple(Pose2D(*pose) for pose in self.arms[k].tolist()),
+            grips=tuple(self.grips[k].tolist()),
+            object_poses=tuple(Pose2D(*pose) for pose in self.objects[k, :m].tolist()),
+            holders=tuple(None if h < 0 else h for h in self.holders[k, :m].tolist()),
+            task_id=self.task_ids[k],
+            rng_seed=self.rng_seeds[k],
+        )
+
+    def take(self, rows: Sequence[int]) -> "WorldBatch":
+        """The batch of ``rows``, in that order."""
+        if list(rows) == list(range(len(self))):
+            return self
+        idx = np.asarray(rows, dtype=int)
+        return WorldBatch(
+            self.arms[idx], self.grips[idx], self.objects[idx], self.present[idx], self.holders[idx],
+            self.goal_objects[idx], self.goals[idx], self.goal_on[idx],
+            tuple(self.task_ids[k] for k in rows), tuple(self.rng_seeds[k] for k in rows),
+        )
+
+
+def _clamp(v: np.ndarray, lo, hi) -> np.ndarray:
+    """``min(hi, max(lo, v))`` per element, with Python's choice among equals
+    (``np.maximum`` and ``np.minimum`` pick differently between signed zeros)."""
+    v = np.where(v > lo, v, lo)
+    return np.where(v < hi, v, hi)
+
+
+def _within(dx: np.ndarray, dy: np.ndarray, radius) -> np.ndarray:
+    """``math.hypot(dx, dy) <= radius`` per element.  ``np.hypot`` differs
+    from ``math.hypot`` in the last bit for some inputs, so distances within
+    a few ulps of the radius are measured again with ``math.hypot``."""
+    dist = np.hypot(dx, dy)
+    inside = dist <= radius
+    close = np.abs(dist - radius) <= 8.0 * np.spacing(radius)
+    if np.count_nonzero(close):
+        radius = np.broadcast_to(radius, dist.shape)
+        inside[close] = [math.hypot(x, y) <= r for x, y, r in
+                         zip(dx[close].tolist(), dy[close].tolist(), radius[close].tolist())]
+    return inside
+
+
+def step_batch(cfg: Config, batch: WorldBatch, rows: Sequence[Sequence[float]]) -> WorldBatch:
+    """``step`` of every row of ``batch`` under its action row."""
+    n = len(batch)
+    try:
+        actions = np.asarray(rows, dtype=float).reshape(n, ACTION_DIM)
+        finite = np.isfinite(actions).all()
+    except (TypeError, ValueError):  # ragged rows, or rows of another length
+        finite = False
+    if not finite:
+        raise InputError(f"an action is a row of {ACTION_DIM} finite values, got {rows!r}")
+    targets = actions.reshape(n, 2, 4)
+    # Per axis (x, y, theta): the step bound, and the reach, which leaves theta be.
+    bound = np.array([cfg.v_max * cfg.dt] * 2 + [cfg.omega_max * cfg.dt])
+    (lx0, lx1, ly0, ly1), (rx0, rx1, ry0, ry1) = arm_reach(cfg, LEFT), arm_reach(cfg, RIGHT)
+    lo = np.array([(lx0, ly0, -np.inf), (rx0, ry0, -np.inf)])
+    hi = np.array([(lx1, ly1, np.inf), (rx1, ry1, np.inf)])
+    delta = targets[..., :3] - batch.arms
+    delta[..., 2] = wrap_angles(delta[..., 2])
+    arms = _clamp(batch.arms + _clamp(delta, -bound, bound), lo, hi)
+    arms[..., 2] = wrap_angles(arms[..., 2])
+    old, grips = batch.grips, targets[..., 3].copy()
+
+    # Open crossings release first; objects still held track their holder.
+    each = np.arange(n)[:, None]
+    holders, objects = batch.holders, batch.objects
+    opened = (old >= CLOSE_THRESHOLD) & (CLOSE_THRESHOLD > grips)
+    if np.count_nonzero(opened):
+        holders = np.where(opened[each, np.maximum(holders, 0)], -1, holders)
+    held = holders >= 0
+    if np.count_nonzero(held):
+        objects = np.where(held[..., None], arms[each, np.maximum(holders, 0)], objects)
+
+    # Close crossings attach the nearest unheld object inside grasp_radius,
+    # ties to the later one, left arm first: few rows, so one by one.
+    closed = (old < CLOSE_THRESHOLD) & (CLOSE_THRESHOLD <= grips)
+    for k in np.flatnonzero(closed.any(axis=1)).tolist():
+        if holders is batch.holders:
+            holders, objects = holders.copy(), objects.copy()
+        for arm in (LEFT, RIGHT):
+            if not closed[k, arm]:
+                continue
+            ax, ay, _ = arms[k, arm].tolist()
+            best, best_dist = None, cfg.grasp_radius
+            for i in np.flatnonzero(batch.present[k] & (holders[k] < 0)).tolist():
+                ox, oy, _ = objects[k, i].tolist()
+                d = math.hypot(ox - ax, oy - ay)
+                if d <= best_dist:
+                    best, best_dist = i, d
+            if best is not None:
+                objects[k, best], holders[k, best] = arms[k, arm], arm
+
+    return WorldBatch(arms, grips, objects, batch.present, holders, batch.goal_objects, batch.goals,
+                      batch.goal_on, batch.task_ids, batch.rng_seeds)
+
+
+def observe_batch(batch: WorldBatch) -> np.ndarray:
+    """``observe`` of every row, as an (N, OBS_DIM) array."""
+    n = len(batch)
+    proprio = np.concatenate([batch.arms, batch.grips[..., None]], axis=2)  # (N, arm, 4)
+    rel = batch.objects[:, :, None, :] - batch.arms[:, None, :, :]  # (N, slot, arm, 3)
+    rel[..., 2] = wrap_angles(rel[..., 2])
+    present = batch.present[..., None]
+    slots = np.concatenate([present, np.where(present, rel.reshape(n, NUM_OBJECT_SLOTS, 6), 0.0)], axis=2)
+    return np.concatenate([proprio.reshape(n, PROPRIO_DIM), slots.reshape(n, NUM_OBJECT_SLOTS * OBJECT_FEAT_DIM)],
+                          axis=1)
+
+
+def success_batch(cfg: Config, batch: WorldBatch) -> np.ndarray:
+    """``success_check`` of every row, as an (N,) bool array."""
+    each = np.arange(len(batch))[:, None]
+    pose = batch.objects[each, batch.goal_objects]
+    resting = batch.holders[each, batch.goal_objects] < 0
+    near = _within(pose[..., 0] - batch.goals[..., 0], pose[..., 1] - batch.goals[..., 1], cfg.goal_radius)
+    return np.all(~batch.goal_on | (resting & near), axis=1)
+
+
+def free_objects_within(batch: WorldBatch, radius: np.ndarray) -> np.ndarray:
+    """(N, 2, NUM_OBJECT_SLOTS) mask: object i of row k rests unheld within
+    ``radius[k]`` of the arm, by ``Pose2D.distance``."""
+    dx = batch.objects[:, None, :, 0] - batch.arms[:, :, None, 0]
+    dy = batch.objects[:, None, :, 1] - batch.arms[:, :, None, 1]
+    free = (batch.present & (batch.holders < 0))[:, None, :]
+    return free & _within(dx, dy, np.asarray(radius, dtype=float)[:, None, None])

@@ -1,9 +1,11 @@
-"""Property tests of the world step, the episode store and the pure-failure labeler."""
+"""Property tests of the world step, the batch world against it, the
+episode store and the pure-failure labeler."""
 
 import json
 import math
 import tempfile
 from dataclasses import replace
+from itertools import count
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -25,15 +27,25 @@ from recoverylab.store import (
 from recoverylab.world import (
     CLOSE_THRESHOLD,
     LEFT,
+    NUM_OBJECT_SLOTS,
     OBS_DIM,
     RIGHT,
     EnvMode,
     Pose2D,
+    WorldBatch,
     arm_reach,
+    free_objects_within,
+    get_task,
+    observe,
+    observe_batch,
     reset,
     step,
+    step_batch,
+    success_batch,
+    success_check,
     task_registry,
     wrap_angle,
+    wrap_angles,
 )
 from tests.test_store import make_episode
 
@@ -244,6 +256,107 @@ def test_attach_and_release_rules(run):
             taken = state.holders.index(arm)
             assert max(near, key=lambda j: (-dist[j], j)) == taken
             free[taken] = False
+
+
+def _state_columns(state) -> tuple:
+    """A state's arm poses, grips and object poses as float64 bytes, and its
+    holders with -1 for none: the batch world's layout of one row."""
+    return (np.array([(p.x, p.y, p.theta) for p in state.arm_poses]).tobytes(),
+            np.array(state.grips, dtype=float).tobytes(),
+            np.array([(p.x, p.y, p.theta) for p in state.object_poses]).tobytes(),
+            [-1 if h is None else h for h in state.holders])
+
+
+def _row_columns(batch, k: int) -> tuple:
+    m = int(batch.present[k].sum())
+    return batch.arms[k].tobytes(), batch.grips[k].tobytes(), batch.objects[k, :m].tobytes(), batch.holders[k, :m].tolist()
+
+
+def _assert_rows_are_the_states(cfg, batch, states) -> None:
+    obs, succeeded = observe_batch(batch), success_batch(cfg, batch)
+    near = {r: free_objects_within(batch, np.full(len(batch), r)) for r in (cfg.grasp_radius, cfg.approach_standoff)}
+    for k, state in enumerate(states):
+        assert _row_columns(batch, k) == _state_columns(state)
+        assert batch[k] == state
+        assert obs[k].tobytes() == observe(state).tobytes()
+        assert succeeded[k] == success_check(cfg, state)
+        for r, mask in near.items():
+            free = [i < len(state.holders) and state.holders[i] is None for i in range(NUM_OBJECT_SLOTS)]
+            assert mask[k].tolist() == [[free[i] and state.object_poses[i].distance(state.arm_poses[arm]) <= r
+                                         for i in range(NUM_OBJECT_SLOTS)] for arm in (LEFT, RIGHT)]
+
+
+def _lockstep(cfg, runs) -> None:
+    """Step each run's state under its rows, alone and in one batch, and
+    compare after every step; a run whose rows are spent leaves the batch."""
+    states = {i: state for i, (state, _) in enumerate(runs)}
+    live = list(states)
+    batch = WorldBatch.of(cfg, list(states.values()))
+    for t in count():
+        _assert_rows_are_the_states(cfg, batch, [states[i] for i in live])
+        keep = [j for j, i in enumerate(live) if t < len(runs[i][1])]
+        if not keep:
+            return
+        live = [live[j] for j in keep]
+        rows = [runs[i][1][t] for i in live]
+        batch = step_batch(cfg, batch.take(keep), rows)
+        for i, row in zip(live, rows):
+            states[i] = step(cfg, states[i], row)
+
+
+@PROPERTY
+@given(st.lists(world_runs(), min_size=2, max_size=5))
+@example([_tied_grasp(), _tied_grasp()])
+def test_batch_world_steps_as_the_scalar_world(runs):
+    """Every step of the batch world gives each row the scalar world's poses,
+    grips, holders, observation, success and distances, bit for bit."""
+    _lockstep(CFG, runs)
+
+
+def test_batch_distances_take_math_hypots_side_of_a_threshold():
+    # For these offsets np.hypot gives one ulp more than math.hypot, and each
+    # threshold is math.hypot's value: the scalar world counts them inside.
+    state = reset(CFG, "pick-place", EnvMode.CLEAN, 0)
+    goal = get_task(CFG, "pick-place").objectives[0].destination
+    resting = Pose2D(-0.078701, 0.041445, 0.0)
+    arm = Pose2D(0.388444, 0.047306, 0.0)
+    obj = state.object_poses[0]
+    goal_radius, grasp_radius = resting.distance(goal), obj.distance(arm)
+    assert np.hypot(resting.x - goal.x, resting.y - goal.y) > goal_radius
+    assert np.hypot(obj.x - arm.x, obj.y - arm.y) > grasp_radius
+    cfg = CFG.with_overrides(goal_radius=goal_radius, grasp_radius=grasp_radius, approach_standoff=grasp_radius)
+    at_goal = replace(state, object_poses=(resting,))
+    at_object = replace(state, arm_poses=(state.arm_poses[LEFT], arm))
+    assert success_check(cfg, at_goal)
+    batch = WorldBatch.of(cfg, [at_goal, at_object])
+    assert success_batch(cfg, batch).tolist() == [True, False]
+    assert free_objects_within(batch, np.array([0.0, grasp_radius]))[1, RIGHT, 0]
+    # The right arm closes where it stands, at the grasp radius: it attaches.
+    left = state.arm_poses[LEFT]
+    close = (left.x, left.y, left.theta, 0.0, arm.x, arm.y, arm.theta, 1.0)
+    assert step(cfg, at_object, close).holders == (RIGHT,)
+    _lockstep(cfg, [(at_goal, [close]), (at_object, [close])])
+
+
+# The wrap points, their neighbours on both sides, zeros and magnitudes
+# past 3 pi, where wrap_angles hands over to math.remainder.
+WRAP_POINTS = tuple(
+    float(x) for k in (1, 2, 3) for sign in (1.0, -1.0) for point in (sign * k * math.pi,)
+    for x in (point, np.nextafter(point, -np.inf), np.nextafter(point, np.inf))
+) + (0.0, -0.0, 3 * math.pi + 1e-9, -3 * math.pi - 1e-9, 10.0, -10.0, 1e3, -1e17, 1e300)
+
+
+def test_wrap_angles_on_the_wrap_points():
+    expected = np.array([wrap_angle(x) for x in WRAP_POINTS])
+    assert wrap_angles(np.array(WRAP_POINTS)).tobytes() == expected.tobytes()
+
+
+@PROPERTY
+@given(st.lists(st.one_of(st.sampled_from(WRAP_POINTS), st.floats(-4 * math.pi, 4 * math.pi),
+                          st.floats(allow_nan=False, allow_infinity=False)), min_size=1, max_size=12))
+def test_wrap_angles_is_wrap_angle_bit_for_bit(values):
+    expected = np.array([wrap_angle(x) for x in values])
+    assert wrap_angles(np.array(values)).tobytes() == expected.tobytes()
 
 
 WORKSPACE = (CFG.workspace_x_min, CFG.workspace_x_max, CFG.workspace_y_min, CFG.workspace_y_max)
