@@ -72,13 +72,15 @@ def test_plan_deterministic(cfg):
 
 def test_plan_rejects_out_of_workspace_object(cfg):
     state = reset(cfg, "pick-place", EnvMode.CLEAN, 0)
-    bad = replace(state, object_poses=(Pose2D(0.49, 0.49),))
-    outside = replace(state, object_poses=(Pose2D(0.3, 0.02),))
+    # Past the workspace's right edge and below its floor, yet inside the
+    # right arm's reach slack: only the workspace rule rejects these.
+    for pose in (Pose2D(0.52, 0.02), Pose2D(0.3, -0.01)):
+        with pytest.raises(PlanningError, match="outside the workspace"):
+            plan_nominal(cfg, replace(state, object_poses=(pose,)))
     # object parked where the assigned right arm cannot reach
     unreachable = replace(state, object_poses=(Pose2D(-0.4, 0.02),))
-    with pytest.raises(PlanningError):
+    with pytest.raises(PlanningError, match="out of reach"):
         plan_nominal(cfg, unreachable)
-    del bad, outside
 
 
 def test_next_action_phase_semantics(cfg):

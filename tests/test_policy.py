@@ -10,7 +10,6 @@ from recoverylab.errors import InputError, StorageError, ValidationError
 from recoverylab.faults import ErrorKind, error_from_config
 from recoverylab.nets import flat_buffer
 from recoverylab.policy import (
-    GRIP_DIMS,
     LearnedActor,
     action_from_vector,
     build_frame_dataset,

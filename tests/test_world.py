@@ -13,7 +13,6 @@ from recoverylab.world import (
     PROPRIO_DIM,
     Pose2D,
     RIGHT,
-    WorldState,
     get_task,
     objective_satisfied,
     observe,
