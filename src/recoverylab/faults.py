@@ -157,7 +157,7 @@ class InjectionSchedule:
             self.draws = {"dtheta": dth, "lat": (lat, 0.0)}
 
     def in_window(self, t: int) -> bool:
-        return self.resolved and self.t_start <= t < self.t_end
+        return self.t_start is not None and self.t_start <= t < self.t_end
 
     @property
     def pending(self) -> bool:
@@ -487,8 +487,7 @@ class _Recorder:
         self.t_rec: int | None = None
 
     def add(self, obs: np.ndarray, action: tuple[float, ...], tag: PhaseTag) -> None:
-        self.values.frombytes(obs.tobytes())
-        self.values.frombytes(_ACTION_BYTES.pack(*action))
+        self.values.frombytes(obs.tobytes() + _ACTION_BYTES.pack(*action))
         self.tags.append(tag)
 
     def frames(self) -> Frames:

@@ -433,7 +433,7 @@ def step_batch(cfg: Config, batch: WorldBatch, rows: Sequence[Sequence[float]]) 
     if not finite:
         raise InputError(f"an action is a row of {ACTION_DIM} finite values, got {rows!r}")
     targets = actions.reshape(n, 2, 4)
-    # Per axis (x, y, theta): the step bound, and the reach, which leaves theta be.
+    # Per axis (x, y, theta): the step bound, and each arm's reach, which leaves theta free.
     bound = np.array([cfg.v_max * cfg.dt] * 2 + [cfg.omega_max * cfg.dt])
     (lx0, lx1, ly0, ly1), (rx0, rx1, ry0, ry1) = arm_reach(cfg, LEFT), arm_reach(cfg, RIGHT)
     lo = np.array([(lx0, ly0, -np.inf), (rx0, ry0, -np.inf)])
@@ -446,20 +446,14 @@ def step_batch(cfg: Config, batch: WorldBatch, rows: Sequence[Sequence[float]]) 
 
     # Open crossings release first; objects still held track their holder.
     each = np.arange(n)[:, None]
-    holders, objects = batch.holders, batch.objects
     opened = (old >= CLOSE_THRESHOLD) & (CLOSE_THRESHOLD > grips)
-    if np.count_nonzero(opened):
-        holders = np.where(opened[each, np.maximum(holders, 0)], -1, holders)
-    held = holders >= 0
-    if np.count_nonzero(held):
-        objects = np.where(held[..., None], arms[each, np.maximum(holders, 0)], objects)
+    holders = np.where(opened[each, np.maximum(batch.holders, 0)], -1, batch.holders)
+    objects = np.where((holders >= 0)[..., None], arms[each, np.maximum(holders, 0)], batch.objects)
 
     # Close crossings attach the nearest unheld object inside grasp_radius,
     # ties to the later one, left arm first: few rows, so one by one.
     closed = (old < CLOSE_THRESHOLD) & (CLOSE_THRESHOLD <= grips)
     for k in np.flatnonzero(closed.any(axis=1)).tolist():
-        if holders is batch.holders:
-            holders, objects = holders.copy(), objects.copy()
         for arm in (LEFT, RIGHT):
             if not closed[k, arm]:
                 continue
