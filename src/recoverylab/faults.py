@@ -713,17 +713,19 @@ def run_episodes(cfg: Config, trials: list[Trial]) -> Iterator[tuple[int, Episod
     while live:
         hits = _geometric_hits(cfg, world, live) if batched else {}
         acting = [run for run in live if run.ready(cfg, hits)]
-        moving = [run for run, action in zip(acting, _act(acting, batched)) if run.record(action)]
+        actions = _act(acting, batched)
         if batched:
+            moving = [run for run, action in zip(acting, actions) if run.record(action)]
             world = step_batch(cfg, world.take([run.row for run in moving]), [run.applied for run in moving])
             obs, succeeded = observe_batch(world), success_batch(cfg, world).tolist()
             for row, run in enumerate(moving):
                 run.world, run.row = world, row
                 run.settle(cfg, None, obs[row], succeeded[row])
         else:
-            for run in moving:
-                state = step(cfg, run.state, run.applied)
-                run.settle(cfg, state, observe(state), success_check(cfg, state))
+            for run, action in zip(acting, actions):
+                if run.record(action):
+                    state = step(cfg, run.state, run.applied)
+                    run.settle(cfg, state, observe(state), success_check(cfg, state))
         for run in live:
             if run.done:
                 yield run.index, run.episode(cfg)

@@ -9,8 +9,10 @@ a config override (or, for a failing recovery planner, a patched planner)
 and say so.  The learned actor is mostly an untrained
 ``init_policy(cfg, seed=9)``, so those digests depend on neither training nor
 BLAS summation order; the reports of the committed trained policy exercise
-its grasps and recoveries.  The checkpoint digests pin the bytes
-``save_policy`` and ``save_progress_model`` write, and the training digests
+its grasps and recoveries, and those of the two-object tasks pin lockstep
+runs whose trials grasp two objects, hand over and end at different ticks.
+The checkpoint digests pin the bytes ``save_policy`` and
+``save_progress_model`` write, and the training digests
 the weights each training loop leaves.  The suite digests pin the tables,
 checkpoints and evaluated weights of the CLI's scaling, ablation and
 train-rai runs at nano scale.
