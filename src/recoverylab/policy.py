@@ -407,11 +407,12 @@ class LearnedActor(Actor):
             rows = forward(first.policy, first._cfg, seen, windows,
                            np.array([actors[i]._instruction for i in members]), first.v_fixed)
             # The next windows: this observation, then all but the oldest row
-            # (cut to w rows, so a w = 0 window stays empty).
+            # (cut to w rows, so a w = 0 window stays empty).  Each actor
+            # keeps a copy: a view would pin the whole stack after it ends.
             shifted = np.concatenate([seen[:, None], windows[:, :-1]], axis=1)[:, :first.policy.history_w]
             for i, row, window in zip(members, rows, shifted):
                 actions[i] = row
-                actors[i]._window = window
+                actors[i]._window = window.copy()
         return actions
 
 
