@@ -359,8 +359,6 @@ class WorldBatch:
         goal_on = np.zeros((n, width), dtype=bool)
         for k, state in enumerate(states):
             m = len(state.object_poses)
-            if m > NUM_OBJECT_SLOTS:
-                raise InputError(f"a batch row holds at most {NUM_OBJECT_SLOTS} objects, got {m}")
             objects[k, :m] = [(p.x, p.y, p.theta) for p in state.object_poses]
             present[k, :m] = True
             holders[k, :m] = [-1 if h is None else h for h in state.holders]
