@@ -31,8 +31,8 @@ from recoverylab import bench, datagen, faults
 from recoverylab.errors import UnrecoverableState
 from recoverylab.faults import ErrorKind, error_from_config, run_interception, run_nominal
 from recoverylab.labeling import label_failure, label_recovery, label_success
-from recoverylab.policy import build_frame_dataset, fit_normalizer, init_policy, load_policy, save_policy
-from recoverylab.store import EpisodeKind, Outcome, slice_recovery_suffix, write_episode
+from recoverylab.policy import LearnedActor, build_frame_dataset, fit_normalizer, init_policy, load_policy, save_policy
+from recoverylab.store import EpisodeKind, Outcome, episode_to_dict, slice_recovery_suffix, write_episode
 from recoverylab.value import ReferenceCluster, init_progress_model, save_progress_model
 from recoverylab.world import EnvMode
 from tests.actors import OracleActor, RandomActor
@@ -524,6 +524,74 @@ def test_multi_object_report_golden(cfg, tmp_path):
             got[f"{name}.csv"] = _sha(paths["csv"])
             got[f"{name}.json"] = _sha(paths["json"])
     _assert_golden(got, MULTI_REPORT_GOLDEN)
+
+
+def _learned_lockstep_trials(cfg) -> dict[str, faults.Trial]:
+    """Learned trials of three forward groups in one lockstep call: one
+    untrained policy at v 1.0 and at v 0.0, and a second policy, interleaved
+    with a planner trial.  Every trial gets its own ``t_max``, so trials end
+    on different ticks and leave their groups one by one, from the middle of
+    the trial order as well as from its ends."""
+    first, second = init_policy(cfg, seed=9), init_policy(cfg, seed=10)
+    groups = {"a": (first, 1.0), "b": (first, 0.0), "c": (second, 1.0)}
+    e1 = error_from_config(cfg, ErrorKind.E1_PREMATURE_CLOSE)
+    e3 = error_from_config(cfg, ErrorKind.E3_POSITION_OFFSET)
+    rollout = {"generator": "rollout"}
+    plan = [  # group, task, seed, t_max, error
+        ("a", "pick-place", 0, 41, None), ("b", "pick-place", 1, 23, e3), ("c", "stack-two", 2, 57, e1),
+        ("a", "stack-two", 3, 12, e1), ("b", "pick-place", 4, 66, None), ("a", "pick-place", 5, 30, e3),
+        ("c", "pick-place", 6, 19, None), ("b", "stack-two", 7, 48, e1), ("a", "pick-place", 8, 71, None),
+        ("c", "stack-two", 9, 35, e3),
+    ]
+    trials = {}
+    for group, task, seed, t_max, error in plan:
+        policy, v = groups[group]
+        trigger = faults.InjectionSchedule(error, None, seed) if error is not None else None
+        trials[f"{group}-{task}-s{seed}"] = faults.Trial(
+            LearnedActor(policy, v_fixed=v), task, EnvMode.RANDOM, seed, f"eval-{group}", rollout, t_max, trigger)
+        if seed == 4:
+            trials["planner-pick-place-s4"] = faults.Trial(
+                faults.PlannerActor(action_noise=0.02), "pick-place", EnvMode.RANDOM, 4, "nom", {})
+    return trials
+
+
+LEARNED_LOCKSTEP_GOLDEN = {
+    "a-pick-place-s0":
+        "849c2e008b324cf4b87360481aaeaf6cf37b6390a864a911490aaf9351eb60af",
+    "b-pick-place-s1":
+        "24980bf9b546261d13524a0a700f68ff13c6ec2665a5ecc44e7db75ace5f5b8e",
+    "c-stack-two-s2":
+        "5e5cac4f585f4659d097e307565098e113563ace06889f54adb8a2667b1748de",
+    "a-stack-two-s3":
+        "278d8980e4f890eeba127497261f17c622535112f36d8cc8abfb4d1fe677090d",
+    "b-pick-place-s4":
+        "cac33367a689d59a56e5f20eab0dec993309bda23042b58271c1528dc357382d",
+    "planner-pick-place-s4":
+        "2c5e577275e376028dbc08684fde9aac08c1fe647bbcae6d66018bdb530b8eca",
+    "a-pick-place-s5":
+        "1c867c57e748da3498df6b397a69d1d10e19d927d73f3d3be421a41dfe08f2cd",
+    "c-pick-place-s6":
+        "c8119a9fad4f14d3e7bf71c55655e5ace2ded4e239e6006029daf74be1c19423",
+    "b-stack-two-s7":
+        "6114237c8c3b46d2d82fa75782ecca86bdf58d9c0ffcd7392639f0ed602d817f",
+    "a-pick-place-s8":
+        "5896883d7264cc20720c3f66f6bc809dc0b3c7e459337d47656a5b161b52eb0a",
+    "c-stack-two-s9":
+        "77fc86e8e3f117820c20f413349a4f4364314a08c8d5bf50d80c87e52aeaa087",
+}
+
+
+def test_learned_lockstep_golden(cfg, tmp_path):
+    names = list(_learned_lockstep_trials(cfg))
+    together = dict(faults.run_episodes(cfg, list(_learned_lockstep_trials(cfg).values())))
+    got = {name: _episode_digest(together[i], tmp_path / name) for i, name in enumerate(names)}
+    _assert_golden(got, LEARNED_LOCKSTEP_GOLDEN)
+    # Each forward group gives the episodes it gives in a lockstep run of its own.
+    for group in "abc":
+        trials = {name: trial for name, trial in _learned_lockstep_trials(cfg).items() if name[0] == group}
+        alone = dict(faults.run_episodes(cfg, list(trials.values())))
+        for j, name in enumerate(trials):
+            assert episode_to_dict(alone[j]) == episode_to_dict(together[names.index(name)]), name
 
 
 CHECKPOINT_DIR = Path(__file__).parents[1] / "perfbench" / "checkpoint"

@@ -5,7 +5,7 @@ import pytest
 
 from recoverylab import bench, datagen
 from recoverylab.cli import main as cli_main
-from recoverylab.errors import ValidationError
+from recoverylab.errors import InputError, ValidationError
 from recoverylab.faults import (
     ErrorKind,
     TimeoutTakeover,
@@ -123,6 +123,16 @@ def test_lockstep_learned_call_equals_one_seed_calls(cfg, mini_policies, t_max):
     alone = [bench.run_protocol(cfg, factory, "pick-place", error, [s], t_max).trials[0] for s in seeds]
     assert together.trials == alone
     assert len({t.steps_used for t in alone}) > 1  # the batch shrinks as trials end
+
+
+@pytest.mark.parametrize("seeds", [[540000], seeds_from(540000, 3)])
+def test_non_finite_policy_output_fails_early(cfg, t_max, seeds):
+    # A NaN bias makes the left arm's x NaN at the first tick, in a lockstep
+    # call and in a one-trial call alike.
+    policy = init_policy(cfg, seed=9)
+    policy.params["trunk_b2"][0] = np.nan
+    with pytest.raises(InputError):
+        bench.run_protocol(cfg, bench.policy_actor_factory(policy), "pick-place", None, seeds, t_max)
 
 
 def test_collect_policy_induced_from_weak_policy(cfg, mini_cfg, tmp_path, t_max):
