@@ -327,15 +327,21 @@ class Actor:
         raise NotImplementedError
 
     @classmethod
-    def act_all(cls, actors: list[Actor], states: Sequence[WorldState],
-                obs: Sequence[np.ndarray]) -> list[tuple[float, ...]]:
-        """The action rows of actors of this class, one per trial of a tick.
-        Subclasses that can act together override it; this one acts one by one.
-        A lockstep run builds each state only when it is read."""
-        return [actor.act(s, o) for actor, s, o in zip(actors, states, obs)]
+    def act_all(cls, actors: list[Actor], states: Sequence[WorldState], obs: np.ndarray) -> np.ndarray:
+        """The action rows of M actors of this class in one lockstep tick, as
+        a new (M, ACTION_DIM) array that the caller may write to; row k of
+        ``obs`` is actor k's observation.  Subclasses that can act together
+        override it; this one acts one by one.  A lockstep run builds each
+        state only when it is read."""
+        rows = [actor.act(s, o) for actor, s, o in zip(actors, states, obs)]
+        try:
+            return np.array(rows, dtype=float).reshape(len(actors), ACTION_DIM)
+        except ValueError:  # ragged rows, or rows of another length
+            raise InputError(f"an action is a row of {ACTION_DIM} values, got {rows!r}") from None
 
     def applied(self, action: tuple[float, ...]) -> tuple[float, ...]:
-        """The action the arms execute; ``action`` itself is what is recorded."""
+        """The action the arms execute; ``action`` itself is what is
+        recorded.  Lockstep runs call it only for classes that override it."""
         return action
 
     def recovery_tag(self) -> PhaseTag:
@@ -470,6 +476,10 @@ class TimeoutTakeover(Takeover):
 _ACTION_BYTES = struct.Struct(f"{ACTION_DIM}d")
 
 
+# Each tag's value, looked up faster than through the member.
+_TAG_VALUES = {tag: tag.value for tag in PhaseTag}
+
+
 class _Recorder:
     """The observation vectors, action rows and tags of one episode, plus its
     Error onset and recovery start; owns the tag grammar.
@@ -477,7 +487,8 @@ class _Recorder:
     Each frame's observation vector and action row are packed into one flat
     float64 array, about half the memory of keeping the observation array
     and the action tuple, since every live trial of a lockstep run holds a
-    recorder.
+    recorder.  A lockstep tick converts all its trials' frames at once and
+    hands each recorder its row's bytes.
     """
 
     def __init__(self):
@@ -486,13 +497,15 @@ class _Recorder:
         self.onset: int | None = None
         self.t_rec: int | None = None
 
-    def add(self, obs: np.ndarray, action: tuple[float, ...], tag: PhaseTag) -> None:
-        self.values.frombytes(obs.tobytes() + _ACTION_BYTES.pack(*action))
+    def add(self, frame: bytes, tag: PhaseTag) -> None:
+        """Append a frame: the float64 bytes of its observation vector, then
+        of its action row."""
+        self.values.frombytes(frame)
         self.tags.append(tag)
 
     def frames(self) -> Frames:
         table = np.frombuffer(self.values).reshape(len(self.tags), OBS_DIM + ACTION_DIM)
-        return Frames(table[:, :OBS_DIM], table[:, OBS_DIM:], [tag.value for tag in self.tags],
+        return Frames(table[:, :OBS_DIM], table[:, OBS_DIM:], list(map(_TAG_VALUES.__getitem__, self.tags)),
                       np.full(len(self.tags), np.nan))
 
     def retag(self, tag: PhaseTag) -> None:
@@ -535,7 +548,6 @@ class _Run:
     def __init__(self, cfg: Config, index: int, trial: Trial):
         self.index, self.trial = index, trial
         self.state = reset(cfg, trial.task_id, trial.env_mode, trial.seed)
-        self.obs = observe(self.state)
         self.actor = trial.actor
         self.actor.begin(cfg, self.state)
         self.t_max = trial.t_max
@@ -583,33 +595,29 @@ class _Run:
         self.actor = actor
         return True
 
-    def record(self, action: tuple[float, ...]) -> bool:
-        """Record ``action``, injected and tagged, and keep the row the arms
-        execute as ``applied`` (and the state before it for a watching
-        takeover).  False once the episode has ended."""
+    def record(self) -> PhaseTag | None:
+        """The tag of the frame the actor has just acted on, with the state
+        before the step kept for a watching takeover; None once the episode
+        has ended.  The frame is Error inside the injection window, where
+        the caller injects its action."""
         trial, rec, actor = self.trial, self.rec, self.actor
-        trigger, takeover = trial.trigger, trial.takeover
+        trigger = trial.trigger
         if actor.exhausted and not (trigger is not None and trigger.pending):
             self.done = True
-            return False
-        t = len(rec.tags)
-        tag = PhaseTag.NOMINAL if rec.t_rec is None else actor.recovery_tag()
-        if trigger is not None and trigger.in_window(t):
-            action, tag = inject(action, t, trigger), PhaseTag.ERROR
-        rec.add(self.obs, action, tag)
-        self.before = self.state if takeover is not None and rec.t_rec is None else None
-        self.applied = actor.applied(action)
-        return True
+            return None
+        self.before = self.state if trial.takeover is not None and rec.t_rec is None else None
+        if trigger is not None and trigger.in_window(len(rec.tags)):
+            return PhaseTag.ERROR
+        return PhaseTag.NOMINAL if rec.t_rec is None else actor.recovery_tag()
 
-    def settle(self, cfg: Config, state: WorldState | None, obs: np.ndarray, succeeded: bool) -> None:
-        """Take the stepped world, with its observation and success: ``state``,
-        or None when the trial's batch row holds it.  Then check the window,
-        the verdict on the injection and success."""
+    def settle(self, cfg: Config, state: WorldState | None, succeeded: bool) -> None:
+        """Take the stepped world and its success: ``state``, or None when the
+        trial's batch row holds it.  Then check the window, the verdict on
+        the injection and success."""
         if state is None:
             vars(self).pop("state", None)
         else:
             self.state = state
-        self.obs = obs
         trial, rec, actor = self.trial, self.rec, self.actor
         trigger, takeover = trial.trigger, trial.takeover
         if self.before is not None:
@@ -673,20 +681,47 @@ class _States:
         return (run.state for run in self.runs)
 
 
-def _act(runs: list[_Run], batched: bool) -> list[tuple[float, ...]]:
-    """The action rows of ``runs``, with one ``act_all`` call per actor class."""
-    if not batched:  # one trial: nothing to group, and its state is at hand
-        return [run.actor.act(run.state, run.obs) for run in runs]
-    groups: dict[type, list[_Run]] = {}
-    for run in runs:
-        groups.setdefault(type(run.actor), []).append(run)
-    rows = {}
-    for cls, members in groups.items():
-        acted = cls.act_all([run.actor for run in members], _States(members), [run.obs for run in members])
-        if len(members) == len(runs):  # one class: the rows are in order
-            return acted
-        rows.update(zip(map(id, members), acted))
-    return [rows[id(run)] for run in runs]
+def _act(runs: list[_Run], obs: np.ndarray) -> np.ndarray:
+    """The (M, ACTION_DIM) action rows of M lockstep ``runs``, whose
+    observations are the rows of ``obs``, with one ``act_all`` call per actor
+    class."""
+    classes = {type(run.actor) for run in runs}
+    if len(classes) == 1:  # one class: the rows are in order
+        cls, = classes
+        return cls.act_all([run.actor for run in runs], _States(runs), obs)
+    groups: dict[type, list[int]] = {}
+    for k, run in enumerate(runs):
+        groups.setdefault(type(run.actor), []).append(k)
+    actions = np.empty((len(runs), ACTION_DIM))
+    for cls, ks in groups.items():
+        members = [runs[k] for k in ks]
+        actions[ks] = cls.act_all([run.actor for run in members], _States(members), obs[ks])
+    return actions
+
+
+# The bytes of one recorded frame: its observation vector and action row.
+_FRAME_BYTES = 8 * (OBS_DIM + ACTION_DIM)
+
+
+def _record(runs: list[_Run], obs: np.ndarray, actions: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Record a lockstep tick's frames, row k of ``obs`` and ``actions`` for
+    run k, with the Error rows injected in place first.  Returns the indices
+    of the runs that step on, and the action rows their arms execute."""
+    moving, tags = [], []
+    for k, run in enumerate(runs):
+        tag = run.record()
+        if tag is not None:
+            if tag is PhaseTag.ERROR:
+                actions[k] = inject(tuple(actions[k].tolist()), len(run.rec.tags), run.trial.trigger)
+            moving.append(k)
+            tags.append(tag)
+    frames = np.concatenate([obs, actions], axis=1).tobytes()
+    for k, tag in zip(moving, tags):
+        run = runs[k]
+        run.rec.add(frames[k * _FRAME_BYTES:(k + 1) * _FRAME_BYTES], tag)
+        if type(run.actor).applied is not Actor.applied:
+            actions[k] = run.actor.applied(tuple(actions[k].tolist()))
+    return moving, actions if len(moving) == len(runs) else actions[moving]
 
 
 def run_episodes(cfg: Config, trials: list[Trial]) -> Iterator[tuple[int, Episode]]:
@@ -694,42 +729,73 @@ def run_episodes(cfg: Config, trials: list[Trial]) -> Iterator[tuple[int, Episod
     each ends.
 
     Each tick does every live trial's bookkeeping (see ``run_episode``), then
-    the actions of all acting trials, one ``Actor.act_all`` call per actor
-    class, then records them, steps the world once, and does each trial's
-    window and verdict checks.  Two or more trials step as one
-    ``WorldBatch``, which also evaluates their geometric triggers at once,
-    and a trial's ``WorldState`` is built from its row only where code reads
-    one (planner actors, plan-phase triggers, takeovers, the verdict).  A
-    single trial steps its ``WorldState``, which costs less than a batch of
-    one; both worlds give the same values bit for bit.  Trials share no
-    state: each keeps its own world, actor and RNGs.  An ended trial leaves
-    the batch at once, as a validated episode.
+    the actions of all acting trials, then records them, steps the world
+    once, and does each trial's window and verdict checks.  Two or more
+    trials step as one ``WorldBatch``, which also evaluates their geometric
+    triggers at once.  Their tick is arrays from end to end: the batch's
+    observation rows go to one ``Actor.act_all`` call per actor class, and
+    the (M, ACTION_DIM) action rows it returns are recorded with one
+    conversion and stepped as they are; only Error rows, which ``inject``
+    rewrites, and the rows of actors that override ``Actor.applied`` are
+    taken out as tuples.  A trial's ``WorldState`` is built from its row only
+    where code reads one (planner actors, plan-phase triggers, takeovers,
+    the verdict).  A single trial steps its ``WorldState`` under the tuple
+    its actor's ``act`` returns, which costs less than a batch of one; both
+    worlds give the same values bit for bit.  Trials share no state: each
+    keeps its own world, actor and RNGs.  An ended trial leaves the batch at
+    once, as a validated episode.
     """
     live = [_Run(cfg, i, trial) for i, trial in enumerate(trials)]
     batched = len(live) > 1
     world = WorldBatch.of(cfg, [run.state for run in live]) if batched else None
     for row, run in enumerate(live):
         run.world, run.row = world, row
+    # The live trials' observations: the batch's rows, or the one trial's.
+    obs = observe_batch(world) if batched else [observe(run.state) for run in live]
     while live:
-        hits = _geometric_hits(cfg, world, live) if batched else {}
-        acting = [run for run in live if run.ready(cfg, hits)]
-        actions = _act(acting, batched)
         if batched:
-            moving = [run for run, action in zip(acting, actions) if run.record(action)]
-            world = step_batch(cfg, world.take([run.row for run in moving]), [run.applied for run in moving])
-            obs, succeeded = observe_batch(world), success_batch(cfg, world).tolist()
-            for row, run in enumerate(moving):
-                run.world, run.row = world, row
-                run.settle(cfg, None, obs[row], succeeded[row])
+            world, obs = _lockstep_tick(cfg, world, obs, live)
         else:
-            for run, action in zip(acting, actions):
-                if run.record(action):
-                    state = step(cfg, run.state, run.applied)
-                    run.settle(cfg, state, observe(state), success_check(cfg, state))
+            obs = [_single_tick(cfg, live[0], obs[0])]
         for run in live:
             if run.done:
                 yield run.index, run.episode(cfg)
         live = [run for run in live if not run.done]
+
+
+def _lockstep_tick(cfg: Config, world: WorldBatch, obs: np.ndarray, live: list[_Run]) -> tuple[WorldBatch, np.ndarray]:
+    """One tick of ``live``, the runs of the batch ``world``, whose
+    observations are the rows of ``obs``; returns the stepped batch of the
+    runs that moved, and its observations."""
+    hits = _geometric_hits(cfg, world, live)
+    acting = [run for run in live if run.ready(cfg, hits)]
+    rows = [run.row for run in acting]
+    seen = obs if len(rows) == len(obs) else obs[rows]
+    moving, applied = _record(acting, seen, _act(acting, seen))
+    world = step_batch(cfg, world.take([rows[k] for k in moving]), applied)
+    succeeded = success_batch(cfg, world).tolist()
+    for row, k in enumerate(moving):
+        run = acting[k]
+        run.world, run.row = world, row
+        run.settle(cfg, None, succeeded[row])
+    return world, observe_batch(world)
+
+
+def _single_tick(cfg: Config, run: _Run, obs: np.ndarray) -> np.ndarray:
+    """One tick of a single run on its ``WorldState``, under the action
+    tuple of ``Actor.act``; returns the next observation."""
+    if not run.ready(cfg, {}):
+        return obs
+    action = run.actor.act(run.state, obs)
+    tag = run.record()
+    if tag is None:
+        return obs
+    if tag is PhaseTag.ERROR:
+        action = inject(action, len(run.rec.tags), run.trial.trigger)
+    run.rec.add(obs.tobytes() + _ACTION_BYTES.pack(*action), tag)
+    state = step(cfg, run.state, run.actor.applied(action))
+    run.settle(cfg, state, success_check(cfg, state))
+    return observe(state)
 
 
 def run_episode(

@@ -19,6 +19,7 @@ v = 1.0 and keeps the training-time window of its last w observations.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -34,6 +35,7 @@ from .world import (
     ACTION_DIM,
     GRIP_DIMS,
     OBS_DIM,
+    PROPRIO_DIM,
     THETA_DIMS,
     get_task,
     instruction_ids,
@@ -44,20 +46,19 @@ from .world import (
 POSE_DIMS = (0, 1, 2, 4, 5, 6)
 
 
-def action_from_vector(cfg: Config, vec: np.ndarray) -> tuple[float, ...] | list[tuple[float, ...]]:
-    """Clamp raw network output into a valid action row: x and y into the
-    workspace, grips into [0, 1], thetas wrapped into (-pi, pi].  An (M, 8)
-    stack gives the list of its M rows."""
+def action_from_vector(cfg: Config, vec: np.ndarray) -> np.ndarray:
+    """Clamp raw network output into valid action rows: x and y into the
+    workspace, grips into [0, 1], thetas wrapped into (-pi, pi].  Takes one
+    (8,) vector or an (M, 8) stack and returns a new array of its shape."""
     vec = np.asarray(vec, dtype=float)
     # Checked before the clip, which would turn an infinite x into a bound.
     if vec.shape[-1:] != (ACTION_DIM,) or vec.ndim > 2 or not np.isfinite(vec).all():
         raise InputError(f"an action vector holds {ACTION_DIM} finite values, got {vec!r}")
     lower = np.array([cfg.workspace_x_min, cfg.workspace_y_min, -np.inf, 0.0] * 2)
     upper = np.array([cfg.workspace_x_max, cfg.workspace_y_max, np.inf, 1.0] * 2)
-    clipped = np.clip(vec, lower, upper).reshape(-1, ACTION_DIM)
-    clipped[:, THETA_DIMS] = wrap_angles(clipped[:, THETA_DIMS])
-    rows = list(map(tuple, clipped.tolist()))
-    return rows if vec.ndim == 2 else rows[0]
+    clipped = np.clip(vec, lower, upper)
+    clipped[..., THETA_DIMS] = wrap_angles(clipped[..., THETA_DIMS])
+    return clipped
 
 
 @dataclass
@@ -119,22 +120,30 @@ def _forward_batch(policy: Policy, hist: np.ndarray, obs: np.ndarray, instr: np.
     # normalization so padding stays a neutral input, not a -mean/std outlier.
     if pad is None:
         pad = np.all(hist_rows == 0.0, axis=2)
-    hist_n = np.where(pad[:, :, None], 0.0, (hist_rows - mean) / std).reshape(batch, -1)
+    hist_n = (hist_rows - mean) / std
+    hist_n[pad] = 0.0
+    hist_n = hist_n.reshape(batch, -1)
     e_val = np.tanh(v[:, None] @ p["val_w"] + p["val_b"])
     instr_e = p["instr"][instr]
     x = np.concatenate([hist_n, obs_n, instr_e, e_val], axis=1)
     out, trunk_cache = mlp_forward(p, "trunk", x)
     mu = out.copy()
-    mu[:, GRIP_DIMS] = _sigmoid(out[:, GRIP_DIMS])
-    mu[:, POSE_DIMS] = out[:, POSE_DIMS] + obs[:, POSE_DIMS]  # anchored: head predicts pose displacement
+    # An action row and an observation's proprio dims are both each arm's
+    # (x, y, theta, grip): grips squash, poses anchor at the observed ones
+    # (the head predicts pose displacement).
+    arms, mu_arms = out.reshape(batch, 2, 4), mu.reshape(batch, 2, 4)
+    mu_arms[..., 3] = _sigmoid(arms[..., 3])
+    mu_arms[..., :3] += obs[:, :PROPRIO_DIM].reshape(batch, 2, 4)[..., :3]
     return mu, (x, trunk_cache, e_val, instr, v, mu)
 
 
 def forward(policy: Policy, cfg: Config, obs: np.ndarray, history: np.ndarray, instruction_id: int | np.ndarray,
-            v: float) -> tuple[float, ...] | list[tuple[float, ...]]:
-    """Deterministic mean action row for one observation vector; grips
-    squashed to [0, 1].  A stack of M observations, (M, w, obs_dim) history
-    windows and M instruction ids gives the list of their M rows."""
+            v: float, pad: np.ndarray | None = None) -> np.ndarray:
+    """Deterministic mean action row for one observation vector, clamped by
+    ``action_from_vector``; grips squashed to [0, 1].  A stack of M
+    observations, (M, w, obs_dim) history windows and M instruction ids gives
+    the (M, 8) array of their rows.  ``pad`` marks the history rows before
+    frame 0, or None to find them (see ``_forward_batch``)."""
     if not (0.0 <= v <= 1.0):
         raise InputError(f"v must lie in [0, 1], got {v}")
     lead = obs.shape[:-1]
@@ -151,6 +160,7 @@ def forward(policy: Policy, cfg: Config, obs: np.ndarray, history: np.ndarray, i
         obs.reshape(batch, OBS_DIM),
         np.reshape(instruction_id, batch),
         np.full(batch, float(v)),
+        None if pad is None else pad.reshape(batch, policy.history_w),
     )
     return action_from_vector(cfg, mu if lead else mu[0])
 
@@ -375,12 +385,71 @@ def train_value_conditioned(
 # rollouts
 
 
+class _Team:
+    """Learned actors that share a policy, a ``v_fixed`` and a config, and
+    act in one forward per tick.  Their history windows stay in one buffer
+    across ticks, a row per member in order: ``windows`` (M, w, obs_dim),
+    where row k of a window is frame t-1-k, and ``seen`` (M,), the frames
+    each member has seen.  Each actor holds its team, so a team holds its
+    members by weak reference: a cycle would keep the buffers of ended
+    trials alive until a garbage collection."""
+
+    def __init__(self, actors: list[LearnedActor], windows: np.ndarray, seen: np.ndarray):
+        first = actors[0]
+        self.policy, self.cfg, self.v = first.policy, first._cfg, first.v_fixed
+        self.refs = [weakref.ref(actor) for actor in actors]
+        self.windows, self.seen = windows, seen
+        self.instr = np.array([actor._instruction for actor in actors])
+
+    def members(self) -> list[LearnedActor | None]:
+        """The member actors, None for any that no longer exists."""
+        return [ref() for ref in self.refs]
+
+    @classmethod
+    def of(cls, actors: list[LearnedActor]) -> _Team:
+        """The team of ``actors``, in their order.  Unless they are already
+        exactly one team's members, their rows are gathered into a new team,
+        and an actor left behind keeps a copy of its own row: a view would
+        pin the whole buffer after its trial ended."""
+        current = actors[0]._team
+        if current.members() == actors:
+            return current
+        teams = {id(actor._team): actor._team for actor in actors}
+        at = {id(ref()): (team, k) for team in teams.values() for k, ref in enumerate(team.refs)}
+        picks = [at[id(actor)] for actor in actors]
+        joined = cls(actors, np.stack([t.windows[k] for t, k in picks]), np.array([t.seen[k] for t, k in picks]))
+        for actor in actors:
+            actor._team = joined
+        for team in teams.values():
+            for k, actor in enumerate(team.members()):
+                if actor is not None and actor._team is team:
+                    actor._team = cls([actor], team.windows[k:k + 1].copy(), team.seen[k:k + 1].copy())
+        return joined
+
+    def act(self, obs: np.ndarray) -> np.ndarray:
+        """The members' (M, ACTION_DIM) action rows for their observation
+        rows ``obs``; then each window takes its observation, in place."""
+        w = self.policy.history_w
+        # The rows before frame 0, which are all zero.  They are the only
+        # all-zero rows, the ones _forward_batch would find, because every
+        # observation carries slot 0's presence flag 1.0.
+        pad = np.arange(w) >= self.seen[:, None]
+        actions = forward(self.policy, self.cfg, obs, self.windows, self.instr, self.v, pad)
+        if w:  # this observation, then all but the oldest row
+            self.windows[:, 1:] = self.windows[:, :-1]
+            self.windows[:, 0] = obs
+        self.seen += 1
+        return actions
+
+
 class LearnedActor(Actor):
     """Wraps a Policy; sees observations only, through the training-time
-    history windows (``store.history_windows``).  Actors that share a policy
-    and a ``v_fixed`` act together in one forward."""
+    history windows (``store.history_windows``).  Actors that share a policy,
+    a ``v_fixed`` and a config act as one ``_Team``."""
 
     def __init__(self, policy: Policy, v_fixed: float = 1.0):
+        if not (0.0 <= v_fixed <= 1.0):
+            raise InputError(f"v_fixed must lie in [0, 1], got {v_fixed}")
         self.policy = policy
         self.v_fixed = float(v_fixed)
         self._instruction = 0
@@ -389,30 +458,22 @@ class LearnedActor(Actor):
     def begin(self, cfg, state):
         self._cfg = cfg
         self._instruction = get_task(cfg, state.task_id).instruction_id
-        # Row k is frame t-1-k; rows before frame 0 stay zero.
-        self._window = np.zeros((self.policy.history_w, OBS_DIM))
+        self._team = _Team([self], np.zeros((1, self.policy.history_w, OBS_DIM)), np.zeros(1, dtype=np.int64))
 
     def act(self, state, obs):
-        return self.act_all([self], [state], [obs])[0]
+        return tuple(self.act_all([self], [state], obs[None])[0].tolist())
 
     @classmethod
     def act_all(cls, actors, states, obs):
+        team = actors[0]._team
+        if team.members() == actors:  # the team of the tick before
+            return team.act(obs)
         groups: dict[tuple[int, float, int], list[int]] = {}
         for i, actor in enumerate(actors):
             groups.setdefault((id(actor.policy), actor.v_fixed, id(actor._cfg)), []).append(i)
-        actions: list = [None] * len(actors)
+        actions = np.empty((len(actors), ACTION_DIM))
         for members in groups.values():
-            first = actors[members[0]]
-            seen, windows = np.stack([obs[i] for i in members]), np.stack([actors[i]._window for i in members])
-            rows = forward(first.policy, first._cfg, seen, windows,
-                           np.array([actors[i]._instruction for i in members]), first.v_fixed)
-            # The next windows: this observation, then all but the oldest row
-            # (cut to w rows, so a w = 0 window stays empty).  Each actor
-            # keeps a copy: a view would pin the whole stack after it ends.
-            shifted = np.concatenate([seen[:, None], windows[:, :-1]], axis=1)[:, :first.policy.history_w]
-            for i, row, window in zip(members, rows, shifted):
-                actions[i] = row
-                actors[i]._window = window.copy()
+            actions[members] = _Team.of([actors[i] for i in members]).act(obs[members])
         return actions
 
 

@@ -60,13 +60,17 @@ def wrap_angle(theta: float) -> float:
 def wrap_angles(theta: np.ndarray) -> np.ndarray:
     """``wrap_angle`` of every element, bit for bit.
 
-    Within 3 pi, ``theta - TAU * rint(theta / TAU)`` is exact, and where the
-    quotient rounds to the other side of a half the ``<= -pi`` fix-up mends
-    it; a zero takes the sign of ``theta``, as the remainder's does.  Past
-    3 pi the elements go through ``math.remainder``.  (``np.remainder`` is a
+    Inside (-pi, pi) every element is its own wrap, as it is the
+    remainder's, and the elements come back as a copy.  Within 3 pi,
+    ``theta - TAU * rint(theta / TAU)`` is exact, and where the quotient
+    rounds to the other side of a half the ``<= -pi`` fix-up mends it; a
+    zero takes the sign of ``theta``, as the remainder's does.  Past 3 pi
+    the elements go through ``math.remainder``.  (``np.remainder`` is a
     floor-mod.)
     """
     theta = np.asarray(theta, dtype=float)
+    if theta.size and np.abs(theta).max() < math.pi:
+        return theta.copy()
     wrapped = theta - TAU * np.rint(theta / TAU)
     if np.count_nonzero(wrapped) < wrapped.size:
         wrapped = np.where(wrapped == 0.0, np.copysign(0.0, theta), wrapped)

@@ -35,7 +35,7 @@ class RandomActor(Actor):
             ]
             for _ in range(2)
         ])
-        return action_from_vector(cfg, vec)
+        return tuple(action_from_vector(cfg, vec).tolist())
 
 
 # Steps in one plan phase after which the oracle replans.

@@ -46,7 +46,7 @@ def test_forward_deterministic(cfg, tiny_policy):
     hist = np.zeros((tiny_policy.history_w, OBS_DIM))
     a = forward(tiny_policy, cfg, obs, hist, 0, 1.0)
     b = forward(tiny_policy, cfg, obs, hist, 0, 1.0)
-    assert a == b
+    assert a.tolist() == b.tolist()
 
 
 def test_forward_value_token_reaches_output(cfg, tiny_policy):
@@ -106,6 +106,13 @@ def test_forward_input_validation(cfg, tiny_policy):
         forward(tiny_policy, cfg, stack, np.zeros((2, tiny_policy.history_w, OBS_DIM)), np.zeros(2, int), -0.1)
     with pytest.raises(InputError):
         forward(tiny_policy, cfg, stack, np.zeros((2, tiny_policy.history_w, OBS_DIM)), 0, 1.0)
+
+
+@pytest.mark.parametrize("v", [-0.1, 1.5, math.nan, math.inf])
+def test_learned_actor_checks_v_fixed_when_built(tiny_policy, v):
+    # Caught where the actor is built, not at its first tick.
+    with pytest.raises(InputError):
+        LearnedActor(tiny_policy, v_fixed=v)
 
 
 def test_forward_stack_matches_single_rows(cfg, tiny_policy, rng):
@@ -208,7 +215,7 @@ def test_local_waypoint_equivalence(cfg, expert_episodes):
     wp_vec = local_waypoint(cfg, obs[0], actions[0])
     wp_action = action_from_vector(cfg, wp_vec)
     recorded = action_from_vector(cfg, actions[0])
-    assert recorded == tuple(actions[0])  # the recorded action, unclamped
+    assert recorded.tolist() == actions[0].tolist()  # the recorded action, unclamped
     a = world_step(cfg, state, recorded)
     b = world_step(cfg, state, wp_action)
     assert a.arm_poses == b.arm_poses
@@ -327,7 +334,7 @@ def test_checkpoint_round_trip(cfg, tmp_path, mini_policies):
     state = reset(cfg, "pick-place", EnvMode.RANDOM, 123)
     obs = observe(state)
     hist = np.zeros((full.history_w, OBS_DIM))
-    assert forward(loaded, cfg, obs, hist, 0, 1.0) == forward(full, cfg, obs, hist, 0, 1.0)
+    assert forward(loaded, cfg, obs, hist, 0, 1.0).tolist() == forward(full, cfg, obs, hist, 0, 1.0).tolist()
     assert loaded.obs_std == pytest.approx(full.obs_std)
 
 
@@ -381,9 +388,9 @@ def test_learned_actor_history_matches_dataset_convention(cfg, mini_policies, ex
     seen = []
     real_forward = policy_mod.forward
 
-    def spy(policy, cfg_, obs, history, instruction_id, v):
+    def spy(policy, cfg_, obs, history, instruction_id, v, pad=None):
         seen.append(history.ravel().copy())
-        return real_forward(policy, cfg_, obs, history, instruction_id, v)
+        return real_forward(policy, cfg_, obs, history, instruction_id, v, pad)
 
     monkeypatch.setattr(policy_mod, "forward", spy)
     actor = LearnedActor(full, v_fixed=1.0)

@@ -379,10 +379,10 @@ def _clamped_row(vec) -> tuple[float, ...]:
 @PROPERTY
 @given(st.lists(st.lists(vector_entries, min_size=8, max_size=8), min_size=1, max_size=6))
 def test_action_from_vector_clips_and_wraps_each_element(vecs):
-    # One (8,) vector gives its row; an (M, 8) stack gives the list of its rows.
+    # One (8,) vector gives its row; an (M, 8) stack gives the array of its rows.
     rows = action_from_vector(CFG, np.array(vecs))
-    assert rows == [_clamped_row(vec) for vec in vecs]
+    assert rows.dtype == np.float64
+    assert [tuple(row) for row in rows.tolist()] == [_clamped_row(vec) for vec in vecs]
     for vec, row in zip(vecs, rows):
-        assert action_from_vector(CFG, np.array(vec)) == row
-        assert all(type(value) is float for value in row)
+        assert action_from_vector(CFG, np.array(vec)).tobytes() == row.tobytes()
 
