@@ -476,10 +476,6 @@ class TimeoutTakeover(Takeover):
 _ACTION_BYTES = struct.Struct(f"{ACTION_DIM}d")
 
 
-# Each tag's value, looked up faster than through the member.
-_TAG_VALUES = {tag: tag.value for tag in PhaseTag}
-
-
 class _Recorder:
     """The observation vectors, action rows and tags of one episode, plus its
     Error onset and recovery start; owns the tag grammar.
@@ -505,7 +501,7 @@ class _Recorder:
 
     def frames(self) -> Frames:
         table = np.frombuffer(self.values).reshape(len(self.tags), OBS_DIM + ACTION_DIM)
-        return Frames(table[:, :OBS_DIM], table[:, OBS_DIM:], list(map(_TAG_VALUES.__getitem__, self.tags)),
+        return Frames(table[:, :OBS_DIM], table[:, OBS_DIM:], [tag.value for tag in self.tags],
                       np.full(len(self.tags), np.nan))
 
     def retag(self, tag: PhaseTag) -> None:
@@ -685,13 +681,12 @@ def _act(runs: list[_Run], obs: np.ndarray) -> np.ndarray:
     """The (M, ACTION_DIM) action rows of M lockstep ``runs``, whose
     observations are the rows of ``obs``, with one ``act_all`` call per actor
     class."""
-    classes = {type(run.actor) for run in runs}
-    if len(classes) == 1:  # one class: the rows are in order
-        cls, = classes
-        return cls.act_all([run.actor for run in runs], _States(runs), obs)
     groups: dict[type, list[int]] = {}
     for k, run in enumerate(runs):
         groups.setdefault(type(run.actor), []).append(k)
+    if len(groups) == 1:  # one class: the rows are in order
+        cls, = groups
+        return cls.act_all([run.actor for run in runs], _States(runs), obs)
     actions = np.empty((len(runs), ACTION_DIM))
     for cls, ks in groups.items():
         members = [runs[k] for k in ks]

@@ -465,12 +465,11 @@ class LearnedActor(Actor):
 
     @classmethod
     def act_all(cls, actors, states, obs):
-        team = actors[0]._team
-        if team.members() == actors:  # the team of the tick before
-            return team.act(obs)
         groups: dict[tuple[int, float, int], list[int]] = {}
         for i, actor in enumerate(actors):
             groups.setdefault((id(actor.policy), actor.v_fixed, id(actor._cfg)), []).append(i)
+        if len(groups) == 1:
+            return _Team.of(actors).act(obs)
         actions = np.empty((len(actors), ACTION_DIM))
         for members in groups.values():
             actions[members] = _Team.of([actors[i] for i in members]).act(obs[members])
