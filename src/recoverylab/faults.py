@@ -758,7 +758,8 @@ def run_episodes(cfg: Config, trials: list[Trial]) -> Iterator[tuple[int, Episod
         live = [run for run in live if not run.done]
 
 
-def _lockstep_tick(cfg: Config, world: WorldBatch, obs: np.ndarray, live: list[_Run]) -> tuple[WorldBatch, np.ndarray]:
+def _lockstep_tick(cfg: Config, world: WorldBatch, obs: np.ndarray,
+                   live: list[_Run]) -> tuple[WorldBatch, np.ndarray]:
     """One tick of ``live``, the runs of the batch ``world``, whose
     observations are the rows of ``obs``; returns the stepped batch of the
     runs that moved, and its observations."""
