@@ -21,7 +21,11 @@ def _annotation_names(tree: ast.AST) -> set[str]:
     for annotation in filter(None, annotations):
         for node in ast.walk(annotation):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                names |= {n.id for n in ast.walk(ast.parse(node.value, mode="eval")) if isinstance(n, ast.Name)}
+                try:
+                    parsed = ast.parse(node.value, mode="eval")
+                except SyntaxError:  # a string value, as in Literal["a b"]
+                    continue
+                names |= {n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)}
     return names
 
 
@@ -41,8 +45,8 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
 
 
 def test_unused_imports_are_found():
-    source = "import os\nimport numpy as np\nfrom typing import Sequence\nfrom x import y\n" \
-             "def f(a: 'Sequence[int]') -> None:\n    return np.zeros(1)\n"
+    source = "import os\nimport numpy as np\nfrom typing import Literal, Sequence\nfrom x import y\n" \
+             "def f(a: 'Sequence[int]', b: Literal['a b']) -> None:\n    return np.zeros(1)\n"
     assert unused_imports(source) == [(1, "os"), (4, "y")]
 
 
