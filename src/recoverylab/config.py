@@ -5,7 +5,7 @@ reproduced from a config snapshot; training and labeling functions read their
 settings from the Config they are given and take no copies of them.  Values
 can be overridden from a plain ``key = value`` text file (``#`` starts a
 comment); unknown keys are rejected, and so are values of the wrong type:
-integer keys take integers, float keys take any real number.  Physical
+integer keys take integers, float keys take any finite real number.  Physical
 scales, divisors, the decay exponent and batch sizes (POSITIVE) must be
 greater than zero.  No integer key (step counts, windows, dimensions, seeds)
 means anything below zero, so none takes a negative value; step counts may
@@ -112,6 +112,8 @@ class Config:
             integer = isinstance(DEFAULTS[key], int)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
                 raise ConfigError(f"{key} takes {'an integer' if integer else 'a number'}, got {value!r}")
+            if not integer and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value!r}")
             if key in POSITIVE and not value > 0:
                 raise ConfigError(f"{key} must be positive, got {value!r}")
             if integer and value < 0:

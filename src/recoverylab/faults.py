@@ -473,53 +473,6 @@ class TimeoutTakeover(Takeover):
         return {"takeover": "failed"} if self.handed_over else {}
 
 
-_ACTION_BYTES = struct.Struct(f"{ACTION_DIM}d")
-
-
-class _Recorder:
-    """The observation vectors, action rows and tags of one episode, plus its
-    Error onset and recovery start; owns the tag grammar.
-
-    Each frame's observation vector and action row are packed into one flat
-    float64 array, about half the memory of keeping the observation array
-    and the action tuple, since every live trial of a lockstep run holds a
-    recorder.  A lockstep tick converts all its trials' frames at once and
-    hands each recorder its row's bytes.
-    """
-
-    def __init__(self):
-        self.values = array("d")
-        self.tags: list[PhaseTag] = []
-        self.onset: int | None = None
-        self.t_rec: int | None = None
-
-    def add(self, frame: bytes, tag: PhaseTag) -> None:
-        """Append a frame: the float64 bytes of its observation vector, then
-        of its action row."""
-        self.values.frombytes(frame)
-        self.tags.append(tag)
-
-    def frames(self) -> Frames:
-        table = np.frombuffer(self.values).reshape(len(self.tags), OBS_DIM + ACTION_DIM)
-        return Frames(table[:, :OBS_DIM], table[:, OBS_DIM:], [tag.value for tag in self.tags],
-                      np.full(len(self.tags), np.nan))
-
-    def retag(self, tag: PhaseTag) -> None:
-        """Tag every frame from the Error onset on."""
-        if self.onset is not None:
-            self.tags[self.onset:] = [tag] * (len(self.tags) - self.onset)
-
-    def verdict(self, succeeded: bool) -> tuple[Outcome, EpisodeKind, int | None]:
-        """Success with recovery frames is a failure-recovery episode, any
-        other success a nominal one; a failure is a pure failure."""
-        if succeeded and self.t_rec is not None and len(self.tags) > self.t_rec:
-            return Outcome.SUCCESS, EpisodeKind.FAILURE_RECOVERY, self.t_rec
-        self.retag(PhaseTag.NOMINAL if succeeded else PhaseTag.ERROR)
-        if succeeded:
-            return Outcome.SUCCESS, EpisodeKind.NOMINAL_SUCCESS, None
-        return Outcome.FAILURE, EpisodeKind.PURE_FAILURE, None
-
-
 @dataclass
 class Trial:
     """One episode for ``run_episodes``; the fields are ``run_episode``'s
@@ -537,9 +490,17 @@ class Trial:
 
 
 class _Run:
-    """The live state of one trial: its world, its current actor and its
-    recorder, stepped a tick at a time.  In a lockstep batch its world is
-    row ``row`` of ``world``."""
+    """The live state of one trial: its world, its current actor and what it
+    records, stepped a tick at a time.  In a lockstep batch its world is
+    row ``row`` of ``world``.
+
+    A trial records its frames, ``t`` of them so far, each frame's
+    observation vector and action row packed into one flat float64 array:
+    about half the memory of keeping the observation array and the action
+    tuple.  It also records its Error onset, its recovery start ``t_rec`` and
+    the actor's ``recovery_tag`` of each frame from ``t_rec`` on;
+    ``verdict`` derives every frame's tag from these.
+    """
 
     def __init__(self, cfg: Config, index: int, trial: Trial):
         self.index, self.trial = index, trial
@@ -547,7 +508,11 @@ class _Run:
         self.actor = trial.actor
         self.actor.begin(cfg, self.state)
         self.t_max = trial.t_max
-        self.rec = _Recorder()
+        self.values = array("d")
+        self.t = 0
+        self.onset: int | None = None
+        self.t_rec: int | None = None
+        self.recovery_tags: list[PhaseTag] = []
         self.done = self.succeeded = False
 
     @cached_property
@@ -561,29 +526,25 @@ class _Run:
         takeover there, and the trigger, whose hit is read from ``hits`` by
         row when the batch has evaluated it.  False once the episode has
         ended."""
-        trial, rec = self.trial, self.rec
-        t = len(rec.tags)
+        trial, t = self.trial, self.t
         while (self.t_max is not None and detect_failure(t, self.t_max)) or t >= cfg.episode_max_steps:
-            takeover = trial.takeover
-            onset = takeover.timeout_onset(t) if takeover is not None and rec.t_rec is None else None
-            if onset is None or not self._hand_over(cfg, onset):
-                self.done = True
-                return False
-            rec.t_rec, self.t_max = t, None
+            if trial.takeover is not None and self.t_rec is None:
+                self.onset = trial.takeover.timeout_onset(t)
+                if self.onset is not None and self._hand_over(cfg):
+                    self.t_rec, self.t_max = t, None
+                    continue
+            self.done = True
+            return False
         trigger = trial.trigger
         if trigger is not None and not trigger.resolved:
             hit = hits[self.row] if self.row in hits else trigger.hit(cfg, self.state, self.actor)
             if hit is not None:
                 trigger.resolve(t, *hit)
-                rec.onset = t
+                self.onset = t
         return True
 
-    def _hand_over(self, cfg: Config, onset: int | None) -> bool:
-        """Give control to the takeover's actor, retagging from a timeout's
-        ``onset``; False when the takeover has none."""
-        if onset is not None:
-            self.rec.onset = onset
-            self.rec.retag(PhaseTag.ERROR)
+    def _hand_over(self, cfg: Config) -> bool:
+        """Give control to the takeover's actor; False when it has none."""
         actor = self.trial.takeover.hand_over(cfg, self.state)
         if actor is None:
             return False
@@ -591,20 +552,26 @@ class _Run:
         self.actor = actor
         return True
 
-    def record(self) -> PhaseTag | None:
-        """The tag of the frame the actor has just acted on, with the state
-        before the step kept for a watching takeover; None once the episode
-        has ended.  The frame is Error inside the injection window, where
-        the caller injects its action."""
-        trial, rec, actor = self.trial, self.rec, self.actor
+    def record(self) -> bool | None:
+        """Whether the frame the actor has just acted on lies in the
+        injection window, where the caller injects its action; None once the
+        episode has ended.  Keeps the state before the step for a watching
+        takeover, and the actor's tag of a frame from ``t_rec`` on."""
+        trial, actor = self.trial, self.actor
         trigger = trial.trigger
         if actor.exhausted and not (trigger is not None and trigger.pending):
             self.done = True
             return None
-        self.before = self.state if trial.takeover is not None and rec.t_rec is None else None
-        if trigger is not None and trigger.in_window(len(rec.tags)):
-            return PhaseTag.ERROR
-        return PhaseTag.NOMINAL if rec.t_rec is None else actor.recovery_tag()
+        self.before = self.state if trial.takeover is not None and self.t_rec is None else None
+        if self.t_rec is not None:
+            self.recovery_tags.append(actor.recovery_tag())
+        return trigger is not None and trigger.in_window(self.t)
+
+    def add(self, frame: bytes) -> None:
+        """Append a frame: the float64 bytes of its observation vector, then
+        of its action row."""
+        self.values.frombytes(frame)
+        self.t += 1
 
     def settle(self, cfg: Config, state: WorldState | None, succeeded: bool) -> None:
         """Take the stepped world and its success: ``state``, or None when the
@@ -614,35 +581,52 @@ class _Run:
             vars(self).pop("state", None)
         else:
             self.state = state
-        trial, rec, actor = self.trial, self.rec, self.actor
+        trial, t = self.trial, self.t
         trigger, takeover = trial.trigger, trial.takeover
         if self.before is not None:
-            takeover.watch(cfg, len(rec.tags) - 1, self.before, self.state)
-        if actor.stalled:
+            takeover.watch(cfg, t - 1, self.before, self.state)
+        if self.actor.stalled:
             self.done = True
             return
-        if trigger is not None and len(rec.tags) == trigger.t_end:
+        if trigger is not None and t == trigger.t_end:
             trigger.verified = verify_adverse(cfg, self.state, trigger)
             if trigger.verified:
-                rec.t_rec = len(rec.tags)
-                if takeover is not None and not self._hand_over(cfg, None):
+                self.t_rec = t
+                if takeover is not None and not self._hand_over(cfg):
                     self.done = True
                     return
         if succeeded:
             self.succeeded = self.done = True
 
+    def verdict(self) -> tuple[Outcome, EpisodeKind, int | None, list[PhaseTag]]:
+        """The outcome, kind, recovery start and frame tags of the ended
+        trial.  A success with frames from ``t_rec`` on is a failure-recovery
+        episode: Nominal before the onset, Error up to ``t_rec``, then the
+        actor's tags.  Any other success is a nominal episode, all Nominal,
+        and a failure is a pure failure, Error from the onset.  A trigger
+        that never verified leaves no onset."""
+        t, t_rec, trigger = self.t, self.t_rec, self.trial.trigger
+        onset = None if trigger is not None and not trigger.verified else self.onset
+        if self.succeeded and t_rec is not None and t > t_rec:
+            onset = t_rec if onset is None else onset  # a timeout takeover past an unverified trigger
+            tags = [PhaseTag.NOMINAL] * onset + [PhaseTag.ERROR] * (t_rec - onset) + self.recovery_tags
+            return Outcome.SUCCESS, EpisodeKind.FAILURE_RECOVERY, t_rec, tags
+        if self.succeeded:
+            return Outcome.SUCCESS, EpisodeKind.NOMINAL_SUCCESS, None, [PhaseTag.NOMINAL] * t
+        onset = t if onset is None else onset
+        tags = [PhaseTag.NOMINAL] * onset + [PhaseTag.ERROR] * (t - onset)
+        return Outcome.FAILURE, EpisodeKind.PURE_FAILURE, None, tags
+
     def episode(self, cfg: Config) -> Episode:
         """The validated episode of the ended trial, with its verdict."""
-        trial, rec, trigger = self.trial, self.rec, self.trial.trigger
-        if trigger is not None and not trigger.verified:
-            rec.retag(PhaseTag.NOMINAL)
-            rec.onset = None
-        outcome, kind, t_rec = rec.verdict(self.succeeded)
+        trial, trigger = self.trial, self.trial.trigger
+        outcome, kind, t_rec, tags = self.verdict()
         provenance = dict(trial.provenance)
         if trigger is not None:
-            provenance.update(trigger.provenance(len(rec.tags)))
+            provenance.update(trigger.provenance(self.t))
         if trial.takeover is not None:
             provenance.update(trial.takeover.provenance(t_rec))
+        table = np.frombuffer(self.values).reshape(self.t, OBS_DIM + ACTION_DIM)
         episode = Episode(
             episode_id=f"{trial.task_id}-{trial.env_mode.value.lower()}-{trial.label}-s{trial.seed:06d}",
             task_id=trial.task_id,
@@ -653,7 +637,8 @@ class _Run:
             t_rec=t_rec,
             outcome=outcome,
             kind=kind,
-            frames=rec.frames(),
+            frames=Frames(table[:, :OBS_DIM], table[:, OBS_DIM:], [tag.value for tag in tags],
+                          np.full(self.t, np.nan)),
             provenance=provenance,
         )
         validate_episode(episode)
@@ -696,24 +681,25 @@ def _act(runs: list[_Run], obs: np.ndarray) -> np.ndarray:
 
 # The bytes of one recorded frame: its observation vector and action row.
 _FRAME_BYTES = 8 * (OBS_DIM + ACTION_DIM)
+_ACTION_BYTES = struct.Struct(f"{ACTION_DIM}d")
 
 
 def _record(runs: list[_Run], obs: np.ndarray, actions: np.ndarray) -> tuple[list[int], np.ndarray]:
     """Record a lockstep tick's frames, row k of ``obs`` and ``actions`` for
-    run k, with the Error rows injected in place first.  Returns the indices
-    of the runs that step on, and the action rows their arms execute."""
-    moving, tags = [], []
+    run k, with the in-window rows injected in place first.  Returns the
+    indices of the runs that step on, and the action rows their arms
+    execute."""
+    moving = []
     for k, run in enumerate(runs):
-        tag = run.record()
-        if tag is not None:
-            if tag is PhaseTag.ERROR:
-                actions[k] = inject(tuple(actions[k].tolist()), len(run.rec.tags), run.trial.trigger)
+        injecting = run.record()
+        if injecting is not None:
+            if injecting:
+                actions[k] = inject(tuple(actions[k].tolist()), run.t, run.trial.trigger)
             moving.append(k)
-            tags.append(tag)
     frames = np.concatenate([obs, actions], axis=1).tobytes()
-    for k, tag in zip(moving, tags):
+    for k in moving:
         run = runs[k]
-        run.rec.add(frames[k * _FRAME_BYTES:(k + 1) * _FRAME_BYTES], tag)
+        run.add(frames[k * _FRAME_BYTES:(k + 1) * _FRAME_BYTES])
         if type(run.actor).applied is not Actor.applied:
             actions[k] = run.actor.applied(tuple(actions[k].tolist()))
     return moving, actions if len(moving) == len(runs) else actions[moving]
@@ -730,15 +716,15 @@ def run_episodes(cfg: Config, trials: list[Trial]) -> Iterator[tuple[int, Episod
     triggers at once.  Their tick is arrays from end to end: the batch's
     observation rows go to one ``Actor.act_all`` call per actor class, and
     the (M, ACTION_DIM) action rows it returns are recorded with one
-    conversion and stepped as they are; only Error rows, which ``inject``
-    rewrites, and the rows of actors that override ``Actor.applied`` are
-    taken out as tuples.  A trial's ``WorldState`` is built from its row only
-    where code reads one (planner actors, plan-phase triggers, takeovers,
-    the verdict).  A single trial steps its ``WorldState`` under the tuple
-    its actor's ``act`` returns, which costs less than a batch of one; both
-    worlds give the same values bit for bit.  Trials share no state: each
-    keeps its own world, actor and RNGs.  An ended trial leaves the batch at
-    once, as a validated episode.
+    conversion and stepped as they are; only in-window rows, which
+    ``inject`` rewrites, and the rows of actors that override
+    ``Actor.applied`` are taken out as tuples.  A trial's ``WorldState`` is
+    built from its row only where code reads one (planner actors, plan-phase
+    triggers, takeovers, the verdict).  A single trial steps its
+    ``WorldState`` under the tuple its actor's ``act`` returns, which costs
+    less than a batch of one; both worlds give the same values bit for bit.
+    Trials share no state: each keeps its own world, actor and RNGs.  An
+    ended trial leaves the batch at once, as a validated episode.
     """
     live = [_Run(cfg, i, trial) for i, trial in enumerate(trials)]
     batched = len(live) > 1
@@ -783,12 +769,12 @@ def _single_tick(cfg: Config, run: _Run, obs: np.ndarray) -> np.ndarray:
     if not run.ready(cfg, {}):
         return obs
     action = run.actor.act(run.state, obs)
-    tag = run.record()
-    if tag is None:
+    injecting = run.record()
+    if injecting is None:
         return obs
-    if tag is PhaseTag.ERROR:
-        action = inject(action, len(run.rec.tags), run.trial.trigger)
-    run.rec.add(obs.tobytes() + _ACTION_BYTES.pack(*action), tag)
+    if injecting:
+        action = inject(action, run.t, run.trial.trigger)
+    run.add(obs.tobytes() + _ACTION_BYTES.pack(*action))
     state = step(cfg, run.state, run.actor.applied(action))
     run.settle(cfg, state, success_check(cfg, state))
     return observe(state)
@@ -815,10 +801,10 @@ def run_episode(
     the adverse state when the window closes; a verified one starts recovery,
     by the takeover when given and otherwise by the actor itself.  An
     injection that never verified, at the close or because the episode ended
-    first, is retagged Nominal.  A takeover may also take over at the
-    timeout.  ``label`` names the episode id and
-    ``provenance`` holds the caller's entries; the trigger and takeover add
-    theirs.  This is the one-trial call of ``run_episodes``.
+    first, leaves its frames Nominal.  A takeover may also take over at the
+    timeout.  ``label`` names the episode id and ``provenance`` holds the
+    caller's entries; the trigger and takeover add theirs.  This is the
+    one-trial call of ``run_episodes``.
     """
     trial = Trial(actor, task_id, env_mode, seed, label, provenance, t_max, trigger, takeover)
     (_, episode), = run_episodes(cfg, [trial])

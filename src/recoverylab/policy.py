@@ -19,7 +19,6 @@ v = 1.0 and keeps the training-time window of its last w observations.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -386,59 +385,55 @@ def train_value_conditioned(
 
 
 class _Team:
-    """Learned actors that share a policy, a ``v_fixed`` and a config, and
-    act in one forward per tick.  Their history windows stay in one buffer
-    across ticks, a row per member in order: ``windows`` (M, w, obs_dim),
-    where row k of a window is frame t-1-k, and ``seen`` (M,), the frames
-    each member has seen.  Each actor holds its team, so a team holds its
-    members by weak reference: a cycle would keep the buffers of ended
-    trials alive until a garbage collection."""
+    """The history windows of learned actors that share a policy, a
+    ``v_fixed`` and a config, and act in one forward per tick.  Slot k holds
+    one actor's rows across ticks: of ``windows`` (N, w, obs_dim), where row
+    j of a window is frame t-1-j, of ``seen`` (N,), the frames it has seen,
+    and of ``instr`` (N,), its instruction id.  Each actor keeps its team and
+    slot, and a team holds no actors, so its buffers go with its last
+    actor."""
 
-    def __init__(self, actors: list[LearnedActor], windows: np.ndarray, seen: np.ndarray):
-        first = actors[0]
-        self.policy, self.cfg, self.v = first.policy, first._cfg, first.v_fixed
-        self.refs = [weakref.ref(actor) for actor in actors]
-        self.windows, self.seen = windows, seen
-        self.instr = np.array([actor._instruction for actor in actors])
-
-    def members(self) -> list[LearnedActor | None]:
-        """The member actors, None for any that no longer exists."""
-        return [ref() for ref in self.refs]
+    def __init__(self, policy: Policy, cfg: Config, v: float, windows: np.ndarray, seen: np.ndarray,
+                 instr: np.ndarray):
+        self.policy, self.cfg, self.v = policy, cfg, v
+        self.windows, self.seen, self.instr = windows, seen, instr
+        self.slots = list(range(len(seen)))
 
     @classmethod
     def of(cls, actors: list[LearnedActor]) -> _Team:
-        """The team of ``actors``, in their order.  Unless they are already
-        exactly one team's members, their rows are gathered into a new team,
-        and an actor left behind keeps a copy of its own row: a view would
-        pin the whole buffer after its trial ended."""
-        current = actors[0]._team
-        if current.members() == actors:
-            return current
-        teams = {id(actor._team): actor._team for actor in actors}
-        at = {id(ref()): (team, k) for team in teams.values() for k, ref in enumerate(team.refs)}
-        picks = [at[id(actor)] for actor in actors]
-        joined = cls(actors, np.stack([t.windows[k] for t, k in picks]), np.array([t.seen[k] for t, k in picks]))
-        for actor in actors:
-            actor._team = joined
-        for team in teams.values():
-            for k, actor in enumerate(team.members()):
-                if actor is not None and actor._team is team:
-                    actor._team = cls([actor], team.windows[k:k + 1].copy(), team.seen[k:k + 1].copy())
-        return joined
+        """The one team of ``actors``, which share a policy, a ``v_fixed``
+        and a config.  Actors from several teams move into a new one, in
+        call order."""
+        team = actors[0]._team
+        if any(actor._team is not team for actor in actors):
+            team = cls(team.policy, team.cfg, team.v, np.stack([a._team.windows[a._slot] for a in actors]),
+                       np.array([a._team.seen[a._slot] for a in actors]),
+                       np.array([a._team.instr[a._slot] for a in actors]))
+            for slot, actor in enumerate(actors):
+                actor._team, actor._slot = team, slot
+        return team
 
-    def act(self, obs: np.ndarray) -> np.ndarray:
-        """The members' (M, ACTION_DIM) action rows for their observation
-        rows ``obs``; then each window takes its observation, in place."""
+    def act(self, actors: list[LearnedActor], obs: np.ndarray) -> np.ndarray:
+        """The (M, ACTION_DIM) action rows of member ``actors`` for their
+        observation rows ``obs``; then each of their windows takes its
+        observation.  Their rows are gathered and scattered back unless they
+        are the whole team in order."""
+        slots = [actor._slot for actor in actors]
+        whole = slots == self.slots
+        windows, seen, instr = ((self.windows, self.seen, self.instr) if whole
+                                else (self.windows[slots], self.seen[slots], self.instr[slots]))
         w = self.policy.history_w
         # The rows before frame 0, which are all zero.  They are the only
         # all-zero rows, the ones _forward_batch would find, because every
         # observation carries slot 0's presence flag 1.0.
-        pad = np.arange(w) >= self.seen[:, None]
-        actions = forward(self.policy, self.cfg, obs, self.windows, self.instr, self.v, pad)
+        pad = np.arange(w) >= seen[:, None]
+        actions = forward(self.policy, self.cfg, obs, windows, instr, self.v, pad)
         if w:  # this observation, then all but the oldest row
-            self.windows[:, 1:] = self.windows[:, :-1]
-            self.windows[:, 0] = obs
-        self.seen += 1
+            windows[:, 1:] = windows[:, :-1]
+            windows[:, 0] = obs
+        seen += 1
+        if not whole:
+            self.windows[slots], self.seen[slots] = windows, seen
         return actions
 
 
@@ -452,13 +447,11 @@ class LearnedActor(Actor):
             raise InputError(f"v_fixed must lie in [0, 1], got {v_fixed}")
         self.policy = policy
         self.v_fixed = float(v_fixed)
-        self._instruction = 0
-        self._cfg: Config | None = None
 
     def begin(self, cfg, state):
-        self._cfg = cfg
-        self._instruction = get_task(cfg, state.task_id).instruction_id
-        self._team = _Team([self], np.zeros((1, self.policy.history_w, OBS_DIM)), np.zeros(1, dtype=np.int64))
+        self._team = _Team(self.policy, cfg, self.v_fixed, np.zeros((1, self.policy.history_w, OBS_DIM)),
+                           np.zeros(1, dtype=np.int64), np.array([get_task(cfg, state.task_id).instruction_id]))
+        self._slot = 0
 
     def act(self, state, obs):
         return tuple(self.act_all([self], [state], obs[None])[0].tolist())
@@ -467,12 +460,13 @@ class LearnedActor(Actor):
     def act_all(cls, actors, states, obs):
         groups: dict[tuple[int, float, int], list[int]] = {}
         for i, actor in enumerate(actors):
-            groups.setdefault((id(actor.policy), actor.v_fixed, id(actor._cfg)), []).append(i)
+            groups.setdefault((id(actor.policy), actor.v_fixed, id(actor._team.cfg)), []).append(i)
         if len(groups) == 1:
-            return _Team.of(actors).act(obs)
+            return _Team.of(actors).act(actors, obs)
         actions = np.empty((len(actors), ACTION_DIM))
         for members in groups.values():
-            actions[members] = _Team.of([actors[i] for i in members]).act(obs[members])
+            group = [actors[i] for i in members]
+            actions[members] = _Team.of(group).act(group, obs[members])
         return actions
 
 

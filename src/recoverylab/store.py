@@ -317,6 +317,9 @@ def _episode_text(episode: Episode) -> str:
 
 
 def _load_manifest(dataset_dir: Path) -> dict:
+    """The dataset's manifest, an object of this schema version whose
+    ``episodes`` is a list of entry objects, each with a bare ``file`` name
+    and a ``sha256`` string; StorageError names the first part amiss."""
     path = dataset_dir / MANIFEST_NAME
     if not path.exists():
         return {"schema_version": SCHEMA_VERSION, "episodes": []}
@@ -324,8 +327,19 @@ def _load_manifest(dataset_dir: Path) -> dict:
         manifest = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise StorageError(f"{path}: corrupt manifest at offset {exc.pos}") from exc
-    if manifest.get("schema_version") != SCHEMA_VERSION:
+    if not isinstance(manifest, dict) or manifest.get("schema_version") != SCHEMA_VERSION:
         raise StorageError(f"{path}: unsupported manifest schema_version")
+    entries = manifest.get("episodes")
+    if not isinstance(entries, list):
+        raise StorageError(f"{path}: episodes must be a list, got {type(entries).__name__}")
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise StorageError(f"{path}: episode entry {k} must be an object, got {type(entry).__name__}")
+        name = entry.get("file")
+        if not isinstance(name, str) or name in ("", ".", "..") or os.path.basename(name) != name:
+            raise StorageError(f"{path}: episode entry {k} must name a bare file, got {name!r}")
+        if not isinstance(entry.get("sha256"), str):
+            raise StorageError(f"{path}: episode entry {k} must hold a sha256 string")
     return manifest
 
 
@@ -490,7 +504,7 @@ def read_dataset(dataset_dir: str | Path) -> list[Episode]:
     against the sha256 its manifest entry recorded."""
     dataset_dir = Path(dataset_dir)
     manifest = _load_manifest(dataset_dir)
-    return [_read_episode(dataset_dir / e["file"], e.get("sha256", "")) for e in manifest["episodes"]]
+    return [_read_episode(dataset_dir / e["file"], e["sha256"]) for e in manifest["episodes"]]
 
 
 # ---------------------------------------------------------------------------

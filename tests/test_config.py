@@ -72,6 +72,18 @@ def test_non_positive_scale_rejected(tmp_path, key, value):
         load_config(path)
 
 
+@pytest.mark.parametrize("key", ["lambda_recovery", "input_noise", "workspace_x_max", "clamp_max"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_float_rejected(tmp_path, key, value):
+    # A NaN weight would compare False against zero and drop its term silently.
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        load_config().with_overrides(**{key: value})
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        load_config(path)
+
+
 @pytest.mark.parametrize("key, value", [
     ("history_window", -2),                                      # window
     ("bc_steps", -1), ("episode_max_steps", -400),               # step counts

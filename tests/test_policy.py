@@ -1,13 +1,15 @@
 import copy
+import gc
 import json
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from recoverylab.errors import InputError, StorageError, ValidationError
-from recoverylab.faults import ErrorKind, error_from_config
+from recoverylab.faults import ErrorKind, Trial, error_from_config, run_episodes
 from recoverylab.nets import flat_buffer
 from recoverylab.policy import (
     LearnedActor,
@@ -401,3 +403,21 @@ def test_learned_actor_history_matches_dataset_convention(cfg, mini_policies, ex
         for obs in episode.frames.obs:
             actor.act(state, obs)
     assert np.array_equal(np.stack(seen), build_frame_dataset(cfg, episodes).hist)
+
+
+def test_ended_trials_free_their_team_buffer(cfg, tiny_policy):
+    # A team holds no actors, so once the trials go, reference counting
+    # alone frees its windows: there is no reference cycle to collect.
+    trials = [Trial(LearnedActor(tiny_policy), "pick-place", EnvMode.RANDOM, seed, "eval", {}, t_max)
+              for seed, t_max in ((1, 20), (2, 35), (3, 50))]
+    gc.disable()
+    try:
+        episodes = [episode for _, episode in run_episodes(cfg, trials)]
+        assert [len(episode.frames) for episode in episodes] == [21, 36, 51]
+        team = trials[0].actor._team
+        assert all(trial.actor._team is team for trial in trials)
+        windows = weakref.ref(team.windows)
+        del trials, team
+        assert windows() is None
+    finally:
+        gc.enable()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from recoverylab import store
+from recoverylab.cli import main as cli_main
 from recoverylab.errors import StorageError, ValidationError
 from recoverylab.store import (
     Episode,
@@ -269,6 +270,35 @@ def test_failed_write_keeps_previous_bytes(cfg, tmp_path, expert_episodes, monke
                 write(name, 2)
         assert path.read_bytes() == before, name
         assert not list(tmp_path.glob("*.tmp")), name
+
+
+@pytest.mark.parametrize("tamper, match", [
+    (lambda m: m.pop("episodes"), "episodes must be a list"),
+    (lambda m: m.update(episodes={"file": "a.json"}), "episodes must be a list"),
+    (lambda m: m["episodes"].append("a.json"), "entry 1 must be an object"),
+    (lambda m: m["episodes"][0].pop("file"), "entry 0 must name a bare file"),
+    (lambda m: m["episodes"][0].update(file="../a.json"), "entry 0 must name a bare file"),
+    (lambda m: m["episodes"][0].update(sha256=None), "entry 0 must hold a sha256 string"),
+], ids=["no-episodes", "episodes-not-a-list", "entry-not-an-object", "entry-without-file", "file-with-a-path",
+        "sha256-not-a-string"])
+def test_malformed_manifest_raises_storage_error(tmp_path, expert_episodes, tamper, match):
+    write_episode(expert_episodes[0], tmp_path)
+    path = tmp_path / store.MANIFEST_NAME
+    manifest = json.loads(path.read_text())
+    tamper(manifest)
+    path.write_text(json.dumps(manifest))
+    for call in (read_dataset, dataset_stats, lambda d: write_episode(expert_episodes[1], d)):
+        with pytest.raises(StorageError, match=match):
+            call(tmp_path)
+
+
+def test_stats_reports_a_malformed_manifest(tmp_path, expert_episodes, capsys):
+    write_episode(expert_episodes[0], tmp_path)
+    path = tmp_path / store.MANIFEST_NAME
+    path.write_text(json.dumps({**json.loads(path.read_text()), "episodes": [{"sha256": ""}]}))
+    assert cli_main(["stats", "--data", str(tmp_path)]) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "StorageError" and "must name a bare file" in error["message"]
 
 
 def test_empty_dataset_stats(tmp_path):
