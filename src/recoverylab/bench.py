@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .config import Config
 from .errors import ValidationError
-from .faults import ErrorType, InjectionSchedule, Trial, max_nominal_duration, run_episodes
+from .faults import ErrorType, InjectionSchedule, Trial, max_nominal_duration, run_trials
 from .labeling import label_episode
 from .policy import (
     FrameDataset,
@@ -122,11 +122,13 @@ def run_protocol(
     """Evaluate an actor over seeds under the Standard or Adversarial condition.
 
     ``actor_factory(seed)`` builds a fresh actor per trial.  The trials run in
-    lockstep (see ``faults.run_episodes``), so learned actors of one policy
+    lockstep (see ``faults.run_trials``), so learned actors of one policy
     make one batched forward per tick; each trial keeps its own RNGs and
-    verdict, and the report lists the trials in seed-list order.  Evaluation
-    seeds must be disjoint from the training seeds recorded in the
-    policy/datasets; the overlap assertion runs here, at report time.
+    verdict, and the report lists the trials in seed-list order.  A record
+    comes straight from the ended trial's checked verdict, with no episode
+    built.  Evaluation seeds must be disjoint from the training seeds
+    recorded in the policy/datasets; the overlap assertion runs here, at
+    report time.
     """
     if training_seeds:
         overlap = set(seeds) & set(training_seeds)
@@ -139,16 +141,17 @@ def run_protocol(
         for seed in seeds
     ]
     trials: list[TrialRecord | None] = [None] * len(batch)
-    for i, episode in run_episodes(cfg, batch):
+    for i, run in run_trials(cfg, batch):
+        outcome, _, _, phase = run.checked_verdict()
         trials[i] = TrialRecord(
             task_id=task_id,
             env_mode=env_mode.value,
-            seed=episode.seed,
+            seed=run.trial.seed,
             error_type=error.kind.value if error is not None else None,
-            adverse_verified=bool(episode.provenance.get("adverse_verified", False)),
-            phase_trace=episode.frames.phase.tolist(),
-            outcome=episode.outcome.value,
-            steps_used=len(episode.frames),
+            adverse_verified=run.adverse_verified,
+            phase_trace=phase,
+            outcome=outcome.value,
+            steps_used=run.t,
         )
     return EvalReport(
         condition="Adversarial" if error is not None else "Standard",

@@ -13,8 +13,9 @@ episode when the schedule resolves at its trigger phase, so every in-window
 action sees the same perturbation.  Recovery scoring elsewhere is gated on
 ``verify_adverse``: the error must have left its physical signature.
 
-``run_episodes`` is the one episode loop: it steps a list of trials in
-lockstep, and ``run_episode`` is its one-trial call.  Expert demonstrations,
+``run_trials`` is the one episode loop: it steps a list of trials in
+lockstep and hands back each ended trial.  ``run_episodes`` builds their
+episodes, and ``run_episode`` is its one-trial call.  Expert demonstrations,
 interception, policy rollouts and policy-induced collection differ only in
 the actor, the injection trigger and the takeover they hand it.  Many trials
 step as one ``world.WorldBatch``; a single trial steps its ``WorldState``.
@@ -26,7 +27,6 @@ import struct
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -41,7 +41,7 @@ from .planner import (
     plan_nominal,
     plan_recovery,
 )
-from .store import Episode, EpisodeKind, Frames, Outcome, PhaseTag, validate_episode
+from .store import Episode, EpisodeKind, Frames, Outcome, PhaseTag, check_verdict, validate_episode
 from .world import (
     ACTION_DIM,
     ARM_NAMES,
@@ -65,6 +65,7 @@ from .world import (
     success_batch,
     success_check,
     wrap_angle,
+    wrap_angles,
 )
 
 
@@ -215,32 +216,6 @@ def _geometric_trigger(cfg: Config, state: WorldState, kind: ErrorKind) -> tuple
     return None
 
 
-def _geometric_hits(cfg: Config, batch: WorldBatch, runs: list[_Run]) -> dict[int, tuple[int, int] | None]:
-    """``_geometric_trigger`` by batch row of every run whose geometric
-    schedule is unresolved, from one array expression over the batch."""
-    kinds = {}
-    for run in runs:
-        trigger = run.trial.trigger
-        if trigger is not None and trigger.trigger_phase is None and not trigger.resolved:
-            kinds[run.row] = trigger.error.kind
-    if not kinds:
-        return {}
-    radius = np.full(len(batch), cfg.grasp_radius)
-    radius[[row for row, kind in kinds.items() if kind is ErrorKind.E1_PREMATURE_CLOSE]] = cfg.approach_standoff
-    near = free_objects_within(batch, radius).reshape(len(batch), -1)  # arm-major: the (arm, object) order
-    first_near, any_near = near.argmax(axis=1).tolist(), near.any(axis=1).tolist()
-    held = batch.holders >= 0
-    first_held, any_held = held.argmax(axis=1).tolist(), held.any(axis=1).tolist()
-    hits = {}
-    for row, kind in kinds.items():
-        if kind is ErrorKind.E2_GRASP_SLIP:
-            i = first_held[row]
-            hits[row] = (int(batch.holders[row, i]), i) if any_held[row] else None
-        else:
-            hits[row] = divmod(first_near[row], NUM_OBJECT_SLOTS) if any_near[row] else None
-    return hits
-
-
 def inject(row: tuple[float, ...], t: int, schedule: InjectionSchedule) -> tuple[float, ...]:
     """Apply the schedule's error override to the designated arm's half of
     an action row inside the active window.
@@ -308,12 +283,16 @@ def detect_failure(t: int, t_max: int) -> bool:
 
 
 class Actor:
-    """Closed-loop controller driven by ``run_episodes``.
+    """Closed-loop controller driven by ``run_trials``.
 
     An actor that runs out of actions sets ``exhausted`` and holds pose, and
     the episode ends at once, unless an injection window is still open: then
     it holds until the window closes and the injection is verified.  One that
     reports ``stalled`` ends the episode at once.  Both endings are failures.
+
+    A lockstep run reads the per-frame hooks ``applied``, ``recovery_tag``,
+    ``stalled`` and ``exhausted`` only of actors whose class overrides them,
+    or, for ``exhausted``, that set it in ``begin``.
     """
 
     exhausted = False
@@ -341,7 +320,7 @@ class Actor:
 
     def applied(self, action: tuple[float, ...]) -> tuple[float, ...]:
         """The action the arms execute; ``action`` itself is what is
-        recorded.  Lockstep runs call it only for classes that override it."""
+        recorded."""
         return action
 
     def recovery_tag(self) -> PhaseTag:
@@ -351,6 +330,10 @@ class Actor:
 
 # Expert action noise per arm: x and y at the noise scale, theta at twice it.
 _NOISE_SCALES = np.array([1.0, 1.0, 2.0, 1.0, 1.0, 2.0])
+# Frames of action noise drawn at once.  Draws of one stream in a block
+# equal the per-frame draws value for value; the RNG is the trial's own, so
+# values drawn past the episode's end change nothing.
+_NOISE_BLOCK = 64
 
 
 class PlannerActor(Actor):
@@ -375,6 +358,7 @@ class PlannerActor(Actor):
         self._carry_on = plan[0].phase not in CORRECTIVE_PHASES
         if self.action_noise > 0:
             self._rng = np.random.default_rng([state.rng_seed & 0xFFFFFFFFFFFFFFF, 0x401])
+            self._noise: Iterator[list[float]] = iter(())
 
     def act(self, state, obs):
         try:
@@ -394,7 +378,11 @@ class PlannerActor(Actor):
         row = list(action)
         # x, y, theta per arm in that order; a product by 2 is exact, so theta's
         # value equals a draw at twice the noise.
-        noise = (self._rng.normal(0.0, self.action_noise, size=6) * _NOISE_SCALES).tolist()
+        noise = next(self._noise, None)
+        if noise is None:
+            block = self._rng.normal(0.0, self.action_noise, size=(_NOISE_BLOCK, 6)) * _NOISE_SCALES
+            self._noise = iter(block.tolist())
+            noise = next(self._noise)
         for o, (dx, dy, dth) in ((0, noise[:3]), (4, noise[3:])):
             row[o:o + 3] = row[o] + dx, row[o + 1] + dy, wrap_angle(row[o + 2] + dth)
         return tuple(row)
@@ -475,7 +463,7 @@ class TimeoutTakeover(Takeover):
 
 @dataclass
 class Trial:
-    """One episode for ``run_episodes``; the fields are ``run_episode``'s
+    """One episode for ``run_trials``; the fields are ``run_episode``'s
     parameters after the config."""
 
     actor: Actor
@@ -489,133 +477,185 @@ class Trial:
     takeover: Takeover | None = None
 
 
-class _Run:
-    """The live state of one trial: its world, its current actor and what it
-    records, stepped a tick at a time.  In a lockstep batch its world is
-    row ``row`` of ``world``.
+_NOMINAL, _ERROR, _RECOVERY = (tag.value for tag in (PhaseTag.NOMINAL, PhaseTag.ERROR, PhaseTag.RECOVERY))
 
-    A trial records its frames, ``t`` of them so far, each frame's
-    observation vector and action row packed into one flat float64 array:
-    about half the memory of keeping the observation array and the action
-    tuple.  It also records its Error onset, its recovery start ``t_rec`` and
-    the actor's ``recovery_tag`` of each frame from ``t_rec`` on;
-    ``verdict`` derives every frame's tag from these.
+
+def _overrides(obj, base: type, name: str) -> bool:
+    return getattr(type(obj), name) is not getattr(base, name)
+
+
+class TrialRun:
+    """One trial of ``run_trials``: its current actor, its deadline, and
+    what its verdict needs.  ``t`` counts its frames (a lockstep run sets it
+    only at the trial's events), and once the trial has ended ``frames``
+    holds them, a (t, OBS_DIM + ACTION_DIM) array of observation and action
+    rows.
+
+    Besides its frames a trial records only its Error onset, its recovery
+    start ``t_rec`` and, from ``t_rec`` on, the tags of an actor whose class
+    overrides ``recovery_tag``; ``verdict`` derives every frame's tag.  The
+    methods are its events; a lockstep tick calls them for a trial only when
+    it has one (see ``busy``).
     """
 
     def __init__(self, cfg: Config, index: int, trial: Trial):
         self.index, self.trial = index, trial
-        self.state = reset(cfg, trial.task_id, trial.env_mode, trial.seed)
         self.actor = trial.actor
-        self.actor.begin(cfg, self.state)
-        self.t_max = trial.t_max
-        self.values = array("d")
+        # The frame count at which the episode times out: the first t that
+        # detect_failure(t, t_max) calls a failure, t_max + 1, and at the
+        # latest episode_max_steps.
+        self.deadline = int(cfg.episode_max_steps)
+        if trial.t_max is not None:
+            detect_failure(0, trial.t_max)  # InputError for a t_max that is not positive
+            self.deadline = min(trial.t_max + 1, self.deadline)
         self.t = 0
         self.onset: int | None = None
         self.t_rec: int | None = None
         self.recovery_tags: list[PhaseTag] = []
         self.done = self.succeeded = False
+        self.before: WorldState | None = None
+        self.frames: np.ndarray | None = None
 
-    @cached_property
-    def state(self) -> WorldState:
-        """The trial's world: set by a one-trial run, and in a batch built
-        from the trial's row on the first read after a step."""
-        return self.world[self.row]
+    def begin(self, cfg: Config) -> WorldState:
+        """The trial's first world, once its actor has begun on it."""
+        trial = self.trial
+        state = reset(cfg, trial.task_id, trial.env_mode, trial.seed)
+        self._take(cfg, state, trial.actor)
+        return state
 
-    def ready(self, cfg: Config, hits: dict[int, tuple[int, int] | None]) -> bool:
-        """The bookkeeping before the actor acts: the timeout, with a
-        takeover there, and the trigger, whose hit is read from ``hits`` by
-        row when the batch has evaluated it.  False once the episode has
-        ended."""
-        trial, t = self.trial, self.t
-        while (self.t_max is not None and detect_failure(t, self.t_max)) or t >= cfg.episode_max_steps:
-            if trial.takeover is not None and self.t_rec is None:
-                self.onset = trial.takeover.timeout_onset(t)
-                if self.onset is not None and self._hand_over(cfg):
-                    self.t_rec, self.t_max = t, None
-                    continue
+    def _take(self, cfg: Config, state: WorldState, actor: Actor) -> None:
+        """Begin ``actor`` and note which per-frame hooks its class overrides."""
+        actor.begin(cfg, state)
+        self.actor = actor
+        self.applies = _overrides(actor, Actor, "applied")
+        self.tags = _overrides(actor, Actor, "recovery_tag")
+        # An actor that can run out sets ``exhausted`` in ``begin`` or
+        # overrides it; one that can stall overrides ``stalled``.
+        self.hooked = (self.applies or self.tags or _overrides(actor, Actor, "stalled")
+                       or _overrides(actor, Actor, "exhausted") or "exhausted" in vars(actor))
+
+    @property
+    def watching(self) -> bool:
+        """Whether the takeover watches each step before it takes over."""
+        takeover = self.trial.takeover
+        return takeover is not None and self.t_rec is None and _overrides(takeover, Takeover, "watch")
+
+    @property
+    def busy(self) -> bool:
+        """Whether each tick calls the trial's ``look``, ``acted`` and
+        ``settle``: a hooked actor, a watching takeover or a plan-phase
+        trigger yet to fire.  Other trials have events only at the deadline,
+        a geometric trigger's hit, the window's close and success."""
+        trigger = self.trial.trigger
+        return self.hooked or self.watching or (
+            trigger is not None and trigger.trigger_phase is not None and not trigger.resolved)
+
+    @property
+    def episode_id(self) -> str:
+        trial = self.trial
+        return f"{trial.task_id}-{trial.env_mode.value.lower()}-{trial.label}-s{trial.seed:06d}"
+
+    @property
+    def adverse_verified(self) -> bool:
+        trigger = self.trial.trigger
+        return trigger is not None and bool(trigger.verified)
+
+    def expire(self, cfg: Config, state: WorldState) -> None:
+        """At the deadline: a takeover at the timeout takes over, and the
+        trial runs on until ``episode_max_steps``; otherwise it ends."""
+        takeover = self.trial.takeover
+        if takeover is not None and self.t_rec is None:
+            self.onset = takeover.timeout_onset(self.t)
+            if self.onset is not None and self._hand_over(cfg, state):
+                self.t_rec, self.deadline = self.t, int(cfg.episode_max_steps)
+                if self.t < self.deadline:
+                    return
+        self.done = True
+
+    def resolve(self, hit: tuple[int, int | None]) -> None:
+        """The trigger fires on this frame, at the arm and object ``hit``."""
+        self.trial.trigger.resolve(self.t, *hit)
+        self.onset = self.t
+
+    def look(self, cfg: Config, state: WorldState) -> None:
+        """Before the actor acts: fire the trigger if its condition holds,
+        and keep the state for a watching takeover."""
+        trigger = self.trial.trigger
+        if trigger is not None and not trigger.resolved:
+            hit = trigger.hit(cfg, state, self.actor)
+            if hit is not None:
+                self.resolve(hit)
+        self.before = state if self.watching else None
+
+    def acted(self) -> bool:
+        """After the actor acts: False, and the trial ends unrecorded, when
+        the actor has run out with no injection pending.  Records the
+        actor's tag of a frame from ``t_rec`` on."""
+        trigger = self.trial.trigger
+        if self.actor.exhausted and not (trigger is not None and trigger.pending):
             self.done = True
             return False
-        trigger = trial.trigger
-        if trigger is not None and not trigger.resolved:
-            hit = hits[self.row] if self.row in hits else trigger.hit(cfg, self.state, self.actor)
-            if hit is not None:
-                trigger.resolve(t, *hit)
-                self.onset = t
+        if self.t_rec is not None and self.tags:
+            self.recovery_tags.append(self.actor.recovery_tag())
         return True
 
-    def _hand_over(self, cfg: Config) -> bool:
+    def _hand_over(self, cfg: Config, state: WorldState) -> bool:
         """Give control to the takeover's actor; False when it has none."""
-        actor = self.trial.takeover.hand_over(cfg, self.state)
+        actor = self.trial.takeover.hand_over(cfg, state)
         if actor is None:
             return False
-        actor.begin(cfg, self.state)
-        self.actor = actor
+        self._take(cfg, state, actor)
         return True
 
-    def record(self) -> bool | None:
-        """Whether the frame the actor has just acted on lies in the
-        injection window, where the caller injects its action; None once the
-        episode has ended.  Keeps the state before the step for a watching
-        takeover, and the actor's tag of a frame from ``t_rec`` on."""
-        trial, actor = self.trial, self.actor
-        trigger = trial.trigger
-        if actor.exhausted and not (trigger is not None and trigger.pending):
-            self.done = True
-            return None
-        self.before = self.state if trial.takeover is not None and self.t_rec is None else None
-        if self.t_rec is not None:
-            self.recovery_tags.append(actor.recovery_tag())
-        return trigger is not None and trigger.in_window(self.t)
-
-    def add(self, frame: bytes) -> None:
-        """Append a frame: the float64 bytes of its observation vector, then
-        of its action row."""
-        self.values.frombytes(frame)
-        self.t += 1
-
-    def settle(self, cfg: Config, state: WorldState | None, succeeded: bool) -> None:
-        """Take the stepped world and its success: ``state``, or None when the
-        trial's batch row holds it.  Then check the window, the verdict on
-        the injection and success."""
-        if state is None:
-            vars(self).pop("state", None)
-        else:
-            self.state = state
+    def settle(self, cfg: Config, state: WorldState, succeeded: bool) -> None:
+        """After the step to ``state``, whose success is ``succeeded``: the
+        watch, a stall, the verdict on the injection when its window closes,
+        and success."""
         trial, t = self.trial, self.t
         trigger, takeover = trial.trigger, trial.takeover
         if self.before is not None:
-            takeover.watch(cfg, t - 1, self.before, self.state)
+            takeover.watch(cfg, t - 1, self.before, state)
+            self.before = None
         if self.actor.stalled:
             self.done = True
             return
         if trigger is not None and t == trigger.t_end:
-            trigger.verified = verify_adverse(cfg, self.state, trigger)
+            trigger.verified = verify_adverse(cfg, state, trigger)
             if trigger.verified:
                 self.t_rec = t
-                if takeover is not None and not self._hand_over(cfg):
+                if takeover is not None and not self._hand_over(cfg, state):
                     self.done = True
                     return
         if succeeded:
             self.succeeded = self.done = True
 
-    def verdict(self) -> tuple[Outcome, EpisodeKind, int | None, list[PhaseTag]]:
-        """The outcome, kind, recovery start and frame tags of the ended
-        trial.  A success with frames from ``t_rec`` on is a failure-recovery
-        episode: Nominal before the onset, Error up to ``t_rec``, then the
-        actor's tags.  Any other success is a nominal episode, all Nominal,
-        and a failure is a pure failure, Error from the onset.  A trigger
-        that never verified leaves no onset."""
+    def verdict(self) -> tuple[Outcome, EpisodeKind, int | None, list[str]]:
+        """The outcome, kind, recovery start and frame tags (``PhaseTag``
+        values) of the ended trial.  A success with frames from ``t_rec`` on
+        is a failure-recovery episode: Nominal before the onset, Error up to
+        ``t_rec``, then the actor's tags (Recovery, unless its class
+        overrides ``recovery_tag``).  Any other success is a nominal episode,
+        all Nominal, and a failure is a pure failure, Error from the onset.
+        A trigger that never verified leaves no onset."""
         t, t_rec, trigger = self.t, self.t_rec, self.trial.trigger
         onset = None if trigger is not None and not trigger.verified else self.onset
         if self.succeeded and t_rec is not None and t > t_rec:
             onset = t_rec if onset is None else onset  # a timeout takeover past an unverified trigger
-            tags = [PhaseTag.NOMINAL] * onset + [PhaseTag.ERROR] * (t_rec - onset) + self.recovery_tags
+            recovery = [tag.value for tag in self.recovery_tags] if self.tags else [_RECOVERY] * (t - t_rec)
+            tags = [_NOMINAL] * onset + [_ERROR] * (t_rec - onset) + recovery
             return Outcome.SUCCESS, EpisodeKind.FAILURE_RECOVERY, t_rec, tags
         if self.succeeded:
-            return Outcome.SUCCESS, EpisodeKind.NOMINAL_SUCCESS, None, [PhaseTag.NOMINAL] * t
+            return Outcome.SUCCESS, EpisodeKind.NOMINAL_SUCCESS, None, [_NOMINAL] * t
         onset = t if onset is None else onset
-        tags = [PhaseTag.NOMINAL] * onset + [PhaseTag.ERROR] * (t - onset)
-        return Outcome.FAILURE, EpisodeKind.PURE_FAILURE, None, tags
+        return Outcome.FAILURE, EpisodeKind.PURE_FAILURE, None, [_NOMINAL] * onset + [_ERROR] * (t - onset)
+
+    def checked_verdict(self) -> tuple[Outcome, EpisodeKind, int | None, list[str]]:
+        """The verdict, once ``store.check_verdict`` has checked it and the
+        trial's action rows, as ``validate_episode`` would; for callers that
+        keep no episode."""
+        outcome, kind, t_rec, tags = verdict = self.verdict()
+        check_verdict(self.episode_id, self.frames[:, OBS_DIM:], tags, outcome, kind, t_rec)
+        return verdict
 
     def episode(self, cfg: Config) -> Episode:
         """The validated episode of the ended trial, with its verdict."""
@@ -626,9 +666,8 @@ class _Run:
             provenance.update(trigger.provenance(self.t))
         if trial.takeover is not None:
             provenance.update(trial.takeover.provenance(t_rec))
-        table = np.frombuffer(self.values).reshape(self.t, OBS_DIM + ACTION_DIM)
         episode = Episode(
-            episode_id=f"{trial.task_id}-{trial.env_mode.value.lower()}-{trial.label}-s{trial.seed:06d}",
+            episode_id=self.episode_id,
             task_id=trial.task_id,
             instruction_id=get_task(cfg, trial.task_id).instruction_id,
             env_mode=trial.env_mode,
@@ -637,7 +676,7 @@ class _Run:
             t_rec=t_rec,
             outcome=outcome,
             kind=kind,
-            frames=Frames(table[:, :OBS_DIM], table[:, OBS_DIM:], [tag.value for tag in tags],
+            frames=Frames(self.frames[:, :OBS_DIM], self.frames[:, OBS_DIM:], tags,
                           np.full(self.t, np.nan)),
             provenance=provenance,
         )
@@ -645,139 +684,313 @@ class _Run:
         return episode
 
 
-class _States:
-    """The states of runs, a sequence whose items are built when read (see
-    ``_Run.state``)."""
+# Ticks per block of the frame recorder, and the values of one frame: its
+# observation vector, then its action row.
+_BLOCK = 16
+_FRAME = OBS_DIM + ACTION_DIM
 
-    def __init__(self, runs: list[_Run]):
-        self.runs = runs
+
+class _Recorder:
+    """The frames of trials that all start at tick 0, so a trial's frame t
+    is written at tick t.  Each tick writes its rows with one array write
+    into a (tick, trial) block of ``_BLOCK`` ticks, whose columns are the
+    trials that record at its first tick, in trial order; a trial's frames
+    are its column of each block from tick 0 on."""
+
+    def __init__(self):
+        self.blocks: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def write(self, t: int, ids: np.ndarray, obs, actions) -> None:
+        """Frame t of trials ``ids``, ascending: rows of ``obs`` and ``actions``."""
+        b, i = divmod(t, _BLOCK)
+        if b == len(self.blocks):
+            self.blocks.append((np.empty((_BLOCK, len(ids), _FRAME)), ids))
+        block, members = self.blocks[b]
+        cols = slice(None) if len(ids) == len(members) else np.searchsorted(members, ids)
+        block[i, cols, :OBS_DIM] = obs
+        block[i, cols, OBS_DIM:] = actions
+
+    def column(self, index: int, t: int) -> np.ndarray:
+        """The first ``t`` frames of trial ``index``, as a new array."""
+        parts = [block[:, np.searchsorted(members, index)] for block, members in self.blocks[:-(-t // _BLOCK)]]
+        return np.concatenate(parts)[:t] if parts else np.empty((0, _FRAME))
+
+
+class _States:
+    """The ``WorldState``s of rows ``rows`` of a batch (default: every row),
+    a sequence whose items are built on first read and kept."""
+
+    def __init__(self, world: WorldBatch, rows: Sequence[int] | None = None, built: dict | None = None):
+        self.world, self.rows = world, rows
+        self.built = {} if built is None else built
 
     def __len__(self) -> int:
-        return len(self.runs)
+        return len(self.world) if self.rows is None else len(self.rows)
 
-    def __getitem__(self, i: int) -> WorldState:
-        return self.runs[i].state
+    def __getitem__(self, k: int) -> WorldState:
+        row = k if self.rows is None else self.rows[k]
+        state = self.built.get(row)
+        if state is None:
+            state = self.built[row] = self.world[row]
+        return state
 
     def __iter__(self) -> Iterator[WorldState]:
-        return (run.state for run in self.runs)
+        return (self[k] for k in range(len(self)))
+
+    def take(self, ks: Sequence[int]) -> _States:
+        return _States(self.world, [k if self.rows is None else self.rows[k] for k in ks], self.built)
 
 
-def _act(runs: list[_Run], obs: np.ndarray) -> np.ndarray:
-    """The (M, ACTION_DIM) action rows of M lockstep ``runs``, whose
-    observations are the rows of ``obs``, with one ``act_all`` call per actor
-    class."""
-    groups: dict[type, list[int]] = {}
-    for k, run in enumerate(runs):
-        groups.setdefault(type(run.actor), []).append(k)
-    if len(groups) == 1:  # one class: the rows are in order
-        cls, = groups
-        return cls.act_all([run.actor for run in runs], _States(runs), obs)
-    actions = np.empty((len(runs), ACTION_DIM))
-    for cls, ks in groups.items():
-        members = [runs[k] for k in ks]
-        actions[ks] = cls.act_all([run.actor for run in members], _States(members), obs[ks])
-    return actions
+def _geometric_hits(cfg: Config, batch: WorldBatch, unresolved: np.ndarray, radius: np.ndarray,
+                    slip: np.ndarray) -> list[tuple[int, tuple[int, int]]]:
+    """``_geometric_trigger`` of the batch rows marked ``unresolved``, from
+    one array expression over the batch, where row k's trigger fires within
+    ``radius[k]``, or at a held object where ``slip[k]``: (row, (arm, object
+    index)) of each row whose trigger fires."""
+    near = free_objects_within(batch, radius).reshape(len(batch), -1)  # arm-major: the (arm, object) order
+    held = batch.holders >= 0
+    fires = unresolved & np.where(slip, held.any(axis=1), near.any(axis=1))
+    hits = []
+    for k in fires.nonzero()[0].tolist():
+        if slip[k]:
+            i = int(held[k].argmax())
+            hits.append((k, (int(batch.holders[k, i]), i)))
+        else:
+            hits.append((k, divmod(int(near[k].argmax()), NUM_OBJECT_SLOTS)))
+    return hits
 
 
-# The bytes of one recorded frame: its observation vector and action row.
-_FRAME_BYTES = 8 * (OBS_DIM + ACTION_DIM)
+_KINDS = list(ErrorKind)
+
+
+def _inject_rows(actions: np.ndarray, rows: np.ndarray, arm: np.ndarray, kind: np.ndarray,
+                 draws: np.ndarray) -> None:
+    """``inject`` of action rows ``rows`` in place, inside their windows:
+    row k's schedule has its designated ``arm[k]``, its kind
+    ``_KINDS[kind[k]]`` and its draws (dx, dy, dtheta) ``draws[k]``."""
+    cols = 4 * arm  # the arm's x, y, theta, grip
+    grip = kind < 2  # E1 and E2 force the grip
+    actions[rows[grip], cols[grip] + 3] = np.where(kind[grip] == 0, GRIP_CLOSED, GRIP_OPEN)
+    rows, cols, draws, turn = rows[~grip], cols[~grip], draws[~grip], kind[~grip] == 3
+    actions[rows, cols] += draws[:, 0]
+    actions[rows, cols + 1] += draws[:, 1]
+    rows, cols = rows[turn], cols[turn] + 2
+    actions[rows, cols] = wrap_angles(actions[rows, cols] + draws[turn, 2])
+
+
+class _Lockstep:
+    """Two or more trials stepped as one ``WorldBatch``, whose rows are the
+    live trials in trial order.
+
+    What a tick reads of every trial is kept in arrays over the trials:
+    deadlines, windows and injections, unresolved geometric triggers, and
+    which trials are ``busy``.  So a tick runs a trial's Python only for its
+    events; learned actors in a Standard trial, or past their window, cost
+    none on most ticks.
+    """
+
+    def __init__(self, cfg: Config, runs: list[TrialRun], states: list[WorldState]):
+        n = len(runs)
+        self.cfg, self.live, self.t = cfg, runs, 0
+        self.ids = np.arange(n)  # the trial index of each live row
+        self.world = WorldBatch.of(cfg, states)
+        self.obs = observe_batch(self.world)
+        self.frames = _Recorder()
+        self.deadline = np.zeros(n, dtype=int)
+        self.busy, self.geometric = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        self.t_start, self.t_end = np.full(n, -1), np.full(n, -1)  # -1: no window
+        self.arm, self.kind, self.draws = np.zeros(n, dtype=int), np.zeros(n, dtype=int), np.zeros((n, 3))
+        triggers = [run.trial.trigger for run in runs]
+        self.slip = np.array([s is not None and s.error.kind is ErrorKind.E2_GRASP_SLIP for s in triggers])
+        self.radius = np.array([cfg.approach_standoff if s is not None and s.error.kind is ErrorKind.E1_PREMATURE_CLOSE
+                                else cfg.grasp_radius for s in triggers])
+        self.classes = [type(run.actor) for run in runs]  # so _act makes one act_all call while they agree
+        self.one_class = len(set(self.classes)) == 1
+        for run in runs:
+            self._sync(run)
+
+    def _sync(self, run: TrialRun) -> None:
+        """Copy into the arrays what an event changed of ``run``."""
+        i, trigger = run.index, run.trial.trigger
+        self.deadline[i], self.busy[i] = run.deadline, run.busy
+        if trigger is not None:
+            self.geometric[i] = trigger.trigger_phase is None and not trigger.resolved
+            if trigger.resolved:
+                self.t_start[i], self.t_end[i] = trigger.t_start, trigger.t_end
+                self.arm[i], self.kind[i] = trigger.arm, _KINDS.index(trigger.error.kind)
+                dx, dy = trigger.draws.get("dp", trigger.draws.get("lat", (0.0, 0.0)))
+                self.draws[i] = dx, dy, trigger.draws.get("dtheta", 0.0)
+        if type(run.actor) is not self.classes[i]:  # a takeover's actor
+            self.classes[i] = type(run.actor)
+            self.one_class = False
+
+    def _act(self, runs: list[TrialRun], states: _States, obs: np.ndarray) -> np.ndarray:
+        """The (M, ACTION_DIM) action rows of ``runs``, whose observations are
+        the rows of ``obs``, with one ``act_all`` call per actor class."""
+        if self.one_class:
+            return type(runs[0].actor).act_all([run.actor for run in runs], states, obs)
+        groups: dict[type, list[int]] = {}
+        for k, run in enumerate(runs):
+            groups.setdefault(type(run.actor), []).append(k)
+        actions = np.empty((len(runs), ACTION_DIM))
+        for cls, ks in groups.items():
+            actions[ks] = cls.act_all([runs[k].actor for k in ks], states.take(ks), obs[ks])
+        return actions
+
+    def tick(self) -> list[TrialRun]:
+        """Step the live trials once; returns those that ended."""
+        cfg, t, live, ids = self.cfg, self.t, self.live, self.ids
+        states = _States(self.world)
+        ended = []
+        for k in (self.deadline[ids] <= t).nonzero()[0].tolist():
+            run = live[k]
+            run.t = t
+            run.expire(cfg, states[k])
+            self._sync(run)
+            if run.done:
+                ended.append(run)
+        geometric = self.geometric[ids]
+        if geometric.any():
+            for k, hit in _geometric_hits(cfg, self.world, geometric, self.radius[ids], self.slip[ids]):
+                run = live[k]
+                if not run.done:
+                    run.t = t
+                    run.resolve(hit)
+                    self._sync(run)
+        busy = self.busy[ids]
+        for k in busy.nonzero()[0].tolist():
+            run = live[k]
+            if not run.done:
+                run.t = t
+                run.look(cfg, states[k])
+                self._sync(run)
+
+        acting, runs, obs = list(range(len(live))), live, self.obs
+        if ended:
+            acting = [k for k in acting if not live[k].done]
+            runs, obs, states = [live[k] for k in acting], obs[acting], states.take(acting)
+        if runs:
+            actions = self._act(runs, states, obs)
+            # Busy trials may end here, unrecorded; the others step on.
+            stop = [j for j in busy[acting].nonzero()[0].tolist() if not runs[j].acted()]
+            if stop:
+                ended += [runs[j] for j in stop]
+                keep = [j for j in range(len(runs)) if not runs[j].done]
+                acting, runs, obs, actions = [acting[j] for j in keep], [runs[j] for j in keep], obs[keep], actions[keep]
+        moving = ids[acting]
+        if runs:
+            inside = (self.t_start[moving] <= t) & (t < self.t_end[moving])
+            if inside.any():
+                w = inside.nonzero()[0]
+                _inject_rows(actions, w, self.arm[moving[w]], self.kind[moving[w]], self.draws[moving[w]])
+            self.frames.write(t, moving, obs, actions)
+            busy = busy[acting]
+            for j in busy.nonzero()[0].tolist():
+                if runs[j].applies:
+                    actions[j] = runs[j].actor.applied(tuple(actions[j].tolist()))
+
+            world = step_batch(cfg, self.world.take(acting) if ended else self.world, actions)
+            succeeded = success_batch(cfg, world)
+            after = _States(world)
+            for j in (busy | succeeded | (self.t_end[moving] == t + 1)).nonzero()[0].tolist():
+                run = runs[j]
+                run.t = t + 1
+                run.settle(cfg, after[j], bool(succeeded[j]))
+                self._sync(run)
+                if run.done:
+                    ended.append(run)
+
+        self.t = t + 1
+        if not ended:
+            self.world, self.obs = world, observe_batch(world)
+            return ended
+        ended.sort(key=lambda run: run.index)
+        for run in ended:
+            run.frames = self.frames.column(run.index, run.t)
+        kept = [j for j, run in enumerate(runs) if not run.done]
+        self.live, self.ids = [runs[j] for j in kept], moving[kept]
+        if self.live:
+            self.world = world.take(kept)
+            self.obs = observe_batch(self.world)
+        return ended
+
+
+class _Single:
+    """One trial, stepped on its ``WorldState`` under the action tuple of
+    ``Actor.act``, which costs less than a batch of one; both worlds give
+    the same values bit for bit.  Each frame appends the float64 bytes of
+    its observation vector and action row to one flat array."""
+
+    def __init__(self, cfg: Config, run: TrialRun, state: WorldState):
+        self.cfg, self.live, self.state = cfg, [run], state
+        self.obs = observe(state)
+        self.values = array("d")
+
+    def tick(self) -> list[TrialRun]:
+        cfg, (run,), state = self.cfg, self.live, self.state
+        t = run.t
+        if t >= run.deadline:
+            run.expire(cfg, state)
+        if not run.done:
+            run.look(cfg, state)
+            action = run.actor.act(state, self.obs)
+            if run.acted():
+                trigger = run.trial.trigger
+                if trigger is not None and trigger.in_window(t):
+                    action = inject(action, t, trigger)
+                self.values.frombytes(self.obs.tobytes() + _ACTION_BYTES.pack(*action))
+                self.state = state = step(cfg, state, run.actor.applied(action))
+                run.t = t + 1
+                run.settle(cfg, state, success_check(cfg, state))
+                if not run.done:
+                    self.obs = observe(state)
+                    return []
+        run.frames = np.frombuffer(self.values).reshape(run.t, _FRAME)
+        self.live = []
+        return [run]
+
+
 _ACTION_BYTES = struct.Struct(f"{ACTION_DIM}d")
 
 
-def _record(runs: list[_Run], obs: np.ndarray, actions: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """Record a lockstep tick's frames, row k of ``obs`` and ``actions`` for
-    run k, with the in-window rows injected in place first.  Returns the
-    indices of the runs that step on, and the action rows their arms
-    execute."""
-    moving = []
-    for k, run in enumerate(runs):
-        injecting = run.record()
-        if injecting is not None:
-            if injecting:
-                actions[k] = inject(tuple(actions[k].tolist()), run.t, run.trial.trigger)
-            moving.append(k)
-    frames = np.concatenate([obs, actions], axis=1).tobytes()
-    for k in moving:
-        run = runs[k]
-        run.add(frames[k * _FRAME_BYTES:(k + 1) * _FRAME_BYTES])
-        if type(run.actor).applied is not Actor.applied:
-            actions[k] = run.actor.applied(tuple(actions[k].tolist()))
-    return moving, actions if len(moving) == len(runs) else actions[moving]
+def run_trials(cfg: Config, trials: list[Trial]) -> Iterator[tuple[int, TrialRun]]:
+    """Run ``trials`` in lockstep and yield ``(index in trials, ended
+    trial)`` as each ends; see ``run_episode`` for the rules of a trial.
+
+    Every trial starts at tick 0 and records one frame a tick, so its frame
+    count is the tick.  A tick checks the deadlines, then the geometric
+    triggers, then the actions of all acting trials; it injects in-window
+    rows, records the tick's frames, steps the world once, and checks
+    windows and success.  Two or more trials step as one ``WorldBatch``
+    (``_Lockstep``), and their tick is arrays from end to end: the batch's
+    observation rows go to one ``Actor.act_all`` call per actor class, the
+    (M, ACTION_DIM) rows it returns are injected, recorded and stepped as
+    arrays, and only the rows of actors that override ``Actor.applied`` are
+    taken out as tuples.  Per-trial Python runs only for a trial's events,
+    and a trial's ``WorldState`` is built from its row only where an event
+    reads one.  A single trial steps its ``WorldState`` (``_Single``).
+    Trials share no state: each keeps its own world, actor and RNGs.  An
+    ended trial leaves the batch at once.
+    """
+    for trial in trials:
+        if trial.trigger is not None and isinstance(trial.takeover, TimeoutTakeover):
+            raise InputError("a trial with a trigger cannot have a TimeoutTakeover: no tag rule covers both")
+    runs = [TrialRun(cfg, i, trial) for i, trial in enumerate(trials)]
+    states = [run.begin(cfg) for run in runs]
+    if not runs:
+        return
+    engine = _Lockstep(cfg, runs, states) if len(runs) > 1 else _Single(cfg, runs[0], states[0])
+    del runs, states  # the engine holds the live trials, and an ended one is the caller's
+    while engine.live:
+        for run in engine.tick():
+            yield run.index, run
 
 
 def run_episodes(cfg: Config, trials: list[Trial]) -> Iterator[tuple[int, Episode]]:
-    """Run ``trials`` in lockstep and yield ``(index in trials, episode)`` as
-    each ends.
-
-    Each tick does every live trial's bookkeeping (see ``run_episode``), then
-    the actions of all acting trials, then records them, steps the world
-    once, and does each trial's window and verdict checks.  Two or more
-    trials step as one ``WorldBatch``, which also evaluates their geometric
-    triggers at once.  Their tick is arrays from end to end: the batch's
-    observation rows go to one ``Actor.act_all`` call per actor class, and
-    the (M, ACTION_DIM) action rows it returns are recorded with one
-    conversion and stepped as they are; only in-window rows, which
-    ``inject`` rewrites, and the rows of actors that override
-    ``Actor.applied`` are taken out as tuples.  A trial's ``WorldState`` is
-    built from its row only where code reads one (planner actors, plan-phase
-    triggers, takeovers, the verdict).  A single trial steps its
-    ``WorldState`` under the tuple its actor's ``act`` returns, which costs
-    less than a batch of one; both worlds give the same values bit for bit.
-    Trials share no state: each keeps its own world, actor and RNGs.  An
-    ended trial leaves the batch at once, as a validated episode.
-    """
-    live = [_Run(cfg, i, trial) for i, trial in enumerate(trials)]
-    batched = len(live) > 1
-    world = WorldBatch.of(cfg, [run.state for run in live]) if batched else None
-    for row, run in enumerate(live):
-        run.world, run.row = world, row
-    # The live trials' observations: the batch's rows, or the one trial's.
-    obs = observe_batch(world) if batched else [observe(run.state) for run in live]
-    while live:
-        if batched:
-            world, obs = _lockstep_tick(cfg, world, obs, live)
-        else:
-            obs = [_single_tick(cfg, live[0], obs[0])]
-        for run in live:
-            if run.done:
-                yield run.index, run.episode(cfg)
-        live = [run for run in live if not run.done]
-
-
-def _lockstep_tick(cfg: Config, world: WorldBatch, obs: np.ndarray,
-                   live: list[_Run]) -> tuple[WorldBatch, np.ndarray]:
-    """One tick of ``live``, the runs of the batch ``world``, whose
-    observations are the rows of ``obs``; returns the stepped batch of the
-    runs that moved, and its observations."""
-    hits = _geometric_hits(cfg, world, live)
-    acting = [run for run in live if run.ready(cfg, hits)]
-    rows = [run.row for run in acting]
-    seen = obs if len(rows) == len(obs) else obs[rows]
-    moving, applied = _record(acting, seen, _act(acting, seen))
-    world = step_batch(cfg, world.take([rows[k] for k in moving]), applied)
-    succeeded = success_batch(cfg, world).tolist()
-    for row, k in enumerate(moving):
-        run = acting[k]
-        run.world, run.row = world, row
-        run.settle(cfg, None, succeeded[row])
-    return world, observe_batch(world)
-
-
-def _single_tick(cfg: Config, run: _Run, obs: np.ndarray) -> np.ndarray:
-    """One tick of a single run on its ``WorldState``, under the action
-    tuple of ``Actor.act``; returns the next observation."""
-    if not run.ready(cfg, {}):
-        return obs
-    action = run.actor.act(run.state, obs)
-    injecting = run.record()
-    if injecting is None:
-        return obs
-    if injecting:
-        action = inject(action, run.t, run.trial.trigger)
-    run.add(obs.tobytes() + _ACTION_BYTES.pack(*action))
-    state = step(cfg, run.state, run.actor.applied(action))
-    run.settle(cfg, state, success_check(cfg, state))
-    return observe(state)
+    """``run_trials``, yielding ``(index in trials, episode)`` as each
+    trial ends, its episode validated."""
+    for i, run in run_trials(cfg, trials):
+        yield i, run.episode(cfg)
 
 
 def run_episode(

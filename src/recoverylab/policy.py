@@ -458,6 +458,9 @@ class LearnedActor(Actor):
 
     @classmethod
     def act_all(cls, actors, states, obs):
+        team = actors[0]._team
+        if all(actor._team is team for actor in actors):  # so one policy, v_fixed and config
+            return team.act(actors, obs)
         groups: dict[tuple[int, float, int], list[int]] = {}
         for i, actor in enumerate(actors):
             groups.setdefault((id(actor.policy), actor.v_fixed, id(actor._team.cfg)), []).append(i)

@@ -21,6 +21,7 @@ import re
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -100,6 +101,13 @@ class Episode:
 
 # Each PhaseTag value's initial; any other tag reads "?", which no pattern matches.
 _TAG_INITIALS = {tag.value: tag.value[0] for tag in PhaseTag}
+_GRAMMAR = {False: re.compile(r"N*|N*E+|N*E+R+N*"), True: re.compile(r"R+N*")}
+
+
+def _tag_text(phase) -> str:
+    """The initials of a sequence of ``PhaseTag`` values, in one string."""
+    tags = phase.tolist() if isinstance(phase, np.ndarray) else phase
+    return "".join(map(_TAG_INITIALS.get, tags, repeat("?")))
 
 
 def tag_pattern_valid(phase, sliced: bool = False) -> bool:
@@ -108,10 +116,7 @@ def tag_pattern_valid(phase, sliced: bool = False) -> bool:
 
     Sliced recovery suffixes (history reset at index 0) are Recovery+ Nominal*.
     """
-    text = "".join([_TAG_INITIALS.get(tag, "?") for tag in np.asarray(phase).tolist()])
-    if sliced:
-        return re.fullmatch(r"R+N*", text) is not None
-    return re.fullmatch(r"N*|N*E+|N*E+R+N*", text) is not None
+    return _GRAMMAR[sliced].fullmatch(_tag_text(phase)) is not None
 
 
 def _action_error(actions: np.ndarray) -> str | None:
@@ -136,25 +141,34 @@ def validate_episode(episode: Episode) -> None:
     for column, shape in shapes.items():
         if getattr(frames, column).shape != shape:
             raise ValidationError(f"{name}: {column} has shape {getattr(frames, column).shape}, expected {shape}")
-    action_error = _action_error(frames.actions)
-    if action_error is not None:
-        raise ValidationError(f"{name}: {action_error}")
     bad = np.flatnonzero((frames.v < 0.0) | (frames.v > 1.0))  # NaN, unlabeled, compares False
     if bad.size:
         raise ValidationError(f"{name}: frame {bad[0]} label v={frames.v[bad[0]]} outside [0, 1]")
-    has_t_rec = episode.t_rec is not None
-    if (episode.kind is EpisodeKind.FAILURE_RECOVERY) != has_t_rec:
-        raise ValidationError(f"{name}: kind={episode.kind.value} inconsistent with t_rec={episode.t_rec}")
-    phase = frames.phase
-    if episode.kind is EpisodeKind.NOMINAL_SUCCESS:
-        if episode.outcome is not Outcome.SUCCESS or np.any(phase != PhaseTag.NOMINAL.value):
-            raise ValidationError(f"{name}: NominalSuccess must be all-Nominal and successful")
-    if not tag_pattern_valid(phase, sliced=episode.provenance.get("history_reset_at") == 0):
+    check_verdict(name, frames.actions, frames.phase, episode.outcome, episode.kind, episode.t_rec,
+                  sliced=episode.provenance.get("history_reset_at") == 0)
+
+
+def check_verdict(name: str, actions: np.ndarray, phase, outcome: Outcome, kind: EpisodeKind,
+                  t_rec: int | None, sliced: bool = False) -> None:
+    """``validate_episode``'s checks of an episode's (T, ACTION_DIM) action
+    rows and its verdict: T ``PhaseTag`` values ``phase``, the outcome, the
+    kind and ``t_rec``.  ValidationError names the episode ``name``."""
+    text = _tag_text(phase)
+    if not text:
+        raise ValidationError(f"{name}: episode has no frames")
+    action_error = _action_error(actions)
+    if action_error is not None:
+        raise ValidationError(f"{name}: {action_error}")
+    has_t_rec = t_rec is not None
+    if (kind is EpisodeKind.FAILURE_RECOVERY) != has_t_rec:
+        raise ValidationError(f"{name}: kind={kind.value} inconsistent with t_rec={t_rec}")
+    if kind is EpisodeKind.NOMINAL_SUCCESS and (outcome is not Outcome.SUCCESS or text.strip("N")):
+        raise ValidationError(f"{name}: NominalSuccess must be all-Nominal and successful")
+    if _GRAMMAR[sliced].fullmatch(text) is None:
         raise ValidationError(f"{name}: phase tags violate the episode grammar")
-    recovery = np.flatnonzero(phase == PhaseTag.RECOVERY.value)
-    if has_t_rec and (recovery.size == 0 or recovery[0] != episode.t_rec):
-        first = recovery[0] if recovery.size else None
-        raise ValidationError(f"{name}: t_rec={episode.t_rec} but first Recovery frame is {first}")
+    first = text.find("R")
+    if has_t_rec and first != t_rec:
+        raise ValidationError(f"{name}: t_rec={t_rec} but first Recovery frame is {first if first >= 0 else None}")
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +332,9 @@ def _episode_text(episode: Episode) -> str:
 
 def _load_manifest(dataset_dir: Path) -> dict:
     """The dataset's manifest, an object of this schema version whose
-    ``episodes`` is a list of entry objects, each with a bare ``file`` name
-    and a ``sha256`` string; StorageError names the first part amiss."""
+    ``episodes`` is a list of entry objects, each with a bare ``file`` name,
+    a ``sha256`` string, ``kind``, ``task_id`` and ``env_mode`` strings and an
+    ``error_type`` string or null; StorageError names the first part amiss."""
     path = dataset_dir / MANIFEST_NAME
     if not path.exists():
         return {"schema_version": SCHEMA_VERSION, "episodes": []}
@@ -340,6 +355,11 @@ def _load_manifest(dataset_dir: Path) -> dict:
             raise StorageError(f"{path}: episode entry {k} must name a bare file, got {name!r}")
         if not isinstance(entry.get("sha256"), str):
             raise StorageError(f"{path}: episode entry {k} must hold a sha256 string")
+        for key in ("kind", "task_id", "env_mode"):
+            if not isinstance(entry.get(key), str):
+                raise StorageError(f"{path}: episode entry {k} must hold a {key} string, got {entry.get(key)!r}")
+        if not isinstance(entry.get("error_type", 0), (str, type(None))):  # 0: missing
+            raise StorageError(f"{path}: episode entry {k} must hold an error_type string or null")
     return manifest
 
 

@@ -21,6 +21,7 @@ from recoverylab.faults import (
     run_episodes,
     run_interception,
     run_nominal,
+    run_trials,
     success_durations,
     verify_adverse,
 )
@@ -372,3 +373,50 @@ def test_lockstep_trials_equal_one_trial_runs(cfg):
     alone = [text(run_episode(cfg, *(getattr(trial, f.name) for f in fields(trial))))
              for trial in _mixed_trials(cfg)]
     assert [together[i] for i in range(len(alone))] == alone
+
+
+def test_lockstep_injection_equals_inject_bit_for_bit(cfg):
+    # A lockstep tick injects its in-window rows as arrays; the rows it
+    # records equal, bit for bit, those of one-trial runs, which inject
+    # through ``inject``.
+    def trials():
+        return [Trial(OracleActor(), "pick-place", EnvMode.RANDOM, seed, "eval", {}, 150,
+                      InjectionSchedule(error_from_config(cfg, kind), None, seed))
+                for seed, kind in enumerate(list(ErrorKind) * 2)]
+
+    together = dict(run_episodes(cfg, trials()))
+    for i, trial in enumerate(trials()):
+        alone = run_episode(cfg, *(getattr(trial, f.name) for f in fields(trial)))
+        assert alone.provenance["schedule"]["window"] is not None, i
+        assert np.array_equal(together[i].frames.actions, alone.frames.actions), i
+        assert np.array_equal(together[i].frames.obs, alone.frames.obs), i
+
+
+@pytest.mark.parametrize("lockstep", [False, True])
+def test_trigger_with_timeout_takeover_is_refused(cfg, lockstep):
+    # No tag rule covers a trial that the timeout and the injection window
+    # can both hand over, so run_trials refuses it before any trial begins.
+    error = error_from_config(cfg, ErrorKind.E2_GRASP_SLIP)
+    actors = [PlannerActor(), PlannerActor()]
+    trials = [Trial(actors[0], "pick-place", EnvMode.RANDOM, 0, "induced", {}, 40,
+                    InjectionSchedule(error, TRIGGER_PHASE[error.kind], 0), TimeoutTakeover())]
+    if lockstep:
+        trials.append(Trial(actors[1], "pick-place", EnvMode.RANDOM, 1, "nom", {}))
+    with pytest.raises(InputError, match="TimeoutTakeover"):
+        next(run_trials(cfg, trials))
+    assert not any(hasattr(actor, "executor") for actor in actors)
+    assert not trials[0].trigger.resolved
+
+
+def test_action_noise_in_blocks_equals_per_frame_draws(cfg):
+    # PlannerActor draws its noise in blocks; the values are those of one
+    # draw of 6 per frame from the same stream.
+    state = reset(cfg, "pick-place", EnvMode.RANDOM, 5)
+    actor = PlannerActor(action_noise=0.02)
+    actor.begin(cfg, state)
+    rng = np.random.default_rng([state.rng_seed & 0xFFFFFFFFFFFFFFF, 0x401])
+    action = (0.1, 0.2, 3.1, 0.0, -0.1, 0.2, -3.1, 1.0)
+    for _ in range(150):
+        dx, dy, dth, ex, ey, eth = (rng.normal(0.0, 0.02, size=6) * [1.0, 1.0, 2.0, 1.0, 1.0, 2.0]).tolist()
+        expected = (0.1 + dx, 0.2 + dy, wrap_angle(3.1 + dth), 0.0, -0.1 + ex, 0.2 + ey, wrap_angle(-3.1 + eth), 1.0)
+        assert actor.applied(action) == expected

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from recoverylab.cli import main as cli_main
 from recoverylab.errors import InputError, ValidationError
 from recoverylab.faults import (
     ErrorKind,
+    InjectionSchedule,
     TimeoutTakeover,
     error_from_config,
     max_nominal_duration,
@@ -123,6 +125,73 @@ def test_lockstep_learned_call_equals_one_seed_calls(cfg, mini_policies, t_max):
     alone = [bench.run_protocol(cfg, factory, "pick-place", error, [s], t_max).trials[0] for s in seeds]
     assert together.trials == alone
     assert len({t.steps_used for t in alone}) > 1  # the batch shrinks as trials end
+
+
+def _one_trial_records(cfg, factory, error, seeds, t_max):
+    """The TrialRecords of one-trial ``run_episode`` episodes, derived from
+    each episode as its fields say."""
+    horizon = bench.adversarial_horizon(cfg, t_max, error) if error is not None else t_max
+    records = []
+    for seed in seeds:
+        trigger = InjectionSchedule(error, None, seed) if error is not None else None
+        episode = run_episode(cfg, factory(seed), "pick-place", EnvMode.RANDOM, seed, "eval",
+                              {"generator": "rollout"}, t_max=horizon, trigger=trigger)
+        records.append(bench.TrialRecord(
+            task_id=episode.task_id, env_mode=episode.env_mode.value, seed=episode.seed,
+            error_type=episode.error_type, adverse_verified=bool(episode.provenance.get("adverse_verified", False)),
+            phase_trace=episode.frames.phase.tolist(), outcome=episode.outcome.value,
+            steps_used=len(episode.frames)))
+    return records
+
+
+@pytest.mark.parametrize("kind", [None, *ErrorKind], ids=["standard", "E1", "E2", "E3", "E4"])
+def test_protocol_records_equal_one_trial_episodes(cfg, mini_policies, t_max, kind):
+    # run_protocol builds its records from the ended trials' verdicts, with
+    # no episode; they equal the records of one-trial episodes.
+    error = error_from_config(cfg, kind) if kind else None
+    horizon = bench.adversarial_horizon(cfg, t_max, error) if error is not None else t_max
+    seeds = seeds_from(620000, 6)
+    factories = {"learned": bench.policy_actor_factory(mini_policies[2]), "random": lambda s: RandomActor(s),
+                 "oracle": lambda s: OracleActor()}
+    steps = set()
+    for name, factory in factories.items():
+        report = bench.run_protocol(cfg, factory, "pick-place", error, seeds, t_max)
+        assert report.trials == _one_trial_records(cfg, factory, error, seeds, t_max), name
+        steps |= {trial.steps_used for trial in report.trials}
+    assert horizon + 1 in steps and len(steps) > 2  # horizon timeouts, and trials ending on other ticks
+
+
+class OutOfRangeActor(OracleActor):
+    """The oracle, with one value of its action row set to ``value`` from
+    its sixth frame on."""
+
+    def __init__(self, slot: int, value: float):
+        super().__init__()
+        self.slot, self.value = slot, value
+
+    def begin(self, cfg, state):
+        super().begin(cfg, state)
+        self.frames = 0
+
+    def act(self, state, obs):
+        row = list(super().act(state, obs))
+        self.frames += 1
+        if self.frames > 5:
+            row[self.slot] = self.value
+        return tuple(row)
+
+
+@pytest.mark.parametrize("slot, value, kind", [
+    (3, 1.5, None), (7, -0.25, ErrorKind.E2_GRASP_SLIP), (2, 4.0, ErrorKind.E3_POSITION_OFFSET),
+    (6, -math.pi, None),
+], ids=["left-grip-high", "right-grip-low", "left-theta-high", "right-theta-minus-pi"])
+def test_lockstep_trial_with_out_of_range_action_fails_validation(cfg, t_max, slot, value, kind):
+    # Records built without an episode are checked as episodes are: an
+    # action row with a grip outside [0, 1] or a theta outside (-pi, pi].
+    error = error_from_config(cfg, kind) if kind else None
+    with pytest.raises(ValidationError, match="theta outside"):
+        bench.run_protocol(cfg, lambda s: OutOfRangeActor(slot, value), "pick-place", error, seeds_from(630000, 3),
+                           t_max)
 
 
 @pytest.mark.parametrize("seeds", [[540000], seeds_from(540000, 3)])

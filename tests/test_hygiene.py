@@ -1,7 +1,8 @@
 """Source hygiene checks that need no linter: every name a module in
-``src/`` or ``tests/`` imports is used in it, and every function, class and
+``src/`` or ``tests/`` imports is used in it, every function, class and
 method ``src/recoverylab`` defines is named somewhere besides its
-definition."""
+definition, and every ``module.name`` and ``Class.attr`` the README names
+is defined."""
 
 import ast
 import re
@@ -107,3 +108,73 @@ def test_no_dead_definitions():
     found = {str(p.relative_to(ROOT)): [(line, name) for line, name in definitions(p.read_text()) if name not in used]
              for p in sorted((ROOT / "src" / "recoverylab").rglob("*.py"))}
     assert not {path: dead for path, dead in found.items() if dead}
+
+
+def live_names(sources: dict[str, str]) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
+    """The top-level names each module of ``sources`` (module name to
+    source) defines, and the attributes of each class they define: its
+    methods, its class-level and dataclass fields, the ``self.x`` its
+    methods assign, and those of its bases in ``sources``."""
+    modules, classes, bases = {}, {}, {}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        names = modules[module] = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            attrs = classes.setdefault(node.name, set())
+            bases.setdefault(node.name, set()).update(b.id for b in node.bases if isinstance(b, ast.Name))
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    attrs.add(item.name)
+                elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                    targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                    attrs |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            attrs |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                      and isinstance(n.value, ast.Name) and n.value.id == "self"}
+
+    def inherited(name: str, seen: frozenset = frozenset()) -> set[str]:
+        own = set(classes.get(name, ()))
+        for base in bases.get(name, set()) - seen:
+            own |= inherited(base, seen | {name})
+        return own
+
+    return modules, {name: inherited(name) for name in classes}
+
+
+def dead_references(text: str, sources: dict[str, str]) -> list[str]:
+    """Each backticked ``module.name`` (or ``recoverylab.module``) and
+    ``Class.attr`` in ``text`` that names no live definition of
+    ``sources``."""
+    modules, classes = live_names(sources)
+    dead = []
+    for owner, name in re.findall(r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)`", text):
+        if owner == "recoverylab":
+            live = name in modules
+        elif owner in modules:
+            live = name in modules[owner]
+        elif owner in classes:
+            live = name in classes[owner]
+        else:  # another library, or a variable
+            continue
+        if not live:
+            dead.append(f"{owner}.{name}")
+    return dead
+
+
+def test_dead_references_are_found():
+    sources = {"m": "import os\nX = 1\nclass A:\n    y: int = 0\n    def f(self):\n        self.z = 1\n"
+                    "class B(A):\n    pass\n"}
+    text = "`m.X` `m.A` `m.os` `m.gone` `A.y` `A.f` `A.z` `B.z` `A.w` `recoverylab.m` `recoverylab.n` `np.zeros`"
+    assert dead_references(text, sources) == ["m.os", "m.gone", "A.w", "recoverylab.n"]
+
+
+def test_readme_names_live_definitions():
+    sources = {p.stem: p.read_text() for p in (ROOT / "src" / "recoverylab").glob("*.py") if p.name != "__init__.py"}
+    assert dead_references((ROOT / "README.md").read_text(), sources) == []

@@ -301,6 +301,32 @@ def test_stats_reports_a_malformed_manifest(tmp_path, expert_episodes, capsys):
     assert error["error"] == "StorageError" and "must name a bare file" in error["message"]
 
 
+_DELETED = object()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("kind", _DELETED), ("task_id", _DELETED), ("env_mode", _DELETED), ("error_type", _DELETED),
+    ("kind", 3), ("task_id", None), ("env_mode", ["RANDOM"]), ("error_type", 2),
+], ids=["no-kind", "no-task", "no-env-mode", "no-error-type", "kind-int", "task-null", "env-mode-list",
+        "error-type-int"])
+def test_stats_reports_a_malformed_entry(tmp_path, expert_episodes, capsys, key, value):
+    # dataset_stats counts these fields of every entry: a missing or
+    # mistyped one is named, not a KeyError or a count under a bad key.
+    write_episodes(expert_episodes[:2], tmp_path)
+    path = tmp_path / store.MANIFEST_NAME
+    manifest = json.loads(path.read_text())
+    if value is _DELETED:
+        del manifest["episodes"][1][key]
+    else:
+        manifest["episodes"][1][key] = value
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(StorageError, match=f"entry 1 must hold an? {key} string"):
+        dataset_stats(tmp_path)
+    assert cli_main(["stats", "--data", str(tmp_path)]) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "StorageError" and "entry 1 must hold" in error["message"]
+
+
 def test_empty_dataset_stats(tmp_path):
     stats = dataset_stats(tmp_path)
     assert stats.total == 0
