@@ -6,10 +6,10 @@ settings from the Config they are given and take no copies of them.  Values
 can be overridden from a plain ``key = value`` text file (``#`` starts a
 comment); unknown keys are rejected, and so are values of the wrong type:
 integer keys take integers, float keys take any finite real number.  Physical
-scales, divisors, the decay exponent and batch sizes (POSITIVE) must be
-greater than zero.  No integer key (step counts, windows, dimensions, seeds)
-means anything below zero, so none takes a negative value; step counts may
-be zero.  The documented keys and their defaults are the DEFAULTS table
+scales, divisors, the decay exponent, batch sizes and the episode length
+bound (POSITIVE) must be greater than zero.  No integer key (step counts,
+windows, dimensions, seeds) means anything below zero, so none takes a
+negative value; other step counts may be zero.  The documented keys and their defaults are the DEFAULTS table
 below.
 """
 
@@ -87,10 +87,11 @@ DEFAULTS: dict[str, float | int | str] = {
 
 
 # Keys whose value scales motion or tolerances, divides, is an exponent of
-# decay, or sizes a batch: zero or less has no meaning for them.
+# decay, sizes a batch or bounds an episode: zero or less has no meaning for
+# them.
 POSITIVE = frozenset({
     "dt", "v_max", "omega_max", "grasp_radius", "goal_radius", "pos_tol", "ang_tol",
-    "sigma", "alpha", "align_lr", "policy_lr", "align_batch", "policy_batch",
+    "sigma", "alpha", "align_lr", "policy_lr", "align_batch", "policy_batch", "episode_max_steps",
 })
 
 

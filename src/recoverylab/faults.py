@@ -13,12 +13,13 @@ episode when the schedule resolves at its trigger phase, so every in-window
 action sees the same perturbation.  Recovery scoring elsewhere is gated on
 ``verify_adverse``: the error must have left its physical signature.
 
-``run_trials`` is the one episode loop: it steps a list of trials in
-lockstep and hands back each ended trial.  ``run_episodes`` builds their
-episodes, and ``run_episode`` is its one-trial call.  Expert demonstrations,
-interception, policy rollouts and policy-induced collection differ only in
-the actor, the injection trigger and the takeover they hand it.  Many trials
-step as one ``world.WorldBatch``; a single trial steps its ``WorldState``.
+``run_trials`` is the one episode loop: it steps a list of trials and
+hands back each ended trial.  ``run_episodes`` builds their episodes, and
+``run_episode`` is its one-trial call.  Expert demonstrations, interception,
+policy rollouts and policy-induced collection differ only in the actor, the
+injection trigger and the takeover they hand it.  Trials that need no
+per-frame Python step together as one ``world.WorldBatch``; any other trial
+steps alone on its ``WorldState``.
 """
 
 from __future__ import annotations
@@ -48,10 +49,8 @@ from .world import (
     EnvMode,
     GRIP_CLOSED,
     GRIP_OPEN,
-    LEFT,
     NUM_OBJECT_SLOTS,
     OBS_DIM,
-    RIGHT,
     WorldBatch,
     WorldState,
     free_objects_within,
@@ -118,7 +117,7 @@ class InjectionSchedule:
 
     The trigger is the plan phase ``trigger_phase`` of a planner actor or,
     when that is None, scene geometry, for actors without plan phases (see
-    ``_geometric_trigger``).
+    ``_geometric_hits``).
     """
 
     error: ErrorType
@@ -168,7 +167,9 @@ class InjectionSchedule:
     def hit(self, cfg: Config, state: WorldState, actor: Actor) -> tuple[int, int | None] | None:
         """(arm, object index) to resolve at once the trigger condition holds."""
         if self.trigger_phase is None:
-            return _geometric_trigger(cfg, state, self.error.kind)
+            hits = _geometric_hits(cfg, WorldBatch.of(cfg, [state]), np.ones(1, dtype=bool),
+                                   np.array([_KINDS.index(self.error.kind)]))
+            return hits[0][1] if hits else None
         try:
             current = actor.executor.current_step(state)
         except PlanExhausted:
@@ -196,24 +197,34 @@ class InjectionSchedule:
 UNTRIGGERED = {"adverse_verified": False, "triggered": False}
 
 
-def _geometric_trigger(cfg: Config, state: WorldState, kind: ErrorKind) -> tuple[int, int] | None:
-    """(arm, object index) once scene geometry calls for the injection.
+_KINDS = list(ErrorKind)
 
-    E2 fires on the first frame an object is held (lift beginning); E3/E4 on
-    first entry within grasp_radius (grasp initiation); E1 on entry within the
-    approach standoff, early enough that the forced close precedes contact.
+
+def _geometric_hits(cfg: Config, batch: WorldBatch, unresolved: np.ndarray,
+                    kind: np.ndarray) -> list[tuple[int, tuple[int, int]]]:
+    """(row, (arm, object index)) of each batch row marked ``unresolved``
+    whose geometric trigger fires, for row k's error ``_KINDS[kind[k]]``,
+    from one array expression over the batch.
+
+    E2 fires on the first frame an object is held (lift beginning), at the
+    first held object; E3/E4 on first entry within grasp_radius (grasp
+    initiation); E1 on entry within the approach standoff, early enough that
+    the forced close precedes contact.  Entries hit the first free object in
+    reach of the left arm, else of the right.
     """
-    if kind is ErrorKind.E2_GRASP_SLIP:
-        for i, holder in enumerate(state.holders):
-            if holder is not None:
-                return holder, i
-        return None
-    radius = cfg.approach_standoff if kind is ErrorKind.E1_PREMATURE_CLOSE else cfg.grasp_radius
-    for arm in (LEFT, RIGHT):
-        for i, (pose, holder) in enumerate(zip(state.object_poses, state.holders)):
-            if holder is None and pose.distance(state.arm_poses[arm]) <= radius:
-                return arm, i
-    return None
+    radius = np.where(kind == 0, cfg.approach_standoff, cfg.grasp_radius)  # E1's standoff
+    near = free_objects_within(batch, radius).reshape(len(batch), -1)  # arm-major: the (arm, object) order
+    held = batch.holders >= 0
+    slip = kind == 1  # E2
+    fires = unresolved & np.where(slip, held.any(axis=1), near.any(axis=1))
+    hits = []
+    for k in fires.nonzero()[0].tolist():
+        if slip[k]:
+            i = int(held[k].argmax())
+            hits.append((k, (int(batch.holders[k, i]), i)))
+        else:
+            hits.append((k, divmod(int(near[k].argmax()), NUM_OBJECT_SLOTS)))
+    return hits
 
 
 def inject(row: tuple[float, ...], t: int, schedule: InjectionSchedule) -> tuple[float, ...]:
@@ -290,9 +301,10 @@ class Actor:
     it holds until the window closes and the injection is verified.  One that
     reports ``stalled`` ends the episode at once.  Both endings are failures.
 
-    A lockstep run reads the per-frame hooks ``applied``, ``recovery_tag``,
-    ``stalled`` and ``exhausted`` only of actors whose class overrides them,
-    or, for ``exhausted``, that set it in ``begin``.
+    A trial whose actor's class overrides a per-frame hook (``applied``,
+    ``recovery_tag``, ``stalled`` or ``exhausted``), or whose actor sets
+    ``exhausted`` in ``begin``, steps alone; only actors free of them share
+    a batch, which reads none of these hooks (see ``run_trials``).
     """
 
     exhausted = False
@@ -310,8 +322,8 @@ class Actor:
         """The action rows of M actors of this class in one lockstep tick, as
         a new (M, ACTION_DIM) array that the caller may write to; row k of
         ``obs`` is actor k's observation.  Subclasses that can act together
-        override it; this one acts one by one.  A lockstep run builds each
-        state only when it is read."""
+        override it; this one acts one by one.  A lockstep run passes its
+        ``WorldBatch``, which builds a row's state where it is read."""
         rows = [actor.act(s, o) for actor, s, o in zip(actors, states, obs)]
         try:
             return np.array(rows, dtype=float).reshape(len(actors), ACTION_DIM)
@@ -494,8 +506,9 @@ class TrialRun:
     Besides its frames a trial records only its Error onset, its recovery
     start ``t_rec`` and, from ``t_rec`` on, the tags of an actor whose class
     overrides ``recovery_tag``; ``verdict`` derives every frame's tag.  The
-    methods are its events; a lockstep tick calls them for a trial only when
-    it has one (see ``busy``).
+    methods are its events.  A trial that steps alone calls ``look``,
+    ``acted`` and ``settle`` every frame; a lockstep tick calls ``resolve``
+    and ``settle`` only when the trial has that event.
     """
 
     def __init__(self, cfg: Config, index: int, trial: Trial):
@@ -524,31 +537,16 @@ class TrialRun:
         return state
 
     def _take(self, cfg: Config, state: WorldState, actor: Actor) -> None:
-        """Begin ``actor`` and note which per-frame hooks its class overrides."""
+        """Begin ``actor`` and note whether its class overrides ``recovery_tag``."""
         actor.begin(cfg, state)
         self.actor = actor
-        self.applies = _overrides(actor, Actor, "applied")
         self.tags = _overrides(actor, Actor, "recovery_tag")
-        # An actor that can run out sets ``exhausted`` in ``begin`` or
-        # overrides it; one that can stall overrides ``stalled``.
-        self.hooked = (self.applies or self.tags or _overrides(actor, Actor, "stalled")
-                       or _overrides(actor, Actor, "exhausted") or "exhausted" in vars(actor))
 
     @property
     def watching(self) -> bool:
         """Whether the takeover watches each step before it takes over."""
         takeover = self.trial.takeover
         return takeover is not None and self.t_rec is None and _overrides(takeover, Takeover, "watch")
-
-    @property
-    def busy(self) -> bool:
-        """Whether each tick calls the trial's ``look``, ``acted`` and
-        ``settle``: a hooked actor, a watching takeover or a plan-phase
-        trigger yet to fire.  Other trials have events only at the deadline,
-        a geometric trigger's hit, the window's close and success."""
-        trigger = self.trial.trigger
-        return self.hooked or self.watching or (
-            trigger is not None and trigger.trigger_phase is not None and not trigger.resolved)
 
     @property
     def episode_id(self) -> str:
@@ -716,53 +714,6 @@ class _Recorder:
         return np.concatenate(parts)[:t] if parts else np.empty((0, _FRAME))
 
 
-class _States:
-    """The ``WorldState``s of rows ``rows`` of a batch (default: every row),
-    a sequence whose items are built on first read and kept."""
-
-    def __init__(self, world: WorldBatch, rows: Sequence[int] | None = None, built: dict | None = None):
-        self.world, self.rows = world, rows
-        self.built = {} if built is None else built
-
-    def __len__(self) -> int:
-        return len(self.world) if self.rows is None else len(self.rows)
-
-    def __getitem__(self, k: int) -> WorldState:
-        row = k if self.rows is None else self.rows[k]
-        state = self.built.get(row)
-        if state is None:
-            state = self.built[row] = self.world[row]
-        return state
-
-    def __iter__(self) -> Iterator[WorldState]:
-        return (self[k] for k in range(len(self)))
-
-    def take(self, ks: Sequence[int]) -> _States:
-        return _States(self.world, [k if self.rows is None else self.rows[k] for k in ks], self.built)
-
-
-def _geometric_hits(cfg: Config, batch: WorldBatch, unresolved: np.ndarray, radius: np.ndarray,
-                    slip: np.ndarray) -> list[tuple[int, tuple[int, int]]]:
-    """``_geometric_trigger`` of the batch rows marked ``unresolved``, from
-    one array expression over the batch, where row k's trigger fires within
-    ``radius[k]``, or at a held object where ``slip[k]``: (row, (arm, object
-    index)) of each row whose trigger fires."""
-    near = free_objects_within(batch, radius).reshape(len(batch), -1)  # arm-major: the (arm, object) order
-    held = batch.holders >= 0
-    fires = unresolved & np.where(slip, held.any(axis=1), near.any(axis=1))
-    hits = []
-    for k in fires.nonzero()[0].tolist():
-        if slip[k]:
-            i = int(held[k].argmax())
-            hits.append((k, (int(batch.holders[k, i]), i)))
-        else:
-            hits.append((k, divmod(int(near[k].argmax()), NUM_OBJECT_SLOTS)))
-    return hits
-
-
-_KINDS = list(ErrorKind)
-
-
 def _inject_rows(actions: np.ndarray, rows: np.ndarray, arm: np.ndarray, kind: np.ndarray,
                  draws: np.ndarray) -> None:
     """``inject`` of action rows ``rows`` in place, inside their windows:
@@ -782,135 +733,79 @@ class _Lockstep:
     """Two or more trials stepped as one ``WorldBatch``, whose rows are the
     live trials in trial order.
 
-    What a tick reads of every trial is kept in arrays over the trials:
-    deadlines, windows and injections, unresolved geometric triggers, and
-    which trials are ``busy``.  So a tick runs a trial's Python only for its
-    events; learned actors in a Standard trial, or past their window, cost
-    none on most ticks.
+    Its trials have actors free of per-frame hooks, no takeover and no
+    plan-phase trigger (see ``run_trials``), so a tick runs a trial's Python
+    only at its events: its geometric trigger fires, its window closes, it
+    succeeds or it reaches its deadline.  What a tick reads of every trial
+    is kept in arrays over the trials, by their place in the batch:
+    deadlines, error kinds, unresolved triggers, and the windows, arms and
+    draws of resolved ones.
     """
 
     def __init__(self, cfg: Config, runs: list[TrialRun], states: list[WorldState]):
         n = len(runs)
         self.cfg, self.live, self.t = cfg, runs, 0
-        self.ids = np.arange(n)  # the trial index of each live row
+        self.ids = np.arange(n)  # each live row's place in ``runs``
         self.world = WorldBatch.of(cfg, states)
         self.obs = observe_batch(self.world)
         self.frames = _Recorder()
-        self.deadline = np.zeros(n, dtype=int)
-        self.busy, self.geometric = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-        self.t_start, self.t_end = np.full(n, -1), np.full(n, -1)  # -1: no window
-        self.arm, self.kind, self.draws = np.zeros(n, dtype=int), np.zeros(n, dtype=int), np.zeros((n, 3))
         triggers = [run.trial.trigger for run in runs]
-        self.slip = np.array([s is not None and s.error.kind is ErrorKind.E2_GRASP_SLIP for s in triggers])
-        self.radius = np.array([cfg.approach_standoff if s is not None and s.error.kind is ErrorKind.E1_PREMATURE_CLOSE
-                                else cfg.grasp_radius for s in triggers])
-        self.classes = [type(run.actor) for run in runs]  # so _act makes one act_all call while they agree
-        self.one_class = len(set(self.classes)) == 1
-        for run in runs:
-            self._sync(run)
+        self.deadline = np.array([run.deadline for run in runs])
+        self.geometric = np.array([s is not None for s in triggers])  # unresolved
+        self.kind = np.array([0 if s is None else _KINDS.index(s.error.kind) for s in triggers])
+        self.t_start, self.t_end = np.full(n, -1), np.full(n, -1)  # -1: no window
+        self.arm, self.draws = np.zeros(n, dtype=int), np.zeros((n, 3))
 
-    def _sync(self, run: TrialRun) -> None:
-        """Copy into the arrays what an event changed of ``run``."""
-        i, trigger = run.index, run.trial.trigger
-        self.deadline[i], self.busy[i] = run.deadline, run.busy
-        if trigger is not None:
-            self.geometric[i] = trigger.trigger_phase is None and not trigger.resolved
-            if trigger.resolved:
-                self.t_start[i], self.t_end[i] = trigger.t_start, trigger.t_end
-                self.arm[i], self.kind[i] = trigger.arm, _KINDS.index(trigger.error.kind)
-                dx, dy = trigger.draws.get("dp", trigger.draws.get("lat", (0.0, 0.0)))
-                self.draws[i] = dx, dy, trigger.draws.get("dtheta", 0.0)
-        if type(run.actor) is not self.classes[i]:  # a takeover's actor
-            self.classes[i] = type(run.actor)
-            self.one_class = False
-
-    def _act(self, runs: list[TrialRun], states: _States, obs: np.ndarray) -> np.ndarray:
-        """The (M, ACTION_DIM) action rows of ``runs``, whose observations are
-        the rows of ``obs``, with one ``act_all`` call per actor class."""
-        if self.one_class:
-            return type(runs[0].actor).act_all([run.actor for run in runs], states, obs)
-        groups: dict[type, list[int]] = {}
-        for k, run in enumerate(runs):
-            groups.setdefault(type(run.actor), []).append(k)
-        actions = np.empty((len(runs), ACTION_DIM))
-        for cls, ks in groups.items():
-            actions[ks] = cls.act_all([runs[k].actor for k in ks], states.take(ks), obs[ks])
+    def _act(self) -> np.ndarray:
+        """The (N, ACTION_DIM) action rows of the live trials, with one
+        ``act_all`` call per actor class."""
+        actors, world, obs = [run.actor for run in self.live], self.world, self.obs
+        classes = dict.fromkeys(type(actor) for actor in actors)
+        if len(classes) == 1:
+            return next(iter(classes)).act_all(actors, world, obs)
+        actions = np.empty((len(actors), ACTION_DIM))
+        for cls in classes:
+            ks = [k for k, actor in enumerate(actors) if type(actor) is cls]
+            actions[ks] = cls.act_all([actors[k] for k in ks], world.take(ks), obs[ks])
         return actions
 
     def tick(self) -> list[TrialRun]:
         """Step the live trials once; returns those that ended."""
         cfg, t, live, ids = self.cfg, self.t, self.live, self.ids
-        states = _States(self.world)
+        unresolved = self.geometric[ids]
+        if unresolved.any():
+            for k, hit in _geometric_hits(cfg, self.world, unresolved, self.kind[ids]):
+                run, i, trigger = live[k], ids[k], live[k].trial.trigger
+                run.t = t
+                run.resolve(hit)
+                self.geometric[i] = False
+                self.t_start[i], self.t_end[i], self.arm[i] = trigger.t_start, trigger.t_end, trigger.arm
+                dx, dy = trigger.draws.get("dp", trigger.draws.get("lat", (0.0, 0.0)))
+                self.draws[i] = dx, dy, trigger.draws.get("dtheta", 0.0)
+        actions = self._act()
+        inside = (self.t_start[ids] <= t) & (t < self.t_end[ids])
+        if inside.any():
+            w = inside.nonzero()[0]
+            _inject_rows(actions, w, self.arm[ids[w]], self.kind[ids[w]], self.draws[ids[w]])
+        self.frames.write(t, ids, self.obs, actions)
+        self.world = world = step_batch(cfg, self.world, actions)
+        self.t = t = t + 1
+
+        # The window's close and success (``settle``), then the deadline.
+        succeeded = success_batch(cfg, world)
         ended = []
-        for k in (self.deadline[ids] <= t).nonzero()[0].tolist():
+        for k in (succeeded | (self.t_end[ids] == t) | (self.deadline[ids] <= t)).nonzero()[0].tolist():
             run = live[k]
             run.t = t
-            run.expire(cfg, states[k])
-            self._sync(run)
+            run.settle(cfg, world[k], bool(succeeded[k]))
+            run.done = run.done or t >= run.deadline  # no takeover runs past it here
             if run.done:
+                run.frames = self.frames.column(ids[k], t)
                 ended.append(run)
-        geometric = self.geometric[ids]
-        if geometric.any():
-            for k, hit in _geometric_hits(cfg, self.world, geometric, self.radius[ids], self.slip[ids]):
-                run = live[k]
-                if not run.done:
-                    run.t = t
-                    run.resolve(hit)
-                    self._sync(run)
-        busy = self.busy[ids]
-        for k in busy.nonzero()[0].tolist():
-            run = live[k]
-            if not run.done:
-                run.t = t
-                run.look(cfg, states[k])
-                self._sync(run)
-
-        acting, runs, obs = list(range(len(live))), live, self.obs
         if ended:
-            acting = [k for k in acting if not live[k].done]
-            runs, obs, states = [live[k] for k in acting], obs[acting], states.take(acting)
-        if runs:
-            actions = self._act(runs, states, obs)
-            # Busy trials may end here, unrecorded; the others step on.
-            stop = [j for j in busy[acting].nonzero()[0].tolist() if not runs[j].acted()]
-            if stop:
-                ended += [runs[j] for j in stop]
-                keep = [j for j in range(len(runs)) if not runs[j].done]
-                acting, runs, obs, actions = [acting[j] for j in keep], [runs[j] for j in keep], obs[keep], actions[keep]
-        moving = ids[acting]
-        if runs:
-            inside = (self.t_start[moving] <= t) & (t < self.t_end[moving])
-            if inside.any():
-                w = inside.nonzero()[0]
-                _inject_rows(actions, w, self.arm[moving[w]], self.kind[moving[w]], self.draws[moving[w]])
-            self.frames.write(t, moving, obs, actions)
-            busy = busy[acting]
-            for j in busy.nonzero()[0].tolist():
-                if runs[j].applies:
-                    actions[j] = runs[j].actor.applied(tuple(actions[j].tolist()))
-
-            world = step_batch(cfg, self.world.take(acting) if ended else self.world, actions)
-            succeeded = success_batch(cfg, world)
-            after = _States(world)
-            for j in (busy | succeeded | (self.t_end[moving] == t + 1)).nonzero()[0].tolist():
-                run = runs[j]
-                run.t = t + 1
-                run.settle(cfg, after[j], bool(succeeded[j]))
-                self._sync(run)
-                if run.done:
-                    ended.append(run)
-
-        self.t = t + 1
-        if not ended:
-            self.world, self.obs = world, observe_batch(world)
-            return ended
-        ended.sort(key=lambda run: run.index)
-        for run in ended:
-            run.frames = self.frames.column(run.index, run.t)
-        kept = [j for j, run in enumerate(runs) if not run.done]
-        self.live, self.ids = [runs[j] for j in kept], moving[kept]
+            kept = [k for k, run in enumerate(live) if not run.done]
+            self.live, self.ids, self.world = [live[k] for k in kept], ids[kept], world.take(kept)
         if self.live:
-            self.world = world.take(kept)
             self.obs = observe_batch(self.world)
         return ended
 
@@ -953,37 +848,56 @@ class _Single:
 _ACTION_BYTES = struct.Struct(f"{ACTION_DIM}d")
 
 
+def _steps_alone(run: TrialRun) -> bool:
+    """Whether the begun trial runs Python every frame: it has a takeover or
+    a plan-phase trigger, or its actor's class overrides a per-frame hook,
+    or the actor set ``exhausted`` in ``begin``."""
+    trial, actor = run.trial, run.actor
+    return (trial.takeover is not None or (trial.trigger is not None and trial.trigger.trigger_phase is not None)
+            or "exhausted" in vars(actor)
+            or any(_overrides(actor, Actor, hook) for hook in ("applied", "recovery_tag", "stalled", "exhausted")))
+
+
 def run_trials(cfg: Config, trials: list[Trial]) -> Iterator[tuple[int, TrialRun]]:
-    """Run ``trials`` in lockstep and yield ``(index in trials, ended
-    trial)`` as each ends; see ``run_episode`` for the rules of a trial.
+    """Run ``trials`` and yield ``(index in trials, ended trial)`` as each
+    ends; see ``run_episode`` for the rules of a trial.
+
+    A trial that runs Python every frame steps alone on its ``WorldState``
+    (``_Single``): one with a takeover or a plan-phase trigger, or whose
+    actor's class overrides a per-frame hook (see ``Actor``).  Two or more
+    of the others step in lockstep as one ``WorldBatch`` (``_Lockstep``),
+    and a lone one steps alone.  The lone trials run first, one after
+    another in trial order, then the batch, whose trials are yielded as
+    they end, those that end on one tick in trial order.
 
     Every trial starts at tick 0 and records one frame a tick, so its frame
-    count is the tick.  A tick checks the deadlines, then the geometric
-    triggers, then the actions of all acting trials; it injects in-window
-    rows, records the tick's frames, steps the world once, and checks
-    windows and success.  Two or more trials step as one ``WorldBatch``
-    (``_Lockstep``), and their tick is arrays from end to end: the batch's
-    observation rows go to one ``Actor.act_all`` call per actor class, the
-    (M, ACTION_DIM) rows it returns are injected, recorded and stepped as
-    arrays, and only the rows of actors that override ``Actor.applied`` are
-    taken out as tuples.  Per-trial Python runs only for a trial's events,
-    and a trial's ``WorldState`` is built from its row only where an event
-    reads one.  A single trial steps its ``WorldState`` (``_Single``).
-    Trials share no state: each keeps its own world, actor and RNGs.  An
-    ended trial leaves the batch at once.
+    count is the tick.  A batch tick is arrays from end to end: it fires
+    the geometric triggers whose condition holds, hands the batch's
+    observation rows to one ``Actor.act_all`` call per actor class, injects
+    the in-window rows of the (M, ACTION_DIM) array it returns, records the
+    tick's frames and steps the world once; then it checks success, the
+    windows that close and the deadlines.  Per-trial Python runs only for
+    a trial's events, and a trial's ``WorldState`` is built from its row
+    only where an event reads one.  An ended trial leaves the batch at
+    once.  Trials share no state: each keeps its own world, actor and RNGs.
     """
     for trial in trials:
         if trial.trigger is not None and isinstance(trial.takeover, TimeoutTakeover):
             raise InputError("a trial with a trigger cannot have a TimeoutTakeover: no tag rule covers both")
     runs = [TrialRun(cfg, i, trial) for i, trial in enumerate(trials)]
     states = [run.begin(cfg) for run in runs]
-    if not runs:
-        return
-    engine = _Lockstep(cfg, runs, states) if len(runs) > 1 else _Single(cfg, runs[0], states[0])
-    del runs, states  # the engine holds the live trials, and an ended one is the caller's
-    while engine.live:
-        for run in engine.tick():
-            yield run.index, run
+    batched = [not _steps_alone(run) for run in runs]
+    if sum(batched) < 2:
+        batched = [False] * len(runs)
+    engines = [_Single(cfg, run, state) for run, state, b in zip(runs, states, batched) if not b]
+    if any(batched):
+        engines.append(_Lockstep(cfg, [run for run, b in zip(runs, batched) if b],
+                                 [state for state, b in zip(states, batched) if b]))
+    del runs, states  # the engines hold the live trials, and an ended one is the caller's
+    for engine in engines:
+        while engine.live:
+            for run in engine.tick():
+                yield run.index, run
 
 
 def run_episodes(cfg: Config, trials: list[Trial]) -> Iterator[tuple[int, Episode]]:

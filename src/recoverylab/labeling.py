@@ -95,9 +95,9 @@ def label_dataset(
 
     Re-running with identical inputs produces identical labeled files.
     """
+    episodes = read_dataset(dataset_dir)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    episodes = read_dataset(dataset_dir)
     histogram = {"0.0": 0, "(0,1)": 0, "1.0": 0}
     counts: dict[str, int] = {}
 

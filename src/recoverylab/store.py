@@ -521,8 +521,11 @@ def read_episode(path: str | Path) -> Episode:
 
 def read_dataset(dataset_dir: str | Path) -> list[Episode]:
     """All episodes listed in the manifest, in manifest order, each checked
-    against the sha256 its manifest entry recorded."""
+    against the sha256 its manifest entry recorded; a directory with no
+    manifest holds none, and a missing one raises StorageError."""
     dataset_dir = Path(dataset_dir)
+    if not dataset_dir.is_dir():
+        raise StorageError(f"dataset directory does not exist: {dataset_dir}")
     manifest = _load_manifest(dataset_dir)
     return [_read_episode(dataset_dir / e["file"], e["sha256"]) for e in manifest["episodes"]]
 

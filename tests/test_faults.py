@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from recoverylab import faults
 from recoverylab.errors import InputError, InsufficientData, SequencingError
 from recoverylab.faults import (
     ErrorKind,
@@ -390,6 +391,36 @@ def test_lockstep_injection_equals_inject_bit_for_bit(cfg):
         assert alone.provenance["schedule"]["window"] is not None, i
         assert np.array_equal(together[i].frames.actions, alone.frames.actions), i
         assert np.array_equal(together[i].frames.obs, alone.frames.obs), i
+
+
+def test_only_hook_free_trials_share_the_batch(cfg, monkeypatch):
+    # Noisy planner actors override per-frame hooks, so their trials step
+    # alone, first and in trial order; the two learned trials step as one
+    # batch until each reaches its deadline.
+    def trials():
+        return [Trial(PlannerActor(action_noise=0.02), "pick-place", EnvMode.RANDOM, 1, "nom", {}),
+                Trial(LearnedActor(init_policy(cfg, seed=9)), "pick-place", EnvMode.RANDOM, 2, "eval", {}, 40),
+                Trial(PlannerActor(action_noise=0.02), "stack-two", EnvMode.RANDOM, 3, "nom", {}),
+                Trial(LearnedActor(init_policy(cfg, seed=10)), "stack-two", EnvMode.RANDOM, 4, "eval", {}, 60)]
+
+    learned = {reset(cfg, task, EnvMode.RANDOM, seed).rng_seed for task, seed in (("pick-place", 2), ("stack-two", 4))}
+    stepped = []
+    real_step_batch = faults.step_batch
+
+    def spy(cfg_, batch, actions):
+        stepped.append(batch.rng_seeds)
+        assert set(batch.rng_seeds) <= learned and len(stepped) <= 61, "a batch row past its trial"
+        return real_step_batch(cfg_, batch, actions)
+
+    monkeypatch.setattr(faults, "step_batch", spy)
+    ended = [(i, run.episode(cfg)) for i, run in run_trials(cfg, trials())]
+    assert [i for i, _ in ended] == [0, 2, 1, 3]
+    assert [len(episode.frames) for _, episode in sorted(ended)][1::2] == [41, 61]
+    assert len(stepped) == 61 and set(stepped[0]) == learned
+    monkeypatch.undo()
+    for (i, episode), trial in zip(sorted(ended), trials()):
+        alone = run_episode(cfg, *(getattr(trial, f.name) for f in fields(trial)))
+        assert episode_to_dict(episode) == episode_to_dict(alone), i
 
 
 @pytest.mark.parametrize("lockstep", [False, True])

@@ -1,11 +1,15 @@
 """Source hygiene checks that need no linter: every name a module in
 ``src/`` or ``tests/`` imports is used in it, every function, class and
 method ``src/recoverylab`` defines is named somewhere besides its
-definition, and every ``module.name`` and ``Class.attr`` the README names
-is defined."""
+definition, every ``module.name`` and ``Class.attr`` the README names is
+defined, and every bare name a docstring or comment of ``src/recoverylab``
+puts in double backticks is one its code reads."""
 
 import ast
+import io
+import keyword
 import re
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -178,3 +182,36 @@ def test_dead_references_are_found():
 def test_readme_names_live_definitions():
     sources = {p.stem: p.read_text() for p in (ROOT / "src" / "recoverylab").glob("*.py") if p.name != "__init__.py"}
     assert dead_references((ROOT / "README.md").read_text(), sources) == []
+
+
+def backticked(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each bare identifier that a docstring or comment of
+    ``source`` puts in double backticks; a docstring counts from its first
+    line."""
+    tree = ast.parse(source)
+    docstrings = _docstrings(tree)
+    texts = [(node.lineno, node.value) for node in ast.walk(tree)
+             if id(node) in docstrings and isinstance(node.value, str)]
+    texts += [(token.start[0], token.string) for token in tokenize.generate_tokens(io.StringIO(source).readline)
+              if token.type == tokenize.COMMENT]
+    return sorted((line, name) for line, text in texts for name in re.findall(r"``([A-Za-z_]\w*)``", text))
+
+
+def stale_backticks(source: str, names: set[str]) -> list[tuple[int, str]]:
+    """``backticked`` names of ``source`` that are neither in ``names`` nor
+    Python keywords."""
+    return [(line, name) for line, name in backticked(source) if name not in names and not keyword.iskeyword(name)]
+
+
+def test_stale_backticks_are_found():
+    source = 'def f(a):\n    """Reads ``a``, not ``g``; returns ``None`` or ``m.x``."""\n' \
+             '    # see ``busy``, ``b`` and ``f``\n    return a, "b"\nf(1)\n'
+    assert stale_backticks(source, named(source)) == [(2, "g"), (3, "busy")]
+
+
+def test_backticked_names_are_live():
+    # A docstring that names a removed attribute sends its reader after it.
+    files = sorted((ROOT / "src" / "recoverylab").glob("*.py"))
+    names = set().union(*(named(p.read_text()) for p in files))
+    found = {p.name: stale_backticks(p.read_text(), names) for p in files}
+    assert not {path: stale for path, stale in found.items() if stale}

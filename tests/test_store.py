@@ -28,6 +28,7 @@ from recoverylab.store import (
     write_episode,
     write_episodes,
 )
+from recoverylab.value import save_progress_model
 from recoverylab.world import EnvMode
 
 N, E, R = PhaseTag.NOMINAL, PhaseTag.ERROR, PhaseTag.RECOVERY
@@ -331,6 +332,22 @@ def test_empty_dataset_stats(tmp_path):
     stats = dataset_stats(tmp_path)
     assert stats.total == 0
     assert stats.by_kind == {}
+
+
+def test_read_dataset_rejects_a_missing_directory(tmp_path):
+    assert read_dataset(tmp_path) == []  # an existing empty directory reads as empty
+    with pytest.raises(StorageError, match="does not exist"):
+        read_dataset(tmp_path / "typo")
+
+
+def test_label_rejects_a_missing_dataset(tmp_path, capsys, progress_model, reference_cluster):
+    # A mistyped --data path fails before any labeled dataset is written.
+    value = save_progress_model(progress_model, tmp_path / "value.json", cluster=reference_cluster)
+    missing, out = tmp_path / "typo", tmp_path / "labeled"
+    assert cli_main(["label", "--data", str(missing), "--value", str(value), "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "StorageError" and str(missing) in error["message"]
+    assert not out.exists()
 
 
 def test_manifest_tracks_many_writes(tmp_path, expert_episodes):
