@@ -7,33 +7,63 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Iterator
+from itertools import islice
 from pathlib import Path
 
 from .config import Config
 from .errors import PlanningError
-from .faults import ErrorType, TimeoutTakeover, run_episode, run_interception, run_nominal
+from .faults import ErrorType, TimeoutTakeover, nominal_trial, run_episode, run_episodes, run_interception
 from .policy import LearnedActor, Policy
 from .store import Episode, EpisodeKind, Outcome, write_episodes
 from .world import EnvMode
 
 
+# Seeds of ``expert_episodes`` per ``run_episodes`` call.  Their trials step
+# in lockstep; a larger block spreads a tick's fixed cost over more rows but
+# holds more frames at once.  Through ``gen-nominal`` on 120 pick-place and
+# 16 each of stack-two and bimanual-handover seeds, blocks of 64 took 0.6x
+# the CPU time of one by one for 3.6 MiB more peak memory, and blocks of 128
+# 0.5x for 6.9 MiB.
+EXPERT_BLOCK = 64
+
+
 def expert_episodes(cfg: Config, task_id: str, env_mode: EnvMode, seeds: Iterable[int], counts: Counter,
                     keep_failures: bool = False) -> Iterator[Episode]:
-    """Expert episodes over ``seeds``, executed with ``cfg.expert_action_noise``:
-    the successes, and the failures too with ``keep_failures``.  Counts seeds
-    the planner cannot plan as ``skipped`` and failed runs as ``failures``."""
+    """Expert episodes over ``seeds`` in seed order, executed with
+    ``cfg.expert_action_noise``: the successes, and the failures too with
+    ``keep_failures``.  Counts seeds the planner cannot plan as ``skipped``
+    and failed runs as ``failures``.
+
+    The seeds run in blocks of ``EXPERT_BLOCK``, each block's trials in one
+    ``run_episodes`` call.  An episode is yielded once it and every episode
+    before it have ended, and a seed is counted only when the caller has
+    taken every episode before it, as if the seeds ran one by one."""
     noise = float(cfg.expert_action_noise)
-    for seed in seeds:
-        try:
-            episode = run_nominal(cfg, task_id, env_mode, seed, action_noise=noise)
-        except PlanningError:
-            counts["skipped"] += 1
-            continue
-        if episode.outcome is Outcome.FAILURE:
-            counts["failures"] += 1
-            if not keep_failures:
+    seeds = iter(seeds)
+    while block := list(islice(seeds, EXPERT_BLOCK)):
+        trials = []
+        for seed in block:
+            try:
+                trials.append(nominal_trial(cfg, task_id, env_mode, seed, action_noise=noise))
+            except PlanningError:
+                trials.append(None)
+        runs = run_episodes(cfg, [trial for trial in trials if trial is not None])
+        ended: dict[int, Episode] = {}  # by place among the planned trials, until their turn
+        k = 0
+        for trial in trials:
+            if trial is None:
+                counts["skipped"] += 1
                 continue
-        yield episode
+            while k not in ended:
+                i, episode = next(runs)
+                ended[i] = episode
+            episode = ended.pop(k)
+            k += 1
+            if episode.outcome is Outcome.FAILURE:
+                counts["failures"] += 1
+                if not keep_failures:
+                    continue
+            yield episode
 
 
 def verified_interceptions(cfg: Config, task_id: str, env_mode: EnvMode, error: ErrorType, seeds: Iterable[int],

@@ -28,6 +28,7 @@ import struct
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -51,6 +52,7 @@ from .world import (
     GRIP_OPEN,
     NUM_OBJECT_SLOTS,
     OBS_DIM,
+    PROPRIO_DIM,
     WorldBatch,
     WorldState,
     free_objects_within,
@@ -164,14 +166,15 @@ class InjectionSchedule:
         """Resolved, with the adverse state not yet verified."""
         return self.resolved and self.verified is None
 
-    def hit(self, cfg: Config, state: WorldState, actor: Actor) -> tuple[int, int | None] | None:
-        """(arm, object index) to resolve at once the trigger condition holds."""
+    def hit(self, cfg: Config, state: WorldState, obs: np.ndarray, actor: Actor) -> tuple[int, int | None] | None:
+        """(arm, object index) to resolve at once the trigger condition holds
+        in ``state``, whose observation is ``obs``."""
         if self.trigger_phase is None:
             hits = _geometric_hits(cfg, WorldBatch.of(cfg, [state]), np.ones(1, dtype=bool),
                                    np.array([_KINDS.index(self.error.kind)]))
             return hits[0][1] if hits else None
         try:
-            current = actor.executor.current_step(state)
+            current = actor.executor.current_step(obs.tolist(), state.holders)
         except PlanExhausted:
             return None
         return (current.arm, current.object_index) if current.phase is self.trigger_phase else None
@@ -301,10 +304,13 @@ class Actor:
     it holds until the window closes and the injection is verified.  One that
     reports ``stalled`` ends the episode at once.  Both endings are failures.
 
-    A trial whose actor's class overrides a per-frame hook (``applied``,
-    ``recovery_tag``, ``stalled`` or ``exhausted``), or whose actor sets
-    ``exhausted`` in ``begin``, steps alone; only actors free of them share
-    a batch, which reads none of these hooks (see ``run_trials``).
+    A lockstep batch reads the per-frame hooks only of trials whose actor
+    has them, as tick events: the executed rows (``applied_all``, for a
+    class that overrides ``applied``), and ``exhausted`` and ``stalled``
+    (for a class that overrides either, or an actor that sets ``exhausted``
+    in ``begin``).  ``recovery_tag`` is read every frame once recovery has
+    begun, so a trial with a trigger whose actor's class overrides it steps
+    alone (see ``run_trials``).
     """
 
     exhausted = False
@@ -335,6 +341,12 @@ class Actor:
         recorded."""
         return action
 
+    @classmethod
+    def applied_all(cls, actors: list[Actor], actions: np.ndarray) -> np.ndarray:
+        """``applied`` of M actors of this class for their recorded
+        (M, ACTION_DIM) rows ``actions``: a new array, or ``actions``."""
+        return np.array([actor.applied(tuple(row)) for actor, row in zip(actors, actions.tolist())], dtype=float)
+
     def recovery_tag(self) -> PhaseTag:
         """Tag of the frame just acted on, once recovery has begun."""
         return PhaseTag.RECOVERY
@@ -354,7 +366,9 @@ class PlannerActor(Actor):
 
     ``action_noise`` perturbs the executed targets while the clean command is
     recorded, so demonstrations cover a corrective tube around the nominal
-    path instead of a single trajectory.
+    path instead of a single trajectory.  Alone or in a batch, its executor
+    reads each frame's proprio row and holders as plain values (see
+    ``PlanExecutor``); ``act_all`` reads a batch's rows once per tick.
     """
 
     def __init__(self, plan: tuple[PlanStep, ...] | None = None, action_noise: float = 0.0):
@@ -372,17 +386,34 @@ class PlannerActor(Actor):
             self._rng = np.random.default_rng([state.rng_seed & 0xFFFFFFFFFFFFFFF, 0x401])
             self._noise: Iterator[list[float]] = iter(())
 
-    def act(self, state, obs):
+    def _act(self, proprio: list[float], holders: Sequence) -> tuple[float, ...]:
         try:
-            return self.executor.next_action(state)
+            return self.executor.next_action(proprio, holders)
         except PlanExhausted:
             self.exhausted = True
-            (left, right), (left_grip, right_grip) = state.arm_poses, state.grips
-            return (left.x, left.y, left.theta, left_grip, right.x, right.y, right.theta, right_grip)
+            return tuple(proprio[:PROPRIO_DIM])
+
+    def act(self, state, obs):
+        return self._act(obs.tolist(), state.holders)
+
+    @classmethod
+    def act_all(cls, actors, states, obs):
+        holders = states.holders.tolist() if isinstance(states, WorldBatch) else [s.holders for s in states]
+        rows = [actor._act(p, h) for actor, p, h in zip(actors, obs[:, :PROPRIO_DIM].tolist(), holders)]
+        return np.array(rows, dtype=float).reshape(len(actors), ACTION_DIM)
 
     @property
     def stalled(self) -> bool:
         return self.executor.steps_in_phase > self.executor.cfg.phase_stall_limit
+
+    def _next_noise(self) -> list[float]:
+        """This frame's noise: dx, dy, dtheta of each arm."""
+        noise = next(self._noise, None)
+        if noise is None:
+            block = self._rng.normal(0.0, self.action_noise, size=(_NOISE_BLOCK, 6)) * _NOISE_SCALES
+            self._noise = iter(block.tolist())
+            noise = next(self._noise)
+        return noise
 
     def applied(self, action):
         if self.action_noise <= 0:
@@ -390,14 +421,27 @@ class PlannerActor(Actor):
         row = list(action)
         # x, y, theta per arm in that order; a product by 2 is exact, so theta's
         # value equals a draw at twice the noise.
-        noise = next(self._noise, None)
-        if noise is None:
-            block = self._rng.normal(0.0, self.action_noise, size=(_NOISE_BLOCK, 6)) * _NOISE_SCALES
-            self._noise = iter(block.tolist())
-            noise = next(self._noise)
+        noise = self._next_noise()
         for o, (dx, dy, dth) in ((0, noise[:3]), (4, noise[3:])):
             row[o:o + 3] = row[o] + dx, row[o + 1] + dy, wrap_angle(row[o + 2] + dth)
         return tuple(row)
+
+    @classmethod
+    def applied_all(cls, actors, actions):
+        noisy = [k for k, actor in enumerate(actors) if actor.action_noise > 0]
+        if not noisy:
+            return actions
+        every = len(noisy) == len(actors)
+        rows = actions.copy() if every else actions[noisy]
+        noise = chain.from_iterable(actors[k]._next_noise() for k in noisy)
+        # ``applied``'s sums, then its wraps of the theta columns (2 and 6) by ``wrap_angles``.
+        rows.reshape(-1, 2, 4)[..., :3] += np.fromiter(noise, float, 6 * len(noisy)).reshape(-1, 2, 3)
+        rows[:, 2::4] = wrap_angles(rows[:, 2::4])
+        if every:
+            return rows
+        executed = actions.copy()
+        executed[noisy] = rows
+        return executed
 
     def recovery_tag(self):
         phase = self.executor.plan[self.executor.index].phase
@@ -508,7 +552,8 @@ class TrialRun:
     overrides ``recovery_tag``; ``verdict`` derives every frame's tag.  The
     methods are its events.  A trial that steps alone calls ``look``,
     ``acted`` and ``settle`` every frame; a lockstep tick calls ``resolve``
-    and ``settle`` only when the trial has that event.
+    and ``settle`` only when the trial has that event, and ``acted`` every
+    tick only when its actor can run out or stall.
     """
 
     def __init__(self, cfg: Config, index: int, trial: Trial):
@@ -575,12 +620,13 @@ class TrialRun:
         self.trial.trigger.resolve(self.t, *hit)
         self.onset = self.t
 
-    def look(self, cfg: Config, state: WorldState) -> None:
-        """Before the actor acts: fire the trigger if its condition holds,
-        and keep the state for a watching takeover."""
+    def look(self, cfg: Config, state: WorldState, obs: np.ndarray) -> None:
+        """Before the actor acts on ``state``, whose observation is ``obs``:
+        fire the trigger if its condition holds, and keep the state for a
+        watching takeover."""
         trigger = self.trial.trigger
         if trigger is not None and not trigger.resolved:
-            hit = trigger.hit(cfg, state, self.actor)
+            hit = trigger.hit(cfg, state, obs, self.actor)
             if hit is not None:
                 self.resolve(hit)
         self.before = state if self.watching else None
@@ -733,13 +779,15 @@ class _Lockstep:
     """Two or more trials stepped as one ``WorldBatch``, whose rows are the
     live trials in trial order.
 
-    Its trials have actors free of per-frame hooks, no takeover and no
-    plan-phase trigger (see ``run_trials``), so a tick runs a trial's Python
-    only at its events: its geometric trigger fires, its window closes, it
-    succeeds or it reaches its deadline.  What a tick reads of every trial
-    is kept in arrays over the trials, by their place in the batch:
-    deadlines, error kinds, unresolved triggers, and the windows, arms and
-    draws of resolved ones.
+    Its trials have no takeover, no plan-phase trigger and no per-frame tag
+    (see ``run_trials``), so a tick runs a trial's Python only at its
+    events: its geometric trigger fires, its window closes, it succeeds or
+    it reaches its deadline, and, for an actor with those hooks, it runs
+    out or stalls.  What a tick reads of every trial is kept in arrays over
+    the trials, by their place in the batch: deadlines, error kinds,
+    unresolved triggers, the windows, arms and draws of resolved ones, and
+    whose actor a tick asks whether it ran out or stalled.  The actor
+    classes that override ``applied`` give the executed rows.
     """
 
     def __init__(self, cfg: Config, runs: list[TrialRun], states: list[WorldState]):
@@ -751,61 +799,129 @@ class _Lockstep:
         self.frames = _Recorder()
         triggers = [run.trial.trigger for run in runs]
         self.deadline = np.array([run.deadline for run in runs])
+        self.horizon = int(self.deadline.max())  # the largest live deadline
         self.geometric = np.array([s is not None for s in triggers])  # unresolved
+        self.triggered = bool(self.geometric.any())  # else a tick skips the trigger arrays
         self.kind = np.array([0 if s is None else _KINDS.index(s.error.kind) for s in triggers])
         self.t_start, self.t_end = np.full(n, -1), np.full(n, -1)  # -1: no window
         self.arm, self.draws = np.zeros(n, dtype=int), np.zeros((n, 3))
+        hooked = [_overrides(run.actor, Actor, "stalled") or _overrides(run.actor, Actor, "exhausted")
+                  or "exhausted" in vars(run.actor) for run in runs]
+        self.hooked = np.array(hooked) if any(hooked) else None
+        self.applies = {type(run.actor) for run in runs if _overrides(run.actor, Actor, "applied")}
+        self._regroup()
+
+    def _regroup(self) -> None:
+        """Note the live trials' actors, and the live rows of each actor class."""
+        self.actors = [run.actor for run in self.live]
+        self.classes: dict[type, list[int]] = {}
+        for k, actor in enumerate(self.actors):
+            self.classes.setdefault(type(actor), []).append(k)
 
     def _act(self) -> np.ndarray:
         """The (N, ACTION_DIM) action rows of the live trials, with one
         ``act_all`` call per actor class."""
-        actors, world, obs = [run.actor for run in self.live], self.world, self.obs
-        classes = dict.fromkeys(type(actor) for actor in actors)
-        if len(classes) == 1:
-            return next(iter(classes)).act_all(actors, world, obs)
+        actors, world, obs = self.actors, self.world, self.obs
+        if len(self.classes) == 1:
+            return next(iter(self.classes)).act_all(actors, world, obs)
         actions = np.empty((len(actors), ACTION_DIM))
-        for cls in classes:
-            ks = [k for k, actor in enumerate(actors) if type(actor) is cls]
+        for cls, ks in self.classes.items():
             actions[ks] = cls.act_all([actors[k] for k in ks], world.take(ks), obs[ks])
         return actions
+
+    def _applied(self, actions: np.ndarray) -> np.ndarray:
+        """The rows the arms execute for the recorded ``actions``: those of
+        the classes that override ``applied`` through ``applied_all``."""
+        executed = actions
+        for cls, ks in self.classes.items():
+            if cls not in self.applies:
+                continue
+            if len(self.classes) == 1:
+                return cls.applied_all(self.actors, actions)
+            executed = actions.copy() if executed is actions else executed
+            executed[ks] = cls.applied_all([self.actors[k] for k in ks], actions[ks])
+        return executed
+
+    def _hooks(self, t: int) -> list[int]:
+        """The live rows whose actor ran out or stalled on frame ``t``, asked
+        just after the actors acted; a trial whose actor ran out ends there,
+        unrecorded (see ``TrialRun.acted``)."""
+        events = []
+        for k in self.hooked[self.ids].nonzero()[0].tolist():
+            run = self.live[k]
+            if not run.acted():
+                run.t = t
+                events.append(k)
+            elif run.actor.stalled:
+                events.append(k)
+        return events
+
+    def _fire(self, t: int) -> None:
+        """Resolve the unresolved geometric triggers whose condition holds
+        before frame ``t``, and note their windows, arms and draws."""
+        ids = self.ids
+        unresolved = self.geometric[ids]
+        if not unresolved.any():
+            return
+        for k, hit in _geometric_hits(self.cfg, self.world, unresolved, self.kind[ids]):
+            run, i = self.live[k], ids[k]
+            trigger = run.trial.trigger
+            run.t = t
+            run.resolve(hit)
+            self.geometric[i] = False
+            self.t_start[i], self.t_end[i], self.arm[i] = trigger.t_start, trigger.t_end, trigger.arm
+            dx, dy = trigger.draws.get("dp", trigger.draws.get("lat", (0.0, 0.0)))
+            self.draws[i] = dx, dy, trigger.draws.get("dtheta", 0.0)
+
+    def _due(self, t: int) -> np.ndarray:
+        """Which live trials reach their deadline at frame count ``t``."""
+        return self.deadline[self.ids] <= t
 
     def tick(self) -> list[TrialRun]:
         """Step the live trials once; returns those that ended."""
         cfg, t, live, ids = self.cfg, self.t, self.live, self.ids
-        unresolved = self.geometric[ids]
-        if unresolved.any():
-            for k, hit in _geometric_hits(cfg, self.world, unresolved, self.kind[ids]):
-                run, i, trigger = live[k], ids[k], live[k].trial.trigger
-                run.t = t
-                run.resolve(hit)
-                self.geometric[i] = False
-                self.t_start[i], self.t_end[i], self.arm[i] = trigger.t_start, trigger.t_end, trigger.arm
-                dx, dy = trigger.draws.get("dp", trigger.draws.get("lat", (0.0, 0.0)))
-                self.draws[i] = dx, dy, trigger.draws.get("dtheta", 0.0)
+        if self.triggered:
+            self._fire(t)
         actions = self._act()
-        inside = (self.t_start[ids] <= t) & (t < self.t_end[ids])
-        if inside.any():
-            w = inside.nonzero()[0]
-            _inject_rows(actions, w, self.arm[ids[w]], self.kind[ids[w]], self.draws[ids[w]])
+        hooked = self._hooks(t) if self.hooked is not None else []
+        if self.triggered:
+            inside = (self.t_start[ids] <= t) & (t < self.t_end[ids])
+            if inside.any():
+                w = inside.nonzero()[0]
+                _inject_rows(actions, w, self.arm[ids[w]], self.kind[ids[w]], self.draws[ids[w]])
         self.frames.write(t, ids, self.obs, actions)
+        if self.applies:
+            actions = self._applied(actions)
         self.world = world = step_batch(cfg, self.world, actions)
         self.t = t = t + 1
 
-        # The window's close and success (``settle``), then the deadline.
-        succeeded = success_batch(cfg, world)
+        # A trial that ran out is over.  The rest: a stall, the window's
+        # close and success (``settle``), then the deadline.
+        succeeded, due = success_batch(cfg, world), self._due(t)
+        events = succeeded | due
+        if self.triggered:
+            events |= self.t_end[ids] == t
+        if hooked:
+            events[hooked] = True
         ended = []
-        for k in (succeeded | (self.t_end[ids] == t) | (self.deadline[ids] <= t)).nonzero()[0].tolist():
+        for k in events.nonzero()[0].tolist():
             run = live[k]
-            run.t = t
-            run.settle(cfg, world[k], bool(succeeded[k]))
-            run.done = run.done or t >= run.deadline  # no takeover runs past it here
+            if not run.done:
+                run.t = t
+                run.settle(cfg, world[k], bool(succeeded[k]))
+                run.done = run.done or bool(due[k])  # no takeover runs past it here
             if run.done:
-                run.frames = self.frames.column(ids[k], t)
+                run.frames = self.frames.column(ids[k], run.t)
                 ended.append(run)
         if ended:
             kept = [k for k, run in enumerate(live) if not run.done]
             self.live, self.ids, self.world = [live[k] for k in kept], ids[kept], world.take(kept)
+            if kept:
+                self.horizon = int(self.deadline[self.ids].max())
+                self._regroup()
         if self.live:
+            if t >= self.horizon:
+                raise SequencingError(f"lockstep tick {t} is past every live trial's deadline")
             self.obs = observe_batch(self.world)
         return ended
 
@@ -827,7 +943,7 @@ class _Single:
         if t >= run.deadline:
             run.expire(cfg, state)
         if not run.done:
-            run.look(cfg, state)
+            run.look(cfg, state, self.obs)
             action = run.actor.act(state, self.obs)
             if run.acted():
                 trigger = run.trial.trigger
@@ -849,37 +965,37 @@ _ACTION_BYTES = struct.Struct(f"{ACTION_DIM}d")
 
 
 def _steps_alone(run: TrialRun) -> bool:
-    """Whether the begun trial runs Python every frame: it has a takeover or
-    a plan-phase trigger, or its actor's class overrides a per-frame hook,
-    or the actor set ``exhausted`` in ``begin``."""
-    trial, actor = run.trial, run.actor
-    return (trial.takeover is not None or (trial.trigger is not None and trial.trigger.trigger_phase is not None)
-            or "exhausted" in vars(actor)
-            or any(_overrides(actor, Actor, hook) for hook in ("applied", "recovery_tag", "stalled", "exhausted")))
+    """Whether the begun trial must step alone: it has a takeover or a
+    plan-phase trigger, or a trigger that can start recovery for an actor
+    whose class overrides ``recovery_tag``."""
+    trigger = run.trial.trigger
+    return run.trial.takeover is not None or (trigger is not None and (trigger.trigger_phase is not None or run.tags))
 
 
 def run_trials(cfg: Config, trials: list[Trial]) -> Iterator[tuple[int, TrialRun]]:
     """Run ``trials`` and yield ``(index in trials, ended trial)`` as each
     ends; see ``run_episode`` for the rules of a trial.
 
-    A trial that runs Python every frame steps alone on its ``WorldState``
-    (``_Single``): one with a takeover or a plan-phase trigger, or whose
-    actor's class overrides a per-frame hook (see ``Actor``).  Two or more
-    of the others step in lockstep as one ``WorldBatch`` (``_Lockstep``),
-    and a lone one steps alone.  The lone trials run first, one after
-    another in trial order, then the batch, whose trials are yielded as
-    they end, those that end on one tick in trial order.
+    A trial with a takeover or a plan-phase trigger steps alone on its
+    ``WorldState`` (``_Single``), as does one with a trigger whose actor's
+    class overrides ``recovery_tag``.  Two or more of the others step in
+    lockstep as one ``WorldBatch`` (``_Lockstep``), noisy nominal planners
+    among them, and a lone one steps alone.  The lone trials run first, one
+    after another in trial order, then the batch, whose trials are yielded
+    as they end, those that end on one tick in trial order.
 
     Every trial starts at tick 0 and records one frame a tick, so its frame
     count is the tick.  A batch tick is arrays from end to end: it fires
     the geometric triggers whose condition holds, hands the batch's
     observation rows to one ``Actor.act_all`` call per actor class, injects
     the in-window rows of the (M, ACTION_DIM) array it returns, records the
-    tick's frames and steps the world once; then it checks success, the
-    windows that close and the deadlines.  Per-trial Python runs only for
-    a trial's events, and a trial's ``WorldState`` is built from its row
-    only where an event reads one.  An ended trial leaves the batch at
-    once.  Trials share no state: each keeps its own world, actor and RNGs.
+    tick's frames and steps the world once under the executed rows (see
+    ``Actor.applied_all``); then it checks success, the windows that close
+    and the deadlines.  Per-trial Python runs only for a trial's events, an
+    actor's ``act_all`` and, for actors that can run out or stall, one
+    question a tick; a trial's ``WorldState`` is built from its row only
+    where an event reads one.  An ended trial leaves the batch at once.
+    Trials share no state: each keeps its own world, actor and RNGs.
     """
     for trial in trials:
         if trial.trigger is not None and isinstance(trial.takeover, TimeoutTakeover):
@@ -938,6 +1054,21 @@ def run_episode(
     return episode
 
 
+def nominal_trial(
+    cfg: Config,
+    task_id: str,
+    env_mode: EnvMode,
+    seed: int,
+    t_max: int | None = None,
+    action_noise: float = 0.0,
+) -> Trial:
+    """The trial of a nominal run, its plan made: PlanningError here when
+    the seed's world has none."""
+    plan = plan_nominal(cfg, reset(cfg, task_id, env_mode, seed))
+    return Trial(PlannerActor(plan, action_noise), task_id, env_mode, seed, "nom",
+                 {"generator": "nominal", "action_noise": action_noise}, t_max)
+
+
 def run_nominal(
     cfg: Config,
     task_id: str,
@@ -950,10 +1081,8 @@ def run_nominal(
 
     ``action_noise`` perturbs the executed targets (see PlannerActor).
     """
-    return run_episode(
-        cfg, PlannerActor(action_noise=action_noise), task_id, env_mode, seed, "nom",
-        {"generator": "nominal", "action_noise": action_noise}, t_max=t_max,
-    )
+    (_, episode), = run_episodes(cfg, [nominal_trial(cfg, task_id, env_mode, seed, t_max, action_noise)])
+    return episode
 
 
 def run_interception(

@@ -13,8 +13,10 @@ objectives with ordinary phases.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 from .config import Config
 from .errors import PlanExhausted, PlanningError, UnrecoverableState
@@ -22,7 +24,6 @@ from .world import (
     LEFT,
     Objective,
     Pose2D,
-    RIGHT,
     GRIP_CLOSED,
     GRIP_OPEN,
     CLOSE_THRESHOLD,
@@ -31,6 +32,7 @@ from .world import (
     in_reach,
     in_workspace,
     objective_satisfied,
+    wrap_angle,
 )
 
 
@@ -196,7 +198,14 @@ def plan_recovery(cfg: Config, adverse_state: WorldState) -> tuple[PlanStep, ...
 
 
 class PlanExecutor:
-    """Closed-loop executor: advances phases as completion predicates fire."""
+    """Closed-loop executor: advances phases as completion predicates fire.
+
+    It reads the live world as plain row values, the same alone and in a
+    lockstep batch: ``proprio``, whose first values are the x, y, theta and
+    grip of each arm in the layout of an action row (an observation row's
+    ``PROPRIO_DIM`` values come first), and ``holders``, each object's
+    holding arm (None or -1 for none).
+    """
 
     def __init__(self, cfg: Config, plan: tuple[PlanStep, ...]):
         self.cfg = cfg
@@ -204,46 +213,43 @@ class PlanExecutor:
         self.index = 0
         self.steps_in_phase = 0
 
-    def _complete(self, step: PlanStep, state: WorldState) -> bool:
-        arm_pose = state.arm_poses[step.arm]
+    def _complete(self, step: PlanStep, proprio: Sequence[float], holders: Sequence) -> bool:
         if step.completion is Completion.REACH:
-            return (arm_pose.distance(step.target) <= self.cfg.pos_tol
-                    and arm_pose.angle_to(step.target) <= self.cfg.ang_tol)
+            # The arm's distance to the target and the wrapped angle between them.
+            o, target = 4 * step.arm, step.target
+            return (math.hypot(proprio[o] - target.x, proprio[o + 1] - target.y) <= self.cfg.pos_tol
+                    and abs(wrap_angle(proprio[o + 2] - target.theta)) <= self.cfg.ang_tol)
         if step.completion is Completion.HOLDING:
-            return state.holders[step.object_index] == step.arm
+            return holders[step.object_index] == step.arm
         if step.completion is Completion.RELEASED:
-            return step.arm not in state.holders
+            return step.arm not in holders
         if step.completion is Completion.GRIP_OPEN:
-            return state.grips[step.arm] < CLOSE_THRESHOLD
+            return proprio[4 * step.arm + 3] < CLOSE_THRESHOLD
         if step.completion is Completion.ONE_STEP:
             return self.steps_in_phase >= 1
         raise AssertionError(step.completion)
 
-    def current_step(self, state: WorldState) -> PlanStep:
+    def current_step(self, proprio: Sequence[float], holders: Sequence) -> PlanStep:
         """Skip completed phases and return the active one."""
         while self.index < len(self.plan):
             step = self.plan[self.index]
-            if not self._complete(step, state):
+            if not self._complete(step, proprio, holders):
                 return step
             self.index += 1
             self.steps_in_phase = 0
         raise PlanExhausted("plan complete")
 
-    def next_action(self, state: WorldState) -> tuple[float, ...]:
-        """The action row of the active phase for the live state."""
-        step = self.current_step(state)
+    def next_action(self, proprio: Sequence[float], holders: Sequence) -> tuple[float, ...]:
+        """The action row of the active phase for the live row values."""
+        step = self.current_step(proprio, holders)
         grip = step.grip
         if step.completion is Completion.HOLDING and self.steps_in_phase < self.cfg.grasp_settle_steps:
             # Dwell open so the close happens at the commanded grasp target,
             # not wherever the approach happened to end.
             grip = GRIP_OPEN
         self.steps_in_phase += 1
-        row: list[float] = []
-        for arm in (LEFT, RIGHT):
-            if arm == step.arm:
-                row += (step.target.x, step.target.y, step.target.theta, grip)
-            else:
-                # Idle arm holds pose and grip so no accidental crossing occurs.
-                pose = state.arm_poses[arm]
-                row += (pose.x, pose.y, pose.theta, state.grips[arm])
-        return tuple(row)
+        # The idle arm holds pose and grip so no accidental crossing occurs.
+        p, target = proprio, step.target
+        if step.arm == LEFT:
+            return target.x, target.y, target.theta, grip, p[4], p[5], p[6], p[7]
+        return p[0], p[1], p[2], p[3], target.x, target.y, target.theta, grip

@@ -22,6 +22,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -121,7 +122,16 @@ def tag_pattern_valid(phase, sliced: bool = False) -> bool:
 
 def _action_error(actions: np.ndarray) -> str | None:
     """Why (T, ACTION_DIM) action rows are invalid, or None when every value
-    is finite, every theta lies in (-pi, pi] and every grip in [0, 1]."""
+    is finite, every theta lies in (-pi, pi] and every grip in [0, 1].
+
+    Each column's least and greatest value decide the common all-valid case
+    (a NaN anywhere in a column makes both NaN); only when that fails are
+    the rows searched for the first bad frame."""
+    if len(actions):
+        low, high = actions.min(axis=0).tolist(), actions.max(axis=0).tolist()
+        if (all(map(math.isfinite, low + high)) and all(-math.pi < low[d] and high[d] <= math.pi for d in THETA_DIMS)
+                and all(0.0 <= low[d] and high[d] <= 1.0 for d in GRIP_DIMS)):
+            return None
     theta, grip = actions[:, THETA_DIMS], actions[:, GRIP_DIMS]
     in_range = (-math.pi < theta) & (theta <= math.pi) & (0.0 <= grip) & (grip <= 1.0)
     bad = np.flatnonzero(~(in_range.all(axis=1) & np.isfinite(actions).all(axis=1)))
@@ -229,6 +239,11 @@ def episode_to_dict(episode: Episode) -> dict:
     ])
 
 
+_PHASE_VALUES = frozenset(tag.value for tag in PhaseTag)
+_ARM_ACTIONS = itemgetter(*ARM_NAMES)
+_ACTION_VALUES = itemgetter(*ACTION_KEYS)
+
+
 def _frames_from_dicts(rows: list, instruction_id: int) -> Frames:
     """Columns of the on-disk frames; raises ValueError on a malformed frame."""
     for t, fd in enumerate(rows):
@@ -238,10 +253,13 @@ def _frames_from_dicts(rows: list, instruction_id: int) -> Frames:
                              f"and {len(obs['proprio'])} proprio values")
         if fd["v"] is not None and math.isnan(fd["v"]):
             raise ValueError(f"frame {t} has a NaN label")
+    phase = [fd["phase"] for fd in rows]
+    if not _PHASE_VALUES.issuperset(phase):
+        PhaseTag(next(p for p in phase if p not in _PHASE_VALUES))  # its ValueError names the value
     frames = Frames(
         obs=[fd["obs"]["proprio"] + fd["obs"]["object_feats"] for fd in rows],
-        actions=[[fd["action"][arm][key] for arm in ARM_NAMES for key in ACTION_KEYS] for fd in rows],
-        phase=[PhaseTag(fd["phase"]).value for fd in rows],
+        actions=[[v for arm in _ARM_ACTIONS(fd["action"]) for v in _ACTION_VALUES(arm)] for fd in rows],
+        phase=phase,
         v=[math.nan if fd["v"] is None else fd["v"] for fd in rows],
     )
     if frames.obs.shape != (len(rows), OBS_DIM) or not np.isfinite(frames.obs).all():
@@ -298,20 +316,27 @@ _FRAME_TEMPLATE, _FRAME_SLOTS = _frame_template()
 _FLOAT_FORMAT = f"%.{FLOAT_SIGFIGS}g "
 
 
+def _float_texts(values: list[float]) -> list[str]:
+    """``repr(float(f"{x:.{FLOAT_SIGFIGS}g}"))`` of each finite value, which
+    is what ``json`` writes for its FLOAT_SIGFIGS-digit rounding.  The
+    ``%g`` text is that ``repr`` already, once an integral one gains ``.0``;
+    only text with an exponent goes through ``float``, because ``repr``
+    writes 1e9 as 1000000000.0 and a subnormal with fewer digits."""
+    texts = (_FLOAT_FORMAT * len(values) % tuple(values)).split()
+    return [repr(float(text)) if "e" in text else text if "." in text else text + ".0" for text in texts]
+
+
 def _frames_text(frames: Frames, instruction_id) -> str:
     """The frames of an episode exactly as ``_dumps`` writes them inside it,
     filled into one template per frame.  Each distinct float is formatted
-    once, as the ``repr`` of its FLOAT_SIGFIGS-digit rounding, which is what
-    ``json`` writes for the rounded value."""
+    once (see ``_float_texts``)."""
     unlabeled = np.isnan(frames.v)
     table = np.column_stack([frames.obs, frames.actions, np.where(unlabeled, 0.0, frames.v)])
     finite = np.isfinite(table)
     if not finite.all():
         raise ValidationError(f"non-finite value {table[~finite][0]!r} in episode payload")
     bits, where = np.unique(table.view(np.int64).ravel(), return_inverse=True)
-    values = bits.view(np.float64).tolist()
-    rounded = map(float, (_FLOAT_FORMAT * len(values) % tuple(values)).split())
-    texts = np.array(list(map(repr, rounded)), dtype=object)[where].reshape(table.shape)
+    texts = np.array(_float_texts(bits.view(np.float64).tolist()), dtype=object)[where].reshape(table.shape)
     texts[unlabeled, -1] = "null"
     phases = frames.phase.tolist()
     phase_text = {p: json.dumps(p) for p in set(phases)}

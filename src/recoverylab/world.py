@@ -97,9 +97,6 @@ class Pose2D:
     def distance(self, other: "Pose2D") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
 
-    def angle_to(self, other: "Pose2D") -> float:
-        return abs(wrap_angle(self.theta - other.theta))
-
 
 class EnvMode(Enum):
     CLEAN = "Clean"

@@ -18,6 +18,7 @@ from recoverylab.faults import (
     error_from_config,
     inject,
     max_nominal_duration,
+    nominal_trial,
     run_episode,
     run_episodes,
     run_interception,
@@ -393,34 +394,97 @@ def test_lockstep_injection_equals_inject_bit_for_bit(cfg):
         assert np.array_equal(together[i].frames.obs, alone.frames.obs), i
 
 
-def test_only_hook_free_trials_share_the_batch(cfg, monkeypatch):
-    # Noisy planner actors override per-frame hooks, so their trials step
-    # alone, first and in trial order; the two learned trials step as one
-    # batch until each reaches its deadline.
+def test_noisy_planners_share_the_batch_and_interceptions_step_alone(cfg, monkeypatch):
+    # Noisy nominal planners share the batch with learned actors.  Planners
+    # with a plan-phase trigger or a takeover step alone, first and in trial
+    # order; the batch then runs until its last trial ends, here the noisy
+    # pick-place planner, which fails at a stall on frame 133.
+    e2 = error_from_config(cfg, ErrorKind.E2_GRASP_SLIP)
+
     def trials():
         return [Trial(PlannerActor(action_noise=0.02), "pick-place", EnvMode.RANDOM, 1, "nom", {}),
                 Trial(LearnedActor(init_policy(cfg, seed=9)), "pick-place", EnvMode.RANDOM, 2, "eval", {}, 40),
-                Trial(PlannerActor(action_noise=0.02), "stack-two", EnvMode.RANDOM, 3, "nom", {}),
-                Trial(LearnedActor(init_policy(cfg, seed=10)), "stack-two", EnvMode.RANDOM, 4, "eval", {}, 60)]
+                Trial(PlannerActor(), "stack-two", EnvMode.RANDOM, 3, "E2", {}, None,
+                      InjectionSchedule(e2, TRIGGER_PHASE[e2.kind], 3), Takeover()),
+                Trial(LearnedActor(init_policy(cfg, seed=10)), "stack-two", EnvMode.RANDOM, 4, "eval", {}, 60),
+                Trial(PlannerActor(action_noise=0.02), "stack-two", EnvMode.RANDOM, 5, "nom", {}),
+                Trial(PlannerActor(), "bimanual-handover", EnvMode.RANDOM, 6, "induced", {}, 50, None,
+                      TimeoutTakeover())]
 
-    learned = {reset(cfg, task, EnvMode.RANDOM, seed).rng_seed for task, seed in (("pick-place", 2), ("stack-two", 4))}
+    batched = {reset(cfg, trial.task_id, EnvMode.RANDOM, trial.seed).rng_seed for trial in trials()
+               if trial.takeover is None}
     stepped = []
     real_step_batch = faults.step_batch
 
     def spy(cfg_, batch, actions):
         stepped.append(batch.rng_seeds)
-        assert set(batch.rng_seeds) <= learned and len(stepped) <= 61, "a batch row past its trial"
+        assert set(batch.rng_seeds) <= batched and len(stepped) <= 150, "a batch row past its trial"
         return real_step_batch(cfg_, batch, actions)
 
     monkeypatch.setattr(faults, "step_batch", spy)
     ended = [(i, run.episode(cfg)) for i, run in run_trials(cfg, trials())]
-    assert [i for i, _ in ended] == [0, 2, 1, 3]
-    assert [len(episode.frames) for _, episode in sorted(ended)][1::2] == [41, 61]
-    assert len(stepped) == 61 and set(stepped[0]) == learned
+    lengths = [len(episode.frames) for _, episode in sorted(ended)]
+    assert [i for i, _ in ended] == [2, 5, 1, 3, 4, 0]
+    assert ended[-1][1].outcome is Outcome.FAILURE and lengths[0] == 133
+    assert [lengths[i] for i in (1, 3)] == [41, 61]
+    assert len(stepped) == max(lengths[i] for i in (0, 1, 3, 4)) and set(stepped[0]) == batched
     monkeypatch.undo()
     for (i, episode), trial in zip(sorted(ended), trials()):
         alone = run_episode(cfg, *(getattr(trial, f.name) for f in fields(trial)))
         assert episode_to_dict(episode) == episode_to_dict(alone), i
+
+
+def _ending(run) -> str:
+    """How an ended trial ended."""
+    if run.succeeded:
+        return "success"
+    if run.actor.exhausted:
+        return "exhausted"
+    return "stall" if run.actor.stalled else "timeout" if run.t >= run.deadline else "?"
+
+
+@pytest.mark.parametrize("overrides, t_max, ending", [
+    ({}, None, "stall"),
+    ({"phase_stall_limit": 12}, None, "stall"),
+    ({"goal_radius": 0.005}, None, "exhausted"),
+    ({}, 70, "timeout"),
+])
+def test_noisy_planner_blocks_equal_one_trial_runs(cfg, overrides, t_max, ending):
+    # Noisy nominal planners of all three tasks in one batch: a plan that
+    # runs out ends its trial unrecorded, a stall ends it at once, and each
+    # episode equals its one-trial run, failures and successes alike.
+    c = cfg.with_overrides(**overrides)
+
+    def trials():
+        return [nominal_trial(c, task, EnvMode.RANDOM, seed, t_max, 0.02)
+                for task in ("pick-place", "stack-two", "bimanual-handover") for seed in range(5)]
+
+    runs = dict(run_trials(c, trials()))
+    endings = [_ending(runs[i]) for i in range(len(runs))]
+    assert ending in endings
+    for i, trial in enumerate(trials()):
+        alone = run_episode(c, *(getattr(trial, f.name) for f in fields(trial)))
+        assert episode_to_dict(runs[i].episode(c)) == episode_to_dict(alone), (i, endings[i])
+
+
+def test_a_lockstep_batch_past_every_deadline_raises(cfg, monkeypatch):
+    # With the end-of-tick deadline check gone no trial here would end: the
+    # random actors never succeed.  The batch raises instead of looping.
+    monkeypatch.setattr(faults._Lockstep, "_due", lambda self, t: np.zeros(len(self.ids), dtype=bool))
+    ticks = []
+    real_step_batch = faults.step_batch
+
+    def spy(cfg_, batch, actions):
+        ticks.append(len(batch))
+        assert len(ticks) <= 61, "a batch tick past every deadline"
+        return real_step_batch(cfg_, batch, actions)
+
+    monkeypatch.setattr(faults, "step_batch", spy)
+    trials = [Trial(RandomActor(seed), "pick-place", EnvMode.RANDOM, seed, "eval", {}, t_max)
+              for seed, t_max in ((1, 30), (2, 60))]
+    with pytest.raises(SequencingError, match="past every live trial's deadline"):
+        list(run_trials(cfg, trials))
+    assert ticks == [2] * 61
 
 
 @pytest.mark.parametrize("lockstep", [False, True])

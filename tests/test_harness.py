@@ -1,12 +1,14 @@
 import json
 import math
+from collections import Counter
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from recoverylab import bench, datagen
 from recoverylab.cli import main as cli_main
-from recoverylab.errors import InputError, ValidationError
+from recoverylab.errors import InputError, PlanningError, ValidationError
 from recoverylab.faults import (
     ErrorKind,
     InjectionSchedule,
@@ -15,10 +17,11 @@ from recoverylab.faults import (
     max_nominal_duration,
     run_episode,
     run_interception,
+    run_nominal,
 )
 from recoverylab.labeling import label_success
 from recoverylab.policy import init_policy, save_policy
-from recoverylab.store import EpisodeKind, dataset_stats, read_dataset, write_episode
+from recoverylab.store import EpisodeKind, Outcome, dataset_stats, episode_to_dict, read_dataset, write_episode
 from recoverylab.value import load_progress_model
 from recoverylab.world import EnvMode
 from tests.actors import OracleActor, RandomActor
@@ -348,6 +351,43 @@ def test_suites_fail_early_on_short_data(tmp_path, capsys, monkeypatch, expert_e
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["error"] == "InsufficientData"
     assert payload["message"] == "recovery tier 1x: 0 of 1 episodes from seeds 10000..59999"
+
+
+def _expert_one_by_one(cfg, task, seeds, counts, keep_failures=False):
+    """``datagen.expert_episodes`` as it ran before seed blocks: one
+    ``run_nominal`` per seed."""
+    for seed in seeds:
+        try:
+            episode = run_nominal(cfg, task, EnvMode.RANDOM, seed, action_noise=float(cfg.expert_action_noise))
+        except PlanningError:
+            counts["skipped"] += 1
+            continue
+        if episode.outcome is Outcome.FAILURE:
+            counts["failures"] += 1
+            if not keep_failures:
+                continue
+        yield episode
+
+
+@pytest.mark.parametrize("keep_failures", [False, True])
+def test_expert_blocks_yield_and_count_as_one_by_one(cfg, monkeypatch, keep_failures):
+    # Objects past x = 0.4 are outside this workspace, so some seeds have no
+    # plan; seed 1 stalls.  Blocks of 3 seeds yield the one-by-one episodes
+    # in seed order, and a caller that stops after k episodes sees the
+    # counts of the seeds up to its k-th episode.
+    monkeypatch.setattr(datagen, "EXPERT_BLOCK", 3)
+    c = cfg.with_overrides(workspace_x_max=0.4)
+    seeds = range(8)
+    want = list(_expert_one_by_one(c, "pick-place", seeds, Counter(), keep_failures))
+    got = list(datagen.expert_episodes(c, "pick-place", EnvMode.RANDOM, seeds, Counter(), keep_failures))
+    assert [episode_to_dict(e) for e in got] == [episode_to_dict(e) for e in want]
+    assert any(e.outcome is Outcome.FAILURE for e in got) == keep_failures
+    for k in range(len(want) + 1):
+        counts, block_counts = Counter(), Counter()
+        list(islice(_expert_one_by_one(c, "pick-place", seeds, counts, keep_failures), k))
+        list(islice(datagen.expert_episodes(c, "pick-place", EnvMode.RANDOM, seeds, block_counts, keep_failures), k))
+        assert block_counts == counts, k
+    assert counts == Counter(skipped=3, failures=1)
 
 
 def test_train_value_writes_the_fit_progress_model(cfg, tmp_path, capsys):

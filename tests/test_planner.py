@@ -13,8 +13,10 @@ from recoverylab.world import (
     EnvMode,
     GRIP_CLOSED,
     LEFT,
+    PROPRIO_DIM,
     Pose2D,
     RIGHT,
+    observe,
     reset,
     step,
     success_check,
@@ -23,13 +25,19 @@ from recoverylab.world import (
 TASKS = ("pick-place", "stack-two", "bimanual-handover")
 
 
+def row(state):
+    """The row values a PlanExecutor reads of ``state``: the arms' proprio
+    row and the holders."""
+    return observe(state)[:PROPRIO_DIM].tolist(), state.holders
+
+
 def execute(cfg, state, plan, max_steps=None):
     executor = PlanExecutor(cfg, plan)
     steps = 0
     budget = max_steps or cfg.plan_max_steps
     while steps < budget:
         try:
-            action = executor.next_action(state)
+            action = executor.next_action(*row(state))
         except PlanExhausted:
             break
         state = step(cfg, state, action)
@@ -87,7 +95,7 @@ def test_next_action_phase_semantics(cfg):
     state = reset(cfg, "pick-place", EnvMode.CLEAN, 0)
     plan = plan_nominal(cfg, state)
     executor = PlanExecutor(cfg, plan)
-    first = executor.next_action(state)
+    first = executor.next_action(*row(state))
     # Approach phase: right arm heads for the standoff above the object, open.
     obj = state.object_poses[0]
     assert first[4] == pytest.approx(obj.x)
@@ -104,7 +112,7 @@ def test_grasp_phase_commands_close_after_dwell(cfg):
     saw_closed_grasp = False
     for _ in range(cfg.plan_max_steps):
         try:
-            action = executor.next_action(state)
+            action = executor.next_action(*row(state))
         except PlanExhausted:
             break
         current = executor.plan[executor.index]
@@ -119,11 +127,11 @@ def test_grasp_phase_commands_close_after_dwell(cfg):
 def test_phase_advances_at_target(cfg):
     state = reset(cfg, "pick-place", EnvMode.CLEAN, 0)
     executor = PlanExecutor(cfg, plan_nominal(cfg, state))
-    executor.next_action(state)
+    executor.next_action(*row(state))
     # Teleport the arm onto the first phase target: the executor must advance.
     target = executor.plan[0].target
     at_target = replace(state, arm_poses=(state.arm_poses[LEFT], target))
-    assert executor.current_step(at_target) is not executor.plan[0]
+    assert executor.current_step(*row(at_target)) is not executor.plan[0]
 
 
 def test_exhausted_plan_signals(cfg):
@@ -131,7 +139,7 @@ def test_exhausted_plan_signals(cfg):
     executor = PlanExecutor(cfg, plan_nominal(cfg, state))
     with pytest.raises(PlanExhausted):
         for _ in range(cfg.plan_max_steps + 50):
-            state = step(cfg, state, executor.next_action(state))
+            state = step(cfg, state, executor.next_action(*row(state)))
 
 
 def build_adverse_state(cfg, seed=0, closed=False):
@@ -202,7 +210,7 @@ def test_recovery_after_completed_handoff_carries_on(cfg):
     state = reset(cfg, "bimanual-handover", EnvMode.RANDOM, 0)
     executor = PlanExecutor(cfg, plan_nominal(cfg, state))
     while state.holders[0] != RIGHT:
-        state = step(cfg, state, executor.next_action(state))
+        state = step(cfg, state, executor.next_action(*row(state)))
     plan = plan_recovery(cfg, state)
     assert plan[0].phase is PlanPhase.LIFT and plan[0].arm == RIGHT
     final, _ = execute(cfg, state, plan)

@@ -19,6 +19,7 @@ from recoverylab.store import (
     Frames,
     Outcome,
     PhaseTag,
+    _float_texts,
     _round_tree,
     episode_to_dict,
     read_episode,
@@ -156,6 +157,25 @@ def test_episode_text_equals_the_json_dumps_path(episode):
     expected = json.dumps(_round_tree(episode_to_dict(episode)), indent=1, sort_keys=True) + "\n"
     with tempfile.TemporaryDirectory() as tmp:
         assert write_episode(episode, tmp).read_text() == expected
+
+
+# Floats whose nine-figure text is integral, has an exponent, or is subnormal.
+text_edges = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-10**12, 10**12).map(float),
+    st.floats(-1e-4, 1e-4),
+    st.floats(-1e-307, 1e-307),
+)
+
+
+@PROPERTY
+@given(st.lists(text_edges, min_size=1, max_size=12))
+@example([0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 999999999.0, 1e9, -1234567890.0, 2.0**70,
+          1e16, 0.0001, 9.99999999e-05, -1.5e-05, 123456789.5])
+def test_float_texts_equal_repr_of_the_rounded_float(values):
+    # The writer's float text skips the float round trip except for text
+    # with an exponent; it must equal the round trip's repr.
+    assert _float_texts(values) == [repr(float("%.9g" % x)) for x in values]
 
 
 @PROPERTY
