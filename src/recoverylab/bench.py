@@ -8,7 +8,8 @@ verifying; unverified trials are excluded from recovery denominators and
 reported separately.  Reports serialize to CSV and JSON with stable
 formatting so identical configs and seeds reproduce byte-identical files.
 The training stages (``phase_one``, ``fit_progress``, ``refine``) are
-composed into policies here and nowhere else in the package.
+composed into policies here and nowhere else in the package, by one runner
+(``train_study``) over a study's cell list.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -208,7 +210,7 @@ def write_report(report: EvalReport, out_dir: str | Path, name: str) -> dict[str
 
 
 # ---------------------------------------------------------------------------
-# training pipelines shared by the experiment suites
+# training stages and the study runner
 
 
 @dataclass
@@ -259,127 +261,123 @@ def refine(cfg: Config, phase1: Policy, progress: tuple[ProgressModel, Reference
     return full
 
 
-def train_variants(
-    cfg: Config,
-    expert_episodes: list[Episode],
-    recovery_episodes: list[Episode],
-    failure_episodes: list[Episode],
-    seed: int = 0,
-    which: tuple[str, ...] = ("sft", "phase1", "full"),
-) -> TrainedVariants:
-    """Train the SFT baseline, the phase-one policy, and the refined policy."""
-    episodes = expert_episodes + recovery_episodes + failure_episodes
-    seeds = sorted({e.seed for e in episodes})
-    out = TrainedVariants(t_max=max_nominal_duration(expert_episodes), training_seeds=frozenset(seeds))
+@dataclass(frozen=True)
+class Cell:
+    """One policy of a study: the phase one on the expert data plus the
+    recovery set named ``recovery`` (None: the SFT baseline), with or without
+    ``history_reset``; then, if ``refine``, its refinement at ``alpha`` (None:
+    the config's).  It is evaluated at the fixed value input ``v``."""
+
+    name: str
+    recovery: str | None = None
+    history_reset: bool = True
+    refine: bool = False
+    alpha: float | None = None
+    v: float = 1.0
+
+
+@dataclass
+class Study:
+    """The trained policies of a cell list by cell name, with the timeout
+    and the training seeds of the data they share."""
+
+    cells: tuple[Cell, ...]
+    policies: dict[str, Policy]
+    t_max: int
+    training_seeds: frozenset[int]
+
+
+def train_study(cfg: Config, cells: Sequence[Cell], expert_episodes: list[Episode],
+                recovery_sets: dict[str, list[Episode]], failure_episodes: list[Episode], seed: int = 0) -> Study:
+    """Train the policies of ``cells``, each distinct stage once: one phase
+    one per (recovery set, history reset), one progress model on the expert
+    episodes, and one refinement per (phase one, alpha) on the expert
+    episodes, that recovery set and the failure episodes.  Every stage takes
+    ``seed``.  Two cells of one name, or a cell naming a recovery set not in
+    ``recovery_sets``, raise ValidationError before anything trains."""
+    names = [cell.name for cell in cells]
+    if len(set(names)) < len(names):
+        raise ValidationError(f"duplicate cell names: {sorted({n for n in names if names.count(n) > 1})}")
+    unknown = {cell.recovery for cell in cells} - {None, *recovery_sets}
+    if unknown:
+        raise ValidationError(f"cells name recovery sets the study was not given: {sorted(unknown)}")
     expert_ds = build_frame_dataset(cfg, expert_episodes)
+    stages: dict = {}
 
-    if "sft" in which:
-        out.sft, _ = phase_one(cfg, expert_ds, [], seed)
-        out.sft.provenance.update(training_seeds=seeds, variant="sft")
-    if "phase1" in which or "full" in which:
-        phase1, _ = phase_one(cfg, expert_ds, recovery_episodes, seed)
-        phase1.provenance.update(training_seeds=seeds, variant="phase1")
-        if "phase1" in which:
-            out.phase1 = phase1
-        if "full" in which:
-            out.full = refine(cfg, phase1, fit_progress(cfg, expert_episodes, seed)[0], episodes, seed)
-            out.full.provenance["variant"] = "full"
-    return out
+    def once(key, train):
+        if key not in stages:
+            stages[key] = train()
+        return stages[key]
 
-
-# ---------------------------------------------------------------------------
-# experiment suites
-
-
-def _adversarial_columns(report: EvalReport) -> dict:
-    return {"adversarial_success": f"{report.success_rate:.6f}", "recovery_rate": f"{report.recovery_rate:.6f}",
-            "verified": report.n_verified}
+    policies = {}
+    for cell in cells:
+        recovery = [] if cell.recovery is None else recovery_sets[cell.recovery]
+        key = (cell.recovery, cell.history_reset)
+        policy = once(key, lambda: phase_one(cfg, expert_ds, recovery, seed, cell.history_reset)[0])
+        if cell.refine:
+            progress = once("progress", lambda: fit_progress(cfg, expert_episodes, seed)[0])
+            cell_cfg = cfg if cell.alpha is None else cfg.with_overrides(alpha=cell.alpha)
+            episodes = expert_episodes + recovery + failure_episodes
+            policy = once((key, cell.alpha), lambda: refine(cell_cfg, policy, progress, episodes, seed))
+        policies[cell.name] = policy
+    episodes = expert_episodes + [e for eps in recovery_sets.values() for e in eps] + failure_episodes
+    return Study(tuple(cells), policies, max_nominal_duration(expert_episodes), frozenset(e.seed for e in episodes))
 
 
-def run_scaling(
-    cfg: Config,
-    task_id: str,
-    error: ErrorType,
-    expert_episodes: list[Episode],
-    recovery_tiers: dict[str, list[Episode]],
-    failure_episodes: list[Episode],
-    eval_seeds: list[int],
-    train_seed: int = 0,
-) -> dict:
-    """Recovery-data scaling: train the refined policy per tier, evaluate both
-    conditions, and emit rows for {SFT baseline, Phase I, tier variants}.
-
-    Each distinct model trains once: the progress model is shared by every
-    tier, and the Phase I row is the smallest tier's phase-one policy."""
-    tiers = sorted(recovery_tiers.items(), key=lambda kv: len(kv[1]))
-    t_max = max_nominal_duration(expert_episodes)
-    expert_ds = build_frame_dataset(cfg, expert_episodes)
-    progress, _ = fit_progress(cfg, expert_episodes, train_seed)
-    cells: dict[str, Policy] = {"baseline-sft": phase_one(cfg, expert_ds, [], train_seed)[0]}
-    for tier_name, tier_eps in tiers:
-        phase1, _ = phase_one(cfg, expert_ds, tier_eps, train_seed)
-        cells.setdefault("phase-1", phase1)
-        cells[f"full-{tier_name}"] = refine(
-            cfg, phase1, progress, expert_episodes + tier_eps + failure_episodes, train_seed,
-        )
-    training_seeds = {e.seed for e in expert_episodes + failure_episodes} | {
-        e.seed for eps in recovery_tiers.values() for e in eps
-    }
-    rows: list[dict] = []
-    for name, pol in cells.items():
-        std, adv = (
-            run_protocol(cfg, policy_actor_factory(pol), task_id, cond, eval_seeds, t_max,
-                         training_seeds=training_seeds)
-            for cond in (None, error)
-        )
-        rows.append({"variant": name, "standard_success": f"{std.success_rate:.6f}",
-                     **_adversarial_columns(adv), "trials": adv.n_trials})
-    return {"rows": rows, "t_max": t_max}
-
-
-def run_ablations(
-    cfg: Config,
-    which: str,
-    task_id: str,
-    error: ErrorType,
-    expert_episodes: list[Episode],
-    recovery_episodes: list[Episode],
-    failure_episodes: list[Episode],
-    eval_seeds: list[int],
-    train_seed: int = 0,
-) -> dict:
-    """Component ablations: history-reset on/off, value guidance v in {0, 1},
-    and the reliability-decay exponent sweep."""
-    if which not in ("history-reset", "value-guidance", "alpha"):
-        raise ValidationError(f"unknown ablation {which!r}")
-    episodes = expert_episodes + recovery_episodes + failure_episodes
-    expert_ds = build_frame_dataset(cfg, expert_episodes)
-    # Cells map a row name to the policy and the fixed value input it is evaluated with.
-    if which == "history-reset":
-        cells = {
-            name: (phase_one(cfg, expert_ds, recovery_episodes, train_seed, history_reset=reset)[0], 1.0)
-            for name, reset in (("with-reset", True), ("no-reset", False))
-        }
-    else:
-        # Only the labels depend on alpha: phase one and the progress model train once.
-        phase1, _ = phase_one(cfg, expert_ds, recovery_episodes, train_seed)
-        progress, _ = fit_progress(cfg, expert_episodes, train_seed)
-        if which == "value-guidance":
-            full = refine(cfg, phase1, progress, episodes, train_seed)
-            cells = {f"v={v:.1f}": (full, v) for v in (1.0, 0.0)}
-        else:
-            cells = {
-                f"alpha={a:g}": (refine(cfg.with_overrides(alpha=a), phase1, progress, episodes, train_seed), 1.0)
-                for a in (1.0, 3.0, 10.0)
-            }
-    t_max = max_nominal_duration(expert_episodes)
-    training_seeds = {e.seed for e in episodes}
+def evaluate_study(cfg: Config, study: Study, task_id: str, conditions: tuple[ErrorType | None, ...],
+                   eval_seeds: list[int]) -> list[dict]:
+    """Evaluate each cell's policy at its ``v`` under every condition (None:
+    Standard) over ``eval_seeds``, and return one table row per cell in cell
+    order: its name, then ``standard_success`` for Standard and the
+    adversarial success, recovery rate and verified count for an error, and
+    last, when the row spans several conditions, the trials per condition."""
     rows = []
-    for name, (pol, v) in cells.items():
-        adv = run_protocol(cfg, policy_actor_factory(pol, v_fixed=v), task_id, error, eval_seeds, t_max,
-                           training_seeds=training_seeds)
-        rows.append({"variant": name, **_adversarial_columns(adv)})
-    return {"ablation": which, "rows": rows}
+    for cell in study.cells:
+        row = {"variant": cell.name}
+        for condition in conditions:
+            rep = run_protocol(cfg, policy_actor_factory(study.policies[cell.name], v_fixed=cell.v), task_id,
+                               condition, eval_seeds, study.t_max, training_seeds=study.training_seeds)
+            if condition is None:
+                row["standard_success"] = f"{rep.success_rate:.6f}"
+            else:
+                row.update(adversarial_success=f"{rep.success_rate:.6f}", recovery_rate=f"{rep.recovery_rate:.6f}",
+                           verified=rep.n_verified)
+        if len(conditions) > 1:
+            row["trials"] = len(eval_seeds)
+        rows.append(row)
+    return rows
+
+
+def scaling_cells(tiers: list[str]) -> list[Cell]:
+    """The recovery-data scaling study over recovery sets named smallest
+    first: the SFT baseline, Phase I (the smallest set's phase one), and the
+    refined policy of each set."""
+    return [Cell("baseline-sft"), Cell("phase-1", tiers[0]),
+            *(Cell(f"full-{tier}", tier, refine=True) for tier in tiers)]
+
+
+# The component ablations by ``ablate --which``, each on the recovery set
+# "1x": history reset on/off, value guidance v in {1, 0}, and the
+# reliability-decay exponent sweep.
+ABLATIONS = {
+    "history-reset": (Cell("with-reset", "1x"), Cell("no-reset", "1x", history_reset=False)),
+    "value-guidance": tuple(Cell(f"v={v:.1f}", "1x", refine=True, v=v) for v in (1.0, 0.0)),
+    "alpha": tuple(Cell(f"alpha={a:g}", "1x", refine=True, alpha=a) for a in (1.0, 3.0, 10.0)),
+}
+
+
+def train_variants(cfg: Config, expert_episodes: list[Episode], recovery_episodes: list[Episode],
+                   failure_episodes: list[Episode], seed: int = 0,
+                   which: tuple[str, ...] = ("sft", "phase1", "full")) -> TrainedVariants:
+    """The study of the cells ``which`` names among the SFT baseline, the
+    phase-one policy and its refinement, each marked with its variant name
+    and the training seeds."""
+    cells = [cell for cell in (Cell("sft"), Cell("phase1", "recovery"), Cell("full", "recovery", refine=True))
+             if cell.name in which]
+    study = train_study(cfg, cells, expert_episodes, {"recovery": recovery_episodes}, failure_episodes, seed)
+    for name, policy in study.policies.items():
+        policy.provenance.update(training_seeds=sorted(study.training_seeds), variant=name)
+    return TrainedVariants(**study.policies, t_max=study.t_max, training_seeds=study.training_seeds)
 
 
 def write_table(rows: list[dict], out_path: str | Path) -> Path:

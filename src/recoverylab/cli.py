@@ -12,6 +12,7 @@ overrides that key on top of the --config file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import Counter
@@ -204,28 +205,26 @@ def _build_suite_data(cfg: Config, args, rec_counts: dict[str, int]):
     return error, expert, tiers, fails
 
 
-def cmd_scaling(args) -> int:
+def _run_study(args, cells, rec_counts: dict[str, int], table: str, standard: bool) -> int:
+    """Train a suite's cells, evaluate them under the error (and Standard if ``standard``), write the table."""
     cfg = _config(args)
-    error, expert, tiers, fails = _build_suite_data(
-        cfg, args, {"1x": args.rec_base, "2x": 2 * args.rec_base, "4x": 4 * args.rec_base}
-    )
+    error, expert, tiers, fails = _build_suite_data(cfg, args, rec_counts)
     eval_seeds = [args.seed + 100_000 + i for i in range(args.trials)]
-    result = bench.run_scaling(cfg, args.task, error, expert, tiers, fails, eval_seeds, train_seed=args.seed)
-    out = bench.write_table(result["rows"], Path(args.out) / "scaling.csv")
-    print(json.dumps({"rows": result["rows"], "csv": str(out)}))
+    study = bench.train_study(cfg, cells, expert, tiers, fails, seed=args.seed)
+    rows = bench.evaluate_study(cfg, study, args.task, (None, error) if standard else (error,), eval_seeds)
+    out = bench.write_table(rows, Path(args.out) / f"{table}.csv")
+    print(json.dumps({"rows": rows, "csv": str(out)}))
     return 0
+
+
+def cmd_scaling(args) -> int:
+    counts = {"1x": args.rec_base, "2x": 2 * args.rec_base, "4x": 4 * args.rec_base}
+    return _run_study(args, bench.scaling_cells(list(counts)), counts, "scaling", standard=True)
 
 
 def cmd_ablate(args) -> int:
-    cfg = _config(args)
-    error, expert, tiers, fails = _build_suite_data(cfg, args, {"1x": args.rec_base})
-    eval_seeds = [args.seed + 100_000 + i for i in range(args.trials)]
-    result = bench.run_ablations(
-        cfg, args.which, args.task, error, expert, tiers["1x"], fails, eval_seeds, train_seed=args.seed,
-    )
-    out = bench.write_table(result["rows"], Path(args.out) / f"ablation-{args.which}.csv")
-    print(json.dumps({"rows": result["rows"], "csv": str(out)}))
-    return 0
+    return _run_study(args, bench.ABLATIONS[args.which], {"1x": args.rec_base}, f"ablation-{args.which}",
+                      standard=False)
 
 
 def cmd_stats(args) -> int:
@@ -248,7 +247,11 @@ def cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  Each subcommand's ``fn`` names
+    its ``cmd_*`` function, which ``main`` looks up at dispatch, so a
+    replaced ``cmd_*`` is the one that runs."""
     parser = argparse.ArgumentParser(
         prog="recoverylab",
         description="failure injection, recovery-data generation, and value-conditioned policy training",
@@ -262,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=50)
     p.add_argument("--noise", dest="expert_action_noise", type=float, default=None, help="collection action noise")
     p.add_argument("--keep-failures", action="store_true")
-    p.set_defaults(fn=cmd_gen_nominal)
+    p.set_defaults(fn="cmd_gen_nominal")
 
     p = sub.add_parser("gen-recovery", help="generate paired failure-recovery episodes")
     _add_common(p)
@@ -271,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--error", required=True, choices=[k.value for k in ErrorKind])
     p.add_argument("--n", type=int, default=50)
     p.add_argument("--pure-failure", action="store_true", help="suppress recovery; store pure failures")
-    p.set_defaults(fn=cmd_gen_recovery)
+    p.set_defaults(fn="cmd_gen_recovery")
 
     p = sub.add_parser("collect-induced", help="collect policy-induced failures with planner takeover")
     _add_common(p)
@@ -280,20 +283,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=50)
     p.add_argument("--expert-data", default=None, help="dataset dir(s) used to derive the timeout")
     p.add_argument("--t-max", type=int, default=None)
-    p.set_defaults(fn=cmd_collect_induced)
+    p.set_defaults(fn="cmd_collect_induced")
 
     p = sub.add_parser("train-value", help="train the progress value model")
     _add_common(p)
     p.add_argument("--data", required=True, help="comma-separated dataset dirs of successes")
     p.add_argument("--steps", dest="align_steps", type=int, default=None)
-    p.set_defaults(fn=cmd_train_value)
+    p.set_defaults(fn="cmd_train_value")
 
     p = sub.add_parser("label", help="write hindsight value labels over a dataset")
     _add_common(p)
     p.add_argument("--data", required=True)
     p.add_argument("--value", required=True, help="progress-model checkpoint")
     p.add_argument("--alpha", type=float, default=None)
-    p.set_defaults(fn=cmd_label)
+    p.set_defaults(fn="cmd_label")
 
     p = sub.add_parser("train-rai", help="phase-one imitation on expert plus reset-recovery data")
     _add_common(p)
@@ -306,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history-w", dest="history_window", type=int, default=None)
     p.add_argument("--no-history-reset", action="store_true",
                    help="ablation: train on unsliced recovery episodes with raw histories")
-    p.set_defaults(fn=cmd_train_rai)
+    p.set_defaults(fn="cmd_train_rai")
 
     p = sub.add_parser("train-vcr", help="value-conditioned refinement on a labeled dataset")
     _add_common(p)
@@ -316,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", dest="refine_steps", type=int, default=None)
     p.add_argument("--lr", dest="policy_lr", type=float, default=None)
     p.add_argument("--history-w", dest="history_window", type=int, default=None)
-    p.set_defaults(fn=cmd_train_vcr)
+    p.set_defaults(fn="cmd_train_vcr")
 
     p = sub.add_parser("eval", help="phase-protocol evaluation of a policy checkpoint")
     _add_common(p)
@@ -329,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expert-data", default=None)
     p.add_argument("--t-max", type=int, default=None)
     p.add_argument("--name", default="eval")
-    p.set_defaults(fn=cmd_eval)
+    p.set_defaults(fn="cmd_eval")
 
     p = sub.add_parser("scaling", help="recovery-data scaling study (1x/2x/4x)")
     _add_common(p)
@@ -339,37 +342,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rec-base", type=int, default=8)
     p.add_argument("--failures-n", type=int, default=8)
     p.add_argument("--trials", type=int, default=40)
-    p.set_defaults(fn=cmd_scaling)
+    p.set_defaults(fn="cmd_scaling")
 
     p = sub.add_parser("ablate", help="component ablations")
     _add_common(p)
-    p.add_argument("--which", required=True, choices=["history-reset", "value-guidance", "alpha"])
+    p.add_argument("--which", required=True, choices=list(bench.ABLATIONS))
     p.add_argument("--task", default="pick-place")
     p.add_argument("--error", default="E2", choices=[k.value for k in ErrorKind])
     p.add_argument("--expert-n", type=int, default=40)
     p.add_argument("--rec-base", type=int, default=16)
     p.add_argument("--failures-n", type=int, default=8)
     p.add_argument("--trials", type=int, default=30)
-    p.set_defaults(fn=cmd_ablate)
+    p.set_defaults(fn="cmd_ablate")
 
     p = sub.add_parser("stats", help="dataset statistics table")
     _add_common(p)
     p.add_argument("--data", required=True)
-    p.set_defaults(fn=cmd_stats)
+    p.set_defaults(fn="cmd_stats")
 
     p = sub.add_parser("report", help="re-render a stored evaluation report")
     _add_common(p)
     p.add_argument("--in", dest="input", required=True)
-    p.set_defaults(fn=cmd_report)
+    p.set_defaults(fn="cmd_report")
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()[args.fn](args)
     except RecoveryLabError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1

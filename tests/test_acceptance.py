@@ -24,7 +24,6 @@ from recoverylab.faults import (
     detect_failure,
     error_from_config,
     inject,
-    max_nominal_duration,
     run_nominal,
 )
 from recoverylab.labeling import label_failure
@@ -88,38 +87,33 @@ def gen_experts(task: str, n_attempts: int, seed0: int = 0):
     return list(datagen.expert_episodes(CFG, task, EnvMode.RANDOM, range(seed0, seed0 + n_attempts), Counter()))
 
 
+# Pick-place: the SFT baseline, the tier-trained refined policies, and the
+# history-reset ablation pair.  Tier recovery sets are nested prefixes of one
+# pool so 2x and 4x genuinely double the 1x data; the ablation pair trains on
+# the full pool, where the unsliced error segments carry enough weight for the
+# causal-confusion effect to show.
+PP_TIERS = {"1x": 4, "2x": 8, "4x": 16}
+PP_CELLS = (
+    bench.Cell("sft"),
+    bench.Cell("phase1", "pool"),
+    bench.Cell("phase1-noreset", "pool", history_reset=False),
+    *(bench.Cell(f"full-{tier}", tier, refine=True) for tier in PP_TIERS),
+)
+
+
+def pp_recovery_sets(pool):
+    return {"pool": pool, **{tier: pool[:n] for tier, n in PP_TIERS.items()}}
+
+
 @pytest.fixture(scope="session")
 def pp_bundle():
-    """Pick-place: datasets, SFT baseline, tier-trained refined policies, and
-    the history-reset ablation pair.  Tier recovery sets are nested prefixes
-    of one pool so 2x and 4x genuinely double the 1x data; the ablation pair
-    trains on the full pool, where the unsliced error segments carry enough
-    weight for the causal-confusion effect to show.  The tiers share one
-    progress model, as ``bench.run_scaling``'s do."""
+    """Pick-place datasets and the policies of ``PP_CELLS`` by cell name."""
     expert = gen_experts("pick-place", 60)
     rec_pool = gen_recoveries("pick-place", 32, 10_000)
     fails = gen_recoveries("pick-place", 10, 70_000, recover=False)
-
-    expert_ds = build_frame_dataset(CFG, expert)
-    progress, _ = bench.fit_progress(CFG, expert, seed=0)
-    fulls = {
-        name: bench.refine(CFG, bench.phase_one(CFG, expert_ds, eps, seed=0)[0], progress, expert + eps + fails, seed=0)
-        for name, eps in (("1x", rec_pool[:4]), ("2x", rec_pool[:8]), ("4x", rec_pool[:16]))
-    }
-    reset_pair = {
-        flag: bench.phase_one(CFG, expert_ds, rec_pool, seed=0, history_reset=flag)[0] for flag in (True, False)
-    }
-    return {
-        "expert": expert,
-        "rec_pool": rec_pool,
-        "fails": fails,
-        "t_max": max_nominal_duration(expert),
-        "sft": bench.phase_one(CFG, expert_ds, [], seed=0)[0],
-        "fulls": fulls,
-        "phase1": reset_pair[True],
-        "phase1_noreset": reset_pair[False],
-        "training_seeds": {e.seed for e in expert + rec_pool + fails},
-    }
+    study = bench.train_study(CFG, PP_CELLS, expert, pp_recovery_sets(rec_pool), fails, seed=0)
+    return {"expert": expert, "rec_pool": rec_pool, "fails": fails, "t_max": study.t_max,
+            "training_seeds": study.training_seeds, **study.policies}
 
 
 @pytest.fixture(scope="session")
@@ -137,7 +131,7 @@ def st_bundle():
 def a8_reports(pp_bundle):
     seeds = [EVAL_BASE + i for i in range(300)]
     reports = {}
-    for name, pol in (("sft", pp_bundle["sft"]), ("full", pp_bundle["fulls"]["4x"])):
+    for name, pol in (("sft", pp_bundle["sft"]), ("full", pp_bundle["full-4x"])):
         reports[name] = bench.run_protocol(
             CFG, bench.policy_actor_factory(pol), "pick-place", E2, seeds,
             pp_bundle["t_max"], training_seeds=pp_bundle["training_seeds"],
@@ -338,7 +332,7 @@ def test_a8_directional_gain(a8_reports):
 def test_a9_value_guidance(pp_bundle, st_bundle):
     per_task = {}
     cells = [
-        ("pick-place", pp_bundle["fulls"]["4x"], pp_bundle["t_max"], pp_bundle["training_seeds"]),
+        ("pick-place", pp_bundle["full-4x"], pp_bundle["t_max"], pp_bundle["training_seeds"]),
         ("stack-two", st_bundle["full"], st_bundle["t_max"], st_bundle["training_seeds"]),
     ]
     seeds = [EVAL_BASE + i for i in range(40)]
@@ -372,7 +366,7 @@ def test_a10_scaling_trend(pp_bundle):
     counts = {}
     for name in ("1x", "2x", "4x"):
         rep = bench.run_protocol(
-            CFG, bench.policy_actor_factory(pp_bundle["fulls"][name]), "pick-place", E2,
+            CFG, bench.policy_actor_factory(pp_bundle[f"full-{name}"]), "pick-place", E2,
             seeds, pp_bundle["t_max"], training_seeds=pp_bundle["training_seeds"],
         )
         rates[name] = rep.success_rate
@@ -400,7 +394,7 @@ def test_a10_scaling_trend(pp_bundle):
 def test_a11_history_reset_ablation(pp_bundle):
     seeds = [EVAL_BASE + i for i in range(110)]
     results = {}
-    for name, pol in (("with-reset", pp_bundle["phase1"]), ("no-reset", pp_bundle["phase1_noreset"])):
+    for name, pol in (("with-reset", pp_bundle["phase1"]), ("no-reset", pp_bundle["phase1-noreset"])):
         rep = bench.run_protocol(
             CFG, bench.policy_actor_factory(pol), "pick-place", E2, seeds,
             pp_bundle["t_max"], training_seeds=pp_bundle["training_seeds"],
@@ -438,7 +432,7 @@ def test_a12_protocol_integrity(pp_bundle, a8_reports, tmp_path):
     blobs = []
     for run in ("r1", "r2"):
         rep = bench.run_protocol(
-            CFG, bench.policy_actor_factory(pp_bundle["fulls"]["4x"]), "pick-place", E2,
+            CFG, bench.policy_actor_factory(pp_bundle["full-4x"]), "pick-place", E2,
             seeds, pp_bundle["t_max"], training_seeds=pp_bundle["training_seeds"],
         )
         paths = bench.write_report(rep, tmp_path / run, name="integrity")

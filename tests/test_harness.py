@@ -2,6 +2,7 @@ import json
 import math
 from collections import Counter
 from itertools import islice
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from recoverylab.store import EpisodeKind, Outcome, dataset_stats, episode_to_di
 from recoverylab.value import load_progress_model
 from recoverylab.world import EnvMode
 from tests.actors import OracleActor, RandomActor
+from tests.test_acceptance import PP_CELLS, pp_recovery_sets
 
 
 @pytest.fixture(scope="module")
@@ -468,69 +470,68 @@ def nano_cfg(cfg):
 def test_run_scaling_table_shape(nano_cfg, expert_episodes, recovery_episodes, failure_episodes):
     tiers = {"1x": recovery_episodes[:2], "2x": recovery_episodes[:4]}
     error = error_from_config(nano_cfg, ErrorKind.E2_GRASP_SLIP)
-    result = bench.run_scaling(
-        nano_cfg, "pick-place", error, expert_episodes[:8], tiers, failure_episodes[:2],
-        eval_seeds=seeds_from(700000, 6), train_seed=0,
-    )
-    variants = [row["variant"] for row in result["rows"]]
-    assert variants == ["baseline-sft", "phase-1", "full-1x", "full-2x"]
-    for row in result["rows"]:
-        assert {"standard_success", "adversarial_success", "recovery_rate", "verified", "trials"} <= set(row)
+    study = bench.train_study(nano_cfg, bench.scaling_cells(list(tiers)), expert_episodes[:8], tiers,
+                              failure_episodes[:2])
+    rows = bench.evaluate_study(nano_cfg, study, "pick-place", (None, error), seeds_from(700000, 6))
+    assert [row["variant"] for row in rows] == ["baseline-sft", "phase-1", "full-1x", "full-2x"]
+    for row in rows:
+        assert list(row) == ["variant", "standard_success", "adversarial_success", "recovery_rate", "verified",
+                             "trials"]
         assert row["trials"] == 6
 
 
 def test_run_ablations_value_guidance(nano_cfg, expert_episodes, recovery_episodes, failure_episodes, tmp_path):
     error = error_from_config(nano_cfg, ErrorKind.E2_GRASP_SLIP)
-    result = bench.run_ablations(
-        nano_cfg, "value-guidance", "pick-place", error,
-        expert_episodes[:8], recovery_episodes[:4], failure_episodes[:2],
-        eval_seeds=seeds_from(710000, 6), train_seed=0,
-    )
-    assert [row["variant"] for row in result["rows"]] == ["v=1.0", "v=0.0"]
-    path = bench.write_table(result["rows"], tmp_path / "ablation.csv")
-    assert path.read_text().startswith("variant,")
+    study = bench.train_study(nano_cfg, bench.ABLATIONS["value-guidance"], expert_episodes[:8],
+                              {"1x": recovery_episodes[:4]}, failure_episodes[:2])
+    assert study.policies["v=1.0"] is study.policies["v=0.0"]
+    rows = bench.evaluate_study(nano_cfg, study, "pick-place", (error,), seeds_from(710000, 6))
+    assert [row["variant"] for row in rows] == ["v=1.0", "v=0.0"]
+    path = bench.write_table(rows, tmp_path / "ablation.csv")
+    assert path.read_text().startswith("variant,adversarial_success,recovery_rate,verified\n")
 
 
 def test_run_ablations_history_reset_and_alpha_rows(nano_cfg, expert_episodes, recovery_episodes, failure_episodes):
     error = error_from_config(nano_cfg, ErrorKind.E2_GRASP_SLIP)
-    reset_rows = bench.run_ablations(
-        nano_cfg, "history-reset", "pick-place", error,
-        expert_episodes[:6], recovery_episodes[:3], failure_episodes[:2],
-        eval_seeds=seeds_from(720000, 4), train_seed=0,
-    )["rows"]
-    assert [row["variant"] for row in reset_rows] == ["with-reset", "no-reset"]
-    alpha_rows = bench.run_ablations(
-        nano_cfg, "alpha", "pick-place", error,
-        expert_episodes[:6], recovery_episodes[:3], failure_episodes[:2],
-        eval_seeds=seeds_from(730000, 4), train_seed=0,
-    )["rows"]
-    assert [row["variant"] for row in alpha_rows] == ["alpha=1", "alpha=3", "alpha=10"]
+    for which, start, names in (("history-reset", 720000, ["with-reset", "no-reset"]),
+                                ("alpha", 730000, ["alpha=1", "alpha=3", "alpha=10"])):
+        study = bench.train_study(nano_cfg, bench.ABLATIONS[which], expert_episodes[:6],
+                                  {"1x": recovery_episodes[:3]}, failure_episodes[:2])
+        rows = bench.evaluate_study(nano_cfg, study, "pick-place", (error,), seeds_from(start, 4))
+        assert [row["variant"] for row in rows] == names
 
 
-def test_suites_train_each_distinct_model_once(nano_cfg, expert_episodes, recovery_episodes, failure_episodes,
-                                              monkeypatch):
+def test_suites_train_each_distinct_model_once(nano_cfg, expert_episodes, recovery_episodes, failure_episodes):
     cfg = nano_cfg.with_overrides(bc_steps=2, refine_steps=2, align_steps=2)
-    calls = {}
+    expert, fails = expert_episodes[:4], failure_episodes[:2]
 
-    def counted(name):
-        real = getattr(bench, name)
+    def calls(train):
+        """Calls of train_bc, train_alignment and train_value_conditioned in ``train()``."""
+        names = ("train_bc", "train_alignment", "train_value_conditioned")
+        stages = [mock.Mock(wraps=getattr(bench, name)) for name in names]
+        with mock.patch.multiple(bench, **dict(zip(names, stages))):
+            train()
+        return [stage.call_count for stage in stages]
 
-        def wrapper(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return real(*args, **kwargs)
-        monkeypatch.setattr(bench, name, wrapper)
-
-    names = ("train_bc", "train_alignment", "train_value_conditioned")
-    for name in names:
-        counted(name)
-    error = error_from_config(cfg, ErrorKind.E2_GRASP_SLIP)
     tiers = {"1x": recovery_episodes[:1], "2x": recovery_episodes[:2], "4x": recovery_episodes[:4]}
-    bench.run_scaling(cfg, "pick-place", error, expert_episodes[:4], tiers, failure_episodes[:2],
-                      eval_seeds=[740000])
-    assert [calls.pop(name) for name in names] == [4, 1, 3]
-    bench.run_ablations(cfg, "alpha", "pick-place", error, expert_episodes[:4], recovery_episodes[:2],
-                        failure_episodes[:2], eval_seeds=[750000])
-    assert [calls.pop(name) for name in names] == [1, 1, 3]
+    for cells, recovery_sets, counts in ((bench.scaling_cells(list(tiers)), tiers, [4, 1, 3]),
+                                         (bench.ABLATIONS["alpha"], {"1x": recovery_episodes[:2]}, [1, 1, 3]),
+                                         (PP_CELLS, pp_recovery_sets(recovery_episodes), [6, 1, 3])):
+        assert calls(lambda: bench.train_study(cfg, cells, expert, recovery_sets, fails)) == counts
+    for which, counts in ((("sft", "phase1", "full"), [2, 1, 1]), (("full",), [1, 1, 1])):
+        assert calls(lambda: bench.train_variants(cfg, expert, recovery_episodes[:2], fails, which=which)) == counts
+
+
+@pytest.mark.parametrize("cells, message", [
+    ([bench.Cell("full"), bench.Cell("full", "1x", refine=True)], r"duplicate cell names: \['full'\]"),
+    (bench.scaling_cells(["1x", "2x"]), r"recovery sets the study was not given: \['2x'\]"),
+], ids=["duplicate-name", "unknown-recovery-set"])
+def test_study_rejects_bad_cells_before_training(cells, message, cfg, expert_episodes, recovery_episodes,
+                                                 monkeypatch):
+    for stage in ("phase_one", "fit_progress", "refine"):
+        monkeypatch.setattr(bench, stage, None)  # a stage call would raise TypeError
+    with pytest.raises(ValidationError, match=message):
+        bench.train_study(cfg, cells, expert_episodes[:2], {"1x": recovery_episodes[:1]}, [])
 
 
 @pytest.fixture()
