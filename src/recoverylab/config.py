@@ -9,8 +9,11 @@ integer keys take integers, float keys take any finite real number.  Physical
 scales, divisors, the decay exponent, batch sizes and the episode length
 bound (POSITIVE) must be greater than zero.  No integer key (step counts,
 windows, dimensions, seeds) means anything below zero, so none takes a
-negative value; other step counts may be zero.  The documented keys and their defaults are the DEFAULTS table
-below.
+negative value; other step counts may be zero.  Nor do the loss weight, the
+noise scales and the E3/E4 draw bounds (NON_NEGATIVE): a negative weight or
+noise would be dropped as zero, and a negative bound would mirror its draw
+range, so they take zero or more.  The documented keys and their defaults
+are the DEFAULTS table below.
 """
 
 from __future__ import annotations
@@ -94,6 +97,12 @@ POSITIVE = frozenset({
     "sigma", "alpha", "align_lr", "policy_lr", "align_batch", "policy_batch", "episode_max_steps",
 })
 
+# Float keys that weigh a loss term, scale noise or bound an error draw: a
+# value below zero has no meaning for them, while zero turns them off.
+NON_NEGATIVE = frozenset({
+    "lambda_recovery", "input_noise", "expert_action_noise", "e3_offset_max", "e4_dtheta_max", "e4_lat_max",
+})
+
 
 @dataclass(frozen=True)
 class Config:
@@ -117,7 +126,7 @@ class Config:
                 raise ConfigError(f"{key} must be finite, got {value!r}")
             if key in POSITIVE and not value > 0:
                 raise ConfigError(f"{key} must be positive, got {value!r}")
-            if integer and value < 0:
+            if (integer or key in NON_NEGATIVE) and value < 0:
                 raise ConfigError(f"{key} must not be negative, got {value!r}")
         merged = dict(self.values)
         merged.update(overrides)

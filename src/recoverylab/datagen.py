@@ -11,7 +11,7 @@ from itertools import islice
 from pathlib import Path
 
 from .config import Config
-from .errors import PlanningError
+from .errors import InputError, PlanningError
 from .faults import ErrorType, TimeoutTakeover, nominal_trial, run_episode, run_episodes, run_interception
 from .policy import LearnedActor, Policy
 from .store import Episode, EpisodeKind, Outcome, write_episodes
@@ -147,8 +147,11 @@ def collect_policy_induced(
     of its objectives, or else the step after the last change in grasp state.
     The planner's corrective phases are Recovery.  Runs the planner cannot
     recover, or does not finish, are stored as pure failures; policy
-    successes are counted but not stored.
+    successes are counted but not stored.  No task ids is an InputError,
+    raised before ``out_dir`` is made.
     """
+    if not task_ids:
+        raise InputError("collect_policy_induced needs at least one task id")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     counts = {"recovery": 0, "pure_failure": 0, "policy_success": 0, "skipped": 0}

@@ -18,8 +18,8 @@ hands back each ended trial.  ``run_episodes`` builds their episodes, and
 ``run_episode`` is its one-trial call.  Expert demonstrations, interception,
 policy rollouts and policy-induced collection differ only in the actor, the
 injection trigger and the takeover they hand it.  Trials that need no
-per-frame Python step together as one ``world.WorldBatch``; any other trial
-steps alone on its ``WorldState``.
+per-frame Python and whose actors are of one class step together as one
+``world.WorldBatch``; any other trial steps alone on its ``WorldState``.
 """
 
 from __future__ import annotations
@@ -304,13 +304,13 @@ class Actor:
     it holds until the window closes and the injection is verified.  One that
     reports ``stalled`` ends the episode at once.  Both endings are failures.
 
-    A lockstep batch reads the per-frame hooks only of trials whose actor
-    has them, as tick events: the executed rows (``applied_all``, for a
-    class that overrides ``applied``), and ``exhausted`` and ``stalled``
-    (for a class that overrides either, or an actor that sets ``exhausted``
-    in ``begin``).  ``recovery_tag`` is read every frame once recovery has
-    begun, so a trial with a trigger whose actor's class overrides it steps
-    alone (see ``run_trials``).
+    A lockstep batch holds actors of one class and reads the per-frame
+    hooks, as tick events, only if they have them: the executed rows
+    (``applied_all``, for a class that overrides ``applied``), and
+    ``exhausted`` and ``stalled`` (for a class that overrides either, or an
+    actor that sets ``exhausted`` in ``begin``).  ``recovery_tag`` is read
+    every frame once recovery has begun, so a trial with a trigger whose
+    actor's class overrides it steps alone (see ``run_trials``).
     """
 
     exhausted = False
@@ -325,11 +325,11 @@ class Actor:
 
     @classmethod
     def act_all(cls, actors: list[Actor], states: Sequence[WorldState], obs: np.ndarray) -> np.ndarray:
-        """The action rows of M actors of this class in one lockstep tick, as
-        a new (M, ACTION_DIM) array that the caller may write to; row k of
-        ``obs`` is actor k's observation.  Subclasses that can act together
-        override it; this one acts one by one.  A lockstep run passes its
-        ``WorldBatch``, which builds a row's state where it is read."""
+        """The action rows of a lockstep batch's M actors, all of this class,
+        in one tick, as a new (M, ACTION_DIM) array that the caller may write
+        to; row k of ``states``, the batch's ``WorldBatch``, and of ``obs`` is
+        actor k's.  Subclasses that can act together override it; this one
+        acts one by one, and the batch builds a row's state as it is read."""
         rows = [actor.act(s, o) for actor, s, o in zip(actors, states, obs)]
         try:
             return np.array(rows, dtype=float).reshape(len(actors), ACTION_DIM)
@@ -398,8 +398,8 @@ class PlannerActor(Actor):
 
     @classmethod
     def act_all(cls, actors, states, obs):
-        holders = states.holders.tolist() if isinstance(states, WorldBatch) else [s.holders for s in states]
-        rows = [actor._act(p, h) for actor, p, h in zip(actors, obs[:, :PROPRIO_DIM].tolist(), holders)]
+        proprio, holders = obs[:, :PROPRIO_DIM].tolist(), states.holders.tolist()
+        rows = [actor._act(p, h) for actor, p, h in zip(actors, proprio, holders)]
         return np.array(rows, dtype=float).reshape(len(actors), ACTION_DIM)
 
     @property
@@ -776,23 +776,25 @@ def _inject_rows(actions: np.ndarray, rows: np.ndarray, arm: np.ndarray, kind: n
 
 
 class _Lockstep:
-    """Two or more trials stepped as one ``WorldBatch``, whose rows are the
-    live trials in trial order.
+    """Two or more trials whose actors are of one class, stepped as one
+    ``WorldBatch`` whose rows are the live trials in trial order.
 
     Its trials have no takeover, no plan-phase trigger and no per-frame tag
     (see ``run_trials``), so a tick runs a trial's Python only at its
     events: its geometric trigger fires, its window closes, it succeeds or
-    it reaches its deadline, and, for an actor with those hooks, it runs
-    out or stalls.  What a tick reads of every trial is kept in arrays over
-    the trials, by their place in the batch: deadlines, error kinds,
-    unresolved triggers, the windows, arms and draws of resolved ones, and
-    whose actor a tick asks whether it ran out or stalled.  The actor
-    classes that override ``applied`` give the executed rows.
+    it reaches its deadline, and, for actors with those hooks, it runs out
+    or stalls.  What a tick reads of every trial is kept in arrays over the
+    trials, by their place in the batch: deadlines, error kinds, unresolved
+    triggers, and the windows, arms and draws of resolved ones.  A tick acts
+    with one ``act_all`` call of the class and, for a class that overrides
+    ``applied``, executes the rows of one ``applied_all`` call.
     """
 
     def __init__(self, cfg: Config, runs: list[TrialRun], states: list[WorldState]):
         n = len(runs)
         self.cfg, self.live, self.t = cfg, runs, 0
+        self.actors = actors = [run.actor for run in runs]
+        self.cls = type(actors[0])
         self.ids = np.arange(n)  # each live row's place in ``runs``
         self.world = WorldBatch.of(cfg, states)
         self.obs = observe_batch(self.world)
@@ -805,50 +807,16 @@ class _Lockstep:
         self.kind = np.array([0 if s is None else _KINDS.index(s.error.kind) for s in triggers])
         self.t_start, self.t_end = np.full(n, -1), np.full(n, -1)  # -1: no window
         self.arm, self.draws = np.zeros(n, dtype=int), np.zeros((n, 3))
-        hooked = [_overrides(run.actor, Actor, "stalled") or _overrides(run.actor, Actor, "exhausted")
-                  or "exhausted" in vars(run.actor) for run in runs]
-        self.hooked = np.array(hooked) if any(hooked) else None
-        self.applies = {type(run.actor) for run in runs if _overrides(run.actor, Actor, "applied")}
-        self._regroup()
-
-    def _regroup(self) -> None:
-        """Note the live trials' actors, and the live rows of each actor class."""
-        self.actors = [run.actor for run in self.live]
-        self.classes: dict[type, list[int]] = {}
-        for k, actor in enumerate(self.actors):
-            self.classes.setdefault(type(actor), []).append(k)
-
-    def _act(self) -> np.ndarray:
-        """The (N, ACTION_DIM) action rows of the live trials, with one
-        ``act_all`` call per actor class."""
-        actors, world, obs = self.actors, self.world, self.obs
-        if len(self.classes) == 1:
-            return next(iter(self.classes)).act_all(actors, world, obs)
-        actions = np.empty((len(actors), ACTION_DIM))
-        for cls, ks in self.classes.items():
-            actions[ks] = cls.act_all([actors[k] for k in ks], world.take(ks), obs[ks])
-        return actions
-
-    def _applied(self, actions: np.ndarray) -> np.ndarray:
-        """The rows the arms execute for the recorded ``actions``: those of
-        the classes that override ``applied`` through ``applied_all``."""
-        executed = actions
-        for cls, ks in self.classes.items():
-            if cls not in self.applies:
-                continue
-            if len(self.classes) == 1:
-                return cls.applied_all(self.actors, actions)
-            executed = actions.copy() if executed is actions else executed
-            executed[ks] = cls.applied_all([self.actors[k] for k in ks], actions[ks])
-        return executed
+        self.hooked = (_overrides(actors[0], Actor, "stalled") or _overrides(actors[0], Actor, "exhausted")
+                       or any("exhausted" in vars(actor) for actor in actors))
+        self.applies = _overrides(actors[0], Actor, "applied")
 
     def _hooks(self, t: int) -> list[int]:
         """The live rows whose actor ran out or stalled on frame ``t``, asked
         just after the actors acted; a trial whose actor ran out ends there,
         unrecorded (see ``TrialRun.acted``)."""
         events = []
-        for k in self.hooked[self.ids].nonzero()[0].tolist():
-            run = self.live[k]
+        for k, run in enumerate(self.live):
             if not run.acted():
                 run.t = t
                 events.append(k)
@@ -882,8 +850,8 @@ class _Lockstep:
         cfg, t, live, ids = self.cfg, self.t, self.live, self.ids
         if self.triggered:
             self._fire(t)
-        actions = self._act()
-        hooked = self._hooks(t) if self.hooked is not None else []
+        actions = self.cls.act_all(self.actors, self.world, self.obs)
+        hooked = self._hooks(t) if self.hooked else []
         if self.triggered:
             inside = (self.t_start[ids] <= t) & (t < self.t_end[ids])
             if inside.any():
@@ -891,7 +859,7 @@ class _Lockstep:
                 _inject_rows(actions, w, self.arm[ids[w]], self.kind[ids[w]], self.draws[ids[w]])
         self.frames.write(t, ids, self.obs, actions)
         if self.applies:
-            actions = self._applied(actions)
+            actions = self.cls.applied_all(self.actors, actions)
         self.world = world = step_batch(cfg, self.world, actions)
         self.t = t = t + 1
 
@@ -918,7 +886,7 @@ class _Lockstep:
             self.live, self.ids, self.world = [live[k] for k in kept], ids[kept], world.take(kept)
             if kept:
                 self.horizon = int(self.deadline[self.ids].max())
-                self._regroup()
+                self.actors = [run.actor for run in self.live]
         if self.live:
             if t >= self.horizon:
                 raise SequencingError(f"lockstep tick {t} is past every live trial's deadline")
@@ -978,16 +946,17 @@ def run_trials(cfg: Config, trials: list[Trial]) -> Iterator[tuple[int, TrialRun
 
     A trial with a takeover or a plan-phase trigger steps alone on its
     ``WorldState`` (``_Single``), as does one with a trigger whose actor's
-    class overrides ``recovery_tag``.  Two or more of the others step in
-    lockstep as one ``WorldBatch`` (``_Lockstep``), noisy nominal planners
-    among them, and a lone one steps alone.  The lone trials run first, one
-    after another in trial order, then the batch, whose trials are yielded
-    as they end, those that end on one tick in trial order.
+    class overrides ``recovery_tag``.  Two or more of the others whose
+    actors are of one class step in lockstep as one ``WorldBatch``
+    (``_Lockstep``), and a class's one trial steps alone.  The lone trials
+    run first, one after another in trial order, then the class batches in
+    the order of their first trials.  A batch yields its trials as they
+    end, those that end on one tick in trial order.
 
     Every trial starts at tick 0 and records one frame a tick, so its frame
     count is the tick.  A batch tick is arrays from end to end: it fires
     the geometric triggers whose condition holds, hands the batch's
-    observation rows to one ``Actor.act_all`` call per actor class, injects
+    observation rows to one ``Actor.act_all`` call of its class, injects
     the in-window rows of the (M, ACTION_DIM) array it returns, records the
     tick's frames and steps the world once under the executed rows (see
     ``Actor.applied_all``); then it checks success, the windows that close
@@ -1002,13 +971,14 @@ def run_trials(cfg: Config, trials: list[Trial]) -> Iterator[tuple[int, TrialRun
             raise InputError("a trial with a trigger cannot have a TimeoutTakeover: no tag rule covers both")
     runs = [TrialRun(cfg, i, trial) for i, trial in enumerate(trials)]
     states = [run.begin(cfg) for run in runs]
-    batched = [not _steps_alone(run) for run in runs]
-    if sum(batched) < 2:
-        batched = [False] * len(runs)
-    engines = [_Single(cfg, run, state) for run, state, b in zip(runs, states, batched) if not b]
-    if any(batched):
-        engines.append(_Lockstep(cfg, [run for run, b in zip(runs, batched) if b],
-                                 [state for state, b in zip(states, batched) if b]))
+    classes: dict[type, list[int]] = {}
+    for run in runs:
+        if not _steps_alone(run):
+            classes.setdefault(type(run.actor), []).append(run.index)
+    batches = [ks for ks in classes.values() if len(ks) > 1]
+    batched = set(chain.from_iterable(batches))
+    engines = [_Single(cfg, run, state) for run, state in zip(runs, states) if run.index not in batched]
+    engines += [_Lockstep(cfg, [runs[k] for k in ks], [states[k] for k in ks]) for ks in batches]
     del runs, states  # the engines hold the live trials, and an ended one is the caller's
     for engine in engines:
         while engine.live:

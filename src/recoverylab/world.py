@@ -390,8 +390,6 @@ class WorldBatch:
 
     def take(self, rows: Sequence[int]) -> "WorldBatch":
         """The batch of ``rows``, in that order."""
-        if list(rows) == list(range(len(self))):
-            return self
         idx = np.asarray(rows, dtype=int)
         return WorldBatch(
             self.arms[idx], self.grips[idx], self.objects[idx], self.present[idx], self.holders[idx],

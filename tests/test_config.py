@@ -101,6 +101,21 @@ def test_negative_integer_rejected(tmp_path, key, value):
         load_config(path)
 
 
+@pytest.mark.parametrize("key", ["lambda_recovery", "input_noise", "expert_action_noise", "e3_offset_max",
+                                 "e4_dtheta_max", "e4_lat_max"])
+def test_negative_weight_noise_or_draw_bound_rejected(tmp_path, key):
+    # Code that reads them drops a weight or noise at or below zero, and a
+    # negative E3/E4 bound mirrors its draw range; zero stays valid.
+    with pytest.raises(ConfigError, match=f"{key} must not be negative"):
+        load_config().with_overrides(**{key: -0.5})
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"{key} = -0.5\n")
+    with pytest.raises(ConfigError, match=f"{key} must not be negative"):
+        load_config(path)
+    path.write_text(f"{key} = 0.0\n")
+    assert getattr(load_config(path), key) == 0.0
+
+
 def test_every_integer_key_rejects_negative():
     cfg = load_config()
     for key, default in DEFAULTS.items():

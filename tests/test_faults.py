@@ -1,5 +1,7 @@
 import json
+from collections import Counter
 from dataclasses import fields, replace
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -395,10 +397,12 @@ def test_lockstep_injection_equals_inject_bit_for_bit(cfg):
 
 
 def test_noisy_planners_share_the_batch_and_interceptions_step_alone(cfg, monkeypatch):
-    # Noisy nominal planners share the batch with learned actors.  Planners
-    # with a plan-phase trigger or a takeover step alone, first and in trial
-    # order; the batch then runs until its last trial ends, here the noisy
-    # pick-place planner, which fails at a stall on frame 133.
+    # The hook-free trials of each actor class share one batch: the noisy
+    # planners one, the learned actors another, never mixed.  Planners with
+    # a plan-phase trigger or a takeover step alone, first and in trial
+    # order.  The planners' batch then runs until its last trial ends, here
+    # the noisy pick-place planner, which fails at a stall on frame 133, and
+    # the learned actors' batch runs after it.
     e2 = error_from_config(cfg, ErrorKind.E2_GRASP_SLIP)
 
     def trials():
@@ -411,23 +415,27 @@ def test_noisy_planners_share_the_batch_and_interceptions_step_alone(cfg, monkey
                 Trial(PlannerActor(), "bimanual-handover", EnvMode.RANDOM, 6, "induced", {}, 50, None,
                       TimeoutTakeover())]
 
-    batched = {reset(cfg, trial.task_id, EnvMode.RANDOM, trial.seed).rng_seed for trial in trials()
-               if trial.takeover is None}
+    rows = {i: reset(cfg, trial.task_id, EnvMode.RANDOM, trial.seed).rng_seed for i, trial in enumerate(trials())}
+    planners, learned = {rows[0], rows[4]}, {rows[1], rows[3]}
     stepped = []
     real_step_batch = faults.step_batch
 
     def spy(cfg_, batch, actions):
         stepped.append(batch.rng_seeds)
-        assert set(batch.rng_seeds) <= batched and len(stepped) <= 150, "a batch row past its trial"
+        assert set(batch.rng_seeds) <= planners or set(batch.rng_seeds) <= learned, "a mixed batch"
         return real_step_batch(cfg_, batch, actions)
 
     monkeypatch.setattr(faults, "step_batch", spy)
     ended = [(i, run.episode(cfg)) for i, run in run_trials(cfg, trials())]
     lengths = [len(episode.frames) for _, episode in sorted(ended)]
-    assert [i for i, _ in ended] == [2, 5, 1, 3, 4, 0]
-    assert ended[-1][1].outcome is Outcome.FAILURE and lengths[0] == 133
+    assert [i for i, _ in ended] == [2, 5, 4, 0, 1, 3]
+    assert ended[3][1].outcome is Outcome.FAILURE and lengths[0] == 133
     assert [lengths[i] for i in (1, 3)] == [41, 61]
-    assert len(stepped) == max(lengths[i] for i in (0, 1, 3, 4)) and set(stepped[0]) == batched
+    # No batch row outlives its trial: each row steps once per frame.
+    n = max(lengths[0], lengths[4])
+    assert [set(seeds) for seeds in (stepped[0], stepped[n])] == [planners, learned]
+    assert len(stepped) == n + max(lengths[1], lengths[3])
+    assert Counter(chain.from_iterable(stepped)) == {rows[i]: lengths[i] for i in (0, 1, 3, 4)}
     monkeypatch.undo()
     for (i, episode), trial in zip(sorted(ended), trials()):
         alone = run_episode(cfg, *(getattr(trial, f.name) for f in fields(trial)))
@@ -465,6 +473,30 @@ def test_noisy_planner_blocks_equal_one_trial_runs(cfg, overrides, t_max, ending
     for i, trial in enumerate(trials()):
         alone = run_episode(c, *(getattr(trial, f.name) for f in fields(trial)))
         assert episode_to_dict(runs[i].episode(c)) == episode_to_dict(alone), (i, endings[i])
+
+
+def test_noisy_and_noise_free_planners_share_a_batch(cfg, monkeypatch):
+    # Nominal planners with and without action noise step as one batch,
+    # which adds noise to the executed rows of the noisy ones only; each
+    # episode equals its one-trial run.
+    def trials():
+        return [nominal_trial(cfg, task, EnvMode.RANDOM, seed, None, 0.02 * (seed % 2))
+                for task in ("pick-place", "stack-two") for seed in range(4)]
+
+    sizes = []
+    real_step_batch = faults.step_batch
+
+    def spy(cfg_, batch, actions):
+        sizes.append(len(batch))
+        return real_step_batch(cfg_, batch, actions)
+
+    monkeypatch.setattr(faults, "step_batch", spy)
+    runs = dict(run_trials(cfg, trials()))
+    assert sizes[0] == len(runs) == 8
+    monkeypatch.undo()
+    for i, trial in enumerate(trials()):
+        alone = run_episode(cfg, *(getattr(trial, f.name) for f in fields(trial)))
+        assert episode_to_dict(runs[i].episode(cfg)) == episode_to_dict(alone), i
 
 
 def test_a_lockstep_batch_past_every_deadline_raises(cfg, monkeypatch):

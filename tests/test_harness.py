@@ -224,6 +224,12 @@ def test_collect_policy_induced_from_weak_policy(cfg, mini_cfg, tmp_path, t_max)
             assert ep.frames.phase[ep.t_rec] == "Recovery"
 
 
+def test_collect_policy_induced_refuses_no_tasks(mini_cfg, tmp_path):
+    with pytest.raises(InputError, match="task id"):
+        datagen.collect_policy_induced(mini_cfg, init_policy(mini_cfg, seed=9), [], 4, 0, tmp_path / "induced", 40)
+    assert not (tmp_path / "induced").exists()
+
+
 def test_collect_policy_induced_oracle_rarely_fails(cfg, t_max):
     # The oracle on the induced takeover path never times out, so the
     # planner never takes over; the protocol agrees.
