@@ -215,11 +215,14 @@ def _geometric_hits(cfg: Config, batch: WorldBatch, unresolved: np.ndarray,
     the forced close precedes contact.  Entries hit the first free object in
     reach of the left arm, else of the right.
     """
-    radius = np.where(kind == 0, cfg.approach_standoff, cfg.grasp_radius)  # E1's standoff
-    near = free_objects_within(batch, radius).reshape(len(batch), -1)  # arm-major: the (arm, object) order
     held = batch.holders >= 0
     slip = kind == 1  # E2
-    fires = unresolved & np.where(slip, held.any(axis=1), near.any(axis=1))
+    if slip.all():  # no entry to measure
+        fires = unresolved & held.any(axis=1)
+    else:
+        radius = np.where(kind == 0, cfg.approach_standoff, cfg.grasp_radius)  # E1's standoff
+        near = free_objects_within(batch, radius).reshape(len(batch), -1)  # arm-major: the (arm, object) order
+        fires = unresolved & np.where(slip, held.any(axis=1), near.any(axis=1))
     hits = []
     for k in fires.nonzero()[0].tolist():
         if slip[k]:
@@ -651,10 +654,12 @@ class TrialRun:
         self._take(cfg, state, actor)
         return True
 
-    def settle(self, cfg: Config, state: WorldState, succeeded: bool) -> None:
+    def settle(self, cfg: Config, state: WorldState | None, succeeded: bool) -> None:
         """After the step to ``state``, whose success is ``succeeded``: the
         watch, a stall, the verdict on the injection when its window closes,
-        and success."""
+        and success.  Only a watching takeover, the verdict and a hand-over
+        read ``state``, so a lockstep tick, whose trials have no takeover,
+        passes None on frames where no window closes."""
         trial, t = self.trial, self.t
         trigger, takeover = trial.trigger, trial.takeover
         if self.before is not None:
@@ -784,8 +789,10 @@ class _Lockstep:
     events: its geometric trigger fires, its window closes, it succeeds or
     it reaches its deadline, and, for actors with those hooks, it runs out
     or stalls.  What a tick reads of every trial is kept in arrays over the
-    trials, by their place in the batch: deadlines, error kinds, unresolved
-    triggers, and the windows, arms and draws of resolved ones.  A tick acts
+    live rows, which drop an ended trial's row: deadlines, error kinds,
+    unresolved triggers, and the windows, arms and draws of resolved ones.
+    Success is checked only after steps that can bring it (see
+    ``_succeeded``).  A tick acts
     with one ``act_all`` call of the class and, for a class that overrides
     ``applied``, executes the rows of one ``applied_all`` call.
     """
@@ -827,23 +834,32 @@ class _Lockstep:
     def _fire(self, t: int) -> None:
         """Resolve the unresolved geometric triggers whose condition holds
         before frame ``t``, and note their windows, arms and draws."""
-        ids = self.ids
-        unresolved = self.geometric[ids]
-        if not unresolved.any():
+        if not self.geometric.any():
             return
-        for k, hit in _geometric_hits(self.cfg, self.world, unresolved, self.kind[ids]):
-            run, i = self.live[k], ids[k]
+        for k, hit in _geometric_hits(self.cfg, self.world, self.geometric, self.kind):
+            run = self.live[k]
             trigger = run.trial.trigger
             run.t = t
             run.resolve(hit)
-            self.geometric[i] = False
-            self.t_start[i], self.t_end[i], self.arm[i] = trigger.t_start, trigger.t_end, trigger.arm
+            self.geometric[k] = False
+            self.t_start[k], self.t_end[k], self.arm[k] = trigger.t_start, trigger.t_end, trigger.arm
             dx, dy = trigger.draws.get("dp", trigger.draws.get("lat", (0.0, 0.0)))
-            self.draws[i] = dx, dy, trigger.draws.get("dtheta", 0.0)
+            self.draws[k] = dx, dy, trigger.draws.get("dtheta", 0.0)
 
     def _due(self, t: int) -> np.ndarray:
         """Which live trials reach their deadline at frame count ``t``."""
-        return self.deadline[self.ids] <= t
+        return self.deadline <= t
+
+    def _succeeded(self, before: WorldBatch, world: WorldBatch) -> np.ndarray:
+        """``success_batch`` of the live rows of ``world``, stepped from
+        ``before``.  A live row has not succeeded yet, and an unheld object
+        never moves, so only an object that a step let go can make a row
+        succeed.  A released object's holder falls to -1, below either arm,
+        so after a step other than the first where no holder fell, no row
+        has succeeded."""
+        if self.t == 1 or np.any(world.holders < before.holders):
+            return success_batch(self.cfg, world)
+        return np.zeros(len(world), dtype=bool)
 
     def tick(self) -> list[TrialRun]:
         """Step the live trials once; returns those that ended."""
@@ -853,22 +869,23 @@ class _Lockstep:
         actions = self.cls.act_all(self.actors, self.world, self.obs)
         hooked = self._hooks(t) if self.hooked else []
         if self.triggered:
-            inside = (self.t_start[ids] <= t) & (t < self.t_end[ids])
+            inside = (self.t_start <= t) & (t < self.t_end)
             if inside.any():
                 w = inside.nonzero()[0]
-                _inject_rows(actions, w, self.arm[ids[w]], self.kind[ids[w]], self.draws[ids[w]])
+                _inject_rows(actions, w, self.arm[w], self.kind[w], self.draws[w])
         self.frames.write(t, ids, self.obs, actions)
         if self.applies:
             actions = self.cls.applied_all(self.actors, actions)
-        self.world = world = step_batch(cfg, self.world, actions)
+        before, self.world = self.world, step_batch(cfg, self.world, actions)
         self.t = t = t + 1
+        world = self.world
 
         # A trial that ran out is over.  The rest: a stall, the window's
         # close and success (``settle``), then the deadline.
-        succeeded, due = success_batch(cfg, world), self._due(t)
+        succeeded, due = self._succeeded(before, world), self._due(t)
         events = succeeded | due
         if self.triggered:
-            events |= self.t_end[ids] == t
+            events |= self.t_end == t
         if hooked:
             events[hooked] = True
         ended = []
@@ -876,7 +893,7 @@ class _Lockstep:
             run = live[k]
             if not run.done:
                 run.t = t
-                run.settle(cfg, world[k], bool(succeeded[k]))
+                run.settle(cfg, world[k] if self.triggered and self.t_end[k] == t else None, bool(succeeded[k]))
                 run.done = run.done or bool(due[k])  # no takeover runs past it here
             if run.done:
                 run.frames = self.frames.column(ids[k], run.t)
@@ -884,8 +901,12 @@ class _Lockstep:
         if ended:
             kept = [k for k, run in enumerate(live) if not run.done]
             self.live, self.ids, self.world = [live[k] for k in kept], ids[kept], world.take(kept)
+            self.deadline, self.geometric, self.kind = self.deadline[kept], self.geometric[kept], self.kind[kept]
+            if self.triggered:
+                self.t_start, self.t_end, self.arm = self.t_start[kept], self.t_end[kept], self.arm[kept]
+                self.draws = self.draws[kept]
             if kept:
-                self.horizon = int(self.deadline[self.ids].max())
+                self.horizon = int(self.deadline.max())
                 self.actors = [run.actor for run in self.live]
         if self.live:
             if t >= self.horizon:

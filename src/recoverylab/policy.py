@@ -20,6 +20,7 @@ v = 1.0 and keeps the training-time window of its last w observations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -39,10 +40,20 @@ from .world import (
     get_task,
     instruction_ids,
     wrap_angles,
+    wrap_angles_in_place,
 )
 
 # Pose dims of the action vector and the proprio dims they anchor to.
 POSE_DIMS = (0, 1, 2, 4, 5, 6)
+
+
+@lru_cache(maxsize=8)
+def _action_bounds(x_min: float, y_min: float, x_max: float, y_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """The lower and upper clip bounds of an action row's values, read-only."""
+    lower = np.array([x_min, y_min, -np.inf, 0.0] * 2)
+    upper = np.array([x_max, y_max, np.inf, 1.0] * 2)
+    lower.flags.writeable = upper.flags.writeable = False
+    return lower, upper
 
 
 def action_from_vector(cfg: Config, vec: np.ndarray) -> np.ndarray:
@@ -53,10 +64,9 @@ def action_from_vector(cfg: Config, vec: np.ndarray) -> np.ndarray:
     # Checked before the clip, which would turn an infinite x into a bound.
     if vec.shape[-1:] != (ACTION_DIM,) or vec.ndim > 2 or not np.isfinite(vec).all():
         raise InputError(f"an action vector holds {ACTION_DIM} finite values, got {vec!r}")
-    lower = np.array([cfg.workspace_x_min, cfg.workspace_y_min, -np.inf, 0.0] * 2)
-    upper = np.array([cfg.workspace_x_max, cfg.workspace_y_max, np.inf, 1.0] * 2)
+    lower, upper = _action_bounds(cfg.workspace_x_min, cfg.workspace_y_min, cfg.workspace_x_max, cfg.workspace_y_max)
     clipped = np.clip(vec, lower, upper)
-    clipped[..., THETA_DIMS] = wrap_angles(clipped[..., THETA_DIMS])
+    wrap_angles_in_place(clipped[..., 2::4])  # the THETA_DIMS columns
     return clipped
 
 
@@ -106,11 +116,19 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def _tokens(policy: Policy, instr: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The instruction embedding rows and value token rows of a batch."""
+    p = policy.params
+    return p["instr"][instr], np.tanh(v[:, None] @ p["val_w"] + p["val_b"])
+
+
 def _forward_batch(policy: Policy, hist: np.ndarray, obs: np.ndarray, instr: np.ndarray, v: np.ndarray,
                    pad: np.ndarray | None = None):
     """Mean actions for a batch; returns (mu, cache) for backprop.  ``pad``
-    marks the (B, w) history rows that are padding, or None to find them."""
-    p = policy.params
+    marks the (B, w) history rows that are padding, or None to find them.
+    The trunk reads one input row per frame: the normalized history window,
+    the normalized observation, the instruction embedding and the value
+    token."""
     batch = obs.shape[0]
     mean, std = policy.obs_mean, policy.obs_std
     obs_n = (obs - mean) / std
@@ -122,18 +140,23 @@ def _forward_batch(policy: Policy, hist: np.ndarray, obs: np.ndarray, instr: np.
     hist_n = (hist_rows - mean) / std
     hist_n[pad] = 0.0
     hist_n = hist_n.reshape(batch, -1)
-    e_val = np.tanh(v[:, None] @ p["val_w"] + p["val_b"])
-    instr_e = p["instr"][instr]
+    instr_e, e_val = _tokens(policy, instr, v)
     x = np.concatenate([hist_n, obs_n, instr_e, e_val], axis=1)
-    out, trunk_cache = mlp_forward(p, "trunk", x)
-    mu = out.copy()
+    mu, trunk_cache = _trunk(policy, x, obs)
+    return mu, (x, trunk_cache, e_val, instr, v, mu)
+
+
+def _trunk(policy: Policy, x: np.ndarray, obs: np.ndarray):
+    """The mean action rows of trunk input rows ``x`` (see ``_forward_batch``)
+    whose observations are ``obs``, and the trunk's cache."""
+    out, trunk_cache = mlp_forward(policy.params, "trunk", x)
     # An action row and an observation's proprio dims are both each arm's
     # (x, y, theta, grip): grips squash, poses anchor at the observed ones
     # (the head predicts pose displacement).
-    arms, mu_arms = out.reshape(batch, 2, 4), mu.reshape(batch, 2, 4)
-    mu_arms[..., 3] = _sigmoid(arms[..., 3])
-    mu_arms[..., :3] += obs[:, :PROPRIO_DIM].reshape(batch, 2, 4)[..., :3]
-    return mu, (x, trunk_cache, e_val, instr, v, mu)
+    arms = out.reshape(len(x), 2, 4)
+    arms[..., 3] = _sigmoid(arms[..., 3])
+    arms[..., :3] += obs[:, :PROPRIO_DIM].reshape(len(x), 2, 4)[..., :3]
+    return out, trunk_cache
 
 
 def forward(policy: Policy, cfg: Config, obs: np.ndarray, history: np.ndarray, instruction_id: int | np.ndarray,
@@ -385,19 +408,20 @@ def train_value_conditioned(
 
 
 class _Team:
-    """The history windows of learned actors that share a policy, a
-    ``v_fixed`` and a config, and act in one forward per tick.  Slot k holds
-    one actor's rows across ticks: of ``windows`` (N, w, obs_dim), where row
-    j of a window is frame t-1-j, of ``seen`` (N,), the frames it has seen,
-    and of ``instr`` (N,), its instruction id.  Each actor keeps its team and
-    slot, and a team holds no actors, so its buffers go with its last
-    actor."""
+    """Learned actors that share a policy, a ``v_fixed`` and a config, and
+    act in one forward per tick.  Each actor keeps its team and its slot, a
+    fixed id in the team, and ``rows`` holds one trunk input row per slot,
+    in ``_forward_batch``'s layout: the actor's normalized history window
+    (row j is frame t-1-j, zero before frame 0), this tick's normalized
+    observation, and its instruction embedding and value token, written
+    when the actor begins.  The buffer keeps the rows of the last actors to
+    act first, in their call order (``order`` lists their slots), so while
+    the same actors act the forward reads and updates a view of its front.
+    A team holds no actors, so its rows go with its last actor."""
 
-    def __init__(self, policy: Policy, cfg: Config, v: float, windows: np.ndarray, seen: np.ndarray,
-                 instr: np.ndarray):
-        self.policy, self.cfg, self.v = policy, cfg, v
-        self.windows, self.seen, self.instr = windows, seen, instr
-        self.slots = list(range(len(seen)))
+    def __init__(self, policy: Policy, cfg: Config, rows: np.ndarray):
+        self.policy, self.cfg, self.rows = policy, cfg, rows
+        self.order = list(range(len(rows)))
 
     @classmethod
     def of(cls, actors: list[LearnedActor]) -> _Team:
@@ -406,9 +430,7 @@ class _Team:
         call order."""
         team = actors[0]._team
         if any(actor._team is not team for actor in actors):
-            team = cls(team.policy, team.cfg, team.v, np.stack([a._team.windows[a._slot] for a in actors]),
-                       np.array([a._team.seen[a._slot] for a in actors]),
-                       np.array([a._team.instr[a._slot] for a in actors]))
+            team = cls(team.policy, team.cfg, np.stack([a._team.rows[a._team.order.index(a._slot)] for a in actors]))
             for slot, actor in enumerate(actors):
                 actor._team, actor._slot = team, slot
         return team
@@ -416,24 +438,24 @@ class _Team:
     def act(self, actors: list[LearnedActor], obs: np.ndarray) -> np.ndarray:
         """The (M, ACTION_DIM) action rows of member ``actors`` for their
         observation rows ``obs``; then each of their windows takes its
-        observation.  Their rows are gathered and scattered back unless they
-        are the whole team in order."""
+        observation.  When other actors acted last, their rows move to the
+        front first, in call order; the rows of the rest follow."""
         slots = [actor._slot for actor in actors]
-        whole = slots == self.slots
-        windows, seen, instr = ((self.windows, self.seen, self.instr) if whole
-                                else (self.windows[slots], self.seen[slots], self.instr[slots]))
-        w = self.policy.history_w
-        # The rows before frame 0, which are all zero.  They are the only
-        # all-zero rows, the ones _forward_batch would find, because every
-        # observation carries slot 0's presence flag 1.0.
-        pad = np.arange(w) >= seen[:, None]
-        actions = forward(self.policy, self.cfg, obs, windows, instr, self.v, pad)
+        m = len(slots)
+        if slots != self.order[:m]:
+            acting, place = set(slots), {slot: i for i, slot in enumerate(self.order)}
+            self.order = slots + [slot for slot in self.order if slot not in acting]
+            self.rows = self.rows[[place[slot] for slot in self.order]]
+        x = self.rows[:m]
+        policy, d = self.policy, OBS_DIM
+        w = policy.history_w
+        now = x[:, w * d:(w + 1) * d]
+        np.subtract(obs, policy.obs_mean, out=now)
+        now /= policy.obs_std
+        actions = action_from_vector(self.cfg, _trunk(policy, x, obs)[0])
         if w:  # this observation, then all but the oldest row
-            windows[:, 1:] = windows[:, :-1]
-            windows[:, 0] = obs
-        seen += 1
-        if not whole:
-            self.windows[slots], self.seen[slots] = windows, seen
+            x[:, d:w * d] = x[:, :(w - 1) * d]
+            x[:, :d] = now
         return actions
 
 
@@ -449,8 +471,11 @@ class LearnedActor(Actor):
         self.v_fixed = float(v_fixed)
 
     def begin(self, cfg, state):
-        self._team = _Team(self.policy, cfg, self.v_fixed, np.zeros((1, self.policy.history_w, OBS_DIM)),
-                           np.zeros(1, dtype=np.int64), np.array([get_task(cfg, state.task_id).instruction_id]))
+        policy = self.policy
+        instr_e, e_val = _tokens(policy, np.array([get_task(cfg, state.task_id).instruction_id]),
+                                 np.array([self.v_fixed]))
+        history = np.zeros((1, (policy.history_w + 1) * OBS_DIM))
+        self._team = _Team(policy, cfg, np.concatenate([history, instr_e, e_val], axis=1))
         self._slot = 0
 
     def act(self, state, obs):

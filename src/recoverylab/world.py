@@ -336,7 +336,8 @@ class WorldBatch:
     (N, 2); object poses (N, NUM_OBJECT_SLOTS, 3), with ``present`` marking
     the slots a row's task fills and ``holders`` the holding arm, or -1; and
     the goals of each row's place objectives (see ``success_batch``).
-    ``batch[k]`` is row k's ``WorldState``."""
+    ``batch[k]`` is row k's ``WorldState``.  Batches share the arrays they
+    have in common, and none is written once made."""
 
     arms: np.ndarray
     grips: np.ndarray
@@ -398,11 +399,26 @@ class WorldBatch:
         )
 
 
-def _clamp(v: np.ndarray, lo, hi) -> np.ndarray:
-    """``min(hi, max(lo, v))`` per element, with Python's choice among equals
-    (``np.maximum`` and ``np.minimum`` pick differently between signed zeros)."""
-    v = np.where(v > lo, v, lo)
-    return np.where(v < hi, v, hi)
+@lru_cache(maxsize=8)
+def _motion_limits(step_lin: float, step_ang: float, left: tuple[float, ...],
+                   right: tuple[float, ...]) -> tuple[np.ndarray, ...]:
+    """For these step bounds and (x_min, x_max, y_min, y_max) arm reaches:
+    -step and step per axis (x, y, theta), then each arm's lowest and
+    highest pose, theta free; as read-only arrays."""
+    step = np.array([step_lin, step_lin, step_ang])
+    limits = (-step, step, np.array([(x0, y0, -np.inf) for x0, _, y0, _ in (left, right)]),
+              np.array([(x1, y1, np.inf) for _, x1, _, y1 in (left, right)]))
+    for array in limits:
+        array.flags.writeable = False
+    return limits
+
+
+def _clamp(v: np.ndarray, lo, hi) -> None:
+    """``min(hi, max(lo, v))`` per element of ``v``, in place, with Python's
+    choice among equals (``np.maximum``, ``np.minimum`` and ``np.clip`` can
+    keep the other of two signed zeros)."""
+    np.copyto(v, lo, where=v <= lo)
+    np.copyto(v, hi, where=v >= hi)
 
 
 def _within(dx: np.ndarray, dy: np.ndarray, radius) -> np.ndarray:
@@ -419,6 +435,13 @@ def _within(dx: np.ndarray, dy: np.ndarray, radius) -> np.ndarray:
     return inside
 
 
+def wrap_angles_in_place(theta: np.ndarray) -> None:
+    """``theta[...] = wrap_angles(theta)``, skipped when every element lies
+    in (-pi, pi) and so is its own wrap."""
+    if theta.size and not np.abs(theta).max() < math.pi:
+        theta[...] = wrap_angles(theta)
+
+
 def step_batch(cfg: Config, batch: WorldBatch, rows: Sequence[Sequence[float]]) -> WorldBatch:
     """``step`` of every row of ``batch`` under its action row."""
     n = len(batch)
@@ -430,39 +453,49 @@ def step_batch(cfg: Config, batch: WorldBatch, rows: Sequence[Sequence[float]]) 
     if not finite:
         raise InputError(f"an action is a row of {ACTION_DIM} finite values, got {rows!r}")
     targets = actions.reshape(n, 2, 4)
-    # Per axis (x, y, theta): the step bound, and each arm's reach, which leaves theta free.
-    bound = np.array([cfg.v_max * cfg.dt] * 2 + [cfg.omega_max * cfg.dt])
-    (lx0, lx1, ly0, ly1), (rx0, rx1, ry0, ry1) = arm_reach(cfg, LEFT), arm_reach(cfg, RIGHT)
-    lo = np.array([(lx0, ly0, -np.inf), (rx0, ry0, -np.inf)])
-    hi = np.array([(lx1, ly1, np.inf), (rx1, ry1, np.inf)])
-    delta = targets[..., :3] - batch.arms
-    delta[..., 2] = wrap_angles(delta[..., 2])
-    arms = _clamp(batch.arms + _clamp(delta, -bound, bound), lo, hi)
-    arms[..., 2] = wrap_angles(arms[..., 2])
-    old, grips = batch.grips, targets[..., 3].copy()
+    fall, rise, low, high = _motion_limits(cfg.v_max * cfg.dt, cfg.omega_max * cfg.dt, arm_reach(cfg, LEFT),
+                                           arm_reach(cfg, RIGHT))
+    # Every step bound is positive, so np.maximum and np.minimum clamp to it
+    # as _clamp does; a reach edge may be zero, where they can differ.
+    move = targets[..., :3] - batch.arms
+    wrap_angles_in_place(move[..., 2])
+    np.maximum(move, fall, out=move)
+    np.minimum(move, rise, out=move)
+    arms = batch.arms + move
+    _clamp(arms, low, high)
+    wrap_angles_in_place(arms[..., 2])
+    grips = targets[..., 3].copy()
+    was, now = batch.grips >= CLOSE_THRESHOLD, grips >= CLOSE_THRESHOLD
 
     # Open crossings release first; objects still held track their holder.
-    each = np.arange(n)[:, None]
-    opened = (old >= CLOSE_THRESHOLD) & (CLOSE_THRESHOLD > grips)
-    holders = np.where(opened[each, np.maximum(batch.holders, 0)], -1, batch.holders)
-    objects = np.where((holders >= 0)[..., None], arms[each, np.maximum(holders, 0)], batch.objects)
+    holders, objects = batch.holders, batch.objects
+    held = holders >= 0
+    if held.any():
+        each, arm = np.arange(n)[:, None], np.maximum(holders, 0)
+        opened = was > now
+        if opened.any():
+            held &= ~opened[each, arm]
+            holders = np.where(held, holders, -1)
+        objects = np.where(held[..., None], arms[each, arm], objects)
 
     # Close crossings attach the nearest unheld object inside grasp_radius,
     # ties to the later one, left arm first: few rows, so one by one.
-    closed = (old < CLOSE_THRESHOLD) & (CLOSE_THRESHOLD <= grips)
-    for k in np.flatnonzero(closed.any(axis=1)).tolist():
-        for arm in (LEFT, RIGHT):
-            if not closed[k, arm]:
-                continue
-            ax, ay, _ = arms[k, arm].tolist()
-            best, best_dist = None, cfg.grasp_radius
-            for i in np.flatnonzero(batch.present[k] & (holders[k] < 0)).tolist():
-                ox, oy, _ = objects[k, i].tolist()
-                d = math.hypot(ox - ax, oy - ay)
-                if d <= best_dist:
-                    best, best_dist = i, d
-            if best is not None:
-                objects[k, best], holders[k, best] = arms[k, arm], arm
+    closed = now > was
+    if closed.any():
+        objects, holders = objects.copy(), holders.copy()
+        for k in np.flatnonzero(closed.any(axis=1)).tolist():
+            for arm in (LEFT, RIGHT):
+                if not closed[k, arm]:
+                    continue
+                ax, ay, _ = arms[k, arm].tolist()
+                best, best_dist = None, cfg.grasp_radius
+                for i in np.flatnonzero(batch.present[k] & (holders[k] < 0)).tolist():
+                    ox, oy, _ = objects[k, i].tolist()
+                    d = math.hypot(ox - ax, oy - ay)
+                    if d <= best_dist:
+                        best, best_dist = i, d
+                if best is not None:
+                    objects[k, best], holders[k, best] = arms[k, arm], arm
 
     return WorldBatch(arms, grips, objects, batch.present, holders, batch.goal_objects, batch.goals,
                       batch.goal_on, batch.task_ids, batch.rng_seeds)
@@ -492,7 +525,6 @@ def success_batch(cfg: Config, batch: WorldBatch) -> np.ndarray:
 def free_objects_within(batch: WorldBatch, radius: np.ndarray) -> np.ndarray:
     """(N, 2, NUM_OBJECT_SLOTS) mask: object i of row k rests unheld within
     ``radius[k]`` of the arm, by ``Pose2D.distance``."""
-    dx = batch.objects[:, None, :, 0] - batch.arms[:, :, None, 0]
-    dy = batch.objects[:, None, :, 1] - batch.arms[:, :, None, 1]
+    d = batch.objects[:, None, :, :2] - batch.arms[:, :, None, :2]
     free = (batch.present & (batch.holders < 0))[:, None, :]
-    return free & _within(dx, dy, np.asarray(radius, dtype=float)[:, None, None])
+    return free & _within(d[..., 0], d[..., 1], np.asarray(radius, dtype=float)[:, None, None])

@@ -499,6 +499,34 @@ def test_noisy_and_noise_free_planners_share_a_batch(cfg, monkeypatch):
         assert episode_to_dict(runs[i].episode(cfg)) == episode_to_dict(alone), i
 
 
+def test_gated_success_check_equals_success_batch_on_every_tick(cfg, monkeypatch):
+    # A tick checks success only after its first step and after steps that
+    # release a held object; on every tick of these lockstep batches it gives
+    # what success_batch gives, and most ticks skip the check.
+    e2 = error_from_config(cfg, ErrorKind.E2_GRASP_SLIP)
+    trials = [nominal_trial(cfg, task, EnvMode.RANDOM, seed, None, 0.02)
+              for task in ("pick-place", "stack-two", "bimanual-handover") for seed in range(3)]
+    trials += [Trial(OracleActor(), "pick-place", EnvMode.RANDOM, seed, "eval", {}, 150, InjectionSchedule(e2, None, seed))
+               for seed in range(4)]
+    real_success_batch, real_succeeded = faults.success_batch, faults._Lockstep._succeeded
+    ticks, checks = [], []
+
+    def counting(cfg_, batch):
+        checks.append(len(batch))
+        return real_success_batch(cfg_, batch)
+
+    def spy(self, before, world):
+        succeeded = real_succeeded(self, before, world)
+        ticks.append(succeeded.tolist() == real_success_batch(cfg, world).tolist())
+        return succeeded
+
+    monkeypatch.setattr(faults, "success_batch", counting)
+    monkeypatch.setattr(faults._Lockstep, "_succeeded", spy)
+    runs = dict(run_trials(cfg, trials))
+    assert all(ticks) and 0 < len(checks) < len(ticks) / 4
+    assert sum(run.succeeded for run in runs.values()) >= 10
+
+
 def test_a_lockstep_batch_past_every_deadline_raises(cfg, monkeypatch):
     # With the end-of-tick deadline check gone no trial here would end: the
     # random actors never succeed.  The batch raises instead of looping.

@@ -2,13 +2,15 @@
 ``src/`` or ``tests/`` imports is used in it, every function, class and
 method ``src/recoverylab`` defines is named somewhere besides its
 definition, every ``module.name`` and ``Class.attr`` the README names is
-defined, and every bare name a docstring or comment of ``src/recoverylab``
-puts in double backticks is one its code reads."""
+defined, every bare name a docstring or comment of ``src/recoverylab``
+puts in double backticks is one its code reads, and ``src/recoverylab``
+imports nothing outside the standard library but numpy."""
 
 import ast
 import io
 import keyword
 import re
+import sys
 import tokenize
 from pathlib import Path
 
@@ -56,6 +58,28 @@ def test_unused_imports_are_found():
     source = "import os\nimport numpy as np\nfrom typing import Literal, Sequence\nfrom x import y\n" \
              "def f(a: 'Sequence[int]', b: Literal['a b']) -> None:\n    return np.zeros(1)\n"
     assert unused_imports(source) == [(1, "os"), (4, "y")]
+
+
+def imported_packages(source: str) -> set[str]:
+    """The top-level package of every absolute import in ``source``."""
+    packages = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            packages |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            packages.add(node.module.split(".")[0])
+    return packages
+
+
+def test_imported_packages_are_found():
+    source = "import os.path\nimport numpy as np\nfrom .world import step\nfrom scipy.linalg import norm\n"
+    assert imported_packages(source) == {"os", "numpy", "scipy"}
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    packages = set().union(*(imported_packages(p.read_text()) for p in (ROOT / "src" / "recoverylab").rglob("*.py")))
+    assert "numpy" in packages
+    assert packages - set(sys.stdlib_module_names) == {"numpy"}
 
 
 def test_no_unused_imports():

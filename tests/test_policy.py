@@ -382,19 +382,20 @@ def test_load_policy_rejects_negative_history_window(tiny_policy, tmp_path):
 
 
 def test_learned_actor_history_matches_dataset_convention(cfg, mini_policies, expert_episodes, monkeypatch):
-    # The windows the deployed actor feeds forward() are the rows
-    # build_frame_dataset trains on, across the episodes of one actor.
+    # The trunk input rows the deployed actor forwards are, bit for bit, the
+    # rows _forward_batch builds from build_frame_dataset, across the
+    # episodes of one actor.
     import recoverylab.policy as policy_mod
 
     _, _, full = mini_policies
     seen = []
-    real_forward = policy_mod.forward
+    real_trunk = policy_mod._trunk
 
-    def spy(policy, cfg_, obs, history, instruction_id, v, pad=None):
-        seen.append(history.ravel().copy())
-        return real_forward(policy, cfg_, obs, history, instruction_id, v, pad)
+    def spy(policy, x, obs):
+        seen.append(x.copy())
+        return real_trunk(policy, x, obs)
 
-    monkeypatch.setattr(policy_mod, "forward", spy)
+    monkeypatch.setattr(policy_mod, "_trunk", spy)
     actor = LearnedActor(full, v_fixed=1.0)
     episodes = expert_episodes[:2]
     for episode in episodes:
@@ -402,7 +403,35 @@ def test_learned_actor_history_matches_dataset_convention(cfg, mini_policies, ex
         actor.begin(cfg, state)
         for obs in episode.frames.obs:
             actor.act(state, obs)
-    assert np.array_equal(np.stack(seen), build_frame_dataset(cfg, episodes).hist)
+    monkeypatch.undo()
+    ds = build_frame_dataset(cfg, episodes)
+    _, (x, *_) = policy_mod._forward_batch(full, ds.hist, ds.obs, ds.instr, np.ones(len(ds)), ds.pad)
+    assert np.concatenate(seen).tobytes() == x.tobytes()
+
+
+def test_team_acts_for_a_subset_of_its_actors_out_of_order(cfg, tiny_policy, expert_episodes):
+    # A team asked to act for some of its actors, in any order, gives each
+    # actor the actions it gives alone on the same observations, and keeps
+    # them all.
+    episodes = expert_episodes[:4]
+
+    def begun():
+        actors = [LearnedActor(tiny_policy) for _ in episodes]
+        for actor, episode in zip(actors, episodes):
+            actor.begin(cfg, reset(cfg, episode.task_id, episode.env_mode, episode.seed))
+        return actors
+
+    alone = [[actor.act(None, obs) for obs in episode.frames.obs[:8]] for actor, episode in zip(begun(), episodes)]
+    actors, acted = begun(), [[] for _ in episodes]
+    for members in ([3, 1, 0, 2], [0, 1, 2, 3], [2, 0], [3, 1, 0], [1], [2, 3, 1], [0, 2], [3, 2, 1, 0]):
+        obs = np.stack([episodes[k].frames.obs[len(acted[k])] for k in members])
+        rows = LearnedActor.act_all([actors[k] for k in members], None, obs)
+        for k, row in zip(members, rows.tolist()):
+            acted[k].append(row)
+    assert len({id(actor._team) for actor in actors}) == 1
+    for k, rows in enumerate(acted):
+        for row, expected in zip(rows, alone[k]):
+            assert row == pytest.approx(expected, rel=1e-9, abs=1e-12), k
 
 
 def test_ended_trials_free_their_team_buffer(cfg, tiny_policy):
@@ -416,7 +445,7 @@ def test_ended_trials_free_their_team_buffer(cfg, tiny_policy):
         assert [len(episode.frames) for episode in episodes] == [21, 36, 51]
         team = trials[0].actor._team
         assert all(trial.actor._team is team for trial in trials)
-        windows = weakref.ref(team.windows)
+        windows = weakref.ref(team.rows)
         del trials, team
         assert windows() is None
     finally:

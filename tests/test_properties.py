@@ -278,6 +278,43 @@ def test_attach_and_release_rules(run):
             free[taken] = False
 
 
+def _release_at_goal():
+    """The pick-place block held by the right arm at its goal, then let go."""
+    state = reset(CFG, "pick-place", EnvMode.CLEAN, 0)
+    goal = get_task(CFG, "pick-place").objectives[0].destination
+    state = replace(state, arm_poses=(state.arm_poses[LEFT], goal), grips=(0.0, 1.0), object_poses=(goal,),
+                    holders=(RIGHT,))
+    left = state.arm_poses[LEFT]
+    hold = (left.x, left.y, left.theta, 0.0, goal.x, goal.y, goal.theta)
+    return state, [hold + (1.0,), hold + (0.0,), hold + (0.0,)]
+
+
+@PROPERTY
+@given(st.lists(world_runs(), min_size=1, max_size=4))
+@example([_release_at_goal()])
+def test_success_begins_only_at_a_release(runs):
+    """On a batch step that releases none of a row's held objects, the row's
+    success_batch does not turn True: an unheld object never moves."""
+    batch = WorldBatch.of(CFG, [state for state, _ in runs])
+    succeeded = success_batch(CFG, batch)
+    for t in range(min(len(rows) for _, rows in runs)):
+        before, batch = batch, step_batch(CFG, batch, [rows[t] for _, rows in runs])
+        released = ((before.holders >= 0) & (batch.holders < 0)).any(axis=1)
+        now = success_batch(CFG, batch)
+        assert not np.any(now & ~succeeded & ~released)
+        succeeded = now
+
+
+def test_a_release_at_the_goal_begins_success():
+    # The example above turns success True, at the release.
+    state, rows = _release_at_goal()
+    succeeded = [success_check(CFG, state)]
+    for row in rows:
+        state = step(CFG, state, row)
+        succeeded.append(success_check(CFG, state))
+    assert succeeded == [False, False, True, True]
+
+
 def _state_columns(state) -> tuple:
     """A state's arm poses, grips and object poses as float64 bytes, and its
     holders with -1 for none: the batch world's layout of one row."""
