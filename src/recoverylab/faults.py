@@ -876,9 +876,9 @@ class _Lockstep:
         self.frames.write(t, ids, self.obs, actions)
         if self.applies:
             actions = self.cls.applied_all(self.actors, actions)
-        before, self.world = self.world, step_batch(cfg, self.world, actions)
+        before = self.world
+        self.world = world = step_batch(cfg, before, actions)
         self.t = t = t + 1
-        world = self.world
 
         # A trial that ran out is over.  The rest: a stall, the window's
         # close and success (``settle``), then the deadline.

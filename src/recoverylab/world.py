@@ -525,6 +525,7 @@ def success_batch(cfg: Config, batch: WorldBatch) -> np.ndarray:
 def free_objects_within(batch: WorldBatch, radius: np.ndarray) -> np.ndarray:
     """(N, 2, NUM_OBJECT_SLOTS) mask: object i of row k rests unheld within
     ``radius[k]`` of the arm, by ``Pose2D.distance``."""
-    d = batch.objects[:, None, :, :2] - batch.arms[:, :, None, :2]
+    dx = batch.objects[:, None, :, 0] - batch.arms[:, :, None, 0]
+    dy = batch.objects[:, None, :, 1] - batch.arms[:, :, None, 1]
     free = (batch.present & (batch.holders < 0))[:, None, :]
-    return free & _within(d[..., 0], d[..., 1], np.asarray(radius, dtype=float)[:, None, None])
+    return free & _within(dx, dy, np.asarray(radius, dtype=float)[:, None, None])
