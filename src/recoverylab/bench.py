@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .config import Config
 from .errors import ValidationError
-from .faults import ErrorType, InjectionSchedule, Trial, max_nominal_duration, run_trials
+from .faults import ErrorType, InjectionSchedule, Trial, detect_failure, max_nominal_duration, run_trials
 from .labeling import label_episode
 from .policy import (
     FrameDataset,
@@ -130,8 +130,10 @@ def run_protocol(
     comes straight from the ended trial's checked verdict, with no episode
     built.  Evaluation seeds must be disjoint from the training seeds
     recorded in the policy/datasets; the overlap assertion runs here, at
-    report time.
+    report time.  A ``t_max`` that is not positive is an InputError under
+    either condition, raised before any trial runs.
     """
+    detect_failure(0, t_max)  # InputError for a t_max that is not positive
     if training_seeds:
         overlap = set(seeds) & set(training_seeds)
         if overlap:

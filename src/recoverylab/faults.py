@@ -14,12 +14,12 @@ action sees the same perturbation.  Recovery scoring elsewhere is gated on
 ``verify_adverse``: the error must have left its physical signature.
 
 ``run_trials`` is the one episode loop: it steps a list of trials and
-hands back each ended trial.  ``run_episodes`` builds their episodes, and
-``run_episode`` is its one-trial call.  Expert demonstrations, interception,
-policy rollouts and policy-induced collection differ only in the actor, the
-injection trigger and the takeover they hand it.  Trials that need no
-per-frame Python and whose actors are of one class step together as one
-``world.WorldBatch``; any other trial steps alone on its ``WorldState``.
+hands back each ended trial, and ``run_episodes`` builds their episodes.
+Expert demonstrations, interception, policy rollouts and policy-induced
+collection differ only in the ``Trial``: the actor, the injection trigger
+and the takeover they hand it.  Trials that need no per-frame Python and
+whose actors are of one class step together as one ``world.WorldBatch``;
+any other trial steps alone on its ``WorldState``.
 """
 
 from __future__ import annotations
@@ -311,9 +311,8 @@ class Actor:
     hooks, as tick events, only if they have them: the executed rows
     (``applied_all``, for a class that overrides ``applied``), and
     ``exhausted`` and ``stalled`` (for a class that overrides either, or an
-    actor that sets ``exhausted`` in ``begin``).  ``recovery_tag`` is read
-    every frame once recovery has begun, so a trial with a trigger whose
-    actor's class overrides it steps alone (see ``run_trials``).
+    actor that sets ``exhausted`` in ``begin``).  The verdict reads
+    ``corrective_acts`` once, after the trial has ended.
     """
 
     exhausted = False
@@ -350,9 +349,12 @@ class Actor:
         (M, ACTION_DIM) rows ``actions``: a new array, or ``actions``."""
         return np.array([actor.applied(tuple(row)) for actor, row in zip(actors, actions.tolist())], dtype=float)
 
-    def recovery_tag(self) -> PhaseTag:
-        """Tag of the frame just acted on, once recovery has begun."""
-        return PhaseTag.RECOVERY
+    def corrective_acts(self) -> int | None:
+        """How many of the acts since ``begin`` came before the actor's
+        first non-corrective one, or None when all of them were corrective.
+        A trial's frames that recover under the actor are Recovery up to
+        there and Nominal after it (see ``TrialRun.verdict``)."""
+        return None
 
 
 # Expert action noise per arm: x and y at the noise scale, theta at twice it.
@@ -382,9 +384,6 @@ class PlannerActor(Actor):
         plan = self.plan if self.plan is not None else plan_nominal(cfg, state)
         self.executor = PlanExecutor(cfg, plan)
         self.exhausted = False
-        # A plan that starts mid-carry has no corrective phases; the whole
-        # intervention then counts as recovery, keeping the tag grammar.
-        self._carry_on = plan[0].phase not in CORRECTIVE_PHASES
         if self.action_noise > 0:
             self._rng = np.random.default_rng([state.rng_seed & 0xFFFFFFFFFFFFFFF, 0x401])
             self._noise: Iterator[list[float]] = iter(())
@@ -446,9 +445,13 @@ class PlannerActor(Actor):
         executed[noisy] = rows
         return executed
 
-    def recovery_tag(self):
-        phase = self.executor.plan[self.executor.index].phase
-        return PhaseTag.RECOVERY if self._carry_on or phase in CORRECTIVE_PHASES else PhaseTag.NOMINAL
+    def corrective_acts(self):
+        # Only the first objective of a plan is corrective, so its corrective
+        # steps come first.  A plan that starts mid-carry has none; the whole
+        # intervention then counts as recovery, keeping the tag grammar.
+        plan, starts = self.executor.plan, self.executor.starts
+        resume = next((k for k, step in enumerate(plan) if step.phase not in CORRECTIVE_PHASES), len(plan))
+        return starts[resume] if 0 < resume < len(starts) else None
 
 
 class Takeover:
@@ -522,8 +525,20 @@ class TimeoutTakeover(Takeover):
 
 @dataclass
 class Trial:
-    """One episode for ``run_trials``; the fields are ``run_episode``'s
-    parameters after the config."""
+    """One episode for ``run_trials``: Nominal, then Error from an injected
+    or drifting adverse state, then Recovery by a corrective actor, then a
+    verdict.
+
+    The episode ends at success, the timeout (``t > t_max``, and always at
+    ``episode_max_steps``), a stall, or once the actor runs out of actions
+    with no injection window open.  A trigger injects its error and verifies
+    the adverse state when the window closes; a verified one starts recovery,
+    by the takeover when given and otherwise by the actor itself.  An
+    injection that never verified, at the close or because the episode ended
+    first, leaves its frames Nominal.  A takeover may also take over at the
+    timeout.  ``label`` names the episode id and ``provenance`` holds the
+    caller's entries; the trigger and takeover add theirs.
+    """
 
     actor: Actor
     task_id: str
@@ -551,12 +566,12 @@ class TrialRun:
     rows.
 
     Besides its frames a trial records only its Error onset, its recovery
-    start ``t_rec`` and, from ``t_rec`` on, the tags of an actor whose class
-    overrides ``recovery_tag``; ``verdict`` derives every frame's tag.  The
-    methods are its events.  A trial that steps alone calls ``look``,
-    ``acted`` and ``settle`` every frame; a lockstep tick calls ``resolve``
-    and ``settle`` only when the trial has that event, and ``acted`` every
-    tick only when its actor can run out or stall.
+    start ``t_rec`` and the frame ``began`` its current actor began on;
+    ``verdict`` derives every frame's tag.  The methods are its events.  A
+    trial that steps alone calls ``look``, ``acted`` and ``settle`` every
+    frame; a lockstep tick calls ``resolve`` and ``settle`` only when the
+    trial has that event, and ``acted`` every tick only when its actor can
+    run out or stall.
     """
 
     def __init__(self, cfg: Config, index: int, trial: Trial):
@@ -572,7 +587,6 @@ class TrialRun:
         self.t = 0
         self.onset: int | None = None
         self.t_rec: int | None = None
-        self.recovery_tags: list[PhaseTag] = []
         self.done = self.succeeded = False
         self.before: WorldState | None = None
         self.frames: np.ndarray | None = None
@@ -585,10 +599,9 @@ class TrialRun:
         return state
 
     def _take(self, cfg: Config, state: WorldState, actor: Actor) -> None:
-        """Begin ``actor`` and note whether its class overrides ``recovery_tag``."""
+        """Begin ``actor`` on this frame."""
         actor.begin(cfg, state)
-        self.actor = actor
-        self.tags = _overrides(actor, Actor, "recovery_tag")
+        self.actor, self.began = actor, self.t
 
     @property
     def watching(self) -> bool:
@@ -636,14 +649,11 @@ class TrialRun:
 
     def acted(self) -> bool:
         """After the actor acts: False, and the trial ends unrecorded, when
-        the actor has run out with no injection pending.  Records the
-        actor's tag of a frame from ``t_rec`` on."""
+        the actor has run out with no injection pending."""
         trigger = self.trial.trigger
         if self.actor.exhausted and not (trigger is not None and trigger.pending):
             self.done = True
             return False
-        if self.t_rec is not None and self.tags:
-            self.recovery_tags.append(self.actor.recovery_tag())
         return True
 
     def _hand_over(self, cfg: Config, state: WorldState) -> bool:
@@ -682,16 +692,19 @@ class TrialRun:
         """The outcome, kind, recovery start and frame tags (``PhaseTag``
         values) of the ended trial.  A success with frames from ``t_rec`` on
         is a failure-recovery episode: Nominal before the onset, Error up to
-        ``t_rec``, then the actor's tags (Recovery, unless its class
-        overrides ``recovery_tag``).  Any other success is a nominal episode,
+        ``t_rec``, then Recovery for the frames the actor acted on before its
+        first non-corrective act (all of them when ``corrective_acts`` is
+        None), and Nominal after.  Any other success is a nominal episode,
         all Nominal, and a failure is a pure failure, Error from the onset.
         A trigger that never verified leaves no onset."""
         t, t_rec, trigger = self.t, self.t_rec, self.trial.trigger
         onset = None if trigger is not None and not trigger.verified else self.onset
         if self.succeeded and t_rec is not None and t > t_rec:
             onset = t_rec if onset is None else onset  # a timeout takeover past an unverified trigger
-            recovery = [tag.value for tag in self.recovery_tags] if self.tags else [_RECOVERY] * (t - t_rec)
-            tags = [_NOMINAL] * onset + [_ERROR] * (t_rec - onset) + recovery
+            # The actor's act on frame t_rec is its act number t_rec - began.
+            n, acts = t - t_rec, self.actor.corrective_acts()
+            r = n if acts is None else min(max(acts - (t_rec - self.began), 0), n)
+            tags = [_NOMINAL] * onset + [_ERROR] * (t_rec - onset) + [_RECOVERY] * r + [_NOMINAL] * (n - r)
             return Outcome.SUCCESS, EpisodeKind.FAILURE_RECOVERY, t_rec, tags
         if self.succeeded:
             return Outcome.SUCCESS, EpisodeKind.NOMINAL_SUCCESS, None, [_NOMINAL] * t
@@ -784,8 +797,8 @@ class _Lockstep:
     """Two or more trials whose actors are of one class, stepped as one
     ``WorldBatch`` whose rows are the live trials in trial order.
 
-    Its trials have no takeover, no plan-phase trigger and no per-frame tag
-    (see ``run_trials``), so a tick runs a trial's Python only at its
+    Its trials have no takeover and no plan-phase trigger (see
+    ``run_trials``), so a tick runs a trial's Python only at its
     events: its geometric trigger fires, its window closes, it succeeds or
     it reaches its deadline, and, for actors with those hooks, it runs out
     or stalls.  What a tick reads of every trial is kept in arrays over the
@@ -953,21 +966,18 @@ class _Single:
 _ACTION_BYTES = struct.Struct(f"{ACTION_DIM}d")
 
 
-def _steps_alone(run: TrialRun) -> bool:
-    """Whether the begun trial must step alone: it has a takeover or a
-    plan-phase trigger, or a trigger that can start recovery for an actor
-    whose class overrides ``recovery_tag``."""
-    trigger = run.trial.trigger
-    return run.trial.takeover is not None or (trigger is not None and (trigger.trigger_phase is not None or run.tags))
+def _steps_alone(trial: Trial) -> bool:
+    """Whether the trial must step alone: it has a takeover or a plan-phase
+    trigger."""
+    return trial.takeover is not None or (trial.trigger is not None and trial.trigger.trigger_phase is not None)
 
 
 def run_trials(cfg: Config, trials: list[Trial]) -> Iterator[tuple[int, TrialRun]]:
     """Run ``trials`` and yield ``(index in trials, ended trial)`` as each
-    ends; see ``run_episode`` for the rules of a trial.
+    ends; see ``Trial`` for the rules of a trial.
 
     A trial with a takeover or a plan-phase trigger steps alone on its
-    ``WorldState`` (``_Single``), as does one with a trigger whose actor's
-    class overrides ``recovery_tag``.  Two or more of the others whose
+    ``WorldState`` (``_Single``).  Two or more of the others whose
     actors are of one class step in lockstep as one ``WorldBatch``
     (``_Lockstep``), and a class's one trial steps alone.  The lone trials
     run first, one after another in trial order, then the class batches in
@@ -994,7 +1004,7 @@ def run_trials(cfg: Config, trials: list[Trial]) -> Iterator[tuple[int, TrialRun
     states = [run.begin(cfg) for run in runs]
     classes: dict[type, list[int]] = {}
     for run in runs:
-        if not _steps_alone(run):
+        if not _steps_alone(run.trial):
             classes.setdefault(type(run.actor), []).append(run.index)
     batches = [ks for ks in classes.values() if len(ks) > 1]
     batched = set(chain.from_iterable(batches))
@@ -1012,37 +1022,6 @@ def run_episodes(cfg: Config, trials: list[Trial]) -> Iterator[tuple[int, Episod
     trial ends, its episode validated."""
     for i, run in run_trials(cfg, trials):
         yield i, run.episode(cfg)
-
-
-def run_episode(
-    cfg: Config,
-    actor: Actor,
-    task_id: str,
-    env_mode: EnvMode,
-    seed: int,
-    label: str,
-    provenance: dict,
-    t_max: int | None = None,
-    trigger: InjectionSchedule | None = None,
-    takeover: Takeover | None = None,
-) -> Episode:
-    """Run one episode: Nominal, then Error from an injected or drifting
-    adverse state, then Recovery by a corrective actor, then a verdict.
-
-    The episode ends at success, the timeout (``t > t_max``, and always at
-    ``episode_max_steps``), a stall, or once the actor runs out of actions
-    with no injection window open.  A trigger injects its error and verifies
-    the adverse state when the window closes; a verified one starts recovery,
-    by the takeover when given and otherwise by the actor itself.  An
-    injection that never verified, at the close or because the episode ended
-    first, leaves its frames Nominal.  A takeover may also take over at the
-    timeout.  ``label`` names the episode id and ``provenance`` holds the
-    caller's entries; the trigger and takeover add theirs.  This is the
-    one-trial call of ``run_episodes``.
-    """
-    trial = Trial(actor, task_id, env_mode, seed, label, provenance, t_max, trigger, takeover)
-    (_, episode), = run_episodes(cfg, [trial])
-    return episode
 
 
 def nominal_trial(
@@ -1076,7 +1055,7 @@ def run_nominal(
     return episode
 
 
-def run_interception(
+def interception_trial(
     cfg: Config,
     task_id: str,
     env_mode: EnvMode,
@@ -1084,8 +1063,10 @@ def run_interception(
     seed: int,
     t_max: int | None = None,
     recover: bool = True,
-) -> Episode:
-    """Five-step interception: plan, monitor, override, verify, recover.
+) -> Trial:
+    """The trial of a five-step interception (plan, monitor, override,
+    verify, recover), its nominal plan made: PlanningError here when the
+    seed's world has none.
 
     The nominal plan executes until the error's trigger phase resolves the
     injection window; in-window actions pass through ``inject``.  When the
@@ -1097,10 +1078,22 @@ def run_interception(
     or when recovery is impossible or times out, the episode is finalized as
     a pure failure with no Recovery tags.
     """
-    return run_episode(
-        cfg, PlannerActor(), task_id, env_mode, seed,
-        error.kind.value if recover else error.kind.value + "-pf",
-        {"generator": "interception", "e3_sampling": "per-axis-uniform"},
-        t_max=t_max, trigger=InjectionSchedule(error, TRIGGER_PHASE[error.kind], seed),
-        takeover=Takeover(recover),
-    )
+    plan = plan_nominal(cfg, reset(cfg, task_id, env_mode, seed))
+    return Trial(PlannerActor(plan), task_id, env_mode, seed,
+                 error.kind.value if recover else error.kind.value + "-pf",
+                 {"generator": "interception", "e3_sampling": "per-axis-uniform"},
+                 t_max, InjectionSchedule(error, TRIGGER_PHASE[error.kind], seed), Takeover(recover))
+
+
+def run_interception(
+    cfg: Config,
+    task_id: str,
+    env_mode: EnvMode,
+    error: ErrorType,
+    seed: int,
+    t_max: int | None = None,
+    recover: bool = True,
+) -> Episode:
+    """The episode of ``interception_trial``."""
+    (_, episode), = run_episodes(cfg, [interception_trial(cfg, task_id, env_mode, error, seed, t_max, recover)])
+    return episode

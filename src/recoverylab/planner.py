@@ -212,6 +212,8 @@ class PlanExecutor:
         self.plan = plan
         self.index = 0
         self.steps_in_phase = 0
+        # The act count (``next_action`` calls) at which each step so far became active.
+        self.starts = [0]
 
     def _complete(self, step: PlanStep, proprio: Sequence[float], holders: Sequence) -> bool:
         if step.completion is Completion.REACH:
@@ -236,6 +238,7 @@ class PlanExecutor:
             if not self._complete(step, proprio, holders):
                 return step
             self.index += 1
+            self.starts.append(self.starts[-1] + self.steps_in_phase)
             self.steps_in_phase = 0
         raise PlanExhausted("plan complete")
 

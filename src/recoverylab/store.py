@@ -18,6 +18,7 @@ import json
 import math
 import os
 import re
+from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -649,20 +650,11 @@ def dataset_stats(dataset_dir: str | Path) -> StatsReport:
         raise StorageError(
             f"{dataset_dir}: manifest/file mismatch (missing={sorted(missing)}, extra={sorted(extra)})"
         )
-    by_kind: dict = {}
-    by_task: dict = {}
-    by_mode: dict = {}
-    by_error: dict = {}
-    for e in manifest["episodes"]:
-        by_kind[e["kind"]] = by_kind.get(e["kind"], 0) + 1
-        by_task[e["task_id"]] = by_task.get(e["task_id"], 0) + 1
-        by_mode[e["env_mode"]] = by_mode.get(e["env_mode"], 0) + 1
-        if e["error_type"] is not None:
-            by_error[e["error_type"]] = by_error.get(e["error_type"], 0) + 1
+    episodes = manifest["episodes"]
     return StatsReport(
-        total=len(manifest["episodes"]),
-        by_kind=by_kind,
-        by_task=by_task,
-        by_env_mode=by_mode,
-        by_error_type=by_error,
+        total=len(episodes),
+        by_kind=dict(Counter(e["kind"] for e in episodes)),
+        by_task=dict(Counter(e["task_id"] for e in episodes)),
+        by_env_mode=dict(Counter(e["env_mode"] for e in episodes)),
+        by_error_type=dict(Counter(e["error_type"] for e in episodes if e["error_type"] is not None)),
     )

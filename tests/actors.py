@@ -6,7 +6,7 @@ import numpy as np
 
 from recoverylab.config import Config
 from recoverylab.errors import PlanningError, UnrecoverableState
-from recoverylab.faults import UNTRIGGERED, Actor, ErrorType, InjectionSchedule, PlannerActor, run_episode
+from recoverylab.faults import UNTRIGGERED, Actor, ErrorType, InjectionSchedule, PlannerActor, Trial, run_episodes
 from recoverylab.planner import plan_recovery
 from recoverylab.policy import LearnedActor, Policy, action_from_vector
 from recoverylab.store import Episode
@@ -98,9 +98,9 @@ def rollout(
     """
     actor = LearnedActor(policy, v_fixed=v_fixed)
     if injection is None:
-        return run_episode(cfg, actor, task_id, env_mode, seed, "pol",
-                           {"generator": "rollout", **UNTRIGGERED}, t_max=t_max)
-    return run_episode(
-        cfg, actor, task_id, env_mode, seed, f"pol-{injection.kind.value}", {"generator": "rollout"},
-        t_max=t_max, trigger=InjectionSchedule(injection, None, seed),
-    )
+        trial = Trial(actor, task_id, env_mode, seed, "pol", {"generator": "rollout", **UNTRIGGERED}, t_max)
+    else:
+        trial = Trial(actor, task_id, env_mode, seed, f"pol-{injection.kind.value}", {"generator": "rollout"},
+                      t_max, InjectionSchedule(injection, None, seed))
+    (_, episode), = run_episodes(cfg, [trial])
+    return episode

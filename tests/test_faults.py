@@ -1,6 +1,6 @@
 import json
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import replace
 from itertools import chain
 
 import numpy as np
@@ -16,12 +16,12 @@ from recoverylab.faults import (
     Takeover,
     TimeoutTakeover,
     Trial,
+    TrialRun,
     detect_failure,
     error_from_config,
     inject,
     max_nominal_duration,
     nominal_trial,
-    run_episode,
     run_episodes,
     run_interception,
     run_nominal,
@@ -29,7 +29,7 @@ from recoverylab.faults import (
     success_durations,
     verify_adverse,
 )
-from recoverylab.planner import PlanPhase
+from recoverylab.planner import CORRECTIVE_PHASES, PlanPhase
 from recoverylab.policy import LearnedActor, init_policy
 from recoverylab.store import (
     EpisodeKind,
@@ -291,13 +291,91 @@ def test_timeout_takeover_after_handoff(cfg, seed, onset):
     # hand-off spot is no anomaly, so the Error onset is the step after the
     # right arm's grasp, and the takeover carries the object on to the goal.
     t_nominal = len(run_nominal(cfg, "bimanual-handover", EnvMode.RANDOM, seed).frames)
-    episode = run_episode(
-        cfg, PlannerActor(), "bimanual-handover", EnvMode.RANDOM, seed, "induced",
-        {"generator": "policy-induced"}, t_max=int(0.8 * t_nominal), takeover=TimeoutTakeover(),
-    )
+    (_, episode), = run_episodes(cfg, [Trial(
+        PlannerActor(), "bimanual-handover", EnvMode.RANDOM, seed, "induced",
+        {"generator": "policy-induced"}, int(0.8 * t_nominal), takeover=TimeoutTakeover(),
+    )])
     assert episode.kind is EpisodeKind.FAILURE_RECOVERY
     assert episode.provenance["anomaly_at"] is None
     assert tags_of(episode).index(PhaseTag.ERROR) == onset
+
+
+class _PhaseRecorder(PlannerActor):
+    """A planner that records its active step's phase after every act."""
+
+    def begin(self, cfg, state):
+        super().begin(cfg, state)
+        self.phases = []
+
+    def act(self, state, obs):
+        action = super().act(state, obs)
+        if not self.exhausted:
+            self.phases.append(self.executor.plan[self.executor.index].phase)
+        return action
+
+
+class _Recording:
+    """A takeover that hands over to a ``_PhaseRecorder`` of the recovery plan."""
+
+    planner = None
+
+    def hand_over(self, cfg, state):
+        actor = super().hand_over(cfg, state)
+        self.planner = actor if actor is None else _PhaseRecorder(actor.plan)
+        return self.planner
+
+
+class _RecordingTakeover(_Recording, Takeover):
+    pass
+
+
+class _RecordingTimeoutTakeover(_Recording, TimeoutTakeover):
+    pass
+
+
+def test_recovery_tags_follow_the_recovery_planners_phases(cfg):
+    # From t_rec on, a frame is Recovery exactly when the recovery planner
+    # acted on it in a corrective phase, or every frame when its plan starts
+    # mid-carry; the frames before t_rec are Nominal then Error.
+    tasks = ("pick-place", "stack-two", "bimanual-handover")
+    trials = [Trial(PlannerActor(), task, EnvMode.RANDOM, seed, kind.value, {}, None,
+                    InjectionSchedule(error_from_config(cfg, kind), TRIGGER_PHASE[kind], seed), _RecordingTakeover())
+              for task in tasks for kind in ErrorKind for seed in range(3)]
+    for task in tasks:
+        for seed in range(2):
+            t_nominal = len(run_nominal(cfg, task, EnvMode.RANDOM, seed).frames)
+            trials += [Trial(PlannerActor(), task, EnvMode.RANDOM, seed, "induced", {}, int(share * t_nominal),
+                             takeover=_RecordingTimeoutTakeover()) for share in (0.5, 0.8)]
+    seen = Counter()
+    for i, episode in run_episodes(cfg, trials):
+        if episode.kind is not EpisodeKind.FAILURE_RECOVERY:
+            continue
+        planner, tags, t_rec = trials[i].takeover.planner, tags_of(episode), episode.t_rec
+        assert len(planner.phases) == len(tags) - t_rec, i
+        if planner.plan[0].phase in CORRECTIVE_PHASES:
+            want = [PhaseTag.RECOVERY if phase in CORRECTIVE_PHASES else PhaseTag.NOMINAL for phase in planner.phases]
+            seen["corrective", isinstance(trials[i].takeover, TimeoutTakeover)] += 1
+        else:
+            assert planner.plan[0].phase is PlanPhase.LIFT, i
+            want = [PhaseTag.RECOVERY] * len(planner.phases)
+            seen["mid-carry"] += 1
+        assert tags[t_rec:] == want, i
+        assert PhaseTag.RECOVERY not in tags[:t_rec] and tags[t_rec - 1] is PhaseTag.ERROR, i
+    assert seen["corrective", False] >= 20 and seen["corrective", True] and seen["mid-carry"], seen
+
+
+@pytest.mark.parametrize("acts, recovery", [(None, 10), (3, 0), (7, 1), (12, 6), (40, 10)])
+def test_verdict_counts_corrective_acts_from_the_actors_begin(cfg, acts, recovery):
+    # An actor that began on frame 4 acts on frame t_rec = 10 as its act 6,
+    # so of its first ``acts`` acts the frames from t_rec on hold the rest.
+    class Corrective(RandomActor):
+        def corrective_acts(self):
+            return acts
+
+    run = TrialRun(cfg, 0, Trial(Corrective(0), "pick-place", EnvMode.RANDOM, 0, "eval", {}))
+    run.t, run.onset, run.t_rec, run.began, run.succeeded = 20, 5, 10, 4, True
+    *_, tags = run.verdict()
+    assert tags == ["Nominal"] * 5 + ["Error"] * 5 + ["Recovery"] * recovery + ["Nominal"] * (10 - recovery)
 
 
 def repeats_predecessor(episode, t):
@@ -374,8 +452,7 @@ def test_lockstep_trials_equal_one_trial_runs(cfg):
         return json.dumps(episode_to_dict(episode), sort_keys=True)
 
     together = {i: text(episode) for i, episode in run_episodes(cfg, _mixed_trials(cfg))}
-    alone = [text(run_episode(cfg, *(getattr(trial, f.name) for f in fields(trial))))
-             for trial in _mixed_trials(cfg)]
+    alone = [text(episode) for trial in _mixed_trials(cfg) for _, episode in run_episodes(cfg, [trial])]
     assert [together[i] for i in range(len(alone))] == alone
 
 
@@ -390,7 +467,7 @@ def test_lockstep_injection_equals_inject_bit_for_bit(cfg):
 
     together = dict(run_episodes(cfg, trials()))
     for i, trial in enumerate(trials()):
-        alone = run_episode(cfg, *(getattr(trial, f.name) for f in fields(trial)))
+        (_, alone), = run_episodes(cfg, [trial])
         assert alone.provenance["schedule"]["window"] is not None, i
         assert np.array_equal(together[i].frames.actions, alone.frames.actions), i
         assert np.array_equal(together[i].frames.obs, alone.frames.obs), i
@@ -438,7 +515,7 @@ def test_noisy_planners_share_the_batch_and_interceptions_step_alone(cfg, monkey
     assert Counter(chain.from_iterable(stepped)) == {rows[i]: lengths[i] for i in (0, 1, 3, 4)}
     monkeypatch.undo()
     for (i, episode), trial in zip(sorted(ended), trials()):
-        alone = run_episode(cfg, *(getattr(trial, f.name) for f in fields(trial)))
+        (_, alone), = run_episodes(cfg, [trial])
         assert episode_to_dict(episode) == episode_to_dict(alone), i
 
 
@@ -471,7 +548,7 @@ def test_noisy_planner_blocks_equal_one_trial_runs(cfg, overrides, t_max, ending
     endings = [_ending(runs[i]) for i in range(len(runs))]
     assert ending in endings
     for i, trial in enumerate(trials()):
-        alone = run_episode(c, *(getattr(trial, f.name) for f in fields(trial)))
+        (_, alone), = run_episodes(c, [trial])
         assert episode_to_dict(runs[i].episode(c)) == episode_to_dict(alone), (i, endings[i])
 
 
@@ -495,7 +572,7 @@ def test_noisy_and_noise_free_planners_share_a_batch(cfg, monkeypatch):
     assert sizes[0] == len(runs) == 8
     monkeypatch.undo()
     for i, trial in enumerate(trials()):
-        alone = run_episode(cfg, *(getattr(trial, f.name) for f in fields(trial)))
+        (_, alone), = run_episodes(cfg, [trial])
         assert episode_to_dict(runs[i].episode(cfg)) == episode_to_dict(alone), i
 
 

@@ -14,9 +14,10 @@ from recoverylab.faults import (
     ErrorKind,
     InjectionSchedule,
     TimeoutTakeover,
+    Trial,
     error_from_config,
     max_nominal_duration,
-    run_episode,
+    run_episodes,
     run_interception,
     run_nominal,
 )
@@ -133,14 +134,14 @@ def test_lockstep_learned_call_equals_one_seed_calls(cfg, mini_policies, t_max):
 
 
 def _one_trial_records(cfg, factory, error, seeds, t_max):
-    """The TrialRecords of one-trial ``run_episode`` episodes, derived from
+    """The TrialRecords of one-trial ``run_episodes`` episodes, derived from
     each episode as its fields say."""
     horizon = bench.adversarial_horizon(cfg, t_max, error) if error is not None else t_max
     records = []
     for seed in seeds:
         trigger = InjectionSchedule(error, None, seed) if error is not None else None
-        episode = run_episode(cfg, factory(seed), "pick-place", EnvMode.RANDOM, seed, "eval",
-                              {"generator": "rollout"}, t_max=horizon, trigger=trigger)
+        (_, episode), = run_episodes(cfg, [Trial(factory(seed), "pick-place", EnvMode.RANDOM, seed, "eval",
+                                                 {"generator": "rollout"}, horizon, trigger)])
         records.append(bench.TrialRecord(
             task_id=episode.task_id, env_mode=episode.env_mode.value, seed=episode.seed,
             error_type=episode.error_type, adverse_verified=bool(episode.provenance.get("adverse_verified", False)),
@@ -230,15 +231,34 @@ def test_collect_policy_induced_refuses_no_tasks(mini_cfg, tmp_path):
     assert not (tmp_path / "induced").exists()
 
 
+@pytest.mark.parametrize("t_max", [0, -5])
+def test_collect_policy_induced_refuses_a_t_max_that_is_not_positive(mini_cfg, tmp_path, t_max):
+    with pytest.raises(InputError, match="t_max"):
+        datagen.collect_policy_induced(mini_cfg, init_policy(mini_cfg, seed=9), ["pick-place"], 4, 0,
+                                       tmp_path / "induced", t_max)
+    assert not (tmp_path / "induced").exists()
+
+
+@pytest.mark.parametrize("kind", [None, ErrorKind.E2_GRASP_SLIP], ids=["standard", "E2"])
+@pytest.mark.parametrize("t_max", [0, -5])
+def test_run_protocol_refuses_a_t_max_that_is_not_positive(cfg, kind, t_max):
+    # Under either condition, before any trial's actor is built.
+    error = None if kind is None else error_from_config(cfg, kind)
+    factory = mock.Mock(side_effect=lambda seed: OracleActor())
+    with pytest.raises(InputError, match="t_max"):
+        bench.run_protocol(cfg, factory, "pick-place", error, [0, 1], t_max)
+    factory.assert_not_called()
+
+
 def test_collect_policy_induced_oracle_rarely_fails(cfg, t_max):
     # The oracle on the induced takeover path never times out, so the
     # planner never takes over; the protocol agrees.
     for seed in seeds_from(610000, 10):
         takeover = TimeoutTakeover()
-        episode = run_episode(
-            cfg, OracleActor(), "pick-place", EnvMode.RANDOM, seed, "induced",
-            {"generator": "policy-induced"}, t_max=t_max, takeover=takeover,
-        )
+        (_, episode), = run_episodes(cfg, [Trial(
+            OracleActor(), "pick-place", EnvMode.RANDOM, seed, "induced",
+            {"generator": "policy-induced"}, t_max, takeover=takeover,
+        )])
         assert episode.kind is EpisodeKind.NOMINAL_SUCCESS
         assert not takeover.handed_over
     report = bench.run_protocol(
@@ -349,8 +369,11 @@ def test_train_rai_rejects_recovery_dir_without_recoveries(tmp_path, capsys):
 
 
 def test_suites_fail_early_on_short_data(tmp_path, capsys, monkeypatch, expert_episodes):
-    # An interception that never verifies: every recovery seed is dropped.
-    monkeypatch.setattr(datagen, "run_interception", lambda *args, **kwargs: expert_episodes[0])
+    # Every trial hands back a nominal episode, so no interception verifies:
+    # every recovery seed is dropped.  The interceptions are stand-ins, so
+    # the 50,000 recovery seeds are not planned.
+    monkeypatch.setattr(datagen, "interception_trial", lambda *args, **kwargs: "interception")
+    monkeypatch.setattr(datagen, "run_episodes", lambda cfg, trials: enumerate([expert_episodes[0]] * len(trials)))
     config = tmp_path / "nano.cfg"
     config.write_text("bc_steps = 1\nrefine_steps = 1\nalign_steps = 1\n")
     argv = ["scaling", "--config", str(config), "--expert-n", "2", "--rec-base", "1", "--failures-n", "1",
@@ -377,25 +400,64 @@ def _expert_one_by_one(cfg, task, seeds, counts, keep_failures=False):
         yield episode
 
 
-@pytest.mark.parametrize("keep_failures", [False, True])
-def test_expert_blocks_yield_and_count_as_one_by_one(cfg, monkeypatch, keep_failures):
-    # Objects past x = 0.4 are outside this workspace, so some seeds have no
-    # plan; seed 1 stalls.  Blocks of 3 seeds yield the one-by-one episodes
-    # in seed order, and a caller that stops after k episodes sees the
-    # counts of the seeds up to its k-th episode.
-    monkeypatch.setattr(datagen, "EXPERT_BLOCK", 3)
+def _interceptions_one_by_one(cfg, task, error, seeds, counts, recover=True):
+    """``datagen.verified_interceptions`` as it ran before seed blocks: one
+    ``run_interception`` per seed."""
+    wanted = EpisodeKind.FAILURE_RECOVERY if recover else EpisodeKind.PURE_FAILURE
+    for seed in seeds:
+        try:
+            episode = run_interception(cfg, task, EnvMode.RANDOM, error, seed, recover=recover)
+        except PlanningError:
+            counts["skipped"] += 1
+            continue
+        if not episode.provenance.get("adverse_verified", False):
+            counts["unverified"] += 1
+        elif episode.kind is not wanted:
+            counts["skipped"] += 1
+        else:
+            yield episode
+
+
+@pytest.mark.parametrize("generator, flag, total", [
+    pytest.param("expert", False, Counter(skipped=2, failures=1), id="False"),
+    pytest.param("expert", True, Counter(skipped=2, failures=1), id="True"),
+    pytest.param("interception", True, Counter(skipped=2, unverified=4), id="interception-recover"),
+    pytest.param("interception", False, Counter(skipped=2, unverified=4), id="interception-pure-failure"),
+])
+def test_expert_blocks_yield_and_count_as_one_by_one(cfg, monkeypatch, generator, flag, total):
+    # Objects past x = 0.4 are outside this workspace, so seeds 3 and 6, each
+    # the last of its block, have no plan; nominal seed 1 stalls, and four E3
+    # injections do not verify.  Blocks of 3 seeds yield the one-by-one
+    # episodes in seed order, and a caller that stops after k episodes sees
+    # the counts of the seeds up to its k-th episode: expert episodes with
+    # and without their failures, and interceptions, whose trials step
+    # alone, recovered or not.
+    monkeypatch.setattr(datagen, "SEED_BLOCK", 3)
     c = cfg.with_overrides(workspace_x_max=0.4)
-    seeds = range(8)
-    want = list(_expert_one_by_one(c, "pick-place", seeds, Counter(), keep_failures))
-    got = list(datagen.expert_episodes(c, "pick-place", EnvMode.RANDOM, seeds, Counter(), keep_failures))
-    assert [episode_to_dict(e) for e in got] == [episode_to_dict(e) for e in want]
-    assert any(e.outcome is Outcome.FAILURE for e in got) == keep_failures
+    seeds, e3 = range(1, 9), error_from_config(c, ErrorKind.E3_POSITION_OFFSET)
+    if generator == "expert":
+        def one_by_one(counts):
+            return _expert_one_by_one(c, "pick-place", seeds, counts, flag)
+
+        def blocks(counts):
+            return datagen.expert_episodes(c, "pick-place", EnvMode.RANDOM, seeds, counts, flag)
+    else:
+        def one_by_one(counts):
+            return _interceptions_one_by_one(c, "pick-place", e3, seeds, counts, flag)
+
+        def blocks(counts):
+            return datagen.verified_interceptions(c, "pick-place", EnvMode.RANDOM, e3, seeds, counts, flag)
+    counts, block_counts = Counter(), Counter()
+    want, got = list(one_by_one(counts)), list(blocks(block_counts))
+    assert want and [episode_to_dict(e) for e in got] == [episode_to_dict(e) for e in want]
+    assert block_counts == counts == total
+    if generator == "expert":
+        assert any(e.outcome is Outcome.FAILURE for e in got) == flag
     for k in range(len(want) + 1):
         counts, block_counts = Counter(), Counter()
-        list(islice(_expert_one_by_one(c, "pick-place", seeds, counts, keep_failures), k))
-        list(islice(datagen.expert_episodes(c, "pick-place", EnvMode.RANDOM, seeds, block_counts, keep_failures), k))
+        list(islice(one_by_one(counts), k))
+        list(islice(blocks(block_counts), k))
         assert block_counts == counts, k
-    assert counts == Counter(skipped=3, failures=1)
 
 
 def test_train_value_writes_the_fit_progress_model(cfg, tmp_path, capsys):
