@@ -36,7 +36,6 @@ import numpy as np
 from .config import Config
 from .errors import InputError, InsufficientData, PlanningError, PlanExhausted, SequencingError, UnrecoverableState
 from .planner import (
-    CORRECTIVE_PHASES,
     PlanExecutor,
     PlanPhase,
     PlanStep,
@@ -446,12 +445,9 @@ class PlannerActor(Actor):
         return executed
 
     def corrective_acts(self):
-        # Only the first objective of a plan is corrective, so its corrective
-        # steps come first.  A plan that starts mid-carry has none; the whole
+        # A plan that starts mid-carry has no corrective steps; the whole
         # intervention then counts as recovery, keeping the tag grammar.
-        plan, starts = self.executor.plan, self.executor.starts
-        resume = next((k for k, step in enumerate(plan) if step.phase not in CORRECTIVE_PHASES), len(plan))
-        return starts[resume] if 0 < resume < len(starts) else None
+        return self.executor.resumed_at
 
 
 class Takeover:

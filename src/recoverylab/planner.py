@@ -19,7 +19,7 @@ from enum import Enum
 from typing import Sequence
 
 from .config import Config
-from .errors import PlanExhausted, PlanningError, UnrecoverableState
+from .errors import InputError, PlanExhausted, PlanningError, UnrecoverableState
 from .world import (
     LEFT,
     Objective,
@@ -212,8 +212,16 @@ class PlanExecutor:
         self.plan = plan
         self.index = 0
         self.steps_in_phase = 0
-        # The act count (``next_action`` calls) at which each step so far became active.
-        self.starts = [0]
+        # A plan's corrective steps come first: only its first objective is
+        # corrective (see ``plan_task_from_state``).  ``resumed_at`` is the act
+        # count (``next_action`` calls) at which the step after them became
+        # active; None until then, and for a plan that does not start with one.
+        resume = next((k for k, step in enumerate(plan) if step.phase not in CORRECTIVE_PHASES), len(plan))
+        if any(step.phase in CORRECTIVE_PHASES for step in plan[resume:]):
+            raise InputError("a plan's corrective steps come before its other steps")
+        self._resume = resume or None
+        self._acts_done = 0  # acts of the completed steps
+        self.resumed_at: int | None = None
 
     def _complete(self, step: PlanStep, proprio: Sequence[float], holders: Sequence) -> bool:
         if step.completion is Completion.REACH:
@@ -238,8 +246,10 @@ class PlanExecutor:
             if not self._complete(step, proprio, holders):
                 return step
             self.index += 1
-            self.starts.append(self.starts[-1] + self.steps_in_phase)
+            self._acts_done += self.steps_in_phase
             self.steps_in_phase = 0
+            if self.index == self._resume:
+                self.resumed_at = self._acts_done
         raise PlanExhausted("plan complete")
 
     def next_action(self, proprio: Sequence[float], holders: Sequence) -> tuple[float, ...]:

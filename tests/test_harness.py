@@ -419,22 +419,23 @@ def _interceptions_one_by_one(cfg, task, error, seeds, counts, recover=True):
 
 
 @pytest.mark.parametrize("generator, flag, total", [
-    pytest.param("expert", False, Counter(skipped=2, failures=1), id="False"),
-    pytest.param("expert", True, Counter(skipped=2, failures=1), id="True"),
-    pytest.param("interception", True, Counter(skipped=2, unverified=4), id="interception-recover"),
-    pytest.param("interception", False, Counter(skipped=2, unverified=4), id="interception-pure-failure"),
+    pytest.param("expert", False, Counter(skipped=3, failures=1), id="False"),
+    pytest.param("expert", True, Counter(skipped=3, failures=1), id="True"),
+    pytest.param("interception", True, Counter(skipped=3, unverified=3), id="interception-recover"),
+    pytest.param("interception", False, Counter(skipped=3, unverified=3), id="interception-pure-failure"),
 ])
 def test_expert_blocks_yield_and_count_as_one_by_one(cfg, monkeypatch, generator, flag, total):
-    # Objects past x = 0.4 are outside this workspace, so seeds 3 and 6, each
-    # the last of its block, have no plan; nominal seed 1 stalls, and four E3
-    # injections do not verify.  Blocks of 3 seeds yield the one-by-one
+    # Objects past x = 0.4 are outside this workspace, so seeds 0, 3 and 6
+    # have no plan; in expert blocks of 3 of this seed order, 0 and 6 start
+    # their blocks and 3 ends its block.  Nominal seed 1 stalls, and three
+    # E3 injections do not verify.  The generators yield the one-by-one
     # episodes in seed order, and a caller that stops after k episodes sees
     # the counts of the seeds up to its k-th episode: expert episodes with
-    # and without their failures, and interceptions, whose trials step
-    # alone, recovered or not.
+    # and without their failures, and interceptions (one seed a call),
+    # recovered or not.
     monkeypatch.setattr(datagen, "SEED_BLOCK", 3)
     c = cfg.with_overrides(workspace_x_max=0.4)
-    seeds, e3 = range(1, 9), error_from_config(c, ErrorKind.E3_POSITION_OFFSET)
+    seeds, e3 = [0, 1, 2, 4, 5, 3, 6, 7], error_from_config(c, ErrorKind.E3_POSITION_OFFSET)
     if generator == "expert":
         def one_by_one(counts):
             return _expert_one_by_one(c, "pick-place", seeds, counts, flag)

@@ -1,7 +1,7 @@
 import pytest
 from dataclasses import replace
 
-from recoverylab.errors import PlanExhausted, PlanningError, UnrecoverableState
+from recoverylab.errors import InputError, PlanExhausted, PlanningError, UnrecoverableState
 from recoverylab.planner import (
     CORRECTIVE_PHASES,
     PlanExecutor,
@@ -194,6 +194,30 @@ def test_recovery_resumes_nominal_phases(cfg):
     first_nominal = next(i for i, p in enumerate(phases) if p not in CORRECTIVE_PHASES)
     assert all(p not in CORRECTIVE_PHASES for p in phases[first_nominal:])
     assert PlanPhase.RELEASE in phases
+
+
+def test_executor_records_when_the_plan_resumes(cfg):
+    # ``resumed_at`` is the act count at which the step after the corrective
+    # ones became active, and None for a plan without them.  A plan whose
+    # corrective steps do not come first is refused.
+    adverse = build_adverse_state(cfg)
+    plan = plan_recovery(cfg, adverse)
+    resume = next(i for i, s in enumerate(plan) if s.phase not in CORRECTIVE_PHASES)
+    executor, state, acts = PlanExecutor(cfg, plan), adverse, 0
+    while executor.index < resume:
+        assert executor.resumed_at is None
+        state = step(cfg, state, executor.next_action(*row(state)))
+        acts += 1
+    assert executor.resumed_at == acts - 1 > 0
+    state = reset(cfg, "pick-place", EnvMode.RANDOM, 0)
+    nominal = plan_nominal(cfg, state)
+    executor = PlanExecutor(cfg, nominal)
+    with pytest.raises(PlanExhausted):
+        while True:
+            state = step(cfg, state, executor.next_action(*row(state)))
+    assert executor.index == len(nominal) and executor.resumed_at is None
+    with pytest.raises(InputError, match="corrective"):
+        PlanExecutor(cfg, nominal + plan[:1])
 
 
 def test_recovery_conditions_only_on_state(cfg):
