@@ -18,14 +18,13 @@ from .store import Episode, EpisodeKind, Outcome, write_episodes
 from .world import EnvMode
 
 
-# Seeds per ``run_episodes`` call of ``expert_episodes``.  Nominal trials
-# step in lockstep; a larger block spreads a tick's fixed cost over more rows
-# but holds more frames at once.  Through ``gen-nominal`` on 120 pick-place
-# and 16 each of stack-two and bimanual-handover seeds, blocks of 64 took
-# 0.6x the CPU time of one by one for 3.6 MiB more peak memory, and blocks of
-# 128 0.5x for 6.9 MiB.  Interception and induced trials step alone, so they
-# run one seed a call: a block would gain them nothing, and a caller that
-# takes a few episodes would pay for building the rest of the block.
+# Seeds per ``run_episodes`` call of ``expert_episodes``, whose trials step
+# in lockstep; a larger block spreads a tick's fixed cost over more rows but
+# holds more frames at once.  Through ``gen-nominal`` on 120 pick-place and
+# 16 each of stack-two and bimanual-handover seeds, blocks of 64 took 0.6x
+# the CPU time of one by one for 3.6 MiB more peak memory, and blocks of 128
+# 0.5x for 6.9 MiB.  Interception and induced trials step alone, so they run
+# one seed a call and a caller that takes a few episodes plans no others.
 SEED_BLOCK = 64
 
 

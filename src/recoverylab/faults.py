@@ -445,9 +445,7 @@ class PlannerActor(Actor):
         return executed
 
     def corrective_acts(self):
-        # A plan that starts mid-carry has no corrective steps; the whole
-        # intervention then counts as recovery, keeping the tag grammar.
-        return self.executor.resumed_at
+        return self.executor.resumed_at  # None, all Recovery, for a plan that starts mid-carry
 
 
 class Takeover:
@@ -1081,15 +1079,8 @@ def interception_trial(
                  t_max, InjectionSchedule(error, TRIGGER_PHASE[error.kind], seed), Takeover(recover))
 
 
-def run_interception(
-    cfg: Config,
-    task_id: str,
-    env_mode: EnvMode,
-    error: ErrorType,
-    seed: int,
-    t_max: int | None = None,
-    recover: bool = True,
-) -> Episode:
+def run_interception(cfg: Config, task_id: str, env_mode: EnvMode, error: ErrorType, seed: int,
+                     t_max: int | None = None, recover: bool = True) -> Episode:
     """The episode of ``interception_trial``."""
     (_, episode), = run_episodes(cfg, [interception_trial(cfg, task_id, env_mode, error, seed, t_max, recover)])
     return episode

@@ -212,16 +212,14 @@ class PlanExecutor:
         self.plan = plan
         self.index = 0
         self.steps_in_phase = 0
-        # A plan's corrective steps come first: only its first objective is
-        # corrective (see ``plan_task_from_state``).  ``resumed_at`` is the act
-        # count (``next_action`` calls) at which the step after them became
-        # active; None until then, and for a plan that does not start with one.
+        # Corrective steps lead a plan, as only its first objective can be
+        # corrective (see ``plan_task_from_state``).  ``resumed_at``: the act
+        # count at which the step after them became active; None before, and
+        # for a plan without them, such as one that starts mid-carry.
         resume = next((k for k, step in enumerate(plan) if step.phase not in CORRECTIVE_PHASES), len(plan))
         if any(step.phase in CORRECTIVE_PHASES for step in plan[resume:]):
             raise InputError("a plan's corrective steps come before its other steps")
-        self._resume = resume or None
-        self._acts_done = 0  # acts of the completed steps
-        self.resumed_at: int | None = None
+        self._resume, self._acts_done, self.resumed_at = resume or None, 0, None
 
     def _complete(self, step: PlanStep, proprio: Sequence[float], holders: Sequence) -> bool:
         if step.completion is Completion.REACH:
