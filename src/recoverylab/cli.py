@@ -31,6 +31,21 @@ def _env_mode(text: str) -> EnvMode:
     return EnvMode.CLEAN if text.lower() == "clean" else EnvMode.RANDOM
 
 
+def _at_least(least: int):
+    """An argparse type: an integer of at least ``least``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    return count
+
+
+def _ends(losses: list[float]) -> tuple[float | None, float | None]:
+    """The first and last loss of a training run; None for a run of no steps."""
+    return (losses[0], losses[-1]) if losses else (None, None)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="key=value config file")
     p.add_argument("--seed", type=int, default=0, help="base random seed")
@@ -99,14 +114,15 @@ def cmd_train_value(args) -> int:
         e for e in _load_episodes(_dirs(args.data)) if e.kind is EpisodeKind.NOMINAL_SUCCESS
     ]
     (model, cluster), losses = bench.fit_progress(cfg, episodes, args.seed)
+    initial, final = _ends(losses)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     value_mod.save_progress_model(
         model, out, cluster=cluster,
-        provenance={"episodes": len(episodes), "final_loss": losses[-1], "seed": args.seed},
+        provenance={"episodes": len(episodes), "final_loss": final, "seed": args.seed},
     )
     print(json.dumps({"checkpoint": str(out), "episodes": len(episodes),
-                      "initial_loss": losses[0], "final_loss": losses[-1]}))
+                      "initial_loss": initial, "final_loss": final}))
     return 0
 
 
@@ -137,7 +153,8 @@ def cmd_train_rai(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     policy_mod.save_policy(pol, out)
-    print(json.dumps({"checkpoint": str(out), "initial_loss": losses[0], "final_loss": losses[-1]}))
+    initial, final = _ends(losses)
+    print(json.dumps({"checkpoint": str(out), "initial_loss": initial, "final_loss": final}))
     return 0
 
 
@@ -155,7 +172,8 @@ def cmd_train_vcr(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     policy_mod.save_policy(pol, out)
-    print(json.dumps({"checkpoint": str(out), "initial_loss": losses[0], "final_loss": losses[-1]}))
+    initial, final = _ends(losses)
+    print(json.dumps({"checkpoint": str(out), "initial_loss": initial, "final_loss": final}))
     return 0
 
 
@@ -191,8 +209,12 @@ def _build_suite_data(cfg: Config, args, rec_counts: dict[str, int]):
     The tiers take turns drawing from one run over the recovery seeds."""
     error = error_from_config(cfg, ErrorKind(args.error))
     expert_seeds = range(args.seed, args.seed + 4 * args.expert_n)
-    rec_seeds = range(args.seed + 10_000, args.seed + 60_000)
-    fail_seeds = range(args.seed + 70_000, args.seed + 80_000)
+    # At most 20 seeds per interception asked, in disjoint ranges of at most
+    # 50,000 and 10,000 seeds, so a condition that never verifies fails early.
+    # At the default config, E1, E2 and E4 verify on 100 of the first 100
+    # recovery and failure seeds of every task, and E3 on 58 and 68.
+    rec_seeds = range(args.seed + 10_000, args.seed + 10_000 + min(20 * sum(rec_counts.values()), 50_000))
+    fail_seeds = range(args.seed + 70_000, args.seed + 70_000 + min(20 * args.failures_n, 10_000))
     expert = _first(datagen.expert_episodes(cfg, args.task, EnvMode.RANDOM, expert_seeds, Counter()),
                     args.expert_n, "expert pool", expert_seeds)
     recoveries = datagen.verified_interceptions(cfg, args.task, EnvMode.RANDOM, error, rec_seeds, Counter())
@@ -262,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--task", default="pick-place")
     p.add_argument("--mode", choices=["clean", "random"], default="random")
-    p.add_argument("--n", type=int, default=50)
+    p.add_argument("--n", type=_at_least(1), default=50)
     p.add_argument("--noise", dest="expert_action_noise", type=float, default=None, help="collection action noise")
     p.add_argument("--keep-failures", action="store_true")
     p.set_defaults(fn="cmd_gen_nominal")
@@ -272,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", default="pick-place")
     p.add_argument("--mode", choices=["clean", "random"], default="random")
     p.add_argument("--error", required=True, choices=[k.value for k in ErrorKind])
-    p.add_argument("--n", type=int, default=50)
+    p.add_argument("--n", type=_at_least(1), default=50)
     p.add_argument("--pure-failure", action="store_true", help="suppress recovery; store pure failures")
     p.set_defaults(fn="cmd_gen_recovery")
 
@@ -280,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--policy", required=True)
     p.add_argument("--tasks", default="pick-place")
-    p.add_argument("--n", type=int, default=50)
+    p.add_argument("--n", type=_at_least(1), default=50)
     p.add_argument("--expert-data", default=None, help="dataset dir(s) used to derive the timeout")
     p.add_argument("--t-max", type=int, default=None)
     p.set_defaults(fn="cmd_collect_induced")
@@ -327,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", default="pick-place")
     p.add_argument("--mode", choices=["clean", "random"], default="random")
     p.add_argument("--error", default=None, choices=[k.value for k in ErrorKind])
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=_at_least(1), default=None)
     p.add_argument("--v", type=float, default=1.0, help="fixed value input at deployment")
     p.add_argument("--expert-data", default=None)
     p.add_argument("--t-max", type=int, default=None)
@@ -338,10 +360,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--task", default="pick-place")
     p.add_argument("--error", default="E2", choices=[k.value for k in ErrorKind])
-    p.add_argument("--expert-n", type=int, default=40)
-    p.add_argument("--rec-base", type=int, default=8)
-    p.add_argument("--failures-n", type=int, default=8)
-    p.add_argument("--trials", type=int, default=40)
+    p.add_argument("--expert-n", type=_at_least(1), default=40)
+    p.add_argument("--rec-base", type=_at_least(1), default=8)
+    p.add_argument("--failures-n", type=_at_least(0), default=8)
+    p.add_argument("--trials", type=_at_least(1), default=40)
     p.set_defaults(fn="cmd_scaling")
 
     p = sub.add_parser("ablate", help="component ablations")
@@ -349,10 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", required=True, choices=list(bench.ABLATIONS))
     p.add_argument("--task", default="pick-place")
     p.add_argument("--error", default="E2", choices=[k.value for k in ErrorKind])
-    p.add_argument("--expert-n", type=int, default=40)
-    p.add_argument("--rec-base", type=int, default=16)
-    p.add_argument("--failures-n", type=int, default=8)
-    p.add_argument("--trials", type=int, default=30)
+    p.add_argument("--expert-n", type=_at_least(1), default=40)
+    p.add_argument("--rec-base", type=_at_least(1), default=16)
+    p.add_argument("--failures-n", type=_at_least(0), default=8)
+    p.add_argument("--trials", type=_at_least(1), default=30)
     p.set_defaults(fn="cmd_ablate")
 
     p = sub.add_parser("stats", help="dataset statistics table")

@@ -165,19 +165,6 @@ class InjectionSchedule:
         """Resolved, with the adverse state not yet verified."""
         return self.resolved and self.verified is None
 
-    def hit(self, cfg: Config, state: WorldState, obs: np.ndarray, actor: Actor) -> tuple[int, int | None] | None:
-        """(arm, object index) to resolve at once the trigger condition holds
-        in ``state``, whose observation is ``obs``."""
-        if self.trigger_phase is None:
-            hits = _geometric_hits(cfg, WorldBatch.of(cfg, [state]), np.ones(1, dtype=bool),
-                                   np.array([_KINDS.index(self.error.kind)]))
-            return hits[0][1] if hits else None
-        try:
-            current = actor.executor.current_step(obs.tolist(), state.holders)
-        except PlanExhausted:
-            return None
-        return (current.arm, current.object_index) if current.phase is self.trigger_phase else None
-
     def provenance(self, n_frames: int) -> dict:
         if self.trigger_phase is None and not self.resolved:
             return dict(UNTRIGGERED)
@@ -561,11 +548,11 @@ class TrialRun:
 
     Besides its frames a trial records only its Error onset, its recovery
     start ``t_rec`` and the frame ``began`` its current actor began on;
-    ``verdict`` derives every frame's tag.  The methods are its events.  A
-    trial that steps alone calls ``look``, ``acted`` and ``settle`` every
-    frame; a lockstep tick calls ``resolve`` and ``settle`` only when the
-    trial has that event, and ``acted`` every tick only when its actor can
-    run out or stall.
+    ``verdict`` derives every frame's tag.  The methods are the events both
+    engines share.  A trial that steps alone (``_run_alone``) calls
+    ``acted`` and ``settle`` every frame; a lockstep tick calls ``resolve``
+    and ``settle`` only when the trial has that event, and ``acted`` every
+    tick only when its actor can run out or stall.
     """
 
     def __init__(self, cfg: Config, index: int, trial: Trial):
@@ -582,7 +569,6 @@ class TrialRun:
         self.onset: int | None = None
         self.t_rec: int | None = None
         self.done = self.succeeded = False
-        self.before: WorldState | None = None
         self.frames: np.ndarray | None = None
 
     def begin(self, cfg: Config) -> WorldState:
@@ -598,12 +584,6 @@ class TrialRun:
         self.actor, self.began = actor, self.t
 
     @property
-    def watching(self) -> bool:
-        """Whether the takeover watches each step before it takes over."""
-        takeover = self.trial.takeover
-        return takeover is not None and self.t_rec is None and _overrides(takeover, Takeover, "watch")
-
-    @property
     def episode_id(self) -> str:
         trial = self.trial
         return f"{trial.task_id}-{trial.env_mode.value.lower()}-{trial.label}-s{trial.seed:06d}"
@@ -613,33 +593,10 @@ class TrialRun:
         trigger = self.trial.trigger
         return trigger is not None and bool(trigger.verified)
 
-    def expire(self, cfg: Config, state: WorldState) -> None:
-        """At the deadline: a takeover at the timeout takes over, and the
-        trial runs on until ``episode_max_steps``; otherwise it ends."""
-        takeover = self.trial.takeover
-        if takeover is not None and self.t_rec is None:
-            self.onset = takeover.timeout_onset(self.t)
-            if self.onset is not None and self._hand_over(cfg, state):
-                self.t_rec, self.deadline = self.t, int(cfg.episode_max_steps)
-                if self.t < self.deadline:
-                    return
-        self.done = True
-
     def resolve(self, hit: tuple[int, int | None]) -> None:
         """The trigger fires on this frame, at the arm and object ``hit``."""
         self.trial.trigger.resolve(self.t, *hit)
         self.onset = self.t
-
-    def look(self, cfg: Config, state: WorldState, obs: np.ndarray) -> None:
-        """Before the actor acts on ``state``, whose observation is ``obs``:
-        fire the trigger if its condition holds, and keep the state for a
-        watching takeover."""
-        trigger = self.trial.trigger
-        if trigger is not None and not trigger.resolved:
-            hit = trigger.hit(cfg, state, obs, self.actor)
-            if hit is not None:
-                self.resolve(hit)
-        self.before = state if self.watching else None
 
     def acted(self) -> bool:
         """After the actor acts: False, and the trial ends unrecorded, when
@@ -659,16 +616,13 @@ class TrialRun:
         return True
 
     def settle(self, cfg: Config, state: WorldState | None, succeeded: bool) -> None:
-        """After the step to ``state``, whose success is ``succeeded``: the
-        watch, a stall, the verdict on the injection when its window closes,
-        and success.  Only a watching takeover, the verdict and a hand-over
-        read ``state``, so a lockstep tick, whose trials have no takeover,
-        passes None on frames where no window closes."""
+        """After the step to ``state``, whose success is ``succeeded``: a
+        stall, the verdict on the injection when its window closes, and
+        success.  Only the verdict and a hand-over read ``state``, so a
+        lockstep tick, whose trials have no takeover, passes None on frames
+        where no window closes."""
         trial, t = self.trial, self.t
         trigger, takeover = trial.trigger, trial.takeover
-        if self.before is not None:
-            takeover.watch(cfg, t - 1, self.before, state)
-            self.before = None
         if self.actor.stalled:
             self.done = True
             return
@@ -819,7 +773,7 @@ class _Lockstep:
         self.geometric = np.array([s is not None for s in triggers])  # unresolved
         self.triggered = bool(self.geometric.any())  # else a tick skips the trigger arrays
         self.kind = np.array([0 if s is None else _KINDS.index(s.error.kind) for s in triggers])
-        self.t_start, self.t_end = np.full(n, -1), np.full(n, -1)  # -1: no window
+        self.t_end = np.full(n, -1)  # -1: no window; a resolved row's window opened at or before this tick
         self.arm, self.draws = np.zeros(n, dtype=int), np.zeros((n, 3))
         self.hooked = (_overrides(actors[0], Actor, "stalled") or _overrides(actors[0], Actor, "exhausted")
                        or any("exhausted" in vars(actor) for actor in actors))
@@ -849,7 +803,7 @@ class _Lockstep:
             run.t = t
             run.resolve(hit)
             self.geometric[k] = False
-            self.t_start[k], self.t_end[k], self.arm[k] = trigger.t_start, trigger.t_end, trigger.arm
+            self.t_end[k], self.arm[k] = trigger.t_end, trigger.arm
             dx, dy = trigger.draws.get("dp", trigger.draws.get("lat", (0.0, 0.0)))
             self.draws[k] = dx, dy, trigger.draws.get("dtheta", 0.0)
 
@@ -876,7 +830,7 @@ class _Lockstep:
         actions = self.cls.act_all(self.actors, self.world, self.obs)
         hooked = self._hooks(t) if self.hooked else []
         if self.triggered:
-            inside = (self.t_start <= t) & (t < self.t_end)
+            inside = t < self.t_end
             if inside.any():
                 w = inside.nonzero()[0]
                 _inject_rows(actions, w, self.arm[w], self.kind[w], self.draws[w])
@@ -910,8 +864,7 @@ class _Lockstep:
             self.live, self.ids, self.world = [live[k] for k in kept], ids[kept], world.take(kept)
             self.deadline, self.geometric, self.kind = self.deadline[kept], self.geometric[kept], self.kind[kept]
             if self.triggered:
-                self.t_start, self.t_end, self.arm = self.t_start[kept], self.t_end[kept], self.arm[kept]
-                self.draws = self.draws[kept]
+                self.t_end, self.arm, self.draws = self.t_end[kept], self.arm[kept], self.draws[kept]
             if kept:
                 self.horizon = int(self.deadline.max())
                 self.actors = [run.actor for run in self.live]
@@ -922,48 +875,61 @@ class _Lockstep:
         return ended
 
 
-class _Single:
-    """One trial, stepped on its ``WorldState`` under the action tuple of
-    ``Actor.act``, which costs less than a batch of one; both worlds give
-    the same values bit for bit.  Each frame appends the float64 bytes of
-    its observation vector and action row to one flat array."""
-
-    def __init__(self, cfg: Config, run: TrialRun, state: WorldState):
-        self.cfg, self.live, self.state = cfg, [run], state
-        self.obs = observe(state)
-        self.values = array("d")
-
-    def tick(self) -> list[TrialRun]:
-        cfg, (run,), state = self.cfg, self.live, self.state
-        t = run.t
-        if t >= run.deadline:
-            run.expire(cfg, state)
-        if not run.done:
-            run.look(cfg, state, self.obs)
-            action = run.actor.act(state, self.obs)
-            if run.acted():
-                trigger = run.trial.trigger
-                if trigger is not None and trigger.in_window(t):
-                    action = inject(action, t, trigger)
-                self.values.frombytes(self.obs.tobytes() + _ACTION_BYTES.pack(*action))
-                self.state = state = step(cfg, state, run.actor.applied(action))
-                run.t = t + 1
-                run.settle(cfg, state, success_check(cfg, state))
-                if not run.done:
-                    self.obs = observe(state)
-                    return []
-        run.frames = np.frombuffer(self.values).reshape(run.t, _FRAME)
-        self.live = []
-        return [run]
-
-
 _ACTION_BYTES = struct.Struct(f"{ACTION_DIM}d")
 
 
-def _steps_alone(trial: Trial) -> bool:
-    """Whether the trial must step alone: it has a takeover or a plan-phase
-    trigger."""
-    return trial.takeover is not None or (trial.trigger is not None and trial.trigger.trigger_phase is not None)
+def _run_alone(cfg: Config, run: TrialRun, state: WorldState) -> None:
+    """Step one trial from its first world ``state`` to its end on the
+    ``WorldState`` under ``Actor.act``'s action tuple, which costs less than a
+    batch of one; both worlds give the same values bit for bit.  Each frame
+    appends the float64 bytes of its observation and action to one flat
+    array, ``run.frames`` at the end.  A frame: at the deadline, a takeover at
+    the timeout takes over until ``episode_max_steps``, or the trial ends.  An
+    unresolved trigger fires at its plan phase or its geometric condition
+    (``_geometric_hits`` of a one-row batch).  The actor acts, the in-window
+    action is injected and recorded, and the world steps.  Until recovery
+    starts, the takeover watches the step; then ``settle``."""
+    t, trigger, takeover = run.t, run.trial.trigger, run.trial.takeover
+    obs, values = observe(state), array("d")
+    while True:
+        if t >= run.deadline:
+            if takeover is None or run.t_rec is not None:
+                break
+            run.onset = takeover.timeout_onset(t)
+            if run.onset is None or not run._hand_over(cfg, state):
+                break
+            run.t_rec, run.deadline = t, int(cfg.episode_max_steps)
+            if t >= run.deadline:
+                break
+        if trigger is not None and not trigger.resolved:
+            if trigger.trigger_phase is None:
+                hits = _geometric_hits(cfg, WorldBatch.of(cfg, [state]), np.ones(1, dtype=bool),
+                                       np.array([_KINDS.index(trigger.error.kind)]))
+                hit = hits[0][1] if hits else None
+            else:
+                try:
+                    current = run.actor.executor.current_step(obs.tolist(), state.holders)
+                    hit = (current.arm, current.object_index) if current.phase is trigger.trigger_phase else None
+                except PlanExhausted:
+                    hit = None
+            if hit is not None:
+                run.resolve(hit)
+        action = run.actor.act(state, obs)
+        if not run.acted():
+            break
+        if trigger is not None and trigger.in_window(t):
+            action = inject(action, t, trigger)
+        values.frombytes(obs.tobytes() + _ACTION_BYTES.pack(*action))
+        before, state = state, step(cfg, state, run.actor.applied(action))
+        if takeover is not None and run.t_rec is None:
+            takeover.watch(cfg, t, before, state)
+        run.t = t = t + 1
+        run.settle(cfg, state, success_check(cfg, state))
+        if run.done:
+            break
+        obs = observe(state)
+    run.done = True
+    run.frames = np.frombuffer(values).reshape(t, _FRAME)
 
 
 def run_trials(cfg: Config, trials: list[Trial]) -> Iterator[tuple[int, TrialRun]]:
@@ -971,7 +937,7 @@ def run_trials(cfg: Config, trials: list[Trial]) -> Iterator[tuple[int, TrialRun
     ends; see ``Trial`` for the rules of a trial.
 
     A trial with a takeover or a plan-phase trigger steps alone on its
-    ``WorldState`` (``_Single``).  Two or more of the others whose
+    ``WorldState`` (``_run_alone``).  Two or more of the others whose
     actors are of one class step in lockstep as one ``WorldBatch``
     (``_Lockstep``), and a class's one trial steps alone.  The lone trials
     run first, one after another in trial order, then the class batches in
@@ -998,16 +964,20 @@ def run_trials(cfg: Config, trials: list[Trial]) -> Iterator[tuple[int, TrialRun
     states = [run.begin(cfg) for run in runs]
     classes: dict[type, list[int]] = {}
     for run in runs:
-        if not _steps_alone(run.trial):
+        trial = run.trial
+        if trial.takeover is None and (trial.trigger is None or trial.trigger.trigger_phase is None):
             classes.setdefault(type(run.actor), []).append(run.index)
-    batches = [ks for ks in classes.values() if len(ks) > 1]
-    batched = set(chain.from_iterable(batches))
-    engines = [_Single(cfg, run, state) for run, state in zip(runs, states) if run.index not in batched]
-    engines += [_Lockstep(cfg, [runs[k] for k in ks], [states[k] for k in ks]) for ks in batches]
-    del runs, states  # the engines hold the live trials, and an ended one is the caller's
-    for engine in engines:
-        while engine.live:
-            for run in engine.tick():
+    groups = [ks for ks in classes.values() if len(ks) > 1]
+    batches = [_Lockstep(cfg, [runs[k] for k in ks], [states[k] for k in ks]) for ks in groups]
+    batched = set(chain.from_iterable(groups))
+    lone = [(run, state) for run, state in zip(runs, states) if run.index not in batched]
+    del runs, states  # ``lone`` and the batches hold the live trials
+    for run, state in lone:
+        _run_alone(cfg, run, state)
+        yield run.index, run
+    for batch in batches:
+        while batch.live:
+            for run in batch.tick():
                 yield run.index, run
 
 

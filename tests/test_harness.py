@@ -22,9 +22,9 @@ from recoverylab.faults import (
     run_nominal,
 )
 from recoverylab.labeling import label_success
-from recoverylab.policy import init_policy, save_policy
+from recoverylab.policy import init_policy, load_policy, save_policy
 from recoverylab.store import EpisodeKind, Outcome, dataset_stats, episode_to_dict, read_dataset, write_episode
-from recoverylab.value import load_progress_model
+from recoverylab.value import init_progress_model, load_progress_model
 from recoverylab.world import EnvMode
 from tests.actors import OracleActor, RandomActor
 from tests.test_acceptance import PP_CELLS, pp_recovery_sets
@@ -323,6 +323,28 @@ def test_cli_unknown_flag_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen-nominal", "--n", "-3"],
+    ["gen-recovery", "--error", "E2", "--n", "0"],
+    ["collect-induced", "--policy", "p.json", "--n", "-1"],
+    ["eval", "--policy", "p.json", "--trials", "-2"],
+    ["scaling", "--rec-base", "0"],
+    ["scaling", "--expert-n", "0"],
+    ["scaling", "--trials", "0"],
+    ["ablate", "--which", "history-reset", "--failures-n", "-1"],
+])
+def test_cli_refuses_counts_below_their_least(argv, tmp_path, capsys):
+    # A count of no episodes, trials or recoveries (or of fewer than no pure
+    # failures) is a usage error, raised before any output is made.
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli_main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and f"argument {argv[-2]}: must be at least" in err
+    assert not out.exists()
+
+
 def test_cli_error_is_machine_readable(tmp_path, capsys):
     code = cli_main(["stats", "--data", str(tmp_path / "missing")])
     assert code == 1
@@ -368,20 +390,26 @@ def test_train_rai_rejects_recovery_dir_without_recoveries(tmp_path, capsys):
     assert _cli_error(argv, capsys) == "InsufficientData"
 
 
-def test_suites_fail_early_on_short_data(tmp_path, capsys, monkeypatch, expert_episodes):
+@pytest.mark.parametrize("suite, asked", [(["scaling"], 1 + 2 + 4), (["ablate", "--which", "history-reset"], 1)],
+                         ids=["scaling", "ablate"])
+def test_suites_fail_early_on_short_data(suite, asked, tmp_path, capsys, monkeypatch, expert_episodes):
     # Every trial hands back a nominal episode, so no interception verifies:
     # every recovery seed is dropped.  The interceptions are stand-ins, so
-    # the 50,000 recovery seeds are not planned.
-    monkeypatch.setattr(datagen, "interception_trial", lambda *args, **kwargs: "interception")
+    # no recovery seed is planned.  A suite tries at most 20 seeds for each
+    # recovery episode it asks for: scaling's 1x, 2x and 4x tiers of
+    # rec-base 1 ask for 7, ablate's one tier for 1.
+    stand_ins = []
+    monkeypatch.setattr(datagen, "interception_trial", lambda *args, **kwargs: stand_ins.append(args) or "trial")
     monkeypatch.setattr(datagen, "run_episodes", lambda cfg, trials: enumerate([expert_episodes[0]] * len(trials)))
     config = tmp_path / "nano.cfg"
     config.write_text("bc_steps = 1\nrefine_steps = 1\nalign_steps = 1\n")
-    argv = ["scaling", "--config", str(config), "--expert-n", "2", "--rec-base", "1", "--failures-n", "1",
+    argv = [*suite, "--config", str(config), "--expert-n", "2", "--rec-base", "1", "--failures-n", "1",
             "--trials", "1", "--out", str(tmp_path / "out")]
     assert cli_main(argv) == 1
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["error"] == "InsufficientData"
-    assert payload["message"] == "recovery tier 1x: 0 of 1 episodes from seeds 10000..59999"
+    assert payload["message"] == f"recovery tier 1x: 0 of 1 episodes from seeds 10000..{10_000 + 20 * asked - 1}"
+    assert len(stand_ins) == 20 * asked
 
 
 def _expert_one_by_one(cfg, task, seeds, counts, keep_failures=False):
@@ -477,6 +505,26 @@ def test_train_value_writes_the_fit_progress_model(cfg, tmp_path, capsys):
     assert all(np.array_equal(cluster.members[k], want_cluster.members[k]) for k in want_cluster.members)
     assert printed == {"checkpoint": str(ckpt), "episodes": len(episodes),
                        "initial_loss": losses[0], "final_loss": losses[-1]}
+
+
+@pytest.mark.parametrize("command", ["train-value", "train-rai", "train-vcr"])
+def test_training_at_zero_steps_writes_the_untrained_checkpoint(command, cfg, tmp_path, capsys, expert_episodes):
+    data = tmp_path / "data"
+    data.mkdir()
+    for episode in expert_episodes[:2]:
+        write_episode(label_success(episode), data)
+    ckpt = tmp_path / "ckpt.json"
+    flag = "--expert" if command == "train-rai" else "--data"
+    assert cli_main([command, flag, str(data), "--steps", "0", "--out", str(ckpt)]) == 0
+    printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert printed["initial_loss"] is None and printed["final_loss"] is None
+    if command == "train-value":
+        model, _ = load_progress_model(cfg, ckpt)
+        want = init_progress_model(cfg, seed=0)
+        assert json.loads(ckpt.read_text())["provenance"]["final_loss"] is None
+    else:
+        model, want = load_policy(ckpt), init_policy(cfg, seed=0)
+    assert all(np.array_equal(model.params[k], want.params[k]) for k in want.params)
 
 
 def test_cli_full_pipeline_small(tmp_path, capsys):
