@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .config import Config
-from .errors import ValidationError
+from .errors import InputError, ValidationError
 from .faults import ErrorType, InjectionSchedule, Trial, detect_failure, max_nominal_duration, run_trials
 from .labeling import label_episode
 from .policy import (
@@ -130,10 +130,12 @@ def run_protocol(
     comes straight from the ended trial's checked verdict, with no episode
     built.  Evaluation seeds must be disjoint from the training seeds
     recorded in the policy/datasets; the overlap assertion runs here, at
-    report time.  A ``t_max`` that is not positive is an InputError under
-    either condition, raised before any trial runs.
+    report time.  A ``t_max`` that is not positive, or no seeds, is an
+    InputError under either condition, raised before any trial runs.
     """
     detect_failure(0, t_max)  # InputError for a t_max that is not positive
+    if not seeds:
+        raise InputError("run_protocol needs at least one seed")
     if training_seeds:
         overlap = set(seeds) & set(training_seeds)
         if overlap:

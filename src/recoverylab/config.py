@@ -6,14 +6,14 @@ settings from the Config they are given and take no copies of them.  Values
 can be overridden from a plain ``key = value`` text file (``#`` starts a
 comment); unknown keys are rejected, and so are values of the wrong type:
 integer keys take integers, float keys take any finite real number.  Physical
-scales, divisors, the decay exponent, batch sizes and the episode length
-bound (POSITIVE) must be greater than zero.  No integer key (step counts,
-windows, dimensions, seeds) means anything below zero, so none takes a
-negative value; other step counts may be zero.  Nor do the loss weight, the
-noise scales and the E3/E4 draw bounds (NON_NEGATIVE): a negative weight or
-noise would be dropped as zero, and a negative bound would mirror its draw
-range, so they take zero or more.  The documented keys and their defaults
-are the DEFAULTS table below.
+scales, divisors, the decay exponent, batch sizes, the episode length bound
+and the evaluation's trial count (POSITIVE) must be greater than zero.  No
+integer key (step counts, windows, dimensions, seeds) means anything below
+zero, so none takes a negative value; other step counts may be zero.  Nor
+do the loss weight, the noise scales and the E3/E4 draw bounds
+(NON_NEGATIVE): a negative weight or noise would be dropped as zero, and a
+negative bound would mirror its draw range, so they take zero or more.  The
+documented keys and their defaults are the DEFAULTS table below.
 """
 
 from __future__ import annotations
@@ -90,11 +90,12 @@ DEFAULTS: dict[str, float | int | str] = {
 
 
 # Keys whose value scales motion or tolerances, divides, is an exponent of
-# decay, sizes a batch or bounds an episode: zero or less has no meaning for
-# them.
+# decay, sizes a batch or an evaluation, or bounds an episode: zero or less
+# has no meaning for them.
 POSITIVE = frozenset({
     "dt", "v_max", "omega_max", "grasp_radius", "goal_radius", "pos_tol", "ang_tol",
     "sigma", "alpha", "align_lr", "policy_lr", "align_batch", "policy_batch", "episode_max_steps",
+    "eval_trials",
 })
 
 # Float keys that weigh a loss term, scale noise or bound an error draw: a

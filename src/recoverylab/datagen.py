@@ -15,7 +15,7 @@ from .errors import InputError, PlanningError
 from .faults import ErrorType, TimeoutTakeover, Trial, detect_failure, interception_trial, nominal_trial, run_episodes
 from .policy import LearnedActor, Policy
 from .store import Episode, EpisodeKind, Outcome, write_episodes
-from .world import EnvMode
+from .world import EnvMode, get_task
 
 
 # Seeds per ``run_episodes`` call of ``expert_episodes``, whose trials step
@@ -103,7 +103,9 @@ def generate_nominal(
     keep_failures: bool = False,
 ) -> dict:
     """Write the expert episodes of seeds seed0 .. seed0 + n - 1; returns
-    generation stats."""
+    generation stats.  An unknown task is a ConfigError, raised before
+    ``out_dir`` is made."""
+    get_task(cfg, task_id)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     counts = Counter(skipped=0, failures=0)
@@ -127,7 +129,9 @@ def generate_recovery(
 
     Episodes whose adverse state fails verification are not stored; they are
     counted and reported so recovery datasets contain verified samples only.
+    An unknown task is a ConfigError, raised before ``out_dir`` is made.
     """
+    get_task(cfg, task_id)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     counts = Counter(skipped=0, unverified=0)
@@ -155,10 +159,13 @@ def collect_policy_induced(
     recover, or does not finish, are stored as pure failures; policy
     successes are counted but not stored.  The trials run in seed order (see
     ``_seed_ordered``).  No task ids, or a ``t_max`` that is not positive, is
-    an InputError, raised before ``out_dir`` is made.
+    an InputError, and an unknown task id a ConfigError, each raised before
+    ``out_dir`` is made.
     """
     if not task_ids:
         raise InputError("collect_policy_induced needs at least one task id")
+    for task_id in task_ids:
+        get_task(cfg, task_id)
     detect_failure(0, t_max)  # InputError for a t_max that is not positive
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -694,36 +694,8 @@ class TrialRun:
         return episode
 
 
-# Ticks per block of the frame recorder, and the values of one frame: its
-# observation vector, then its action row.
-_BLOCK = 16
+# The values of one frame: its observation vector, then its action row.
 _FRAME = OBS_DIM + ACTION_DIM
-
-
-class _Recorder:
-    """The frames of trials that all start at tick 0, so a trial's frame t
-    is written at tick t.  Each tick writes its rows with one array write
-    into a (tick, trial) block of ``_BLOCK`` ticks, whose columns are the
-    trials that record at its first tick, in trial order; a trial's frames
-    are its column of each block from tick 0 on."""
-
-    def __init__(self):
-        self.blocks: list[tuple[np.ndarray, np.ndarray]] = []
-
-    def write(self, t: int, ids: np.ndarray, obs, actions) -> None:
-        """Frame t of trials ``ids``, ascending: rows of ``obs`` and ``actions``."""
-        b, i = divmod(t, _BLOCK)
-        if b == len(self.blocks):
-            self.blocks.append((np.empty((_BLOCK, len(ids), _FRAME)), ids))
-        block, members = self.blocks[b]
-        cols = slice(None) if len(ids) == len(members) else np.searchsorted(members, ids)
-        block[i, cols, :OBS_DIM] = obs
-        block[i, cols, OBS_DIM:] = actions
-
-    def column(self, index: int, t: int) -> np.ndarray:
-        """The first ``t`` frames of trial ``index``, as a new array."""
-        parts = [block[:, np.searchsorted(members, index)] for block, members in self.blocks[:-(-t // _BLOCK)]]
-        return np.concatenate(parts)[:t] if parts else np.empty((0, _FRAME))
 
 
 def _inject_rows(actions: np.ndarray, rows: np.ndarray, arm: np.ndarray, kind: np.ndarray,
@@ -766,10 +738,10 @@ class _Lockstep:
         self.ids = np.arange(n)  # each live row's place in ``runs``
         self.world = WorldBatch.of(cfg, states)
         self.obs = observe_batch(self.world)
-        self.frames = _Recorder()
         triggers = [run.trial.trigger for run in runs]
         self.deadline = np.array([run.deadline for run in runs])
         self.horizon = int(self.deadline.max())  # the largest live deadline
+        self.frames = np.empty((n, self.horizon, _FRAME))  # trial k's frame t at [k, t]
         self.geometric = np.array([s is not None for s in triggers])  # unresolved
         self.triggered = bool(self.geometric.any())  # else a tick skips the trigger arrays
         self.kind = np.array([0 if s is None else _KINDS.index(s.error.kind) for s in triggers])
@@ -834,7 +806,9 @@ class _Lockstep:
             if inside.any():
                 w = inside.nonzero()[0]
                 _inject_rows(actions, w, self.arm[w], self.kind[w], self.draws[w])
-        self.frames.write(t, ids, self.obs, actions)
+        rows = slice(None) if len(ids) == len(self.frames) else ids
+        self.frames[rows, t, :OBS_DIM] = self.obs
+        self.frames[rows, t, OBS_DIM:] = actions
         if self.applies:
             actions = self.cls.applied_all(self.actors, actions)
         before = self.world
@@ -857,7 +831,7 @@ class _Lockstep:
                 run.settle(cfg, world[k] if self.triggered and self.t_end[k] == t else None, bool(succeeded[k]))
                 run.done = run.done or bool(due[k])  # no takeover runs past it here
             if run.done:
-                run.frames = self.frames.column(ids[k], run.t)
+                run.frames = self.frames[ids[k], :run.t].copy()  # a view would hold the batch's array
                 ended.append(run)
         if ended:
             kept = [k for k, run in enumerate(live) if not run.done]

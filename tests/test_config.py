@@ -62,6 +62,7 @@ def test_mistyped_value_rejected(tmp_path):
     ("policy_lr", 0.0), ("align_lr", -1e-3),                     # learning rates
     ("policy_batch", -1), ("align_batch", 0),                    # batch sizes
     ("episode_max_steps", 0),                                    # episode length bound
+    ("eval_trials", 0),                                          # evaluation size
     ("dt", float("nan")),
 ])
 def test_non_positive_scale_rejected(tmp_path, key, value):

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 from collections import Counter
 from dataclasses import replace
 from itertools import chain
@@ -39,6 +41,8 @@ from recoverylab.store import (
     tag_pattern_valid,
 )
 from recoverylab.world import (
+    ACTION_DIM,
+    OBS_DIM,
     EnvMode,
     GRIP_CLOSED,
     GRIP_OPEN,
@@ -622,6 +626,33 @@ def test_a_lockstep_batch_past_every_deadline_raises(cfg, monkeypatch):
     with pytest.raises(SequencingError, match="past every live trial's deadline"):
         list(run_trials(cfg, trials))
     assert ticks == [2] * 61
+
+
+def test_ended_lockstep_trials_free_their_batch_frames(cfg, monkeypatch):
+    # An ended trial's frames are a copy of its row of the batch's frame
+    # array, so a caller that holds every ended trial does not hold the
+    # array: once the trials' generator goes, reference counting frees it.
+    arrays = []
+    real_init = faults._Lockstep.__init__
+
+    def spy(self, *args):
+        real_init(self, *args)
+        arrays.append(weakref.ref(self.frames))
+
+    monkeypatch.setattr(faults._Lockstep, "__init__", spy)
+    trials = [Trial(RandomActor(seed), "pick-place", EnvMode.RANDOM, seed, "eval", {}, t_max)
+              for seed, t_max in ((1, 20), (2, 35), (3, 50))]
+    gc.disable()
+    try:
+        ended = run_trials(cfg, trials)
+        runs = [run for _, run in ended]
+        assert [run.t for run in runs] == [21, 36, 51]
+        assert all(run.frames.shape == (run.t, OBS_DIM + ACTION_DIM) for run in runs)
+        frames, = arrays
+        del ended
+        assert frames() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("lockstep", [False, True])

@@ -250,6 +250,13 @@ def test_run_protocol_refuses_a_t_max_that_is_not_positive(cfg, kind, t_max):
     factory.assert_not_called()
 
 
+def test_run_protocol_refuses_no_seeds(cfg):
+    factory = mock.Mock(side_effect=lambda seed: OracleActor())
+    with pytest.raises(InputError, match="seed"):
+        bench.run_protocol(cfg, factory, "pick-place", None, [], 40)
+    factory.assert_not_called()
+
+
 def test_collect_policy_induced_oracle_rarely_fails(cfg, t_max):
     # The oracle on the induced takeover path never times out, so the
     # planner never takes over; the protocol agrees.
@@ -371,6 +378,30 @@ def test_eval_missing_config_is_machine_readable(cfg, tmp_path, capsys):
     path = save_policy(init_policy(cfg, seed=0), tmp_path / "policy.json")
     argv = ["eval", "--policy", str(path), "--config", str(tmp_path / "missing.cfg"), "--out", str(tmp_path)]
     assert _cli_error(argv, capsys) == "ConfigError"
+
+
+def test_eval_of_zero_trials_is_refused(cfg, tmp_path, capsys):
+    path = save_policy(init_policy(cfg, seed=0), tmp_path / "policy.json")
+    config = tmp_path / "zero.cfg"
+    config.write_text("eval_trials = 0\n")
+    argv = ["eval", "--policy", str(path), "--config", str(config), "--out", str(tmp_path / "eval")]
+    assert _cli_error(argv, capsys) == "ConfigError"
+    assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-nominal", "--task", "nope"],
+    ["gen-recovery", "--error", "E2", "--task", "nope"],
+    ["collect-induced", "--tasks", "pick-place,nope", "--t-max", "40"],
+], ids=["gen-nominal", "gen-recovery", "collect-induced"])
+def test_cli_unknown_task_makes_no_out(argv, cfg, tmp_path, capsys):
+    # Every task id is looked up before the output directory is made, so a
+    # later seed's unknown task leaves no earlier seed's episode behind.
+    if argv[0] == "collect-induced":
+        argv = [*argv, "--policy", str(save_policy(init_policy(cfg, seed=0), tmp_path / "policy.json"))]
+    out = tmp_path / "out"
+    assert _cli_error([*argv, "--n", "2", "--out", str(out)], capsys) == "ConfigError"
+    assert not out.exists()
 
 
 def test_report_rejects_malformed_input(tmp_path, capsys):

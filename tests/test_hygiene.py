@@ -1,7 +1,7 @@
 """Source hygiene checks that need no linter: every name a module in
-``src/`` or ``tests/`` imports is used in it, every function, class and
-method ``src/recoverylab`` defines is named somewhere besides its
-definition, every ``module.name`` and ``Class.attr`` the README names is
+``src/`` or ``tests/`` imports is used in it, every function, class,
+method and top-level assigned name ``src/recoverylab`` defines is read
+somewhere besides its definition, every ``module.name`` and ``Class.attr`` the README names is
 defined, every bare name a docstring or comment of ``src/recoverylab``
 puts in double backticks is one its code reads, and ``src/recoverylab``
 imports nothing outside the standard library but numpy."""
@@ -98,14 +98,14 @@ def _docstrings(tree: ast.AST) -> set[int]:
 
 
 def named(source: str) -> set[str]:
-    """The names ``source`` reads: names, attributes, imported names, and
-    the words of every string other than a docstring, since a harness may
-    name a function as ``"module.function"``."""
+    """The names ``source`` reads: names other than assignment targets,
+    attributes, imported names, and the words of every string other than a
+    docstring, since a harness may name a function as ``"module.function"``."""
     tree = ast.parse(source)
     docstrings = _docstrings(tree)
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -117,17 +117,25 @@ def named(source: str) -> set[str]:
 
 
 def definitions(source: str) -> list[tuple[int, str]]:
-    """(line, name) of each function, class and method ``source`` defines,
-    dunders left out."""
-    return sorted((node.lineno, node.name) for node in ast.walk(ast.parse(source))
-                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                  and not (node.name.startswith("__") and node.name.endswith("__")))
+    """(line, name) of each function, class and method ``source`` defines
+    and of each name its top-level assignments bind, dunders left out."""
+    tree = ast.parse(source)
+    found = [(node.lineno, node.name) for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(name.lineno, name.id) for target in targets for name in ast.walk(target)
+                      if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)]
+    return sorted((line, name) for line, name in found if not (name.startswith("__") and name.endswith("__")))
 
 
 def test_dead_definitions_are_found():
     source = "class A:\n    def __init__(self):\n        pass\n    def used(self):\n        \"dead\"\n" \
-             "    def dead(self):\n        pass\ndef f():\n    return A().used(), 'x.g'\ndef g():\n    pass\nf()\n"
-    assert [(line, name) for line, name in definitions(source) if name not in named(source)] == [(6, "dead")]
+             "    def dead(self):\n        pass\ndef f():\n    return A().used(), 'x.g', LIMIT\ndef g():\n    pass\n" \
+             "f()\n__all__ = ['f']\nLIMIT, BLOCK = 3, 16\nBLOCK = 32\n"
+    assert [(line, name) for line, name in definitions(source) if name not in named(source)] == \
+        [(6, "dead"), (14, "BLOCK"), (15, "BLOCK")]
 
 
 def test_no_dead_definitions():
