@@ -148,7 +148,7 @@ def run_protocol(
     ]
     trials: list[TrialRecord | None] = [None] * len(batch)
     for i, run in run_trials(cfg, batch):
-        outcome, _, _, phase = run.checked_verdict()
+        kind, _, phase = run.checked_verdict()
         trials[i] = TrialRecord(
             task_id=task_id,
             env_mode=env_mode.value,
@@ -156,7 +156,7 @@ def run_protocol(
             error_type=error.kind.value if error is not None else None,
             adverse_verified=run.adverse_verified,
             phase_trace=phase,
-            outcome=outcome.value,
+            outcome=kind.outcome.value,
             steps_used=run.t,
         )
     return EvalReport(

@@ -14,7 +14,7 @@ from .config import Config
 from .errors import InputError, PlanningError
 from .faults import ErrorType, TimeoutTakeover, Trial, detect_failure, interception_trial, nominal_trial, run_episodes
 from .policy import LearnedActor, Policy
-from .store import Episode, EpisodeKind, Outcome, write_episodes
+from .store import Episode, EpisodeKind, write_episodes
 from .world import EnvMode, get_task
 
 
@@ -68,7 +68,7 @@ def expert_episodes(cfg: Config, task_id: str, env_mode: EnvMode, seeds: Iterabl
     noise = float(cfg.expert_action_noise)
     for episode in _seed_ordered(cfg, lambda seed: nominal_trial(cfg, task_id, env_mode, seed, action_noise=noise),
                                  seeds, counts, SEED_BLOCK):
-        if episode.outcome is Outcome.FAILURE:
+        if episode.kind is EpisodeKind.PURE_FAILURE:
             counts["failures"] += 1
             if not keep_failures:
                 continue

@@ -42,7 +42,7 @@ from .planner import (
     plan_nominal,
     plan_recovery,
 )
-from .store import Episode, EpisodeKind, Frames, Outcome, PhaseTag, check_verdict, validate_episode
+from .store import Episode, EpisodeKind, Frames, PhaseTag, check_verdict
 from .world import (
     ACTION_DIM,
     ARM_NAMES,
@@ -262,13 +262,9 @@ def verify_adverse(cfg: Config, state: WorldState, schedule: InjectionSchedule) 
     return state.holders[i] != schedule.arm
 
 
-def success_durations(episodes: Iterable[Episode]) -> list[int]:
-    return [len(ep.frames) for ep in episodes if ep.outcome is Outcome.SUCCESS]
-
-
 def max_nominal_duration(episodes: Iterable[Episode]) -> int:
     """Timeout budget: the maximum duration among successful nominal episodes."""
-    durations = success_durations(episodes)
+    durations = [len(ep.frames) for ep in episodes if ep.kind is EpisodeKind.NOMINAL_SUCCESS]
     if not durations:
         raise InsufficientData("no successful nominal episodes to derive a timeout from")
     return max(durations)
@@ -636,8 +632,8 @@ class TrialRun:
         if succeeded:
             self.succeeded = self.done = True
 
-    def verdict(self) -> tuple[Outcome, EpisodeKind, int | None, list[str]]:
-        """The outcome, kind, recovery start and frame tags (``PhaseTag``
+    def verdict(self) -> tuple[EpisodeKind, int | None, list[str]]:
+        """The kind, recovery start and frame tags (``PhaseTag``
         values) of the ended trial.  A success with frames from ``t_rec`` on
         is a failure-recovery episode: Nominal before the onset, Error up to
         ``t_rec``, then Recovery for the frames the actor acted on before its
@@ -653,30 +649,30 @@ class TrialRun:
             n, acts = t - t_rec, self.actor.corrective_acts()
             r = n if acts is None else min(max(acts - (t_rec - self.began), 0), n)
             tags = [_NOMINAL] * onset + [_ERROR] * (t_rec - onset) + [_RECOVERY] * r + [_NOMINAL] * (n - r)
-            return Outcome.SUCCESS, EpisodeKind.FAILURE_RECOVERY, t_rec, tags
+            return EpisodeKind.FAILURE_RECOVERY, t_rec, tags
         if self.succeeded:
-            return Outcome.SUCCESS, EpisodeKind.NOMINAL_SUCCESS, None, [_NOMINAL] * t
+            return EpisodeKind.NOMINAL_SUCCESS, None, [_NOMINAL] * t
         onset = t if onset is None else onset
-        return Outcome.FAILURE, EpisodeKind.PURE_FAILURE, None, [_NOMINAL] * onset + [_ERROR] * (t - onset)
+        return EpisodeKind.PURE_FAILURE, None, [_NOMINAL] * onset + [_ERROR] * (t - onset)
 
-    def checked_verdict(self) -> tuple[Outcome, EpisodeKind, int | None, list[str]]:
+    def checked_verdict(self) -> tuple[EpisodeKind, int | None, list[str]]:
         """The verdict, once ``store.check_verdict`` has checked it and the
-        trial's action rows, as ``validate_episode`` would; for callers that
-        keep no episode."""
-        outcome, kind, t_rec, tags = verdict = self.verdict()
-        check_verdict(self.episode_id, self.frames[:, OBS_DIM:], tags, outcome, kind, t_rec)
+        trial's action rows, as building its ``Episode`` would; for callers
+        that keep no episode."""
+        kind, t_rec, tags = verdict = self.verdict()
+        check_verdict(self.episode_id, self.frames[:, OBS_DIM:], tags, kind, t_rec)
         return verdict
 
     def episode(self, cfg: Config) -> Episode:
-        """The validated episode of the ended trial, with its verdict."""
+        """The episode of the ended trial, with its verdict."""
         trial, trigger = self.trial, self.trial.trigger
-        outcome, kind, t_rec, tags = self.verdict()
+        kind, t_rec, tags = self.verdict()
         provenance = dict(trial.provenance)
         if trigger is not None:
             provenance.update(trigger.provenance(self.t))
         if trial.takeover is not None:
             provenance.update(trial.takeover.provenance(t_rec))
-        episode = Episode(
+        return Episode(
             episode_id=self.episode_id,
             task_id=trial.task_id,
             instruction_id=get_task(cfg, trial.task_id).instruction_id,
@@ -684,14 +680,11 @@ class TrialRun:
             seed=trial.seed,
             error_type=trigger.error.kind.value if trigger is not None else None,
             t_rec=t_rec,
-            outcome=outcome,
             kind=kind,
             frames=Frames(self.frames[:, :OBS_DIM], self.frames[:, OBS_DIM:], tags,
                           np.full(self.t, np.nan)),
             provenance=provenance,
         )
-        validate_episode(episode)
-        return episode
 
 
 # The values of one frame: its observation vector, then its action row.
@@ -957,7 +950,7 @@ def run_trials(cfg: Config, trials: list[Trial]) -> Iterator[tuple[int, TrialRun
 
 def run_episodes(cfg: Config, trials: list[Trial]) -> Iterator[tuple[int, Episode]]:
     """``run_trials``, yielding ``(index in trials, episode)`` as each
-    trial ends, its episode validated."""
+    trial ends."""
     for i, run in run_trials(cfg, trials):
         yield i, run.episode(cfg)
 

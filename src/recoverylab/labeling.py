@@ -48,13 +48,9 @@ def label_recovery(episode: Episode) -> Episode:
     The clean approach before the fault behaves like success data and keeps
     v = 1.0; only the frames that drift into the adverse state are zeroed.
     """
-    if episode.kind is not EpisodeKind.FAILURE_RECOVERY or episode.t_rec is None:
-        raise ValidationError(f"{episode.episode_id}: label_recovery needs FailureRecovery with t_rec")
-    sliced = episode.provenance.get("history_reset_at") == 0
-    error = episode.frames.phase == PhaseTag.ERROR.value
-    if not error.any() and not sliced:
-        raise ValidationError(f"{episode.episode_id}: recovery episode carries no Error frames")
-    return _with_labels(episode, np.where(error, 0.0, 1.0))
+    if episode.kind is not EpisodeKind.FAILURE_RECOVERY:
+        raise ValidationError(f"{episode.episode_id}: label_recovery needs a FailureRecovery episode")
+    return _with_labels(episode, np.where(episode.frames.phase == PhaseTag.ERROR.value, 0.0, 1.0))
 
 
 def label_failure(episode: Episode, progress: float, cfg: Config) -> Episode:

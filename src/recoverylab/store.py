@@ -59,6 +59,11 @@ class EpisodeKind(Enum):
     FAILURE_RECOVERY = "FailureRecovery"
     PURE_FAILURE = "PureFailure"
 
+    @property
+    def outcome(self) -> Outcome:
+        """Failure for a pure failure, Success for the other kinds."""
+        return Outcome.FAILURE if self is EpisodeKind.PURE_FAILURE else Outcome.SUCCESS
+
 
 @dataclass(frozen=True)
 class Frames:
@@ -88,6 +93,11 @@ class Frames:
 
 @dataclass(frozen=True)
 class Episode:
+    """One episode, checked when it is built (``dataclasses.replace`` too):
+    columns of one length, finite observations, labels in [0, 1] or NaN, and
+    action rows and a verdict that ``check_verdict`` accepts, under the
+    sliced grammar when ``history_reset_at`` is 0.  Else ValidationError."""
+
     episode_id: str
     task_id: str
     instruction_id: int
@@ -95,10 +105,29 @@ class Episode:
     seed: int
     error_type: str | None
     t_rec: int | None
-    outcome: Outcome
     kind: EpisodeKind
     frames: Frames
     provenance: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        frames, name = self.frames, self.episode_id
+        n = len(frames)
+        shapes = {"obs": (n, OBS_DIM), "actions": (n, ACTION_DIM), "phase": (n,), "v": (n,)}
+        for column, shape in shapes.items():
+            if getattr(frames, column).shape != shape:
+                raise ValidationError(f"{name}: {column} has shape {getattr(frames, column).shape}, expected {shape}")
+        bad = np.flatnonzero(~np.isfinite(frames.obs).all(axis=1))
+        if bad.size:
+            raise ValidationError(f"{name}: frame {bad[0]} has a non-finite observation")
+        bad = np.flatnonzero((frames.v < 0.0) | (frames.v > 1.0))  # NaN, unlabeled, compares False
+        if bad.size:
+            raise ValidationError(f"{name}: frame {bad[0]} label v={frames.v[bad[0]]} outside [0, 1]")
+        check_verdict(name, frames.actions, frames.phase, self.kind, self.t_rec,
+                      sliced=self.provenance.get("history_reset_at") == 0)
+
+    @property
+    def outcome(self) -> Outcome:
+        return self.kind.outcome
 
 
 # Each PhaseTag value's initial; any other tag reads "?", which no pattern matches.
@@ -142,44 +171,27 @@ def _action_error(actions: np.ndarray) -> str | None:
             "or has a theta outside (-pi, pi] or a grip outside [0, 1]")
 
 
-def validate_episode(episode: Episode) -> None:
-    """Raise ValidationError when a structural invariant is broken."""
-    frames, name = episode.frames, episode.episode_id
-    n = len(frames)
-    if n == 0:
-        raise ValidationError(f"{name}: episode has no frames")
-    shapes = {"obs": (n, OBS_DIM), "actions": (n, ACTION_DIM), "phase": (n,), "v": (n,)}
-    for column, shape in shapes.items():
-        if getattr(frames, column).shape != shape:
-            raise ValidationError(f"{name}: {column} has shape {getattr(frames, column).shape}, expected {shape}")
-    bad = np.flatnonzero((frames.v < 0.0) | (frames.v > 1.0))  # NaN, unlabeled, compares False
-    if bad.size:
-        raise ValidationError(f"{name}: frame {bad[0]} label v={frames.v[bad[0]]} outside [0, 1]")
-    check_verdict(name, frames.actions, frames.phase, episode.outcome, episode.kind, episode.t_rec,
-                  sliced=episode.provenance.get("history_reset_at") == 0)
-
-
-def check_verdict(name: str, actions: np.ndarray, phase, outcome: Outcome, kind: EpisodeKind,
-                  t_rec: int | None, sliced: bool = False) -> None:
-    """``validate_episode``'s checks of an episode's (T, ACTION_DIM) action
-    rows and its verdict: T ``PhaseTag`` values ``phase``, the outcome, the
-    kind and ``t_rec``.  ValidationError names the episode ``name``."""
+def check_verdict(name: str, actions: np.ndarray, phase, kind: EpisodeKind, t_rec: int | None,
+                  sliced: bool = False) -> None:
+    """The checks ``Episode`` makes of its (T, ACTION_DIM) action rows and
+    its verdict: T ``PhaseTag`` values ``phase``, the kind and ``t_rec``,
+    which only a FailureRecovery episode has and which is its first Recovery
+    frame.  ValidationError names the episode ``name``."""
     text = _tag_text(phase)
     if not text:
         raise ValidationError(f"{name}: episode has no frames")
     action_error = _action_error(actions)
     if action_error is not None:
         raise ValidationError(f"{name}: {action_error}")
-    has_t_rec = t_rec is not None
-    if (kind is EpisodeKind.FAILURE_RECOVERY) != has_t_rec:
+    if (kind is EpisodeKind.FAILURE_RECOVERY) != (t_rec is not None):
         raise ValidationError(f"{name}: kind={kind.value} inconsistent with t_rec={t_rec}")
-    if kind is EpisodeKind.NOMINAL_SUCCESS and (outcome is not Outcome.SUCCESS or text.strip("N")):
-        raise ValidationError(f"{name}: NominalSuccess must be all-Nominal and successful")
+    if kind is EpisodeKind.NOMINAL_SUCCESS and text.strip("N"):
+        raise ValidationError(f"{name}: NominalSuccess must be all-Nominal")
     if _GRAMMAR[sliced].fullmatch(text) is None:
         raise ValidationError(f"{name}: phase tags violate the episode grammar")
-    first = text.find("R")
-    if has_t_rec and first != t_rec:
-        raise ValidationError(f"{name}: t_rec={t_rec} but first Recovery frame is {first if first >= 0 else None}")
+    first = text.index("R") if "R" in text else None
+    if first != t_rec:
+        raise ValidationError(f"{name}: {kind.value} with t_rec={t_rec} but first Recovery frame is {first}")
 
 
 # ---------------------------------------------------------------------------
@@ -240,43 +252,40 @@ def episode_to_dict(episode: Episode) -> dict:
     ])
 
 
-_PHASE_VALUES = frozenset(tag.value for tag in PhaseTag)
 _ARM_ACTIONS = itemgetter(*ARM_NAMES)
 _ACTION_VALUES = itemgetter(*ACTION_KEYS)
 
 
 def _frames_from_dicts(rows: list, instruction_id: int) -> Frames:
-    """Columns of the on-disk frames; raises ValueError on a malformed frame."""
+    """Columns of the on-disk frames; raises ValueError where a frame's layout
+    is amiss.  The ``Episode`` built from them checks their values."""
     for t, fd in enumerate(rows):
         obs = fd["obs"]
-        if fd["t"] != t or obs["instruction_id"] != instruction_id or len(obs["proprio"]) != PROPRIO_DIM:
-            raise ValueError(f"frame {t} has t={fd['t']}, instruction_id={obs['instruction_id']} "
-                             f"and {len(obs['proprio'])} proprio values")
+        if (fd["t"] != t or obs["instruction_id"] != instruction_id or len(obs["proprio"]) != PROPRIO_DIM
+                or len(obs["object_feats"]) != OBS_DIM - PROPRIO_DIM):
+            raise ValueError(f"frame {t} has t={fd['t']}, instruction_id={obs['instruction_id']}, "
+                             f"{len(obs['proprio'])} proprio and {len(obs['object_feats'])} object values")
         if fd["v"] is not None and math.isnan(fd["v"]):
             raise ValueError(f"frame {t} has a NaN label")
-    phase = [fd["phase"] for fd in rows]
-    if not _PHASE_VALUES.issuperset(phase):
-        PhaseTag(next(p for p in phase if p not in _PHASE_VALUES))  # its ValueError names the value
-    frames = Frames(
+    return Frames(
         obs=[fd["obs"]["proprio"] + fd["obs"]["object_feats"] for fd in rows],
         actions=[[v for arm in _ARM_ACTIONS(fd["action"]) for v in _ACTION_VALUES(arm)] for fd in rows],
-        phase=phase,
+        phase=[fd["phase"] for fd in rows],
         v=[math.nan if fd["v"] is None else fd["v"] for fd in rows],
     )
-    if frames.obs.shape != (len(rows), OBS_DIM) or not np.isfinite(frames.obs).all():
-        raise ValueError(f"observations of shape {frames.obs.shape} are not finite rows")
-    action_error = _action_error(frames.actions)
-    if action_error is not None:
-        raise ValueError(action_error)
-    return frames
 
 
 def episode_from_dict(data: dict, source: str = "<memory>") -> Episode:
+    """The episode a payload holds; StorageError when it holds no valid one,
+    including an ``outcome`` other than its kind's."""
     try:
         version = data["schema_version"]
         if version != SCHEMA_VERSION:
             raise StorageError(f"{source}: unsupported schema_version {version!r}")
-        episode = Episode(
+        kind = EpisodeKind(data["kind"])
+        if Outcome(data["outcome"]) is not kind.outcome:
+            raise ValueError(f"outcome {data['outcome']} disagrees with kind {kind.value}")
+        return Episode(
             episode_id=data["episode_id"],
             task_id=data["task_id"],
             instruction_id=int(data["instruction_id"]),
@@ -284,15 +293,12 @@ def episode_from_dict(data: dict, source: str = "<memory>") -> Episode:
             seed=int(data["seed"]),
             error_type=data["error_type"],
             t_rec=None if data["t_rec"] is None else int(data["t_rec"]),
-            outcome=Outcome(data["outcome"]),
-            kind=EpisodeKind(data["kind"]),
+            kind=kind,
             frames=_frames_from_dicts(data["frames"], int(data["instruction_id"])),
             provenance=dict(data.get("provenance", {})),
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ValidationError) as exc:
         raise StorageError(f"{source}: malformed episode payload: {exc!r}") from exc
-    validate_episode(episode)
-    return episode
 
 
 def _dumps(payload: dict) -> str:
@@ -333,9 +339,6 @@ def _frames_text(frames: Frames, instruction_id) -> str:
     once (see ``_float_texts``)."""
     unlabeled = np.isnan(frames.v)
     table = np.column_stack([frames.obs, frames.actions, np.where(unlabeled, 0.0, frames.v)])
-    finite = np.isfinite(table)
-    if not finite.all():
-        raise ValidationError(f"non-finite value {table[~finite][0]!r} in episode payload")
     bits, where = np.unique(table.view(np.int64).ravel(), return_inverse=True)
     texts = np.array(_float_texts(bits.view(np.float64).tolist()), dtype=object)[where].reshape(table.shape)
     texts[unlabeled, -1] = "null"
@@ -506,7 +509,6 @@ def write_episodes(episodes: Iterable[Episode], dataset_dir: str | Path) -> list
         paths: list[Path] = []
         try:
             for episode in episodes:
-                validate_episode(episode)
                 text = _episode_text(episode)
                 path = dataset_dir / f"{episode.episode_id}.json"
                 write_atomic(path, text)
@@ -568,10 +570,8 @@ def slice_recovery_suffix(episode: Episode) -> Episode:
     pad instead of reaching back into the failure.  The rows are preserved
     verbatim; the original episode is untouched.
     """
-    if episode.kind is not EpisodeKind.FAILURE_RECOVERY or episode.t_rec is None:
-        raise ValidationError(
-            f"{episode.episode_id}: can only slice FailureRecovery episodes with t_rec"
-        )
+    if episode.kind is not EpisodeKind.FAILURE_RECOVERY:
+        raise ValidationError(f"{episode.episode_id}: can only slice FailureRecovery episodes")
     start = episode.t_rec
     f = episode.frames
     frames = Frames(obs=f.obs[start:], actions=f.actions[start:], phase=f.phase[start:], v=f.v[start:])
@@ -584,15 +584,13 @@ def slice_recovery_suffix(episode: Episode) -> Episode:
             "t_rec_original": start,
         }
     )
-    sliced = replace(
+    return replace(
         episode,
         episode_id=episode.episode_id + "-reset",
         t_rec=0,
         frames=frames,
         provenance=provenance,
     )
-    validate_episode(sliced)
-    return sliced
 
 
 def history_windows(obs: np.ndarray, w: int) -> np.ndarray:

@@ -31,7 +31,6 @@ from recoverylab.nets import flat_buffer
 from recoverylab.policy import build_frame_dataset, init_policy, loss_and_grads
 from recoverylab.store import (
     EpisodeKind,
-    Outcome,
     PhaseTag,
     dataset_stats,
     history_windows,
@@ -147,7 +146,7 @@ def test_a1_decay_exactness():
     horizon = 10
     episode = make_episode(
         [PhaseTag.NOMINAL] + [PhaseTag.ERROR] * horizon,
-        kind=EpisodeKind.PURE_FAILURE, t_rec=None, outcome=Outcome.FAILURE,
+        kind=EpisodeKind.PURE_FAILURE, t_rec=None,
     )
     labeled = label_failure(episode, 0.8, CFG.with_overrides(alpha=3.0))
     values = labeled.frames.v.tolist()

@@ -28,7 +28,6 @@ from recoverylab.faults import (
     run_interception,
     run_nominal,
     run_trials,
-    success_durations,
     verify_adverse,
 )
 from recoverylab.planner import CORRECTIVE_PHASES, PlanPhase
@@ -178,11 +177,15 @@ def test_verify_adverse_e1_signature(cfg):
     assert not verify_adverse(cfg, grasped, schedule)
 
 
-def test_max_nominal_duration(cfg, expert_episodes):
-    durations = success_durations(expert_episodes)
-    assert max_nominal_duration(expert_episodes) == max(durations)
-    with pytest.raises(InsufficientData):
-        max_nominal_duration([])
+def test_max_nominal_duration(cfg, expert_episodes, recovery_episodes):
+    nominal = expert_episodes[:8]
+    assert max_nominal_duration(nominal) == max(len(e.frames) for e in nominal)
+    # Recovery episodes succeed too, but only nominal ones set the budget.
+    assert max(len(e.frames) for e in recovery_episodes[:4]) > max_nominal_duration(nominal)
+    assert max_nominal_duration(nominal + recovery_episodes[:4]) == max_nominal_duration(nominal)
+    for episodes in ([], recovery_episodes):
+        with pytest.raises(InsufficientData):
+            max_nominal_duration(episodes)
 
 
 def test_detect_failure_strict_table():

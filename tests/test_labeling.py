@@ -10,7 +10,7 @@ from recoverylab.labeling import (
     label_recovery,
     label_success,
 )
-from recoverylab.store import EpisodeKind, Outcome, PhaseTag, read_dataset, write_episode
+from recoverylab.store import EpisodeKind, PhaseTag, read_dataset, write_episode
 from tests.test_store import make_episode
 
 N, E, R = PhaseTag.NOMINAL, PhaseTag.ERROR, PhaseTag.RECOVERY
@@ -64,14 +64,13 @@ def test_label_recovery_t_rec_zero_all_ones():
 
 
 def test_label_recovery_requires_error_frames():
-    episode = make_episode([N, N, R, R], t_rec=2)
-    with pytest.raises(ValidationError):
-        label_recovery(episode)
+    # An unsliced recovery episode without Error frames cannot be built.
+    with pytest.raises(ValidationError, match="grammar"):
+        label_recovery(make_episode([N, N, R, R], t_rec=2))
 
 
 def test_label_failure_hand_evaluated_point():
-    episode = make_episode([N] + [E] * 10, kind=EpisodeKind.PURE_FAILURE, t_rec=None,
-                           outcome=Outcome.FAILURE)
+    episode = make_episode([N] + [E] * 10, kind=EpisodeKind.PURE_FAILURE, t_rec=None)
     assert len(episode.frames) == 11  # horizon T = 10
     labeled = label_failure(episode, 0.8, CFG.with_overrides(alpha=3.0))
     values = labeled.frames.v.tolist()
@@ -85,7 +84,7 @@ def test_label_failure_hand_evaluated_point():
 ])
 def test_label_failure_matches_independent_evaluation(progress, horizon, alpha):
     episode = make_episode([N] + [E] * horizon, kind=EpisodeKind.PURE_FAILURE,
-                           t_rec=None, outcome=Outcome.FAILURE)
+                           t_rec=None)
     labeled = label_failure(episode, progress, CFG.with_overrides(alpha=alpha))
     for t, v in enumerate(labeled.frames.v):
         assert v == pytest.approx(decay_reference(progress, horizon, alpha, t), abs=1e-9)
@@ -97,7 +96,7 @@ def test_label_failure_monotone_decay(rng):
         progress = float(rng.uniform(0, 1))
         alpha = float(rng.uniform(0.2, 12))
         episode = make_episode([N] + [E] * horizon, kind=EpisodeKind.PURE_FAILURE,
-                               t_rec=None, outcome=Outcome.FAILURE)
+                               t_rec=None)
         values = label_failure(episode, progress, CFG.with_overrides(alpha=alpha)).frames.v.tolist()
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
         assert all(0.0 <= v <= 1.0 for v in values)
@@ -106,7 +105,7 @@ def test_label_failure_monotone_decay(rng):
 def test_alpha_ordering_pointwise():
     horizon = 12
     episode = make_episode([N] + [E] * horizon, kind=EpisodeKind.PURE_FAILURE,
-                           t_rec=None, outcome=Outcome.FAILURE)
+                           t_rec=None)
     by_alpha = {
         alpha: label_failure(episode, 0.9, CFG.with_overrides(alpha=alpha)).frames.v.tolist()
         for alpha in (1.0, 3.0, 10.0)
@@ -116,19 +115,17 @@ def test_alpha_ordering_pointwise():
 
 
 def test_label_failure_validation():
-    episode = make_episode([E], kind=EpisodeKind.PURE_FAILURE, t_rec=None,
-                           outcome=Outcome.FAILURE)
+    episode = make_episode([E], kind=EpisodeKind.PURE_FAILURE, t_rec=None)
     with pytest.raises(ValidationError):
         label_failure(episode, 0.5, CFG)  # degenerate single frame
-    two = make_episode([N, E], kind=EpisodeKind.PURE_FAILURE, t_rec=None, outcome=Outcome.FAILURE)
+    two = make_episode([N, E], kind=EpisodeKind.PURE_FAILURE, t_rec=None)
     with pytest.raises(ValidationError):
         label_failure(two, 1.5, CFG)  # progress must arrive clamped
 
 
 def test_alpha_default_is_three(cfg):
     assert cfg.alpha == 3.0
-    episode = make_episode([N] + [E] * 10, kind=EpisodeKind.PURE_FAILURE, t_rec=None,
-                           outcome=Outcome.FAILURE)
+    episode = make_episode([N] + [E] * 10, kind=EpisodeKind.PURE_FAILURE, t_rec=None)
     assert label_failure(episode, 0.8, cfg).frames.v[5] == pytest.approx(0.8 * 0.5 ** 3, abs=1e-12)
 
 

@@ -17,7 +17,6 @@ from recoverylab.store import (
     Episode,
     EpisodeKind,
     Frames,
-    Outcome,
     PhaseTag,
     _float_texts,
     _round_tree,
@@ -89,7 +88,6 @@ def episodes(draw):
         seed=1,
         error_type=None if kind is EpisodeKind.NOMINAL_SUCCESS else "E2",
         t_rec=tags.index(R) if R in tags else None,
-        outcome=Outcome.FAILURE if kind is EpisodeKind.PURE_FAILURE else Outcome.SUCCESS,
         kind=kind,
         frames=Frames(obs=obs, actions=actions, phase=[tag.value for tag in tags], v=v),
     )
@@ -181,8 +179,7 @@ def test_float_texts_equal_repr_of_the_rounded_float(values):
 @PROPERTY
 @given(st.integers(1, 60), st.floats(0.0, 1.0), st.floats(0.05, 20.0))
 def test_failure_labels_in_unit_interval_with_exact_endpoints(horizon, progress, alpha):
-    episode = make_episode([N] + [E] * horizon, kind=EpisodeKind.PURE_FAILURE, t_rec=None,
-                           outcome=Outcome.FAILURE)
+    episode = make_episode([N] + [E] * horizon, kind=EpisodeKind.PURE_FAILURE, t_rec=None)
     v = label_failure(episode, progress, CFG.with_overrides(alpha=alpha)).frames.v
     assert np.all((0.0 <= v) & (v <= 1.0))
     assert v[0] == progress and v[-1] == 0.0

@@ -24,7 +24,6 @@ from recoverylab.store import (
     read_episode,
     slice_recovery_suffix,
     tag_pattern_valid,
-    validate_episode,
     write_episode,
     write_episodes,
 )
@@ -39,8 +38,8 @@ def make_action(t: float) -> tuple[float, ...]:
     return arm + arm
 
 
-def make_episode(tags, kind=EpisodeKind.FAILURE_RECOVERY, outcome=Outcome.SUCCESS,
-                 t_rec="auto", provenance=None, v=None):
+def episode_fields(tags, kind=EpisodeKind.FAILURE_RECOVERY, t_rec="auto", provenance=None, v=None) -> dict:
+    """The ``Episode`` arguments of a small test episode with phase ``tags``."""
     t = np.arange(len(tags), dtype=float)[:, None]
     frames = Frames(
         obs=np.hstack([(t + np.arange(8)) * 0.01, (t - np.arange(14)) * 0.01]),
@@ -50,7 +49,7 @@ def make_episode(tags, kind=EpisodeKind.FAILURE_RECOVERY, outcome=Outcome.SUCCES
     )
     if t_rec == "auto":
         t_rec = next((i for i, tag in enumerate(tags) if tag is R), None)
-    return Episode(
+    return dict(
         episode_id="ep-test-000001",
         task_id="pick-place",
         instruction_id=0,
@@ -58,11 +57,23 @@ def make_episode(tags, kind=EpisodeKind.FAILURE_RECOVERY, outcome=Outcome.SUCCES
         seed=1,
         error_type="E2",
         t_rec=t_rec,
-        outcome=outcome,
         kind=kind,
         frames=frames,
         provenance=provenance or {},
     )
+
+
+def make_episode(tags, **kwargs) -> Episode:
+    return Episode(**episode_fields(tags, **kwargs))
+
+
+def unchecked(fields: dict) -> Episode:
+    """An ``Episode`` of ``fields`` built without its checks, standing for
+    what a tampered file or a writer that skipped them would hold."""
+    episode = object.__new__(Episode)
+    for name, value in fields.items():
+        object.__setattr__(episode, name, value)
+    return episode
 
 
 def recovery_tags(n_nom=4, n_err=3, n_rec=5, n_tail=2):
@@ -104,27 +115,28 @@ def test_frames_are_read_only_copies():
 
 
 def test_invariant_t_rec_kind_mismatch():
-    bad = make_episode(recovery_tags(), kind=EpisodeKind.PURE_FAILURE)  # t_rec set
     with pytest.raises(ValidationError):
-        validate_episode(bad)
+        make_episode(recovery_tags(), kind=EpisodeKind.PURE_FAILURE)  # t_rec set
 
 
 def test_invariant_nominal_success_all_nominal():
-    bad = make_episode([N, N, E], kind=EpisodeKind.NOMINAL_SUCCESS, t_rec=None)
     with pytest.raises(ValidationError):
-        validate_episode(bad)
+        make_episode([N, N, E], kind=EpisodeKind.NOMINAL_SUCCESS, t_rec=None)
 
 
 def test_invariant_t_rec_points_at_first_recovery():
-    bad = make_episode(recovery_tags(), t_rec=2)
     with pytest.raises(ValidationError):
-        validate_episode(bad)
+        make_episode(recovery_tags(), t_rec=2)
 
 
 def test_invariant_label_range():
-    bad = make_episode(recovery_tags(), v=1.5)
     with pytest.raises(ValidationError):
-        validate_episode(bad)
+        make_episode(recovery_tags(), v=1.5)
+
+
+def test_outcome_follows_kind():
+    assert [kind.outcome for kind in EpisodeKind] == [Outcome.SUCCESS, Outcome.SUCCESS, Outcome.FAILURE]
+    assert make_episode([N, E], kind=EpisodeKind.PURE_FAILURE).outcome is Outcome.FAILURE
 
 
 def test_tag_grammar():
@@ -151,10 +163,9 @@ def test_unknown_phase_tag_is_not_written(tmp_path, expert_episodes, recovery_ep
     phase = episode.frames.phase.tolist()
     assert phase[2] == "Nominal"
     phase[2] = "Nonsense"
-    bad = replace(episode, frames=replace(episode.frames, phase=phase))
     write_episode(good, tmp_path)
     with pytest.raises(ValidationError, match="grammar"):
-        write_episode(bad, tmp_path)
+        write_episode(replace(episode, frames=replace(episode.frames, phase=phase)), tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([f"{good.episode_id}.json", store.MANIFEST_NAME])
     assert _manifest_files(tmp_path) == [f"{good.episode_id}.json"]
 
@@ -230,19 +241,74 @@ def test_read_episode_rejects_malformed_frame(tmp_path, expert_episodes, case):
         read_episode(path)
 
 
+# make_episode arguments, a (column, frame, index, value) cell edit or None,
+# and payload entries to overwrite; each breaks one invariant.  An outcome
+# that disagrees with the kind exists only on disk, since Episode derives it.
+REFUSED = {
+    "recovery-with-failure-outcome": (dict(tags=recovery_tags()), None, {"outcome": "Failure"}),
+    "failure-with-success-outcome": (dict(tags=[N, E, E], kind=EpisodeKind.PURE_FAILURE), None,
+                                     {"outcome": "Success"}),
+    "failure-with-recovery-frames": (dict(tags=recovery_tags(), kind=EpisodeKind.PURE_FAILURE, t_rec=None),
+                                     None, {}),
+    "nominal-with-error-frame": (dict(tags=[N, N, E], kind=EpisodeKind.NOMINAL_SUCCESS), None, {}),
+    "t-rec-off-first-recovery": (dict(tags=recovery_tags(), t_rec=2), None, {}),
+    "t-rec-without-recovery-frames": (dict(tags=[N, E, E], t_rec=-1), None, {}),
+    "label-above-one": (dict(tags=recovery_tags(), v=1.5), None, {}),
+    "non-finite-observation": (dict(tags=recovery_tags()), ("obs", 3, 9, math.inf), {}),
+    "theta-outside-pi": (dict(tags=recovery_tags()), ("actions", 2, 2, 4.0), {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_invalid_episode_is_refused_when_built_and_when_loaded(case):
+    kwargs, cell, entries = REFUSED[case]
+    fields = episode_fields(**kwargs)
+    if cell is not None:
+        column, t, index, value = cell
+        values = getattr(fields["frames"], column).copy()
+        values[t, index] = value
+        fields["frames"] = replace(fields["frames"], **{column: values})
+    if not entries:
+        with pytest.raises(ValidationError):
+            Episode(**fields)
+    payload = {**episode_to_dict(unchecked(fields)), **entries}
+    with pytest.raises(StorageError):
+        episode_from_dict(payload)
+
+
+def test_each_episode_is_checked_once(tmp_path, monkeypatch):
+    # Generation builds each written episode once, and the build is its only
+    # check; a load checks each episode's action rows once.  The nominal run
+    # keeps its failures, so every episode it builds is written.
+    calls = {"check_verdict": 0, "_action_error": 0}
+    for name in calls:
+        def counted(*args, _original=getattr(store, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(store, name, counted)
+    for args, out in ((["gen-nominal", "--keep-failures", "--n", "4"], "nominal"),
+                      (["gen-recovery", "--error", "E2", "--n", "2"], "rec")):
+        calls["check_verdict"] = 0
+        assert cli_main(args + ["--out", str(tmp_path / out)]) == 0
+        written = len(_manifest_files(tmp_path / out))
+        assert calls["check_verdict"] == written == int(args[-1]), out
+        calls["_action_error"] = 0
+        assert len(read_dataset(tmp_path / out)) == written
+        assert calls["_action_error"] == written, out
+
+
 @pytest.mark.parametrize("slot, value", [
     (0, math.inf), (5, math.nan),       # x, y not finite
     (2, 4.0), (6, -math.pi),            # theta outside (-pi, pi]
     (3, 1.5), (7, -0.1),                # grip outside [0, 1]
 ])
 def test_validate_episode_rejects_invalid_action(slot, value):
-    # The guarantees the action classes gave at construction, on the column.
+    # An episode with such an action row cannot be built.
     episode = make_episode(recovery_tags())
     actions = episode.frames.actions.copy()
     actions[2, slot] = value
-    bad = replace(episode, frames=replace(episode.frames, actions=actions))
     with pytest.raises(ValidationError, match="frame 2 action"):
-        validate_episode(bad)
+        replace(episode, frames=replace(episode.frames, actions=actions))
 
 
 def test_failed_write_keeps_previous_bytes(cfg, tmp_path, expert_episodes, monkeypatch):
@@ -374,9 +440,9 @@ def test_non_finite_observation_is_not_written(tmp_path, expert_episodes, value,
     good, episode = expert_episodes[0], expert_episodes[1]
     obs = episode.frames.obs.copy()
     obs[3, 9] = value
-    bad = replace(episode, frames=replace(episode.frames, obs=obs))
     write_episode(good, tmp_path)
     with pytest.raises(ValidationError, match="non-finite"):
+        bad = replace(episode, frames=replace(episode.frames, obs=obs))
         if batch:
             write_episodes([bad], tmp_path)
         else:
@@ -430,8 +496,8 @@ def test_lock_is_removed_after_a_batch_and_after_a_raise(tmp_path, expert_episod
     assert not lock.name.endswith(".json")
     write_episodes(_copies(expert_episodes[0], 2), tmp_path)
     assert not lock.exists()
-    with pytest.raises(ValidationError):
-        write_episodes([make_episode(recovery_tags(), t_rec=2)], tmp_path)
+    with pytest.raises(ValidationError):  # raised by the episode built while the lock is held
+        write_episodes((make_episode(recovery_tags(), t_rec=2) for _ in range(1)), tmp_path)
     assert not lock.exists()
 
 
@@ -476,8 +542,7 @@ def test_slice_t_rec_zero_boundary():
 
 
 def test_slice_rejects_pure_failure():
-    episode = make_episode([N, E, E], kind=EpisodeKind.PURE_FAILURE, t_rec=None,
-                           outcome=Outcome.FAILURE)
+    episode = make_episode([N, E, E], kind=EpisodeKind.PURE_FAILURE, t_rec=None)
     with pytest.raises(ValidationError):
         slice_recovery_suffix(episode)
 
