@@ -129,8 +129,6 @@ def cmd_train_value(args) -> int:
 def cmd_label(args) -> int:
     cfg = _config(args)
     model, cluster = value_mod.load_progress_model(cfg, args.value)
-    if cluster is None:
-        raise RecoveryLabError("value checkpoint has no reference cluster; re-run train-value")
     summary = labeling.label_dataset(args.data, args.out, model, cluster, cfg)
     print(json.dumps(summary))
     return 0

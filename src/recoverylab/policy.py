@@ -123,21 +123,18 @@ def _tokens(policy: Policy, instr: np.ndarray, v: np.ndarray) -> tuple[np.ndarra
 
 
 def _forward_batch(policy: Policy, hist: np.ndarray, obs: np.ndarray, instr: np.ndarray, v: np.ndarray,
-                   pad: np.ndarray | None = None):
+                   pad: np.ndarray):
     """Mean actions for a batch; returns (mu, cache) for backprop.  ``pad``
-    marks the (B, w) history rows that are padding, or None to find them.
+    marks the (B, w) history rows that are padding (``FrameDataset.pad``).
     The trunk reads one input row per frame: the normalized history window,
     the normalized observation, the instruction embedding and the value
     token."""
     batch = obs.shape[0]
     mean, std = policy.obs_mean, policy.obs_std
     obs_n = (obs - mean) / std
-    hist_rows = hist.reshape(batch, policy.history_w, OBS_DIM)
-    # Padding rows are all-zero by construction; keep them zero after
-    # normalization so padding stays a neutral input, not a -mean/std outlier.
-    if pad is None:
-        pad = np.all(hist_rows == 0.0, axis=2)
-    hist_n = (hist_rows - mean) / std
+    # Keep padding rows zero after normalization, so padding stays a
+    # neutral input, not a -mean/std outlier.
+    hist_n = (hist.reshape(batch, policy.history_w, OBS_DIM) - mean) / std
     hist_n[pad] = 0.0
     hist_n = hist_n.reshape(batch, -1)
     instr_e, e_val = _tokens(policy, instr, v)
@@ -159,37 +156,8 @@ def _trunk(policy: Policy, x: np.ndarray, obs: np.ndarray):
     return out, trunk_cache
 
 
-def forward(policy: Policy, cfg: Config, obs: np.ndarray, history: np.ndarray, instruction_id: int | np.ndarray,
-            v: float, pad: np.ndarray | None = None) -> np.ndarray:
-    """Deterministic mean action row for one observation vector, clamped by
-    ``action_from_vector``; grips squashed to [0, 1].  A stack of M
-    observations, (M, w, obs_dim) history windows and M instruction ids gives
-    the (M, 8) array of their rows.  ``pad`` marks the history rows before
-    frame 0, or None to find them (see ``_forward_batch``)."""
-    if not (0.0 <= v <= 1.0):
-        raise InputError(f"v must lie in [0, 1], got {v}")
-    lead = obs.shape[:-1]
-    if (len(lead) > 1 or history.shape != lead + (policy.history_w, OBS_DIM) or obs.shape[-1:] != (OBS_DIM,)
-            or np.shape(instruction_id) != lead):
-        raise InputError(
-            f"dimension mismatch: history {history.shape}, obs {obs.shape}, instruction ids "
-            f"{np.shape(instruction_id)}, expected ({policy.history_w}, {OBS_DIM}) per observation"
-        )
-    batch = lead[0] if lead else 1
-    mu, _ = _forward_batch(
-        policy,
-        history.reshape(batch, -1),
-        obs.reshape(batch, OBS_DIM),
-        np.reshape(instruction_id, batch),
-        np.full(batch, float(v)),
-        None if pad is None else pad.reshape(batch, policy.history_w),
-    )
-    return action_from_vector(cfg, mu if lead else mu[0])
-
-
 def loss_and_grads(policy: Policy, cfg: Config, hist: np.ndarray, obs: np.ndarray, instr: np.ndarray, v: np.ndarray,
-                   targets: np.ndarray, pad: np.ndarray | None = None,
-                   grads: Params | None = None) -> tuple[float, Params]:
+                   targets: np.ndarray, pad: np.ndarray, grads: Params | None = None) -> tuple[float, Params]:
     """Batch-mean Gaussian negative log-likelihood, the sum of
     (a - mu)^2 / (2 sigma^2) per frame, and its analytic gradients, which
     overwrite ``grads`` (laid out like the parameters) if given."""

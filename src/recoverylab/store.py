@@ -141,15 +141,6 @@ def _tag_text(phase) -> str:
     return "".join(map(_TAG_INITIALS.get, tags, repeat("?")))
 
 
-def tag_pattern_valid(phase, sliced: bool = False) -> bool:
-    """Accepts Nominal*, Nominal* Error+, or Nominal* Error+ Recovery+ Nominal*
-    over a sequence of ``PhaseTag`` values; any other tag is invalid.
-
-    Sliced recovery suffixes (history reset at index 0) are Recovery+ Nominal*.
-    """
-    return _GRAMMAR[sliced].fullmatch(_tag_text(phase)) is not None
-
-
 def _action_error(actions: np.ndarray) -> str | None:
     """Why (T, ACTION_DIM) action rows are invalid, or None when every value
     is finite, every theta lies in (-pi, pi] and every grip in [0, 1].
@@ -529,22 +520,18 @@ def write_episode(episode: Episode, dataset_dir: str | Path) -> Path:
     return write_episodes([episode], dataset_dir)[0]
 
 
-def _read_episode(path: Path, sha256: str | None) -> Episode:
+def _read_episode(path: Path, sha256: str) -> Episode:
     try:
         raw = path.read_bytes()
     except OSError as exc:
         raise StorageError(f"cannot read {path}: {exc}") from exc
-    if sha256 is not None and hashlib.sha256(raw).hexdigest() != sha256:
+    if hashlib.sha256(raw).hexdigest() != sha256:
         raise StorageError(f"{path}: contents do not match the sha256 in the manifest")
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise StorageError(f"{path}: parse error at offset {exc.pos}: {exc.msg}") from exc
     return episode_from_dict(data, source=str(path))
-
-
-def read_episode(path: str | Path) -> Episode:
-    return _read_episode(Path(path), None)
 
 
 def read_dataset(dataset_dir: str | Path) -> list[Episode]:

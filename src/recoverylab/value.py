@@ -260,24 +260,21 @@ def _dims(model: ProgressModel) -> dict[str, int]:
             "embed_dim": model.params["f_w2"].shape[1], "hidden_dim": model.params["f_w1"].shape[1]}
 
 
-def save_progress_model(
-    model: ProgressModel,
-    path: str | Path,
-    cluster: ReferenceCluster | None = None,
-    provenance: dict | None = None,
-) -> Path:
-    members = {str(k): v.tolist() for k, v in sorted(cluster.members.items())} if cluster else None
+def save_progress_model(model: ProgressModel, path: str | Path, cluster: ReferenceCluster,
+                        provenance: dict | None = None) -> Path:
+    members = {str(k): v.tolist() for k, v in sorted(cluster.members.items())}
     return save_checkpoint(path, "progress-model", model.params, **_dims(model), cluster=members,
                            provenance=provenance or {})
 
 
-def load_progress_model(cfg: Config, path: str | Path) -> tuple[ProgressModel, ReferenceCluster | None]:
+def load_progress_model(cfg: Config, path: str | Path) -> tuple[ProgressModel, ReferenceCluster]:
     """Load a ``save_progress_model`` checkpoint (see ``store.load_checkpoint``)
-    whose cluster rows are embed_dim wide."""
+    whose reference cluster has at least one instruction, with rows embed_dim
+    wide."""
     model, payload = load_checkpoint(path, "progress-model", cfg, _CONFIG_KEYS, init_progress_model, _dims)
-    cluster = payload.get("cluster") or {}
-    if not isinstance(cluster, dict) or not all(k.isdigit() for k in cluster):
-        raise StorageError(f"{path}: cluster is not an object keyed by instruction id")
+    cluster = payload.get("cluster")
+    if not isinstance(cluster, dict) or not cluster or not all(k.isdigit() for k in cluster):
+        raise StorageError(f"{path}: cluster is not a non-empty object keyed by instruction id")
     width = model.params["f_w2"].shape[1]
     members = {int(k): checkpoint_array(path, f"cluster {k}", v, (None, width)) for k, v in cluster.items()}
-    return model, ReferenceCluster(members=members) if members else None
+    return model, ReferenceCluster(members=members)

@@ -254,7 +254,7 @@ def test_a5_gradient_checks(pp_bundle):
     policy = init_policy(small_cfg, seed=1)
     ds = build_frame_dataset(small_cfg, episodes[:2])
     idx = np.array([0, 13, 37])
-    batch = (ds.hist[idx], ds.obs[idx], ds.instr[idx], np.array([0.1, 0.6, 1.0]), ds.actions[idx])
+    batch = (ds.hist[idx], ds.obs[idx], ds.instr[idx], np.array([0.1, 0.6, 1.0]), ds.actions[idx], ds.pad[idx])
     _, pgrads = loss_and_grads(policy, small_cfg, *batch)
 
     def policy_loss(params):

@@ -15,7 +15,6 @@ from recoverylab.policy import (
     LearnedActor,
     action_from_vector,
     build_frame_dataset,
-    forward,
     init_policy,
     load_policy,
     local_waypoint,
@@ -25,7 +24,7 @@ from recoverylab.policy import (
     train_value_conditioned,
 )
 from recoverylab.store import Outcome, slice_recovery_suffix
-from recoverylab.world import OBS_DIM, EnvMode, observe, reset
+from recoverylab.world import OBS_DIM, EnvMode, reset
 from tests.actors import rollout
 from tests.gradcheck import finite_difference, relative_error
 
@@ -33,43 +32,6 @@ from tests.gradcheck import finite_difference, relative_error
 @pytest.fixture(scope="module")
 def tiny_policy(cfg):
     return init_policy(cfg, seed=3)
-
-
-@pytest.fixture(scope="module")
-def micro_batch(cfg, expert_episodes, tiny_policy):
-    ds = build_frame_dataset(cfg, expert_episodes[:2])
-    idx = np.array([0, 9, 31])
-    return ds.hist[idx], ds.obs[idx], ds.instr[idx], np.array([0.2, 0.7, 1.0]), ds.actions[idx]
-
-
-def test_forward_deterministic(cfg, tiny_policy):
-    state = reset(cfg, "pick-place", EnvMode.RANDOM, 0)
-    obs = observe(state)
-    hist = np.zeros((tiny_policy.history_w, OBS_DIM))
-    a = forward(tiny_policy, cfg, obs, hist, 0, 1.0)
-    b = forward(tiny_policy, cfg, obs, hist, 0, 1.0)
-    assert a.tolist() == b.tolist()
-
-
-def test_forward_value_token_reaches_output(cfg, tiny_policy):
-    state = reset(cfg, "pick-place", EnvMode.RANDOM, 0)
-    obs = observe(state)
-    hist = np.zeros((tiny_policy.history_w, OBS_DIM))
-    a0 = np.array(forward(tiny_policy, cfg, obs, hist, 0, 0.0))
-    a1 = np.array(forward(tiny_policy, cfg, obs, hist, 0, 1.0))
-    assert not np.allclose(a0, a1)
-
-
-def test_forward_grip_range_and_bounds(cfg, tiny_policy, rng):
-    state = reset(cfg, "pick-place", EnvMode.RANDOM, 1)
-    obs = observe(state)
-    for _ in range(10):
-        hist = rng.normal(0, 0.3, size=(tiny_policy.history_w, OBS_DIM))
-        action = forward(tiny_policy, cfg, obs, hist, 0, float(rng.uniform(0, 1)))
-        for x, y, _, grip in (action[:4], action[4:]):
-            assert 0.0 <= grip <= 1.0
-            assert cfg.workspace_x_min <= x <= cfg.workspace_x_max
-            assert cfg.workspace_y_min <= y <= cfg.workspace_y_max
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -93,23 +55,6 @@ def test_action_from_vector_rejects_non_finite_in_any_row(cfg, bad):
                 action_from_vector(cfg, batch)
 
 
-def test_forward_input_validation(cfg, tiny_policy):
-    state = reset(cfg, "pick-place", EnvMode.RANDOM, 0)
-    obs = observe(state)
-    with pytest.raises(InputError):
-        forward(tiny_policy, cfg, obs, np.zeros((2, OBS_DIM)), 0, 1.0)
-    with pytest.raises(InputError):
-        forward(tiny_policy, cfg, obs, np.zeros((tiny_policy.history_w, OBS_DIM)), 0, 1.7)
-    # A stack is checked the same way: one window per observation, v in [0, 1].
-    stack = np.stack([obs, obs])
-    with pytest.raises(InputError):
-        forward(tiny_policy, cfg, stack, np.zeros((3, tiny_policy.history_w, OBS_DIM)), np.zeros(2, int), 1.0)
-    with pytest.raises(InputError):
-        forward(tiny_policy, cfg, stack, np.zeros((2, tiny_policy.history_w, OBS_DIM)), np.zeros(2, int), -0.1)
-    with pytest.raises(InputError):
-        forward(tiny_policy, cfg, stack, np.zeros((2, tiny_policy.history_w, OBS_DIM)), 0, 1.0)
-
-
 @pytest.mark.parametrize("v", [-0.1, 1.5, math.nan, math.inf])
 def test_learned_actor_checks_v_fixed_when_built(tiny_policy, v):
     # Caught where the actor is built, not at its first tick.
@@ -117,22 +62,12 @@ def test_learned_actor_checks_v_fixed_when_built(tiny_policy, v):
         LearnedActor(tiny_policy, v_fixed=v)
 
 
-def test_forward_stack_matches_single_rows(cfg, tiny_policy, rng):
-    # A batched product may differ from the one-row one in its last bits only.
-    obs = np.stack([observe(reset(cfg, "pick-place", EnvMode.RANDOM, s)) for s in range(4)])
-    hist = rng.normal(0, 0.3, size=(4, tiny_policy.history_w, OBS_DIM))
-    rows = forward(tiny_policy, cfg, obs, hist, np.zeros(4, int), 1.0)
-    assert len(rows) == 4
-    for i, row in enumerate(rows):
-        assert row == pytest.approx(forward(tiny_policy, cfg, obs[i], hist[i], 0, 1.0), rel=1e-9, abs=1e-12)
-
-
 def test_gradient_matches_finite_differences(cfg, expert_episodes):
     small = cfg.with_overrides(policy_hidden=12, value_token_dim=4, instr_embed_dim=3, history_window=2)
     policy = init_policy(small, seed=1)
     ds = build_frame_dataset(small, expert_episodes[:2])
     idx = np.array([0, 11, 40])
-    batch = (ds.hist[idx], ds.obs[idx], ds.instr[idx], np.array([0.1, 0.5, 0.9]), ds.actions[idx])
+    batch = (ds.hist[idx], ds.obs[idx], ds.instr[idx], np.array([0.1, 0.5, 0.9]), ds.actions[idx], ds.pad[idx])
     _, grads = loss_and_grads(policy, small, *batch)
 
     def loss_fn(params):
@@ -164,7 +99,8 @@ def test_dataset_swap_symmetry(cfg, tiny_policy, expert_episodes, recovery_episo
 
     def term(ds, idx):
         loss, _ = loss_and_grads(
-            tiny_policy, cfg, ds.hist[idx], ds.obs[idx], ds.instr[idx], np.ones(len(idx)), ds.actions[idx]
+            tiny_policy, cfg, ds.hist[idx], ds.obs[idx], ds.instr[idx], np.ones(len(idx)), ds.actions[idx],
+            ds.pad[idx],
         )
         return loss
 
@@ -198,11 +134,11 @@ def test_vcr_constant_value_matches_bc_loss(cfg, tiny_policy, expert_episodes):
     idx = np.arange(24)
     loss_a, _ = loss_and_grads(
         tiny_policy, cfg, ds_labeled.hist[idx], ds_labeled.obs[idx], ds_labeled.instr[idx],
-        ds_labeled.values[idx], ds_labeled.actions[idx],
+        ds_labeled.values[idx], ds_labeled.actions[idx], ds_labeled.pad[idx],
     )
     loss_b, _ = loss_and_grads(
         tiny_policy, cfg, ds_plain.hist[idx], ds_plain.obs[idx], ds_plain.instr[idx],
-        np.ones(len(idx)), ds_plain.actions[idx],
+        np.ones(len(idx)), ds_plain.actions[idx], ds_plain.pad[idx],
     )
     assert loss_a == pytest.approx(loss_b, rel=1e-12)
 
@@ -292,8 +228,9 @@ def test_value_token_liveness(cfg, mini_policies, expert_episodes):
 
     idx = np.arange(0, len(probes), max(1, len(probes) // 80))
     v = np.ones(len(idx))
-    mu_a, _ = _forward_batch(full, probes.hist[idx], probes.obs[idx], probes.instr[idx], v)
-    mu_b, _ = _forward_batch(zeroed, probes.hist[idx], probes.obs[idx], probes.instr[idx], v)
+    batch = probes.hist[idx], probes.obs[idx], probes.instr[idx], v, probes.pad[idx]
+    mu_a, _ = _forward_batch(full, *batch)
+    mu_b, _ = _forward_batch(zeroed, *batch)
     changed = np.any(np.abs(mu_a - mu_b) > 1e-9, axis=1)
     assert changed.mean() >= 0.9
 
@@ -328,16 +265,14 @@ def test_dataset_padding_is_the_rows_before_frame_zero(cfg, expert_episodes, rec
     assert np.array_equal(ds.pad, np.all(ds.hist.reshape(len(ds), w, OBS_DIM) == 0.0, axis=2))
 
 
-def test_checkpoint_round_trip(cfg, tmp_path, mini_policies):
+def test_checkpoint_round_trip(tmp_path, mini_policies):
     _, _, full = mini_policies
-    path = tmp_path / "policy.json"
-    save_policy(full, path)
-    loaded = load_policy(path)
-    state = reset(cfg, "pick-place", EnvMode.RANDOM, 123)
-    obs = observe(state)
-    hist = np.zeros((full.history_w, OBS_DIM))
-    assert forward(loaded, cfg, obs, hist, 0, 1.0).tolist() == forward(full, cfg, obs, hist, 0, 1.0).tolist()
-    assert loaded.obs_std == pytest.approx(full.obs_std)
+    loaded = load_policy(save_policy(full, tmp_path / "policy.json"))
+    assert flat_buffer(loaded.params).tolist() == flat_buffer(full.params).tolist()
+    assert loaded.params.keys() == full.params.keys()
+    assert loaded.obs_mean.tolist() == full.obs_mean.tolist()
+    assert loaded.obs_std.tolist() == full.obs_std.tolist()
+    assert loaded.history_w == full.history_w and loaded.provenance == full.provenance
 
 
 def test_load_policy_checks_shapes_against_metadata(tiny_policy, tmp_path):

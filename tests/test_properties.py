@@ -21,7 +21,7 @@ from recoverylab.store import (
     _float_texts,
     _round_tree,
     episode_to_dict,
-    read_episode,
+    read_dataset,
     write_episode,
 )
 from recoverylab.world import (
@@ -103,7 +103,7 @@ def test_store_round_trip_is_identity_at_nine_figures(episode):
     with tempfile.TemporaryDirectory() as tmp:
         path = write_episode(episode, tmp)
         first = path.read_bytes()
-        loaded = read_episode(path)
+        [loaded] = read_dataset(tmp)
         for name in ("obs", "actions", "v"):
             expected = nine_figures(getattr(episode.frames, name))
             assert np.array_equal(getattr(loaded.frames, name), expected, equal_nan=True), name

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -21,9 +22,7 @@ from recoverylab.store import (
     episode_from_dict,
     history_windows,
     read_dataset,
-    read_episode,
     slice_recovery_suffix,
-    tag_pattern_valid,
     write_episode,
     write_episodes,
 )
@@ -80,14 +79,26 @@ def recovery_tags(n_nom=4, n_err=3, n_rec=5, n_tail=2):
     return [N] * n_nom + [E] * n_err + [R] * n_rec + [N] * n_tail
 
 
+def rewrite(path, text: str) -> None:
+    """Write ``text`` to the episode file ``path`` and its sha256 into the
+    manifest, so that ``read_dataset`` checks what the text holds."""
+    path.write_text(text)
+    manifest_path = path.parent / store.MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text())
+    for entry in manifest["episodes"]:
+        if entry["file"] == path.name:
+            entry["sha256"] = hashlib.sha256(text.encode()).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
+
+
 # ---------------------------------------------------------------------------
 # round trips and validation
 
 
 def test_write_read_round_trip(cfg, tmp_path, recovery_episodes):
     episode = recovery_episodes[0]
-    path = write_episode(episode, tmp_path)
-    loaded = read_episode(path)
+    write_episode(episode, tmp_path)
+    [loaded] = read_dataset(tmp_path)
     assert loaded.episode_id == episode.episode_id
     assert loaded.kind == episode.kind
     assert loaded.t_rec == episode.t_rec
@@ -99,7 +110,7 @@ def test_write_read_round_trip(cfg, tmp_path, recovery_episodes):
 def test_reserialization_byte_stable(tmp_path, recovery_episodes):
     path = write_episode(recovery_episodes[0], tmp_path)
     first = path.read_bytes()
-    again = write_episode(read_episode(path), tmp_path)
+    again = write_episode(read_dataset(tmp_path)[0], tmp_path)
     assert again.read_bytes() == first
 
 
@@ -141,7 +152,17 @@ def test_outcome_follows_kind():
 
 def test_tag_grammar():
     def valid(tags, sliced=False):
-        return tag_pattern_valid([tag.value for tag in tags], sliced=sliced)
+        # The kind and t_rec that agree with the tags, so only the grammar can fail.
+        phase = [getattr(tag, "value", tag) for tag in tags]
+        t_rec = phase.index("Recovery") if "Recovery" in phase else None
+        kind = (EpisodeKind.FAILURE_RECOVERY if t_rec is not None
+                else EpisodeKind.NOMINAL_SUCCESS if set(phase) == {"Nominal"} else EpisodeKind.PURE_FAILURE)
+        try:
+            store.check_verdict("ep", np.full((len(phase), 8), 0.5), phase, kind, t_rec, sliced=sliced)
+        except ValidationError as exc:
+            assert "grammar" in str(exc)
+            return False
+        return True
 
     assert valid([N, N, N])
     assert valid([N, E, E])
@@ -154,8 +175,8 @@ def test_tag_grammar():
     assert valid([R, R, N], sliced=True)
     assert not valid([N, R], sliced=True)
     # Every tag must be a PhaseTag value, not just share its initial.
-    assert not tag_pattern_valid(["Nominal", "Nonsense"])
-    assert not tag_pattern_valid(["Ready", "Nominal"], sliced=True)
+    assert not valid(["Nominal", "Nonsense"])
+    assert not valid(["Ready", "Nominal"], sliced=True)
 
 
 def test_unknown_phase_tag_is_not_written(tmp_path, expert_episodes, recovery_episodes):
@@ -173,18 +194,18 @@ def test_unknown_phase_tag_is_not_written(tmp_path, expert_episodes, recovery_ep
 def test_truncated_file_reports_offset(tmp_path, recovery_episodes):
     path = write_episode(recovery_episodes[0], tmp_path)
     data = path.read_text()
-    path.write_text(data[: len(data) // 2])
+    rewrite(path, data[: len(data) // 2])
     with pytest.raises(StorageError, match="offset"):
-        read_episode(path)
+        read_dataset(tmp_path)
 
 
 def test_unknown_schema_version(tmp_path, recovery_episodes):
     path = write_episode(recovery_episodes[0], tmp_path)
     payload = json.loads(path.read_text())
     payload["schema_version"] = 99
-    path.write_text(json.dumps(payload))
+    rewrite(path, json.dumps(payload))
     with pytest.raises(StorageError, match="schema_version"):
-        read_episode(path)
+        read_dataset(tmp_path)
 
 
 def test_manifest_counts(tmp_path, recovery_episodes, expert_episodes):
@@ -213,7 +234,7 @@ def test_read_dataset_rejects_tampered_episode(tmp_path, expert_episodes):
     m = re.search(r'"x": -?0\.\d\d(\d)', text)
     digit = str((int(m.group(1)) + 1) % 10)
     path.write_text(text[: m.start(1)] + digit + text[m.end(1):])
-    read_episode(path)  # still a valid episode on its own
+    episode_from_dict(json.loads(path.read_text()))  # still a valid episode on its own
     with pytest.raises(StorageError, match="sha256"):
         read_dataset(tmp_path)
 
@@ -236,9 +257,9 @@ def test_read_episode_rejects_malformed_frame(tmp_path, expert_episodes, case):
     path = write_episode(expert_episodes[0], tmp_path)
     payload = json.loads(path.read_text())
     MALFORMED_FRAMES[case](payload["frames"][3])
-    path.write_text(json.dumps(payload))
-    with pytest.raises(StorageError):
-        read_episode(path)
+    rewrite(path, json.dumps(payload))
+    with pytest.raises(StorageError, match="malformed episode payload"):
+        read_dataset(tmp_path)
 
 
 # make_episode arguments, a (column, frame, index, value) cell edit or None,
@@ -314,16 +335,17 @@ def test_validate_episode_rejects_invalid_action(slot, value):
 def test_failed_write_keeps_previous_bytes(cfg, tmp_path, expert_episodes, monkeypatch):
     # When the rename fails, the file written before keeps its bytes.
     from recoverylab.policy import init_policy, save_policy
-    from recoverylab.value import init_progress_model, save_progress_model
+    from recoverylab.value import ReferenceCluster, init_progress_model, save_progress_model
 
     episode, policy, model = expert_episodes[0], init_policy(cfg), init_progress_model(cfg)
+    cluster = ReferenceCluster(members={0: np.full((1, int(cfg.embed_dim)), 0.125)})
 
     def write(name, note):
         if name == "episode":
             return write_episode(replace(episode, provenance={"note": note}), tmp_path)
         if name == "policy":
             return save_policy(replace(policy, provenance={"note": note}), tmp_path / "policy.json")
-        return save_progress_model(model, tmp_path / "value.json", provenance={"note": note})
+        return save_progress_model(model, tmp_path / "value.json", cluster, provenance={"note": note})
 
     def refuse(src, dst):
         raise OSError("no space left on device")
@@ -413,6 +435,19 @@ def test_label_rejects_a_missing_dataset(tmp_path, capsys, progress_model, refer
     assert cli_main(["label", "--data", str(missing), "--value", str(value), "--out", str(out)]) == 1
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert error["error"] == "StorageError" and str(missing) in error["message"]
+    assert not out.exists()
+
+
+def test_label_refuses_a_checkpoint_without_a_cluster(tmp_path, capsys, expert_episodes, progress_model,
+                                                     reference_cluster):
+    value = save_progress_model(progress_model, tmp_path / "value.json", cluster=reference_cluster)
+    value.write_text(json.dumps({**json.loads(value.read_text()), "cluster": None}))
+    data, out = tmp_path / "data", tmp_path / "labeled"
+    data.mkdir()
+    write_episode(expert_episodes[0], data)
+    assert cli_main(["label", "--data", str(data), "--value", str(value), "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "StorageError" and "cluster" in error["message"]
     assert not out.exists()
 
 

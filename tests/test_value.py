@@ -252,6 +252,9 @@ def test_load_progress_model_checks_shapes_against_metadata(cfg, tmp_path, progr
         "embed_dim string": lambda p: p.update(embed_dim="32"),
         "cluster key": lambda p: p["cluster"].update(x=p["cluster"][instr]),
         "no params": lambda p: p.pop("params"),
+        "no cluster": lambda p: p.pop("cluster"),
+        "null cluster": lambda p: p.update(cluster=None),
+        "empty cluster": lambda p: p.update(cluster={}),
     }
     for name, tamper in tampers.items():
         payload = copy.deepcopy(good)
