@@ -34,7 +34,7 @@ from .policy import (
     train_bc,
     train_value_conditioned,
 )
-from .store import Episode, slice_recovery_suffix
+from .store import Episode, slice_recovery_suffix, write_atomic
 from .value import ProgressModel, ReferenceCluster, build_reference_cluster, init_progress_model, train_alignment
 from .world import EnvMode
 
@@ -193,7 +193,7 @@ def write_report(report: EvalReport, out_dir: str | Path, name: str) -> dict[str
     writer.writerow([])
     writer.writerow(list(summary.keys()))
     writer.writerow(list(summary.values()))
-    csv_path.write_text(buf.getvalue())
+    write_atomic(csv_path, buf.getvalue())
 
     payload = {
         "summary": summary,
@@ -209,7 +209,7 @@ def write_report(report: EvalReport, out_dir: str | Path, name: str) -> dict[str
         "config_snapshot": report.config_snapshot,
         "dataset_provenance": report.dataset_provenance,
     }
-    json_path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    write_atomic(json_path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
     return {"csv": csv_path, "json": json_path}
 
 
@@ -392,5 +392,5 @@ def write_table(rows: list[dict], out_path: str | Path) -> Path:
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
-    out_path.write_text(buf.getvalue())
+    write_atomic(out_path, buf.getvalue())
     return out_path

@@ -31,18 +31,21 @@ from .store import (
 from .value import ProgressModel, ReferenceCluster, estimate_progress
 
 
-def _with_labels(episode: Episode, labels) -> Episode:
-    return replace(episode, frames=replace(episode.frames, v=labels))
+def _with_labels(episode: Episode, labels, provenance: dict | None) -> Episode:
+    """``episode`` with the value labels ``labels`` and, if given,
+    ``provenance`` in place of its own, built once."""
+    return replace(episode, frames=replace(episode.frames, v=labels),
+                   provenance=episode.provenance if provenance is None else provenance)
 
 
-def label_success(episode: Episode) -> Episode:
+def label_success(episode: Episode, provenance: dict | None = None) -> Episode:
     """Successful trajectories: every frame v = 1.0."""
     if episode.kind is not EpisodeKind.NOMINAL_SUCCESS:
         raise ValidationError(f"{episode.episode_id}: label_success needs a NominalSuccess episode")
-    return _with_labels(episode, np.ones(len(episode.frames)))
+    return _with_labels(episode, np.ones(len(episode.frames)), provenance)
 
 
-def label_recovery(episode: Episode) -> Episode:
+def label_recovery(episode: Episode, provenance: dict | None = None) -> Episode:
     """Recovery episodes: error segments v = 0.0, everything else v = 1.0.
 
     The clean approach before the fault behaves like success data and keeps
@@ -50,10 +53,10 @@ def label_recovery(episode: Episode) -> Episode:
     """
     if episode.kind is not EpisodeKind.FAILURE_RECOVERY:
         raise ValidationError(f"{episode.episode_id}: label_recovery needs a FailureRecovery episode")
-    return _with_labels(episode, np.where(episode.frames.phase == PhaseTag.ERROR.value, 0.0, 1.0))
+    return _with_labels(episode, np.where(episode.frames.phase == PhaseTag.ERROR.value, 0.0, 1.0), provenance)
 
 
-def label_failure(episode: Episode, progress: float, cfg: Config) -> Episode:
+def label_failure(episode: Episode, progress: float, cfg: Config, provenance: dict | None = None) -> Episode:
     """Pure failures: reliability decay v_t = V * (1 - t/T)^alpha.
 
     Endpoints are exact: v_0 = V and v_T = 0.
@@ -67,17 +70,20 @@ def label_failure(episode: Episode, progress: float, cfg: Config) -> Episode:
         raise ValidationError(f"{episode.episode_id}: degenerate single-frame failure episode")
     alpha, lo, hi = float(cfg.alpha), float(cfg.clamp_min), float(cfg.clamp_max)
     labels = [min(hi, max(lo, progress * (1.0 - t / horizon) ** alpha)) for t in range(len(episode.frames))]
-    return _with_labels(episode, labels)
+    return _with_labels(episode, labels, provenance)
 
 
-def label_episode(episode: Episode, model: ProgressModel, cluster: ReferenceCluster, cfg: Config) -> Episode:
-    """Dispatch on episode kind; pure failures consult the progress model."""
+def label_episode(episode: Episode, model: ProgressModel, cluster: ReferenceCluster, cfg: Config,
+                  provenance: dict | None = None) -> Episode:
+    """Dispatch on episode kind; pure failures consult the progress model.
+    Each ``label_*`` function builds the labeled episode once, with
+    ``provenance`` in place of the episode's if given."""
     if episode.kind is EpisodeKind.NOMINAL_SUCCESS:
-        return label_success(episode)
+        return label_success(episode, provenance)
     if episode.kind is EpisodeKind.FAILURE_RECOVERY:
-        return label_recovery(episode)
+        return label_recovery(episode, provenance)
     raw = estimate_progress(model, cluster, episode)
-    return label_failure(episode, min(float(cfg.clamp_max), max(float(cfg.clamp_min), raw)), cfg)
+    return label_failure(episode, min(float(cfg.clamp_max), max(float(cfg.clamp_min), raw)), cfg, provenance)
 
 
 def label_dataset(
@@ -99,10 +105,8 @@ def label_dataset(
 
     def labeled_episodes():
         for episode in episodes:
-            labeled = label_episode(episode, model, cluster, cfg)
-            provenance = dict(labeled.provenance)
-            provenance["labeler"] = {"alpha": float(cfg.alpha), "rule": labeled.kind.value}
-            labeled = replace(labeled, provenance=provenance)
+            labeler = {"alpha": float(cfg.alpha), "rule": episode.kind.value}
+            labeled = label_episode(episode, model, cluster, cfg, {**episode.provenance, "labeler": labeler})
             yield labeled
             counts[labeled.kind.value] = counts.get(labeled.kind.value, 0) + 1
             v = labeled.frames.v

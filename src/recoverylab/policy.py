@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import Config
-from .errors import InputError, TrainingError, ValidationError
+from .errors import InputError, StorageError, TrainingError, ValidationError
 from .faults import Actor
 from .nets import (Adam, Params, flat_buffer, flat_params, init_linear, init_mlp, mlp_backward, mlp_forward,
                    zeros_like_params)
@@ -490,10 +490,12 @@ def save_policy(policy: Policy, path: str | Path) -> Path:
 
 def load_policy(path: str | Path) -> Policy:
     """Load a ``save_policy`` checkpoint (see ``store.load_checkpoint``) whose
-    normalizer has one entry per observation dim.  Keys the policy no longer
-    has, such as the ``sigma`` of older files, are ignored."""
+    normalizer has one entry per observation dim, each std positive.  Keys the
+    policy no longer has, such as the ``sigma`` of older files, are ignored."""
     policy, payload = load_checkpoint(path, "policy", Config(), _CONFIG_KEYS, init_policy, _dims)
     policy.obs_mean = checkpoint_array(path, "obs_mean", payload.get("obs_mean"), (OBS_DIM,))
     policy.obs_std = checkpoint_array(path, "obs_std", payload.get("obs_std"), (OBS_DIM,))
+    if not (policy.obs_std > 0.0).all():
+        raise StorageError(f"{path}: obs_std holds a value that is not positive")
     policy.provenance = payload.get("provenance", {})
     return policy

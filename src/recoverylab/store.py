@@ -353,8 +353,9 @@ def _episode_text(episode: Episode) -> str:
 def _load_manifest(dataset_dir: Path) -> dict:
     """The dataset's manifest, an object of this schema version whose
     ``episodes`` is a list of entry objects, each with a bare ``file`` name,
-    a ``sha256`` string, ``kind``, ``task_id`` and ``env_mode`` strings and an
-    ``error_type`` string or null; StorageError names the first part amiss."""
+    a ``sha256`` string, an ``EpisodeKind`` value ``kind``, a ``task_id``
+    string, an ``EnvMode`` value ``env_mode`` and an ``error_type`` string or
+    null; StorageError names the first part amiss."""
     path = dataset_dir / MANIFEST_NAME
     if not path.exists():
         return {"schema_version": SCHEMA_VERSION, "episodes": []}
@@ -375,9 +376,12 @@ def _load_manifest(dataset_dir: Path) -> dict:
             raise StorageError(f"{path}: episode entry {k} must name a bare file, got {name!r}")
         if not isinstance(entry.get("sha256"), str):
             raise StorageError(f"{path}: episode entry {k} must hold a sha256 string")
-        for key in ("kind", "task_id", "env_mode"):
-            if not isinstance(entry.get(key), str):
-                raise StorageError(f"{path}: episode entry {k} must hold a {key} string, got {entry.get(key)!r}")
+        for key, values in (("kind", EpisodeKind), ("task_id", None), ("env_mode", EnvMode)):
+            value = entry.get(key)
+            if not isinstance(value, str):
+                raise StorageError(f"{path}: episode entry {k} must hold a {key} string, got {value!r}")
+            if values is not None and value not in {v.value for v in values}:
+                raise StorageError(f"{path}: episode entry {k} has an unknown {key} {value!r}")
         if not isinstance(entry.get("error_type", 0), (str, type(None))):  # 0: missing
             raise StorageError(f"{path}: episode entry {k} must hold an error_type string or null")
     return manifest
@@ -407,8 +411,8 @@ def save_checkpoint(path: str | Path, kind: str, params: dict[str, np.ndarray], 
 
 
 def checkpoint_array(path: Path, name: str, value, shape: tuple[int | None, ...]) -> np.ndarray:
-    """``value`` as a float64 array of ``shape``, where None matches any
-    length; raises StorageError otherwise."""
+    """``value`` as a float64 array of finite values of ``shape``, where None
+    matches any length; raises StorageError otherwise."""
     if value is None:
         raise StorageError(f"{path}: missing key {name!r}")
     try:
@@ -417,6 +421,8 @@ def checkpoint_array(path: Path, name: str, value, shape: tuple[int | None, ...]
         raise StorageError(f"{path}: {name} is not an array: {exc}") from exc
     if arr.dtype.kind not in "iuf":
         raise StorageError(f"{path}: {name} holds {arr.dtype} values, not numbers")
+    if not np.isfinite(arr).all():
+        raise StorageError(f"{path}: {name} holds a value that is not finite")
     if arr.ndim != len(shape) or any(n is not None and n != m for n, m in zip(shape, arr.shape)):
         raise StorageError(f"{path}: {name} has shape {arr.shape}, expected {shape}")
     return arr.astype(np.float64, copy=False)
@@ -460,7 +466,7 @@ def load_checkpoint(path: str | Path, kind: str, cfg: Config, config_keys: dict[
     return model, payload
 
 
-def _manifest_entry(episode: Episode, path: Path, text: str) -> dict:
+def _manifest_entry(episode: Episode, path: Path, sha256: str) -> dict:
     return {
         "file": path.name,
         "episode_id": episode.episode_id,
@@ -471,7 +477,7 @@ def _manifest_entry(episode: Episode, path: Path, text: str) -> dict:
         "seed": episode.seed,
         "n_frames": len(episode.frames),
         "outcome": episode.outcome.value,
-        "sha256": hashlib.sha256(text.encode()).hexdigest(),
+        "sha256": sha256,
     }
 
 
@@ -503,7 +509,7 @@ def write_episodes(episodes: Iterable[Episode], dataset_dir: str | Path) -> list
                 text = _episode_text(episode)
                 path = dataset_dir / f"{episode.episode_id}.json"
                 write_atomic(path, text)
-                written[path.name] = _manifest_entry(episode, path, text)
+                written[path.name] = _manifest_entry(episode, path, hashlib.sha256(text.encode()).hexdigest())
                 paths.append(path)
         finally:
             if written:
@@ -520,29 +526,36 @@ def write_episode(episode: Episode, dataset_dir: str | Path) -> Path:
     return write_episodes([episode], dataset_dir)[0]
 
 
-def _read_episode(path: Path, sha256: str) -> Episode:
+def _read_episode(path: Path, entry: dict) -> Episode:
+    """The episode in ``path``, checked against its manifest ``entry``: the
+    sha256 of the file and every field ``_manifest_entry`` records."""
     try:
         raw = path.read_bytes()
     except OSError as exc:
         raise StorageError(f"cannot read {path}: {exc}") from exc
-    if hashlib.sha256(raw).hexdigest() != sha256:
+    sha256 = hashlib.sha256(raw).hexdigest()
+    if sha256 != entry["sha256"]:
         raise StorageError(f"{path}: contents do not match the sha256 in the manifest")
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise StorageError(f"{path}: parse error at offset {exc.pos}: {exc.msg}") from exc
-    return episode_from_dict(data, source=str(path))
+    episode = episode_from_dict(data, source=str(path))
+    for key, value in _manifest_entry(episode, path, sha256).items():
+        if entry.get(key) != value:
+            raise StorageError(f"{path}: the manifest records {key}={entry.get(key)!r}, the file holds {value!r}")
+    return episode
 
 
 def read_dataset(dataset_dir: str | Path) -> list[Episode]:
     """All episodes listed in the manifest, in manifest order, each checked
-    against the sha256 its manifest entry recorded; a directory with no
+    against its manifest entry (``_read_episode``); a directory with no
     manifest holds none, and a missing one raises StorageError."""
     dataset_dir = Path(dataset_dir)
     if not dataset_dir.is_dir():
         raise StorageError(f"dataset directory does not exist: {dataset_dir}")
     manifest = _load_manifest(dataset_dir)
-    return [_read_episode(dataset_dir / e["file"], e["sha256"]) for e in manifest["episodes"]]
+    return [_read_episode(dataset_dir / e["file"], e) for e in manifest["episodes"]]
 
 
 # ---------------------------------------------------------------------------

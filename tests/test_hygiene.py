@@ -1,7 +1,8 @@
 """Source hygiene checks that need no linter: every name a module in
 ``src/`` or ``tests/`` imports is used in it, every function, class,
 method and top-level assigned name ``src/recoverylab`` defines is read
-somewhere besides its definition, every ``module.name`` and ``Class.attr`` the README names is
+somewhere besides its definition, and outside the tests unless listed in
+``TEST_ONLY``, every ``module.name`` and ``Class.attr`` the README names is
 defined, every bare name a docstring or comment of ``src/recoverylab``
 puts in double backticks is one its code reads, and ``src/recoverylab``
 imports nothing outside the standard library but numpy."""
@@ -144,6 +145,23 @@ def test_no_dead_definitions():
     found = {str(p.relative_to(ROOT)): [(line, name) for line, name in definitions(p.read_text()) if name not in used]
              for p in sorted((ROOT / "src" / "recoverylab").rglob("*.py"))}
     assert not {path: dead for path, dead in found.items() if dead}
+
+
+# The src/recoverylab definitions only tests name, each with its reason.
+TEST_ONLY = {
+    "episode_to_dict": "the reference that store._episode_text is held to",
+    "similarity_curve": "A6's measurement",
+}
+
+
+def test_no_test_only_definitions():
+    # Each definition is named by the program, src/ or perfbench/, or listed.
+    used = set().union(*(named(p.read_text()) for d in ("src", "perfbench") for p in (ROOT / d).rglob("*.py")))
+    assert not TEST_ONLY.keys() & used
+    found = {str(p.relative_to(ROOT)): [(line, name) for line, name in definitions(p.read_text())
+                                        if name not in used and name not in TEST_ONLY]
+             for p in sorted((ROOT / "src" / "recoverylab").rglob("*.py"))}
+    assert not {path: names for path, names in found.items() if names}
 
 
 def live_names(sources: dict[str, str]) -> tuple[dict[str, set[str]], dict[str, set[str]]]:

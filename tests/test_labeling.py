@@ -10,7 +10,7 @@ from recoverylab.labeling import (
     label_recovery,
     label_success,
 )
-from recoverylab.store import EpisodeKind, PhaseTag, read_dataset, write_episode
+from recoverylab.store import Episode, EpisodeKind, PhaseTag, read_dataset, write_episode, write_episodes
 from tests.test_store import make_episode
 
 N, E, R = PhaseTag.NOMINAL, PhaseTag.ERROR, PhaseTag.RECOVERY
@@ -153,6 +153,27 @@ def test_label_dataset_totality_and_idempotence(
     for pa in sorted(out_a.glob("*.json")):
         pb = out_b / pa.name
         assert pa.read_bytes() == pb.read_bytes()
+
+
+def test_label_dataset_builds_each_labeled_episode_once(
+    cfg, tmp_path, expert_episodes, recovery_episodes, failure_episodes, progress_model, reference_cluster,
+    monkeypatch,
+):
+    src = tmp_path / "raw"
+    src.mkdir()
+    mix = expert_episodes[:2] + recovery_episodes[:2] + failure_episodes[:2]
+    write_episodes(mix, src)
+    builds = []
+    check = Episode.__post_init__
+
+    def counted(episode):
+        builds.append(episode.episode_id)
+        check(episode)
+
+    monkeypatch.setattr(Episode, "__post_init__", counted)
+    label_dataset(src, tmp_path / "labeled", progress_model, reference_cluster, cfg)
+    # One build as each episode is read, one as it is labeled.
+    assert sorted(builds) == sorted(e.episode_id for e in mix + mix)
 
 
 def test_label_episode_dispatch(

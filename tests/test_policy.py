@@ -295,6 +295,11 @@ def test_load_policy_checks_shapes_against_metadata(tiny_policy, tmp_path):
         "params list": lambda p: p.update(params=[]),
         "string weight": lambda p: p["params"]["val_b"].__setitem__(0, "1"),
         "provenance list": lambda p: p.update(provenance=[]),
+        "nan weight": lambda p: p["params"]["trunk_b1"].__setitem__(0, math.nan),
+        "infinite weight": lambda p: p["params"]["val_w"][0].__setitem__(0, -math.inf),
+        "nan obs_mean": lambda p: p["obs_mean"].__setitem__(2, math.nan),
+        "zero obs_std": lambda p: p["obs_std"].__setitem__(0, 0.0),
+        "negative obs_std": lambda p: p["obs_std"].__setitem__(5, -0.1),
     }
     for name, tamper in tampers.items():
         payload = copy.deepcopy(good)

@@ -4,6 +4,7 @@ import math
 import os
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,6 +263,22 @@ def test_read_episode_rejects_malformed_frame(tmp_path, expert_episodes, case):
         read_dataset(tmp_path)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("episode_id", "ep-other"), ("kind", "PureFailure"), ("task_id", "stack-two"), ("env_mode", "Clean"),
+    ("error_type", "E3"), ("seed", 7), ("n_frames", 7), ("outcome", "Failure"),
+])
+def test_read_dataset_checks_each_manifest_field_against_the_file(tmp_path, expert_episodes, key, value):
+    # Each field the writer records must still describe the file it lists.
+    write_episodes(expert_episodes[:2], tmp_path)
+    path = tmp_path / store.MANIFEST_NAME
+    manifest = json.loads(path.read_text())
+    assert manifest["episodes"][1][key] != value
+    manifest["episodes"][1][key] = value
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(StorageError, match=f"the manifest records {key}="):
+        read_dataset(tmp_path)
+
+
 # make_episode arguments, a (column, frame, index, value) cell edit or None,
 # and payload entries to overwrite; each breaks one invariant.  An outcome
 # that disagrees with the kind exists only on disk, since Episode derives it.
@@ -334,6 +351,7 @@ def test_validate_episode_rejects_invalid_action(slot, value):
 
 def test_failed_write_keeps_previous_bytes(cfg, tmp_path, expert_episodes, monkeypatch):
     # When the rename fails, the file written before keeps its bytes.
+    from recoverylab import bench
     from recoverylab.policy import init_policy, save_policy
     from recoverylab.value import ReferenceCluster, init_progress_model, save_progress_model
 
@@ -345,14 +363,24 @@ def test_failed_write_keeps_previous_bytes(cfg, tmp_path, expert_episodes, monke
             return write_episode(replace(episode, provenance={"note": note}), tmp_path)
         if name == "policy":
             return save_policy(replace(policy, provenance={"note": note}), tmp_path / "policy.json")
+        if name.startswith("report"):
+            report = bench.EvalReport("Standard", f"task-{note}", None, [], {})
+            return bench.write_report(report, tmp_path, "report")[name.split("-")[1]]
+        if name == "table":
+            return bench.write_table([{"note": note}], tmp_path / "table.csv")
         return save_progress_model(model, tmp_path / "value.json", cluster, provenance={"note": note})
 
-    def refuse(src, dst):
-        raise OSError("no space left on device")
+    rename = os.replace
 
-    for name in ("episode", "policy", "progress-model"):
+    for name in ("episode", "policy", "progress-model", "report-csv", "report-json", "table"):
         path = write(name, 1)
         before = path.read_bytes()
+
+        def refuse(src, dst):
+            if Path(dst) != path:  # the report's other file
+                return rename(src, dst)
+            raise OSError("no space left on device")
+
         with monkeypatch.context() as patch:
             patch.setattr(os, "replace", refuse)
             with pytest.raises(StorageError):
@@ -368,8 +396,10 @@ def test_failed_write_keeps_previous_bytes(cfg, tmp_path, expert_episodes, monke
     (lambda m: m["episodes"][0].pop("file"), "entry 0 must name a bare file"),
     (lambda m: m["episodes"][0].update(file="../a.json"), "entry 0 must name a bare file"),
     (lambda m: m["episodes"][0].update(sha256=None), "entry 0 must hold a sha256 string"),
+    (lambda m: m["episodes"][0].update(kind="Bogus"), "entry 0 has an unknown kind 'Bogus'"),
+    (lambda m: m["episodes"][0].update(env_mode="RANDOM"), "entry 0 has an unknown env_mode 'RANDOM'"),
 ], ids=["no-episodes", "episodes-not-a-list", "entry-not-an-object", "entry-without-file", "file-with-a-path",
-        "sha256-not-a-string"])
+        "sha256-not-a-string", "unknown-kind", "unknown-env-mode"])
 def test_malformed_manifest_raises_storage_error(tmp_path, expert_episodes, tamper, match):
     write_episode(expert_episodes[0], tmp_path)
     path = tmp_path / store.MANIFEST_NAME

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -255,6 +256,8 @@ def test_load_progress_model_checks_shapes_against_metadata(cfg, tmp_path, progr
         "no cluster": lambda p: p.pop("cluster"),
         "null cluster": lambda p: p.update(cluster=None),
         "empty cluster": lambda p: p.update(cluster={}),
+        "nan cluster value": lambda p: p["cluster"][instr][0].__setitem__(0, math.nan),
+        "infinite weight": lambda p: p["params"]["g_b1"].__setitem__(0, math.inf),
     }
     for name, tamper in tampers.items():
         payload = copy.deepcopy(good)
