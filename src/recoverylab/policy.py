@@ -30,7 +30,7 @@ from .errors import InputError, StorageError, TrainingError, ValidationError
 from .faults import Actor
 from .nets import (Adam, Params, flat_buffer, flat_params, init_linear, init_mlp, mlp_backward, mlp_forward,
                    zeros_like_params)
-from .store import Episode, checkpoint_array, history_windows, load_checkpoint, save_checkpoint
+from .store import Episode, checkpoint_array, load_checkpoint, save_checkpoint
 from .world import (
     ACTION_DIM,
     GRIP_DIMS,
@@ -124,8 +124,9 @@ def _tokens(policy: Policy, instr: np.ndarray, v: np.ndarray) -> tuple[np.ndarra
 
 def _forward_batch(policy: Policy, hist: np.ndarray, obs: np.ndarray, instr: np.ndarray, v: np.ndarray,
                    pad: np.ndarray):
-    """Mean actions for a batch; returns (mu, cache) for backprop.  ``pad``
-    marks the (B, w) history rows that are padding (``FrameDataset.pad``).
+    """Mean actions for a batch; returns (mu, cache) for backprop.  ``hist``
+    holds the batch's flattened history windows and ``pad`` marks their
+    (B, w) rows that are padding, as ``FrameDataset.history`` gathers them.
     The trunk reads one input row per frame: the normalized history window,
     the normalized observation, the instruction embedding and the value
     token."""
@@ -198,23 +199,40 @@ def loss_and_grads(policy: Policy, cfg: Config, hist: np.ndarray, obs: np.ndarra
 
 @dataclass
 class FrameDataset:
-    """Flattened (history, obs, instruction, action, value) training arrays.
+    """Flattened (obs, instruction, action, value) training rows, whose
+    history windows index one observation table.
 
-    ``sample_pool`` repeats grip-transition-adjacent frame indices so batches
-    concentrate on the decision boundary where grasp timing is learned.
+    ``table`` holds each row's observation once, then one zero row.  Row k
+    of frame t's history window reads table row ``window[t, k]``: frame
+    t-1-k of the same episode, or the zero row before frame 0, so a sliced
+    recovery pads from its first frame.  ``history`` gathers a batch's
+    windows.  ``sample_pool`` repeats grip-transition-adjacent frame indices
+    so batches concentrate on the decision boundary where grasp timing is
+    learned.
     """
 
-    hist: np.ndarray      # (N, W * obs_dim)
-    obs: np.ndarray       # (N, obs_dim)
+    table: np.ndarray     # (N + 1, OBS_DIM)
+    window: np.ndarray    # (N, W) rows of table
     instr: np.ndarray     # (N,)
     actions: np.ndarray   # (N, ACTION_DIM)
     values: np.ndarray    # (N,)
     seeds: frozenset[int]
     sample_pool: np.ndarray
-    pad: np.ndarray       # (N, W) history rows before frame 0, exactly the all-zero rows
+
+    @property
+    def obs(self) -> np.ndarray:
+        """The (N, OBS_DIM) observation rows, a view of ``table``."""
+        return self.table[:-1]
 
     def __len__(self) -> int:
-        return self.obs.shape[0]
+        return len(self.window)
+
+    def history(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (B, W * OBS_DIM) history windows of rows ``idx``, gathered
+        into a new array, and their (B, W) padding mask: the rows before
+        frame 0, which read the zero row."""
+        rows = self.window[idx]
+        return self.table[rows].reshape(len(rows), rows.shape[1] * OBS_DIM), rows == len(self.window)
 
 
 def local_waypoint(cfg: Config, obs_vec: np.ndarray, action_vec: np.ndarray) -> np.ndarray:
@@ -243,7 +261,8 @@ def build_frame_dataset(cfg: Config, episodes: list[Episode], require_labels: bo
     if not episodes:
         raise TrainingError("cannot build a dataset from zero episodes")
     w = int(cfg.history_window)
-    hists, pads, obs_rows, instr_rows, act_rows, val_rows, boundary = [], [], [], [], [], [], []
+    zero_row = sum(len(ep.frames) for ep in episodes)
+    windows, obs_rows, instr_rows, act_rows, val_rows, boundary = [], [], [], [], [], []
     row = 0
     for ep in episodes:
         obs, actions, values = ep.frames.obs, ep.frames.actions, ep.frames.v
@@ -253,8 +272,8 @@ def build_frame_dataset(cfg: Config, episodes: list[Episode], require_labels: bo
         closed = actions[:, GRIP_DIMS] >= 0.5
         flips = 1 + np.flatnonzero(np.any(closed[1:] != closed[:-1], axis=1))
         near = np.abs(np.arange(len(obs))[:, None] - flips) <= 2
-        hists.append(history_windows(obs, w))
-        pads.append(np.arange(w) >= np.arange(len(obs))[:, None])  # row k of frame t is frame t-1-k
+        back = np.arange(len(obs))[:, None] - 1 - np.arange(w)  # row k of frame t is frame t-1-k
+        windows.append(np.where(back >= 0, row + back, zero_row))
         obs_rows.append(obs)
         instr_rows.append(np.full(len(obs), ep.instruction_id, dtype=np.int64))
         act_rows.append(local_waypoint(cfg, obs, actions))
@@ -262,9 +281,8 @@ def build_frame_dataset(cfg: Config, episodes: list[Episode], require_labels: bo
         boundary.append(row + np.flatnonzero(np.any(near, axis=1)))
         row += len(obs)
     return FrameDataset(
-        hist=np.concatenate(hists),
-        pad=np.concatenate(pads),
-        obs=np.concatenate(obs_rows),
+        table=np.concatenate(obs_rows + [np.zeros((1, OBS_DIM))]),
+        window=np.concatenate(windows),
         instr=np.concatenate(instr_rows),
         actions=np.concatenate(act_rows),
         values=np.concatenate(val_rows),
@@ -282,7 +300,7 @@ _JITTER_MASK[[3, 7, 8, 15]] = 0.0
 def _batch(ds: FrameDataset, idx: np.ndarray, pin_value: float | None, rng: np.random.Generator, jitter: float):
     """``loss_and_grads``' batch arguments for the rows ``idx``."""
     v = np.full(len(idx), pin_value) if pin_value is not None else ds.values[idx]
-    hist, obs, pad = ds.hist[idx], ds.obs[idx], ds.pad[idx]
+    (hist, pad), obs = ds.history(idx), ds.obs[idx]
     if jitter > 0.0:
         # Jitter pose inputs (not labels): smooths the learned function
         # against the small state deviations closed-loop execution produces.
@@ -429,8 +447,9 @@ class _Team:
 
 class LearnedActor(Actor):
     """Wraps a Policy; sees observations only, through the training-time
-    history windows (``store.history_windows``).  Actors that share a policy,
-    a ``v_fixed`` and a config act as one ``_Team``."""
+    history window (``FrameDataset.window``: row k of frame t's window is
+    frame t-1-k, zero before frame 0).  Actors that share a policy, a
+    ``v_fixed`` and a config act as one ``_Team``."""
 
     def __init__(self, policy: Policy, v_fixed: float = 1.0):
         if not (0.0 <= v_fixed <= 1.0):

@@ -355,7 +355,8 @@ def _load_manifest(dataset_dir: Path) -> dict:
     ``episodes`` is a list of entry objects, each with a bare ``file`` name,
     a ``sha256`` string, an ``EpisodeKind`` value ``kind``, a ``task_id``
     string, an ``EnvMode`` value ``env_mode`` and an ``error_type`` string or
-    null; StorageError names the first part amiss."""
+    null, and no two entries name one file; StorageError names the first
+    part amiss."""
     path = dataset_dir / MANIFEST_NAME
     if not path.exists():
         return {"schema_version": SCHEMA_VERSION, "episodes": []}
@@ -368,12 +369,16 @@ def _load_manifest(dataset_dir: Path) -> dict:
     entries = manifest.get("episodes")
     if not isinstance(entries, list):
         raise StorageError(f"{path}: episodes must be a list, got {type(entries).__name__}")
+    first_entry: dict[str, int] = {}
     for k, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise StorageError(f"{path}: episode entry {k} must be an object, got {type(entry).__name__}")
         name = entry.get("file")
         if not isinstance(name, str) or name in ("", ".", "..") or os.path.basename(name) != name:
             raise StorageError(f"{path}: episode entry {k} must name a bare file, got {name!r}")
+        if name in first_entry:
+            raise StorageError(f"{path}: episode entries {first_entry[name]} and {k} both name {name}")
+        first_entry[name] = k
         if not isinstance(entry.get("sha256"), str):
             raise StorageError(f"{path}: episode entry {k} must hold a sha256 string")
         for key, values in (("kind", EpisodeKind), ("task_id", None), ("env_mode", EnvMode)):
@@ -559,7 +564,7 @@ def read_dataset(dataset_dir: str | Path) -> list[Episode]:
 
 
 # ---------------------------------------------------------------------------
-# suffix slicing and history windows
+# suffix slicing
 
 
 def slice_recovery_suffix(episode: Episode) -> Episode:
@@ -591,19 +596,6 @@ def slice_recovery_suffix(episode: Episode) -> Episode:
         frames=frames,
         provenance=provenance,
     )
-
-
-def history_windows(obs: np.ndarray, w: int) -> np.ndarray:
-    """Flattened (T, w * obs_dim) history windows of every frame of an episode:
-    row k of frame t's window is frame t-1-k, and rows before frame 0 are
-    zero.
-
-    Windows never reach before frame 0, so a sliced recovery suffix (which
-    starts at frame 0) sees none of the failure that preceded it.
-    """
-    buffer = np.concatenate([np.zeros((w, obs.shape[1])), obs])
-    rows = np.arange(len(obs))[:, None] + np.arange(w - 1, -1, -1)
-    return buffer.take(rows, axis=0).reshape(len(obs), w * obs.shape[1])
 
 
 # ---------------------------------------------------------------------------

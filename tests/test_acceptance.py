@@ -33,7 +33,6 @@ from recoverylab.store import (
     EpisodeKind,
     PhaseTag,
     dataset_stats,
-    history_windows,
     slice_recovery_suffix,
     write_episode,
 )
@@ -218,7 +217,8 @@ def test_a4_history_reset_contract(pp_bundle):
     sliced = slice_recovery_suffix(episode)
     assert np.array_equal(sliced.frames.obs, episode.frames.obs[episode.t_rec:])
     assert np.array_equal(sliced.frames.actions, episode.frames.actions[episode.t_rec:])
-    sliced_windows = history_windows(sliced.frames.obs, w).reshape(len(sliced.frames), w, -1)
+    sliced_hist, _ = build_frame_dataset(CFG, [sliced]).history(np.arange(len(sliced.frames)))
+    sliced_windows = sliced_hist.reshape(len(sliced.frames), w, -1)
     for k in range(1, w):
         window = sliced_windows[k]
         assert np.count_nonzero(np.any(window != 0.0, axis=1)) == k
@@ -226,7 +226,7 @@ def test_a4_history_reset_contract(pp_bundle):
             assert np.array_equal(window[j], sliced.frames.obs[k - 1 - j])
         assert np.all(window[k:] == 0.0)
     t = episode.t_rec + 1
-    raw = history_windows(episode.frames.obs, w).reshape(len(episode.frames), w, -1)[t]
+    raw = build_frame_dataset(CFG, [episode]).history(np.array([t]))[0].reshape(w, -1)
     assert np.count_nonzero(np.any(raw != 0.0, axis=1)) == w
     for j in range(w):
         assert np.array_equal(raw[j], episode.frames.obs[t - 1 - j])
@@ -254,7 +254,8 @@ def test_a5_gradient_checks(pp_bundle):
     policy = init_policy(small_cfg, seed=1)
     ds = build_frame_dataset(small_cfg, episodes[:2])
     idx = np.array([0, 13, 37])
-    batch = (ds.hist[idx], ds.obs[idx], ds.instr[idx], np.array([0.1, 0.6, 1.0]), ds.actions[idx], ds.pad[idx])
+    hist, pad = ds.history(idx)
+    batch = (hist, ds.obs[idx], ds.instr[idx], np.array([0.1, 0.6, 1.0]), ds.actions[idx], pad)
     _, pgrads = loss_and_grads(policy, small_cfg, *batch)
 
     def policy_loss(params):

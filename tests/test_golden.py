@@ -639,6 +639,8 @@ def test_trained_policy_report_golden(cfg, tmp_path):
     _assert_golden(got, TRAINED_REPORT_GOLDEN)
 
 
+# Each array as the training batches read it: "hist" is every row's history
+# window, gathered through FrameDataset.history.
 DATASET_ARRAYS = ("hist", "obs", "instr", "actions", "values", "sample_pool")
 
 
@@ -827,7 +829,8 @@ def test_frame_dataset_golden(cfg):
             "labeled": build_frame_dataset(cfg, labeled, require_labels=True),
         }
         for name, ds in sets.items():
-            got.update({f"{task}/{name}/{a}": _array_digest(getattr(ds, a)) for a in DATASET_ARRAYS})
+            arrays = {a: ds.history(np.arange(len(ds)))[0] if a == "hist" else getattr(ds, a) for a in DATASET_ARRAYS}
+            got.update({f"{task}/{name}/{a}": _array_digest(arrays[a]) for a in DATASET_ARRAYS})
     _assert_golden(got, DATASET_GOLDEN)
 
 

@@ -67,7 +67,8 @@ def test_gradient_matches_finite_differences(cfg, expert_episodes):
     policy = init_policy(small, seed=1)
     ds = build_frame_dataset(small, expert_episodes[:2])
     idx = np.array([0, 11, 40])
-    batch = (ds.hist[idx], ds.obs[idx], ds.instr[idx], np.array([0.1, 0.5, 0.9]), ds.actions[idx], ds.pad[idx])
+    hist, pad = ds.history(idx)
+    batch = (hist, ds.obs[idx], ds.instr[idx], np.array([0.1, 0.5, 0.9]), ds.actions[idx], pad)
     _, grads = loss_and_grads(policy, small, *batch)
 
     def loss_fn(params):
@@ -98,10 +99,9 @@ def test_dataset_swap_symmetry(cfg, tiny_policy, expert_episodes, recovery_episo
     idx_b = np.arange(16)
 
     def term(ds, idx):
-        loss, _ = loss_and_grads(
-            tiny_policy, cfg, ds.hist[idx], ds.obs[idx], ds.instr[idx], np.ones(len(idx)), ds.actions[idx],
-            ds.pad[idx],
-        )
+        hist, pad = ds.history(idx)
+        loss, _ = loss_and_grads(tiny_policy, cfg, hist, ds.obs[idx], ds.instr[idx], np.ones(len(idx)),
+                                 ds.actions[idx], pad)
         return loss
 
     forward_order = term(ds_a, idx_a) + 1.0 * term(ds_b, idx_b)
@@ -132,14 +132,12 @@ def test_vcr_constant_value_matches_bc_loss(cfg, tiny_policy, expert_episodes):
     ds_labeled = build_frame_dataset(cfg, labeled, require_labels=True)
     ds_plain = build_frame_dataset(cfg, expert_episodes[:2])
     idx = np.arange(24)
-    loss_a, _ = loss_and_grads(
-        tiny_policy, cfg, ds_labeled.hist[idx], ds_labeled.obs[idx], ds_labeled.instr[idx],
-        ds_labeled.values[idx], ds_labeled.actions[idx], ds_labeled.pad[idx],
-    )
-    loss_b, _ = loss_and_grads(
-        tiny_policy, cfg, ds_plain.hist[idx], ds_plain.obs[idx], ds_plain.instr[idx],
-        np.ones(len(idx)), ds_plain.actions[idx], ds_plain.pad[idx],
-    )
+    hist_a, pad_a = ds_labeled.history(idx)
+    loss_a, _ = loss_and_grads(tiny_policy, cfg, hist_a, ds_labeled.obs[idx], ds_labeled.instr[idx],
+                               ds_labeled.values[idx], ds_labeled.actions[idx], pad_a)
+    hist_b, pad_b = ds_plain.history(idx)
+    loss_b, _ = loss_and_grads(tiny_policy, cfg, hist_b, ds_plain.obs[idx], ds_plain.instr[idx],
+                               np.ones(len(idx)), ds_plain.actions[idx], pad_b)
     assert loss_a == pytest.approx(loss_b, rel=1e-12)
 
 
@@ -166,12 +164,12 @@ def test_history_window_contract(cfg, recovery_episodes):
     w = int(cfg.history_window)
     episode = recovery_episodes[0]
     sliced = slice_recovery_suffix(episode)
-    reset_ds = build_frame_dataset(cfg, [sliced])
+    reset_hist, _ = build_frame_dataset(cfg, [sliced]).history(np.arange(len(sliced.frames)))
     # Windows of a sliced episode are built purely from its own frames: row
     # k of the window at index t is the sliced obs at t - 1 - k, padded with
     # zeros before frame 0, the recovery onset.  No reach-back is possible.
     for t in range(len(sliced.frames)):
-        window = reset_ds.hist[t].reshape(w, -1)
+        window = reset_hist[t].reshape(w, -1)
         valid = min(w, t)
         for k in range(valid):
             assert np.array_equal(window[k], sliced.frames.obs[t - 1 - k])
@@ -179,9 +177,8 @@ def test_history_window_contract(cfg, recovery_episodes):
             assert np.all(window[k] == 0.0)
     # Windows at early recovery frames of the UNsliced episode reach into
     # the failure prefix: row positions beyond t - t_rec hold pre-onset obs.
-    raw_ds = build_frame_dataset(cfg, [episode])
     t = episode.t_rec + 1
-    window = raw_ds.hist[t].reshape(w, -1)
+    window = build_frame_dataset(cfg, [episode]).history(np.array([t]))[0].reshape(w, -1)
     for k in range(w):
         source = episode.frames.obs[t - 1 - k]
         assert np.array_equal(window[k], source)
@@ -228,7 +225,8 @@ def test_value_token_liveness(cfg, mini_policies, expert_episodes):
 
     idx = np.arange(0, len(probes), max(1, len(probes) // 80))
     v = np.ones(len(idx))
-    batch = probes.hist[idx], probes.obs[idx], probes.instr[idx], v, probes.pad[idx]
+    hist, pad = probes.history(idx)
+    batch = hist, probes.obs[idx], probes.instr[idx], v, pad
     mu_a, _ = _forward_batch(full, *batch)
     mu_b, _ = _forward_batch(zeroed, *batch)
     changed = np.any(np.abs(mu_a - mu_b) > 1e-9, axis=1)
@@ -261,8 +259,68 @@ def test_dataset_padding_is_the_rows_before_frame_zero(cfg, expert_episodes, rec
     w = int(cfg.history_window)
     # Row k of frame t's window is frame t-1-k.
     want = np.concatenate([np.arange(w)[None, :] >= np.arange(len(e.frames))[:, None] for e in episodes])
-    assert np.array_equal(ds.pad, want)
-    assert np.array_equal(ds.pad, np.all(ds.hist.reshape(len(ds), w, OBS_DIM) == 0.0, axis=2))
+    hist, pad = ds.history(np.arange(len(ds)))
+    assert np.array_equal(pad, want)
+    assert np.array_equal(pad, np.all(hist.reshape(len(ds), w, OBS_DIM) == 0.0, axis=2))
+
+
+def rule_windows(episodes, w):
+    """Every frame's flattened history window and padding mask by the rule,
+    frame by frame: row k of frame t is frame t-1-k, zeros before frame 0."""
+    hist, pad = [], []
+    for episode in episodes:
+        obs = episode.frames.obs
+        for t in range(len(obs)):
+            hist.append(np.array([obs[t - 1 - k] if k < t else np.zeros(OBS_DIM) for k in range(w)]).reshape(-1))
+            pad.append([k >= t for k in range(w)])
+    return np.array(hist), np.array(pad, dtype=bool).reshape(len(pad), w)
+
+
+def test_dataset_holds_each_observation_once(cfg, expert_episodes, recovery_episodes):
+    # Windows are rows of one observation table, not copies of them.
+    w = int(cfg.history_window)
+    sets = {"expert": expert_episodes[:4], "sliced": [slice_recovery_suffix(e) for e in recovery_episodes[:3]],
+            "raw-recovery": recovery_episodes[:3]}
+    for name, episodes in sets.items():
+        ds = build_frame_dataset(cfg, episodes)
+        arrays = [a for a in vars(ds).values() if isinstance(a, np.ndarray)]
+        assert not [a.shape for a in arrays if a.ndim == 2 and a.shape[1] == w * OBS_DIM], name
+        assert sum(a.nbytes for a in arrays) < 400 * len(ds), name
+        assert np.array_equal(ds.obs, np.concatenate([e.frames.obs for e in episodes])), name
+        hist, pad = ds.history(np.arange(len(ds)))
+        want_hist, want_pad = rule_windows(episodes, w)
+        assert np.array_equal(hist, want_hist) and np.array_equal(pad, want_pad), name
+
+
+@pytest.mark.parametrize("w", [0, 1])
+def test_short_history_windows_train_and_deploy(cfg, expert_episodes, recovery_episodes, monkeypatch, w):
+    import recoverylab.policy as policy_mod
+    from recoverylab import bench
+
+    small = cfg.with_overrides(history_window=w, bc_steps=5)
+    expert, sliced = expert_episodes[:3], [slice_recovery_suffix(e) for e in recovery_episodes[:2]]
+    sets = [build_frame_dataset(small, episodes) for episodes in (expert, sliced)]
+    for ds, episodes in zip(sets, (expert, sliced)):
+        idx = np.arange(0, len(ds), 3)
+        hist, pad = ds.history(idx)
+        want_hist, want_pad = rule_windows(episodes, w)
+        assert hist.shape == (len(idx), w * OBS_DIM) and pad.shape == (len(idx), w)
+        assert np.array_equal(hist, want_hist[idx]) and np.array_equal(pad, want_pad[idx])
+    policy = init_policy(small, seed=0)
+    losses = train_bc(policy, *sets, small, seed=0)
+    assert len(losses) == 5 and np.isfinite(losses).all()
+    widths = set()
+    real_trunk = policy_mod._trunk
+
+    def spy(policy, x, obs):
+        widths.add(x.shape[1])
+        return real_trunk(policy, x, obs)
+
+    monkeypatch.setattr(policy_mod, "_trunk", spy)
+    report = bench.run_protocol(small, lambda seed: LearnedActor(policy), "pick-place", None, [300020, 300021],
+                                t_max=30)
+    assert len(report.trials) == 2
+    assert widths == {(w + 1) * OBS_DIM + int(small.instr_embed_dim) + int(small.value_token_dim)}
 
 
 def test_checkpoint_round_trip(tmp_path, mini_policies):
@@ -345,7 +403,8 @@ def test_learned_actor_history_matches_dataset_convention(cfg, mini_policies, ex
             actor.act(state, obs)
     monkeypatch.undo()
     ds = build_frame_dataset(cfg, episodes)
-    _, (x, *_) = policy_mod._forward_batch(full, ds.hist, ds.obs, ds.instr, np.ones(len(ds)), ds.pad)
+    hist, pad = ds.history(np.arange(len(ds)))
+    _, (x, *_) = policy_mod._forward_batch(full, hist, ds.obs, ds.instr, np.ones(len(ds)), pad)
     assert np.concatenate(seen).tobytes() == x.tobytes()
 
 

@@ -12,6 +12,7 @@ import pytest
 from recoverylab import store
 from recoverylab.cli import main as cli_main
 from recoverylab.errors import StorageError, ValidationError
+from recoverylab.policy import build_frame_dataset
 from recoverylab.store import (
     Episode,
     EpisodeKind,
@@ -21,7 +22,6 @@ from recoverylab.store import (
     dataset_stats,
     episode_to_dict,
     episode_from_dict,
-    history_windows,
     read_dataset,
     slice_recovery_suffix,
     write_episode,
@@ -411,6 +411,22 @@ def test_malformed_manifest_raises_storage_error(tmp_path, expert_episodes, tamp
             call(tmp_path)
 
 
+def test_manifest_naming_one_file_twice_is_refused(tmp_path, expert_episodes, capsys):
+    # A hand-merged manifest that lists one file twice would read that
+    # episode twice and count it twice.
+    paths = write_episodes(expert_episodes[:2], tmp_path)
+    path = tmp_path / store.MANIFEST_NAME
+    manifest = json.loads(path.read_text())
+    manifest["episodes"].append(dict(manifest["episodes"][0]))
+    path.write_text(json.dumps(manifest))
+    match = f"entries 0 and 2 both name {re.escape(paths[0].name)}"
+    for call in (read_dataset, dataset_stats, lambda d: write_episode(expert_episodes[2], d)):
+        with pytest.raises(StorageError, match=match):
+            call(tmp_path)
+    assert cli_main(["stats", "--data", str(tmp_path)]) == 1
+    assert paths[0].name in json.loads(capsys.readouterr().err)["message"]
+
+
 def test_stats_reports_a_malformed_manifest(tmp_path, expert_episodes, capsys):
     write_episode(expert_episodes[0], tmp_path)
     path = tmp_path / store.MANIFEST_NAME
@@ -616,30 +632,36 @@ def test_slice_rejects_pure_failure():
 # history windows
 
 
-def windows(episode, w):
+def flat_windows(cfg, episode, w):
+    """(T, w * obs_dim) history windows of every frame, as training gathers them."""
+    ds = build_frame_dataset(cfg.with_overrides(history_window=w), [episode])
+    return ds.history(np.arange(len(ds)))[0]
+
+
+def windows(cfg, episode, w):
     """(T, w, obs_dim) history windows of every frame."""
-    return history_windows(episode.frames.obs, w).reshape(len(episode.frames), w, -1)
+    return flat_windows(cfg, episode, w).reshape(len(episode.frames), w, -1)
 
 
 def valid_rows(window) -> int:
     return int(np.count_nonzero(np.any(window != 0.0, axis=1)))
 
 
-def test_history_start_all_padding():
+def test_history_start_all_padding(cfg):
     episode = make_episode(recovery_tags())
     for ep in (episode, slice_recovery_suffix(episode)):
-        window = windows(ep, 5)[0]
+        window = windows(cfg, ep, 5)[0]
         assert valid_rows(window) == 0
         assert np.all(window == 0.0)
 
 
-def test_history_window_arithmetic():
+def test_history_window_arithmetic(cfg):
     episode = make_episode(recovery_tags(n_nom=10, n_err=3, n_rec=5, n_tail=2))
     w = 5
     t = w + 5
-    flat = history_windows(episode.frames.obs, w)
+    flat = flat_windows(cfg, episode, w)
     assert flat.shape == (len(episode.frames), w * episode.frames.obs.shape[1])
-    window = windows(episode, w)[t]
+    window = windows(cfg, episode, w)[t]
     assert valid_rows(window) == w
     for k in range(w):
         assert np.allclose(window[k], episode.frames.obs[t - 1 - k])
@@ -648,7 +670,7 @@ def test_history_window_arithmetic():
 def test_history_reset_marker_pads(cfg):
     episode = make_episode(recovery_tags(n_nom=6, n_err=4, n_rec=7, n_tail=3))
     sliced = slice_recovery_suffix(episode)
-    window = windows(sliced, 5)[2]
+    window = windows(cfg, sliced, 5)[2]
     assert valid_rows(window) == 2
     # nothing before the slice leaks in
     pre_slice = {tuple(obs) for obs in episode.frames.obs[: episode.t_rec]}
@@ -656,10 +678,10 @@ def test_history_reset_marker_pads(cfg):
         assert tuple(window[k]) not in pre_slice
 
 
-def test_history_raw_reaches_into_failure_prefix():
+def test_history_raw_reaches_into_failure_prefix(cfg):
     episode = make_episode(recovery_tags(n_nom=6, n_err=4, n_rec=7, n_tail=3))
     t = episode.t_rec + 2  # within W of the error segment
-    window = windows(episode, 5)[t]
+    window = windows(cfg, episode, 5)[t]
     error_obs = {tuple(obs) for obs in episode.frames.obs[episode.frames.phase == E.value]}
     assert any(tuple(row) in error_obs for row in window[: valid_rows(window)])
 
