@@ -136,7 +136,9 @@ def cmd_label(args) -> int:
 
 def cmd_train_rai(args) -> int:
     cfg = _config(args)
-    expert = _load_episodes(_dirs(args.expert))
+    expert = [e for e in _load_episodes(_dirs(args.expert)) if e.kind is EpisodeKind.NOMINAL_SUCCESS]
+    if not expert:
+        raise InsufficientData(f"{args.expert}: no NominalSuccess episodes")
     recovery = []
     if args.recovery:
         recovery = [e for e in _load_episodes(_dirs(args.recovery)) if e.kind is EpisodeKind.FAILURE_RECOVERY]

@@ -18,8 +18,8 @@ hands back each ended trial, and ``run_episodes`` builds their episodes.
 Expert demonstrations, interception, policy rollouts and policy-induced
 collection differ only in the ``Trial``: the actor, the injection trigger
 and the takeover they hand it.  Trials that need no per-frame Python and
-whose actors are of one class step together as one ``world.WorldBatch``;
-any other trial steps alone on its ``WorldState``.
+whose actors share one ``Actor.Batch`` step together as one
+``world.WorldBatch``; any other trial steps alone on its ``WorldState``.
 """
 
 from __future__ import annotations
@@ -281,6 +281,41 @@ def detect_failure(t: int, t_max: int) -> bool:
 # episode engine
 
 
+class ActorBatch:
+    """The actors of one lockstep batch, of one class and one ``key``, made
+    once from the actors just begun as the ``Batch`` their class names.
+    Row k of a tick's arrays is the k-th live actor's, and ``keep`` drops
+    ended rows.  A ``polled`` batch's live actors are asked ``exhausted``
+    and ``stalled`` just after they act.  This one acts one by one."""
+
+    polled = True
+
+    def __init__(self, cfg: Config, actors: list[Actor]):
+        self.actors = actors
+
+    @staticmethod
+    def key(actor: Actor) -> object:
+        """Equal for actors of one class that may share a batch."""
+        return None
+
+    def act(self, states: WorldBatch, obs: np.ndarray) -> np.ndarray:
+        """A new (M, ACTION_DIM) array of the live actors' action rows for
+        the worlds ``states``, each built as it is read, and rows ``obs``."""
+        rows = [actor.act(s, o) for actor, s, o in zip(self.actors, states, obs)]
+        try:
+            return np.array(rows, dtype=float).reshape(len(rows), ACTION_DIM)
+        except ValueError:  # ragged rows, or rows of another length
+            raise InputError(f"an action is a row of {ACTION_DIM} values, got {rows!r}") from None
+
+    def applied(self, actions: np.ndarray) -> np.ndarray:
+        """The rows the arms execute for the recorded ``actions``."""
+        return actions
+
+    def keep(self, kept: list[int]) -> None:
+        """Keep only the live rows ``kept``, in that order."""
+        self.actors = [self.actors[k] for k in kept]
+
+
 class Actor:
     """Closed-loop controller driven by ``run_trials``.
 
@@ -289,16 +324,13 @@ class Actor:
     it holds until the window closes and the injection is verified.  One that
     reports ``stalled`` ends the episode at once.  Both endings are failures.
 
-    A lockstep batch holds actors of one class and reads the per-frame
-    hooks, as tick events, only if they have them: the executed rows
-    (``applied_all``, for a class that overrides ``applied``), and
-    ``exhausted`` and ``stalled`` (for a class that overrides either, or an
-    actor that sets ``exhausted`` in ``begin``).  The verdict reads
-    ``corrective_acts`` once, after the trial has ended.
+    In a lockstep batch the actors act through one ``Batch`` of their class.
+    The verdict reads ``corrective_acts`` once, after the trial has ended.
     """
 
     exhausted = False
     stalled = False
+    Batch = ActorBatch
 
     def begin(self, cfg: Config, state: WorldState) -> None:
         raise NotImplementedError
@@ -307,29 +339,11 @@ class Actor:
         """The action row (see ``world.ACTION_DIM``) for the live state."""
         raise NotImplementedError
 
-    @classmethod
-    def act_all(cls, actors: list[Actor], states: Sequence[WorldState], obs: np.ndarray) -> np.ndarray:
-        """The action rows of a lockstep batch's M actors, all of this class,
-        in one tick, as a new (M, ACTION_DIM) array that the caller may write
-        to; row k of ``states``, the batch's ``WorldBatch``, and of ``obs`` is
-        actor k's.  Subclasses that can act together override it; this one
-        acts one by one, and the batch builds a row's state as it is read."""
-        rows = [actor.act(s, o) for actor, s, o in zip(actors, states, obs)]
-        try:
-            return np.array(rows, dtype=float).reshape(len(actors), ACTION_DIM)
-        except ValueError:  # ragged rows, or rows of another length
-            raise InputError(f"an action is a row of {ACTION_DIM} values, got {rows!r}") from None
-
     def applied(self, action: tuple[float, ...]) -> tuple[float, ...]:
         """The action the arms execute; ``action`` itself is what is
-        recorded."""
+        recorded.  A class that overrides it names a ``Batch`` whose
+        ``applied`` does the same for a batch's rows."""
         return action
-
-    @classmethod
-    def applied_all(cls, actors: list[Actor], actions: np.ndarray) -> np.ndarray:
-        """``applied`` of M actors of this class for their recorded
-        (M, ACTION_DIM) rows ``actions``: a new array, or ``actions``."""
-        return np.array([actor.applied(tuple(row)) for actor, row in zip(actors, actions.tolist())], dtype=float)
 
     def corrective_acts(self) -> int | None:
         """How many of the acts since ``begin`` came before the actor's
@@ -347,6 +361,33 @@ _NOISE_SCALES = np.array([1.0, 1.0, 2.0, 1.0, 1.0, 2.0])
 _NOISE_BLOCK = 64
 
 
+class PlannerBatch(ActorBatch):
+    """Reads a tick's proprio rows and holders once, and adds the noisy
+    planners' noise to their executed rows as arrays."""
+
+    def act(self, states, obs):
+        proprio, holders = obs[:, :PROPRIO_DIM].tolist(), states.holders.tolist()
+        rows = [actor._act(p, h) for actor, p, h in zip(self.actors, proprio, holders)]
+        return np.array(rows, dtype=float).reshape(len(rows), ACTION_DIM)
+
+    def applied(self, actions):
+        actors = self.actors
+        noisy = [k for k, actor in enumerate(actors) if actor.action_noise > 0]
+        if not noisy:
+            return actions
+        every = len(noisy) == len(actors)
+        rows = actions.copy() if every else actions[noisy]
+        noise = chain.from_iterable(actors[k]._next_noise() for k in noisy)
+        # ``applied``'s sums, then its wraps of the theta columns (2 and 6) by ``wrap_angles``.
+        rows.reshape(-1, 2, 4)[..., :3] += np.fromiter(noise, float, 6 * len(noisy)).reshape(-1, 2, 3)
+        rows[:, 2::4] = wrap_angles(rows[:, 2::4])
+        if every:
+            return rows
+        executed = actions.copy()
+        executed[noisy] = rows
+        return executed
+
+
 class PlannerActor(Actor):
     """Follows a plan closed-loop (the nominal plan when none is given) and
     holds pose once the plan is exhausted.
@@ -355,8 +396,10 @@ class PlannerActor(Actor):
     recorded, so demonstrations cover a corrective tube around the nominal
     path instead of a single trajectory.  Alone or in a batch, its executor
     reads each frame's proprio row and holders as plain values (see
-    ``PlanExecutor``); ``act_all`` reads a batch's rows once per tick.
+    ``PlanExecutor``).  Noisy and noise-free planners share a ``Batch``.
     """
+
+    Batch = PlannerBatch
 
     def __init__(self, plan: tuple[PlanStep, ...] | None = None, action_noise: float = 0.0):
         self.plan = plan
@@ -379,12 +422,6 @@ class PlannerActor(Actor):
 
     def act(self, state, obs):
         return self._act(obs.tolist(), state.holders)
-
-    @classmethod
-    def act_all(cls, actors, states, obs):
-        proprio, holders = obs[:, :PROPRIO_DIM].tolist(), states.holders.tolist()
-        rows = [actor._act(p, h) for actor, p, h in zip(actors, proprio, holders)]
-        return np.array(rows, dtype=float).reshape(len(actors), ACTION_DIM)
 
     @property
     def stalled(self) -> bool:
@@ -409,23 +446,6 @@ class PlannerActor(Actor):
         for o, (dx, dy, dth) in ((0, noise[:3]), (4, noise[3:])):
             row[o:o + 3] = row[o] + dx, row[o + 1] + dy, wrap_angle(row[o + 2] + dth)
         return tuple(row)
-
-    @classmethod
-    def applied_all(cls, actors, actions):
-        noisy = [k for k, actor in enumerate(actors) if actor.action_noise > 0]
-        if not noisy:
-            return actions
-        every = len(noisy) == len(actors)
-        rows = actions.copy() if every else actions[noisy]
-        noise = chain.from_iterable(actors[k]._next_noise() for k in noisy)
-        # ``applied``'s sums, then its wraps of the theta columns (2 and 6) by ``wrap_angles``.
-        rows.reshape(-1, 2, 4)[..., :3] += np.fromiter(noise, float, 6 * len(noisy)).reshape(-1, 2, 3)
-        rows[:, 2::4] = wrap_angles(rows[:, 2::4])
-        if every:
-            return rows
-        executed = actions.copy()
-        executed[noisy] = rows
-        return executed
 
     def corrective_acts(self):
         return self.executor.resumed_at  # None, all Recovery, for a plan that starts mid-carry
@@ -529,10 +549,6 @@ class Trial:
 
 
 _NOMINAL, _ERROR, _RECOVERY = (tag.value for tag in (PhaseTag.NOMINAL, PhaseTag.ERROR, PhaseTag.RECOVERY))
-
-
-def _overrides(obj, base: type, name: str) -> bool:
-    return getattr(type(obj), name) is not getattr(base, name)
 
 
 class TrialRun:
@@ -707,27 +723,24 @@ def _inject_rows(actions: np.ndarray, rows: np.ndarray, arm: np.ndarray, kind: n
 
 
 class _Lockstep:
-    """Two or more trials whose actors are of one class, stepped as one
-    ``WorldBatch`` whose rows are the live trials in trial order.
+    """Two or more trials whose actors share one ``Actor.Batch``, stepped as
+    one ``WorldBatch`` whose rows are the live trials in trial order.
 
     Its trials have no takeover and no plan-phase trigger (see
     ``run_trials``), so a tick runs a trial's Python only at its
     events: its geometric trigger fires, its window closes, it succeeds or
-    it reaches its deadline, and, for actors with those hooks, it runs out
-    or stalls.  What a tick reads of every trial is kept in arrays over the
-    live rows, which drop an ended trial's row: deadlines, error kinds,
-    unresolved triggers, and the windows, arms and draws of resolved ones.
-    Success is checked only after steps that can bring it (see
-    ``_succeeded``).  A tick acts
-    with one ``act_all`` call of the class and, for a class that overrides
-    ``applied``, executes the rows of one ``applied_all`` call.
+    it reaches its deadline, and, for a batch that polls its actors, it runs
+    out or stalls.  What a tick reads of every trial is kept in arrays over
+    the live rows, which drop an ended trial's row, as the actors' batch
+    does: deadlines, error kinds, unresolved triggers, and the windows, arms
+    and draws of resolved ones.  Success is checked only after steps that
+    can bring it (see ``_succeeded``).
     """
 
     def __init__(self, cfg: Config, runs: list[TrialRun], states: list[WorldState]):
         n = len(runs)
         self.cfg, self.live, self.t = cfg, runs, 0
-        self.actors = actors = [run.actor for run in runs]
-        self.cls = type(actors[0])
+        self.batch = type(runs[0].actor).Batch(cfg, [run.actor for run in runs])
         self.ids = np.arange(n)  # each live row's place in ``runs``
         self.world = WorldBatch.of(cfg, states)
         self.obs = observe_batch(self.world)
@@ -740,9 +753,6 @@ class _Lockstep:
         self.kind = np.array([0 if s is None else _KINDS.index(s.error.kind) for s in triggers])
         self.t_end = np.full(n, -1)  # -1: no window; a resolved row's window opened at or before this tick
         self.arm, self.draws = np.zeros(n, dtype=int), np.zeros((n, 3))
-        self.hooked = (_overrides(actors[0], Actor, "stalled") or _overrides(actors[0], Actor, "exhausted")
-                       or any("exhausted" in vars(actor) for actor in actors))
-        self.applies = _overrides(actors[0], Actor, "applied")
 
     def _hooks(self, t: int) -> list[int]:
         """The live rows whose actor ran out or stalled on frame ``t``, asked
@@ -792,8 +802,8 @@ class _Lockstep:
         cfg, t, live, ids = self.cfg, self.t, self.live, self.ids
         if self.triggered:
             self._fire(t)
-        actions = self.cls.act_all(self.actors, self.world, self.obs)
-        hooked = self._hooks(t) if self.hooked else []
+        actions = self.batch.act(self.world, self.obs)
+        hooked = self._hooks(t) if self.batch.polled else []
         if self.triggered:
             inside = t < self.t_end
             if inside.any():
@@ -802,10 +812,8 @@ class _Lockstep:
         rows = slice(None) if len(ids) == len(self.frames) else ids
         self.frames[rows, t, :OBS_DIM] = self.obs
         self.frames[rows, t, OBS_DIM:] = actions
-        if self.applies:
-            actions = self.cls.applied_all(self.actors, actions)
         before = self.world
-        self.world = world = step_batch(cfg, before, actions)
+        self.world = world = step_batch(cfg, before, self.batch.applied(actions))
         self.t = t = t + 1
 
         # A trial that ran out is over.  The rest: a stall, the window's
@@ -834,7 +842,7 @@ class _Lockstep:
                 self.t_end, self.arm, self.draws = self.t_end[kept], self.arm[kept], self.draws[kept]
             if kept:
                 self.horizon = int(self.deadline.max())
-                self.actors = [run.actor for run in self.live]
+                self.batch.keep(kept)
         if self.live:
             if t >= self.horizon:
                 raise SequencingError(f"lockstep tick {t} is past every live trial's deadline")
@@ -905,36 +913,36 @@ def run_trials(cfg: Config, trials: list[Trial]) -> Iterator[tuple[int, TrialRun
 
     A trial with a takeover or a plan-phase trigger steps alone on its
     ``WorldState`` (``_run_alone``).  Two or more of the others whose
-    actors are of one class step in lockstep as one ``WorldBatch``
-    (``_Lockstep``), and a class's one trial steps alone.  The lone trials
-    run first, one after another in trial order, then the class batches in
+    actors are of one class and one ``Actor.Batch.key`` step in lockstep as
+    one ``WorldBatch`` (``_Lockstep``); a lone one steps alone.  The lone
+    trials run first, one after another in trial order, then the batches in
     the order of their first trials.  A batch yields its trials as they
     end, those that end on one tick in trial order.
 
     Every trial starts at tick 0 and records one frame a tick, so its frame
     count is the tick.  A batch tick is arrays from end to end: it fires
     the geometric triggers whose condition holds, hands the batch's
-    observation rows to one ``Actor.act_all`` call of its class, injects
-    the in-window rows of the (M, ACTION_DIM) array it returns, records the
-    tick's frames and steps the world once under the executed rows (see
-    ``Actor.applied_all``); then it checks success, the windows that close
-    and the deadlines.  Per-trial Python runs only for a trial's events, an
-    actor's ``act_all`` and, for actors that can run out or stall, one
-    question a tick; a trial's ``WorldState`` is built from its row only
-    where an event reads one.  An ended trial leaves the batch at once.
-    Trials share no state: each keeps its own world, actor and RNGs.
+    observation rows to its actors' one ``Actor.Batch``, injects the
+    in-window rows of the (M, ACTION_DIM) array it returns, records the
+    tick's frames and steps the world once under the rows that batch
+    executes; then it checks success, the windows that close and the
+    deadlines.  Per-trial Python runs only for a trial's events, what the
+    actors' batch runs and, for a polled batch, one question a tick; a
+    trial's ``WorldState`` is built from its row only where an event reads
+    one.  An ended trial leaves the batch at once.  Trials share no state:
+    each keeps its own world, actor and RNGs.
     """
     for trial in trials:
         if trial.trigger is not None and isinstance(trial.takeover, TimeoutTakeover):
             raise InputError("a trial with a trigger cannot have a TimeoutTakeover: no tag rule covers both")
     runs = [TrialRun(cfg, i, trial) for i, trial in enumerate(trials)]
     states = [run.begin(cfg) for run in runs]
-    classes: dict[type, list[int]] = {}
+    keys: dict[tuple[type, object], list[int]] = {}
     for run in runs:
-        trial = run.trial
+        trial, cls = run.trial, type(run.actor)
         if trial.takeover is None and (trial.trigger is None or trial.trigger.trigger_phase is None):
-            classes.setdefault(type(run.actor), []).append(run.index)
-    groups = [ks for ks in classes.values() if len(ks) > 1]
+            keys.setdefault((cls, cls.Batch.key(run.actor)), []).append(run.index)
+    groups = [ks for ks in keys.values() if len(ks) > 1]
     batches = [_Lockstep(cfg, [runs[k] for k in ks], [states[k] for k in ks]) for ks in groups]
     batched = set(chain.from_iterable(groups))
     lone = [(run, state) for run, state in zip(runs, states) if run.index not in batched]

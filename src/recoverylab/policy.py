@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import Config
 from .errors import InputError, StorageError, TrainingError, ValidationError
-from .faults import Actor
+from .faults import Actor, ActorBatch
 from .nets import (Adam, Params, flat_buffer, flat_params, init_linear, init_mlp, mlp_backward, mlp_forward,
                    zeros_like_params)
 from .store import Episode, checkpoint_array, load_checkpoint, save_checkpoint
@@ -393,47 +393,28 @@ def train_value_conditioned(
 # rollouts
 
 
-class _Team:
-    """Learned actors that share a policy, a ``v_fixed`` and a config, and
-    act in one forward per tick.  Each actor keeps its team and its slot, a
-    fixed id in the team, and ``rows`` holds one trunk input row per slot,
-    in ``_forward_batch``'s layout: the actor's normalized history window
-    (row j is frame t-1-j, zero before frame 0), this tick's normalized
-    observation, and its instruction embedding and value token, written
-    when the actor begins.  The buffer keeps the rows of the last actors to
-    act first, in their call order (``order`` lists their slots), so while
-    the same actors act the forward reads and updates a view of its front.
-    A team holds no actors, so its rows go with its last actor."""
+class LearnedBatch(ActorBatch):
+    """Learned actors that share a policy and a ``v_fixed``, acting in one
+    forward a tick.  ``rows`` holds one trunk input row per live actor, in
+    ``_forward_batch``'s layout: the actor's normalized history window (row
+    j is frame t-1-j, zero before frame 0), this tick's normalized
+    observation, and its instruction embedding and value token, stacked
+    from the actors' ``begin`` rows.  The batch holds no actors, so an
+    ended trial's row goes with ``keep``."""
 
-    def __init__(self, policy: Policy, cfg: Config, rows: np.ndarray):
-        self.policy, self.cfg, self.rows = policy, cfg, rows
-        self.order = list(range(len(rows)))
+    polled = False
 
-    @classmethod
-    def of(cls, actors: list[LearnedActor]) -> _Team:
-        """The one team of ``actors``, which share a policy, a ``v_fixed``
-        and a config.  Actors from several teams move into a new one, in
-        call order."""
-        team = actors[0]._team
-        if any(actor._team is not team for actor in actors):
-            team = cls(team.policy, team.cfg, np.stack([a._team.rows[a._team.order.index(a._slot)] for a in actors]))
-            for slot, actor in enumerate(actors):
-                actor._team, actor._slot = team, slot
-        return team
+    def __init__(self, cfg, actors):
+        self.policy, self.cfg = actors[0].policy, cfg
+        self.rows = np.concatenate([actor._begin_row for actor in actors])
 
-    def act(self, actors: list[LearnedActor], obs: np.ndarray) -> np.ndarray:
-        """The (M, ACTION_DIM) action rows of member ``actors`` for their
-        observation rows ``obs``; then each of their windows takes its
-        observation.  When other actors acted last, their rows move to the
-        front first, in call order; the rows of the rest follow."""
-        slots = [actor._slot for actor in actors]
-        m = len(slots)
-        if slots != self.order[:m]:
-            acting, place = set(slots), {slot: i for i, slot in enumerate(self.order)}
-            self.order = slots + [slot for slot in self.order if slot not in acting]
-            self.rows = self.rows[[place[slot] for slot in self.order]]
-        x = self.rows[:m]
-        policy, d = self.policy, OBS_DIM
+    @staticmethod
+    def key(actor):
+        return id(actor.policy), actor.v_fixed
+
+    def act(self, states, obs):
+        """The action rows for rows ``obs``; then each window takes its row."""
+        x, policy, d = self.rows, self.policy, OBS_DIM
         w = policy.history_w
         now = x[:, w * d:(w + 1) * d]
         np.subtract(obs, policy.obs_mean, out=now)
@@ -444,12 +425,17 @@ class _Team:
             x[:, :d] = now
         return actions
 
+    def keep(self, kept):
+        self.rows = self.rows[kept]
+
 
 class LearnedActor(Actor):
     """Wraps a Policy; sees observations only, through the training-time
     history window (``FrameDataset.window``: row k of frame t's window is
-    frame t-1-k, zero before frame 0).  Actors that share a policy, a
-    ``v_fixed`` and a config act as one ``_Team``."""
+    frame t-1-k, zero before frame 0).  Alone it acts through a one-row
+    ``Batch`` of its own."""
+
+    Batch = LearnedBatch
 
     def __init__(self, policy: Policy, v_fixed: float = 1.0):
         if not (0.0 <= v_fixed <= 1.0):
@@ -462,27 +448,11 @@ class LearnedActor(Actor):
         instr_e, e_val = _tokens(policy, np.array([get_task(cfg, state.task_id).instruction_id]),
                                  np.array([self.v_fixed]))
         history = np.zeros((1, (policy.history_w + 1) * OBS_DIM))
-        self._team = _Team(policy, cfg, np.concatenate([history, instr_e, e_val], axis=1))
-        self._slot = 0
+        self._begin_row = np.concatenate([history, instr_e, e_val], axis=1)
+        self._alone = self.Batch(cfg, [self])
 
     def act(self, state, obs):
-        return tuple(self.act_all([self], [state], obs[None])[0].tolist())
-
-    @classmethod
-    def act_all(cls, actors, states, obs):
-        team = actors[0]._team
-        if all(actor._team is team for actor in actors):  # so one policy, v_fixed and config
-            return team.act(actors, obs)
-        groups: dict[tuple[int, float, int], list[int]] = {}
-        for i, actor in enumerate(actors):
-            groups.setdefault((id(actor.policy), actor.v_fixed, id(actor._team.cfg)), []).append(i)
-        if len(groups) == 1:
-            return _Team.of(actors).act(actors, obs)
-        actions = np.empty((len(actors), ACTION_DIM))
-        for members in groups.values():
-            group = [actors[i] for i in members]
-            actions[members] = _Team.of(group).act(group, obs[members])
-        return actions
+        return tuple(self._alone.act(None, obs[None])[0].tolist())
 
 
 # ---------------------------------------------------------------------------

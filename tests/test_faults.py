@@ -480,12 +480,11 @@ def test_lockstep_injection_equals_inject_bit_for_bit(cfg):
 
 
 def test_noisy_planners_share_the_batch_and_interceptions_step_alone(cfg, monkeypatch):
-    # The hook-free trials of each actor class share one batch: the noisy
-    # planners one, the learned actors another, never mixed.  Planners with
-    # a plan-phase trigger or a takeover step alone, first and in trial
-    # order.  The planners' batch then runs until its last trial ends, here
-    # the noisy pick-place planner, which fails at a stall on frame 133, and
-    # the learned actors' batch runs after it.
+    # The noisy planners share one batch.  The learned actors, of two
+    # policies, share none, and each steps alone, as do planners with a
+    # plan-phase trigger or a takeover: first and in trial order.  The
+    # planners' batch then runs until its last trial ends, here the noisy
+    # pick-place planner, which fails at a stall on frame 133.
     e2 = error_from_config(cfg, ErrorKind.E2_GRASP_SLIP)
 
     def trials():
@@ -499,30 +498,60 @@ def test_noisy_planners_share_the_batch_and_interceptions_step_alone(cfg, monkey
                       TimeoutTakeover())]
 
     rows = {i: reset(cfg, trial.task_id, EnvMode.RANDOM, trial.seed).rng_seed for i, trial in enumerate(trials())}
-    planners, learned = {rows[0], rows[4]}, {rows[1], rows[3]}
+    planners = {rows[0], rows[4]}
     stepped = []
     real_step_batch = faults.step_batch
 
     def spy(cfg_, batch, actions):
         stepped.append(batch.rng_seeds)
-        assert set(batch.rng_seeds) <= planners or set(batch.rng_seeds) <= learned, "a mixed batch"
+        assert set(batch.rng_seeds) <= planners, "a batch of other trials"
         return real_step_batch(cfg_, batch, actions)
 
     monkeypatch.setattr(faults, "step_batch", spy)
     ended = [(i, run.episode(cfg)) for i, run in run_trials(cfg, trials())]
     lengths = [len(episode.frames) for _, episode in sorted(ended)]
-    assert [i for i, _ in ended] == [2, 5, 4, 0, 1, 3]
-    assert ended[3][1].outcome is Outcome.FAILURE and lengths[0] == 133
+    assert [i for i, _ in ended] == [1, 2, 3, 5, 4, 0]
+    assert ended[5][1].outcome is Outcome.FAILURE and lengths[0] == 133
     assert [lengths[i] for i in (1, 3)] == [41, 61]
     # No batch row outlives its trial: each row steps once per frame.
-    n = max(lengths[0], lengths[4])
-    assert [set(seeds) for seeds in (stepped[0], stepped[n])] == [planners, learned]
-    assert len(stepped) == n + max(lengths[1], lengths[3])
-    assert Counter(chain.from_iterable(stepped)) == {rows[i]: lengths[i] for i in (0, 1, 3, 4)}
+    assert set(stepped[0]) == planners and len(stepped) == max(lengths[0], lengths[4])
+    assert Counter(chain.from_iterable(stepped)) == {rows[i]: lengths[i] for i in (0, 4)}
     monkeypatch.undo()
     for (i, episode), trial in zip(sorted(ended), trials()):
         (_, alone), = run_episodes(cfg, [trial])
         assert episode_to_dict(episode) == episode_to_dict(alone), i
+
+
+def test_learned_actors_of_two_policies_or_values_step_in_separate_batches(cfg, monkeypatch):
+    # Learned actors step together only when they share a policy and a
+    # v_fixed: here three batches of two, each of one group, and each
+    # episode equals the one its group gives in a run of its own.  (A
+    # one-trial run forwards one row, which BLAS may sum in another order.)
+    first, second = init_policy(cfg, seed=9), init_policy(cfg, seed=10)
+    groups = [(first, 1.0), (first, 0.0), (second, 1.0)] * 2
+
+    def trials():
+        return [Trial(LearnedActor(policy, v_fixed=v), "pick-place", EnvMode.RANDOM, seed, "eval", {}, 20 + 5 * seed)
+                for seed, (policy, v) in enumerate(groups)]
+
+    rows = [reset(cfg, "pick-place", EnvMode.RANDOM, seed).rng_seed for seed in range(len(groups))]
+    batches = [{rows[k], rows[k + 3]} for k in range(3)]
+    stepped = []
+    real_step_batch = faults.step_batch
+
+    def spy(cfg_, batch, actions):
+        stepped.append(set(batch.rng_seeds))
+        assert any(seeds >= stepped[-1] for seeds in batches), "a mixed batch"
+        return real_step_batch(cfg_, batch, actions)
+
+    monkeypatch.setattr(faults, "step_batch", spy)
+    together = dict(run_episodes(cfg, trials()))
+    assert [seeds for seeds in stepped if len(seeds) == 2] == [batches[k] for k in range(3) for _ in range(21 + 5 * k)]
+    monkeypatch.undo()
+    for k in range(3):
+        alone = dict(run_episodes(cfg, trials()[k::3]))
+        for j, i in enumerate((k, k + 3)):
+            assert episode_to_dict(alone[j]) == episode_to_dict(together[i]), i
 
 
 def _ending(run) -> str:

@@ -421,6 +421,25 @@ def test_train_rai_rejects_recovery_dir_without_recoveries(tmp_path, capsys):
     assert _cli_error(argv, capsys) == "InsufficientData"
 
 
+def test_train_rai_imitates_nominal_successes_only(cfg, tmp_path, capsys, expert_episodes):
+    # A timed-out expert run in the --expert directory is neither imitated
+    # nor a training seed; a directory of failures only is refused.
+    failure = run_nominal(cfg, "pick-place", EnvMode.RANDOM, 50, t_max=20)
+    assert failure.kind is EpisodeKind.PURE_FAILURE
+    expert, failures = tmp_path / "expert", tmp_path / "failures"
+    expert.mkdir()
+    failures.mkdir()
+    for episode in expert_episodes[:2]:
+        write_episode(episode, expert)
+    write_episode(failure, expert)
+    write_episode(failure, failures)
+    ckpt = tmp_path / "phase1.json"
+    assert cli_main(["train-rai", "--expert", str(expert), "--steps", "1", "--out", str(ckpt)]) == 0
+    assert load_policy(ckpt).provenance["training_seeds"] == sorted(e.seed for e in expert_episodes[:2])
+    argv = ["train-rai", "--expert", str(failures), "--steps", "1", "--out", str(tmp_path / "none.json")]
+    assert _cli_error(argv, capsys) == "InsufficientData"
+
+
 @pytest.mark.parametrize("suite, asked", [(["scaling"], 1 + 2 + 4), (["ablate", "--which", "history-reset"], 1)],
                          ids=["scaling", "ablate"])
 def test_suites_fail_early_on_short_data(suite, asked, tmp_path, capsys, monkeypatch, expert_episodes):
@@ -599,9 +618,11 @@ def test_cli_full_pipeline_small(tmp_path, capsys):
     assert (evaldir / "report.csv").exists()
 
 
-def test_train_variants_produces_all(mini_cfg, expert_episodes, recovery_episodes, failure_episodes):
+def test_train_variants_produces_all(cfg, expert_episodes, recovery_episodes, failure_episodes):
+    # Plumbing only, so two steps a stage.
     variants = bench.train_variants(
-        mini_cfg, expert_episodes[:8], recovery_episodes[:4], failure_episodes[:2], seed=1,
+        cfg.with_overrides(bc_steps=2, refine_steps=2, align_steps=2), expert_episodes[:8], recovery_episodes[:4],
+        failure_episodes[:2], seed=1,
     )
     assert variants.sft is not None and variants.phase1 is not None and variants.full is not None
     assert variants.full.provenance["variant"] == "full"

@@ -408,10 +408,9 @@ def test_learned_actor_history_matches_dataset_convention(cfg, mini_policies, ex
     assert np.concatenate(seen).tobytes() == x.tobytes()
 
 
-def test_team_acts_for_a_subset_of_its_actors_out_of_order(cfg, tiny_policy, expert_episodes):
-    # A team asked to act for some of its actors, in any order, gives each
-    # actor the actions it gives alone on the same observations, and keeps
-    # them all.
+def test_learned_batch_gives_each_actor_its_actions_alone(cfg, tiny_policy, expert_episodes):
+    # A batch of begun actors gives each actor the actions it gives alone on
+    # the same observations, before and after ``keep`` drops rows.
     episodes = expert_episodes[:4]
 
     def begun():
@@ -421,31 +420,42 @@ def test_team_acts_for_a_subset_of_its_actors_out_of_order(cfg, tiny_policy, exp
         return actors
 
     alone = [[actor.act(None, obs) for obs in episode.frames.obs[:8]] for actor, episode in zip(begun(), episodes)]
-    actors, acted = begun(), [[] for _ in episodes]
-    for members in ([3, 1, 0, 2], [0, 1, 2, 3], [2, 0], [3, 1, 0], [1], [2, 3, 1], [0, 2], [3, 2, 1, 0]):
-        obs = np.stack([episodes[k].frames.obs[len(acted[k])] for k in members])
-        rows = LearnedActor.act_all([actors[k] for k in members], None, obs)
+    batch, members = LearnedActor.Batch(cfg, begun()), [0, 1, 2, 3]
+    acted = [[] for _ in episodes]
+    for t in range(8):
+        if t in (3, 6):
+            kept = [0, 2, 3] if t == 3 else [0, 2]
+            batch.keep(kept)
+            members = [members[k] for k in kept]
+        rows = batch.act(None, np.stack([episodes[k].frames.obs[t] for k in members]))
         for k, row in zip(members, rows.tolist()):
             acted[k].append(row)
-    assert len({id(actor._team) for actor in actors}) == 1
+    assert [len(rows) for rows in acted] == [8, 3, 6, 8]
     for k, rows in enumerate(acted):
         for row, expected in zip(rows, alone[k]):
             assert row == pytest.approx(expected, rel=1e-9, abs=1e-12), k
 
 
-def test_ended_trials_free_their_team_buffer(cfg, tiny_policy):
-    # A team holds no actors, so once the trials go, reference counting
-    # alone frees its windows: there is no reference cycle to collect.
+def test_ended_trials_free_their_learned_batch_rows(cfg, tiny_policy, monkeypatch):
+    # A learned batch holds no actors and no actor holds it, so once the
+    # trials' generator is exhausted reference counting alone frees its
+    # rows, though the caller still holds the trials: there is no reference
+    # cycle to collect.
+    rows = []
+    real_act = LearnedActor.Batch.act
+
+    def spy(self, states, obs):
+        rows.append(weakref.ref(self.rows))
+        return real_act(self, states, obs)
+
+    monkeypatch.setattr(LearnedActor.Batch, "act", spy)
     trials = [Trial(LearnedActor(tiny_policy), "pick-place", EnvMode.RANDOM, seed, "eval", {}, t_max)
               for seed, t_max in ((1, 20), (2, 35), (3, 50))]
     gc.disable()
     try:
         episodes = [episode for _, episode in run_episodes(cfg, trials)]
         assert [len(episode.frames) for episode in episodes] == [21, 36, 51]
-        team = trials[0].actor._team
-        assert all(trial.actor._team is team for trial in trials)
-        windows = weakref.ref(team.rows)
-        del trials, team
-        assert windows() is None
+        assert len(rows) == 51
+        assert all(ref() is None for ref in rows)
     finally:
         gc.enable()
