@@ -113,6 +113,8 @@ def cmd_train_value(args) -> int:
     episodes = [
         e for e in _load_episodes(_dirs(args.data)) if e.kind is EpisodeKind.NOMINAL_SUCCESS
     ]
+    if not episodes:
+        raise InsufficientData(f"{args.data}: no NominalSuccess episodes")
     (model, cluster), losses = bench.fit_progress(cfg, episodes, args.seed)
     initial, final = _ends(losses)
     out = Path(args.out)

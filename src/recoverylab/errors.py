@@ -25,10 +25,6 @@ class PlanningError(RecoveryLabError):
     """Planner cannot produce a valid plan for the given state."""
 
 
-class PlanExhausted(RecoveryLabError):
-    """Terminal signal: the plan has no further steps."""
-
-
 class UnrecoverableState(RecoveryLabError):
     """Adverse state from which the recovery planner cannot restore the task."""
 

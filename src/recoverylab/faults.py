@@ -12,6 +12,8 @@ exactly 30 frames.  Random draws (offsets, rotation) happen exactly once per
 episode when the schedule resolves at its trigger phase, so every in-window
 action sees the same perturbation.  Recovery scoring elsewhere is gated on
 ``verify_adverse``: the error must have left its physical signature.
+``PlannerActor`` follows a plan closed-loop: the expert demonstrations, and
+the corrective rollouts from verified adverse states.
 
 ``run_trials`` is the one episode loop: it steps a list of trials and
 hands back each ended trial, and ``run_episodes`` builds their episodes.
@@ -24,6 +26,7 @@ whose actors share one ``Actor.Batch`` step together as one
 
 from __future__ import annotations
 
+import math
 import struct
 from array import array
 from dataclasses import dataclass, field
@@ -34,9 +37,10 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .config import Config
-from .errors import InputError, InsufficientData, PlanningError, PlanExhausted, SequencingError, UnrecoverableState
+from .errors import InputError, InsufficientData, PlanningError, SequencingError, UnrecoverableState
 from .planner import (
-    PlanExecutor,
+    CORRECTIVE_PHASES,
+    Completion,
     PlanPhase,
     PlanStep,
     plan_nominal,
@@ -46,9 +50,11 @@ from .store import Episode, EpisodeKind, Frames, PhaseTag, check_verdict
 from .world import (
     ACTION_DIM,
     ARM_NAMES,
+    CLOSE_THRESHOLD,
     EnvMode,
     GRIP_CLOSED,
     GRIP_OPEN,
+    LEFT,
     NUM_OBJECT_SLOTS,
     OBS_DIM,
     PROPRIO_DIM,
@@ -362,8 +368,13 @@ _NOISE_BLOCK = 64
 
 
 class PlannerBatch(ActorBatch):
-    """Reads a tick's proprio rows and holders once, and adds the noisy
-    planners' noise to their executed rows as arrays."""
+    """Reads a tick's proprio rows and holders once.  Noisy and noise-free
+    planners batch apart (``key``), so a noisy batch adds noise to every
+    executed row, as arrays."""
+
+    @staticmethod
+    def key(actor):
+        return actor.action_noise > 0
 
     def act(self, states, obs):
         proprio, holders = obs[:, :PROPRIO_DIM].tolist(), states.holders.tolist()
@@ -371,32 +382,29 @@ class PlannerBatch(ActorBatch):
         return np.array(rows, dtype=float).reshape(len(rows), ACTION_DIM)
 
     def applied(self, actions):
-        actors = self.actors
-        noisy = [k for k, actor in enumerate(actors) if actor.action_noise > 0]
-        if not noisy:
+        if not self.key(self.actors[0]):  # the batch's actors share one key
             return actions
-        every = len(noisy) == len(actors)
-        rows = actions.copy() if every else actions[noisy]
-        noise = chain.from_iterable(actors[k]._next_noise() for k in noisy)
+        rows = actions.copy()
+        noise = chain.from_iterable(actor._next_noise() for actor in self.actors)
         # ``applied``'s sums, then its wraps of the theta columns (2 and 6) by ``wrap_angles``.
-        rows.reshape(-1, 2, 4)[..., :3] += np.fromiter(noise, float, 6 * len(noisy)).reshape(-1, 2, 3)
+        rows.reshape(-1, 2, 4)[..., :3] += np.fromiter(noise, float, 6 * len(rows)).reshape(-1, 2, 3)
         rows[:, 2::4] = wrap_angles(rows[:, 2::4])
-        if every:
-            return rows
-        executed = actions.copy()
-        executed[noisy] = rows
-        return executed
+        return rows
 
 
 class PlannerActor(Actor):
-    """Follows a plan closed-loop (the nominal plan when none is given) and
-    holds pose once the plan is exhausted.
+    """Follows a plan closed-loop (the nominal plan when none is given),
+    advancing a step once its completion predicate holds against the live
+    state, and holds pose once the plan is exhausted.  ``step`` is the plan
+    step it last acted on, None once exhausted.
 
-    ``action_noise`` perturbs the executed targets while the clean command is
-    recorded, so demonstrations cover a corrective tube around the nominal
-    path instead of a single trajectory.  Alone or in a batch, its executor
-    reads each frame's proprio row and holders as plain values (see
-    ``PlanExecutor``).  Noisy and noise-free planners share a ``Batch``.
+    Alone or in a batch it reads the live world as plain row values:
+    ``proprio``, whose first values are the x, y, theta and grip of each arm
+    in the layout of an action row (an observation row's ``PROPRIO_DIM``
+    values come first), and ``holders``, each object's holding arm (None or
+    -1 for none).  ``action_noise`` perturbs the executed targets while the
+    clean command is recorded, so demonstrations cover a corrective tube
+    around the nominal path instead of a single trajectory.
     """
 
     Batch = PlannerBatch
@@ -407,25 +415,70 @@ class PlannerActor(Actor):
 
     def begin(self, cfg, state):
         plan = self.plan if self.plan is not None else plan_nominal(cfg, state)
-        self.executor = PlanExecutor(cfg, plan)
+        # Corrective steps lead a plan, as only its first objective can be
+        # corrective (see ``plan_task_from_state``).  ``resumed_at``: the act
+        # count at which the step after them became active; None before, and
+        # for a plan without them, such as one that starts mid-carry.
+        resume = next((k for k, step in enumerate(plan) if step.phase not in CORRECTIVE_PHASES), len(plan))
+        if any(step.phase in CORRECTIVE_PHASES for step in plan[resume:]):
+            raise InputError("a plan's corrective steps come before its other steps")
+        self.cfg, self._steps, self.index, self.steps_in_phase = cfg, plan, 0, 0
+        self._resume, self._acts_done, self.resumed_at = resume or None, 0, None
+        self.step: PlanStep | None = None
         self.exhausted = False
         if self.action_noise > 0:
             self._rng = np.random.default_rng([state.rng_seed & 0xFFFFFFFFFFFFFFF, 0x401])
             self._noise: Iterator[list[float]] = iter(())
 
+    def _complete(self, step: PlanStep, proprio: Sequence[float], holders: Sequence) -> bool:
+        if step.completion is Completion.REACH:
+            # The arm's distance to the target and the wrapped angle between them.
+            o, target = 4 * step.arm, step.target
+            return (math.hypot(proprio[o] - target.x, proprio[o + 1] - target.y) <= self.cfg.pos_tol
+                    and abs(wrap_angle(proprio[o + 2] - target.theta)) <= self.cfg.ang_tol)
+        if step.completion is Completion.HOLDING:
+            return holders[step.object_index] == step.arm
+        if step.completion is Completion.RELEASED:
+            return step.arm not in holders
+        if step.completion is Completion.GRIP_OPEN:
+            return proprio[4 * step.arm + 3] < CLOSE_THRESHOLD
+        if step.completion is Completion.ONE_STEP:
+            return self.steps_in_phase >= 1
+        raise AssertionError(step.completion)
+
     def _act(self, proprio: list[float], holders: Sequence) -> tuple[float, ...]:
-        try:
-            return self.executor.next_action(proprio, holders)
-        except PlanExhausted:
-            self.exhausted = True
+        """Skip the completed steps and return the active one's action row
+        for the live row values; with no step left, hold pose."""
+        while self.index < len(self._steps):
+            step = self._steps[self.index]
+            if not self._complete(step, proprio, holders):
+                break
+            self.index += 1
+            self._acts_done += self.steps_in_phase
+            self.steps_in_phase = 0
+            if self.index == self._resume:
+                self.resumed_at = self._acts_done
+        else:
+            self.step, self.exhausted = None, True
             return tuple(proprio[:PROPRIO_DIM])
+        self.step, grip = step, step.grip
+        if step.completion is Completion.HOLDING and self.steps_in_phase < self.cfg.grasp_settle_steps:
+            # Dwell open so the close happens at the commanded grasp target,
+            # not wherever the approach happened to end.
+            grip = GRIP_OPEN
+        self.steps_in_phase += 1
+        # The idle arm holds pose and grip so no accidental crossing occurs.
+        p, target = proprio, step.target
+        if step.arm == LEFT:
+            return target.x, target.y, target.theta, grip, p[4], p[5], p[6], p[7]
+        return p[0], p[1], p[2], p[3], target.x, target.y, target.theta, grip
 
     def act(self, state, obs):
         return self._act(obs.tolist(), state.holders)
 
     @property
     def stalled(self) -> bool:
-        return self.executor.steps_in_phase > self.executor.cfg.phase_stall_limit
+        return self.steps_in_phase > self.cfg.phase_stall_limit
 
     def _next_noise(self) -> list[float]:
         """This frame's noise: dx, dy, dtheta of each arm."""
@@ -448,7 +501,7 @@ class PlannerActor(Actor):
         return tuple(row)
 
     def corrective_acts(self):
-        return self.executor.resumed_at  # None, all Recovery, for a plan that starts mid-carry
+        return self.resumed_at  # None, all Recovery, for a plan that starts mid-carry
 
 
 class Takeover:
@@ -660,7 +713,6 @@ class TrialRun:
         t, t_rec, trigger = self.t, self.t_rec, self.trial.trigger
         onset = None if trigger is not None and not trigger.verified else self.onset
         if self.succeeded and t_rec is not None and t > t_rec:
-            onset = t_rec if onset is None else onset  # a timeout takeover past an unverified trigger
             # The actor's act on frame t_rec is its act number t_rec - began.
             n, acts = t - t_rec, self.actor.corrective_acts()
             r = n if acts is None else min(max(acts - (t_rec - self.began), 0), n)
@@ -860,8 +912,9 @@ def _run_alone(cfg: Config, run: TrialRun, state: WorldState) -> None:
     appends the float64 bytes of its observation and action to one flat
     array, ``run.frames`` at the end.  A frame: at the deadline, a takeover at
     the timeout takes over until ``episode_max_steps``, or the trial ends.  An
-    unresolved trigger fires at its plan phase or its geometric condition
-    (``_geometric_hits`` of a one-row batch).  The actor acts, the in-window
+    unresolved geometric trigger fires at its condition (``_geometric_hits``
+    of a one-row batch).  The actor acts, and an unresolved plan-phase
+    trigger fires when the planner's ``step`` is in its phase.  The in-window
     action is injected and recorded, and the world steps.  Until recovery
     starts, the takeover watches the step; then ``settle``."""
     t, trigger, takeover = run.t, run.trial.trigger, run.trial.takeover
@@ -876,24 +929,21 @@ def _run_alone(cfg: Config, run: TrialRun, state: WorldState) -> None:
             run.t_rec, run.deadline = t, int(cfg.episode_max_steps)
             if t >= run.deadline:
                 break
-        if trigger is not None and not trigger.resolved:
-            if trigger.trigger_phase is None:
-                hits = _geometric_hits(cfg, WorldBatch.of(cfg, [state]), np.ones(1, dtype=bool),
-                                       np.array([_KINDS.index(trigger.error.kind)]))
-                hit = hits[0][1] if hits else None
-            else:
-                try:
-                    current = run.actor.executor.current_step(obs.tolist(), state.holders)
-                    hit = (current.arm, current.object_index) if current.phase is trigger.trigger_phase else None
-                except PlanExhausted:
-                    hit = None
-            if hit is not None:
-                run.resolve(hit)
+        if trigger is not None and not trigger.resolved and trigger.trigger_phase is None:
+            hits = _geometric_hits(cfg, WorldBatch.of(cfg, [state]), np.ones(1, dtype=bool),
+                                   np.array([_KINDS.index(trigger.error.kind)]))
+            if hits:
+                run.resolve(hits[0][1])
         action = run.actor.act(state, obs)
         if not run.acted():
             break
-        if trigger is not None and trigger.in_window(t):
-            action = inject(action, t, trigger)
+        if trigger is not None:
+            if trigger.trigger_phase is not None and not trigger.resolved:
+                current = run.actor.step  # a planner that has not run out acted on it
+                if current.phase is trigger.trigger_phase:
+                    run.resolve((current.arm, current.object_index))
+            if trigger.in_window(t):
+                action = inject(action, t, trigger)
         values.frombytes(obs.tobytes() + _ACTION_BYTES.pack(*action))
         before, state = state, step(cfg, state, run.actor.applied(action))
         if takeover is not None and run.t_rec is None:

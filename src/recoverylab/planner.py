@@ -1,9 +1,9 @@
 """Scripted expert planner.
 
 Produces nominal reference plans for each task and corrective plans from
-adverse mid-task states.  A plan is a tuple of single-arm phase steps; a
-PlanExecutor walks them closed-loop, advancing a phase once its
-completion predicate holds against the live state.
+adverse mid-task states.  A plan is a tuple of single-arm phase steps, each
+with the completion predicate that ends it; ``faults.PlannerActor`` follows
+one closed-loop.
 
 Recovery plans are built from the adverse state alone (never from how the
 failure happened): the planner re-reads the object's live pose, re-opens an
@@ -13,15 +13,12 @@ objectives with ordinary phases.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 from .config import Config
-from .errors import InputError, PlanExhausted, PlanningError, UnrecoverableState
+from .errors import PlanningError, UnrecoverableState
 from .world import (
-    LEFT,
     Objective,
     Pose2D,
     GRIP_CLOSED,
@@ -32,7 +29,6 @@ from .world import (
     in_reach,
     in_workspace,
     objective_satisfied,
-    wrap_angle,
 )
 
 
@@ -84,8 +80,9 @@ def _pick_and_place_steps(
     """Phase sequence moving one object to a destination with one arm.
 
     The approach goes through a standoff above the object before descending,
-    and the grasp step dwells briefly open before closing (see PlanExecutor),
-    so that closing happens where the commanded grasp target actually is.
+    and the grasp step dwells briefly open before closing (see
+    ``faults.PlannerActor``), so that closing happens where the commanded
+    grasp target actually is.
     """
     th = object_pose.theta
     standoff_y = min(object_pose.y + cfg.approach_standoff, cfg.workspace_y_max)
@@ -195,72 +192,3 @@ def plan_recovery(cfg: Config, adverse_state: WorldState) -> tuple[PlanStep, ...
             f"{('left', 'right')[first.arm]} arm"
         )
     return plan_task_from_state(cfg, adverse_state, corrective_first=True)
-
-
-class PlanExecutor:
-    """Closed-loop executor: advances phases as completion predicates fire.
-
-    It reads the live world as plain row values, the same alone and in a
-    lockstep batch: ``proprio``, whose first values are the x, y, theta and
-    grip of each arm in the layout of an action row (an observation row's
-    ``PROPRIO_DIM`` values come first), and ``holders``, each object's
-    holding arm (None or -1 for none).
-    """
-
-    def __init__(self, cfg: Config, plan: tuple[PlanStep, ...]):
-        self.cfg = cfg
-        self.plan = plan
-        self.index = 0
-        self.steps_in_phase = 0
-        # Corrective steps lead a plan, as only its first objective can be
-        # corrective (see ``plan_task_from_state``).  ``resumed_at``: the act
-        # count at which the step after them became active; None before, and
-        # for a plan without them, such as one that starts mid-carry.
-        resume = next((k for k, step in enumerate(plan) if step.phase not in CORRECTIVE_PHASES), len(plan))
-        if any(step.phase in CORRECTIVE_PHASES for step in plan[resume:]):
-            raise InputError("a plan's corrective steps come before its other steps")
-        self._resume, self._acts_done, self.resumed_at = resume or None, 0, None
-
-    def _complete(self, step: PlanStep, proprio: Sequence[float], holders: Sequence) -> bool:
-        if step.completion is Completion.REACH:
-            # The arm's distance to the target and the wrapped angle between them.
-            o, target = 4 * step.arm, step.target
-            return (math.hypot(proprio[o] - target.x, proprio[o + 1] - target.y) <= self.cfg.pos_tol
-                    and abs(wrap_angle(proprio[o + 2] - target.theta)) <= self.cfg.ang_tol)
-        if step.completion is Completion.HOLDING:
-            return holders[step.object_index] == step.arm
-        if step.completion is Completion.RELEASED:
-            return step.arm not in holders
-        if step.completion is Completion.GRIP_OPEN:
-            return proprio[4 * step.arm + 3] < CLOSE_THRESHOLD
-        if step.completion is Completion.ONE_STEP:
-            return self.steps_in_phase >= 1
-        raise AssertionError(step.completion)
-
-    def current_step(self, proprio: Sequence[float], holders: Sequence) -> PlanStep:
-        """Skip completed phases and return the active one."""
-        while self.index < len(self.plan):
-            step = self.plan[self.index]
-            if not self._complete(step, proprio, holders):
-                return step
-            self.index += 1
-            self._acts_done += self.steps_in_phase
-            self.steps_in_phase = 0
-            if self.index == self._resume:
-                self.resumed_at = self._acts_done
-        raise PlanExhausted("plan complete")
-
-    def next_action(self, proprio: Sequence[float], holders: Sequence) -> tuple[float, ...]:
-        """The action row of the active phase for the live row values."""
-        step = self.current_step(proprio, holders)
-        grip = step.grip
-        if step.completion is Completion.HOLDING and self.steps_in_phase < self.cfg.grasp_settle_steps:
-            # Dwell open so the close happens at the commanded grasp target,
-            # not wherever the approach happened to end.
-            grip = GRIP_OPEN
-        self.steps_in_phase += 1
-        # The idle arm holds pose and grip so no accidental crossing occurs.
-        p, target = proprio, step.target
-        if step.arm == LEFT:
-            return target.x, target.y, target.theta, grip, p[4], p[5], p[6], p[7]
-        return p[0], p[1], p[2], p[3], target.x, target.y, target.theta, grip

@@ -109,10 +109,6 @@ def embed_trajectory(model: ProgressModel, obs: np.ndarray) -> np.ndarray:
     return embed(model.params, trajectory_feature(model.featurizer, obs), "visual")
 
 
-def embed_instruction(model: ProgressModel, instruction_id: int) -> np.ndarray:
-    return embed(model.params, instruction_feature(model.featurizer, instruction_id), "language")
-
-
 # ---------------------------------------------------------------------------
 # alignment training
 
@@ -201,7 +197,7 @@ def train_alignment(
 def similarity_curve(model: ProgressModel, episode: Episode) -> list[tuple[float, float]]:
     """Diagnostic (t/T, CosSim) pairs over every prefix of an episode."""
     feats = _episode_prefix_features(model.featurizer, episode)
-    z_l = embed_instruction(model, episode.instruction_id)
+    z_l = embed(model.params, instruction_feature(model.featurizer, episode.instruction_id), "language")
     z_v = embed(model.params, feats, "visual")
     horizon = max(len(episode.frames) - 1, 1)
     sims = z_v @ z_l

@@ -70,7 +70,7 @@ class OracleActor(Actor):
         return True
 
     def act(self, state: WorldState, obs: np.ndarray) -> tuple[float, ...]:
-        if self._planner.executor.steps_in_phase > ORACLE_STALL_BUDGET:
+        if self._planner.steps_in_phase > ORACLE_STALL_BUDGET:
             self._replan(state)
         action = self._planner.act(state, obs)
         if self._planner.exhausted and not success_check(self._cfg, state):

@@ -22,6 +22,7 @@ from recoverylab.faults import (
     detect_failure,
     error_from_config,
     inject,
+    interception_trial,
     max_nominal_duration,
     nominal_trial,
     run_episodes,
@@ -316,7 +317,7 @@ class _PhaseRecorder(PlannerActor):
     def act(self, state, obs):
         action = super().act(state, obs)
         if not self.exhausted:
-            self.phases.append(self.executor.plan[self.executor.index].phase)
+            self.phases.append(self.step.phase)
         return action
 
 
@@ -424,6 +425,39 @@ def test_exhausted_plan_holds_while_window_open(cfg):
     assert episode.provenance["adverse_verified"]
     assert episode.kind is EpisodeKind.FAILURE_RECOVERY
     assert episode.t_rec == 60
+
+
+class _CountingPlanner(_PhaseRecorder):
+    """A ``_PhaseRecorder`` that counts its acts and the completion checks
+    they make."""
+
+    def begin(self, cfg, state):
+        super().begin(cfg, state)
+        self.acts = self.checks = 0
+
+    def _act(self, proprio, holders):
+        self.acts += 1
+        return super()._act(proprio, holders)
+
+    def _complete(self, step, proprio, holders):
+        self.checks += 1
+        return super()._complete(step, proprio, holders)
+
+
+def test_interception_advances_its_planner_once_per_frame(cfg):
+    # The plan-phase trigger reads the step the planner acted on, so each
+    # frame before the hand-over checks the active step once, plus once for
+    # every step it advances past, and the slip window opens on the first
+    # frame the planner acted on its Lift step.
+    error = error_from_config(cfg, ErrorKind.E2_GRASP_SLIP)
+    trial = interception_trial(cfg, "pick-place", EnvMode.RANDOM, error, 0)
+    actor = _CountingPlanner(trial.actor.plan)
+    (_, episode), = run_episodes(cfg, [replace(trial, actor=actor)])
+    assert episode.kind is EpisodeKind.FAILURE_RECOVERY
+    assert actor.acts == len(actor.phases) == episode.t_rec
+    assert actor.checks == actor.acts + actor.index
+    t0 = episode.provenance["schedule"]["window"][0]
+    assert actor.phases.index(PlanPhase.LIFT) == t0 > 0
 
 
 def _mixed_trials(cfg) -> list[Trial]:
@@ -587,24 +621,25 @@ def test_noisy_planner_blocks_equal_one_trial_runs(cfg, overrides, t_max, ending
         assert episode_to_dict(runs[i].episode(c)) == episode_to_dict(alone), (i, endings[i])
 
 
-def test_noisy_and_noise_free_planners_share_a_batch(cfg, monkeypatch):
-    # Nominal planners with and without action noise step as one batch,
-    # which adds noise to the executed rows of the noisy ones only; each
-    # episode equals its one-trial run.
+def test_noisy_and_noise_free_planners_step_in_separate_batches(cfg, monkeypatch):
+    # Nominal planners with and without action noise step as two batches,
+    # one adding noise to every executed row and one to none; each episode
+    # equals its one-trial run.
     def trials():
         return [nominal_trial(cfg, task, EnvMode.RANDOM, seed, None, 0.02 * (seed % 2))
                 for task in ("pick-place", "stack-two") for seed in range(4)]
 
-    sizes = []
-    real_step_batch = faults.step_batch
+    made = []
+    real_init = faults.PlannerBatch.__init__
 
-    def spy(cfg_, batch, actions):
-        sizes.append(len(batch))
-        return real_step_batch(cfg_, batch, actions)
+    def spy(self, cfg_, actors):
+        real_init(self, cfg_, actors)
+        made.append([actor.action_noise for actor in actors])
 
-    monkeypatch.setattr(faults, "step_batch", spy)
+    monkeypatch.setattr(faults.PlannerBatch, "__init__", spy)
     runs = dict(run_trials(cfg, trials()))
-    assert sizes[0] == len(runs) == 8
+    assert len(runs) == 8
+    assert made == [[0.0] * 4, [0.02] * 4]
     monkeypatch.undo()
     for i, trial in enumerate(trials()):
         (_, alone), = run_episodes(cfg, [trial])
@@ -698,7 +733,7 @@ def test_trigger_with_timeout_takeover_is_refused(cfg, lockstep):
         trials.append(Trial(actors[1], "pick-place", EnvMode.RANDOM, 1, "nom", {}))
     with pytest.raises(InputError, match="TimeoutTakeover"):
         next(run_trials(cfg, trials))
-    assert not any(hasattr(actor, "executor") for actor in actors)
+    assert not any(hasattr(actor, "step") for actor in actors)
     assert not trials[0].trigger.resolved
 
 

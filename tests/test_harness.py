@@ -440,6 +440,19 @@ def test_train_rai_imitates_nominal_successes_only(cfg, tmp_path, capsys, expert
     assert _cli_error(argv, capsys) == "InsufficientData"
 
 
+def test_train_value_refuses_data_without_successes(cfg, tmp_path, capsys):
+    # A directory of failures only is refused before any training, as
+    # train-rai refuses it, and no checkpoint is written.
+    failure = run_nominal(cfg, "pick-place", EnvMode.RANDOM, 50, t_max=20)
+    assert failure.kind is EpisodeKind.PURE_FAILURE
+    failures, out = tmp_path / "failures", tmp_path / "value.json"
+    failures.mkdir()
+    write_episode(failure, failures)
+    assert _cli_error(["train-value", "--data", str(failures), "--steps", "1", "--out", str(out)],
+                      capsys) == "InsufficientData"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("suite, asked", [(["scaling"], 1 + 2 + 4), (["ablate", "--which", "history-reset"], 1)],
                          ids=["scaling", "ablate"])
 def test_suites_fail_early_on_short_data(suite, asked, tmp_path, capsys, monkeypatch, expert_episodes):

@@ -1,10 +1,10 @@
 import pytest
 from dataclasses import replace
 
-from recoverylab.errors import InputError, PlanExhausted, PlanningError, UnrecoverableState
+from recoverylab.errors import InputError, PlanningError, UnrecoverableState
+from recoverylab.faults import PlannerActor
 from recoverylab.planner import (
     CORRECTIVE_PHASES,
-    PlanExecutor,
     PlanPhase,
     plan_nominal,
     plan_recovery,
@@ -25,20 +25,24 @@ from recoverylab.world import (
 TASKS = ("pick-place", "stack-two", "bimanual-handover")
 
 
-def row(state):
-    """The row values a PlanExecutor reads of ``state``: the arms' proprio
-    row and the holders."""
-    return observe(state)[:PROPRIO_DIM].tolist(), state.holders
+def follower(cfg, state, plan):
+    """A PlannerActor of ``plan`` begun on ``state``."""
+    actor = PlannerActor(plan)
+    actor.begin(cfg, state)
+    return actor
+
+
+def act(actor, state):
+    return actor.act(state, observe(state))
 
 
 def execute(cfg, state, plan, max_steps=None):
-    executor = PlanExecutor(cfg, plan)
+    actor = follower(cfg, state, plan)
     steps = 0
     budget = max_steps or cfg.plan_max_steps
     while steps < budget:
-        try:
-            action = executor.next_action(*row(state))
-        except PlanExhausted:
+        action = act(actor, state)
+        if actor.exhausted:
             break
         state = step(cfg, state, action)
         steps += 1
@@ -94,8 +98,7 @@ def test_plan_rejects_out_of_workspace_object(cfg):
 def test_next_action_phase_semantics(cfg):
     state = reset(cfg, "pick-place", EnvMode.CLEAN, 0)
     plan = plan_nominal(cfg, state)
-    executor = PlanExecutor(cfg, plan)
-    first = executor.next_action(*row(state))
+    first = act(follower(cfg, state, plan), state)
     # Approach phase: right arm heads for the standoff above the object, open.
     obj = state.object_poses[0]
     assert first[4] == pytest.approx(obj.x)
@@ -108,15 +111,13 @@ def test_next_action_phase_semantics(cfg):
 
 def test_grasp_phase_commands_close_after_dwell(cfg):
     state = reset(cfg, "pick-place", EnvMode.CLEAN, 0)
-    executor = PlanExecutor(cfg, plan_nominal(cfg, state))
+    actor = follower(cfg, state, plan_nominal(cfg, state))
     saw_closed_grasp = False
     for _ in range(cfg.plan_max_steps):
-        try:
-            action = executor.next_action(*row(state))
-        except PlanExhausted:
+        action = act(actor, state)
+        if actor.exhausted:
             break
-        current = executor.plan[executor.index]
-        if current.phase is PlanPhase.GRASP and action[7] == GRIP_CLOSED:
+        if actor.step.phase is PlanPhase.GRASP and action[7] == GRIP_CLOSED:
             saw_closed_grasp = True
         state = step(cfg, state, action)
         if success_check(cfg, state):
@@ -126,20 +127,31 @@ def test_grasp_phase_commands_close_after_dwell(cfg):
 
 def test_phase_advances_at_target(cfg):
     state = reset(cfg, "pick-place", EnvMode.CLEAN, 0)
-    executor = PlanExecutor(cfg, plan_nominal(cfg, state))
-    executor.next_action(*row(state))
-    # Teleport the arm onto the first phase target: the executor must advance.
-    target = executor.plan[0].target
+    plan = plan_nominal(cfg, state)
+    actor = follower(cfg, state, plan)
+    act(actor, state)
+    assert actor.step is plan[0]
+    # Teleport the arm onto the first phase target: the planner must advance.
+    target = plan[0].target
     at_target = replace(state, arm_poses=(state.arm_poses[LEFT], target))
-    assert executor.current_step(*row(at_target)) is not executor.plan[0]
+    act(actor, at_target)
+    assert actor.step is not plan[0]
 
 
 def test_exhausted_plan_signals(cfg):
+    # Once no step is left the planner sets ``exhausted``, acts on no step
+    # and holds its pose, frame after frame.
     state = reset(cfg, "pick-place", EnvMode.CLEAN, 0)
-    executor = PlanExecutor(cfg, plan_nominal(cfg, state))
-    with pytest.raises(PlanExhausted):
-        for _ in range(cfg.plan_max_steps + 50):
-            state = step(cfg, state, executor.next_action(*row(state)))
+    actor = follower(cfg, state, plan_nominal(cfg, state))
+    for _ in range(cfg.plan_max_steps + 50):
+        action = act(actor, state)
+        if actor.exhausted:
+            break
+        state = step(cfg, state, action)
+    assert actor.exhausted and actor.step is None
+    for _ in range(2):
+        assert act(actor, state) == tuple(observe(state)[:PROPRIO_DIM].tolist())
+        assert actor.exhausted and actor.step is None
 
 
 def build_adverse_state(cfg, seed=0, closed=False):
@@ -203,21 +215,21 @@ def test_executor_records_when_the_plan_resumes(cfg):
     adverse = build_adverse_state(cfg)
     plan = plan_recovery(cfg, adverse)
     resume = next(i for i, s in enumerate(plan) if s.phase not in CORRECTIVE_PHASES)
-    executor, state, acts = PlanExecutor(cfg, plan), adverse, 0
-    while executor.index < resume:
-        assert executor.resumed_at is None
-        state = step(cfg, state, executor.next_action(*row(state)))
+    actor, state, acts = follower(cfg, adverse, plan), adverse, 0
+    while actor.index < resume:
+        assert actor.resumed_at is None
+        state = step(cfg, state, act(actor, state))
         acts += 1
-    assert executor.resumed_at == acts - 1 > 0
+    assert actor.resumed_at == acts - 1 > 0
+    assert actor.corrective_acts() == actor.resumed_at
     state = reset(cfg, "pick-place", EnvMode.RANDOM, 0)
     nominal = plan_nominal(cfg, state)
-    executor = PlanExecutor(cfg, nominal)
-    with pytest.raises(PlanExhausted):
-        while True:
-            state = step(cfg, state, executor.next_action(*row(state)))
-    assert executor.index == len(nominal) and executor.resumed_at is None
+    actor = follower(cfg, state, nominal)
+    while not actor.exhausted:
+        state = step(cfg, state, act(actor, state))
+    assert actor.index == len(nominal) and actor.resumed_at is None
     with pytest.raises(InputError, match="corrective"):
-        PlanExecutor(cfg, nominal + plan[:1])
+        follower(cfg, state, nominal + plan[:1])
 
 
 def test_recovery_conditions_only_on_state(cfg):
@@ -232,9 +244,9 @@ def test_recovery_after_completed_handoff_carries_on(cfg):
     # Once the right arm holds the passed object, the transfer is done and
     # recovery finishes the place objective with that arm.
     state = reset(cfg, "bimanual-handover", EnvMode.RANDOM, 0)
-    executor = PlanExecutor(cfg, plan_nominal(cfg, state))
+    actor = follower(cfg, state, plan_nominal(cfg, state))
     while state.holders[0] != RIGHT:
-        state = step(cfg, state, executor.next_action(*row(state)))
+        state = step(cfg, state, act(actor, state))
     plan = plan_recovery(cfg, state)
     assert plan[0].phase is PlanPhase.LIFT and plan[0].arm == RIGHT
     final, _ = execute(cfg, state, plan)

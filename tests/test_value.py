@@ -13,7 +13,6 @@ from recoverylab.value import (
     alignment_loss_and_grads,
     build_reference_cluster,
     embed,
-    embed_instruction,
     embed_trajectory,
     estimate_progress,
     init_progress_model,
@@ -124,7 +123,7 @@ def test_embed_dim_mismatch(cfg, rng):
 def test_cosine_equals_dot_for_unit_vectors(cfg, expert_episodes):
     model = init_progress_model(cfg, seed=1)
     z_v = embed_trajectory(model, expert_episodes[0].frames.obs)
-    z_l = embed_instruction(model, 0)
+    z_l = embed(model.params, instruction_feature(model.featurizer, 0), "language")
     dot = float(z_v @ z_l)
     cos = float(z_v @ z_l / (np.linalg.norm(z_v) * np.linalg.norm(z_l)))
     assert abs(dot - cos) < 1e-6
