@@ -35,7 +35,7 @@ from .policy import (
     train_value_conditioned,
 )
 from .store import Episode, slice_recovery_suffix, write_atomic
-from .value import ProgressModel, ReferenceCluster, build_reference_cluster, init_progress_model, train_alignment
+from .value import ProgressModel, fit_reference, init_progress_model, train_alignment
 from .world import EnvMode
 
 
@@ -245,20 +245,19 @@ def phase_one(cfg: Config, expert_ds: FrameDataset, recovery_episodes: list[Epis
     return policy, losses
 
 
-def fit_progress(cfg: Config, expert_episodes: list[Episode],
-                 seed: int) -> tuple[tuple[ProgressModel, ReferenceCluster], list[float]]:
-    """The PAS-VF progress model aligned on ``expert_episodes`` with its
-    reference cluster of those episodes, and its loss per step."""
+def fit_progress(cfg: Config, expert_episodes: list[Episode], seed: int) -> tuple[ProgressModel, list[float]]:
+    """The PAS-VF progress model aligned on ``expert_episodes``, with those
+    episodes as its success references, and its loss per step."""
     model = init_progress_model(cfg, seed=seed)
     losses = train_alignment(model, expert_episodes, cfg, seed=seed + 1)
-    return (model, build_reference_cluster(model, expert_episodes)), losses
+    fit_reference(model, expert_episodes)
+    return model, losses
 
 
-def refine(cfg: Config, phase1: Policy, progress: tuple[ProgressModel, ReferenceCluster],
-           episodes: list[Episode], seed: int) -> Policy:
+def refine(cfg: Config, phase1: Policy, model: ProgressModel, episodes: list[Episode], seed: int) -> Policy:
     """Value-Conditioned Refinement: a copy of ``phase1`` trained on
-    ``episodes`` labeled with ``progress`` and ``cfg.alpha``."""
-    labeled = [label_episode(e, *progress, cfg) for e in episodes]
+    ``episodes`` labeled with the progress model ``model`` and ``cfg.alpha``."""
+    labeled = [label_episode(e, model, cfg) for e in episodes]
     full = phase1.clone()
     ds = build_frame_dataset(cfg, labeled, require_labels=True)
     train_value_conditioned(full, ds, cfg, seed=seed)

@@ -115,14 +115,11 @@ def cmd_train_value(args) -> int:
     ]
     if not episodes:
         raise InsufficientData(f"{args.data}: no NominalSuccess episodes")
-    (model, cluster), losses = bench.fit_progress(cfg, episodes, args.seed)
+    model, losses = bench.fit_progress(cfg, episodes, args.seed)
     initial, final = _ends(losses)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    value_mod.save_progress_model(
-        model, out, cluster=cluster,
-        provenance={"episodes": len(episodes), "final_loss": final, "seed": args.seed},
-    )
+    value_mod.save_progress_model(model, out, {"episodes": len(episodes), "final_loss": final, "seed": args.seed})
     print(json.dumps({"checkpoint": str(out), "episodes": len(episodes),
                       "initial_loss": initial, "final_loss": final}))
     return 0
@@ -130,8 +127,8 @@ def cmd_train_value(args) -> int:
 
 def cmd_label(args) -> int:
     cfg = _config(args)
-    model, cluster = value_mod.load_progress_model(cfg, args.value)
-    summary = labeling.label_dataset(args.data, args.out, model, cluster, cfg)
+    model = value_mod.load_progress_model(cfg, args.value)
+    summary = labeling.label_dataset(args.data, args.out, model, cfg)
     print(json.dumps(summary))
     return 0
 

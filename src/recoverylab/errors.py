@@ -38,7 +38,8 @@ class InsufficientData(RecoveryLabError):
 
 
 class CoverageError(RecoveryLabError):
-    """Reference cluster does not cover the requested instruction."""
+    """A progress model holds no success references for the requested
+    instruction, or none at all."""
 
 
 class TrainingError(RecoveryLabError):

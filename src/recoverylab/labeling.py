@@ -10,6 +10,8 @@ progress score V down to zero,
 so early useful motion is kept while frames near the irreversible breakdown
 are driven to zero.  T is the last frame index, making v_T exactly 0.  The
 exponent alpha and the label range [clamp_min, clamp_max] are Config keys.
+V is ``value.estimate_progress`` against the progress model's success
+references, which must cover every pure failure's instruction.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import Config
-from .errors import ValidationError
+from .errors import CoverageError, ValidationError
 from .store import (
     Episode,
     EpisodeKind,
@@ -28,7 +30,7 @@ from .store import (
     read_dataset,
     write_episodes,
 )
-from .value import ProgressModel, ReferenceCluster, estimate_progress
+from .value import ProgressModel, estimate_progress
 
 
 def _with_labels(episode: Episode, labels, provenance: dict | None) -> Episode:
@@ -73,8 +75,7 @@ def label_failure(episode: Episode, progress: float, cfg: Config, provenance: di
     return _with_labels(episode, labels, provenance)
 
 
-def label_episode(episode: Episode, model: ProgressModel, cluster: ReferenceCluster, cfg: Config,
-                  provenance: dict | None = None) -> Episode:
+def label_episode(episode: Episode, model: ProgressModel, cfg: Config, provenance: dict | None = None) -> Episode:
     """Dispatch on episode kind; pure failures consult the progress model.
     Each ``label_*`` function builds the labeled episode once, with
     ``provenance`` in place of the episode's if given."""
@@ -82,22 +83,21 @@ def label_episode(episode: Episode, model: ProgressModel, cluster: ReferenceClus
         return label_success(episode, provenance)
     if episode.kind is EpisodeKind.FAILURE_RECOVERY:
         return label_recovery(episode, provenance)
-    raw = estimate_progress(model, cluster, episode)
+    raw = estimate_progress(model, episode)
     return label_failure(episode, min(float(cfg.clamp_max), max(float(cfg.clamp_min), raw)), cfg, provenance)
 
 
-def label_dataset(
-    dataset_dir: str | Path,
-    out_dir: str | Path,
-    model: ProgressModel,
-    cluster: ReferenceCluster,
-    cfg: Config,
-) -> dict:
+def label_dataset(dataset_dir: str | Path, out_dir: str | Path, model: ProgressModel, cfg: Config) -> dict:
     """Label every episode of a dataset into ``out_dir``; returns a summary.
 
-    Re-running with identical inputs produces identical labeled files.
+    Re-running with identical inputs produces identical labeled files.  A
+    pure failure whose instruction ``model.reference`` does not cover raises
+    CoverageError, naming every such instruction, before ``out_dir`` is made.
     """
     episodes = read_dataset(dataset_dir)
+    uncovered = {e.instruction_id for e in episodes if e.kind is EpisodeKind.PURE_FAILURE} - model.reference.keys()
+    if uncovered:
+        raise CoverageError(f"{dataset_dir}: no reference embeddings for instructions {sorted(uncovered)}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     histogram = {"0.0": 0, "(0,1)": 0, "1.0": 0}
@@ -106,7 +106,7 @@ def label_dataset(
     def labeled_episodes():
         for episode in episodes:
             labeler = {"alpha": float(cfg.alpha), "rule": episode.kind.value}
-            labeled = label_episode(episode, model, cluster, cfg, {**episode.provenance, "labeler": labeler})
+            labeled = label_episode(episode, model, cfg, {**episode.provenance, "labeler": labeler})
             yield labeled
             counts[labeled.kind.value] = counts.get(labeled.kind.value, 0) + 1
             v = labeled.frames.v

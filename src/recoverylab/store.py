@@ -526,11 +526,6 @@ def write_episodes(episodes: Iterable[Episode], dataset_dir: str | Path) -> list
     return paths
 
 
-def write_episode(episode: Episode, dataset_dir: str | Path) -> Path:
-    """Serialize one episode and record it in the dataset manifest."""
-    return write_episodes([episode], dataset_dir)[0]
-
-
 def _read_episode(path: Path, entry: dict) -> Episode:
     """The episode in ``path``, checked against its manifest ``entry``: the
     sha256 of the file and every field ``_manifest_entry`` records."""

@@ -4,9 +4,9 @@ Trajectories and instructions are mapped into one shared unit-sphere manifold
 by a frozen featurizer pair plus two small trainable adapters.  Adapters are
 fit on successful episodes so that the cosine similarity between a trajectory
 prefix and its instruction tracks normalized progress t/T.  After training,
-full successful trajectories form per-instruction reference clusters, and an
-unlabeled failure is scored by its nearest cosine similarity to the cluster
-for its own instruction.
+the model keeps the embeddings of full successful trajectories as its
+per-instruction success references, and an unlabeled failure is scored by
+its nearest cosine similarity to the references for its own instruction.
 
 The frozen trajectory featurizer pools each prefix as (mean, last, first) of
 the per-frame observation vectors and applies a seeded random projection; the
@@ -77,10 +77,12 @@ def instruction_feature(featurizer: FrozenFeaturizer, instruction_id: int) -> np
 @dataclass
 class ProgressModel:
     """Frozen featurizer plus the two trainable adapters into the manifold,
-    views into one flat buffer (``nets.flat_params``)."""
+    views into one flat buffer (``nets.flat_params``), and the success
+    references that ``fit_reference`` sets."""
 
     featurizer: FrozenFeaturizer
     params: Params
+    reference: dict[int, np.ndarray] = field(default_factory=dict)  # instruction id -> (n, embed_dim), unit norm
 
 
 def init_progress_model(cfg: Config, seed: int = 0) -> ProgressModel:
@@ -205,39 +207,26 @@ def similarity_curve(model: ProgressModel, episode: Episode) -> list[tuple[float
 
 
 # ---------------------------------------------------------------------------
-# reference clusters and self-referential estimation
+# success references and self-referential estimation
 
 
-@dataclass
-class ReferenceCluster:
-    """Per-instruction unit-norm embeddings of completed successful episodes."""
-
-    members: dict[int, np.ndarray] = field(default_factory=dict)  # id -> (n, D)
-
-    def covered(self, instruction_id: int) -> bool:
-        return instruction_id in self.members
-
-
-def build_reference_cluster(model: ProgressModel, success_episodes: list[Episode]) -> ReferenceCluster:
+def fit_reference(model: ProgressModel, success_episodes: list[Episode]) -> None:
+    """Set ``model.reference`` to the embeddings of ``success_episodes``,
+    grouped by instruction in episode order."""
     groups: dict[int, list[np.ndarray]] = {}
     for ep in success_episodes:
         groups.setdefault(ep.instruction_id, []).append(embed_trajectory(model, ep.frames.obs))
-    cluster = ReferenceCluster()
-    for instr, vecs in groups.items():
-        cluster.members[instr] = np.stack(vecs)
-    return cluster
+    model.reference = {instr: np.stack(vecs) for instr, vecs in groups.items()}
 
 
-def estimate_progress(model: ProgressModel, cluster: ReferenceCluster, episode: Episode) -> float:
+def estimate_progress(model: ProgressModel, episode: Episode) -> float:
     """Nearest cosine similarity between the full-episode embedding and the
-    reference cluster for the episode's own instruction; raw value in [-1, 1]
-    (clamping to the label range happens at labeling time)."""
-    if not cluster.covered(episode.instruction_id):
-        raise CoverageError(
-            f"no reference embeddings for instruction {episode.instruction_id}"
-        )
-    z = embed_trajectory(model, episode.frames.obs)
-    return float(np.max(cluster.members[episode.instruction_id] @ z))
+    model's success references for the episode's own instruction; raw value
+    in [-1, 1] (clamping to the label range happens at labeling time)."""
+    members = model.reference.get(episode.instruction_id)
+    if members is None:
+        raise CoverageError(f"no reference embeddings for instruction {episode.instruction_id}")
+    return float(np.max(members @ embed_trajectory(model, episode.frames.obs)))
 
 
 # ---------------------------------------------------------------------------
@@ -256,21 +245,24 @@ def _dims(model: ProgressModel) -> dict[str, int]:
             "embed_dim": model.params["f_w2"].shape[1], "hidden_dim": model.params["f_w1"].shape[1]}
 
 
-def save_progress_model(model: ProgressModel, path: str | Path, cluster: ReferenceCluster,
-                        provenance: dict | None = None) -> Path:
-    members = {str(k): v.tolist() for k, v in sorted(cluster.members.items())}
+def save_progress_model(model: ProgressModel, path: str | Path, provenance: dict | None = None) -> Path:
+    """Write ``model``, its success references under ``cluster``; a model
+    with none raises CoverageError, since ``load_progress_model`` refuses it."""
+    if not model.reference:
+        raise CoverageError(f"{path}: the progress model has no success references to save")
+    members = {str(k): v.tolist() for k, v in sorted(model.reference.items())}
     return save_checkpoint(path, "progress-model", model.params, **_dims(model), cluster=members,
                            provenance=provenance or {})
 
 
-def load_progress_model(cfg: Config, path: str | Path) -> tuple[ProgressModel, ReferenceCluster]:
+def load_progress_model(cfg: Config, path: str | Path) -> ProgressModel:
     """Load a ``save_progress_model`` checkpoint (see ``store.load_checkpoint``)
-    whose reference cluster has at least one instruction, with rows embed_dim
-    wide."""
+    whose success references cover at least one instruction, with rows
+    embed_dim wide."""
     model, payload = load_checkpoint(path, "progress-model", cfg, _CONFIG_KEYS, init_progress_model, _dims)
     cluster = payload.get("cluster")
     if not isinstance(cluster, dict) or not cluster or not all(k.isdigit() for k in cluster):
         raise StorageError(f"{path}: cluster is not a non-empty object keyed by instruction id")
     width = model.params["f_w2"].shape[1]
-    members = {int(k): checkpoint_array(path, f"cluster {k}", v, (None, width)) for k, v in cluster.items()}
-    return model, ReferenceCluster(members=members)
+    model.reference = {int(k): checkpoint_array(path, f"cluster {k}", v, (None, width)) for k, v in cluster.items()}
+    return model

@@ -51,28 +51,20 @@ def failure_episodes(cfg):
 
 
 @pytest.fixture(scope="session")
-def progress(mini_cfg, expert_episodes):
-    """The progress model and reference cluster of the first 16 expert episodes."""
+def progress_model(mini_cfg, expert_episodes):
+    """The progress model of the first 16 expert episodes, which are its
+    success references."""
     return bench.fit_progress(mini_cfg, expert_episodes[:16], seed=0)[0]
 
 
 @pytest.fixture(scope="session")
-def progress_model(progress):
-    return progress[0]
-
-
-@pytest.fixture(scope="session")
-def reference_cluster(progress):
-    return progress[1]
-
-
-@pytest.fixture(scope="session")
-def mini_policies(mini_cfg, expert_episodes, recovery_episodes, failure_episodes, progress):
+def mini_policies(mini_cfg, expert_episodes, recovery_episodes, failure_episodes, progress_model):
     """(sft, phase1, full) trained at reduced scale."""
     expert_ds = build_frame_dataset(mini_cfg, expert_episodes)
     sft, _ = bench.phase_one(mini_cfg, expert_ds, [], seed=0)
     phase1, _ = bench.phase_one(mini_cfg, expert_ds, recovery_episodes, seed=0)
-    full = bench.refine(mini_cfg, phase1, progress, expert_episodes + recovery_episodes + failure_episodes, seed=0)
+    full = bench.refine(mini_cfg, phase1, progress_model, expert_episodes + recovery_episodes + failure_episodes,
+                        seed=0)
     return sft, phase1, full
 
 

@@ -34,14 +34,14 @@ from recoverylab.store import (
     PhaseTag,
     dataset_stats,
     slice_recovery_suffix,
-    write_episode,
+    write_episodes,
 )
 from recoverylab.value import (
     _episode_prefix_features,
     alignment_loss_and_grads,
-    build_reference_cluster,
     embed_trajectory,
     estimate_progress,
+    fit_reference,
     init_progress_model,
     instruction_feature,
     similarity_curve,
@@ -295,15 +295,15 @@ def test_a6_alignment_monotonicity(pp_bundle):
 def test_a7_estimation_oracle(pp_bundle):
     model = init_progress_model(CFG, seed=0)
     train_alignment(model, pp_bundle["expert"][:20], CFG.with_overrides(align_steps=400), seed=1)
-    cluster = build_reference_cluster(model, pp_bundle["expert"][:20])
+    fit_reference(model, pp_bundle["expert"][:20])
     worst = 0.0
     for episode in pp_bundle["fails"][:5]:
-        v = estimate_progress(model, cluster, episode)
+        v = estimate_progress(model, episode)
         z = embed_trajectory(model, episode.frames.obs)
-        brute = max(float(z @ member) for member in cluster.members[episode.instruction_id])
+        brute = max(float(z @ member) for member in model.reference[episode.instruction_id])
         worst = max(worst, abs(v - brute))
     assert worst < 1e-6
-    member_v = estimate_progress(model, cluster, pp_bundle["expert"][0])
+    member_v = estimate_progress(model, pp_bundle["expert"][0])
     assert abs(member_v - 1.0) < 1e-9
     report("A7", f"max |estimate - brute force| = {worst:.2e} (< 1e-6); cluster member scores {member_v:.9f}")
 
@@ -449,8 +449,7 @@ def test_a13_dataset_bookkeeping(pp_bundle, tmp_path):
     dataset = tmp_path / "bookkeeping"
     dataset.mkdir()
     mix = pp_bundle["expert"][:7] + pp_bundle["rec_pool"][:5] + pp_bundle["fails"][:3]
-    for ep in mix:
-        write_episode(ep, dataset)
+    write_episodes(mix, dataset)
     stats = dataset_stats(dataset)
     files = len(list(dataset.glob("*.json"))) - 1  # minus the manifest
     assert stats.total == files == len(mix)

@@ -245,12 +245,12 @@ def test_interception_byte_identical(cfg, tmp_path):
     error = error_from_config(cfg, ErrorKind.E4_ORIENTATION_MISMATCH)
     a = run_interception(cfg, "pick-place", EnvMode.CLEAN, error, 11)
     b = run_interception(cfg, "pick-place", EnvMode.CLEAN, error, 11)
-    from recoverylab.store import write_episode
+    from recoverylab.store import write_episodes
 
-    pa = write_episode(a, tmp_path)
+    pa = write_episodes([a], tmp_path)[0]
     data_a = pa.read_bytes()
     pa.unlink()
-    pb = write_episode(b, tmp_path)
+    pb = write_episodes([b], tmp_path)[0]
     assert pb.read_bytes() == data_a
 
 

@@ -23,7 +23,7 @@ from recoverylab.faults import (
 )
 from recoverylab.labeling import label_success
 from recoverylab.policy import init_policy, load_policy, save_policy
-from recoverylab.store import EpisodeKind, Outcome, dataset_stats, episode_to_dict, read_dataset, write_episode
+from recoverylab.store import EpisodeKind, Outcome, dataset_stats, episode_to_dict, read_dataset, write_episodes
 from recoverylab.value import init_progress_model, load_progress_model
 from recoverylab.world import EnvMode
 from tests.actors import OracleActor, RandomActor
@@ -429,10 +429,8 @@ def test_train_rai_imitates_nominal_successes_only(cfg, tmp_path, capsys, expert
     expert, failures = tmp_path / "expert", tmp_path / "failures"
     expert.mkdir()
     failures.mkdir()
-    for episode in expert_episodes[:2]:
-        write_episode(episode, expert)
-    write_episode(failure, expert)
-    write_episode(failure, failures)
+    write_episodes(expert_episodes[:2] + [failure], expert)
+    write_episodes([failure], failures)
     ckpt = tmp_path / "phase1.json"
     assert cli_main(["train-rai", "--expert", str(expert), "--steps", "1", "--out", str(ckpt)]) == 0
     assert load_policy(ckpt).provenance["training_seeds"] == sorted(e.seed for e in expert_episodes[:2])
@@ -447,7 +445,7 @@ def test_train_value_refuses_data_without_successes(cfg, tmp_path, capsys):
     assert failure.kind is EpisodeKind.PURE_FAILURE
     failures, out = tmp_path / "failures", tmp_path / "value.json"
     failures.mkdir()
-    write_episode(failure, failures)
+    write_episodes([failure], failures)
     assert _cli_error(["train-value", "--data", str(failures), "--steps", "1", "--out", str(out)],
                       capsys) == "InsufficientData"
     assert not out.exists()
@@ -560,12 +558,12 @@ def test_train_value_writes_the_fit_progress_model(cfg, tmp_path, capsys):
     assert cli_main(["train-value", "--data", str(expert), "--steps", "20", "--seed", "3", "--out", str(ckpt)]) == 0
     printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     episodes = [e for e in read_dataset(expert) if e.kind is EpisodeKind.NOMINAL_SUCCESS]
-    (want, want_cluster), losses = bench.fit_progress(cfg.with_overrides(align_steps=20), episodes, 3)
-    model, cluster = load_progress_model(cfg, ckpt)
+    want, losses = bench.fit_progress(cfg.with_overrides(align_steps=20), episodes, 3)
+    model = load_progress_model(cfg, ckpt)
     assert model.params.keys() == want.params.keys()
     assert all(np.array_equal(model.params[k], want.params[k]) for k in want.params)
-    assert cluster.members.keys() == want_cluster.members.keys()
-    assert all(np.array_equal(cluster.members[k], want_cluster.members[k]) for k in want_cluster.members)
+    assert model.reference.keys() == want.reference.keys()
+    assert all(np.array_equal(model.reference[k], want.reference[k]) for k in want.reference)
     assert printed == {"checkpoint": str(ckpt), "episodes": len(episodes),
                        "initial_loss": losses[0], "final_loss": losses[-1]}
 
@@ -574,15 +572,14 @@ def test_train_value_writes_the_fit_progress_model(cfg, tmp_path, capsys):
 def test_training_at_zero_steps_writes_the_untrained_checkpoint(command, cfg, tmp_path, capsys, expert_episodes):
     data = tmp_path / "data"
     data.mkdir()
-    for episode in expert_episodes[:2]:
-        write_episode(label_success(episode), data)
+    write_episodes([label_success(episode) for episode in expert_episodes[:2]], data)
     ckpt = tmp_path / "ckpt.json"
     flag = "--expert" if command == "train-rai" else "--data"
     assert cli_main([command, flag, str(data), "--steps", "0", "--out", str(ckpt)]) == 0
     printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert printed["initial_loss"] is None and printed["final_loss"] is None
     if command == "train-value":
-        model, _ = load_progress_model(cfg, ckpt)
+        model = load_progress_model(cfg, ckpt)
         want = init_progress_model(cfg, seed=0)
         assert json.loads(ckpt.read_text())["provenance"]["final_loss"] is None
     else:
@@ -721,8 +718,7 @@ def vcr_inputs(cfg, tmp_path, expert_episodes):
     """A labeled dataset and a window-5 checkpoint for ``train-vcr --init``."""
     data = tmp_path / "labeled"
     data.mkdir()
-    for episode in expert_episodes[:2]:
-        write_episode(label_success(episode), data)
+    write_episodes([label_success(episode) for episode in expert_episodes[:2]], data)
     init = save_policy(init_policy(cfg, seed=0), tmp_path / "p1.json")
     return ["train-vcr", "--data", str(data), "--init", str(init), "--steps", "1", "--out", str(tmp_path / "out.json")]
 

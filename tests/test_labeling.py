@@ -10,7 +10,7 @@ from recoverylab.labeling import (
     label_recovery,
     label_success,
 )
-from recoverylab.store import Episode, EpisodeKind, PhaseTag, read_dataset, write_episode, write_episodes
+from recoverylab.store import Episode, EpisodeKind, PhaseTag, read_dataset, write_episodes
 from tests.test_store import make_episode
 
 N, E, R = PhaseTag.NOMINAL, PhaseTag.ERROR, PhaseTag.RECOVERY
@@ -131,17 +131,16 @@ def test_alpha_default_is_three(cfg):
 
 def test_label_dataset_totality_and_idempotence(
     cfg, tmp_path, expert_episodes, recovery_episodes, failure_episodes,
-    progress_model, reference_cluster,
+    progress_model,
 ):
     src = tmp_path / "raw"
     src.mkdir()
     mix = expert_episodes[:5] + recovery_episodes[:3] + failure_episodes[:2]
-    for ep in mix:
-        write_episode(ep, src)
+    write_episodes(mix, src)
     out_a = tmp_path / "labeled-a"
     out_b = tmp_path / "labeled-b"
-    summary = label_dataset(src, out_a, progress_model, reference_cluster, cfg)
-    label_dataset(src, out_b, progress_model, reference_cluster, cfg)
+    summary = label_dataset(src, out_a, progress_model, cfg)
+    label_dataset(src, out_b, progress_model, cfg)
 
     assert sum(summary["episodes"].values()) == 10
     labeled = read_dataset(out_a)
@@ -156,8 +155,7 @@ def test_label_dataset_totality_and_idempotence(
 
 
 def test_label_dataset_builds_each_labeled_episode_once(
-    cfg, tmp_path, expert_episodes, recovery_episodes, failure_episodes, progress_model, reference_cluster,
-    monkeypatch,
+    cfg, tmp_path, expert_episodes, recovery_episodes, failure_episodes, progress_model, monkeypatch,
 ):
     src = tmp_path / "raw"
     src.mkdir()
@@ -171,18 +169,18 @@ def test_label_dataset_builds_each_labeled_episode_once(
         check(episode)
 
     monkeypatch.setattr(Episode, "__post_init__", counted)
-    label_dataset(src, tmp_path / "labeled", progress_model, reference_cluster, cfg)
+    label_dataset(src, tmp_path / "labeled", progress_model, cfg)
     # One build as each episode is read, one as it is labeled.
     assert sorted(builds) == sorted(e.episode_id for e in mix + mix)
 
 
 def test_label_episode_dispatch(
-    expert_episodes, recovery_episodes, failure_episodes, progress_model, reference_cluster, cfg
+    expert_episodes, recovery_episodes, failure_episodes, progress_model, cfg
 ):
-    success = label_episode(expert_episodes[0], progress_model, reference_cluster, cfg)
+    success = label_episode(expert_episodes[0], progress_model, cfg)
     assert all(success.frames.v == 1.0)
-    rec = label_episode(recovery_episodes[0], progress_model, reference_cluster, cfg)
+    rec = label_episode(recovery_episodes[0], progress_model, cfg)
     assert set(rec.frames.v.tolist()) <= {0.0, 1.0}
-    fail = label_episode(failure_episodes[0], progress_model, reference_cluster, cfg)
+    fail = label_episode(failure_episodes[0], progress_model, cfg)
     assert fail.frames.v[-1] == 0.0
     assert fail.frames.v[0] >= 0.0

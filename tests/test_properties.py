@@ -22,7 +22,7 @@ from recoverylab.store import (
     _round_tree,
     episode_to_dict,
     read_dataset,
-    write_episode,
+    write_episodes,
 )
 from recoverylab.world import (
     CLOSE_THRESHOLD,
@@ -101,7 +101,7 @@ def nine_figures(column: np.ndarray) -> np.ndarray:
 @given(episodes())
 def test_store_round_trip_is_identity_at_nine_figures(episode):
     with tempfile.TemporaryDirectory() as tmp:
-        path = write_episode(episode, tmp)
+        path = write_episodes([episode], tmp)[0]
         first = path.read_bytes()
         [loaded] = read_dataset(tmp)
         for name in ("obs", "actions", "v"):
@@ -109,7 +109,7 @@ def test_store_round_trip_is_identity_at_nine_figures(episode):
             assert np.array_equal(getattr(loaded.frames, name), expected, equal_nan=True), name
         assert np.array_equal(loaded.frames.phase, episode.frames.phase)
         assert (loaded.kind, loaded.outcome, loaded.t_rec) == (episode.kind, episode.outcome, episode.t_rec)
-        assert write_episode(loaded, tmp).read_bytes() == first
+        assert write_episodes([loaded], tmp)[0].read_bytes() == first
 
 
 # Where the 9-figure rounding or float repr changes form: signed zero,
@@ -154,7 +154,7 @@ def test_episode_text_equals_the_json_dumps_path(episode):
     # The reference: json's pure-Python indenting encoder over the rounded tree.
     expected = json.dumps(_round_tree(episode_to_dict(episode)), indent=1, sort_keys=True) + "\n"
     with tempfile.TemporaryDirectory() as tmp:
-        assert write_episode(episode, tmp).read_text() == expected
+        assert write_episodes([episode], tmp)[0].read_text() == expected
 
 
 # Floats whose nine-figure text is integral, has an exponent, or is subnormal.

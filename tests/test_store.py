@@ -24,7 +24,6 @@ from recoverylab.store import (
     episode_from_dict,
     read_dataset,
     slice_recovery_suffix,
-    write_episode,
     write_episodes,
 )
 from recoverylab.value import save_progress_model
@@ -98,7 +97,7 @@ def rewrite(path, text: str) -> None:
 
 def test_write_read_round_trip(cfg, tmp_path, recovery_episodes):
     episode = recovery_episodes[0]
-    write_episode(episode, tmp_path)
+    write_episodes([episode], tmp_path)
     [loaded] = read_dataset(tmp_path)
     assert loaded.episode_id == episode.episode_id
     assert loaded.kind == episode.kind
@@ -109,9 +108,9 @@ def test_write_read_round_trip(cfg, tmp_path, recovery_episodes):
 
 
 def test_reserialization_byte_stable(tmp_path, recovery_episodes):
-    path = write_episode(recovery_episodes[0], tmp_path)
+    path = write_episodes([recovery_episodes[0]], tmp_path)[0]
     first = path.read_bytes()
-    again = write_episode(read_dataset(tmp_path)[0], tmp_path)
+    again = write_episodes([read_dataset(tmp_path)[0]], tmp_path)[0]
     assert again.read_bytes() == first
 
 
@@ -185,15 +184,15 @@ def test_unknown_phase_tag_is_not_written(tmp_path, expert_episodes, recovery_ep
     phase = episode.frames.phase.tolist()
     assert phase[2] == "Nominal"
     phase[2] = "Nonsense"
-    write_episode(good, tmp_path)
+    write_episodes([good], tmp_path)
     with pytest.raises(ValidationError, match="grammar"):
-        write_episode(replace(episode, frames=replace(episode.frames, phase=phase)), tmp_path)
+        write_episodes([replace(episode, frames=replace(episode.frames, phase=phase))], tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([f"{good.episode_id}.json", store.MANIFEST_NAME])
     assert _manifest_files(tmp_path) == [f"{good.episode_id}.json"]
 
 
 def test_truncated_file_reports_offset(tmp_path, recovery_episodes):
-    path = write_episode(recovery_episodes[0], tmp_path)
+    path = write_episodes([recovery_episodes[0]], tmp_path)[0]
     data = path.read_text()
     rewrite(path, data[: len(data) // 2])
     with pytest.raises(StorageError, match="offset"):
@@ -201,7 +200,7 @@ def test_truncated_file_reports_offset(tmp_path, recovery_episodes):
 
 
 def test_unknown_schema_version(tmp_path, recovery_episodes):
-    path = write_episode(recovery_episodes[0], tmp_path)
+    path = write_episodes([recovery_episodes[0]], tmp_path)[0]
     payload = json.loads(path.read_text())
     payload["schema_version"] = 99
     rewrite(path, json.dumps(payload))
@@ -210,8 +209,7 @@ def test_unknown_schema_version(tmp_path, recovery_episodes):
 
 
 def test_manifest_counts(tmp_path, recovery_episodes, expert_episodes):
-    for ep in expert_episodes[:5] + recovery_episodes[:3]:
-        write_episode(ep, tmp_path)
+    write_episodes(expert_episodes[:5] + recovery_episodes[:3], tmp_path)
     stats = dataset_stats(tmp_path)
     assert stats.total == 8
     assert stats.by_kind["NominalSuccess"] == 5
@@ -220,7 +218,7 @@ def test_manifest_counts(tmp_path, recovery_episodes, expert_episodes):
 
 
 def test_manifest_file_mismatch(tmp_path, expert_episodes):
-    path = write_episode(expert_episodes[0], tmp_path)
+    path = write_episodes([expert_episodes[0]], tmp_path)[0]
     path.unlink()
     with pytest.raises(StorageError, match="mismatch"):
         dataset_stats(tmp_path)
@@ -229,8 +227,8 @@ def test_manifest_file_mismatch(tmp_path, expert_episodes):
 def test_read_dataset_rejects_tampered_episode(tmp_path, expert_episodes):
     # One changed digit keeps the JSON valid and the episode loadable, but
     # the file no longer matches the sha256 its manifest entry recorded.
-    write_episode(expert_episodes[0], tmp_path)
-    path = write_episode(expert_episodes[1], tmp_path)
+    write_episodes([expert_episodes[0]], tmp_path)
+    path = write_episodes([expert_episodes[1]], tmp_path)[0]
     text = path.read_text()
     m = re.search(r'"x": -?0\.\d\d(\d)', text)
     digit = str((int(m.group(1)) + 1) % 10)
@@ -255,7 +253,7 @@ MALFORMED_FRAMES = {
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_FRAMES))
 def test_read_episode_rejects_malformed_frame(tmp_path, expert_episodes, case):
-    path = write_episode(expert_episodes[0], tmp_path)
+    path = write_episodes([expert_episodes[0]], tmp_path)[0]
     payload = json.loads(path.read_text())
     MALFORMED_FRAMES[case](payload["frames"][3])
     rewrite(path, json.dumps(payload))
@@ -353,14 +351,14 @@ def test_failed_write_keeps_previous_bytes(cfg, tmp_path, expert_episodes, monke
     # When the rename fails, the file written before keeps its bytes.
     from recoverylab import bench
     from recoverylab.policy import init_policy, save_policy
-    from recoverylab.value import ReferenceCluster, init_progress_model, save_progress_model
+    from recoverylab.value import init_progress_model, save_progress_model
 
     episode, policy, model = expert_episodes[0], init_policy(cfg), init_progress_model(cfg)
-    cluster = ReferenceCluster(members={0: np.full((1, int(cfg.embed_dim)), 0.125)})
+    model.reference = {0: np.full((1, int(cfg.embed_dim)), 0.125)}
 
     def write(name, note):
         if name == "episode":
-            return write_episode(replace(episode, provenance={"note": note}), tmp_path)
+            return write_episodes([replace(episode, provenance={"note": note})], tmp_path)[0]
         if name == "policy":
             return save_policy(replace(policy, provenance={"note": note}), tmp_path / "policy.json")
         if name.startswith("report"):
@@ -368,7 +366,7 @@ def test_failed_write_keeps_previous_bytes(cfg, tmp_path, expert_episodes, monke
             return bench.write_report(report, tmp_path, "report")[name.split("-")[1]]
         if name == "table":
             return bench.write_table([{"note": note}], tmp_path / "table.csv")
-        return save_progress_model(model, tmp_path / "value.json", cluster, provenance={"note": note})
+        return save_progress_model(model, tmp_path / "value.json", provenance={"note": note})
 
     rename = os.replace
 
@@ -401,12 +399,12 @@ def test_failed_write_keeps_previous_bytes(cfg, tmp_path, expert_episodes, monke
 ], ids=["no-episodes", "episodes-not-a-list", "entry-not-an-object", "entry-without-file", "file-with-a-path",
         "sha256-not-a-string", "unknown-kind", "unknown-env-mode"])
 def test_malformed_manifest_raises_storage_error(tmp_path, expert_episodes, tamper, match):
-    write_episode(expert_episodes[0], tmp_path)
+    write_episodes([expert_episodes[0]], tmp_path)
     path = tmp_path / store.MANIFEST_NAME
     manifest = json.loads(path.read_text())
     tamper(manifest)
     path.write_text(json.dumps(manifest))
-    for call in (read_dataset, dataset_stats, lambda d: write_episode(expert_episodes[1], d)):
+    for call in (read_dataset, dataset_stats, lambda d: write_episodes([expert_episodes[1]], d)[0]):
         with pytest.raises(StorageError, match=match):
             call(tmp_path)
 
@@ -420,7 +418,7 @@ def test_manifest_naming_one_file_twice_is_refused(tmp_path, expert_episodes, ca
     manifest["episodes"].append(dict(manifest["episodes"][0]))
     path.write_text(json.dumps(manifest))
     match = f"entries 0 and 2 both name {re.escape(paths[0].name)}"
-    for call in (read_dataset, dataset_stats, lambda d: write_episode(expert_episodes[2], d)):
+    for call in (read_dataset, dataset_stats, lambda d: write_episodes([expert_episodes[2]], d)[0]):
         with pytest.raises(StorageError, match=match):
             call(tmp_path)
     assert cli_main(["stats", "--data", str(tmp_path)]) == 1
@@ -428,7 +426,7 @@ def test_manifest_naming_one_file_twice_is_refused(tmp_path, expert_episodes, ca
 
 
 def test_stats_reports_a_malformed_manifest(tmp_path, expert_episodes, capsys):
-    write_episode(expert_episodes[0], tmp_path)
+    write_episodes([expert_episodes[0]], tmp_path)
     path = tmp_path / store.MANIFEST_NAME
     path.write_text(json.dumps({**json.loads(path.read_text()), "episodes": [{"sha256": ""}]}))
     assert cli_main(["stats", "--data", str(tmp_path)]) == 1
@@ -474,9 +472,9 @@ def test_read_dataset_rejects_a_missing_directory(tmp_path):
         read_dataset(tmp_path / "typo")
 
 
-def test_label_rejects_a_missing_dataset(tmp_path, capsys, progress_model, reference_cluster):
+def test_label_rejects_a_missing_dataset(tmp_path, capsys, progress_model):
     # A mistyped --data path fails before any labeled dataset is written.
-    value = save_progress_model(progress_model, tmp_path / "value.json", cluster=reference_cluster)
+    value = save_progress_model(progress_model, tmp_path / "value.json")
     missing, out = tmp_path / "typo", tmp_path / "labeled"
     assert cli_main(["label", "--data", str(missing), "--value", str(value), "--out", str(out)]) == 1
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -484,23 +482,39 @@ def test_label_rejects_a_missing_dataset(tmp_path, capsys, progress_model, refer
     assert not out.exists()
 
 
-def test_label_refuses_a_checkpoint_without_a_cluster(tmp_path, capsys, expert_episodes, progress_model,
-                                                     reference_cluster):
-    value = save_progress_model(progress_model, tmp_path / "value.json", cluster=reference_cluster)
+def test_label_refuses_a_checkpoint_without_a_cluster(tmp_path, capsys, expert_episodes, progress_model):
+    value = save_progress_model(progress_model, tmp_path / "value.json")
     value.write_text(json.dumps({**json.loads(value.read_text()), "cluster": None}))
     data, out = tmp_path / "data", tmp_path / "labeled"
     data.mkdir()
-    write_episode(expert_episodes[0], data)
+    write_episodes([expert_episodes[0]], data)
     assert cli_main(["label", "--data", str(data), "--value", str(value), "--out", str(out)]) == 1
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert error["error"] == "StorageError" and "cluster" in error["message"]
     assert not out.exists()
 
 
+def test_label_refuses_a_dataset_the_references_do_not_cover(tmp_path, capsys, failure_episodes, progress_model):
+    # The progress model holds pick-place references only; every pure
+    # failure is checked before --out is made, and the error names each
+    # instruction left uncovered.
+    value = save_progress_model(progress_model, tmp_path / "value.json")
+    others = [replace(e, episode_id=f"{task}-{i}", task_id=task, instruction_id=instr)
+              for task, instr in (("stack-two", 1), ("bimanual-handover", 2))
+              for i, e in enumerate(failure_episodes[:3])]
+    data, out = tmp_path / "data", tmp_path / "labeled"
+    data.mkdir()
+    write_episodes(failure_episodes[:3] + others, data)
+    assert cli_main(["label", "--data", str(data), "--value", str(value), "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "CoverageError" and "[1, 2]" in error["message"]
+    assert not out.exists()
+
+
 def test_manifest_tracks_many_writes(tmp_path, expert_episodes):
     episode = expert_episodes[0]
     for i in range(100):
-        write_episode(replace(episode, episode_id=f"copy-{i:03d}", seed=10_000 + i), tmp_path)
+        write_episodes([replace(episode, episode_id=f"copy-{i:03d}", seed=10_000 + i)], tmp_path)
     stats = dataset_stats(tmp_path)
     assert stats.total == 100
     assert len(list(tmp_path.glob("copy-*.json"))) == 100
@@ -516,18 +530,16 @@ def _manifest_files(dataset_dir) -> list[str]:
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("batch", [False, True])
-def test_non_finite_observation_is_not_written(tmp_path, expert_episodes, value, batch):
+@pytest.mark.parametrize("lazy", [False, True])
+def test_non_finite_observation_is_not_written(tmp_path, expert_episodes, value, lazy):
+    # A list and a generator of episodes are checked alike.
     good, episode = expert_episodes[0], expert_episodes[1]
     obs = episode.frames.obs.copy()
     obs[3, 9] = value
-    write_episode(good, tmp_path)
+    write_episodes([good], tmp_path)
     with pytest.raises(ValidationError, match="non-finite"):
         bad = replace(episode, frames=replace(episode.frames, obs=obs))
-        if batch:
-            write_episodes([bad], tmp_path)
-        else:
-            write_episode(bad, tmp_path)
+        write_episodes(iter([bad]) if lazy else [bad], tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([f"{good.episode_id}.json", store.MANIFEST_NAME])
     assert _manifest_files(tmp_path) == [f"{good.episode_id}.json"]
 
@@ -554,14 +566,14 @@ def test_write_episodes_merges_into_the_manifest_like_single_writes(tmp_path, ex
     for d in (single, batch):
         write_episodes(_copies(expert_episodes[0], 3, start=2), d)
     for episode in _copies(expert_episodes[1], 4):
-        write_episode(episode, single)
+        write_episodes([episode], single)
     write_episodes(_copies(expert_episodes[1], 4), batch)
     assert (single / store.MANIFEST_NAME).read_bytes() == (batch / store.MANIFEST_NAME).read_bytes()
     assert len(_manifest_files(batch)) == 5
 
 
 def test_held_lock_refuses_a_second_writer(tmp_path, expert_episodes):
-    write_episode(expert_episodes[0], tmp_path)
+    write_episodes([expert_episodes[0]], tmp_path)
     before = (tmp_path / store.MANIFEST_NAME).read_bytes()
     lock = tmp_path / store.LOCK_NAME
     lock.touch()
@@ -687,7 +699,7 @@ def test_history_raw_reaches_into_failure_prefix(cfg):
 
 
 def test_float_formatting_nine_significant_digits(tmp_path, expert_episodes):
-    path = write_episode(expert_episodes[0], tmp_path)
+    path = write_episodes([expert_episodes[0]], tmp_path)[0]
     payload = json.loads(path.read_text())
     x = payload["frames"][3]["obs"]["proprio"][0]
     assert float(f"{x:.9g}") == x

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,13 +9,12 @@ import pytest
 from recoverylab.errors import ConfigError, CoverageError, InputError, StorageError, TrainingError
 from recoverylab.nets import flat_buffer
 from recoverylab.value import (
-    ReferenceCluster,
     _episode_prefix_features,
     alignment_loss_and_grads,
-    build_reference_cluster,
     embed,
     embed_trajectory,
     estimate_progress,
+    fit_reference,
     init_progress_model,
     instruction_feature,
     load_progress_model,
@@ -182,66 +182,74 @@ def test_trained_similarity_tracks_progress(progress_model, expert_episodes):
 
 
 # ---------------------------------------------------------------------------
-# reference clusters and estimation
+# success references and estimation
 
 
 def test_cluster_shape_and_norms(progress_model, expert_episodes):
-    cluster = build_reference_cluster(progress_model, expert_episodes[:10])
-    members = cluster.members[0]
+    model = replace(progress_model)
+    fit_reference(model, expert_episodes[:10])
+    members = model.reference[0]
     assert members.shape[0] == 10
     assert np.allclose(np.linalg.norm(members, axis=1), 1.0, atol=1e-6)
 
 
-def test_estimate_is_self_similar_for_members(progress_model, reference_cluster, expert_episodes):
-    v = estimate_progress(progress_model, reference_cluster, expert_episodes[0])
+def test_estimate_is_self_similar_for_members(progress_model, expert_episodes):
+    v = estimate_progress(progress_model, expert_episodes[0])
     assert v == pytest.approx(1.0, abs=1e-9)
 
 
-def test_estimate_matches_bruteforce(progress_model, reference_cluster, failure_episodes):
+def test_estimate_matches_bruteforce(progress_model, failure_episodes):
     episode = failure_episodes[0]
-    v = estimate_progress(progress_model, reference_cluster, episode)
+    v = estimate_progress(progress_model, episode)
     z = embed_trajectory(progress_model, episode.frames.obs)
-    brute = max(float(z @ member) for member in reference_cluster.members[episode.instruction_id])
+    brute = max(float(z @ member) for member in progress_model.reference[episode.instruction_id])
     assert abs(v - brute) < 1e-6
     assert -1.0 <= v <= 1.0
 
 
-def test_estimate_invariant_to_order_and_duplicates(progress_model, reference_cluster, failure_episodes):
+def test_estimate_invariant_to_order_and_duplicates(progress_model, failure_episodes):
     episode = failure_episodes[0]
-    base = estimate_progress(progress_model, reference_cluster, episode)
-    members = reference_cluster.members[episode.instruction_id]
-    shuffled = ReferenceCluster(members={episode.instruction_id: members[::-1].copy()})
-    doubled = ReferenceCluster(members={episode.instruction_id: np.vstack([members, members])})
-    assert estimate_progress(progress_model, shuffled, episode) == pytest.approx(base, abs=1e-12)
-    assert estimate_progress(progress_model, doubled, episode) == pytest.approx(base, abs=1e-12)
+    base = estimate_progress(progress_model, episode)
+    members = progress_model.reference[episode.instruction_id]
+    shuffled = replace(progress_model, reference={episode.instruction_id: members[::-1].copy()})
+    doubled = replace(progress_model, reference={episode.instruction_id: np.vstack([members, members])})
+    assert estimate_progress(shuffled, episode) == pytest.approx(base, abs=1e-12)
+    assert estimate_progress(doubled, episode) == pytest.approx(base, abs=1e-12)
 
 
-def test_estimate_singleton_cluster(progress_model, reference_cluster, failure_episodes):
+def test_estimate_singleton_cluster(progress_model, failure_episodes):
     episode = failure_episodes[0]
-    members = reference_cluster.members[episode.instruction_id]
-    single = ReferenceCluster(members={episode.instruction_id: members[:1].copy()})
+    members = progress_model.reference[episode.instruction_id]
+    single = replace(progress_model, reference={episode.instruction_id: members[:1].copy()})
     z = embed_trajectory(progress_model, episode.frames.obs)
-    assert estimate_progress(progress_model, single, episode) == pytest.approx(float(members[0] @ z))
+    assert estimate_progress(single, episode) == pytest.approx(float(members[0] @ z))
 
 
 def test_estimate_uncovered_instruction(progress_model, failure_episodes):
-    empty = ReferenceCluster(members={})
+    empty = replace(progress_model, reference={})
     with pytest.raises(CoverageError):
-        estimate_progress(progress_model, empty, failure_episodes[0])
+        estimate_progress(empty, failure_episodes[0])
 
 
-def test_checkpoint_round_trip(cfg, tmp_path, progress_model, reference_cluster, failure_episodes):
+def test_checkpoint_round_trip(cfg, tmp_path, progress_model, failure_episodes):
     path = tmp_path / "value.json"
-    save_progress_model(progress_model, path, cluster=reference_cluster)
-    loaded, cluster = load_progress_model(cfg, path)
+    save_progress_model(progress_model, path)
+    loaded = load_progress_model(cfg, path)
     episode = failure_episodes[0]
-    assert estimate_progress(loaded, cluster, episode) == pytest.approx(
-        estimate_progress(progress_model, reference_cluster, episode), abs=1e-12
+    assert estimate_progress(loaded, episode) == pytest.approx(
+        estimate_progress(progress_model, episode), abs=1e-12
     )
 
 
-def test_load_progress_model_checks_shapes_against_metadata(cfg, tmp_path, progress_model, reference_cluster):
-    path = save_progress_model(progress_model, tmp_path / "value.json", cluster=reference_cluster)
+def test_save_progress_model_refuses_a_model_without_references(cfg, tmp_path):
+    path = tmp_path / "value.json"
+    with pytest.raises(CoverageError, match="no success references"):
+        save_progress_model(init_progress_model(cfg, seed=0), path)
+    assert not path.exists()
+
+
+def test_load_progress_model_checks_shapes_against_metadata(cfg, tmp_path, progress_model):
+    path = save_progress_model(progress_model, tmp_path / "value.json")
     good = json.loads(path.read_text())
     instr = next(iter(good["cluster"]))
     tampers = {
