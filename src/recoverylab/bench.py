@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .config import Config
 from .errors import InputError, ValidationError
-from .faults import ErrorType, InjectionSchedule, Trial, detect_failure, max_nominal_duration, run_trials
+from .faults import ErrorType, Trial, detect_failure, max_nominal_duration, run_trials
 from .labeling import label_episode
 from .policy import (
     FrameDataset,
@@ -142,8 +142,7 @@ def run_protocol(
             raise ValidationError(f"evaluation seeds overlap training seeds: {sorted(overlap)[:5]}")
     horizon = adversarial_horizon(cfg, t_max, error) if error is not None else t_max
     batch = [
-        Trial(actor_factory(seed), task_id, env_mode, seed, "eval", {"generator": "rollout"}, t_max=horizon,
-              trigger=InjectionSchedule(error, None, seed) if error is not None else None)
+        Trial(actor_factory(seed), task_id, env_mode, seed, "eval", {"generator": "rollout"}, horizon, error)
         for seed in seeds
     ]
     trials: list[TrialRecord | None] = [None] * len(batch)
@@ -154,7 +153,7 @@ def run_protocol(
             env_mode=env_mode.value,
             seed=run.trial.seed,
             error_type=error.kind.value if error is not None else None,
-            adverse_verified=run.adverse_verified,
+            adverse_verified=bool(run.verified),
             phase_trace=phase,
             outcome=kind.outcome.value,
             steps_used=run.t,

@@ -18,27 +18,28 @@ from .store import Episode, EpisodeKind, write_episodes
 from .world import EnvMode, get_task
 
 
-# Seeds per ``run_episodes`` call of ``expert_episodes``, whose trials step
-# in lockstep; a larger block spreads a tick's fixed cost over more rows but
-# holds more frames at once.  Through ``gen-nominal`` on 120 pick-place and
-# 16 each of stack-two and bimanual-handover seeds, blocks of 64 took 0.6x
-# the CPU time of one by one for 3.6 MiB more peak memory, and blocks of 128
-# 0.5x for 6.9 MiB.  Interception and induced trials step alone, so they run
-# one seed a call and a caller that takes a few episodes plans no others.
+# Seeds per ``run_episodes`` call of every generator here.  Expert trials
+# step in lockstep, where a larger block spreads a tick's fixed cost over
+# more rows but holds more frames at once: through ``gen-nominal`` on 120
+# pick-place and 16 each of stack-two and bimanual-handover seeds, blocks of
+# 64 took 0.6x the CPU time of one by one for 3.6 MiB more peak memory, and
+# blocks of 128 0.5x for 6.9 MiB.  Interception and induced trials step
+# alone, one after another in seed order within the call, so a block costs
+# them only the trials made and begun for seeds past where a caller stops.
 SEED_BLOCK = 64
 
 
-def _seed_ordered(cfg: Config, trial_of: Callable[[int], Trial], seeds: Iterable[int], counts: dict,
-                  block_size: int) -> Iterator[Episode]:
+def _seed_ordered(cfg: Config, trial_of: Callable[[int], Trial], seeds: Iterable[int],
+                  counts: dict) -> Iterator[Episode]:
     """The episodes of the trials ``trial_of(seed)`` over ``seeds``, in seed
     order, counting seeds whose trial raises PlanningError as ``skipped``.
 
-    The seeds run in blocks of ``block_size``, each block's trials in one
+    The seeds run in blocks of ``SEED_BLOCK``, each block's trials in one
     ``run_episodes`` call.  An episode is yielded once it and every episode
     before it have ended, and a seed is counted only when the caller has
     taken every episode before it, as if the seeds ran one by one."""
     seeds = iter(seeds)
-    while block := list(islice(seeds, block_size)):
+    while block := list(islice(seeds, SEED_BLOCK)):
         trials = []
         for seed in block:
             try:
@@ -67,7 +68,7 @@ def expert_episodes(cfg: Config, task_id: str, env_mode: EnvMode, seeds: Iterabl
     plan as ``skipped`` and failed runs as ``failures``."""
     noise = float(cfg.expert_action_noise)
     for episode in _seed_ordered(cfg, lambda seed: nominal_trial(cfg, task_id, env_mode, seed, action_noise=noise),
-                                 seeds, counts, SEED_BLOCK):
+                                 seeds, counts):
         if episode.kind is EpisodeKind.PURE_FAILURE:
             counts["failures"] += 1
             if not keep_failures:
@@ -84,7 +85,7 @@ def verified_interceptions(cfg: Config, task_id: str, env_mode: EnvMode, error: 
     or that end as the other kind as ``skipped``."""
     wanted = EpisodeKind.FAILURE_RECOVERY if recover else EpisodeKind.PURE_FAILURE
     for episode in _seed_ordered(cfg, lambda seed: interception_trial(cfg, task_id, env_mode, error, seed,
-                                                                      recover=recover), seeds, counts, 1):
+                                                                      recover=recover), seeds, counts):
         if not episode.provenance.get("adverse_verified", False):
             counts["unverified"] += 1
         elif episode.kind is not wanted:
@@ -176,7 +177,7 @@ def collect_policy_induced(
                      {"generator": "policy-induced"}, t_max, takeover=TimeoutTakeover())
 
     def kept():
-        for episode in _seed_ordered(cfg, trial_of, range(seed0, seed0 + n), counts, 1):
+        for episode in _seed_ordered(cfg, trial_of, range(seed0, seed0 + n), counts):
             if episode.kind is EpisodeKind.FAILURE_RECOVERY:
                 counts["recovery"] += 1
             elif episode.kind is EpisodeKind.PURE_FAILURE:

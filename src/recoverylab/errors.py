@@ -30,7 +30,7 @@ class UnrecoverableState(RecoveryLabError):
 
 
 class SequencingError(RecoveryLabError):
-    """Operation called out of order (e.g. injection before schedule resolution)."""
+    """Operation called out of order (e.g. a lockstep tick past every deadline)."""
 
 
 class InsufficientData(RecoveryLabError):

@@ -9,8 +9,8 @@ Four deterministic overrides can be spliced into a running episode:
 
 Windows are half-open [t_start, t_start + length): the slip window covers
 exactly 30 frames.  Random draws (offsets, rotation) happen exactly once per
-episode when the schedule resolves at its trigger phase, so every in-window
-action sees the same perturbation.  Recovery scoring elsewhere is gated on
+run, from the trial's seed, when its trigger fires and the run resolves the
+``Injection``, so every in-window action sees the same perturbation.  Recovery scoring elsewhere is gated on
 ``verify_adverse``: the error must have left its physical signature.
 ``PlannerActor`` follows a plan closed-loop: the expert demonstrations, and
 the corrective rollouts from verified adverse states.
@@ -18,7 +18,7 @@ the corrective rollouts from verified adverse states.
 ``run_trials`` is the one episode loop: it steps a list of trials and
 hands back each ended trial, and ``run_episodes`` builds their episodes.
 Expert demonstrations, interception, policy rollouts and policy-induced
-collection differ only in the ``Trial``: the actor, the injection trigger
+collection differ only in the ``Trial``: the actor, the error to inject
 and the takeover they hand it.  Trials that need no per-frame Python and
 whose actors share one ``Actor.Batch`` step together as one
 ``world.WorldBatch``; any other trial steps alone on its ``WorldState``.
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import struct
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
@@ -37,7 +37,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .config import Config
-from .errors import InputError, InsufficientData, PlanningError, SequencingError, UnrecoverableState
+from .errors import ConfigError, InputError, InsufficientData, PlanningError, SequencingError, UnrecoverableState
 from .planner import (
     CORRECTIVE_PHASES,
     Completion,
@@ -102,7 +102,13 @@ TRIGGER_PHASE = {
 
 
 def error_from_config(cfg: Config, kind: ErrorKind | str) -> ErrorType:
-    kind = ErrorKind(kind) if isinstance(kind, str) else kind
+    """The error of ``kind`` (an ``ErrorKind`` or its value, such as "E2")
+    with its parameters from ``cfg``; ConfigError for an unknown kind."""
+    if isinstance(kind, str):
+        try:
+            kind = ErrorKind(kind)
+        except ValueError:
+            raise ConfigError(f"unknown error kind {kind!r}; known: {[k.value for k in ErrorKind]}") from None
     if kind is ErrorKind.E1_PREMATURE_CLOSE:
         return ErrorType(kind, window_steps=int(cfg.e1_hold_steps))
     if kind is ErrorKind.E2_GRASP_SLIP:
@@ -117,75 +123,24 @@ def error_from_config(cfg: Config, kind: ErrorKind | str) -> ErrorType:
     )
 
 
-@dataclass
-class InjectionSchedule:
-    """An injection's trigger, its window and draws resolved once per
-    episode, and the verdict on the adverse state it left.
-
-    The trigger is the plan phase ``trigger_phase`` of a planner actor or,
-    when that is None, scene geometry, for actors without plan phases (see
-    ``_geometric_hits``).
-    """
+@dataclass(frozen=True)
+class Injection:
+    """What a trial's injection resolved to when its trigger fired: the
+    window [t_start, t_end), the designated arm and object, and the draws
+    (dx, dy, dtheta), made once from the trial's seed (see
+    ``TrialRun.resolve``).  E3 offsets by (dx, dy); E4 by (dx, dy) with
+    dy = 0, perpendicular to the vertical approach, and turns by dtheta; E1
+    and E2 draw nothing, all zeros."""
 
     error: ErrorType
-    trigger_phase: PlanPhase | None
-    rng_seed: int
-    t_start: int | None = None
-    t_end: int | None = None
-    arm: int | None = None
-    object_index: int | None = None
-    draws: dict = field(default_factory=dict)
-    verified: bool | None = None
-
-    @property
-    def resolved(self) -> bool:
-        return self.t_start is not None
-
-    def resolve(self, t: int, arm: int, object_index: int | None) -> None:
-        if self.resolved:
-            raise SequencingError("injection schedule already resolved")
-        self.t_start = t
-        self.t_end = t + self.error.window_steps
-        self.arm = arm
-        self.object_index = object_index
-        rng = np.random.default_rng([self.rng_seed & 0xFFFFFFFFFFFFFFF, 0xE44])
-        kind = self.error.kind
-        if kind is ErrorKind.E3_POSITION_OFFSET:
-            d = self.error.offset_max
-            dp = rng.uniform(-d, d, size=2)
-            self.draws = {"dp": (float(dp[0]), float(dp[1]))}
-        elif kind is ErrorKind.E4_ORIENTATION_MISMATCH:
-            # Rotation magnitude in [max/2, max] guarantees a large mismatch;
-            # lateral offset is perpendicular to the (vertical) approach.
-            dth = float(rng.uniform(self.error.dtheta_max / 2.0, self.error.dtheta_max))
-            dth *= 1.0 if rng.uniform() < 0.5 else -1.0
-            lat = float(rng.uniform(self.error.lat_max / 2.0, self.error.lat_max))
-            lat *= 1.0 if rng.uniform() < 0.5 else -1.0
-            self.draws = {"dtheta": dth, "lat": (lat, 0.0)}
+    t_start: int
+    t_end: int
+    arm: int
+    object_index: int | None
+    draws: tuple[float, float, float]
 
     def in_window(self, t: int) -> bool:
-        return self.t_start is not None and self.t_start <= t < self.t_end
-
-    @property
-    def pending(self) -> bool:
-        """Resolved, with the adverse state not yet verified."""
-        return self.resolved and self.verified is None
-
-    def provenance(self, n_frames: int) -> dict:
-        if self.trigger_phase is None and not self.resolved:
-            return dict(UNTRIGGERED)
-        schedule = {
-            "window": [self.t_start, self.t_end] if self.resolved else None,
-            "designated_arm": ARM_NAMES[self.arm] if self.arm is not None else None,
-            "object_index": self.object_index,
-            "draws": self.draws,
-        }
-        entries = {"adverse_verified": bool(self.verified), "schedule": schedule}
-        if self.trigger_phase is None:
-            entries["window_closed"] = n_frames >= self.t_end
-        else:
-            schedule["trigger_phase"] = self.trigger_phase.value
-        return entries
+        return self.t_start <= t < self.t_end
 
 
 # Provenance entries of a rollout whose injection never fired, or that had none.
@@ -225,47 +180,40 @@ def _geometric_hits(cfg: Config, batch: WorldBatch, unresolved: np.ndarray,
     return hits
 
 
-def inject(row: tuple[float, ...], t: int, schedule: InjectionSchedule) -> tuple[float, ...]:
-    """Apply the schedule's error override to the designated arm's half of
-    an action row inside the active window.
+def inject(row: tuple[float, ...], t: int, injection: Injection) -> tuple[float, ...]:
+    """Apply the injection's error override to the designated arm's half of
+    an action row inside its window.
 
     Outside the window the row is returned untouched (the same object).
     """
-    if not schedule.resolved:
-        raise SequencingError("inject called before the schedule resolved")
-    if not schedule.in_window(t):
+    if not injection.in_window(t):
         return row
-    o = 4 * schedule.arm  # the arm's x, y, theta, grip
+    o = 4 * injection.arm  # the arm's x, y, theta, grip
     out = list(row)
-    kind = schedule.error.kind
+    kind = injection.error.kind
     if kind is ErrorKind.E1_PREMATURE_CLOSE:
         out[o + 3] = GRIP_CLOSED
     elif kind is ErrorKind.E2_GRASP_SLIP:
         out[o + 3] = GRIP_OPEN
-    elif kind is ErrorKind.E3_POSITION_OFFSET:
-        dx, dy = schedule.draws["dp"]
+    else:
+        dx, dy, dth = injection.draws
         out[o] += dx
         out[o + 1] += dy
-    else:
-        lx, ly = schedule.draws["lat"]
-        out[o] += lx
-        out[o + 1] += ly
-        out[o + 2] = wrap_angle(out[o + 2] + schedule.draws["dtheta"])
+        if kind is ErrorKind.E4_ORIENTATION_MISMATCH:
+            out[o + 2] = wrap_angle(out[o + 2] + dth)
     return tuple(out)
 
 
-def verify_adverse(cfg: Config, state: WorldState, schedule: InjectionSchedule) -> bool:
-    """True iff the schedule's error left its physical signature on the state.
+def verify_adverse(cfg: Config, state: WorldState, injection: Injection) -> bool:
+    """True iff the injection's error left its physical signature on the state.
 
     E1/E3/E4: the designated object is not held by the designated arm after
     the grasp attempt.  E2: the object is detached and below carry height.
     """
-    if not schedule.resolved:
-        return False
-    i = schedule.object_index or 0
-    if schedule.error.kind is ErrorKind.E2_GRASP_SLIP:
+    i = injection.object_index or 0
+    if injection.error.kind is ErrorKind.E2_GRASP_SLIP:
         return state.holders[i] is None and state.object_poses[i].y < cfg.lift_y - cfg.pos_tol
-    return state.holders[i] != schedule.arm
+    return state.holders[i] != injection.arm
 
 
 def max_nominal_duration(episodes: Iterable[Episode]) -> int:
@@ -581,13 +529,19 @@ class Trial:
 
     The episode ends at success, the timeout (``t > t_max``, and always at
     ``episode_max_steps``), a stall, or once the actor runs out of actions
-    with no injection window open.  A trigger injects its error and verifies
-    the adverse state when the window closes; a verified one starts recovery,
-    by the takeover when given and otherwise by the actor itself.  An
-    injection that never verified, at the close or because the episode ended
-    first, leaves its frames Nominal.  A takeover may also take over at the
-    timeout.  ``label`` names the episode id and ``provenance`` holds the
-    caller's entries; the trigger and takeover add theirs.
+    with no injection window open.  A trial with an ``error`` injects it
+    when its trigger fires: for a ``PlannerActor``, on the first frame it
+    acts on a step of the error's ``TRIGGER_PHASE``; for any other actor, at
+    scene geometry (``_geometric_hits``).  Its draws come from ``seed``.
+    The adverse state is verified when the window closes; a verified one
+    starts recovery, by the takeover when given and otherwise by the actor
+    itself.  An injection that never verified, at the close or because the
+    episode ended first, leaves its frames Nominal.  A takeover may also
+    take over at the timeout.  ``label`` names the episode id and
+    ``provenance`` holds the caller's entries; the injection and takeover
+    add theirs.  A trial is a description: each run resolves its own
+    injection (``TrialRun``), so one trial may run again and gives the
+    same episode.
     """
 
     actor: Actor
@@ -597,7 +551,7 @@ class Trial:
     label: str
     provenance: dict
     t_max: int | None = None
-    trigger: InjectionSchedule | None = None
+    error: ErrorType | None = None
     takeover: Takeover | None = None
 
 
@@ -612,12 +566,16 @@ class TrialRun:
     rows.
 
     Besides its frames a trial records only its Error onset, its recovery
-    start ``t_rec`` and the frame ``began`` its current actor began on;
-    ``verdict`` derives every frame's tag.  The methods are the events both
-    engines share.  A trial that steps alone (``_run_alone``) calls
-    ``acted`` and ``settle`` every frame; a lockstep tick calls ``resolve``
-    and ``settle`` only when the trial has that event, and ``acted`` every
-    tick only when its actor can run out or stall.
+    start ``t_rec``, the frame ``began`` its current actor began on, the
+    ``Injection`` its trigger resolved to, and ``verified``, the verdict on
+    the adverse state it left (None until its window closes); ``verdict``
+    derives every frame's tag.  ``plan_phase`` is the phase that fires a
+    planner trial's trigger, and None for a geometric trigger or no error.
+    The methods are the events both engines share.  A trial that steps
+    alone (``_run_alone``) calls ``acted`` and ``settle`` every frame; a
+    lockstep tick calls ``resolve`` and ``settle`` only when the trial has
+    that event, and ``acted`` every tick only when its actor can run out or
+    stall.
     """
 
     def __init__(self, cfg: Config, index: int, trial: Trial):
@@ -630,6 +588,10 @@ class TrialRun:
         if trial.t_max is not None:
             detect_failure(0, trial.t_max)  # InputError for a t_max that is not positive
             self.deadline = min(trial.t_max + 1, self.deadline)
+        self.plan_phase = (TRIGGER_PHASE[trial.error.kind]
+                           if trial.error is not None and isinstance(trial.actor, PlannerActor) else None)
+        self.injection: Injection | None = None
+        self.verified: bool | None = None
         self.t = 0
         self.onset: int | None = None
         self.t_rec: int | None = None
@@ -653,21 +615,30 @@ class TrialRun:
         trial = self.trial
         return f"{trial.task_id}-{trial.env_mode.value.lower()}-{trial.label}-s{trial.seed:06d}"
 
-    @property
-    def adverse_verified(self) -> bool:
-        trigger = self.trial.trigger
-        return trigger is not None and bool(trigger.verified)
-
-    def resolve(self, hit: tuple[int, int | None]) -> None:
-        """The trigger fires on this frame, at the arm and object ``hit``."""
-        self.trial.trigger.resolve(self.t, *hit)
-        self.onset = self.t
+    def resolve(self, hit: tuple[int, int | None]) -> Injection:
+        """The trigger fires on this frame, at the arm and object ``hit``:
+        the injection it resolves to, drawn once from the trial's seed."""
+        error, t = self.trial.error, self.t
+        rng = np.random.default_rng([self.trial.seed & 0xFFFFFFFFFFFFFFF, 0xE44])
+        draws = (0.0, 0.0, 0.0)
+        if error.kind is ErrorKind.E3_POSITION_OFFSET:
+            dx, dy = rng.uniform(-error.offset_max, error.offset_max, size=2).tolist()
+            draws = (dx, dy, 0.0)
+        elif error.kind is ErrorKind.E4_ORIENTATION_MISMATCH:
+            # Rotation magnitude in [max/2, max] guarantees a large mismatch.
+            dth = float(rng.uniform(error.dtheta_max / 2.0, error.dtheta_max))
+            dth *= 1.0 if rng.uniform() < 0.5 else -1.0
+            lat = float(rng.uniform(error.lat_max / 2.0, error.lat_max))
+            lat *= 1.0 if rng.uniform() < 0.5 else -1.0
+            draws = (lat, 0.0, dth)
+        self.injection = Injection(error, t, t + error.window_steps, *hit, draws)
+        self.onset = t
+        return self.injection
 
     def acted(self) -> bool:
         """After the actor acts: False, and the trial ends unrecorded, when
-        the actor has run out with no injection pending."""
-        trigger = self.trial.trigger
-        if self.actor.exhausted and not (trigger is not None and trigger.pending):
+        the actor has run out with no injection pending verification."""
+        if self.actor.exhausted and not (self.injection is not None and self.verified is None):
             self.done = True
             return False
         return True
@@ -686,14 +657,13 @@ class TrialRun:
         success.  Only the verdict and a hand-over read ``state``, so a
         lockstep tick, whose trials have no takeover, passes None on frames
         where no window closes."""
-        trial, t = self.trial, self.t
-        trigger, takeover = trial.trigger, trial.takeover
+        t, injection, takeover = self.t, self.injection, self.trial.takeover
         if self.actor.stalled:
             self.done = True
             return
-        if trigger is not None and t == trigger.t_end:
-            trigger.verified = verify_adverse(cfg, state, trigger)
-            if trigger.verified:
+        if injection is not None and t == injection.t_end:
+            self.verified = verify_adverse(cfg, state, injection)
+            if self.verified:
                 self.t_rec = t
                 if takeover is not None and not self._hand_over(cfg, state):
                     self.done = True
@@ -709,9 +679,9 @@ class TrialRun:
         first non-corrective act (all of them when ``corrective_acts`` is
         None), and Nominal after.  Any other success is a nominal episode,
         all Nominal, and a failure is a pure failure, Error from the onset.
-        A trigger that never verified leaves no onset."""
-        t, t_rec, trigger = self.t, self.t_rec, self.trial.trigger
-        onset = None if trigger is not None and not trigger.verified else self.onset
+        An injection that never verified leaves no onset."""
+        t, t_rec = self.t, self.t_rec
+        onset = None if self.trial.error is not None and not self.verified else self.onset
         if self.succeeded and t_rec is not None and t > t_rec:
             # The actor's act on frame t_rec is its act number t_rec - began.
             n, acts = t - t_rec, self.actor.corrective_acts()
@@ -731,13 +701,39 @@ class TrialRun:
         check_verdict(self.episode_id, self.frames[:, OBS_DIM:], tags, kind, t_rec)
         return verdict
 
+    def _injection_provenance(self) -> dict:
+        """The provenance entries of the ended trial's injection: the
+        ``schedule`` it resolved to and ``adverse_verified``, and for a
+        geometric trigger whether its window closed (``UNTRIGGERED`` when it
+        never fired), for a plan-phase one the phase."""
+        injection = self.injection
+        if injection is None and self.plan_phase is None:
+            return dict(UNTRIGGERED)
+        schedule = {"window": None, "designated_arm": None, "object_index": None, "draws": {}}
+        if injection is not None:
+            kind, (dx, dy, dth) = injection.error.kind, injection.draws
+            schedule = {
+                "window": [injection.t_start, injection.t_end],
+                "designated_arm": ARM_NAMES[injection.arm],
+                "object_index": injection.object_index,
+                "draws": ({"dp": (dx, dy)} if kind is ErrorKind.E3_POSITION_OFFSET
+                          else {"dtheta": dth, "lat": (dx, dy)} if kind is ErrorKind.E4_ORIENTATION_MISMATCH
+                          else {}),
+            }
+        entries = {"adverse_verified": bool(self.verified), "schedule": schedule}
+        if self.plan_phase is None:
+            entries["window_closed"] = self.t >= injection.t_end
+        else:
+            schedule["trigger_phase"] = self.plan_phase.value
+        return entries
+
     def episode(self, cfg: Config) -> Episode:
         """The episode of the ended trial, with its verdict."""
-        trial, trigger = self.trial, self.trial.trigger
+        trial = self.trial
         kind, t_rec, tags = self.verdict()
         provenance = dict(trial.provenance)
-        if trigger is not None:
-            provenance.update(trigger.provenance(self.t))
+        if trial.error is not None:
+            provenance.update(self._injection_provenance())
         if trial.takeover is not None:
             provenance.update(trial.takeover.provenance(t_rec))
         return Episode(
@@ -746,7 +742,7 @@ class TrialRun:
             instruction_id=get_task(cfg, trial.task_id).instruction_id,
             env_mode=trial.env_mode,
             seed=trial.seed,
-            error_type=trigger.error.kind.value if trigger is not None else None,
+            error_type=trial.error.kind.value if trial.error is not None else None,
             t_rec=t_rec,
             kind=kind,
             frames=Frames(self.frames[:, :OBS_DIM], self.frames[:, OBS_DIM:], tags,
@@ -762,7 +758,7 @@ _FRAME = OBS_DIM + ACTION_DIM
 def _inject_rows(actions: np.ndarray, rows: np.ndarray, arm: np.ndarray, kind: np.ndarray,
                  draws: np.ndarray) -> None:
     """``inject`` of action rows ``rows`` in place, inside their windows:
-    row k's schedule has its designated ``arm[k]``, its kind
+    row k's injection has its designated ``arm[k]``, its kind
     ``_KINDS[kind[k]]`` and its draws (dx, dy, dtheta) ``draws[k]``."""
     cols = 4 * arm  # the arm's x, y, theta, grip
     grip = kind < 2  # E1 and E2 force the grip
@@ -778,7 +774,7 @@ class _Lockstep:
     """Two or more trials whose actors share one ``Actor.Batch``, stepped as
     one ``WorldBatch`` whose rows are the live trials in trial order.
 
-    Its trials have no takeover and no plan-phase trigger (see
+    Its trials have no takeover and no planner with an error (see
     ``run_trials``), so a tick runs a trial's Python only at its
     events: its geometric trigger fires, its window closes, it succeeds or
     it reaches its deadline, and, for a batch that polls its actors, it runs
@@ -796,13 +792,13 @@ class _Lockstep:
         self.ids = np.arange(n)  # each live row's place in ``runs``
         self.world = WorldBatch.of(cfg, states)
         self.obs = observe_batch(self.world)
-        triggers = [run.trial.trigger for run in runs]
+        errors = [run.trial.error for run in runs]
         self.deadline = np.array([run.deadline for run in runs])
         self.horizon = int(self.deadline.max())  # the largest live deadline
         self.frames = np.empty((n, self.horizon, _FRAME))  # trial k's frame t at [k, t]
-        self.geometric = np.array([s is not None for s in triggers])  # unresolved
+        self.geometric = np.array([e is not None for e in errors])  # unresolved
         self.triggered = bool(self.geometric.any())  # else a tick skips the trigger arrays
-        self.kind = np.array([0 if s is None else _KINDS.index(s.error.kind) for s in triggers])
+        self.kind = np.array([0 if e is None else _KINDS.index(e.kind) for e in errors])
         self.t_end = np.full(n, -1)  # -1: no window; a resolved row's window opened at or before this tick
         self.arm, self.draws = np.zeros(n, dtype=int), np.zeros((n, 3))
 
@@ -826,13 +822,10 @@ class _Lockstep:
             return
         for k, hit in _geometric_hits(self.cfg, self.world, self.geometric, self.kind):
             run = self.live[k]
-            trigger = run.trial.trigger
             run.t = t
-            run.resolve(hit)
+            injection = run.resolve(hit)
             self.geometric[k] = False
-            self.t_end[k], self.arm[k] = trigger.t_end, trigger.arm
-            dx, dy = trigger.draws.get("dp", trigger.draws.get("lat", (0.0, 0.0)))
-            self.draws[k] = dx, dy, trigger.draws.get("dtheta", 0.0)
+            self.t_end[k], self.arm[k], self.draws[k] = injection.t_end, injection.arm, injection.draws
 
     def _due(self, t: int) -> np.ndarray:
         """Which live trials reach their deadline at frame count ``t``."""
@@ -917,7 +910,8 @@ def _run_alone(cfg: Config, run: TrialRun, state: WorldState) -> None:
     trigger fires when the planner's ``step`` is in its phase.  The in-window
     action is injected and recorded, and the world steps.  Until recovery
     starts, the takeover watches the step; then ``settle``."""
-    t, trigger, takeover = run.t, run.trial.trigger, run.trial.takeover
+    t, error, takeover, phase = run.t, run.trial.error, run.trial.takeover, run.plan_phase
+    injection = None
     obs, values = observe(state), array("d")
     while True:
         if t >= run.deadline:
@@ -929,21 +923,21 @@ def _run_alone(cfg: Config, run: TrialRun, state: WorldState) -> None:
             run.t_rec, run.deadline = t, int(cfg.episode_max_steps)
             if t >= run.deadline:
                 break
-        if trigger is not None and not trigger.resolved and trigger.trigger_phase is None:
+        if error is not None and injection is None and phase is None:
             hits = _geometric_hits(cfg, WorldBatch.of(cfg, [state]), np.ones(1, dtype=bool),
-                                   np.array([_KINDS.index(trigger.error.kind)]))
+                                   np.array([_KINDS.index(error.kind)]))
             if hits:
-                run.resolve(hits[0][1])
+                injection = run.resolve(hits[0][1])
         action = run.actor.act(state, obs)
         if not run.acted():
             break
-        if trigger is not None:
-            if trigger.trigger_phase is not None and not trigger.resolved:
+        if error is not None:
+            if injection is None and phase is not None:
                 current = run.actor.step  # a planner that has not run out acted on it
-                if current.phase is trigger.trigger_phase:
-                    run.resolve((current.arm, current.object_index))
-            if trigger.in_window(t):
-                action = inject(action, t, trigger)
+                if current.phase is phase:
+                    injection = run.resolve((current.arm, current.object_index))
+            if injection is not None and injection.in_window(t):
+                action = inject(action, t, injection)
         values.frombytes(obs.tobytes() + _ACTION_BYTES.pack(*action))
         before, state = state, step(cfg, state, run.actor.applied(action))
         if takeover is not None and run.t_rec is None:
@@ -961,8 +955,8 @@ def run_trials(cfg: Config, trials: list[Trial]) -> Iterator[tuple[int, TrialRun
     """Run ``trials`` and yield ``(index in trials, ended trial)`` as each
     ends; see ``Trial`` for the rules of a trial.
 
-    A trial with a takeover or a plan-phase trigger steps alone on its
-    ``WorldState`` (``_run_alone``).  Two or more of the others whose
+    A trial with a takeover, or a planner trial with an error, steps alone
+    on its ``WorldState`` (``_run_alone``).  Two or more of the others whose
     actors are of one class and one ``Actor.Batch.key`` step in lockstep as
     one ``WorldBatch`` (``_Lockstep``); a lone one steps alone.  The lone
     trials run first, one after another in trial order, then the batches in
@@ -983,14 +977,14 @@ def run_trials(cfg: Config, trials: list[Trial]) -> Iterator[tuple[int, TrialRun
     each keeps its own world, actor and RNGs.
     """
     for trial in trials:
-        if trial.trigger is not None and isinstance(trial.takeover, TimeoutTakeover):
-            raise InputError("a trial with a trigger cannot have a TimeoutTakeover: no tag rule covers both")
+        if trial.error is not None and isinstance(trial.takeover, TimeoutTakeover):
+            raise InputError("a trial with an error cannot have a TimeoutTakeover: no tag rule covers both")
     runs = [TrialRun(cfg, i, trial) for i, trial in enumerate(trials)]
     states = [run.begin(cfg) for run in runs]
     keys: dict[tuple[type, object], list[int]] = {}
     for run in runs:
         trial, cls = run.trial, type(run.actor)
-        if trial.takeover is None and (trial.trigger is None or trial.trigger.trigger_phase is None):
+        if trial.takeover is None and run.plan_phase is None:
             keys.setdefault((cls, cls.Batch.key(run.actor)), []).append(run.index)
     groups = [ks for ks in keys.values() if len(ks) > 1]
     batches = [_Lockstep(cfg, [runs[k] for k in ks], [states[k] for k in ks]) for ks in groups]
@@ -1057,11 +1051,12 @@ def interception_trial(
     verify, recover), its nominal plan made: PlanningError here when the
     seed's world has none.
 
-    The nominal plan executes until the error's trigger phase resolves the
-    injection window; in-window actions pass through ``inject``.  When the
-    window closes, ``verify_adverse`` decides the episode's fate: verified
-    states hand control to the recovery planner (frames tagged Recovery until
-    the corrective phases finish, Nominal afterwards).  An injection that
+    The nominal plan executes until the planner acts on a step of the
+    error's ``TRIGGER_PHASE`` and the run resolves its ``Injection``;
+    in-window actions pass through ``inject``.  When the window closes,
+    ``verify_adverse`` decides the episode's fate: verified states hand
+    control to the recovery planner (frames tagged Recovery until the
+    corrective phases finish, Nominal afterwards).  An injection that
     never verifies, at the close or because a timeout or stall came first,
     leaves an all-Nominal run flagged in provenance.  With ``recover=False``,
     or when recovery is impossible or times out, the episode is finalized as
@@ -1071,7 +1066,7 @@ def interception_trial(
     return Trial(PlannerActor(plan), task_id, env_mode, seed,
                  error.kind.value if recover else error.kind.value + "-pf",
                  {"generator": "interception", "e3_sampling": "per-axis-uniform"},
-                 t_max, InjectionSchedule(error, TRIGGER_PHASE[error.kind], seed), Takeover(recover))
+                 t_max, error, Takeover(recover))
 
 
 def run_interception(cfg: Config, task_id: str, env_mode: EnvMode, error: ErrorType, seed: int,

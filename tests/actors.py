@@ -6,7 +6,7 @@ import numpy as np
 
 from recoverylab.config import Config
 from recoverylab.errors import PlanningError, UnrecoverableState
-from recoverylab.faults import UNTRIGGERED, Actor, ErrorType, InjectionSchedule, PlannerActor, Trial, run_episodes
+from recoverylab.faults import UNTRIGGERED, Actor, ErrorType, PlannerActor, Trial, run_episodes
 from recoverylab.planner import plan_recovery
 from recoverylab.policy import LearnedActor, Policy, action_from_vector
 from recoverylab.store import Episode
@@ -92,15 +92,16 @@ def rollout(
 ) -> Episode:
     """Deploy the policy closed-loop: raw rolling history, fixed value input.
 
-    With ``injection``, frames inside the override window are tagged Error
+    With ``injection``, the error fires at scene geometry (see
+    ``faults.Trial``): frames inside the override window are tagged Error
     and the post-window continuation Recovery, provided the adverse state
-    verifies when the window closes (see ``InjectionSchedule``).
+    verifies when the window closes.
     """
     actor = LearnedActor(policy, v_fixed=v_fixed)
     if injection is None:
         trial = Trial(actor, task_id, env_mode, seed, "pol", {"generator": "rollout", **UNTRIGGERED}, t_max)
     else:
         trial = Trial(actor, task_id, env_mode, seed, f"pol-{injection.kind.value}", {"generator": "rollout"},
-                      t_max, InjectionSchedule(injection, None, seed))
+                      t_max, injection)
     (_, episode), = run_episodes(cfg, [trial])
     return episode

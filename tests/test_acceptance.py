@@ -19,8 +19,9 @@ from recoverylab import bench, datagen
 from recoverylab.config import load_config
 from recoverylab.faults import (
     ErrorKind,
-    InjectionSchedule,
-    TRIGGER_PHASE,
+    PlannerActor,
+    Trial,
+    TrialRun,
     detect_failure,
     error_from_config,
     inject,
@@ -179,31 +180,33 @@ def test_a3_override_exactness():
     t0 = 50
     for kind in ErrorKind:
         error = error_from_config(CFG, kind)
-        schedule = InjectionSchedule(error=error, trigger_phase=TRIGGER_PHASE[kind], rng_seed=7)
-        schedule.resolve(t0, RIGHT, 0)
-        inside = inject(action, t0 + 1, schedule)
+        run = TrialRun(CFG, 0, Trial(PlannerActor(), "pick-place", EnvMode.CLEAN, 7, kind.value, {}, error=error))
+        run.t = t0
+        injection = run.resolve((RIGHT, 0))
+        assert (injection.t_start, injection.t_end) == (t0, t0 + error.window_steps)
+        assert (injection.arm, injection.object_index) == (RIGHT, 0)
+        inside = inject(action, t0 + 1, injection)
         if kind is ErrorKind.E1_PREMATURE_CLOSE:
             assert inside[grip] == 1.0 and inside[x:grip] == action[x:grip]
         elif kind is ErrorKind.E2_GRASP_SLIP:
             assert inside[grip] == 0.0 and inside[x:grip] == action[x:grip]
-            steps = [t for t in range(t0 - 5, t0 + 40) if schedule.in_window(t)]
+            steps = [t for t in range(t0 - 5, t0 + 40) if injection.in_window(t)]
             assert len(steps) == 30 and steps[0] == t0
         elif kind is ErrorKind.E3_POSITION_OFFSET:
-            dx, dy = schedule.draws["dp"]
+            dx, dy, _ = injection.draws
             assert inside[x] == action[x] + dx
             assert inside[y] == action[y] + dy
             assert inside[theta] == action[theta]
             assert inside[grip] == action[grip]
         else:
-            lx, _ = schedule.draws["lat"]
-            dth = schedule.draws["dtheta"]
+            lx, _, dth = injection.draws
             assert inside[x] == action[x] + lx
             assert abs(inside[theta] - (action[theta] + dth)) < 1e-15
             assert inside[grip] == action[grip]
         assert inside[:4] == action[:4]
         # bit-identical outside the window
-        assert inject(action, t0 - 1, schedule) is action
-        assert inject(action, t0 + error.window_steps, schedule) is action
+        assert inject(action, t0 - 1, injection) is action
+        assert inject(action, t0 + error.window_steps, injection) is action
     report("A3", "all four overrides exact field-by-field; slip window exactly 30 steps")
 
 

@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 
 from recoverylab import faults
-from recoverylab.errors import InputError, InsufficientData, SequencingError
+from recoverylab.errors import ConfigError, InputError, InsufficientData, SequencingError
 from recoverylab.faults import (
     ErrorKind,
-    InjectionSchedule,
     PlannerActor,
     TRIGGER_PHASE,
     Takeover,
@@ -60,11 +59,16 @@ def make_action(grip=0.3):
     return (-0.3, 0.2, 0.1, 0.0, 0.3, 0.1, -0.2, grip)
 
 
-def resolved_schedule(cfg, kind, t0=10, seed=9):
+def resolved_injection(cfg, kind, t0=10, seed=9):
+    """The injection a planner trial of ``kind`` on ``seed`` resolves to
+    when its trigger fires on frame ``t0``, at the right arm and object 0."""
     error = error_from_config(cfg, kind)
-    schedule = InjectionSchedule(error=error, trigger_phase=TRIGGER_PHASE[kind], rng_seed=seed)
-    schedule.resolve(t0, RIGHT, 0)
-    return error, schedule
+    run = TrialRun(cfg, 0, Trial(PlannerActor(), "pick-place", EnvMode.CLEAN, seed, "E", {}, error=error))
+    run.t = t0
+    injection = run.resolve((RIGHT, 0))
+    assert run.injection is injection and run.onset == t0
+    assert (injection.error, injection.t_start, injection.arm, injection.object_index) == (error, t0, RIGHT, 0)
+    return error, injection
 
 
 def test_trigger_phases(cfg):
@@ -74,34 +78,50 @@ def test_trigger_phases(cfg):
     assert TRIGGER_PHASE[ErrorKind.E4_ORIENTATION_MISMATCH] is PlanPhase.GRASP
 
 
+def test_the_trigger_rule_follows_the_actor(cfg):
+    # A planner trial fires at its error's plan phase; any other actor's, at
+    # scene geometry; a trial with no error has no trigger.
+    e2 = error_from_config(cfg, ErrorKind.E2_GRASP_SLIP)
+    runs = [TrialRun(cfg, 0, Trial(actor, "pick-place", EnvMode.RANDOM, 0, "E2", {}, error=error))
+            for actor, error in ((PlannerActor(), e2), (OracleActor(), e2), (PlannerActor(), None))]
+    assert [run.plan_phase for run in runs] == [PlanPhase.LIFT, None, None]
+
+
+def test_unknown_error_kind_is_a_config_error(cfg):
+    with pytest.raises(ConfigError, match="known: \\['E1', 'E2', 'E3', 'E4'\\]"):
+        error_from_config(cfg, "E5")
+    assert error_from_config(cfg, "E2") == error_from_config(cfg, ErrorKind.E2_GRASP_SLIP)
+
+
 def test_e1_forces_close_exactly(cfg):
-    error, schedule = resolved_schedule(cfg, ErrorKind.E1_PREMATURE_CLOSE)
+    error, injection = resolved_injection(cfg, ErrorKind.E1_PREMATURE_CLOSE)
     action = make_action(grip=0.0)
-    out = inject(action, 12, schedule)
+    out = inject(action, 12, injection)
     assert out[RG] == GRIP_CLOSED
     assert out[RX:RG] == action[RX:RG]  # untouched fields
     assert out[:4] == action[:4]
 
 
 def test_e2_forces_open_exactly(cfg):
-    error, schedule = resolved_schedule(cfg, ErrorKind.E2_GRASP_SLIP)
-    out = inject(make_action(grip=1.0), 10 + 15, schedule)
+    error, injection = resolved_injection(cfg, ErrorKind.E2_GRASP_SLIP)
+    out = inject(make_action(grip=1.0), 10 + 15, injection)
     assert out[RG] == GRIP_OPEN
 
 
 def test_e2_window_exactly_30_steps(cfg):
-    error, schedule = resolved_schedule(cfg, ErrorKind.E2_GRASP_SLIP, t0=100)
-    in_window = [t for t in range(90, 160) if schedule.in_window(t)]
+    error, injection = resolved_injection(cfg, ErrorKind.E2_GRASP_SLIP, t0=100)
+    in_window = [t for t in range(90, 160) if injection.in_window(t)]
     assert in_window == list(range(100, 130))
     assert len(in_window) == 30
+    assert injection.t_end == 130
 
 
 def test_e3_offset_formula(cfg):
-    error, schedule = resolved_schedule(cfg, ErrorKind.E3_POSITION_OFFSET)
-    dx, dy = schedule.draws["dp"]
-    assert abs(dx) <= error.offset_max and abs(dy) <= error.offset_max
+    error, injection = resolved_injection(cfg, ErrorKind.E3_POSITION_OFFSET)
+    dx, dy, dth = injection.draws
+    assert abs(dx) <= error.offset_max and abs(dy) <= error.offset_max and dth == 0.0
     action = make_action()
-    out = inject(action, 11, schedule)
+    out = inject(action, 11, injection)
     assert out[RX] == pytest.approx(action[RX] + dx)
     assert out[RY] == pytest.approx(action[RY] + dy)
     assert out[RTH] == action[RTH]
@@ -109,20 +129,19 @@ def test_e3_offset_formula(cfg):
 
 
 def test_e3_single_draw_per_episode(cfg):
-    error, schedule = resolved_schedule(cfg, ErrorKind.E3_POSITION_OFFSET)
-    outs = [inject(make_action(), t, schedule) for t in range(10, 10 + error.window_steps)]
+    error, injection = resolved_injection(cfg, ErrorKind.E3_POSITION_OFFSET)
+    outs = [inject(make_action(), t, injection) for t in range(10, 10 + error.window_steps)]
     deltas = {(round(o[RX], 12), round(o[RY], 12)) for o in outs}
     assert len(deltas) == 1  # constant offset across the window
 
 
 def test_e4_rotation_and_lateral(cfg):
-    error, schedule = resolved_schedule(cfg, ErrorKind.E4_ORIENTATION_MISMATCH)
-    dth = schedule.draws["dtheta"]
-    lx, ly = schedule.draws["lat"]
+    error, injection = resolved_injection(cfg, ErrorKind.E4_ORIENTATION_MISMATCH)
+    lx, ly, dth = injection.draws
     assert error.dtheta_max / 2 <= abs(dth) <= error.dtheta_max
     assert error.lat_max / 2 <= abs(lx) <= error.lat_max and ly == 0.0
     action = make_action()
-    out = inject(action, 11, schedule)
+    out = inject(action, 11, injection)
     assert out[RTH] == pytest.approx(wrap_angle(action[RTH] + dth))
     assert out[RX] == pytest.approx(action[RX] + lx)
     assert out[RG] == action[RG]
@@ -130,26 +149,16 @@ def test_e4_rotation_and_lateral(cfg):
 
 @pytest.mark.parametrize("kind", list(ErrorKind))
 def test_identity_outside_window(cfg, kind):
-    error, schedule = resolved_schedule(cfg, kind)
+    error, injection = resolved_injection(cfg, kind)
     action = make_action()
-    assert inject(action, 9, schedule) is action
-    assert inject(action, 10 + error.window_steps, schedule) is action
-
-
-def test_inject_requires_resolved_schedule(cfg):
-    error = error_from_config(cfg, ErrorKind.E2_GRASP_SLIP)
-    schedule = InjectionSchedule(error=error, trigger_phase=PlanPhase.LIFT, rng_seed=0)
-    with pytest.raises(SequencingError):
-        inject(make_action(), 5, schedule)
-    schedule.resolve(5, RIGHT, 0)
-    with pytest.raises(SequencingError):
-        schedule.resolve(6, RIGHT, 0)  # resolved exactly once
+    assert inject(action, 9, injection) is action
+    assert inject(action, 10 + error.window_steps, injection) is action
 
 
 def test_draws_deterministic_per_seed(cfg):
-    _, a = resolved_schedule(cfg, ErrorKind.E3_POSITION_OFFSET, seed=42)
-    _, b = resolved_schedule(cfg, ErrorKind.E3_POSITION_OFFSET, seed=42)
-    _, c = resolved_schedule(cfg, ErrorKind.E3_POSITION_OFFSET, seed=43)
+    _, a = resolved_injection(cfg, ErrorKind.E3_POSITION_OFFSET, seed=42)
+    _, b = resolved_injection(cfg, ErrorKind.E3_POSITION_OFFSET, seed=42)
+    _, c = resolved_injection(cfg, ErrorKind.E3_POSITION_OFFSET, seed=43)
     assert a.draws == b.draws
     assert a.draws != c.draws
 
@@ -159,22 +168,22 @@ def test_draws_deterministic_per_seed(cfg):
 
 
 def test_verify_adverse_e2(cfg):
-    error, schedule = resolved_schedule(cfg, ErrorKind.E2_GRASP_SLIP)
+    error, injection = resolved_injection(cfg, ErrorKind.E2_GRASP_SLIP)
     state = reset(cfg, "pick-place", EnvMode.CLEAN, 0)
     # object resting below carry height, unheld: the slip signature
-    assert verify_adverse(cfg, state, schedule)
+    assert verify_adverse(cfg, state, injection)
     held = replace(state, holders=(RIGHT,))
-    assert not verify_adverse(cfg, held, schedule)
+    assert not verify_adverse(cfg, held, injection)
     lifted = replace(state, object_poses=(Pose2D(0.3, cfg.lift_y, 0.0),))
-    assert not verify_adverse(cfg, lifted, schedule)
+    assert not verify_adverse(cfg, lifted, injection)
 
 
 def test_verify_adverse_e1_signature(cfg):
-    error, schedule = resolved_schedule(cfg, ErrorKind.E1_PREMATURE_CLOSE)
+    error, injection = resolved_injection(cfg, ErrorKind.E1_PREMATURE_CLOSE)
     state = reset(cfg, "pick-place", EnvMode.CLEAN, 0)
-    assert verify_adverse(cfg, state, schedule)  # not held by designated arm
+    assert verify_adverse(cfg, state, injection)  # not held by designated arm
     grasped = replace(state, holders=(RIGHT,))
-    assert not verify_adverse(cfg, grasped, schedule)
+    assert not verify_adverse(cfg, grasped, injection)
 
 
 def test_max_nominal_duration(cfg, expert_episodes, recovery_episodes):
@@ -346,7 +355,7 @@ def test_recovery_tags_follow_the_recovery_planners_phases(cfg):
     # mid-carry; the frames before t_rec are Nominal then Error.
     tasks = ("pick-place", "stack-two", "bimanual-handover")
     trials = [Trial(PlannerActor(), task, EnvMode.RANDOM, seed, kind.value, {}, None,
-                    InjectionSchedule(error_from_config(cfg, kind), TRIGGER_PHASE[kind], seed), _RecordingTakeover())
+                    error_from_config(cfg, kind), _RecordingTakeover())
               for task in tasks for kind in ErrorKind for seed in range(3)]
     for task in tasks:
         for seed in range(2):
@@ -470,19 +479,19 @@ def _mixed_trials(cfg) -> list[Trial]:
     rollout = {"generator": "rollout"}
     return [
         Trial(PlannerActor(), "stack-two", EnvMode.RANDOM, 3, "E2", {}, None,
-              InjectionSchedule(e2, TRIGGER_PHASE[e2.kind], 3), Takeover()),
+              e2, Takeover()),
         Trial(PlannerActor(action_noise=0.02), "bimanual-handover", EnvMode.RANDOM, 4, "nom", {}),
         Trial(PlannerActor(), "bimanual-handover", EnvMode.RANDOM, 1, "induced", {}, 70, None, TimeoutTakeover()),
-        Trial(OracleActor(), "stack-two", EnvMode.RANDOM, 2, "eval", rollout, 140, InjectionSchedule(e1, None, 2)),
+        Trial(OracleActor(), "stack-two", EnvMode.RANDOM, 2, "eval", rollout, 140, e1),
         Trial(OracleActor(), "bimanual-handover", EnvMode.CLEAN, 6, "eval", rollout, 150,
-              InjectionSchedule(e4, None, 6)),
-        Trial(OracleActor(), "pick-place", EnvMode.RANDOM, 7, "eval", rollout, 120, InjectionSchedule(e2, None, 7)),
-        Trial(RandomActor(5), "stack-two", EnvMode.RANDOM, 5, "eval", rollout, 60, InjectionSchedule(e1, None, 5)),
-        Trial(RandomActor(8), "pick-place", EnvMode.CLEAN, 8, "eval", rollout, 50, InjectionSchedule(e3, None, 8)),
-        Trial(OracleActor(), "pick-place", EnvMode.RANDOM, 0, "eval", rollout, 90, InjectionSchedule(e3, None, 0)),
+              e4),
+        Trial(OracleActor(), "pick-place", EnvMode.RANDOM, 7, "eval", rollout, 120, e2),
+        Trial(RandomActor(5), "stack-two", EnvMode.RANDOM, 5, "eval", rollout, 60, e1),
+        Trial(RandomActor(8), "pick-place", EnvMode.CLEAN, 8, "eval", rollout, 50, e3),
+        Trial(OracleActor(), "pick-place", EnvMode.RANDOM, 0, "eval", rollout, 90, e3),
         Trial(LearnedActor(init_policy(cfg, seed=9)), "pick-place", EnvMode.RANDOM, 9, "eval", rollout, 45),
         Trial(LearnedActor(init_policy(cfg, seed=10)), "stack-two", EnvMode.RANDOM, 10, "eval", rollout, 80,
-              InjectionSchedule(e3, None, 10)),
+              e3),
     ]
 
 
@@ -496,13 +505,40 @@ def test_lockstep_trials_equal_one_trial_runs(cfg):
     assert [together[i] for i in range(len(alone))] == alone
 
 
+def test_trials_are_descriptions_that_run_again_to_the_same_episodes(cfg):
+    # A trial holds nothing of a run: one list of trials, run twice in one
+    # call (the oracle and random trials in lockstep) and once more one trial
+    # at a time, gives the same episodes byte for byte.  The list has
+    # plan-phase and geometric triggers of all four errors, with and without
+    # a takeover.
+    def text(episode):
+        return json.dumps(episode_to_dict(episode), sort_keys=True)
+
+    errors = [error_from_config(cfg, kind) for kind in ErrorKind]
+    trials = [interception_trial(cfg, "pick-place", EnvMode.RANDOM, error, seed)
+              for error in errors for seed in range(2)]
+    trials += [Trial(OracleActor(), "pick-place", EnvMode.RANDOM, seed, "eval", {}, 150, error)
+               for seed, error in enumerate(errors)]
+    trials += [Trial(RandomActor(seed), "stack-two", EnvMode.RANDOM, seed, "eval", {}, 40, error)
+               for seed, error in enumerate(errors)]
+    trials += [Trial(OracleActor(), "stack-two", EnvMode.RANDOM, 4, "eval", {}, 150, errors[1], Takeover()),
+               Trial(LearnedActor(init_policy(cfg, seed=9)), "pick-place", EnvMode.RANDOM, 5, "eval", {}, 40,
+                     errors[2])]
+    runs = [dict(run_episodes(cfg, trials)) for _ in range(2)]
+    first, second = ([text(run[i]) for i in range(len(trials))] for run in runs)
+    alone = [text(episode) for trial in trials for _, episode in run_episodes(cfg, [trial])]
+    assert first == second == alone
+    verified = [json.loads(episode)["provenance"]["adverse_verified"] for episode in first]
+    assert sum(verified[:8]) >= 4 and sum(verified[8:12]) >= 2
+
+
 def test_lockstep_injection_equals_inject_bit_for_bit(cfg):
     # A lockstep tick injects its in-window rows as arrays; the rows it
     # records equal, bit for bit, those of one-trial runs, which inject
     # through ``inject``.
     def trials():
         return [Trial(OracleActor(), "pick-place", EnvMode.RANDOM, seed, "eval", {}, 150,
-                      InjectionSchedule(error_from_config(cfg, kind), None, seed))
+                      error_from_config(cfg, kind))
                 for seed, kind in enumerate(list(ErrorKind) * 2)]
 
     together = dict(run_episodes(cfg, trials()))
@@ -525,7 +561,7 @@ def test_noisy_planners_share_the_batch_and_interceptions_step_alone(cfg, monkey
         return [Trial(PlannerActor(action_noise=0.02), "pick-place", EnvMode.RANDOM, 1, "nom", {}),
                 Trial(LearnedActor(init_policy(cfg, seed=9)), "pick-place", EnvMode.RANDOM, 2, "eval", {}, 40),
                 Trial(PlannerActor(), "stack-two", EnvMode.RANDOM, 3, "E2", {}, None,
-                      InjectionSchedule(e2, TRIGGER_PHASE[e2.kind], 3), Takeover()),
+                      e2, Takeover()),
                 Trial(LearnedActor(init_policy(cfg, seed=10)), "stack-two", EnvMode.RANDOM, 4, "eval", {}, 60),
                 Trial(PlannerActor(action_noise=0.02), "stack-two", EnvMode.RANDOM, 5, "nom", {}),
                 Trial(PlannerActor(), "bimanual-handover", EnvMode.RANDOM, 6, "induced", {}, 50, None,
@@ -653,7 +689,7 @@ def test_gated_success_check_equals_success_batch_on_every_tick(cfg, monkeypatch
     e2 = error_from_config(cfg, ErrorKind.E2_GRASP_SLIP)
     trials = [nominal_trial(cfg, task, EnvMode.RANDOM, seed, None, 0.02)
               for task in ("pick-place", "stack-two", "bimanual-handover") for seed in range(3)]
-    trials += [Trial(OracleActor(), "pick-place", EnvMode.RANDOM, seed, "eval", {}, 150, InjectionSchedule(e2, None, seed))
+    trials += [Trial(OracleActor(), "pick-place", EnvMode.RANDOM, seed, "eval", {}, 150, e2)
                for seed in range(4)]
     real_success_batch, real_succeeded = faults.success_batch, faults._Lockstep._succeeded
     ticks, checks = [], []
@@ -727,14 +763,12 @@ def test_trigger_with_timeout_takeover_is_refused(cfg, lockstep):
     # can both hand over, so run_trials refuses it before any trial begins.
     error = error_from_config(cfg, ErrorKind.E2_GRASP_SLIP)
     actors = [PlannerActor(), PlannerActor()]
-    trials = [Trial(actors[0], "pick-place", EnvMode.RANDOM, 0, "induced", {}, 40,
-                    InjectionSchedule(error, TRIGGER_PHASE[error.kind], 0), TimeoutTakeover())]
+    trials = [Trial(actors[0], "pick-place", EnvMode.RANDOM, 0, "induced", {}, 40, error, TimeoutTakeover())]
     if lockstep:
         trials.append(Trial(actors[1], "pick-place", EnvMode.RANDOM, 1, "nom", {}))
     with pytest.raises(InputError, match="TimeoutTakeover"):
         next(run_trials(cfg, trials))
     assert not any(hasattr(actor, "step") for actor in actors)
-    assert not trials[0].trigger.resolved
 
 
 def test_action_noise_in_blocks_equals_per_frame_draws(cfg):

@@ -547,9 +547,8 @@ def _learned_lockstep_trials(cfg) -> dict[str, faults.Trial]:
     trials = {}
     for group, task, seed, t_max, error in plan:
         policy, v = groups[group]
-        trigger = faults.InjectionSchedule(error, None, seed) if error is not None else None
         trials[f"{group}-{task}-s{seed}"] = faults.Trial(
-            LearnedActor(policy, v_fixed=v), task, EnvMode.RANDOM, seed, f"eval-{group}", rollout, t_max, trigger)
+            LearnedActor(policy, v_fixed=v), task, EnvMode.RANDOM, seed, f"eval-{group}", rollout, t_max, error)
         if seed == 4:
             trials["planner-pick-place-s4"] = faults.Trial(
                 faults.PlannerActor(action_noise=0.02), "pick-place", EnvMode.RANDOM, 4, "nom", {})

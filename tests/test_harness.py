@@ -12,7 +12,6 @@ from recoverylab.cli import main as cli_main
 from recoverylab.errors import InputError, PlanningError, ValidationError
 from recoverylab.faults import (
     ErrorKind,
-    InjectionSchedule,
     TimeoutTakeover,
     Trial,
     error_from_config,
@@ -139,9 +138,8 @@ def _one_trial_records(cfg, factory, error, seeds, t_max):
     horizon = bench.adversarial_horizon(cfg, t_max, error) if error is not None else t_max
     records = []
     for seed in seeds:
-        trigger = InjectionSchedule(error, None, seed) if error is not None else None
         (_, episode), = run_episodes(cfg, [Trial(factory(seed), "pick-place", EnvMode.RANDOM, seed, "eval",
-                                                 {"generator": "rollout"}, horizon, trigger)])
+                                                 {"generator": "rollout"}, horizon, error)])
         records.append(bench.TrialRecord(
             task_id=episode.task_id, env_mode=episode.env_mode.value, seed=episode.seed,
             error_type=episode.error_type, adverse_verified=bool(episode.provenance.get("adverse_verified", False)),
@@ -515,13 +513,12 @@ def _interceptions_one_by_one(cfg, task, error, seeds, counts, recover=True):
 ])
 def test_expert_blocks_yield_and_count_as_one_by_one(cfg, monkeypatch, generator, flag, total):
     # Objects past x = 0.4 are outside this workspace, so seeds 0, 3 and 6
-    # have no plan; in expert blocks of 3 of this seed order, 0 and 6 start
-    # their blocks and 3 ends its block.  Nominal seed 1 stalls, and three
-    # E3 injections do not verify.  The generators yield the one-by-one
+    # have no plan; in blocks of 3 of this seed order, 0 and 6 start their
+    # blocks and 3 ends its block.  Nominal seed 1 stalls, and three E3
+    # injections do not verify.  The generators yield the one-by-one
     # episodes in seed order, and a caller that stops after k episodes sees
     # the counts of the seeds up to its k-th episode: expert episodes with
-    # and without their failures, and interceptions (one seed a call),
-    # recovered or not.
+    # and without their failures, and interceptions, recovered or not.
     monkeypatch.setattr(datagen, "SEED_BLOCK", 3)
     c = cfg.with_overrides(workspace_x_max=0.4)
     seeds, e3 = [0, 1, 2, 4, 5, 3, 6, 7], error_from_config(c, ErrorKind.E3_POSITION_OFFSET)
